@@ -46,7 +46,6 @@ func main() {
 	crashFrom := flag.Duration("crash-from", 0, "ft: earliest crash time (default 5s)")
 	crashTo := flag.Duration("crash-to", 0, "ft: latest crash time (default 30s; short runs may finish before crashes land)")
 	wire := flag.Bool("wire", false, "carry every cross-host payload over real loopback sockets (internal/netwire); timing stays the simulated cost model's")
-	wirecodec := flag.String("wirecodec", "binary", "wire payload codec: binary (versioned zero-alloc wirefmt frames) or gob (legacy)")
 	vps := flag.Int("vps", 0, "fleet: work-unit count (default 100000)")
 	shards := flag.Int("shards", 0, "fleet: scheduler shard count (default 8; 1 = centralized)")
 	duration := flag.Duration("duration", 0, "fleet: simulated run length (default 10m)")
@@ -83,17 +82,7 @@ func main() {
 	}
 	var wb *netwire.Backend
 	if *wire {
-		var codec netwire.WireCodec
-		switch *wirecodec {
-		case "binary":
-			codec = netwire.BinaryCodec{}
-		case "gob":
-			codec = netwire.GobCodec{}
-		default:
-			fmt.Fprintf(os.Stderr, "pvmsim: unknown -wirecodec %q (want binary or gob)\n", *wirecodec)
-			os.Exit(2)
-		}
-		wb = netwire.NewWithCodec(codec)
+		wb = netwire.New()
 		defer wb.Shutdown()
 		sc.Wire = wb
 	}

@@ -6,9 +6,8 @@ import (
 )
 
 // Binary wire-format support (internal/wirefmt): the explicit, versioned
-// encoding that replaced gob on the cross-host hot path. The gob mirrors in
-// gobwire.go stay registered so the two codecs can be differentially
-// tested; this file owns core's tag range (16–31).
+// encoding every cross-host payload uses. This file owns core's tag range
+// (16–31).
 //
 // Buffer's body layout (tag 16):
 //

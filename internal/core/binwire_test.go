@@ -58,21 +58,55 @@ func TestGoldenWireBytes(t *testing.T) {
 }
 
 // A decoded buffer must charge exactly the bytes the original did — pack
-// time and wire time are functions of Bytes().
+// time and wire time are functions of Bytes() — and hand every item kind
+// back through the Upk API, nested buffers and empty buffers (zero-payload
+// control messages) included.
 func TestWireBufferPreservesAccounting(t *testing.T) {
-	orig := wireBufferFixture()
-	data, err := wirefmt.Append(nil, orig)
-	if err != nil {
-		t.Fatal(err)
+	roundTrip := func(orig *Buffer) *Buffer {
+		t.Helper()
+		data, err := wirefmt.Append(nil, orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := wirefmt.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := v.(*Buffer)
+		if got.Bytes() != orig.Bytes() || got.Items() != orig.Items() {
+			t.Fatalf("decoded buffer charges %d bytes / %d items, original %d / %d",
+				got.Bytes(), got.Items(), orig.Bytes(), orig.Items())
+		}
+		return got
 	}
-	v, err := wirefmt.Decode(data)
-	if err != nil {
-		t.Fatal(err)
+
+	roundTrip(NewBuffer()) // zero-payload control message: 0 bytes, 0 items
+
+	r := roundTrip(wireBufferFixture()).Reader()
+	if v, err := r.UpkInt(); err != nil || v != 7 {
+		t.Fatalf("UpkInt = %d, %v", v, err)
 	}
-	got := v.(*Buffer)
-	if got.Bytes() != orig.Bytes() || got.Items() != orig.Items() {
-		t.Fatalf("decoded buffer charges %d bytes / %d items, original %d / %d",
-			got.Bytes(), got.Items(), orig.Bytes(), orig.Items())
+	if v, err := r.UpkString(); err != nil || v != "hi" {
+		t.Fatalf("UpkString = %q, %v", v, err)
+	}
+	if v, err := r.UpkFloat64s(); err != nil || !reflect.DeepEqual(v, []float64{1.5, -2}) {
+		t.Fatalf("UpkFloat64s = %v, %v", v, err)
+	}
+	if v, err := r.UpkVirtual(); err != nil || v != 64 {
+		t.Fatalf("UpkVirtual = %d, %v", v, err)
+	}
+	if v, err := r.UpkBytes(); err != nil || !reflect.DeepEqual(v, []byte{0xde, 0xad}) {
+		t.Fatalf("UpkBytes = %v, %v", v, err)
+	}
+	nested, err := r.UpkBuffer()
+	if err != nil {
+		t.Fatalf("UpkBuffer: %v", err)
+	}
+	if want := NewBuffer().PkInt(1).Bytes(); nested.Bytes() != want {
+		t.Fatalf("nested Bytes() = %d, want %d", nested.Bytes(), want)
+	}
+	if v, err := nested.Reader().UpkInt(); err != nil || v != 1 {
+		t.Fatalf("nested UpkInt = %d, %v", v, err)
 	}
 }
 

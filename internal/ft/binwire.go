@@ -3,7 +3,6 @@ package ft
 import "pvmigrate/internal/wirefmt"
 
 // Binary wire-format support (internal/wirefmt): ft owns tag range 64–79.
-// The gob mirror in wire.go stays registered for differential testing.
 //
 //	64 beat  host zig-zag varint (a heartbeat is one small datagram — the
 //	         exact message the decentralized load-dissemination direction

@@ -1,8 +1,6 @@
 package gs
 
 import (
-	"encoding/gob"
-
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/wirefmt"
 )
@@ -65,8 +63,6 @@ type LoadVector struct {
 }
 
 func init() {
-	gob.Register(&ShardBeat{})
-	gob.Register(&LoadVector{})
 	wirefmt.Register(tagShardBeat, "gs.shardbeat", (*ShardBeat)(nil), encodeShardBeatWire, decodeShardBeatWire)
 	wirefmt.Register(tagLoadVector, "gs.loadvector", (*LoadVector)(nil), encodeLoadVectorWire, decodeLoadVectorWire)
 }

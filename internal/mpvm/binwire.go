@@ -6,8 +6,7 @@ import (
 )
 
 // Binary wire-format support (internal/wirefmt): mpvm owns tag range
-// 48–63. The gob mirrors in wire.go stay registered for differential
-// testing.
+// 48–63.
 //
 // Body layouts (all integers zig-zag varints; strings uvarint-length-
 // prefixed):

@@ -12,13 +12,12 @@ import (
 	"pvmigrate/internal/netwire"
 )
 
-// The wire codec's performance contract, measured head-to-head against the
-// gob codec it replaced: the binary encode path runs at zero steady-state
-// allocations into a pooled buffer (the transports reuse one scratch across
-// frames), and every payload shape encodes to measurably fewer bytes than
-// gob's self-describing stream. BenchmarkWireBaseline snapshots both codecs
-// into BENCH_WIRE.json and *fails* if the binary encoder allocates — the
-// gate CI runs on every push.
+// The wire codec's performance contract: the encode path runs at zero
+// steady-state allocations into a pooled buffer (the transports reuse one
+// scratch across frames). BenchmarkWireBaseline snapshots the codec into
+// BENCH_WIRE.json and *fails* if the encoder allocates — the gate CI runs
+// on every push. (The frozen comparison against the retired gob codec is
+// in DESIGN.md §7b.)
 
 // benchPayloads is the payload population: the shapes the protocols
 // actually put on the wire, from a heartbeat-sized int to a ~1KB message
@@ -28,9 +27,7 @@ func benchPayloads() []struct {
 	payload any
 } {
 	// Load averages are noisy measurements, not round numbers: fill the
-	// vector from an LCG so the mantissas carry full entropy. (With round
-	// values like 0.25 gob's trailing-zero float compression wins; that is
-	// not the shape load data has.)
+	// vector from an LCG so the mantissas carry full entropy.
 	loadvec := make([]float64, 64)
 	x := uint64(0x9e3779b97f4a7c15)
 	for i := range loadvec {
@@ -70,45 +67,8 @@ func BenchmarkBinaryEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkGobEncode(b *testing.B) {
-	c := netwire.GobCodec{}
-	for _, p := range benchPayloads() {
-		b.Run(p.name, func(b *testing.B) {
-			scratch := make([]byte, 0, 1<<16)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := c.AppendEncode(scratch[:0], p.payload)
-				if err != nil {
-					b.Fatal(err)
-				}
-				scratch = out[:0]
-			}
-		})
-	}
-}
-
 func BenchmarkBinaryDecode(b *testing.B) {
 	c := netwire.BinaryCodec{}
-	for _, p := range benchPayloads() {
-		frame, err := c.AppendEncode(nil, p.payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(p.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Decode(frame); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkGobDecode(b *testing.B) {
-	c := netwire.GobCodec{}
 	for _, p := range benchPayloads() {
 		frame, err := c.AppendEncode(nil, p.payload)
 		if err != nil {
@@ -138,10 +98,8 @@ type codecStat struct {
 }
 
 type payloadBaseline struct {
-	Payload    string    `json:"payload"`
-	Binary     codecStat `json:"binary"`
-	Gob        codecStat `json:"gob"`
-	BytesRatio float64   `json:"gob_bytes_over_binary"`
+	Payload string    `json:"payload"`
+	Binary  codecStat `json:"binary"`
 }
 
 type wireBaseline struct {
@@ -168,7 +126,8 @@ func measureLoop(n int, fn func() error) (nsPerOp float64, allocsPerOp int64, er
 	return float64(dur.Nanoseconds()) / float64(n), int64(m1.Mallocs-m0.Mallocs) / int64(n), nil
 }
 
-func measureCodec(b *testing.B, c netwire.WireCodec, payload any, n int) codecStat {
+func measureCodec(b *testing.B, payload any, n int) codecStat {
+	c := netwire.BinaryCodec{}
 	frame, err := c.AppendEncode(nil, payload)
 	if err != nil {
 		b.Fatalf("encode %T: %v", payload, err)
@@ -206,11 +165,10 @@ func measureCodec(b *testing.B, c netwire.WireCodec, payload any, n int) codecSt
 
 var wireBaselineOnce sync.Once
 
-// BenchmarkWireBaseline measures both codecs over the payload population
+// BenchmarkWireBaseline measures the codec over the payload population
 // and writes the snapshot to BENCH_WIRE.json (or $BENCH_WIRE_OUT). It is
-// also the enforcement point for the codec's two headline claims: the
-// binary encoder performs zero steady-state allocations, and every payload
-// encodes smaller than gob. CI runs it via
+// also the enforcement point for the codec's headline claim: the encoder
+// performs zero steady-state allocations. CI runs it via
 // `go test -bench=WireBaseline -benchtime=1x ./internal/netwire` and
 // uploads the file; the committed repo-root BENCH_WIRE.json is the
 // long-form baseline.
@@ -221,15 +179,10 @@ func BenchmarkWireBaseline(b *testing.B) {
 		for _, p := range benchPayloads() {
 			pb := payloadBaseline{
 				Payload: p.name,
-				Binary:  measureCodec(b, netwire.BinaryCodec{}, p.payload, n),
-				Gob:     measureCodec(b, netwire.GobCodec{}, p.payload, n/10),
+				Binary:  measureCodec(b, p.payload, n),
 			}
-			pb.BytesRatio = float64(pb.Gob.BytesPerFrame) / float64(pb.Binary.BytesPerFrame)
 			if pb.Binary.EncodeAllocs != 0 {
 				b.Fatalf("payload %s: binary encode allocates %d/op steady-state, want 0", p.name, pb.Binary.EncodeAllocs)
-			}
-			if pb.Binary.BytesPerFrame >= pb.Gob.BytesPerFrame {
-				b.Fatalf("payload %s: binary frame %dB is not smaller than gob %dB", p.name, pb.Binary.BytesPerFrame, pb.Gob.BytesPerFrame)
 			}
 			base.Payloads = append(base.Payloads, pb)
 		}

@@ -1,12 +1,6 @@
 package netwire
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
-	"pvmigrate/internal/wirefmt"
-)
+import "pvmigrate/internal/wirefmt"
 
 // WireCodec marshals the `Payload any` field of simulated frames for the
 // trip through a real socket. Implementations must be stateless per call:
@@ -31,8 +25,7 @@ type WireCodec interface {
 // BinaryCodec is the default codec: the explicit, versioned, zero-alloc
 // binary format of internal/wirefmt (magic/version/tag/length header,
 // little-endian field encodings, per-package type-tag registry). Protocol
-// packages register their types with wirefmt from init, exactly as they
-// register gob mirrors.
+// packages register their types with wirefmt from init.
 type BinaryCodec struct{}
 
 // AppendEncode implements WireCodec.
@@ -43,53 +36,4 @@ func (BinaryCodec) AppendEncode(dst []byte, payload any) ([]byte, error) {
 // Decode implements WireCodec.
 func (BinaryCodec) Decode(data []byte) (any, error) {
 	return wirefmt.Decode(data)
-}
-
-// GobCodec is the legacy codec: encoding/gob with a fresh encoder per
-// frame, wrapping the payload in a single-field envelope so nil and
-// primitive payloads round-trip like any other. It is no longer the
-// default — BinaryCodec is — but stays behind the WireCodec interface so
-// the two codecs can be differentially tested against each other and so
-// `-wirecodec gob` can reproduce the old byte stream. Concrete payload
-// types are registered by their owning packages (pvm, mpvm, ft register
-// their protocol types; core.Buffer implements GobEncoder directly); the
-// basics are registered below so ad-hoc test payloads work out of the box.
-type GobCodec struct{}
-
-type envelope struct {
-	V any
-}
-
-func init() {
-	// Primitive payloads carried bare inside `any` fields.
-	gob.Register("")
-	gob.Register(0)
-	gob.Register(int64(0))
-	gob.Register(0.0)
-	gob.Register(false)
-	gob.Register([]byte(nil))
-	gob.Register([]int(nil))
-	gob.Register([]float64(nil))
-}
-
-// AppendEncode implements WireCodec. Gob cannot write into a caller
-// buffer, so this path allocates per frame — one of the reasons it lost
-// the default slot.
-func (GobCodec) AppendEncode(dst []byte, payload any) ([]byte, error) {
-	var out bytes.Buffer
-	// lint:alloc legacy gob codec allocates by design; BinaryCodec is the zero-alloc default
-	if err := gob.NewEncoder(&out).Encode(&envelope{V: payload}); err != nil {
-		return dst, fmt.Errorf("netwire: encode %T: %w", payload, err) // lint:alloc error path, after encode already failed
-	}
-	// lint:alloc legacy gob codec allocates by design; BinaryCodec is the zero-alloc default
-	return append(dst, out.Bytes()...), nil
-}
-
-// Decode implements WireCodec.
-func (GobCodec) Decode(data []byte) (any, error) {
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("netwire: decode: %w", err)
-	}
-	return e.V, nil
 }

@@ -67,6 +67,23 @@ var ErrShutdown = errors.New("netwire: backend shut down")
 // ErrTimeout is wrapped into errors from waits that exceeded wireTimeout.
 var ErrTimeout = errors.New("netwire: wire timeout")
 
+// awaitWire receives one value from a bridge goroutine's hand-off channel,
+// giving up after wireTimeout. ok is false when the channel was closed
+// (teardown). The timer is stopped on the way out: go.mod pins go 1.22
+// timer semantics, under which an un-stopped timer stays live in the
+// runtime heap until it fires, so a wait that completes normally must not
+// leave its 30 s timer behind.
+func awaitWire[T any](ch <-chan T) (v T, ok, timedOut bool) {
+	t := time.NewTimer(wireTimeout)
+	defer t.Stop()
+	select {
+	case v, ok = <-ch:
+		return v, ok, false
+	case <-t.C:
+		return v, false, true
+	}
+}
+
 // Stats counts real traffic carried for the simulation. All fields are
 // cumulative since New.
 type Stats struct {
@@ -130,8 +147,8 @@ func New() *Backend {
 	return NewWithCodec(BinaryCodec{})
 }
 
-// NewWithCodec builds a Backend with a custom payload codec (GobCodec for
-// the legacy byte stream, or anything implementing WireCodec).
+// NewWithCodec builds a Backend with a custom payload codec (anything
+// implementing WireCodec, e.g. a decorator timing BinaryCodec).
 func NewWithCodec(c WireCodec) *Backend {
 	return &Backend{
 		codec:     c,
@@ -263,18 +280,17 @@ func (b *Backend) RecvDgram(token uint64) (any, error) {
 	b.waiters[token] = ch
 	b.mu.Unlock()
 
-	select {
-	case data, ok := <-ch:
-		if !ok {
-			return nil, ErrShutdown
-		}
-		return b.codec.Decode(data)
-	case <-time.After(wireTimeout):
+	data, ok, timedOut := awaitWire(ch)
+	if timedOut {
 		b.mu.Lock()
 		delete(b.waiters, token)
 		b.mu.Unlock()
 		return nil, fmt.Errorf("netwire: datagram token %d never arrived: %w", token, ErrTimeout)
 	}
+	if !ok {
+		return nil, ErrShutdown
+	}
+	return b.codec.Decode(data)
 }
 
 // readDgrams is the per-host bridge goroutine: it drains the UDP socket,

@@ -135,21 +135,20 @@ func (b *Backend) Dial(src, dst netsim.HostID, port int) (client, server netsim.
 	}
 	cc.SetWriteDeadline(time.Time{})
 
-	select {
-	case sc, ok := <-ch:
-		if !ok || sc == nil {
-			cc.Close()
-			return nil, nil, ErrShutdown
-		}
-		b.mu.Lock()
-		b.stats.Streams++
-		b.mu.Unlock()
-		return b.newStream(cc), b.newStream(sc), nil
-	case <-time.After(wireTimeout):
+	sc, ok, timedOut := awaitWire(ch)
+	if timedOut {
 		abort()
 		cc.Close()
 		return nil, nil, fmt.Errorf("netwire: dial host %d port %d not accepted: %w", dst, port, ErrTimeout)
 	}
+	if !ok || sc == nil {
+		cc.Close()
+		return nil, nil, ErrShutdown
+	}
+	b.mu.Lock()
+	b.stats.Streams++
+	b.mu.Unlock()
+	return b.newStream(cc), b.newStream(sc), nil
 }
 
 // stream is one endpoint of a real TCP connection backing a simulated
@@ -253,18 +252,17 @@ func (s *stream) Recv(seq uint64) (any, error) {
 	s.waiters[seq] = ch
 	s.mu.Unlock()
 
-	select {
-	case data, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("netwire: recv seq %d: stream torn down", seq)
-		}
-		return s.b.codec.Decode(data)
-	case <-time.After(wireTimeout):
+	data, ok, timedOut := awaitWire(ch)
+	if timedOut {
 		s.mu.Lock()
 		delete(s.waiters, seq)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("netwire: frame seq %d never arrived: %w", seq, ErrTimeout)
 	}
+	if !ok {
+		return nil, fmt.Errorf("netwire: recv seq %d: stream torn down", seq)
+	}
+	return s.b.codec.Decode(data)
 }
 
 // Close implements netsim.WireConn: idempotent teardown of this endpoint.

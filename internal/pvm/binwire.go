@@ -8,16 +8,15 @@ import (
 )
 
 // Binary wire-format support (internal/wirefmt): pvm owns tag range 32–47.
-// The gob mirrors in wire.go stay registered for differential testing.
 //
 // Body layouts (all integers zig-zag varints unless noted):
 //
 //	32 *Message      Src, Dst, Tag, SentAt (int64 virtual ns), Hops,
 //	                 Buf as nested any (TagNil when nil)
 //	33 *CtlMsg       Kind string, From, Payload as nested any. The Reply
-//	                 closure is dropped exactly as gob dropped it: a
-//	                 kernel-context reply func only ever serves local RPCs
-//	                 and is nil on anything that crosses hosts.
+//	                 closure is dropped: a kernel-context reply func only
+//	                 ever serves local RPCs and is nil on anything that
+//	                 crosses hosts.
 //	34 *spawnReq     rpc, name string, replyHost
 //	35 *spawnReply   rpc, tid, err string
 //	36 *groupReq     id, op string, group string, tid, host, count

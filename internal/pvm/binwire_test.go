@@ -64,33 +64,22 @@ func TestGoldenWireBytes(t *testing.T) {
 	}
 }
 
-// Differential check: every pvm protocol value must decode to the same
-// semantic value through the legacy gob codec and the binary codec.
+// Every pvm protocol value crosses the codec seam the transports call
+// (netwire.WireCodec) and comes back equal to what was sent.
 func TestCodecDifferential(t *testing.T) {
-	bin, gob := netwire.BinaryCodec{}, netwire.GobCodec{}
+	var codec netwire.WireCodec = netwire.BinaryCodec{}
 	for _, c := range pvmWireFixtures() {
 		t.Run(c.name, func(t *testing.T) {
-			bdata, err := bin.AppendEncode(nil, c.payload)
+			data, err := codec.AppendEncode(nil, c.payload)
 			if err != nil {
-				t.Fatalf("binary encode: %v", err)
+				t.Fatalf("encode: %v", err)
 			}
-			gdata, err := gob.AppendEncode(nil, c.payload)
+			v, err := codec.Decode(data)
 			if err != nil {
-				t.Fatalf("gob encode: %v", err)
+				t.Fatalf("decode: %v", err)
 			}
-			bv, err := bin.Decode(bdata)
-			if err != nil {
-				t.Fatalf("binary decode: %v", err)
-			}
-			gv, err := gob.Decode(gdata)
-			if err != nil {
-				t.Fatalf("gob decode: %v", err)
-			}
-			if !reflect.DeepEqual(bv, gv) {
-				t.Errorf("codecs disagree:\nbinary %#v\n   gob %#v", bv, gv)
-			}
-			if !reflect.DeepEqual(bv, c.payload) {
-				t.Errorf("binary round trip %#v, want %#v", bv, c.payload)
+			if !reflect.DeepEqual(v, c.payload) {
+				t.Errorf("round trip %#v, want %#v", v, c.payload)
 			}
 		})
 	}

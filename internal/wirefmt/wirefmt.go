@@ -2,12 +2,12 @@
 // the byte layout every cross-host payload travels in when frames ride the
 // real-socket backend (internal/netwire).
 //
-// It replaces encoding/gob on the wire hot path. Gob re-emits type
-// descriptors on every frame (each frame is decoded independently, so the
-// descriptors can never amortize), allocates throughout via reflection,
-// and ties the byte format to Go-version gob internals — none of which
-// survives the paper's heterogeneity story, where migration state must be
-// architecture-independent. wirefmt is the opposite trade: a hand-rolled
+// It is deliberately not encoding/gob. Gob re-emits type descriptors on
+// every frame (each frame is decoded independently, so the descriptors can
+// never amortize), allocates throughout via reflection, and ties the byte
+// format to Go-version gob internals — none of which survives the paper's
+// heterogeneity story, where migration state must be architecture-
+// independent. wirefmt is the opposite trade: a hand-rolled
 // registry of per-type encoders over a tiny set of primitive encodings,
 // append-style so the steady-state encode path performs zero allocations
 // into a caller-pooled buffer, with the layout pinned by golden-bytes
@@ -45,13 +45,12 @@
 //
 // Tags 0–15 are the built-in primitives below. Protocol packages claim
 // tags in fixed, documented ranges (16–31 core, 32–47 pvm, 48–63 mpvm,
-// 64–79 ft) via Register from their init functions, mirroring how the
-// same packages call gob.Register today. Tag values and field order are
-// wire ABI: changing either requires bumping Version, and the golden-
-// bytes tests in each owning package exist to make an accidental change
-// loud. A decoder receiving an unknown version or tag returns a
-// structured error (wire.bad-version / wire.unknown-tag) rather than
-// guessing — version skew is an explicit failure, never a misparse.
+// 64–79 ft, 80–95 gs) via Register from their init functions. Tag values
+// and field order are wire ABI: changing either requires bumping Version,
+// and the golden-bytes tests in each owning package exist to make an
+// accidental change loud. A decoder receiving an unknown version or tag
+// returns a structured error (wire.bad-version / wire.unknown-tag) rather
+// than guessing — version skew is an explicit failure, never a misparse.
 //
 // # Decoding discipline
 //
@@ -143,10 +142,10 @@ var (
 )
 
 // Register installs the wire encoding for sample's concrete type under
-// tag. Protocol packages call it from init, exactly where they call
-// gob.Register; double registration of a tag or type, or a tag inside the
-// built-in range, is a programming error and panics. Registered names are
-// used in error messages only — the wire carries tags, never names.
+// tag. Protocol packages call it from init; double registration of a tag
+// or type, or a tag inside the built-in range, is a programming error and
+// panics. Registered names are used in error messages only — the wire
+// carries tags, never names.
 func Register(tag Tag, name string, sample any, enc EncodeFunc, dec DecodeFunc) {
 	if tag < tagReserved {
 		panic("wirefmt: tag " + name + " in the built-in primitive range")
