@@ -9,21 +9,26 @@ import "fmt"
 // increment of an array value" in the inner loop, part of ADM's measured
 // overhead.
 //
-// Exemplars are identified by stable global ids.
+// Exemplars are identified by stable global ids, which index the array
+// directly. The array grows on demand for ids past its end and is cleared,
+// never reallocated, at an iteration boundary.
 type Tracker struct {
-	processed map[int]bool
+	processed []bool
 	nDone     int
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{processed: make(map[int]bool)}
+	return &Tracker{}
 }
 
 // MarkProcessed records that exemplar id was processed this iteration. It
 // reports false if the exemplar had already been processed (the caller must
 // skip it — processing twice is the bug the tracker exists to prevent).
 func (t *Tracker) MarkProcessed(id int) bool {
+	if uint(id) >= uint(len(t.processed)) {
+		t.grow(id)
+	}
 	if t.processed[id] {
 		return false
 	}
@@ -32,15 +37,39 @@ func (t *Tracker) MarkProcessed(id int) bool {
 	return true
 }
 
+// grow extends the array to cover id, at least doubling so that a run of
+// ascending ids costs amortized O(1) each.
+func (t *Tracker) grow(id int) {
+	if id < 0 {
+		panic("adm: negative exemplar id")
+	}
+	n := 2 * len(t.processed)
+	if n <= id {
+		n = id + 1
+	}
+	// lint:alloc on-demand growth to the largest id seen; later iterations reuse the array
+	grown := make([]bool, n)
+	copy(grown, t.processed)
+	t.processed = grown
+}
+
 // Processed reports whether exemplar id was processed this iteration.
-func (t *Tracker) Processed(id int) bool { return t.processed[id] }
+func (t *Tracker) Processed(id int) bool {
+	if uint(id) >= uint(len(t.processed)) {
+		if id < 0 {
+			panic("adm: negative exemplar id")
+		}
+		return false
+	}
+	return t.processed[id]
+}
 
 // Done returns how many exemplars have been processed this iteration.
 func (t *Tracker) Done() int { return t.nDone }
 
 // Reset clears the flags at an iteration boundary.
 func (t *Tracker) Reset() {
-	t.processed = make(map[int]bool)
+	clear(t.processed)
 	t.nDone = 0
 }
 

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"pvmigrate/internal/sim"
 )
@@ -17,10 +17,14 @@ import (
 // Work is measured in abstract "work units"; the Opt application uses
 // floating-point operations, with speed in FLOP/s.
 type CPU struct {
-	k          *sim.Kernel
-	speed      float64 // work units per second
-	jobs       map[*cpuJob]struct{}
-	nextSeq    int // admission order, the deterministic completion tie-break
+	k     *sim.Kernel
+	speed float64 // work units per second
+	// jobs holds the runnable jobs in admission order. Every walk below is
+	// in that order, so jobs finishing at one instant wake in the order
+	// they were admitted and totalDone sums in the same order on every run.
+	jobs       []*cpuJob
+	free       []*cpuJob // finished Compute jobs, recycled by newJob
+	onComplete func()    // c.onCompletion, bound once
 	lastUpdate sim.Time
 	completion sim.Timer
 
@@ -28,17 +32,9 @@ type CPU struct {
 }
 
 type cpuJob struct {
-	seq       int     // admission order on this CPU
 	remaining float64 // math.Inf(1) for pure load jobs
 	done      bool
-	doneCond  *sim.Cond // nil for load jobs
-}
-
-// admit registers a job under the next admission sequence number.
-func (c *CPU) admit(j *cpuJob) {
-	j.seq = c.nextSeq
-	c.nextSeq++
-	c.jobs[j] = struct{}{}
+	doneCond  sim.Cond // unused by load jobs
 }
 
 // LoadHandle identifies a background load job added with AddLoad.
@@ -52,7 +48,9 @@ func NewCPU(k *sim.Kernel, speed float64) *CPU {
 	if speed <= 0 {
 		panic("cluster: CPU speed must be positive")
 	}
-	return &CPU{k: k, speed: speed, jobs: make(map[*cpuJob]struct{})}
+	c := &CPU{k: k, speed: speed}
+	c.onComplete = c.onCompletion
+	return c
 }
 
 // Speed returns the processor's un-shared rate.
@@ -66,6 +64,29 @@ func (c *CPU) ActiveJobs() int { return len(c.jobs) }
 // WorkDone returns cumulative completed work units.
 func (c *CPU) WorkDone() float64 { return c.totalDone }
 
+// newJob returns a runnable job of the given size, recycled when one is
+// free. The caller admits it by appending to c.jobs.
+func (c *CPU) newJob(work float64) *cpuJob {
+	var j *cpuJob
+	if n := len(c.free); n > 0 {
+		j = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		j = new(cpuJob) // lint:alloc free-list miss: one job per concurrently computing proc, then recycled
+	}
+	j.remaining, j.done = work, false
+	j.doneCond.Init(c.k)
+	return j
+}
+
+// withdraw takes j out of the run queue, keeping the others in admission
+// order. A job that already completed is no longer queued; that is a no-op.
+func (c *CPU) withdraw(j *cpuJob) {
+	if i := slices.Index(c.jobs, j); i >= 0 {
+		c.jobs = slices.Delete(c.jobs, i, i+1)
+	}
+}
+
 // advance credits progress to all active jobs for the time elapsed since
 // the last update.
 func (c *CPU) advance() {
@@ -77,16 +98,12 @@ func (c *CPU) advance() {
 	elapsed := sim.Seconds(now - c.lastUpdate)
 	rate := c.speed / float64(len(c.jobs))
 	credit := elapsed * rate
-	for j := range c.jobs {
-		if math.IsInf(j.remaining, 1) {
-			c.totalDone += credit
-			continue
-		}
+	for _, j := range c.jobs {
 		if credit >= j.remaining {
 			c.totalDone += j.remaining
 			j.remaining = 0
 		} else {
-			c.totalDone += credit
+			c.totalDone += credit // load jobs (remaining +Inf) always land here
 			j.remaining -= credit
 		}
 	}
@@ -99,7 +116,7 @@ func (c *CPU) reschedule() {
 	c.completion.Cancel()
 	c.completion = sim.Timer{}
 	minRemaining := math.Inf(1)
-	for j := range c.jobs {
+	for _, j := range c.jobs {
 		if j.remaining < minRemaining {
 			minRemaining = j.remaining
 		}
@@ -112,30 +129,27 @@ func (c *CPU) reschedule() {
 	// down could schedule a completion event at the current instant that
 	// makes zero progress and re-arms itself forever.
 	eta := sim.Time(math.Ceil(minRemaining * n / c.speed * 1e9))
-	c.completion = c.k.Schedule(eta, c.onCompletion)
+	c.completion = c.k.Schedule(eta, c.onComplete)
 }
 
 func (c *CPU) onCompletion() {
 	c.advance()
 	const eps = 1e-9
-	// Several jobs can finish at the same instant; they must wake in
-	// admission order, not map order, or the kernel schedule diverges
-	// between runs of the same seed.
-	finished := make([]*cpuJob, 0, len(c.jobs))
-	for j := range c.jobs {
-		if !math.IsInf(j.remaining, 1) && j.remaining <= eps {
-			finished = append(finished, j)
+	// Several jobs can finish at the same instant; compacting the queue in
+	// place wakes them in admission order.
+	live := 0
+	for _, j := range c.jobs {
+		if j.remaining > eps { // load jobs stay +Inf
+			c.jobs[live] = j
+			live++
+			continue
 		}
-	}
-	sort.Slice(finished, func(i, k int) bool { return finished[i].seq < finished[k].seq })
-	for _, j := range finished {
 		j.remaining = 0
 		j.done = true
-		delete(c.jobs, j)
-		if j.doneCond != nil {
-			j.doneCond.Broadcast()
-		}
+		j.doneCond.Broadcast()
 	}
+	clear(c.jobs[live:])
+	c.jobs = c.jobs[:live]
 	c.completion = sim.Timer{}
 	c.reschedule()
 }
@@ -150,19 +164,22 @@ func (c *CPU) Compute(p *sim.Proc, work float64) (remaining float64, err error) 
 		return 0, nil
 	}
 	c.advance()
-	j := &cpuJob{remaining: work, doneCond: sim.NewCond(c.k)}
-	c.admit(j)
+	j := c.newJob(work)
+	c.jobs = append(c.jobs, j)
 	c.reschedule()
 	for !j.done {
-		if err := j.doneCond.Wait(p); err != nil {
+		if err = j.doneCond.Wait(p); err != nil {
 			// Migration signal or similar: withdraw the unfinished job.
 			c.advance()
-			delete(c.jobs, j)
+			c.withdraw(j)
 			c.reschedule()
-			return j.remaining, err
+			remaining = j.remaining
+			break
 		}
 	}
-	return 0, nil
+	// Only this proc ever waited on j, and it is past its last look at it.
+	c.free = append(c.free, j)
+	return remaining, err
 }
 
 // AddLoad adds one background compute job that never finishes, degrading
@@ -170,7 +187,7 @@ func (c *CPU) Compute(p *sim.Proc, work float64) (remaining float64, err error) 
 func (c *CPU) AddLoad() *LoadHandle {
 	c.advance()
 	j := &cpuJob{remaining: math.Inf(1)}
-	c.admit(j)
+	c.jobs = append(c.jobs, j)
 	c.reschedule()
 	return &LoadHandle{cpu: c, job: j}
 }
@@ -181,7 +198,7 @@ func (h *LoadHandle) Remove() {
 		return
 	}
 	h.cpu.advance()
-	delete(h.cpu.jobs, h.job)
+	h.cpu.withdraw(h.job)
 	h.job = nil
 	h.cpu.reschedule()
 }

@@ -172,6 +172,18 @@ func DefaultConfig() *Config {
 				"Kernel.scheduleWake", "Kernel.scheduleWakeTimer",
 				"Kernel.run", "Kernel.dispatch",
 			},
+			// ADM's processed-exemplar flag array: what
+			// TestTrackerSteadyStateZeroAlloc asserts (growth to a new
+			// largest id is the one audited site).
+			"pvmigrate/internal/adm": {
+				"Tracker.MarkProcessed", "Tracker.Processed", "Tracker.Reset",
+			},
+			// The processor-sharing CPU under every simulated task: what
+			// TestComputeWarmZeroAlloc asserts (a free-list miss is the one
+			// audited site).
+			"pvmigrate/internal/cluster": {
+				"CPU.Compute", "CPU.advance", "CPU.reschedule", "CPU.onCompletion",
+			},
 			// The encode path and the scalar decode helpers: what
 			// TestAppendZeroAlloc asserts. The slice/string readers and
 			// Decode allocate their results by design and are not rooted.

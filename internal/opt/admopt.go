@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 
 	"pvmigrate/internal/adm"
@@ -421,8 +422,9 @@ func RunADMSlave(vp core.VP, master core.TID, rank int, peers []core.TID,
 		vp: vp, master: master, rank: rank, peers: peers,
 		events: events, ap: ap, cost: cost, fsm: fsm,
 		shard: shard, local: local,
-		tracker: adm.NewTracker(),
-		net:     &Net{InputDim: p.InputDim, Hidden: p.Hidden, Classes: p.Classes},
+		tracker:  adm.NewTracker(),
+		net:      &Net{InputDim: p.InputDim, Hidden: p.Hidden, Classes: p.Classes},
+		chunkIdx: make([]int, 0, ap.ChunkExemplars),
 	}
 	return sl.run()
 }
@@ -438,8 +440,11 @@ type admSlave struct {
 	cost   CostModel
 	fsm    *adm.FSM
 
-	shard   *adm.Shard
-	local   *ExemplarSet // real mode only; ids parallel shard.IDs
+	shard *adm.Shard
+	// local holds the exemplar data in real mode, row i being exemplar
+	// shard.IDs[i]: fragments leave from the tail of both and arrive at the
+	// tail of both, so a shard index is a local index (iterate checks it).
+	local   *ExemplarSet
 	tracker *adm.Tracker
 	net     *Net
 
@@ -451,6 +456,10 @@ type admSlave struct {
 	// (processed or skipped-as-processed), so chunk collection is O(chunk)
 	// instead of rescanning the whole shard.
 	cursor int
+	// Scratch reused across chunks: the shard indices of the current chunk,
+	// and in real mode the forward pass's activations.
+	chunkIdx []int
+	hid, out []float64
 }
 
 func (s *admSlave) run() error {
@@ -500,6 +509,8 @@ func (s *admSlave) run() error {
 				s.net.B1 = make([]float64, p.Hidden)
 				s.net.W2 = make([]float64, p.Classes*p.Hidden)
 				s.net.B2 = make([]float64, p.Classes)
+				s.hid = make([]float64, p.Hidden)
+				s.out = make([]float64, p.Classes)
 			}
 			s.net.SetFlat(flat)
 		}
@@ -540,13 +551,14 @@ func (s *admSlave) iterate() error {
 	for {
 		// Collect the next chunk of unprocessed exemplars, resuming the
 		// scan where the previous chunk left off.
-		var chunkIdx []int
+		chunkIdx := s.chunkIdx[:0]
 		for s.cursor < s.shard.Len() && len(chunkIdx) < s.ap.ChunkExemplars {
 			if !s.tracker.Processed(s.shard.IDs[s.cursor]) {
 				chunkIdx = append(chunkIdx, s.cursor)
 			}
 			s.cursor++
 		}
+		s.chunkIdx = chunkIdx
 		if len(chunkIdx) == 0 {
 			return nil
 		}
@@ -559,19 +571,18 @@ func (s *admSlave) iterate() error {
 				continue
 			}
 			if s.ap.Real {
-				j := s.localIndexOf(id)
-				if j >= 0 {
-					s.net.AccumulateGradient(s.local, j, j+1, s.grad)
-					x, label := s.local.Exemplar(j)
-					hid := make([]float64, s.net.Hidden)
-					out := make([]float64, s.net.Classes)
-					s.net.forward(x, hid, out)
-					pr := out[label]
-					if pr < 1e-300 {
-						pr = 1e-300
-					}
-					s.partialLoss += -math.Log(pr)
+				if s.local.ID(i) != id {
+					panic(fmt.Sprintf("opt: ADM slave %d: local row %d holds exemplar %d, shard says %d",
+						s.rank, i, s.local.ID(i), id))
 				}
+				s.net.AccumulateGradient(s.local, i, i+1, s.grad)
+				x, label := s.local.Exemplar(i)
+				s.net.forward(x, s.hid, s.out)
+				pr := s.out[label]
+				if pr < 1e-300 {
+					pr = 1e-300
+				}
+				s.partialLoss += -math.Log(pr)
 			}
 		}
 		// The migration-event flag check (and any pending coordination).
@@ -606,18 +617,6 @@ func (s *admSlave) iterate() error {
 			}
 		}
 	}
-}
-
-func (s *admSlave) localIndexOf(id int) int {
-	if s.local == nil {
-		return -1
-	}
-	for j := 0; j < s.local.Len(); j++ {
-		if s.local.ID(j) == id {
-			return j
-		}
-	}
-	return -1
 }
 
 // participateRedist runs one redistribution round from a slave's
@@ -711,7 +710,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 		buf.PkFloat64s(ids).PkBytes(flags)
 		var shipped *ExemplarSet
 		if p.Real {
-			shipped = s.takeLocalByIDs(frag.IDs)
+			shipped = s.local.TakeTail(frag.Len())
 			buf.PkFloat64s(shipped.features)
 			labels := make([]float64, shipped.Len())
 			for i, l := range shipped.labels {
@@ -801,27 +800,6 @@ func (s *admSlave) participateRedist(requested bool) error {
 		})
 	}
 	return nil
-}
-
-func (s *admSlave) takeLocalByIDs(ids []int) *ExemplarSet {
-	out := &ExemplarSet{Dim: s.local.Dim, Classes: s.local.Classes}
-	keep := &ExemplarSet{Dim: s.local.Dim, Classes: s.local.Classes}
-	want := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	for j := 0; j < s.local.Len(); j++ {
-		row, label := s.local.Exemplar(j)
-		dst := keep
-		if want[s.local.ID(j)] {
-			dst = out
-		}
-		dst.features = append(dst.features, row...)
-		dst.labels = append(dst.labels, label)
-		dst.ids = append(dst.ids, s.local.ID(j))
-	}
-	s.local = keep
-	return out
 }
 
 // waitDone parks an inactive (withdrawn) slave until the master finishes.

@@ -1,0 +1,52 @@
+package opt
+
+import (
+	"testing"
+
+	"pvmigrate/internal/adm"
+	"pvmigrate/internal/core"
+)
+
+// quietVP is a VP on which compute is free and no message ever arrives:
+// enough to drive admSlave.iterate through a cost-model iteration.
+type quietVP struct {
+	core.VP
+	computes int
+}
+
+func (v *quietVP) Compute(float64) error { v.computes++; return nil }
+
+func (v *quietVP) NRecv(core.TID, int) (core.TID, int, *core.Reader, bool, error) {
+	return core.NoTID, 0, nil, false, nil
+}
+
+// TestADMSlaveChunkLoopZeroAlloc: in cost-model mode a whole iteration —
+// every chunk's index collection, flag checks and marks — reuses the slave's
+// scratch and allocates nothing once the tracker covers the shard.
+func TestADMSlaveChunkLoopZeroAlloc(t *testing.T) {
+	ap := ADMParams{}.withDefaults()
+	const n = 1050 // ten full chunks and a short one
+	vp := &quietVP{}
+	s := &admSlave{
+		vp: vp, events: &adm.EventQueue{}, ap: ap, cost: ap.Params.Cost(),
+		shard:    adm.NewShard(500, 500+n),
+		tracker:  adm.NewTracker(),
+		chunkIdx: make([]int, 0, ap.ChunkExemplars),
+	}
+	iteration := func() {
+		s.cursor = 0
+		s.tracker.Reset()
+		if err := s.iterate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	iteration() // sizes the tracker
+	vp.computes = 0
+	allocs := testing.AllocsPerRun(20, iteration)
+	if allocs != 0 {
+		t.Fatalf("cost-model iteration allocates %v per run, want 0", allocs)
+	}
+	if s.tracker.Done() != n || vp.computes != 21*11 {
+		t.Fatalf("processed %d exemplars in %d chunks, want %d in %d", s.tracker.Done(), vp.computes, n, 21*11)
+	}
+}

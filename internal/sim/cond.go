@@ -17,6 +17,16 @@ type condWaiter struct {
 // NewCond returns a condition variable bound to k.
 func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 
+// Init binds c to k and drops any queued waiter entries while keeping their
+// storage. It readies a Cond held by value inside a recycled struct for its
+// next tenant: the only entries such a Cond can still hold are stale ones
+// (their proc was woken by an interrupt), which the proc generation check
+// would skip anyway.
+func (c *Cond) Init(k *Kernel) {
+	c.k = k
+	c.waiters = c.waiters[:0]
+}
+
 // Wait suspends p until Signal or Broadcast wakes it (or an interrupt
 // arrives). Use in a loop around the predicate.
 func (c *Cond) Wait(p *Proc) error {
@@ -38,14 +48,15 @@ func (c *Cond) Signal() {
 	}
 }
 
-// Broadcast wakes all waiting procs.
+// Broadcast wakes all waiting procs. The waiter storage is kept, so a
+// long-lived Cond stops allocating once it has seen its widest wait.
 func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
 		if w.p.state == pBlocked && w.p.gen == w.gen {
 			c.k.scheduleWake(w.p, c.k.now, w.gen)
 		}
 	}
-	c.waiters = nil
+	c.waiters = c.waiters[:0]
 }
 
 // Len returns the number of queued waiter entries (including stale ones);

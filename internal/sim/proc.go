@@ -117,7 +117,7 @@ func (p *Proc) Done() bool { return p.state == pDone }
 // recycled), so the unconditional Cancel below is safe.
 func (p *Proc) block(wake Timer) error {
 	if p.k.running != p {
-		panic(fmt.Sprintf("sim: blocking call on proc %q from outside its own context", p.name))
+		panic(fmt.Sprintf("sim: blocking call on proc %q from outside its own context", p.name)) // lint:alloc panic path, a blocking call from the wrong context is a bug
 	}
 	if p.intrPending && !p.intrMasked {
 		wake.Cancel()
@@ -138,7 +138,7 @@ func (p *Proc) takeInterrupt() error {
 	reason := p.intrReason
 	p.intrPending = false
 	p.intrReason = nil
-	return &Interrupted{Reason: reason}
+	return &Interrupted{Reason: reason} // lint:alloc one error per delivered interrupt (a migration signal), not per block
 }
 
 // Sleep suspends the proc for d of virtual time. It returns nil when the
