@@ -31,9 +31,9 @@ func run(balance bool) (sim.Time, []gs.Decision, []core.MigrationRecord) {
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})
 	target := gs.NewMPVMTarget(sys)
-	var sched *gs.Scheduler
+	var sched *gs.Fleet
 	if balance {
-		sched = gs.New(cl, target, gs.Policy{LoadThreshold: 1, PollInterval: 5 * time.Second})
+		sched = gs.NewFleet(cl, target, gs.FleetPolicy{LoadThreshold: 1, PollInterval: 5 * time.Second})
 		sched.Start()
 	}
 

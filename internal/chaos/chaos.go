@@ -142,7 +142,7 @@ type Result struct {
 	Sys   *mpvm.System
 	Mgr   *ft.Manager
 	Job   *ft.Job
-	Sched *gs.Scheduler
+	Sched *gs.Fleet
 	Log   *trace.Log
 
 	// ADM overlay outcome (ADMActive only when the scenario enables it).
@@ -234,7 +234,7 @@ func Run(sc Scenario, cfg Config) *Result {
 	log := &trace.Log{}
 	mgr := ft.NewManager(sys, ft.Config{CheckpointEvery: cfg.CheckpointEvery}, log)
 	det := ft.StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.New(cl, mgr, gs.Policy{
+	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
 		ReclaimOnOwner:    true,
 		HeartbeatInterval: mgr.Config().HeartbeatInterval,
 		SuspectAfter:      mgr.Config().SuspectAfter,

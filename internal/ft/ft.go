@@ -10,7 +10,7 @@
 //     pvm.Machine.CrashHost) and to partition or degrade links (netsim);
 //
 //   - failure detection (heartbeat.go): every host's daemon beats a small
-//     datagram at the GS host; the scheduler (gs.Policy.HeartbeatInterval /
+//     datagram at the GS host; the scheduler (gs.FleetPolicy.HeartbeatInterval /
 //     SuspectAfter) declares a host dead after enough silence. Because the
 //     beat comes from the daemon, not from guest work, an owner-reclaimed
 //     host keeps beating and is never confused with a lost one;

@@ -63,7 +63,7 @@ func TestHeartbeatDetectionAndRejoin(t *testing.T) {
 	log := &trace.Log{}
 	mgr := NewManager(sys, Config{}, log)
 	det := StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.New(cl, mgr, gs.Policy{
+	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
 		HeartbeatInterval: mgr.Config().HeartbeatInterval,
 		SuspectAfter:      mgr.Config().SuspectAfter,
 	})
@@ -117,7 +117,7 @@ func TestReclaimedHostIsNotDeclaredDead(t *testing.T) {
 	k, cl, _, sys := buildRig(t, 2)
 	mgr := NewManager(sys, Config{}, nil)
 	det := StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.New(cl, mgr, gs.Policy{
+	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
 		HeartbeatInterval: mgr.Config().HeartbeatInterval,
 		SuspectAfter:      mgr.Config().SuspectAfter,
 	})
@@ -139,7 +139,7 @@ func TestJobRecoversFromCrash(t *testing.T) {
 	log := &trace.Log{}
 	mgr := NewManager(sys, Config{CheckpointEvery: 2}, log)
 	det := StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.New(cl, mgr, gs.Policy{
+	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
 		HeartbeatInterval: mgr.Config().HeartbeatInterval,
 		SuspectAfter:      mgr.Config().SuspectAfter,
 	})
@@ -204,7 +204,7 @@ func TestMasterHostLossIsUnrecoverable(t *testing.T) {
 	k, cl, m, sys := buildRig(t, 3)
 	mgr := NewManager(sys, Config{}, nil)
 	det := StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.New(cl, mgr, gs.Policy{
+	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
 		HeartbeatInterval: mgr.Config().HeartbeatInterval,
 		SuspectAfter:      mgr.Config().SuspectAfter,
 	})

@@ -60,7 +60,7 @@ func NewADMTarget(slaves []*pvm.Task, share func(rank int) int) *ADMTarget {
 	return t
 }
 
-// Index exposes the incremental load table (IndexedTarget).
+// Index returns the incremental load table that serves HostLoad.
 func (t *ADMTarget) Index() *LoadIndex { return t.idx }
 
 func (t *ADMTarget) noteSlaveExit(rank int) {

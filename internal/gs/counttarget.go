@@ -25,7 +25,7 @@ func NewCountTarget(cl *cluster.Cluster) *CountTarget {
 	return &CountTarget{cl: cl, idx: NewLoadIndex(n), elig: make([]bool, n)}
 }
 
-// Index exposes the incremental load table (IndexedTarget).
+// Index returns the incremental load table that serves HostLoad.
 func (t *CountTarget) Index() *LoadIndex { return t.idx }
 
 // Seed places n work units on host — initial placement, not a move.

@@ -1,8 +1,6 @@
 package gs
 
 import (
-	"sort"
-
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/sim"
 )
@@ -44,26 +42,26 @@ type RejoinTarget interface {
 }
 
 // SetHeartbeatSource installs the detector; must be called before Start.
-func (s *Scheduler) SetHeartbeatSource(src HeartbeatSource) { s.hb = src }
+func (f *Fleet) SetHeartbeatSource(src HeartbeatSource) { f.hb = src }
 
-// DeadHosts returns the hosts currently declared dead, sorted.
-func (s *Scheduler) DeadHosts() []int {
+// DeadHosts returns the hosts currently declared dead, ascending.
+func (f *Fleet) DeadHosts() []int {
 	var out []int
-	for h := range s.dead {
-		out = append(out, h)
+	for id, dead := range f.dead {
+		if dead {
+			out = append(out, id)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
-func (s *Scheduler) scheduleWatch() {
-	s.cl.Kernel().Schedule(s.policy.HeartbeatInterval, func() {
-		if s.stopped {
-			return
-		}
-		s.watchOnce()
-		s.scheduleWatch()
-	})
+// watch is one heartbeat scan, rescheduling itself.
+func (f *Fleet) watch() {
+	if f.stopped {
+		return
+	}
+	f.watchOnce()
+	f.k.Schedule(f.pol.HeartbeatInterval, f.watchFn)
 }
 
 // suspect reports whether a silence of the given length marks a host lost.
@@ -72,37 +70,38 @@ func (s *Scheduler) scheduleWatch() {
 // through this one predicate, so the two directions can never disagree
 // about the tie (a host at the boundary neither dies nor, if already dead,
 // stays dead).
-func (s *Scheduler) suspect(silent sim.Time) bool {
-	return silent > s.policy.SuspectAfter
+func (f *Fleet) suspect(silent sim.Time) bool {
+	return silent > f.pol.SuspectAfter
 }
 
-// watchOnce scans heartbeat ages and flips suspicion state.
-func (s *Scheduler) watchOnce() {
-	now := s.cl.Kernel().Now()
-	for _, h := range s.cl.Hosts() {
-		id := int(h.ID())
-		last, ok := s.hb.LastHeard(id)
+// watchOnce scans heartbeat ages and flips suspicion state. beatShard (the
+// alive bit) and planRemote (root validation) keep a declared-dead host out
+// of every plan.
+func (f *Fleet) watchOnce() {
+	now := f.k.Now()
+	for id := range f.hosts {
+		last, ok := f.hb.LastHeard(id)
 		if !ok {
 			continue
 		}
 		silent := now - last
-		if !s.dead[id] && s.suspect(silent) {
-			s.dead[id] = true
+		if !f.dead[id] && f.suspect(silent) {
+			f.dead[id] = true
 			var moved int
 			var err error
-			if ft, ok := s.target.(FailureTarget); ok {
+			if ft, ok := f.target.(FailureTarget); ok {
 				moved, err = ft.HostDead(id)
 			}
-			s.decisions = append(s.decisions, Decision{
+			f.decisions = append(f.decisions, Decision{
 				At: now, Host: id, Dest: -1,
 				Reason: core.ReasonHostFailure, Moved: moved, Err: err,
 			})
-		} else if s.dead[id] && !s.suspect(silent) {
-			delete(s.dead, id)
-			if rt, ok := s.target.(RejoinTarget); ok {
+		} else if f.dead[id] && !f.suspect(silent) {
+			f.dead[id] = false
+			if rt, ok := f.target.(RejoinTarget); ok {
 				rt.HostRejoined(id)
 			}
-			s.decisions = append(s.decisions, Decision{
+			f.decisions = append(f.decisions, Decision{
 				At: now, Host: id, Dest: -1, Reason: core.ReasonHostRejoin,
 			})
 		}

@@ -9,22 +9,14 @@ import (
 	"pvmigrate/internal/wirefmt"
 )
 
-// IndexedTarget is a Target whose HostLoad is served by an incremental
-// LoadIndex (all targets in this package are). Fleet components and
-// benchmarks use the index for O(1) load reads and change stamps.
-type IndexedTarget interface {
-	Target
-	Index() *LoadIndex
-}
-
 // LoadSource selects what "load" means to the fleet scheduler's
 // rebalancing policy.
 type LoadSource int
 
 const (
 	// SourceRunQueue drives decisions from host run-queue lengths — the
-	// paper's 1994 policy, and bit-for-bit the centralized Scheduler's
-	// selection when the fleet runs with one shard and BeatEvery 1.
+	// paper's 1994 policy. With one shard and BeatEvery 1 this is the
+	// paper's single GS polling every load daemon.
 	SourceRunQueue LoadSource = iota
 	// SourceWorkUnits drives decisions from the work-unit load index
 	// through the pluggable Placement policy — the fleet-scale mode,
@@ -33,15 +25,17 @@ const (
 	SourceWorkUnits
 )
 
-// FleetPolicy configures the sharded fleet scheduler.
+// FleetPolicy configures the scheduler.
 type FleetPolicy struct {
 	// Shards partitions the hosts into contiguous shards (clamped to
-	// [1, hosts]). One shard reproduces the centralized scheduler.
+	// [1, hosts]). One shard is the paper's centralized GS.
 	Shards int
-	// PollInterval is the tick cadence (default 5s, like the GS).
+	// PollInterval is the tick cadence (default 5s, the cadence at which
+	// 1994 load daemons reported to the GS).
 	PollInterval sim.Time
-	// LoadThreshold gates rebalancing exactly as Policy.LoadThreshold
-	// does; ticks only run when it is > 0.
+	// LoadThreshold, when > 0, starts the rebalancing ticks: a shard moves
+	// work off a member whose load exceeds the threshold while some other
+	// host would be left better off.
 	LoadThreshold int
 	// ReclaimOnOwner evacuates a host the moment its owner returns.
 	ReclaimOnOwner bool
@@ -51,8 +45,8 @@ type FleetPolicy struct {
 	// LeastLoaded).
 	Placement Placement
 	// MovesPerTick is each shard's per-tick actuation budget (default 1,
-	// the centralized scheduler's one-move-per-poll; fleet scenarios
-	// raise it so a hotspot drains in bounded ticks).
+	// the paper's one move per poll; fleet scenarios raise it so a
+	// hotspot drains in bounded ticks).
 	MovesPerTick int
 	// BeatEvery coalesces member state into one shard beat every N ticks
 	// (default 1: every tick).
@@ -68,9 +62,18 @@ type FleetPolicy struct {
 	// Seed derives every shard's deterministic peer-selection and
 	// placement-probe stream.
 	Seed uint64
+	// HeartbeatInterval, when > 0 together with SuspectAfter and an
+	// installed HeartbeatSource, is the cadence at which the scheduler
+	// scans daemon heartbeats (failure.go).
+	HeartbeatInterval sim.Time
+	// SuspectAfter is the heartbeat silence threshold beyond which a host
+	// is declared lost. It must comfortably exceed HeartbeatInterval.
+	SuspectAfter sim.Time
 }
 
-// DefaultFleetPolicy mirrors DefaultPolicy and fills in fleet defaults.
+// DefaultFleetPolicy is the paper's GS: one shard polling run queues every
+// 5 s, evacuating on owner arrival; rebalancing and failure detection stay
+// off until LoadThreshold / the heartbeat fields are set.
 func DefaultFleetPolicy() FleetPolicy {
 	return FleetPolicy{
 		Shards:          1,
@@ -113,10 +116,11 @@ type fleetShard struct {
 	remote []LoadVector // freshest vector per source shard; Epoch 0 = none
 }
 
-// Fleet is the sharded fleet scheduler: hosts partition into shards, each
+// Fleet is the Global Scheduler: hosts partition into shards, each
 // aggregating one coalesced beat per interval and planning its own moves
-// from an incremental load view; a thin root actuates the plans and
-// resolves cross-shard moves steered by gossiped load vectors. All
+// from an incremental load view; a thin root actuates the plans, resolves
+// cross-shard moves steered by gossiped load vectors, evacuates hosts
+// whose owner returns and declares heartbeat-silent hosts dead. All
 // decisions are a pure function of (cluster history, policy, seed).
 type Fleet struct {
 	cl     *cluster.Cluster
@@ -137,6 +141,11 @@ type Fleet struct {
 	// evacuator, when set, replaces target.EvacuateHost for whole-host
 	// evacuations (see SetEvacuator).
 	evacuator func(host int, reason core.MigrationReason) (int, error)
+
+	// Failure detection (failure.go). dead is indexed by host id.
+	hb      HeartbeatSource
+	dead    []bool
+	watchFn func()
 }
 
 // NewFleet creates a fleet scheduler over the cluster driving target.
@@ -169,8 +178,10 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 	if pol.GossipStaleness < 1 {
 		pol.GossipStaleness = 3
 	}
-	f := &Fleet{cl: cl, k: cl.Kernel(), target: target, pol: pol, hosts: hosts}
+	f := &Fleet{cl: cl, k: cl.Kernel(), target: target, pol: pol, hosts: hosts,
+		dead: make([]bool, len(hosts))}
 	f.tickFn = f.tick
+	f.watchFn = f.watch
 	nsh := pol.Shards
 	per, extra := len(hosts)/nsh, len(hosts)%nsh
 	base := 0
@@ -205,15 +216,15 @@ func (f *Fleet) Decisions() []Decision { return f.decisions }
 // warmup support).
 func (f *Fleet) ResetDecisions() { f.decisions = f.decisions[:0] }
 
-// Shards reports the shard count after clamping.
-func (f *Fleet) Shards() int { return len(f.shards) }
-
 // Stop halts future ticks and reactions.
 func (f *Fleet) Stop() { f.stopped = true }
 
-// Start subscribes to owner events and begins the tick loop. Like the
-// centralized scheduler, rebalancing ticks only run when LoadThreshold is
-// set; owner-reclaim evacuations are event-driven either way.
+// Start subscribes to owner events, then begins the tick loop (only when
+// LoadThreshold is set; owner-reclaim evacuations are event-driven either
+// way), then the heartbeat watch (only when HeartbeatInterval, SuspectAfter
+// and a HeartbeatSource are all set). The order fixes the kernel sequence
+// numbers of the first tick and the first watch, and with them every seeded
+// tie-break downstream.
 func (f *Fleet) Start() {
 	if f.pol.ReclaimOnOwner {
 		for _, h := range f.hosts {
@@ -227,6 +238,9 @@ func (f *Fleet) Start() {
 	if f.pol.LoadThreshold > 0 {
 		f.k.Schedule(f.pol.PollInterval, f.tickFn)
 	}
+	if f.pol.HeartbeatInterval > 0 && f.pol.SuspectAfter > 0 && f.hb != nil {
+		f.k.Schedule(f.pol.HeartbeatInterval, f.watchFn)
+	}
 }
 
 // Evacuate exposes manual evacuation (scripted scenarios and tests).
@@ -234,10 +248,11 @@ func (f *Fleet) Evacuate(host int, reason core.MigrationReason) {
 	f.evacuate(host, reason)
 }
 
-// SetEvacuator overrides how whole-host evacuations are actuated, exactly
-// as Scheduler.SetEvacuator: fn (e.g. a plan.Executor launching a staged
-// warm evacuation) replaces the target's inline EvacuateHost loop. Pass
-// nil to restore the target loop.
+// SetEvacuator overrides how whole-host evacuations are actuated: instead
+// of the target's inline EvacuateHost loop, fn is invoked (e.g. a
+// plan.Executor launching a staged warm evacuation plan) and reports how
+// many moves it commanded. Pass nil to restore the target loop. The
+// rebalancing path (MoveOne) is unaffected.
 func (f *Fleet) SetEvacuator(fn func(host int, reason core.MigrationReason) (int, error)) {
 	f.evacuator = fn
 }
@@ -314,7 +329,10 @@ func (f *Fleet) beatShard(s *fleetShard) {
 	for i := 0; i < s.n; i++ {
 		h := f.hosts[s.base+i]
 		var fl byte
-		if h.Alive() {
+		// A host the GS has declared dead is dead to planning even if the
+		// machine itself is up (a partition): no donor, no receiver, not
+		// gossiped as anyone's MinHost.
+		if h.Alive() && !f.dead[s.base+i] {
 			fl |= 1
 		}
 		if h.OwnerActive() {
@@ -438,11 +456,10 @@ func (f *Fleet) planShard(s *fleetShard) (from, to int, ok bool) {
 	return f.planWorkUnits(s)
 }
 
-// planRunQueue replicates the centralized pollOnce selection over the
-// shard's members: donor = highest run queue with work to shed, receiver
-// = lowest run queue without its owner, strict inequalities so the lowest
-// host id wins ties. With one shard and BeatEvery 1 this is bit-for-bit
-// the centralized scheduler.
+// planRunQueue applies the paper's load-threshold policy over the shard's
+// members: donor = highest run queue with work to shed, receiver = lowest
+// run queue without its owner, strict inequalities so the lowest host id
+// wins ties. Lost hosts neither shed nor receive load.
 func (f *Fleet) planRunQueue(s *fleetShard) (int, int, bool) {
 	worst, worstLoad := -1, 0
 	best, bestLoad := -1, int(^uint(0)>>1)
@@ -509,7 +526,7 @@ func (f *Fleet) planRemote(s *fleetShard, from, fromLoad int, byRunq bool) (int,
 	}
 	// Root validation: the vector is bounded-stale; the move is not.
 	h := f.hosts[bestHost]
-	if !h.Alive() || h.OwnerActive() {
+	if !h.Alive() || h.OwnerActive() || f.dead[bestHost] {
 		return 0, 0, false
 	}
 	return from, bestHost, true

@@ -3,15 +3,15 @@
 // policies for scheduling parallel jobs on shared workstations and
 // initiates migrations by signalling the daemons.
 //
-// The scheduler watches owner activity and load on every host and issues
-// evacuation / rebalancing orders to a Target — an adapter onto MPVM, UPVM
-// or an ADM application, so the same policies drive all three systems.
+// The scheduler (Fleet, fleet.go) watches owner activity, load and daemon
+// heartbeats on every host and issues evacuation / rebalancing / recovery
+// orders to a Target — an adapter onto MPVM, UPVM or an ADM application, so
+// the same policies drive all three systems. With one shard and the
+// run-queue load source it is the paper's single GS; more shards scale the
+// same loop to thousands of hosts.
 package gs
 
 import (
-	"time"
-
-	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/sim"
 )
@@ -36,150 +36,4 @@ type Decision struct {
 	Reason core.MigrationReason
 	Moved  int
 	Err    error
-}
-
-// Policy configures the scheduler's triggers.
-type Policy struct {
-	// ReclaimOnOwner evacuates a host the moment its owner becomes active.
-	ReclaimOnOwner bool
-	// LoadThreshold, when > 0, triggers moving one VP off any host whose
-	// run-queue length exceeds the threshold while some other host is idle.
-	LoadThreshold int
-	// PollInterval is the load-sampling period (the cadence at which 1994
-	// load daemons reported to the GS).
-	PollInterval sim.Time
-	// HeartbeatInterval, when > 0 together with SuspectAfter and an
-	// installed HeartbeatSource, is the cadence at which the scheduler
-	// scans daemon heartbeats (failure.go).
-	HeartbeatInterval sim.Time
-	// SuspectAfter is the heartbeat silence threshold beyond which a host
-	// is declared lost. It must comfortably exceed HeartbeatInterval.
-	SuspectAfter sim.Time
-}
-
-// DefaultPolicy reclaims on owner arrival and polls every 5 s.
-func DefaultPolicy() Policy {
-	return Policy{ReclaimOnOwner: true, PollInterval: 5 * time.Second}
-}
-
-// Scheduler is the global scheduler instance.
-type Scheduler struct {
-	cl        *cluster.Cluster
-	target    Target
-	policy    Policy
-	decisions []Decision
-	stopped   bool
-
-	// evacuator, when set, replaces target.EvacuateHost for whole-host
-	// evacuations (see SetEvacuator).
-	evacuator func(host int, reason core.MigrationReason) (int, error)
-
-	// failure detection (failure.go)
-	hb   HeartbeatSource
-	dead map[int]bool
-}
-
-// New creates a scheduler over the cluster driving the given target.
-func New(cl *cluster.Cluster, target Target, policy Policy) *Scheduler {
-	if policy.PollInterval == 0 {
-		policy.PollInterval = 5 * time.Second
-	}
-	return &Scheduler{cl: cl, target: target, policy: policy, dead: make(map[int]bool)}
-}
-
-// Decisions returns the log of actions taken.
-func (s *Scheduler) Decisions() []Decision { return s.decisions }
-
-// Stop halts future polling and reactions.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Start subscribes to owner events and begins the polling loop.
-func (s *Scheduler) Start() {
-	if s.policy.ReclaimOnOwner {
-		for _, h := range s.cl.Hosts() {
-			h.OnOwnerChange(func(h *cluster.Host, active bool) {
-				if active && !s.stopped {
-					s.evacuate(int(h.ID()), core.ReasonOwnerReclaim)
-				}
-			})
-		}
-	}
-	if s.policy.LoadThreshold > 0 {
-		s.schedulePoll()
-	}
-	if s.policy.HeartbeatInterval > 0 && s.policy.SuspectAfter > 0 && s.hb != nil {
-		s.scheduleWatch()
-	}
-}
-
-func (s *Scheduler) schedulePoll() {
-	s.cl.Kernel().Schedule(s.policy.PollInterval, func() {
-		if s.stopped {
-			return
-		}
-		s.pollOnce()
-		s.schedulePoll()
-	})
-}
-
-// pollOnce applies the load-threshold policy: move one work unit from the
-// most loaded host above threshold to the least loaded host.
-func (s *Scheduler) pollOnce() {
-	worst, worstLoad := -1, 0
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for _, h := range s.cl.Hosts() {
-		id := int(h.ID())
-		if !h.Alive() || s.dead[id] {
-			continue // lost hosts neither shed nor receive load
-		}
-		load := h.LoadAverage()
-		if load > worstLoad && s.target.HostLoad(id) > 0 {
-			worst, worstLoad = id, load
-		}
-		if load < bestLoad && !h.OwnerActive() {
-			best, bestLoad = id, load
-		}
-	}
-	if worst < 0 || best < 0 || worst == best {
-		return
-	}
-	if worstLoad <= s.policy.LoadThreshold || bestLoad >= worstLoad-1 {
-		return
-	}
-	err := s.target.MoveOne(worst, best, core.ReasonHighLoad)
-	moved := 1
-	if err != nil {
-		moved = 0
-	}
-	s.decisions = append(s.decisions, Decision{
-		At: s.cl.Kernel().Now(), Host: worst, Dest: best,
-		Reason: core.ReasonHighLoad, Moved: moved, Err: err,
-	})
-}
-
-// SetEvacuator overrides how whole-host evacuations are actuated: instead
-// of the target's inline EvacuateHost loop, fn is invoked (e.g. a
-// plan.Executor launching a staged warm evacuation plan) and reports how
-// many moves it commanded. Pass nil to restore the target loop. The
-// rebalancing path (MoveOne) is unaffected.
-func (s *Scheduler) SetEvacuator(fn func(host int, reason core.MigrationReason) (int, error)) {
-	s.evacuator = fn
-}
-
-// evacuate clears guest work off a host.
-func (s *Scheduler) evacuate(host int, reason core.MigrationReason) {
-	evac := s.target.EvacuateHost
-	if s.evacuator != nil {
-		evac = s.evacuator
-	}
-	moved, err := evac(host, reason)
-	s.decisions = append(s.decisions, Decision{
-		At: s.cl.Kernel().Now(), Host: host, Dest: -1,
-		Reason: reason, Moved: moved, Err: err,
-	})
-}
-
-// Evacuate exposes manual evacuation (for scripted scenarios and tests).
-func (s *Scheduler) Evacuate(host int, reason core.MigrationReason) {
-	s.evacuate(host, reason)
 }

@@ -42,7 +42,7 @@ func TestOwnerReclaimEvacuatesHost(t *testing.T) {
 	target := NewMPVMTarget(sys)
 	w := spawnWorker(t, sys, 0, 60)
 	target.Track(w.OrigTID())
-	sched := New(cl, target, DefaultPolicy())
+	sched := NewFleet(cl, target, DefaultFleetPolicy())
 	sched.Start()
 	// Owner returns to host1 at t=5s.
 	k.Schedule(5*time.Second, func() { cl.Host(0).SetOwnerActive(true) })
@@ -65,7 +65,7 @@ func TestOwnerReclaimSkipsOwnedDestinations(t *testing.T) {
 	target := NewMPVMTarget(sys)
 	w := spawnWorker(t, sys, 0, 60)
 	target.Track(w.OrigTID())
-	sched := New(cl, target, DefaultPolicy())
+	sched := NewFleet(cl, target, DefaultFleetPolicy())
 	sched.Start()
 	// host2's owner is already present; evacuation must choose host3.
 	cl.Host(1).SetOwnerActive(true)
@@ -82,7 +82,7 @@ func TestEvacuateWithNoDestinationLogsError(t *testing.T) {
 	w := spawnWorker(t, sys, 0, 30)
 	target.Track(w.OrigTID())
 	cl.Host(1).SetOwnerActive(true) // the only destination is owned
-	sched := New(cl, target, DefaultPolicy())
+	sched := NewFleet(cl, target, DefaultFleetPolicy())
 	sched.Start()
 	k.Schedule(2*time.Second, func() { cl.Host(0).SetOwnerActive(true) })
 	k.RunUntil(time.Minute)
@@ -105,7 +105,7 @@ func TestLoadThresholdRebalance(t *testing.T) {
 	target.Track(w2.OrigTID())
 	bg := cluster.NewBackgroundLoad(cl.Host(0))
 	bg.Set(2)
-	sched := New(cl, target, Policy{LoadThreshold: 2, PollInterval: 3 * time.Second})
+	sched := NewFleet(cl, target, FleetPolicy{LoadThreshold: 2, PollInterval: 3 * time.Second})
 	sched.Start()
 	k.RunUntil(5 * time.Minute)
 	if len(sys.Records()) == 0 {
@@ -155,7 +155,7 @@ func TestSchedulerStop(t *testing.T) {
 	target := NewMPVMTarget(sys)
 	w := spawnWorker(t, sys, 0, 60)
 	target.Track(w.OrigTID())
-	sched := New(cl, target, DefaultPolicy())
+	sched := NewFleet(cl, target, DefaultFleetPolicy())
 	sched.Start()
 	sched.Stop()
 	k.Schedule(5*time.Second, func() { cl.Host(0).SetOwnerActive(true) })

@@ -40,7 +40,7 @@ func NewMPVMTarget(sys *mpvm.System) *MPVMTarget {
 	return t
 }
 
-// Index exposes the incremental load table (IndexedTarget).
+// Index returns the incremental load table that serves HostLoad.
 func (t *MPVMTarget) Index() *LoadIndex { return t.idx }
 
 // Track registers a migratable task with the scheduler.

@@ -49,8 +49,7 @@ func (FirstFit) Pick(v *ShardView, from, fromLoad int, rng *sim.RNG) int {
 }
 
 // LeastLoaded takes the least-loaded eligible member (lowest slot on
-// ties) — the greedy policy the centralized scheduler's evacuation path
-// already uses.
+// ties) — the greedy policy the targets' evacuation path already uses.
 type LeastLoaded struct{}
 
 // Name implements Placement.

@@ -45,7 +45,7 @@ func TestLoadThresholdAllHostsLoaded(t *testing.T) {
 		bg.Set(4) // everyone far above threshold
 		bgs = append(bgs, bg)
 	}
-	sched := New(cl, target, Policy{LoadThreshold: 2, PollInterval: 2 * time.Second})
+	sched := NewFleet(cl, target, FleetPolicy{LoadThreshold: 2, PollInterval: 2 * time.Second})
 	sched.Start()
 	k.RunUntil(2 * time.Minute)
 	if n := len(sys.Records()); n != 0 {
@@ -64,7 +64,7 @@ func TestLoadThresholdAllHostsLoaded(t *testing.T) {
 func TestEvacuateHostErrorIsLogged(t *testing.T) {
 	k, cl, _ := setup(t, 2)
 	tgt := &errTarget{loads: map[int]int{0: 1}}
-	sched := New(cl, tgt, DefaultPolicy())
+	sched := NewFleet(cl, tgt, DefaultFleetPolicy())
 	sched.Start()
 	k.Schedule(time.Second, func() { cl.Host(0).SetOwnerActive(true) })
 	k.RunUntil(time.Minute)
@@ -85,7 +85,7 @@ func TestMoveOneErrorIsLogged(t *testing.T) {
 	tgt := &errTarget{loads: map[int]int{0: 2}}
 	bg := cluster.NewBackgroundLoad(cl.Host(0))
 	bg.Set(4)
-	sched := New(cl, tgt, Policy{LoadThreshold: 2, PollInterval: 2 * time.Second})
+	sched := NewFleet(cl, tgt, FleetPolicy{LoadThreshold: 2, PollInterval: 2 * time.Second})
 	sched.Start()
 	k.RunUntil(10 * time.Second)
 	if tgt.moves < 2 {
@@ -112,7 +112,7 @@ func TestZeroPollIntervalDefaults(t *testing.T) {
 	tgt := &errTarget{loads: map[int]int{0: 2}}
 	bg := cluster.NewBackgroundLoad(cl.Host(0))
 	bg.Set(4)
-	sched := New(cl, tgt, Policy{LoadThreshold: 2}) // PollInterval deliberately zero
+	sched := NewFleet(cl, tgt, FleetPolicy{LoadThreshold: 2}) // PollInterval deliberately zero
 	sched.Start()
 	k.RunUntil(12 * time.Second)
 	// With the 5 s default exactly two polls fit in 12 s; a zero-delay loop

@@ -38,7 +38,7 @@ func TestUPVMTargetOwnerReclaim(t *testing.T) {
 	if target.HostLoad(1) != 2 {
 		t.Fatalf("host1 load = %d", target.HostLoad(1))
 	}
-	sched := New(cl, target, DefaultPolicy())
+	sched := NewFleet(cl, target, DefaultFleetPolicy())
 	sched.Start()
 	k.Schedule(10*time.Second, func() { cl.Host(1).SetOwnerActive(true) })
 	k.RunUntil(10 * time.Minute)
@@ -99,7 +99,7 @@ func TestADMTargetWithdrawSignal(t *testing.T) {
 	if target.HostLoad(0) != 1 || target.HostLoad(1) != 1 {
 		t.Fatalf("loads = %d, %d", target.HostLoad(0), target.HostLoad(1))
 	}
-	sched := New(cl, target, DefaultPolicy())
+	sched := NewFleet(cl, target, DefaultFleetPolicy())
 	sched.Start()
 	k.Schedule(8*time.Second, func() { cl.Host(1).SetOwnerActive(true) })
 	k.RunUntil(20 * time.Minute)
@@ -137,7 +137,7 @@ func TestManualEvacuate(t *testing.T) {
 		func(u *upvm.ULP, rank int) { u.Compute(u.Host().Spec().Speed * 30) })
 	target := NewUPVMTarget(sys)
 	target.Track(0)
-	sched := New(cl, target, Policy{}) // no automatic triggers
+	sched := NewFleet(cl, target, FleetPolicy{}) // no automatic triggers
 	sched.Start()
 	k.Schedule(2_000_000_000, func() { sched.Evacuate(1, core.ReasonManual) })
 	k.RunUntil(300_000_000_000)

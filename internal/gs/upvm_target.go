@@ -31,7 +31,7 @@ func NewUPVMTarget(sys *upvm.System) *UPVMTarget {
 	return t
 }
 
-// Index exposes the incremental load table (IndexedTarget).
+// Index returns the incremental load table that serves HostLoad.
 func (t *UPVMTarget) Index() *LoadIndex { return t.idx }
 
 // Track registers a ULP the scheduler may move.

@@ -545,7 +545,7 @@ func OwnerReclaimScenario(sc Scenario, ownerHost int, ownerAt sim.Time) (*Outcom
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
 	sys := mpvm.New(m, mpvm.Config{})
 	target := gs.NewMPVMTarget(sys)
-	sched := gs.New(cl, target, gs.DefaultPolicy())
+	sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
 	out := &Outcome{}
 
 	tids := make([]core.TID, sc.Slaves)

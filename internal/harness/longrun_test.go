@@ -35,7 +35,7 @@ func TestDayInTheLife(t *testing.T) {
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})
 	target := gs.NewMPVMTarget(sys)
-	sched := gs.New(cl, target, gs.DefaultPolicy())
+	sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
 	sched.Start()
 
 	// Owners come and go on every host except ws1, which is kept owner-free
@@ -128,7 +128,7 @@ func TestDayInTheLifeDeterministic(t *testing.T) {
 		m := pvm.NewMachine(cl, pvm.Config{})
 		sys := mpvm.New(m, mpvm.Config{})
 		target := gs.NewMPVMTarget(sys)
-		sched := gs.New(cl, target, gs.DefaultPolicy())
+		sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
 		sched.Start()
 		for i := 1; i < 3; i++ {
 			cluster.StartOwnerActivity(cl.Host(netsim.HostID(i)), uint64(7+i),

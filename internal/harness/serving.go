@@ -309,8 +309,8 @@ func NewSLOReport(lat *metrics.Series, slo sim.Time) SLOReport {
 	return rep
 }
 
-// ServeScenario is one request-driven experiment: a serving job under a GS
-// policy, with an optional mid-run owner reclaim.
+// ServeScenario is one request-driven experiment: a serving job under the
+// default GS (owner reclaim on), with an optional mid-run owner reclaim.
 type ServeScenario struct {
 	// Hosts is the workstation count (default 3).
 	Hosts int
@@ -319,9 +319,6 @@ type ServeScenario struct {
 	// schedule-order dispatch (interleaving exploration stays the chaos
 	// package's job).
 	Load LoadSpec
-	// Policy is the GS policy; the zero value takes gs.DefaultPolicy with
-	// owner reclaim enabled.
-	Policy gs.Policy
 	// OwnerHost/OwnerAt, when OwnerAt > 0, flip the host's owner active
 	// mid-run so the GS must evacuate its workers under load.
 	OwnerHost int
@@ -362,11 +359,7 @@ func RunServing(sc ServeScenario) *ServingOutcome {
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})
 	target := gs.NewMPVMTarget(sys)
-	policy := sc.Policy
-	if policy == (gs.Policy{}) {
-		policy = gs.DefaultPolicy()
-	}
-	sched := gs.New(cl, target, policy)
+	sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
 	out := &ServingOutcome{}
 
 	lj, err := StartLoadJob(sys, sc.Load)

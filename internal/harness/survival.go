@@ -110,7 +110,7 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 
 	mgr := ft.NewManager(sys, cfg.FT, log)
 	det := ft.StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.New(cl, mgr, gs.Policy{
+	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
 		HeartbeatInterval: mgr.Config().HeartbeatInterval,
 		SuspectAfter:      mgr.Config().SuspectAfter,
 	})

@@ -236,7 +236,7 @@ func TestColdPlanMatchesSequentialMigrate(t *testing.T) {
 func TestSchedulerEvacuatesThroughPlan(t *testing.T) {
 	k, s := testSystem(t, 3)
 	vps := spawnWorkers(t, s, 0, 3, 2<<20)
-	sched := gs.New(s.Machine().Cluster(), gs.NewMPVMTarget(s), gs.DefaultPolicy())
+	sched := gs.NewFleet(s.Machine().Cluster(), gs.NewMPVMTarget(s), gs.DefaultFleetPolicy())
 	ex := NewExecutor(s, 9)
 	sched.SetEvacuator(ex.Evacuator(ModeWarm, "least-loaded", 2))
 	sched.Start()

@@ -108,7 +108,7 @@ type Core struct {
 	log   *trace.Log
 	mgr   *ft.Manager
 	det   *ft.Detector
-	sched *gs.Scheduler
+	sched *gs.Fleet
 	inj   *ft.Injector
 	ex    *plan.Executor
 
@@ -152,7 +152,7 @@ func NewCore(cfg Config, wire netsim.Wire) *Core {
 	})
 	mgr := ft.NewManager(sys, ft.Config{CheckpointEvery: cfg.CheckpointEvery}, log)
 	det := ft.StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.New(cl, mgr, gs.Policy{
+	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
 		ReclaimOnOwner:    true,
 		LoadThreshold:     cfg.LoadThreshold,
 		HeartbeatInterval: mgr.Config().HeartbeatInterval,
