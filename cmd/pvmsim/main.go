@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/gs"
@@ -63,9 +62,11 @@ func main() {
 	}
 
 	if *system == "ft" {
-		runFT(ftConfig{hosts: *hosts, slaves: *slaves, mb: *mb, iters: *iters,
-			seed: *seed, real: *real, crashes: *crashes, outage: *outage,
-			crashFrom: *crashFrom, crashTo: *crashTo}, *trace)
+		runFT(harness.SurvivalConfig{
+			Hosts: *hosts, Slaves: *slaves, TotalBytes: int(*mb * 1e6), Iterations: *iters,
+			Seed: *seed, Real: *real, Crashes: *crashes, Outage: *outage,
+			CrashFrom: *crashFrom, CrashTo: *crashTo,
+		}, *mb, *trace)
 		return
 	}
 
@@ -227,42 +228,24 @@ func runFleet(sc harness.FleetScenario) {
 	fmt.Printf("kernel events: %d, decision fingerprint: %#016x\n", out.Events, out.Fingerprint)
 }
 
-type ftConfig struct {
-	hosts, slaves, iters, crashes int
-	mb                            float64
-	seed                          uint64
-	real                          bool
-	outage, crashFrom, crashTo    time.Duration
-}
-
 // runFT runs the fault-tolerance survival experiment: heartbeat detection,
-// coordinated checkpoints, and recovery from seeded host crashes.
-func runFT(c ftConfig, showTrace bool) {
-	out := harness.Survival(harness.SurvivalConfig{
-		Hosts:      c.hosts,
-		Slaves:     c.slaves,
-		TotalBytes: int(c.mb * 1e6),
-		Iterations: c.iters,
-		Seed:       c.seed,
-		Real:       c.real,
-		Crashes:    c.crashes,
-		Outage:     c.outage,
-		CrashFrom:  c.crashFrom,
-		CrashTo:    c.crashTo,
-	})
+// coordinated checkpoints, and recovery from seeded host crashes. mb is the
+// -mb value as given, for the summary line.
+func runFT(c harness.SurvivalConfig, mb float64, showTrace bool) {
+	out := harness.Survival(c)
 	if out.Err != nil {
 		fmt.Fprintf(os.Stderr, "pvmsim: %v\n", out.Err)
 		os.Exit(1)
 	}
 	fmt.Printf("system: ft, %0.1f MB, %d hosts, %d iterations, %d injected crashes\n",
-		c.mb, c.hosts, out.Result.Iterations, len(out.Crashes))
-	if c.crashes > len(out.Crashes) {
+		mb, c.Hosts, out.Result.Iterations, len(out.Crashes))
+	if c.Crashes > len(out.Crashes) {
 		fmt.Printf("note: %d of %d planned crashes landed after the run finished\n",
-			c.crashes-len(out.Crashes), c.crashes)
+			c.Crashes-len(out.Crashes), c.Crashes)
 	}
 	fmt.Printf("application runtime: %.2f s (virtual), %d coordinated checkpoints\n",
 		out.Elapsed.Seconds(), out.Checkpoints)
-	if c.real && len(out.Result.Losses) > 0 {
+	if c.Real && len(out.Result.Losses) > 0 {
 		fmt.Printf("loss trajectory: %.4f → %.4f\n",
 			out.Result.Losses[0], out.Result.FinalLoss)
 	}

@@ -138,10 +138,6 @@ type Fleet struct {
 	scratch   []byte
 	tickFn    func()
 
-	// evacuator, when set, replaces target.EvacuateHost for whole-host
-	// evacuations (see SetEvacuator).
-	evacuator func(host int, reason core.MigrationReason) (int, error)
-
 	// Failure detection (failure.go). dead is indexed by host id.
 	hb      HeartbeatSource
 	dead    []bool
@@ -248,21 +244,8 @@ func (f *Fleet) Evacuate(host int, reason core.MigrationReason) {
 	f.evacuate(host, reason)
 }
 
-// SetEvacuator overrides how whole-host evacuations are actuated: instead
-// of the target's inline EvacuateHost loop, fn is invoked (e.g. a
-// plan.Executor launching a staged warm evacuation plan) and reports how
-// many moves it commanded. Pass nil to restore the target loop. The
-// rebalancing path (MoveOne) is unaffected.
-func (f *Fleet) SetEvacuator(fn func(host int, reason core.MigrationReason) (int, error)) {
-	f.evacuator = fn
-}
-
 func (f *Fleet) evacuate(host int, reason core.MigrationReason) {
-	evac := f.target.EvacuateHost
-	if f.evacuator != nil {
-		evac = f.evacuator
-	}
-	moved, err := evac(host, reason)
+	moved, err := f.target.EvacuateHost(host, reason)
 	f.decisions = append(f.decisions, Decision{
 		At: f.k.Now(), Host: host, Dest: -1,
 		Reason: reason, Moved: moved, Err: err,

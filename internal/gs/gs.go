@@ -12,6 +12,7 @@
 package gs
 
 import (
+	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/sim"
 )
@@ -26,6 +27,23 @@ type Target interface {
 	// HostLoad returns the number of application work units currently
 	// placed on the host (VPs, or data shares for ADM).
 	HostLoad(host int) int
+}
+
+// bestDest is the one destination rule the VP-moving targets evacuate by:
+// among the other hosts that are alive, owner-free and migration-compatible
+// with from, the one with the fewest runnable jobs, lowest id on ties; -1
+// when there is none.
+func bestDest(from *cluster.Host) int {
+	best, bestLoad := -1, int(^uint(0)>>1)
+	for _, h := range from.Cluster().Hosts() {
+		if h == from || !h.Alive() || h.OwnerActive() || !from.MigrationCompatible(h) {
+			continue
+		}
+		if load := h.LoadAverage(); load < bestLoad {
+			best, bestLoad = int(h.ID()), load
+		}
+	}
+	return best
 }
 
 // Decision is one scheduling action taken, for logs and tests.

@@ -119,7 +119,7 @@ func (t *MPVMTarget) EvacuateHost(host int, reason core.MigrationReason) (int, e
 		if mt == nil || mt.Exited() || mt.Migrating() || int(mt.Host().ID()) != host {
 			continue
 		}
-		dest := t.bestDest(mt, host)
+		dest := bestDest(mt.Host())
 		if dest < 0 {
 			if firstErr == nil {
 				firstErr = errs.Newf(CodeNoDestination, "no compatible destination for %v", orig).
@@ -149,21 +149,4 @@ func (t *MPVMTarget) MoveOne(from, to int, reason core.MigrationReason) error {
 	}
 	return errs.Newf(CodeNoMovable, "no movable VP on host %d", from).
 		AddContext("to", to).AddContext("reason", reason)
-}
-
-// bestDest picks the compatible, alive, owner-free host with the lowest
-// load.
-func (t *MPVMTarget) bestDest(mt *mpvm.MTask, exclude int) int {
-	cl := t.sys.Machine().Cluster()
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for _, h := range cl.Hosts() {
-		id := int(h.ID())
-		if id == exclude || !h.Alive() || h.OwnerActive() || !mt.Host().MigrationCompatible(h) {
-			continue
-		}
-		if load := h.LoadAverage(); load < bestLoad {
-			best, bestLoad = id, load
-		}
-	}
-	return best
 }

@@ -171,3 +171,42 @@ func TestUPVMTargetMoveOne(t *testing.T) {
 		t.Fatalf("records = %d", len(sys.Records()))
 	}
 }
+
+// TestUPVMEvacuationSkipsDeadHost: evacuation never orders a ULP onto a
+// crashed host, however idle it looks. UPVMTarget's own copy of the
+// destination rule had lost the Alive() check its MPVM twin kept. Only the
+// stage-1 order is asserted: the move itself then aborts at UPVM's flush
+// barrier, because the crashed peer never acks and UPVM has no host-loss
+// discount — ROADMAP item 5 (one protocol core), not this rule.
+func TestUPVMEvacuationSkipsDeadHost(t *testing.T) {
+	k := sim.NewKernel()
+	cl := cluster.New(k, netsim.Params{},
+		cluster.DefaultHostSpec("h1"), cluster.DefaultHostSpec("h2"), cluster.DefaultHostSpec("h3"))
+	sys := upvm.New(pvm.NewMachine(cl, pvm.Config{}), upvm.Config{})
+	var orders []string
+	sys.SetTracer(func(actor, stage, detail string) {
+		if stage == "1:migration-event" {
+			orders = append(orders, detail)
+		}
+	})
+	_, err := sys.Start("app", []upvm.ULPSpec{
+		{Host: 0, DataBytes: 100_000},
+		{Host: 2, DataBytes: 100_000},
+	}, func(u *upvm.ULP, rank int) { u.Compute(u.Host().Spec().Speed * 30) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := NewUPVMTarget(sys)
+	target.Track(0)
+	target.Track(1)
+	k.Schedule(time.Second, func() { cl.Host(1).Fail() })
+	k.Schedule(2*time.Second, func() {
+		if moved, err := target.EvacuateHost(0, core.ReasonOwnerReclaim); moved != 1 || err != nil {
+			t.Errorf("EvacuateHost = %d, %v; want 1 move ordered", moved, err)
+		}
+	})
+	k.RunUntil(time.Minute)
+	if len(orders) != 1 || orders[0] != "migrate ULP0 to host2 (owner-reclaim)" {
+		t.Fatalf("stage-1 orders = %q, want ULP0 sent to host2 (host1 is down)", orders)
+	}
+}

@@ -90,7 +90,7 @@ func (t *UPVMTarget) EvacuateHost(host int, reason core.MigrationReason) (int, e
 		if u == nil || u.Done() || u.Migrating() || int(u.Host().ID()) != host {
 			continue
 		}
-		dest := t.bestDest(u, host)
+		dest := bestDest(u.Host())
 		if dest < 0 {
 			if firstErr == nil {
 				firstErr = errs.Newf(CodeNoDestination, "no compatible destination for ULP %d", id).
@@ -120,19 +120,4 @@ func (t *UPVMTarget) MoveOne(from, to int, reason core.MigrationReason) error {
 	}
 	return errs.Newf(CodeNoMovable, "no movable ULP on host %d", from).
 		AddContext("to", to).AddContext("reason", reason)
-}
-
-func (t *UPVMTarget) bestDest(u *upvm.ULP, exclude int) int {
-	cl := t.sys.Machine().Cluster()
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for _, h := range cl.Hosts() {
-		id := int(h.ID())
-		if id == exclude || h.OwnerActive() || !u.Host().MigrationCompatible(h) {
-			continue
-		}
-		if load := h.LoadAverage(); load < bestLoad {
-			best, bestLoad = id, load
-		}
-	}
-	return best
 }

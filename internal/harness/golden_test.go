@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pvmigrate/internal/gs"
+	"pvmigrate/internal/trace"
 )
 
 // Golden digests: the determinism tests beside these double-run a scenario
@@ -66,5 +67,39 @@ func TestGoldenOwnerReclaimDigest(t *testing.T) {
 	if got := h.Sum64(); got != goldenOwnerReclaimDigest {
 		t.Fatalf("owner-reclaim digest %#x, want %#x (decisions %+v, records %+v)",
 			got, uint64(goldenOwnerReclaimDigest), decisions, out.Records)
+	}
+}
+
+// TestGoldenTraceDigests pins the full (time, actor, stage, detail) protocol
+// log of one cold MPVM, one warm MPVM and one UPVM migration, so a refactor
+// of the stage code that moves, renames, reorders or retimes any step fails
+// here under its own name.
+func TestGoldenTraceDigests(t *testing.T) {
+	mpvmSc := Scenario{TotalBytes: 4_200_000, Iterations: 10, MigrateAt: 8 * time.Second}
+	warmSc := mpvmSc
+	warmSc.Warm = true
+	upvmSc := Scenario{TotalBytes: 600_000, Iterations: 6, MigrateAt: 2 * time.Second}
+	for _, c := range []struct {
+		name  string
+		trace func(Scenario) (*trace.Log, *Outcome)
+		sc    Scenario
+		want  uint64
+	}{
+		{"mpvm-cold", TraceMPVMMigration, mpvmSc, 0x901abe5adf9b64f3},
+		{"mpvm-warm", TraceMPVMMigration, warmSc, 0xc5702bc7226a2fbc},
+		{"upvm", TraceUPVMMigration, upvmSc, 0xe8e219617c5c25b5},
+	} {
+		log, out := c.trace(c.sc)
+		if out.Err != nil {
+			t.Fatalf("%s: %v", c.name, out.Err)
+		}
+		if len(out.Records) != 1 {
+			t.Fatalf("%s: records = %d, want 1", c.name, len(out.Records))
+		}
+		h := fnv.New64a()
+		h.Write([]byte(log.Timeline("x")))
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: trace digest %#x, want %#x\n%s", c.name, got, c.want, log.Timeline("x"))
+		}
 	}
 }

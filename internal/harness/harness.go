@@ -168,15 +168,6 @@ func buildCluster(k *sim.Kernel, hosts int, wire netsim.Wire) *cluster.Cluster {
 	return cluster.New(k, netsim.Params{Wire: wire}, specs...)
 }
 
-// stopIfOpenEnded halts the kernel when the scenario contains perpetual
-// background activity (cross traffic) that would otherwise keep the event
-// loop alive forever after the application finishes.
-func (sc Scenario) stopIfOpenEnded(k *sim.Kernel) {
-	if sc.CrossTraffic > 0 {
-		k.Stop()
-	}
-}
-
 // applyBackgroundLoad installs the scenario's competing jobs and network
 // cross traffic.
 func (sc Scenario) applyBackgroundLoad(cl *cluster.Cluster) {
@@ -190,138 +181,124 @@ func (sc Scenario) applyBackgroundLoad(cl *cluster.Cluster) {
 	}
 }
 
-// RunPVM executes the scenario on plain PVM (no migration support; any
-// MigrateAt is ignored). This is the paper's baseline column.
-func RunPVM(sc Scenario) *Outcome {
-	sc = sc.withDefaults()
-	k := sim.NewKernel()
-	cl := buildCluster(k, sc.Hosts, sc.Wire)
-	sc.applyBackgroundLoad(cl)
-	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	out := &Outcome{}
-
-	slaves := make([]*pvm.Task, sc.Slaves)
-	tids := make([]core.TID, sc.Slaves)
-	p := sc.params()
-	for i := range slaves {
-		i := i
-		t, err := m.Spawn(sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), func(t *pvm.Task) {
-			if err := opt.RunSlave(t, sc.masterTID(), p); err != nil && out.Err == nil {
-				out.Err = err
-			}
-		})
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		slaves[i] = t
-		tids[i] = t.Mytid()
-	}
-	_, err := m.Spawn(0, "opt-master", func(t *pvm.Task) {
-		res, err := opt.RunMaster(t, tids, p)
-		out.Result = res
-		if err != nil && out.Err == nil {
-			out.Err = err
-		}
-		out.Elapsed = t.Proc().Now()
-		sc.stopIfOpenEnded(k)
-	})
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	k.Run()
-	return out
+// rig is one run's testbed — the kernel, the workstation network with the
+// scenario's background load, the PVM machine and the outcome under
+// construction. Every runner below starts from newRig, so a Scenario field
+// means the same thing under all four systems and under tracing.
+type rig struct {
+	sc  Scenario
+	k   *sim.Kernel
+	cl  *cluster.Cluster
+	m   *pvm.Machine
+	out *Outcome
 }
 
-// runPVMWithParams is RunPVM with explicit opt parameters (tests use it to
-// exercise optional protocol features like the distributed line search).
-func runPVMWithParams(sc Scenario, p opt.Params) *Outcome {
+func newRig(sc Scenario) *rig {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	out := &Outcome{}
-	tids := make([]core.TID, sc.Slaves)
-	for i := 0; i < sc.Slaves; i++ {
-		pp := p
-		t, err := m.Spawn(sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), func(t *pvm.Task) {
-			if err := opt.RunSlave(t, sc.masterTID(), pp); err != nil && out.Err == nil {
-				out.Err = err
-			}
+	return &rig{sc: sc, k: k, cl: cl, m: m, out: &Outcome{}}
+}
+
+// fail keeps the first application error.
+func (r *rig) fail(err error) {
+	if err != nil && r.out.Err == nil {
+		r.out.Err = err
+	}
+}
+
+// runMaster is the Opt master's body under PVM, MPVM and UPVM.
+func (r *rig) runMaster(vp core.VP, slaves []core.TID, p opt.Params) {
+	res, err := opt.RunMaster(vp, slaves, p)
+	r.finish(vp, res, err)
+}
+
+// finish records the master's result and completion time — the paper's
+// application runtime measure.
+func (r *rig) finish(vp core.VP, res *opt.Result, err error) {
+	r.out.Result = res
+	r.fail(err)
+	r.out.Elapsed = vp.Proc().Now()
+	if r.sc.CrossTraffic > 0 {
+		// Cross traffic is perpetual: it would keep the event loop alive
+		// forever after the application finishes.
+		r.k.Stop()
+	}
+}
+
+// atMigrate schedules the scenario's mid-run event, if it has one.
+func (r *rig) atMigrate(act func() error) {
+	if r.sc.MigrateAt > 0 {
+		r.k.Schedule(r.sc.MigrateAt, func() { r.fail(act()) })
+	}
+}
+
+// RunPVM executes the scenario on plain PVM (no migration support; any
+// MigrateAt is ignored). This is the paper's baseline column.
+func RunPVM(sc Scenario) *Outcome { return runPVM(sc, nil) }
+
+// runPVM is the PVM runner. tune, when non-nil, adjusts the opt parameters
+// master and slaves run with (tests use it to exercise optional protocol
+// features like the distributed line search).
+func runPVM(sc Scenario, tune func(*opt.Params)) *Outcome {
+	r := newRig(sc)
+	p := r.sc.params()
+	if tune != nil {
+		tune(&p)
+	}
+	tids := make([]core.TID, r.sc.Slaves)
+	for i := range tids {
+		t, err := r.m.Spawn(r.sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), func(t *pvm.Task) {
+			r.fail(opt.RunSlave(t, r.sc.masterTID(), p))
 		})
 		if err != nil {
-			out.Err = err
-			return out
+			r.fail(err)
+			return r.out
 		}
 		tids[i] = t.Mytid()
 	}
-	_, err := m.Spawn(0, "opt-master", func(t *pvm.Task) {
-		res, err := opt.RunMaster(t, tids, p)
-		out.Result = res
-		if err != nil && out.Err == nil {
-			out.Err = err
-		}
-		out.Elapsed = t.Proc().Now()
-		sc.stopIfOpenEnded(k)
-	})
-	if err != nil {
-		out.Err = err
-		return out
+	if _, err := r.m.Spawn(0, "opt-master", func(t *pvm.Task) { r.runMaster(t, tids, p) }); err != nil {
+		r.fail(err)
+		return r.out
 	}
-	k.Run()
-	return out
+	r.k.Run()
+	return r.out
 }
 
 // RunMPVM executes the scenario on MPVM, optionally migrating a slave
 // mid-run. The returned records carry the obtrusiveness and migration-cost
 // measurements of Table 2.
-func RunMPVM(sc Scenario) *Outcome {
-	sc = sc.withDefaults()
-	k := sim.NewKernel()
-	cl := buildCluster(k, sc.Hosts, sc.Wire)
-	sc.applyBackgroundLoad(cl)
-	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	sys := mpvm.New(m, mpvm.Config{})
-	out := &Outcome{}
+func RunMPVM(sc Scenario) *Outcome { return runMPVM(sc, nil, nil) }
 
-	tids, mts, err := spawnMPVMSlaves(sc, sys, out)
-	if err != nil {
-		out.Err = err
-		return out
+// runMPVM is the MPVM runner. setup, when non-nil, sees the system before
+// any task is spawned (tracers attach there). act, when non-nil, replaces
+// the commanded migration of the scenario's victim at MigrateAt.
+func runMPVM(sc Scenario, setup func(*sim.Kernel, *mpvm.System), act func(sys *mpvm.System, victim core.TID) error) *Outcome {
+	r := newRig(sc)
+	sys := mpvm.New(r.m, mpvm.Config{})
+	if setup != nil {
+		setup(r.k, sys)
 	}
-	mp := sc.params()
-	// The master links the MPVM library too (every task of an MPVM
-	// application does): it needs the tid-remapping hooks to keep talking
-	// to migrated slaves.
-	_, err = sys.SpawnMigratable(0, "opt-master", 1<<20, func(mt *mpvm.MTask) {
-		res, err := opt.RunMaster(mt.Task, tids, mp)
-		out.Result = res
-		if err != nil && out.Err == nil {
-			out.Err = err
-		}
-		out.Elapsed = mt.Proc().Now()
-		sc.stopIfOpenEnded(k)
-	})
+	tids, err := r.spawnMPVMApp(sys, 0)
 	if err != nil {
-		out.Err = err
-		return out
+		r.fail(err)
+		return r.out
 	}
-	if sc.MigrateAt > 0 {
-		migrate := sys.Migrate
-		if sc.Warm {
-			migrate = sys.MigrateWarm
-		}
-		k.Schedule(sc.MigrateAt, func() {
-			if err := migrate(mts[sc.MigrateSlave].OrigTID(), sc.MigrateTo, core.ReasonOwnerReclaim); err != nil && out.Err == nil {
-				out.Err = err
+	if act == nil {
+		act = func(sys *mpvm.System, victim core.TID) error {
+			migrate := sys.Migrate
+			if r.sc.Warm {
+				migrate = sys.MigrateWarm
 			}
-		})
+			return migrate(victim, r.sc.MigrateTo, core.ReasonOwnerReclaim)
+		}
 	}
-	k.Run()
-	out.Records = sys.Records()
-	return out
+	r.atMigrate(func() error { return act(sys, tids[r.sc.MigrateSlave]) })
+	r.k.Run()
+	r.out.Records = sys.Records()
+	return r.out
 }
 
 // RunMPVMPlan executes the scenario on MPVM and, at MigrateAt, launches a
@@ -330,175 +307,120 @@ func RunMPVM(sc Scenario) *Outcome {
 // commanded migration. It returns the outcome and the settled plan result
 // (nil when the run finished before the plan settled).
 func RunMPVMPlan(sc Scenario, evacHost int, mode plan.Mode, concurrency int) (*Outcome, *plan.Result) {
-	sc = sc.withDefaults()
-	k := sim.NewKernel()
-	cl := buildCluster(k, sc.Hosts, sc.Wire)
-	sc.applyBackgroundLoad(cl)
-	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	sys := mpvm.New(m, mpvm.Config{})
-	out := &Outcome{}
-
-	tids, _, err := spawnMPVMSlaves(sc, sys, out)
-	if err != nil {
-		out.Err = err
-		return out, nil
-	}
-	mp := sc.params()
-	_, err = sys.SpawnMigratable(0, "opt-master", 1<<20, func(mt *mpvm.MTask) {
-		res, err := opt.RunMaster(mt.Task, tids, mp)
-		out.Result = res
-		if err != nil && out.Err == nil {
-			out.Err = err
-		}
-		out.Elapsed = mt.Proc().Now()
-		sc.stopIfOpenEnded(k)
-	})
-	if err != nil {
-		out.Err = err
-		return out, nil
-	}
 	var res *plan.Result
-	if sc.MigrateAt > 0 {
-		ex := plan.NewExecutor(sys, sc.Seed)
-		k.Schedule(sc.MigrateAt, func() {
-			err := ex.Start(plan.Spec{
-				Name: fmt.Sprintf("evac-host%d", evacHost),
-				Groups: []plan.Group{{
-					Name: "evacuate", FromHost: evacHost, Mode: mode,
-					Dest: plan.UnplacedDest, Placement: "least-loaded",
-					Concurrency: concurrency,
-				}},
-			}, func(r plan.Result) { res = &r })
-			if err != nil && out.Err == nil {
-				out.Err = err
-			}
-		})
-	}
-	k.Run()
-	out.Records = sys.Records()
+	out := runMPVM(sc, nil, func(sys *mpvm.System, _ core.TID) error {
+		return plan.NewExecutor(sys, sc.Seed).Start(plan.Spec{
+			Name: fmt.Sprintf("evac-host%d", evacHost),
+			Groups: []plan.Group{{
+				Name: "evacuate", FromHost: evacHost, Mode: mode,
+				Dest: plan.UnplacedDest, Placement: "least-loaded",
+				Concurrency: concurrency,
+			}},
+		}, func(r plan.Result) { res = &r })
+	})
 	return out, res
 }
 
-// RunUPVM executes the SPMD scenario on UPVM: ULP 0 is the master
-// (co-located with slave ULP 1 on host 0), the remaining ULPs are slaves.
-func RunUPVM(sc Scenario) *Outcome {
-	sc = sc.withDefaults()
-	k := sim.NewKernel()
-	cl := buildCluster(k, sc.Hosts, sc.Wire)
-	sc.applyBackgroundLoad(cl)
-	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	ucfg := upvm.Config{}
-	if sc.UPVM != nil {
-		ucfg = *sc.UPVM
-	}
-	sys := upvm.New(m, ucfg)
-	out := &Outcome{}
-
-	p := sc.params()
-	cost := p.Cost()
-	perSlave := sc.TotalBytes / sc.Slaves
+// ulpSpecs lays out SPMD_opt: ULP 0 is the master (co-located with slave
+// ULP 1 on host 0), the remaining ULPs are slaves holding their shard.
+func (sc Scenario) ulpSpecs() []upvm.ULPSpec {
+	net := sc.params().Cost().NetBytes()
 	specs := make([]upvm.ULPSpec, sc.Slaves+1)
-	specs[0] = upvm.ULPSpec{Host: 0, DataBytes: cost.NetBytes() * 4, StackBytes: 64 << 10}
+	specs[0] = upvm.ULPSpec{Host: 0, DataBytes: net * 4, StackBytes: 64 << 10}
 	for i := 1; i <= sc.Slaves; i++ {
 		specs[i] = upvm.ULPSpec{
 			Host:       sc.slaveHost(i - 1),
-			DataBytes:  perSlave + cost.NetBytes(),
+			DataBytes:  sc.TotalBytes/sc.Slaves + net,
 			StackBytes: 64 << 10,
 		}
 	}
-	slaveTIDs := make([]core.TID, sc.Slaves)
+	return specs
+}
+
+// newUPVM wraps the rig's machine with the scenario's UPVM cost model.
+func (r *rig) newUPVM() *upvm.System {
+	ucfg := upvm.Config{}
+	if r.sc.UPVM != nil {
+		ucfg = *r.sc.UPVM
+	}
+	return upvm.New(r.m, ucfg)
+}
+
+// RunUPVM executes the SPMD scenario on UPVM.
+func RunUPVM(sc Scenario) *Outcome { return runUPVM(sc, nil) }
+
+// runUPVM is the UPVM runner; setup as in runMPVM.
+func runUPVM(sc Scenario, setup func(*sim.Kernel, *upvm.System)) *Outcome {
+	r := newRig(sc)
+	sys := r.newUPVM()
+	if setup != nil {
+		setup(r.k, sys)
+	}
+	p := r.sc.params()
+	slaveTIDs := make([]core.TID, r.sc.Slaves)
 	for i := range slaveTIDs {
 		slaveTIDs[i] = upvm.ULPTID(i + 1)
 	}
-	_, err := sys.Start("opt", specs, func(u *upvm.ULP, rank int) {
+	_, err := sys.Start("opt", r.sc.ulpSpecs(), func(u *upvm.ULP, rank int) {
 		if rank == 0 {
-			res, err := opt.RunMaster(u, slaveTIDs, p)
-			out.Result = res
-			if err != nil && out.Err == nil {
-				out.Err = err
-			}
-			out.Elapsed = u.Proc().Now()
-			sc.stopIfOpenEnded(k)
+			r.runMaster(u, slaveTIDs, p)
 			return
 		}
-		if err := opt.RunSlave(u, upvm.ULPTID(0), p); err != nil && out.Err == nil {
-			out.Err = err
-		}
+		r.fail(opt.RunSlave(u, upvm.ULPTID(0), p))
 	})
 	if err != nil {
-		out.Err = err
-		return out
+		r.fail(err)
+		return r.out
 	}
-	if sc.MigrateAt > 0 {
-		k.Schedule(sc.MigrateAt, func() {
-			if err := sys.Migrate(sc.MigrateSlave+1, sc.MigrateTo, core.ReasonOwnerReclaim); err != nil && out.Err == nil {
-				out.Err = err
-			}
-		})
-	}
-	k.Run()
-	out.Records = sys.Records()
-	return out
+	r.atMigrate(func() error {
+		return sys.Migrate(r.sc.MigrateSlave+1, r.sc.MigrateTo, core.ReasonOwnerReclaim)
+	})
+	r.k.Run()
+	r.out.Records = sys.Records()
+	return r.out
 }
 
 // RunADM executes the scenario as ADMopt: the same master/slave placement,
 // but migration events trigger data redistribution instead of VP movement.
 func RunADM(sc Scenario) *Outcome {
-	sc = sc.withDefaults()
-	k := sim.NewKernel()
-	cl := buildCluster(k, sc.Hosts, sc.Wire)
-	sc.applyBackgroundLoad(cl)
-	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	out := &Outcome{}
-
+	r := newRig(sc)
 	stats := &opt.ADMStats{}
-	ap := opt.ADMParams{Params: sc.params(), Stats: stats, ChunkExemplars: sc.ADMChunk}
-	masterTID := sc.masterTID()
+	ap := opt.ADMParams{Params: r.sc.params(), Stats: stats, ChunkExemplars: r.sc.ADMChunk}
+	masterTID := r.sc.masterTID()
 
-	slaveTasks := make([]*pvm.Task, sc.Slaves)
-	tids := make([]core.TID, sc.Slaves)
-	queues := make([]*adm.EventQueue, sc.Slaves)
-	for i := 0; i < sc.Slaves; i++ {
+	slaveTasks := make([]*pvm.Task, r.sc.Slaves)
+	tids := make([]core.TID, r.sc.Slaves)
+	for i := range tids {
 		i := i
-		t, err := m.Spawn(sc.slaveHost(i), fmt.Sprintf("admopt-slave%d", i), func(t *pvm.Task) {
-			queues[i] = adm.Attach(t)
-			if err := opt.RunADMSlave(t, masterTID, i, tids, queues[i], ap); err != nil && out.Err == nil {
-				out.Err = err
-			}
+		t, err := r.m.Spawn(r.sc.slaveHost(i), fmt.Sprintf("admopt-slave%d", i), func(t *pvm.Task) {
+			r.fail(opt.RunADMSlave(t, masterTID, i, tids, adm.Attach(t), ap))
 		})
 		if err != nil {
-			out.Err = err
-			return out
+			r.fail(err)
+			return r.out
 		}
 		slaveTasks[i] = t
 		tids[i] = t.Mytid()
 	}
-	_, err := m.Spawn(0, "admopt-master", func(t *pvm.Task) {
+	_, err := r.m.Spawn(0, "admopt-master", func(t *pvm.Task) {
 		res, err := opt.RunADMMaster(t, tids, ap)
-		out.Result = res
-		if err != nil && out.Err == nil {
-			out.Err = err
-		}
-		out.Elapsed = t.Proc().Now()
-		sc.stopIfOpenEnded(k)
+		r.finish(t, res, err)
 	})
 	if err != nil {
-		out.Err = err
-		return out
+		r.fail(err)
+		return r.out
 	}
-	if sc.MigrateAt > 0 {
-		kind := "withdraw"
-		reason := core.ReasonOwnerReclaim
-		if sc.ADMRebalance {
-			kind, reason = "rebalance", core.ReasonHighLoad
+	r.atMigrate(func() error {
+		ev := adm.Event{Kind: "withdraw", Reason: core.ReasonOwnerReclaim}
+		if r.sc.ADMRebalance {
+			ev = adm.Event{Kind: "rebalance", Reason: core.ReasonHighLoad}
 		}
-		k.Schedule(sc.MigrateAt, func() {
-			adm.Signal(slaveTasks[sc.MigrateSlave], adm.Event{Kind: kind, Reason: reason})
-		})
-	}
-	k.Run()
-	out.Records = stats.Records
-	return out
+		adm.Signal(slaveTasks[r.sc.MigrateSlave], ev)
+		return nil
+	})
+	r.k.Run()
+	r.out.Records = stats.Records
+	return r.out
 }
 
 // RawTCP measures a bulk TCP transfer of n bytes between two idle hosts —
@@ -538,78 +460,55 @@ func RawTCP(bytes int) sim.Time {
 // chosen host returns at ownerAt and the GS evacuates it. It returns the
 // scheduler decisions and migration records.
 func OwnerReclaimScenario(sc Scenario, ownerHost int, ownerAt sim.Time) (*Outcome, []gs.Decision) {
-	sc = sc.withDefaults()
-	k := sim.NewKernel()
-	cl := buildCluster(k, sc.Hosts, sc.Wire)
-	sc.applyBackgroundLoad(cl)
-	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	sys := mpvm.New(m, mpvm.Config{})
+	r := newRig(sc)
+	sys := mpvm.New(r.m, mpvm.Config{})
 	target := gs.NewMPVMTarget(sys)
-	sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
-	out := &Outcome{}
-
-	tids := make([]core.TID, sc.Slaves)
-	p := sc.params()
-	for i := 0; i < sc.Slaves; i++ {
-		pp := p
-		mt, err := sys.SpawnMigratable(sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), sc.TotalBytes/sc.Slaves,
-			func(mt *mpvm.MTask) {
-				if err := opt.RunSlave(mt.Task, sc.masterTID(), pp); err != nil && out.Err == nil {
-					out.Err = err
-				}
-			})
-		if err != nil {
-			out.Err = err
-			return out, nil
-		}
-		tids[i] = mt.OrigTID()
-		target.Track(mt.OrigTID())
-	}
-	_, err := sys.SpawnMigratable(0, "opt-master", 1<<20, func(mt *mpvm.MTask) {
-		res, err := opt.RunMaster(mt.Task, tids, p)
-		out.Result = res
-		if err != nil && out.Err == nil {
-			out.Err = err
-		}
-		out.Elapsed = mt.Proc().Now()
-		sc.stopIfOpenEnded(k)
-	})
+	sched := gs.NewFleet(r.cl, target, gs.DefaultFleetPolicy())
+	// The slaves' images are sized up front, an even share of the training
+	// set each, so the evacuation's cost does not depend on how far a slave
+	// got with loading its shard when the owner returned.
+	tids, err := r.spawnMPVMApp(sys, r.sc.TotalBytes/r.sc.Slaves)
 	if err != nil {
-		out.Err = err
-		return out, nil
+		r.fail(err)
+		return r.out, nil
+	}
+	for _, tid := range tids {
+		target.Track(tid)
 	}
 	sched.Start()
-	k.Schedule(ownerAt, func() { cl.Host(netsim.HostID(ownerHost)).SetOwnerActive(true) })
-	k.RunUntil(2 * time.Hour)
-	out.Records = sys.Records()
-	return out, sched.Decisions()
+	r.k.Schedule(ownerAt, func() { r.cl.Host(netsim.HostID(ownerHost)).SetOwnerActive(true) })
+	r.k.RunUntil(2 * time.Hour)
+	r.out.Records = sys.Records()
+	return r.out, sched.Decisions()
 }
 
-// spawnMPVMSlaves starts the scenario's migratable slave tasks, returning
-// their stable tids and handles.
-func spawnMPVMSlaves(sc Scenario, sys *mpvm.System, out *Outcome) ([]core.TID, []*mpvm.MTask, error) {
-	tids := make([]core.TID, sc.Slaves)
-	mts := make([]*mpvm.MTask, sc.Slaves)
-	for i := 0; i < sc.Slaves; i++ {
-		p := sc.params()
+// spawnMPVMApp starts the scenario's migratable slave tasks and the master,
+// returning the slaves' stable tids. A slave's image is stateBytes, or, when
+// that is 0, whatever the slave reports once its shard is loaded.
+func (r *rig) spawnMPVMApp(sys *mpvm.System, stateBytes int) ([]core.TID, error) {
+	tids := make([]core.TID, r.sc.Slaves)
+	for i := range tids {
+		p := r.sc.params()
 		var mtRef *mpvm.MTask
-		p.OnStateBytes = func(n int) {
-			if mtRef != nil {
-				mtRef.SetStateBytes(n)
+		if stateBytes == 0 {
+			p.OnStateBytes = func(n int) {
+				if mtRef != nil {
+					mtRef.SetStateBytes(n)
+				}
 			}
 		}
-		mt, err := sys.SpawnMigratable(sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), 0,
-			func(mt *mpvm.MTask) {
-				if err := opt.RunSlave(mt.Task, sc.masterTID(), p); err != nil && out.Err == nil {
-					out.Err = err
-				}
-			})
+		mt, err := sys.SpawnMigratable(r.sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), stateBytes,
+			func(mt *mpvm.MTask) { r.fail(opt.RunSlave(mt.Task, r.sc.masterTID(), p)) })
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		mtRef = mt
-		mts[i] = mt
 		tids[i] = mt.OrigTID()
 	}
-	return tids, mts, nil
+	// The master links the MPVM library too (every task of an MPVM
+	// application does): it needs the tid-remapping hooks to keep talking
+	// to migrated slaves.
+	p := r.sc.params()
+	_, err := sys.SpawnMigratable(0, "opt-master", 1<<20, func(mt *mpvm.MTask) { r.runMaster(mt.Task, tids, p) })
+	return tids, err
 }

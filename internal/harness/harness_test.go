@@ -2,11 +2,14 @@ package harness
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"pvmigrate/internal/opt"
 	"pvmigrate/internal/sim"
+	"pvmigrate/internal/trace"
+	"pvmigrate/internal/upvm"
 )
 
 func secs(t sim.Time) float64 { return t.Seconds() }
@@ -344,7 +347,7 @@ func TestDistributedLineSearchMonotoneAndBitwise(t *testing.T) {
 	p.LineSearch = true
 	ref := opt.ReferenceTrajectory(p, sc.Slaves)
 
-	run := runPVMWithParams(sc, p)
+	run := runPVM(sc, func(p *opt.Params) { p.LineSearch = true })
 	if run.Err != nil {
 		t.Fatal(run.Err)
 	}
@@ -381,5 +384,42 @@ func TestUPVMMultipleULPsPerNode(t *testing.T) {
 	t.Logf("4 slaves on 2 hosts: PVM %.2f s, UPVM %.2f s", p, u)
 	if u >= p {
 		t.Fatalf("UPVM (%.2f) not faster than PVM (%.2f) with multiple VPs per node", u, p)
+	}
+}
+
+// TestTraceRunsTheScenarioRunRuns: attaching a tracer must not change which
+// scenario runs. The traced runners used to be hand copies of the plain
+// ones and had silently dropped BackgroundLoad/CrossTraffic (MPVM) and the
+// Scenario.UPVM cost model (UPVM).
+func TestTraceRunsTheScenarioRunRuns(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		run   func(Scenario) *Outcome
+		trace func(Scenario) (*trace.Log, *Outcome)
+		sc    Scenario
+	}{
+		{"mpvm/background-load", RunMPVM, TraceMPVMMigration, Scenario{
+			TotalBytes: 4_200_000, Iterations: 10, MigrateAt: 8 * time.Second,
+			BackgroundLoad: map[int]int{0: 1},
+		}},
+		{"upvm/tuned-cost-model", RunUPVM, TraceUPVMMigration, Scenario{
+			TotalBytes: 600_000, Iterations: 6, MigrateAt: 2 * time.Second,
+			UPVM: &upvm.Config{XferBps: 950e3, AcceptBps: 12e6}, // Extension D
+		}},
+	} {
+		plain := c.run(c.sc)
+		log, traced := c.trace(c.sc)
+		if plain.Err != nil || traced.Err != nil {
+			t.Fatalf("%s: errs %v, %v", c.name, plain.Err, traced.Err)
+		}
+		if log.Len() == 0 || len(plain.Records) != 1 {
+			t.Fatalf("%s: %d trace events, %d records", c.name, log.Len(), len(plain.Records))
+		}
+		if traced.Elapsed != plain.Elapsed {
+			t.Errorf("%s: traced run took %v, untraced %v", c.name, traced.Elapsed, plain.Elapsed)
+		}
+		if !reflect.DeepEqual(traced.Records, plain.Records) {
+			t.Errorf("%s: records differ:\ntraced   %+v\nuntraced %+v", c.name, traced.Records, plain.Records)
+		}
 	}
 }

@@ -3,9 +3,7 @@ package mpvm
 import (
 	"fmt"
 
-	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
-	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
 )
@@ -68,20 +66,13 @@ func (s *System) MigrateWarm(orig core.TID, dest int, reason core.MigrationReaso
 // with the migration entry marked warm so the barrier completes into the
 // precopy proc instead of freezing the victim.
 func (s *System) onWarmMigrateCmd(d *pvm.Daemon, cmd *warmMigrateCmd) {
-	mt, ok := s.tasks[cmd.orig]
-	if !ok || mt.migrating || mt.Exited() {
+	mig := s.beginMigration(d, cmd.order, cmd.orig)
+	if mig == nil {
 		return
 	}
-	mt.migrating = true
-	mig := newMigration(cmd.order, cmd.orig, int(d.Host().ID()), s.m.Kernel().Now(), s.aliveHosts())
 	mig.warm = &warmParams{maxRounds: cmd.maxRounds, cutoverBytes: cmd.cutoverBytes}
 	mig.wake = sim.NewCond(s.m.Kernel())
-	s.migrations[cmd.orig] = mig
-	s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush", "flush message to all processes (warm)")
-	for h := 0; h < s.m.NHosts(); h++ {
-		d.SendCtl(h, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm",
-			Payload: &flushCmd{orig: cmd.orig, srcHost: int(d.Host().ID())}})
-	}
+	s.startFlush(d, mig, "flush message to all processes (warm)")
 }
 
 // startPrecopy launches the precopy proc once the stage-2 barrier
@@ -126,28 +117,6 @@ func (s *System) dirtyRate(mt *MTask) float64 {
 	return s.cfg.WarmDirtyBps
 }
 
-// streamRound sends one round header plus its payload over the transfer
-// connection, charging the per-byte copy cost exactly as the cold path
-// does. Returns an error if the connection fails mid-round.
-func (s *System) streamRound(p *sim.Proc, conn *netsim.Conn, srcHost *cluster.Host, hdr *roundHeader) error {
-	if err := conn.Send(p, 64, hdr); err != nil {
-		return err
-	}
-	remaining := hdr.bytes
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > s.cfg.TransferChunk {
-			chunk = s.cfg.TransferChunk
-		}
-		s.m.ChargeCPU(p, srcHost, sim.FromSeconds(float64(chunk)/s.cfg.TransferCopyBps))
-		if err := conn.Send(p, chunk, nil); err != nil {
-			return err
-		}
-		remaining -= chunk
-	}
-	return nil
-}
-
 // runPrecopy runs stages 3–4 of the warm protocol in its own kernel proc,
 // beside the still-running victim.
 func (s *System) runPrecopy(p *sim.Proc, mt *MTask, mig *migration) {
@@ -156,34 +125,9 @@ func (s *System) runPrecopy(p *sim.Proc, mt *MTask, mig *migration) {
 	if srcD == nil || s.warmGone(mt, mig) {
 		return
 	}
-	srcHost := srcD.Host()
-
-	// Stage 3a: skeleton request, identical to the cold path.
-	rpcID, pend := s.nextRPC()
-	srcD.SendCtl(destHost, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm", Payload: &skeletonReq{
-		rpc: rpcID, orig: mt.orig, name: mt.Name(),
-		srcHost: mig.srcHost, bytes: mt.stateBytes,
-	}})
-	s.m.Kernel().Schedule(s.cfg.SkeletonTimeout, func() {
-		s.completeRPC(rpcID, skeletonTimeout{})
-	})
-	for pend.reply == nil {
-		if err := pend.cond.Wait(p); err != nil {
-			delete(s.rpcWait, rpcID)
-			s.abortWarm(mt, mig, srcD, nil, "interrupted awaiting skeleton")
-			return
-		}
-	}
-	ready, ok := pend.reply.(*skeletonReady)
-	if !ok {
-		s.abortWarm(mt, mig, srcD, nil, fmt.Sprintf("no skeleton on host%d within %v", destHost, s.cfg.SkeletonTimeout))
-		return
-	}
-	s.trace("skeleton", "3:skeleton-ready", fmt.Sprintf("listening on host%d:%d", destHost, ready.port))
-
-	conn, err := srcHost.Iface().Dial(p, netsim.HostID(destHost), ready.port)
+	conn, err := s.openTransfer(p, mt, srcD, destHost)
 	if err != nil {
-		s.abortWarm(mt, mig, srcD, nil, fmt.Sprintf("dial host%d failed: %v", destHost, err))
+		s.abortWarm(mt, mig, srcD, nil, err.Error())
 		return
 	}
 
@@ -202,9 +146,9 @@ func (s *System) runPrecopy(p *sim.Proc, mt *MTask, mig *migration) {
 		began := p.Now()
 		s.trace(mt.orig.String(), "3:precopy-round",
 			fmt.Sprintf("round %d: %d bytes while task runs", mig.rounds, toSend))
-		if err := s.streamRound(p, conn, srcHost, &roundHeader{
+		if err := s.stream(p, conn, srcD.Host(), &roundHeader{
 			orig: mt.orig, round: mig.rounds, bytes: toSend,
-		}); err != nil {
+		}, toSend); err != nil {
 			conn.Close()
 			s.abortWarm(mt, mig, srcD, nil, fmt.Sprintf("precopy round %d to host%d failed: %v", mig.rounds, destHost, err))
 			return
@@ -247,75 +191,27 @@ func (s *System) runPrecopy(p *sim.Proc, mt *MTask, mig *migration) {
 		return
 	}
 
-	oldTID := mt.Mytid()
-	inbox := mt.TakeInbox()
-	inboxBytes := 0
-	for _, m := range inbox {
-		inboxBytes += m.WireBytes()
-	}
-	const contextBytes = 4 << 10 // registers + signal state + library tables
-	finalBytes := toSend + inboxBytes + contextBytes
+	inbox, tail := takeInbox(mt)
+	finalBytes := toSend + tail
 	s.trace(mt.orig.String(), "3:state-transfer", fmt.Sprintf("final delta %d bytes over TCP", finalBytes))
-	if err := s.streamRound(p, conn, srcHost, &roundHeader{
+	if err := s.stream(p, conn, srcD.Host(), &roundHeader{
 		orig: mt.orig, round: mig.rounds, bytes: finalBytes, final: true,
-	}); err != nil {
+	}, finalBytes); err != nil {
 		conn.Close()
 		s.abortWarm(mt, mig, srcD, inbox, fmt.Sprintf("final delta to host%d failed: %v", destHost, err))
 		return
 	}
-
-	// Confirm-before-detach, exactly as in the cold path: until the
-	// skeleton acknowledges, the source copy is authoritative.
-	if _, err := conn.Recv(p); err != nil {
-		conn.Close()
-		s.abortWarm(mt, mig, srcD, inbox, fmt.Sprintf("no state-assumed confirmation from host%d: %v", destHost, err))
+	destD, err := s.confirm(p, conn, destHost)
+	if err != nil {
+		s.abortWarm(mt, mig, srcD, inbox, err.Error())
 		return
 	}
-	conn.Close()
-	destD := s.m.Daemon(destHost)
-	if destD == nil || !destD.Host().Alive() {
-		s.abortWarm(mt, mig, srcD, inbox, fmt.Sprintf("host%d died after confirming", destHost))
-		return
-	}
-
-	mt.DetachFromHost()
-	mig.offSource = p.Now()
-	s.trace(mt.orig.String(), "3:off-source", "process image off the source host")
-
-	// Stage 4: re-enroll on the destination, restore state, broadcast.
-	srcHost.FreeMem(mt.memMB)
-	mt.memMB = memMB(mt.stateBytes)
-	_ = destD.Host().AllocMem(mt.memMB)
-	newTID := mt.AttachToHost(destD)
-	s.trace(mt.orig.String(), "4:restart", fmt.Sprintf("re-enrolled as %v; broadcasting restart", newTID))
-	s.m.ChargeCPU(p, mt.Host(), s.cfg.RestartOverhead)
-	mt.RestoreInbox(inbox)
-	mt.tidHistoryNext[oldTID] = newTID
-	s.globalRemap[mt.orig] = newTID
-	for h := 0; h < s.m.NHosts(); h++ {
-		destD.SendCtl(h, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm",
-			Payload: &restartCmd{orig: mt.orig, oldTID: oldTID, newTID: newTID}})
-	}
-
-	mt.migrating = false
-	delete(s.migrations, mt.orig)
-	s.finishMigration(mig, core.MigrationRecord{
-		VP:           mt.orig,
-		NewTID:       newTID,
-		From:         mig.srcHost,
-		To:           destHost,
-		Reason:       mig.order.Reason,
-		Start:        mig.start,
-		OffSource:    mig.offSource,
-		Reintegrated: p.Now(),
+	s.commit(p, mt, mig, destD, inbox, core.MigrationRecord{
 		StateBytes:   mig.precopyBytes + finalBytes,
 		Mode:         core.MigrationWarm,
 		Rounds:       mig.rounds,
 		PrecopyBytes: mig.precopyBytes,
-		Frozen:       mig.frozen,
 	})
-	s.trace(mt.orig.String(), "4:reintegrated", "resuming application execution")
-	s.notePlacement(mt.orig, destHost, mt.Task)
 
 	// Release the victim: it resumes its interrupted operation, now on the
 	// destination host.

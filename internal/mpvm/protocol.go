@@ -1,8 +1,10 @@
 package mpvm
 
 import (
+	"errors"
 	"fmt"
 
+	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/pvm"
@@ -146,17 +148,33 @@ func (s *System) handleCtl(d *pvm.Daemon, c *pvm.CtlMsg) bool {
 
 // onMigrateCmd (source mpvmd): stage 1 → start stage 2 by flushing.
 func (s *System) onMigrateCmd(d *pvm.Daemon, cmd *migrateCmd) {
-	mt, ok := s.tasks[cmd.orig]
+	if mig := s.beginMigration(d, cmd.order, cmd.orig); mig != nil {
+		s.startFlush(d, mig, "flush message to all processes")
+	}
+}
+
+// beginMigration (source mpvmd) marks the victim migrating and returns its
+// migration entry, or nil when the order is stale: the task is unknown,
+// already moving, or has exited since the GS chose it.
+func (s *System) beginMigration(d *pvm.Daemon, order core.MigrationOrder, orig core.TID) *migration {
+	mt, ok := s.tasks[orig]
 	if !ok || mt.migrating || mt.Exited() {
-		return
+		return nil
 	}
 	mt.migrating = true
-	mig := newMigration(cmd.order, cmd.orig, int(d.Host().ID()), s.m.Kernel().Now(), s.aliveHosts())
-	s.migrations[cmd.orig] = mig
-	s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush", "flush message to all processes")
+	return newMigration(order, orig, int(d.Host().ID()), s.m.Kernel().Now(), s.aliveHosts())
+}
+
+// startFlush (source mpvmd) opens the stage-2 barrier for mig: every mpvmd
+// is told to block sends to the task and acknowledge. A migration's flush
+// and a checkpoint's (FlushAndHold) both start here; what is the trace
+// detail that tells them apart.
+func (s *System) startFlush(d *pvm.Daemon, mig *migration, what string) {
+	s.migrations[mig.orig] = mig
+	s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush", what)
 	for h := 0; h < s.m.NHosts(); h++ {
 		d.SendCtl(h, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm",
-			Payload: &flushCmd{orig: cmd.orig, srcHost: int(d.Host().ID())}})
+			Payload: &flushCmd{orig: mig.orig, srcHost: mig.srcHost}})
 	}
 }
 
@@ -358,29 +376,60 @@ func (s *System) abortOnSource(mt *MTask, d *pvm.Daemon, why string) {
 	s.cancelMigration(mt.orig, d)
 }
 
-// executeMigration runs stages 3 and 4 in the migrating process's own
-// context (the transparently linked signal handler).
+// executeMigration runs stages 3 and 4 of stop-and-copy in the migrating
+// process's own context (the transparently linked signal handler).
 func (s *System) executeMigration(mt *MTask, sig migrateSignal) {
 	p := mt.Proc()
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
 	mig := sig.mig
 	destHost := mig.order.Dest
-	srcIface := mt.Host().Iface()
-	oldTID := mt.Mytid()
+	srcD := mt.Daemon()
 	// Stop-and-copy downtime starts here: the victim is stopped in its
 	// signal handler for the whole transfer.
 	mig.frozen = p.Now()
 
-	// Stage 3a: request a skeleton on the destination host and wait for it
-	// to listen — but not forever: a destination that crashed after stage 1
-	// never replies, and without a deadline the victim would hold every
-	// sender flush-blocked for the rest of the run.
+	conn, err := s.openTransfer(p, mt, srcD, destHost)
+	if err != nil {
+		s.abortOnSource(mt, srcD, err.Error())
+		return
+	}
+	// Stage 3b: stream the process image: data + heap + stack (stateBytes),
+	// buffered/unreceived messages, and the register context.
+	inbox, tail := takeInbox(mt)
+	total := mt.stateBytes + tail
+	s.trace(mt.orig.String(), "3:state-transfer", fmt.Sprintf("%d bytes over TCP", total))
+	if err := s.stream(p, conn, srcD.Host(), &stateHeader{orig: mt.orig, total: total}, total); err != nil {
+		conn.Close()
+		mt.RestoreInbox(inbox)
+		s.abortOnSource(mt, srcD, fmt.Sprintf("transfer to host%d failed: %v", destHost, err))
+		return
+	}
+	destD, err := s.confirm(p, conn, destHost)
+	if err != nil {
+		mt.RestoreInbox(inbox)
+		s.abortOnSource(mt, srcD, err.Error())
+		return
+	}
+	s.commit(p, mt, mig, destD, inbox, core.MigrationRecord{StateBytes: total, Mode: core.MigrationCold})
+}
+
+// The helpers below are stages 3–4 as both protocols run them. Stop-and-copy
+// calls them from the victim's own proc, inside its signal handler; warm
+// precopy (precopy.go) calls them from a proc beside the still-running
+// victim. None of them knows which: what differs between the protocols is
+// who is frozen while they run, not what they do.
+
+// openTransfer is stage 3a: request a skeleton on the destination host, wait
+// for it to listen — but not forever: a destination that crashed after
+// stage 1 never replies, and without a deadline every sender would stay
+// flush-blocked for the rest of the run — and connect to it. The error is
+// the reason to abort to source.
+func (s *System) openTransfer(p *sim.Proc, mt *MTask, srcD *pvm.Daemon, destHost int) (*netsim.Conn, error) {
 	rpcID, pend := s.nextRPC()
-	srcD := mt.Daemon()
 	srcD.SendCtl(destHost, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm", Payload: &skeletonReq{
 		rpc: rpcID, orig: mt.orig, name: mt.Name(),
-		srcHost: int(mt.Host().ID()), bytes: mt.stateBytes,
+		srcHost: int(srcD.Host().ID()), bytes: mt.stateBytes,
 	}})
 	s.m.Kernel().Schedule(s.cfg.SkeletonTimeout, func() {
 		s.completeRPC(rpcID, skeletonTimeout{})
@@ -388,74 +437,80 @@ func (s *System) executeMigration(mt *MTask, sig migrateSignal) {
 	for pend.reply == nil {
 		if err := pend.cond.Wait(p); err != nil {
 			delete(s.rpcWait, rpcID)
-			s.abortOnSource(mt, srcD, "interrupted awaiting skeleton")
-			return
+			return nil, errors.New("interrupted awaiting skeleton")
 		}
 	}
 	ready, ok := pend.reply.(*skeletonReady)
 	if !ok {
-		s.abortOnSource(mt, srcD, fmt.Sprintf("no skeleton on host%d within %v", destHost, s.cfg.SkeletonTimeout))
-		return
+		return nil, fmt.Errorf("no skeleton on host%d within %v", destHost, s.cfg.SkeletonTimeout)
 	}
 	s.trace("skeleton", "3:skeleton-ready", fmt.Sprintf("listening on host%d:%d", destHost, ready.port))
-
-	// Stage 3b: connect and stream the process image: data + heap + stack
-	// (stateBytes), buffered/unreceived messages, and the register context.
-	conn, err := srcIface.Dial(p, netsim.HostID(destHost), ready.port)
+	conn, err := srcD.Host().Iface().Dial(p, netsim.HostID(destHost), ready.port)
 	if err != nil {
-		s.abortOnSource(mt, srcD, fmt.Sprintf("dial host%d failed: %v", destHost, err))
-		return
+		return nil, fmt.Errorf("dial host%d failed: %w", destHost, err)
 	}
-	inbox := mt.TakeInbox()
-	inboxBytes := 0
-	for _, m := range inbox {
-		inboxBytes += m.WireBytes()
-	}
+	return conn, nil
+}
+
+// takeInbox takes the victim's buffered, unreceived messages for transfer
+// and returns them with the bytes that ride behind the image proper: the
+// messages plus the register context.
+func takeInbox(mt *MTask) (inbox []*pvm.Message, tailBytes int) {
 	const contextBytes = 4 << 10 // registers + signal state + library tables
-	total := mt.stateBytes + inboxBytes + contextBytes
-	s.trace(mt.orig.String(), "3:state-transfer", fmt.Sprintf("%d bytes over TCP", total))
-	if err := conn.Send(p, 64, &stateHeader{orig: mt.orig, total: total}); err != nil {
-		conn.Close()
-		mt.RestoreInbox(inbox)
-		s.abortOnSource(mt, srcD, fmt.Sprintf("transfer to host%d failed: %v", destHost, err))
-		return
+	inbox = mt.TakeInbox()
+	tailBytes = contextBytes
+	for _, m := range inbox {
+		tailBytes += m.WireBytes()
 	}
-	remaining := total
-	for remaining > 0 {
-		chunk := remaining
+	return inbox, tailBytes
+}
+
+// stream is stage 3b's wire loop: hdr (a stateHeader, or one precopy
+// round's roundHeader) announces n bytes, which follow in TransferChunk
+// writes from srcHost.
+func (s *System) stream(p *sim.Proc, conn *netsim.Conn, srcHost *cluster.Host, hdr any, n int) error {
+	if err := conn.Send(p, 64, hdr); err != nil {
+		return err
+	}
+	for n > 0 {
+		chunk := n
 		if chunk > s.cfg.TransferChunk {
 			chunk = s.cfg.TransferChunk
 		}
 		// write() copies through the kernel on both sides — the cost that
 		// keeps MPVM above raw TCP in Table 2.
-		s.m.ChargeCPU(p, mt.Host(), sim.FromSeconds(float64(chunk)/s.cfg.TransferCopyBps))
+		s.m.ChargeCPU(p, srcHost, sim.FromSeconds(float64(chunk)/s.cfg.TransferCopyBps))
 		if err := conn.Send(p, chunk, nil); err != nil {
-			conn.Close()
-			mt.RestoreInbox(inbox)
-			s.abortOnSource(mt, srcD, fmt.Sprintf("transfer to host%d failed: %v", destHost, err))
-			return
+			return err
 		}
-		remaining -= chunk
+		n -= chunk
 	}
+	return nil
+}
 
-	// Wait for the skeleton to confirm it assumed the state. Until this
-	// confirmation, the source copy is authoritative: a destination crash
-	// mid- or post-transfer loses only the copy, not the process.
-	if _, err := conn.Recv(p); err != nil {
-		conn.Close()
-		mt.RestoreInbox(inbox)
-		s.abortOnSource(mt, srcD, fmt.Sprintf("no state-assumed confirmation from host%d: %v", destHost, err))
-		return
-	}
+// confirm waits for the skeleton to report it assumed the state, closes the
+// transfer connection and returns the destination's mpvmd. Until this
+// confirmation the source copy is authoritative: a destination crash mid-
+// or post-transfer loses only the copy, not the process.
+func (s *System) confirm(p *sim.Proc, conn *netsim.Conn, destHost int) (*pvm.Daemon, error) {
+	_, err := conn.Recv(p)
 	conn.Close()
+	if err != nil {
+		return nil, fmt.Errorf("no state-assumed confirmation from host%d: %w", destHost, err)
+	}
 	destD := s.m.Daemon(destHost)
 	if destD == nil || !destD.Host().Alive() {
 		// Confirmed, then died at the same virtual instant: the copy is gone.
-		mt.RestoreInbox(inbox)
-		s.abortOnSource(mt, srcD, fmt.Sprintf("host%d died after confirming", destHost))
-		return
+		return nil, fmt.Errorf("host%d died after confirming", destHost)
 	}
+	return destD, nil
+}
 
+// commit takes the task off the source host and runs stage 4 on destD. rec
+// arrives carrying what only the caller knows — bytes moved, mode, rounds —
+// and is completed and appended here.
+func (s *System) commit(p *sim.Proc, mt *MTask, mig *migration, destD *pvm.Daemon,
+	inbox []*pvm.Message, rec core.MigrationRecord) {
 	// The process image is committed to the destination: this is the end of
 	// the obtrusiveness window on the source machine.
 	mt.DetachFromHost()
@@ -465,9 +520,10 @@ func (s *System) executeMigration(mt *MTask, sig migrateSignal) {
 	// Stage 4: the skeleton is now the process. Re-enroll with the new
 	// mpvmd (fresh tid), restore buffered messages, broadcast restart.
 	// Memory residency moves with the image.
-	srcD.Host().FreeMem(mt.memMB)
+	mt.Host().FreeMem(mt.memMB)
 	mt.memMB = memMB(mt.stateBytes)
 	_ = destD.Host().AllocMem(mt.memMB)
+	oldTID := mt.Mytid()
 	newTID := mt.AttachToHost(destD)
 	s.trace(mt.orig.String(), "4:restart", fmt.Sprintf("re-enrolled as %v; broadcasting restart", newTID))
 	s.m.ChargeCPU(p, mt.Host(), s.cfg.RestartOverhead)
@@ -481,19 +537,16 @@ func (s *System) executeMigration(mt *MTask, sig migrateSignal) {
 
 	mt.migrating = false
 	delete(s.migrations, mt.orig)
-	s.finishMigration(mig, core.MigrationRecord{
-		VP:           mt.orig,
-		NewTID:       newTID,
-		From:         int(srcD.Host().ID()),
-		To:           destHost,
-		Reason:       mig.order.Reason,
-		Start:        mig.start,
-		OffSource:    mig.offSource,
-		Reintegrated: p.Now(),
-		StateBytes:   total,
-		Mode:         core.MigrationCold,
-		Frozen:       mig.frozen,
-	})
+	rec.VP = mt.orig
+	rec.NewTID = newTID
+	rec.From = mig.srcHost
+	rec.To = mig.order.Dest
+	rec.Reason = mig.order.Reason
+	rec.Start = mig.start
+	rec.OffSource = mig.offSource
+	rec.Reintegrated = p.Now()
+	rec.Frozen = mig.frozen
+	s.finishMigration(mig, rec)
 	s.trace(mt.orig.String(), "4:reintegrated", "resuming application execution")
-	s.notePlacement(mt.orig, destHost, mt.Task)
+	s.notePlacement(mt.orig, mig.order.Dest, mt.Task)
 }

@@ -40,12 +40,7 @@ func (s *System) FlushAndHold(orig core.TID, onFlushed func()) error {
 	d := mt.Daemon()
 	mig := newMigration(core.MigrationOrder{}, orig, int(d.Host().ID()), s.m.Kernel().Now(), s.aliveHosts())
 	mig.onFlushed = onFlushed
-	s.migrations[orig] = mig
-	s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush", "checkpoint flush to all processes")
-	for h := 0; h < s.m.NHosts(); h++ {
-		d.SendCtl(h, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm",
-			Payload: &flushCmd{orig: orig, srcHost: int(d.Host().ID())}})
-	}
+	s.startFlush(d, mig, "checkpoint flush to all processes")
 	return nil
 }
 

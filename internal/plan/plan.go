@@ -218,32 +218,6 @@ func (e *Executor) runSpec(p *sim.Proc, spec Spec) Result {
 	return res
 }
 
-// Evacuator adapts the executor to the gs schedulers' SetEvacuator hook:
-// every whole-host evacuation (owner reclaim, manual Evacuate) becomes a
-// one-group plan — mode, placement strategy, and cutover concurrency fixed
-// at wiring time. The returned count is the number of moves commanded; the
-// plan settles asynchronously.
-func (e *Executor) Evacuator(mode Mode, placement string, concurrency int) func(host int, reason core.MigrationReason) (int, error) {
-	return func(host int, reason core.MigrationReason) (int, error) {
-		vps := e.sys.VPsOnHost(host)
-		if len(vps) == 0 {
-			return 0, nil
-		}
-		err := e.Start(Spec{
-			Name: fmt.Sprintf("evac-host%d", host),
-			Groups: []Group{{
-				Name: "evacuate", VPs: vps, FromHost: host, Mode: mode,
-				Dest: UnplacedDest, Placement: placement,
-				Concurrency: concurrency, Reason: reason,
-			}},
-		}, nil)
-		if err != nil {
-			return 0, err
-		}
-		return len(vps), nil
-	}
-}
-
 // victims resolves a group's victim list at the moment the group starts.
 func (e *Executor) victims(g *Group) []core.TID {
 	if len(g.VPs) > 0 {

@@ -230,15 +230,31 @@ func TestColdPlanMatchesSequentialMigrate(t *testing.T) {
 	}
 }
 
+// planTarget is a gs.Target whose whole-host evacuation is a warm,
+// two-at-a-time plan instead of MPVMTarget's inline cold loop. The count
+// it returns is the moves commanded; the plan settles asynchronously.
+type planTarget struct {
+	*gs.MPVMTarget
+	ex *Executor
+}
+
+func (pt planTarget) EvacuateHost(host int, reason core.MigrationReason) (int, error) {
+	vps := pt.ex.sys.VPsOnHost(host)
+	err := pt.ex.Start(Spec{Name: "evac", Groups: []Group{{
+		VPs: vps, FromHost: host, Mode: ModeWarm, Dest: UnplacedDest,
+		Placement: "least-loaded", Concurrency: 2, Reason: reason,
+	}}}, nil)
+	return len(vps), err
+}
+
 // TestSchedulerEvacuatesThroughPlan wires the executor into the global
-// scheduler: an owner reclaiming their workstation triggers a warm,
-// staged evacuation plan instead of the target's inline cold loop.
+// scheduler through the gs.Target seam: an owner reclaiming their
+// workstation triggers a warm, staged evacuation plan.
 func TestSchedulerEvacuatesThroughPlan(t *testing.T) {
 	k, s := testSystem(t, 3)
 	vps := spawnWorkers(t, s, 0, 3, 2<<20)
-	sched := gs.NewFleet(s.Machine().Cluster(), gs.NewMPVMTarget(s), gs.DefaultFleetPolicy())
-	ex := NewExecutor(s, 9)
-	sched.SetEvacuator(ex.Evacuator(ModeWarm, "least-loaded", 2))
+	target := planTarget{gs.NewMPVMTarget(s), NewExecutor(s, 9)}
+	sched := gs.NewFleet(s.Machine().Cluster(), target, gs.DefaultFleetPolicy())
 	sched.Start()
 	k.Schedule(3*time.Second, func() {
 		s.Machine().Cluster().Host(0).SetOwnerActive(true)
