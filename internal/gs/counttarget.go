@@ -52,7 +52,7 @@ func (t *CountTarget) MoveOne(from, to int, reason core.MigrationReason) error {
 // EvacuateHost implements Target: every counter on the host spreads over
 // the least-loaded alive, owner-free hosts, rebalancing as it goes (each
 // unit lands on the currently least-loaded destination, lowest host id on
-// ties — deterministic).
+// ties — deterministic), in one LoadIndex.Spread.
 func (t *CountTarget) EvacuateHost(host int, reason core.MigrationReason) (int, error) {
 	n := t.idx.Load(host)
 	if n == 0 {
@@ -62,15 +62,10 @@ func (t *CountTarget) EvacuateHost(host int, reason core.MigrationReason) (int, 
 	for i, h := range t.cl.Hosts() {
 		t.elig[i] = i != host && h.Alive() && !h.OwnerActive()
 	}
-	moved := 0
-	for ; n > 0; n-- {
-		dest, _ := t.idx.BestEligible(t.elig)
-		if dest < 0 {
-			return moved, errs.Newf(CodeNoDestination, "no destination for %d stranded units", n).
-				AddContext("from", host).AddContext("reason", reason)
-		}
-		t.idx.NoteMoved(host, dest)
-		moved++
+	moved := t.idx.Spread(host, n, t.elig)
+	if moved < n {
+		return moved, errs.Newf(CodeNoDestination, "no destination for %d stranded units", n-moved).
+			AddContext("from", host).AddContext("reason", reason)
 	}
 	return moved, nil
 }

@@ -92,7 +92,7 @@ func (f *Fleet) watchOnce() {
 			if ft, ok := f.target.(FailureTarget); ok {
 				moved, err = ft.HostDead(id)
 			}
-			f.decisions = append(f.decisions, Decision{
+			f.log.add(Decision{
 				At: now, Host: id, Dest: -1,
 				Reason: core.ReasonHostFailure, Moved: moved, Err: err,
 			})
@@ -101,7 +101,7 @@ func (f *Fleet) watchOnce() {
 			if rt, ok := f.target.(RejoinTarget); ok {
 				rt.HostRejoined(id)
 			}
-			f.decisions = append(f.decisions, Decision{
+			f.log.add(Decision{
 				At: now, Host: id, Dest: -1, Reason: core.ReasonHostRejoin,
 			})
 		}

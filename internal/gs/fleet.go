@@ -131,12 +131,12 @@ type Fleet struct {
 	hosts  []*cluster.Host
 	shards []*fleetShard
 
-	decisions []Decision
-	stopped   bool
-	tickNo    uint64
-	epoch     uint64
-	scratch   []byte
-	tickFn    func()
+	log     decisionLog
+	stopped bool
+	tickNo  uint64
+	epoch   uint64
+	scratch []byte
+	tickFn  func()
 
 	// Failure detection (failure.go). dead is indexed by host id.
 	hb      HeartbeatSource
@@ -205,12 +205,24 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 	return f
 }
 
-// Decisions returns the log of actions taken.
-func (f *Fleet) Decisions() []Decision { return f.decisions }
+// Decisions returns the log of actions taken, in order, as one slice. A log
+// longer than one page (decisionPage entries) is copied on every call: a
+// caller that only walks a long log, or wants its fingerprint, uses
+// EachDecision and Fingerprint instead.
+func (f *Fleet) Decisions() []Decision { return f.log.flat() }
 
-// ResetDecisions truncates the decision log keeping its capacity (bench
+// EachDecision calls fn on every logged decision in order, without copying
+// the log.
+func (f *Fleet) EachDecision(fn func(Decision)) { f.log.each(fn) }
+
+// Fingerprint returns DecisionFingerprint(f.Decisions()) without copying the
+// log: a running value, extended on each call over the decisions logged
+// since the previous one.
+func (f *Fleet) Fingerprint() uint64 { return f.log.fingerprint() }
+
+// ResetDecisions empties the decision log keeping its capacity (bench
 // warmup support).
-func (f *Fleet) ResetDecisions() { f.decisions = f.decisions[:0] }
+func (f *Fleet) ResetDecisions() { f.log.reset() }
 
 // Stop halts future ticks and reactions.
 func (f *Fleet) Stop() { f.stopped = true }
@@ -246,7 +258,7 @@ func (f *Fleet) Evacuate(host int, reason core.MigrationReason) {
 
 func (f *Fleet) evacuate(host int, reason core.MigrationReason) {
 	moved, err := f.target.EvacuateHost(host, reason)
-	f.decisions = append(f.decisions, Decision{
+	f.log.add(Decision{
 		At: f.k.Now(), Host: host, Dest: -1,
 		Reason: reason, Moved: moved, Err: err,
 	})
@@ -280,7 +292,7 @@ func (f *Fleet) tick() {
 			if err != nil {
 				moved = 0
 			}
-			f.decisions = append(f.decisions, Decision{
+			f.log.add(Decision{
 				At: f.k.Now(), Host: from, Dest: to,
 				Reason: core.ReasonHighLoad, Moved: moved, Err: err,
 			})
@@ -472,6 +484,11 @@ func (f *Fleet) planRunQueue(s *fleetShard) (int, int, bool) {
 // planWorkUnits selects from the work-unit index through the placement
 // policy.
 func (f *Fleet) planWorkUnits(s *fleetShard) (int, int, bool) {
+	// The exact maximum rules out every donor without looking for one: this
+	// is what a quiet tick pays.
+	if s.view.MaxLoad() <= f.pol.LoadThreshold {
+		return 0, 0, false
+	}
 	donor, donorLoad := s.view.WorstEligible(s.donorOK)
 	if donor < 0 || donorLoad <= f.pol.LoadThreshold {
 		return 0, 0, false
@@ -544,39 +561,4 @@ func (f *Fleet) shardOf(host int) *fleetShard {
 		guess--
 	}
 	return f.shards[guess]
-}
-
-// DecisionFingerprint folds a decision log into one FNV-1a value — the
-// cross-run and cross-parallelism determinism pin for fleet sweeps.
-func DecisionFingerprint(decs []Decision) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	for i := range decs {
-		d := &decs[i]
-		mix(uint64(d.At))
-		mix(uint64(int64(d.Host)))
-		mix(uint64(int64(d.Dest)))
-		mix(uint64(int64(d.Moved)))
-		for _, c := range []byte(d.Reason) {
-			h ^= uint64(c)
-			h *= prime
-		}
-		if d.Err != nil {
-			for _, c := range []byte(d.Err.Error()) {
-				h ^= uint64(c)
-				h *= prime
-			}
-		}
-	}
-	return h
 }

@@ -1,14 +1,18 @@
 package gs
 
+import "slices"
+
 // LoadIndex is the incremental per-host load table behind every scheduling
 // target. Targets push deltas (NoteSpawn/NoteExit/NoteMoved) as placement
 // changes happen, so reading a host's load — or finding the most/least
 // loaded host — never rescans tasks. Hosts with equal load sit on an
-// intrusive doubly-linked bucket list, which makes "worst eligible host"
-// a walk down from the tracked maximum instead of an O(hosts) scan, and
-// keeps the steady-state mutation path allocation-free: the only growth is
-// the bucket head array, which is amortised over the life of the index and
-// never grows during a steady-state scheduling tick.
+// intrusive doubly-linked bucket list, and the index tracks the exact
+// minimum and maximum load, which makes "worst eligible host" a walk down
+// from the maximum and "best eligible host" a walk up from the minimum
+// instead of an O(hosts) scan, and keeps the steady-state mutation path
+// O(1) and allocation-free: the only growth is the bucket head array, which
+// is amortised over the life of the index and never grows during a
+// steady-state scheduling tick. Memory is O(hosts + maxLoad).
 //
 // Host ids index the table directly (the cluster assigns dense ids from 0),
 // and every tie among equally loaded hosts resolves to the lowest host id,
@@ -20,18 +24,24 @@ type LoadIndex struct {
 	stamps []uint64 // version at last change per host (delta-beat support)
 
 	heads []int32 // head host per load value, -1 when empty
+	fill  []int32 // Spread's per-level gather scratch, cap hosts
 
-	maxLoad int32
+	minLoad int32 // lowest non-empty bucket (0 for an index of no hosts)
+	maxLoad int32 // highest non-empty bucket
 	total   int
 	version uint64
 }
 
 // NewLoadIndex returns an index covering hosts [0, hosts) all at load 0.
 func NewLoadIndex(hosts int) *LoadIndex {
+	// The four per-host int32 columns share one allocation, so the scratch
+	// column costs an index that never calls Spread nothing.
+	cols := make([]int32, 4*hosts)
 	x := &LoadIndex{
-		loads:  make([]int32, hosts),
-		next:   make([]int32, hosts),
-		prev:   make([]int32, hosts),
+		loads:  cols[0*hosts : 1*hosts : 1*hosts],
+		next:   cols[1*hosts : 2*hosts : 2*hosts],
+		prev:   cols[2*hosts : 3*hosts : 3*hosts],
+		fill:   cols[3*hosts : 3*hosts : 4*hosts],
 		stamps: make([]uint64, hosts),
 		heads:  make([]int32, 1, 16),
 	}
@@ -117,11 +127,21 @@ func (x *LoadIndex) Add(host, delta int) {
 	x.total += int(nl - old)
 	x.version++
 	x.stamps[h] = x.version
+	// Both cursors stay exact: a new extreme moves its cursor there; the
+	// host leaving the old extreme's bucket empty walks the cursor to the
+	// next non-empty one, which is at most |delta| away (the host itself).
 	if nl > x.maxLoad {
 		x.maxLoad = nl
 	} else if old == x.maxLoad {
-		for x.maxLoad > 0 && x.heads[x.maxLoad] < 0 {
+		for x.heads[x.maxLoad] < 0 {
 			x.maxLoad--
+		}
+	}
+	if nl < x.minLoad {
+		x.minLoad = nl
+	} else if old == x.minLoad {
+		for x.heads[x.minLoad] < 0 {
+			x.minLoad++
 		}
 	}
 }
@@ -144,6 +164,45 @@ func (x *LoadIndex) NoteExit(host int) { x.Add(host, -1) }
 func (x *LoadIndex) NoteMoved(from, to int) {
 	x.Add(from, -1)
 	x.Add(to, 1)
+}
+
+// Spread moves up to n work units off host from, each onto the least-loaded
+// eligible host at that moment, lowest host id on ties, and returns how many
+// moved: fewer than n only when from holds fewer or no host is eligible. The
+// result is by contract that of n rounds of BestEligible + NoteMoved; from is
+// never a destination, whatever elig says of it.
+//
+// It is one water-fill, not n searches: every eligible host on the lowest
+// level takes one unit, which puts it in the next level's bucket, and the
+// fill goes up a level. Only the last level can have more takers than units
+// left, and there the lowest ids win. Cost is O(units moved + hosts walked
+// past), and from's own bucket changes once.
+func (x *LoadIndex) Spread(from, n int, elig []bool) int {
+	if from < 0 || from >= len(x.loads) {
+		return 0
+	}
+	if have := int(x.loads[from]); n > have {
+		n = have
+	}
+	moved := 0
+	for ld := x.minLoad; moved < n && ld <= x.maxLoad; ld++ {
+		level := x.fill[:0]
+		for h := x.heads[ld]; h >= 0; h = x.next[h] {
+			if int(h) != from && (elig == nil || elig[h]) {
+				level = append(level, h)
+			}
+		}
+		if left := n - moved; len(level) > left {
+			slices.Sort(level)
+			level = level[:left]
+		}
+		for _, h := range level {
+			x.Add(int(h), 1)
+		}
+		moved += len(level)
+	}
+	x.Add(from, -moved)
+	return moved
 }
 
 // WorstEligible returns the eligible host with the highest non-zero load
@@ -170,9 +229,10 @@ func (x *LoadIndex) WorstEligible(elig []bool) (host, load int) {
 
 // BestEligible returns the eligible host with the lowest load and that
 // load, or (-1, 0) when no host is eligible. Ties resolve to the lowest
-// host id.
+// host id. The walk starts at the tracked minimum, so the empty levels
+// below the least-loaded host cost nothing.
 func (x *LoadIndex) BestEligible(elig []bool) (host, load int) {
-	for ld := int32(0); ld < int32(len(x.heads)); ld++ {
+	for ld := x.minLoad; ld <= x.maxLoad; ld++ {
 		best := int32(-1)
 		for h := x.heads[ld]; h >= 0; h = x.next[h] {
 			if elig != nil && !elig[h] {

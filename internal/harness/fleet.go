@@ -151,11 +151,11 @@ func RunFleet(sc FleetScenario) *FleetOutcome {
 	fleet.Stop()
 
 	out := &FleetOutcome{
-		Fingerprint: gs.DecisionFingerprint(fleet.Decisions()),
+		Fingerprint: fleet.Fingerprint(),
 		Events:      k.EventsScheduled(),
 		FinalTotal:  tgt.Index().Total(),
 	}
-	for _, d := range fleet.Decisions() {
+	fleet.EachDecision(func(d gs.Decision) {
 		out.Decisions++
 		if d.Dest == -1 {
 			out.Evacuations++
@@ -163,7 +163,7 @@ func RunFleet(sc FleetScenario) *FleetOutcome {
 			out.Moves++
 		}
 		out.UnitsMoved += d.Moved
-	}
+	})
 	minLoad, maxLoad := int(^uint(0)>>1), 0
 	for i := 0; i < sc.Hosts; i++ {
 		l := tgt.HostLoad(i)

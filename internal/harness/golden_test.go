@@ -103,3 +103,61 @@ func TestGoldenTraceDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenFleetStormDigest pins fleet outcomes by value — the load
+// index, every placement, the sharded and the one-shard scheduler and the
+// decision log all sit under these numbers, so a change to any of them that
+// claims to be behaviour-preserving has to leave them alone. One digest per
+// placement × shard count over four seeds at a test-sized fleet, then the
+// benchmark's fleet_storm scenario by its exact counts.
+func TestGoldenFleetStormDigest(t *testing.T) {
+	digest := func(outs []*FleetOutcome) uint64 {
+		h := fnv.New64a()
+		for _, o := range outs {
+			fmt.Fprintf(h, "%x|%d|%d|%d|%d|%d\n", o.Fingerprint, o.Events,
+				o.Decisions, o.UnitsMoved, o.FinalMaxLoad, o.FinalMinLoad)
+		}
+		return h.Sum64()
+	}
+	for _, c := range []struct {
+		placement string
+		shards    int
+		want      uint64
+	}{
+		{"least-loaded", 1, 0xfaf64ac9eadd2995},
+		{"least-loaded", 8, 0x9c1e9e4d37679397},
+		{"first-fit", 1, 0xa4464d32dfb8dba5},
+		{"first-fit", 8, 0xb7f2356be93c9f05},
+		{"dest-swap", 1, 0x80ce4909314b0fc3},
+		{"dest-swap", 8, 0xb5a4d9612a6109dc},
+	} {
+		var outs []*FleetOutcome
+		for _, seed := range []uint64{1, 99, 1994, 2718} {
+			out := RunFleet(FleetScenario{
+				Hosts: 200, VPs: 5000, Shards: c.shards, Seed: seed,
+				Duration: 5 * time.Minute, Storms: 40, Placement: c.placement,
+			})
+			if out.FinalTotal != 5000 || out.Evacuations == 0 || out.Moves == 0 {
+				t.Fatalf("%s/%d shards seed %d: degenerate run %+v", c.placement, c.shards, seed, out)
+			}
+			outs = append(outs, out)
+		}
+		if got := digest(outs); got != c.want {
+			t.Errorf("%s/%d shards: digest %#x, want %#x", c.placement, c.shards, got, c.want)
+			for _, o := range outs {
+				t.Logf("  %+v", *o)
+			}
+		}
+	}
+
+	// bench/fleet.go's scenario at the benchmark's default seed.
+	got := *RunFleet(FleetScenario{Seed: 1994, Duration: 170 * time.Minute, Storms: 3400})
+	want := FleetOutcome{
+		Decisions: 32911, Moves: 29547, Evacuations: 3364, UnitsMoved: 367957,
+		Fingerprint: 0x1c70e19577c6809b, Events: 8841,
+		FinalTotal: 100000, FinalMaxLoad: 102, FinalMinLoad: 0,
+	}
+	if got != want {
+		t.Errorf("fleet_storm scenario:\n got %+v\nwant %+v", got, want)
+	}
+}

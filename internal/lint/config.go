@@ -192,8 +192,14 @@ func DefaultConfig() *Config {
 			// gate assert. Actuation (Fleet.tick's MoveOne dispatch and
 			// decision append) is deliberately outside the hot set — a tick
 			// that moves work pays for the move, not for the planning.
+			// The load index under every target and placement, and the
+			// counter target's one-pass evacuation, are rooted by name so
+			// they stay covered whoever calls them: what
+			// TestCountTargetEvacuateZeroAlloc asserts.
 			"pvmigrate/internal/gs": {
 				"Fleet.beatShard", "Fleet.gossipRound", "Fleet.planShard",
+				"LoadIndex.Add", "LoadIndex.BestEligible", "LoadIndex.WorstEligible",
+				"LoadIndex.Spread", "CountTarget.EvacuateHost",
 			},
 			"pvmigrate/internal/wirefmt": {
 				"Append", "AppendAny", "OpenFrame",
