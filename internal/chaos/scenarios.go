@@ -223,13 +223,3 @@ var ULPHandoffUnderPartition = Scenario{
 // Scenarios is the sweep set, in the order the roadmap names them.
 var Scenarios = []Scenario{ReclaimDuringRollback, CrashDuringEvacuation, SplitBrainRejoin,
 	ADMRedistributionRacingMigration, CrashMidPrecopy, ULPHandoffUnderPartition}
-
-// ScenarioByName returns the named scenario, or false.
-func ScenarioByName(name string) (Scenario, bool) {
-	for _, sc := range Scenarios {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
-}

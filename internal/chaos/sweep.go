@@ -83,16 +83,6 @@ func Sweep(sc Scenario, o SweepOptions) []SeedReport {
 	})
 }
 
-// SweepAll sweeps every registered scenario with the same options and
-// returns the reports keyed by scenario name, in Scenarios order.
-func SweepAll(o SweepOptions) map[string][]SeedReport {
-	out := make(map[string][]SeedReport, len(Scenarios))
-	for _, sc := range Scenarios {
-		out[sc.Name] = Sweep(sc, o)
-	}
-	return out
-}
-
 // Violations filters a sweep's reports down to the failing seeds.
 func Violations(reports []SeedReport) []SeedReport {
 	var bad []SeedReport

@@ -66,7 +66,7 @@ func decodeAsGradReply(t *testing.T, buf *core.Buffer, p opt.Params) {
 	if _, err := r.UpkInt(); err != nil {
 		return
 	}
-	_, _, _, _ = unpackGrad(r, p)
+	_, _, _, _ = opt.UnpackGradient(r, p)
 }
 
 // decodeAsCkptAck mirrors the master's tagCkptOK receive path.
@@ -99,7 +99,8 @@ func decodeAsNetCmd(t *testing.T, buf *core.Buffer, real bool) {
 
 // FuzzFTPayloadDecode drives every ft protocol decode path with arbitrary
 // item sequences: short payloads, wrong item types, and empty slices (the
-// historical pl[0] panic in unpackGrad) must all surface as errors.
+// historical pl[0] panic in opt.UnpackGradient, the gradient decoder every
+// master shares) must all surface as errors.
 func FuzzFTPayloadDecode(f *testing.F) {
 	// A well-formed cost-model gradient reply, a Real-mode one, an empty
 	// buffer, and a reply whose loss slice is empty.

@@ -103,7 +103,7 @@ func StartJob(mgr *Manager, spec JobSpec) (*Job, error) {
 	}
 	p := spec.Opt.WithDefaults()
 	j := &Job{mgr: mgr, spec: spec, p: p, cost: p.Cost(), nEx: p.NumExemplars()}
-	j.counts = shardCounts(j.nEx, len(spec.SlaveHosts))
+	j.counts = opt.EvenCounts(j.nEx, len(spec.SlaveHosts))
 	mgr.job = j
 
 	for i, host := range spec.SlaveHosts {
@@ -145,20 +145,6 @@ func (j *Job) masterStateBytes() int {
 }
 
 func (j *Job) ckptEvery() int { return j.mgr.cfg.CheckpointEvery }
-
-// shardCounts splits total exemplars across n slaves as evenly as possible
-// (the same split opt.RunMaster uses).
-func shardCounts(total, n int) []int {
-	counts := make([]int, n)
-	base, rem := total/n, total%n
-	for i := range counts {
-		counts[i] = base
-		if i < rem {
-			counts[i]++
-		}
-	}
-	return counts
-}
 
 // respawnSlave re-incarnates slave idx on host from its checkpointed shard.
 func (j *Job) respawnSlave(idx, host int) error {
@@ -461,7 +447,7 @@ func (m *masterRun) oneIteration() error {
 			if e != epoch || it != m.iter {
 				continue // stale reply computed before a rollback
 			}
-			pl, cnt, g, err := unpackGrad(r, p)
+			pl, cnt, g, err := opt.UnpackGradient(r, p)
 			if err != nil {
 				return err
 			}
@@ -496,43 +482,6 @@ func (m *masterRun) oneIteration() error {
 		}
 	}
 	return nil
-}
-
-// unpackGrad reads a tagGrad payload after its (epoch, iter) stamp — the
-// same layout opt's packGradient produces.
-func unpackGrad(r *core.Reader, p opt.Params) (partialLoss float64, count int, g *opt.Gradient, err error) {
-	pl, err := r.UpkFloat64s()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if len(pl) == 0 {
-		// A well-formed reply always carries exactly one partial loss; an
-		// empty slice is a malformed payload, not a crash.
-		return 0, 0, nil, errors.New("ft: gradient reply carries no partial loss")
-	}
-	if count, err = r.UpkInt(); err != nil {
-		return 0, 0, nil, err
-	}
-	if !p.Real {
-		if _, err := r.UpkVirtual(); err != nil {
-			return 0, 0, nil, err
-		}
-		return pl[0], count, nil, nil
-	}
-	g = &opt.Gradient{Count: count}
-	if g.W1, err = r.UpkFloat64s(); err != nil {
-		return 0, 0, nil, err
-	}
-	if g.B1, err = r.UpkFloat64s(); err != nil {
-		return 0, 0, nil, err
-	}
-	if g.W2, err = r.UpkFloat64s(); err != nil {
-		return 0, 0, nil, err
-	}
-	if g.B2, err = r.UpkFloat64s(); err != nil {
-		return 0, 0, nil, err
-	}
-	return pl[0], count, g, nil
 }
 
 // checkpoint runs one coordinated round:

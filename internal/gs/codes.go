@@ -12,7 +12,4 @@ const (
 	// CodeNoMovable: the source host has no movable work unit (VP, ULP,
 	// or ADM share) to evict.
 	CodeNoMovable errs.Code = "gs.no-movable"
-	// CodeBadBeat: a shard heartbeat frame decoded to mismatched member
-	// arrays — a codec bug or a corrupted frame, never valid input.
-	CodeBadBeat errs.Code = "gs.bad-beat"
 )

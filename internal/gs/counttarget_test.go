@@ -5,16 +5,10 @@ import (
 
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
-	"pvmigrate/internal/netsim"
-	"pvmigrate/internal/sim"
 )
 
 func countTarget(loads ...int) (*cluster.Cluster, *CountTarget) {
-	specs := make([]cluster.HostSpec, len(loads))
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec("h")
-	}
-	cl := cluster.New(sim.NewKernel(), netsim.Params{}, specs...)
+	_, cl := plainWorld(len(loads))
 	tgt := NewCountTarget(cl)
 	for h, n := range loads {
 		tgt.Seed(h, n)

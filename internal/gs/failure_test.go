@@ -6,7 +6,6 @@ import (
 
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
-	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/sim"
 )
 
@@ -106,12 +105,7 @@ func TestFleetDeclaredDeadHostIsNeitherDonorNorReceiver(t *testing.T) {
 		{"workunits/3shards", SourceWorkUnits, 3, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k := sim.NewKernel()
-			specs := make([]cluster.HostSpec, 9)
-			for i := range specs {
-				specs[i] = cluster.DefaultHostSpec("h")
-			}
-			cl := cluster.New(k, netsim.Params{}, specs...)
+			k, cl := plainWorld(9)
 			tgt := NewCountTarget(cl)
 			for i, h := range cl.Hosts() {
 				units, runq := 5, 2

@@ -6,7 +6,6 @@ import (
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/sim"
-	"pvmigrate/internal/wirefmt"
 )
 
 // LoadSource selects what "load" means to the fleet scheduler's
@@ -15,8 +14,8 @@ type LoadSource int
 
 const (
 	// SourceRunQueue drives decisions from host run-queue lengths — the
-	// paper's 1994 policy. With one shard and BeatEvery 1 this is the
-	// paper's single GS polling every load daemon.
+	// paper's 1994 policy. With one shard this is the paper's single GS
+	// polling every load daemon.
 	SourceRunQueue LoadSource = iota
 	// SourceWorkUnits drives decisions from the work-unit load index
 	// through the pluggable Placement policy — the fleet-scale mode,
@@ -48,17 +47,11 @@ type FleetPolicy struct {
 	// the paper's one move per poll; fleet scenarios raise it so a
 	// hotspot drains in bounded ticks).
 	MovesPerTick int
-	// BeatEvery coalesces member state into one shard beat every N ticks
-	// (default 1: every tick).
-	BeatEvery int
 	// GossipEvery runs a gossip round every N ticks (default 1).
 	GossipEvery int
 	// GossipPeers is how many seeded-random peers each shard pushes its
 	// load vector to per round (default 2).
 	GossipPeers int
-	// GossipStaleness bounds how many epochs old a remote load vector
-	// may be and still steer a cross-shard move (default 3).
-	GossipStaleness uint64
 	// Seed derives every shard's deterministic peer-selection and
 	// placement-probe stream.
 	Seed uint64
@@ -76,23 +69,38 @@ type FleetPolicy struct {
 // off until LoadThreshold / the heartbeat fields are set.
 func DefaultFleetPolicy() FleetPolicy {
 	return FleetPolicy{
-		Shards:          1,
-		PollInterval:    5 * time.Second,
-		ReclaimOnOwner:  true,
-		Source:          SourceRunQueue,
-		Placement:       LeastLoaded{},
-		MovesPerTick:    1,
-		BeatEvery:       1,
-		GossipEvery:     1,
-		GossipPeers:     2,
-		GossipStaleness: 3,
+		Shards:         1,
+		PollInterval:   5 * time.Second,
+		ReclaimOnOwner: true,
+		Source:         SourceRunQueue,
+		Placement:      LeastLoaded{},
+		MovesPerTick:   1,
+		GossipEvery:    1,
+		GossipPeers:    2,
 	}
 }
 
-// fleetShard is one shard's local scheduler state: the members' applied
-// beat state (loads, run queues, flags), the shard's seeded RNG, its
-// outbound beat and gossip vector scratch, and the freshest load vector
-// received from every other shard.
+// gossipStaleness bounds how many epochs old a remote load vector may be and
+// still steer a cross-shard move.
+const gossipStaleness = 3
+
+// loadVector is the bounded-staleness summary a shard gossips to its peers:
+// its least-loaded eligible member by work units and by run-queue length
+// (global host ids; -1 when the shard has no eligible receiver), which is
+// what picking a remote destination takes without a global scan. epoch is the
+// gossip round it was built in; 0 means none received yet.
+type loadVector struct {
+	epoch       uint64
+	minLoad     int
+	minHost     int
+	minRunq     int
+	minRunqHost int
+}
+
+// fleetShard is one shard's local scheduler state: the members' tables as
+// of the last beat (loads, run queues, availability), the shard's seeded
+// RNG, its own load vector and the freshest one received from every other
+// shard.
 type fleetShard struct {
 	id   int
 	base int // first global host id
@@ -100,24 +108,19 @@ type fleetShard struct {
 
 	rng *sim.RNG
 
-	// Applied beat state, slot-indexed.
+	// Member tables, slot-indexed, refreshed by beatShard.
 	view    *LoadIndex
 	runq    []int
-	flags   []byte // bit0 alive, bit1 owner-active
 	elig    []bool // receiver eligibility: alive && owner-free
 	donorOK []bool // donor eligibility: alive
 	pv      ShardView
 
-	beat     *ShardBeat
-	seq      uint64
-	needFull bool
-
-	vec    LoadVector
-	remote []LoadVector // freshest vector per source shard; Epoch 0 = none
+	vec    loadVector
+	remote []loadVector // freshest vector per source shard
 }
 
 // Fleet is the Global Scheduler: hosts partition into shards, each
-// aggregating one coalesced beat per interval and planning its own moves
+// refreshing its members' tables once per tick and planning its own moves
 // from an incremental load view; a thin root actuates the plans, resolves
 // cross-shard moves steered by gossiped load vectors, evacuates hosts
 // whose owner returns and declares heartbeat-silent hosts dead. All
@@ -135,7 +138,6 @@ type Fleet struct {
 	stopped bool
 	tickNo  uint64
 	epoch   uint64
-	scratch []byte
 	tickFn  func()
 
 	// Failure detection (failure.go). dead is indexed by host id.
@@ -162,17 +164,11 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 	if pol.MovesPerTick < 1 {
 		pol.MovesPerTick = 1
 	}
-	if pol.BeatEvery < 1 {
-		pol.BeatEvery = 1
-	}
 	if pol.GossipEvery < 1 {
 		pol.GossipEvery = 1
 	}
 	if pol.GossipPeers < 1 {
 		pol.GossipPeers = 2
-	}
-	if pol.GossipStaleness < 1 {
-		pol.GossipStaleness = 3
 	}
 	f := &Fleet{cl: cl, k: cl.Kernel(), target: target, pol: pol, hosts: hosts,
 		dead: make([]bool, len(hosts))}
@@ -188,15 +184,12 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 		}
 		s := &fleetShard{
 			id: id, base: base, n: n,
-			rng:      sim.NewRNG(pol.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
-			view:     NewLoadIndex(n),
-			runq:     make([]int, n),
-			flags:    make([]byte, n),
-			elig:     make([]bool, n),
-			donorOK:  make([]bool, n),
-			beat:     &ShardBeat{},
-			needFull: true,
-			remote:   make([]LoadVector, nsh),
+			rng:     sim.NewRNG(pol.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
+			view:    NewLoadIndex(n),
+			runq:    make([]int, n),
+			elig:    make([]bool, n),
+			donorOK: make([]bool, n),
+			remote:  make([]loadVector, nsh),
 		}
 		s.pv = ShardView{Index: s.view, Elig: s.elig}
 		f.shards = append(f.shards, s)
@@ -264,19 +257,18 @@ func (f *Fleet) evacuate(host int, reason core.MigrationReason) {
 	})
 }
 
-// tick is one scheduling round: refresh beats, gossip, then plan and
-// actuate at most one move per shard. Planning (beatShard, gossipRound,
-// planShard) is the allocation-free hot path; actuation dispatches into
-// the target's migration machinery and is deliberately outside it.
+// tick is one scheduling round: beat every shard, gossip, then plan and
+// actuate up to MovesPerTick moves per shard. Planning (beatShard,
+// gossipRound, planShard) is the allocation-free hot path; actuation
+// dispatches into the target's migration machinery and is deliberately
+// outside it.
 func (f *Fleet) tick() {
 	if f.stopped {
 		return
 	}
 	f.tickNo++
-	if (f.tickNo-1)%uint64(f.pol.BeatEvery) == 0 {
-		for _, s := range f.shards {
-			f.beatShard(s)
-		}
+	for _, s := range f.shards {
+		f.beatShard(s)
 	}
 	if len(f.shards) > 1 && (f.tickNo-1)%uint64(f.pol.GossipEvery) == 0 {
 		f.gossipRound()
@@ -307,94 +299,35 @@ func (f *Fleet) tick() {
 	f.k.Schedule(f.pol.PollInterval, f.tickFn)
 }
 
-// beatShard coalesces the shard's member state into one delta beat frame
-// through the registered wire codec and applies it to the shard's view —
-// the batched replacement for per-host heartbeat messages. Only members
-// whose state changed since the last applied beat are included, so a
-// quiet shard's beat is an empty frame and the tick cost is O(changed
-// members), not O(members × tasks).
+// beatShard polls the shard's members — availability, run queue, work-unit
+// load — and writes what it read straight into the shard's tables: the
+// shards partition one process's state, so a beat is an assignment, not a
+// message. LoadIndex.Set is a no-op for a member whose load did not move.
 func (f *Fleet) beatShard(s *fleetShard) {
-	b := s.beat
-	b.reset()
-	s.seq++
-	b.Shard = s.id
-	b.Seq = s.seq
-	b.Base = s.base
-	b.Full = s.needFull
 	for i := 0; i < s.n; i++ {
-		h := f.hosts[s.base+i]
-		var fl byte
+		id := s.base + i
+		h := f.hosts[id]
 		// A host the GS has declared dead is dead to planning even if the
 		// machine itself is up (a partition): no donor, no receiver, not
-		// gossiped as anyone's MinHost.
-		if h.Alive() && !f.dead[s.base+i] {
-			fl |= 1
-		}
-		if h.OwnerActive() {
-			fl |= 2
-		}
-		runq := h.LoadAverage()
-		load := f.target.HostLoad(s.base + i)
-		if !b.Full && fl == s.flags[i] && runq == s.runq[i] && load == s.view.Load(i) {
-			continue
-		}
-		b.Slots = append(b.Slots, i)
-		b.Loads = append(b.Loads, load)
-		b.Runq = append(b.Runq, runq)
-		b.Flags = append(b.Flags, fl)
+		// gossiped as anyone's minHost.
+		alive := h.Alive() && !f.dead[id]
+		s.donorOK[i] = alive
+		s.elig[i] = alive && !h.OwnerActive()
+		s.runq[i] = h.LoadAverage()
+		s.view.Set(i, f.target.HostLoad(id))
 	}
-	frame, err := wirefmt.Append(f.scratch[:0], b)
-	f.scratch = frame
-	if err != nil {
-		s.needFull = true
-		return
-	}
-	_, r, err := wirefmt.OpenFrame(frame)
-	if err != nil {
-		s.needFull = true
-		return
-	}
-	// Decode back into the same beat struct: the frame is a separate
-	// buffer, so this round-trips the codec without a second scratch.
-	if err := readShardBeatInto(&r, b); err != nil {
-		s.needFull = true
-		return
-	}
-	for j, slot := range b.Slots {
-		s.view.Set(slot, b.Loads[j])
-		s.runq[slot] = b.Runq[j]
-		fl := b.Flags[j]
-		s.flags[slot] = fl
-		s.donorOK[slot] = fl&1 != 0
-		s.elig[slot] = fl&1 != 0 && fl&2 == 0
-	}
-	s.needFull = false
 }
 
 // gossipRound advances the gossip epoch: every shard summarizes its view
-// into a load vector and pushes the encoded frame to GossipPeers seeded
-// peers, which decode it into their remote tables. Peer choice is a pure
-// function of the shard's seed, so a sweep replays bit-identically.
+// into a load vector and copies it into the remote tables of GossipPeers
+// seeded peers. Peer choice is a pure function of the shard's seed, so a
+// sweep replays bit-identically.
 func (f *Fleet) gossipRound() {
 	f.epoch++
 	for _, s := range f.shards {
 		f.buildVector(s)
-		frame, err := wirefmt.Append(f.scratch[:0], &s.vec)
-		f.scratch = frame
-		if err != nil {
-			continue
-		}
 		for j := 0; j < f.pol.GossipPeers; j++ {
-			p := f.pickPeer(s)
-			_, r, err := wirefmt.OpenFrame(frame)
-			if err != nil {
-				continue
-			}
-			if err := readLoadVectorInto(&r, &f.shards[p].remote[s.id]); err != nil {
-				// A corrupt self-produced frame would be a codec bug;
-				// drop the vector and let staleness age it out.
-				f.shards[p].remote[s.id].Epoch = 0
-			}
+			f.shards[f.pickPeer(s)].remote[s.id] = s.vec
 		}
 	}
 }
@@ -413,16 +346,12 @@ func (f *Fleet) pickPeer(s *fleetShard) int {
 // buildVector summarizes the shard's applied view into its load vector.
 func (f *Fleet) buildVector(s *fleetShard) {
 	v := &s.vec
-	v.Shard = s.id
-	v.Epoch = f.epoch
-	v.Members = s.n
-	v.Total = s.view.Total()
-	v.MaxLoad = s.view.MaxLoad()
+	v.epoch = f.epoch
 	slot, load := s.view.BestEligible(s.elig)
 	if slot >= 0 {
-		v.MinLoad, v.MinHost = load, s.base+slot
+		v.minLoad, v.minHost = load, s.base+slot
 	} else {
-		v.MinLoad, v.MinHost = 0, -1
+		v.minLoad, v.minHost = 0, -1
 	}
 	minRunq, minSlot := int(^uint(0)>>1), -1
 	for i := 0; i < s.n; i++ {
@@ -434,9 +363,9 @@ func (f *Fleet) buildVector(s *fleetShard) {
 		}
 	}
 	if minSlot >= 0 {
-		v.MinRunq, v.MinRunqHost = minRunq, s.base+minSlot
+		v.minRunq, v.minRunqHost = minRunq, s.base+minSlot
 	} else {
-		v.MinRunq, v.MinRunqHost = 0, -1
+		v.minRunq, v.minRunqHost = 0, -1
 	}
 }
 
@@ -459,14 +388,14 @@ func (f *Fleet) planRunQueue(s *fleetShard) (int, int, bool) {
 	worst, worstLoad := -1, 0
 	best, bestLoad := -1, int(^uint(0)>>1)
 	for i := 0; i < s.n; i++ {
-		if s.flags[i]&1 == 0 {
+		if !s.donorOK[i] {
 			continue
 		}
 		runq := s.runq[i]
 		if runq > worstLoad && s.view.Load(i) > 0 {
 			worst, worstLoad = i, runq
 		}
-		if runq < bestLoad && s.flags[i]&2 == 0 {
+		if runq < bestLoad && s.elig[i] {
 			best, bestLoad = i, runq
 		}
 	}
@@ -507,12 +436,12 @@ func (f *Fleet) planRemote(s *fleetShard, from, fromLoad int, byRunq bool) (int,
 	bestHost, bestLoad := -1, 0
 	for i := range s.remote {
 		v := &s.remote[i]
-		if v.Epoch == 0 || f.epoch-v.Epoch > f.pol.GossipStaleness {
+		if v.epoch == 0 || f.epoch-v.epoch > gossipStaleness {
 			continue
 		}
-		host, load := v.MinHost, v.MinLoad
+		host, load := v.minHost, v.minLoad
 		if byRunq {
-			host, load = v.MinRunqHost, v.MinRunq
+			host, load = v.minRunqHost, v.minRunq
 		}
 		if host < 0 || !improves(fromLoad, load) {
 			continue
@@ -532,8 +461,8 @@ func (f *Fleet) planRemote(s *fleetShard, from, fromLoad int, byRunq bool) (int,
 	return from, bestHost, true
 }
 
-// applyMove optimistically updates the involved shard views so ticks
-// between beats do not re-plan against state they just changed.
+// applyMove optimistically updates the involved shard views so the plans
+// still to come this tick do not re-plan against state this one changed.
 func (f *Fleet) applyMove(from, to int) {
 	fs := f.shardOf(from)
 	ts := f.shardOf(to)
@@ -541,24 +470,13 @@ func (f *Fleet) applyMove(from, to int) {
 	ts.view.NoteSpawn(to - ts.base)
 }
 
+// shardOf returns the shard owning host. NewFleet's contiguous partition
+// gives the first extra shards per+1 hosts and the rest per (per ≥ 1: Shards
+// is clamped to the host count), so the owner is arithmetic, not a search.
 func (f *Fleet) shardOf(host int) *fleetShard {
-	// Contiguous partition: per-shard sizes differ by at most one, so a
-	// two-step probe finds the shard without a search.
-	per := len(f.hosts) / len(f.shards)
-	extra := len(f.hosts) % len(f.shards)
-	guess := 0
-	if per > 0 {
-		guess = host / (per + 1)
-		if guess > extra {
-			g2 := extra + (host-extra*(per+1))/per
-			guess = g2
-		}
+	per, extra := len(f.hosts)/len(f.shards), len(f.hosts)%len(f.shards)
+	if wide := extra * (per + 1); host >= wide {
+		return f.shards[extra+(host-wide)/per]
 	}
-	for guess < len(f.shards)-1 && host >= f.shards[guess+1].base {
-		guess++
-	}
-	for guess > 0 && host < f.shards[guess].base {
-		guess--
-	}
-	return f.shards[guess]
+	return f.shards[host/(per+1)]
 }

@@ -10,18 +10,23 @@ import (
 	"pvmigrate/internal/sim"
 )
 
+// plainWorld builds a fresh kernel and a cluster of n default hosts.
+func plainWorld(n int) (*sim.Kernel, *cluster.Cluster) {
+	k := sim.NewKernel()
+	specs := make([]cluster.HostSpec, n)
+	for i := range specs {
+		specs[i] = cluster.DefaultHostSpec("h")
+	}
+	return k, cluster.New(k, netsim.Params{}, specs...)
+}
+
 // countWorld builds a fresh kernel + cluster + CountTarget with a seeded
 // hotspot skew and pre-scheduled deterministic churn: background-load
 // jitter on the run queues and owner arrival/departure storms. Two calls
 // with the same arguments build bit-identical worlds, so two schedulers
 // over twin worlds see the same history.
 func countWorld(hosts, vps int, seed uint64, dur time.Duration) (*sim.Kernel, *cluster.Cluster, *CountTarget) {
-	k := sim.NewKernel()
-	specs := make([]cluster.HostSpec, hosts)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec("h")
-	}
-	cl := cluster.New(k, netsim.Params{}, specs...)
+	k, cl := plainWorld(hosts)
 	tgt := NewCountTarget(cl)
 	rng := sim.NewRNG(seed)
 	// Hotspot skew: a fifth of the VPs land on one-twentieth of the
@@ -161,12 +166,7 @@ func TestFleetRunQueueShardedDeterminism(t *testing.T) {
 // a valid non-self shard, and a different seed draws a different stream.
 func TestGossipPeerSelectionDeterministic(t *testing.T) {
 	build := func(seed uint64) *Fleet {
-		k := sim.NewKernel()
-		specs := make([]cluster.HostSpec, 12)
-		for i := range specs {
-			specs[i] = cluster.DefaultHostSpec("h")
-		}
-		cl := cluster.New(k, netsim.Params{}, specs...)
+		_, cl := plainWorld(12)
 		pol := DefaultFleetPolicy()
 		pol.Shards = 4
 		pol.Seed = seed
@@ -197,12 +197,7 @@ func TestGossipPeerSelectionDeterministic(t *testing.T) {
 // other member owner-occupied) and checks gossip steers the move to
 // another shard's least-loaded host.
 func TestFleetCrossShardMove(t *testing.T) {
-	k := sim.NewKernel()
-	specs := make([]cluster.HostSpec, 8)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec("h")
-	}
-	cl := cluster.New(k, netsim.Params{}, specs...)
+	k, cl := plainWorld(8)
 	tgt := NewCountTarget(cl)
 	// Shard 0 = hosts 0–3, shard 1 = hosts 4–7. Host 0 is overloaded and
 	// hosts 1–3 are owner-occupied, so shard 0 has no local receiver.
@@ -232,12 +227,7 @@ func TestFleetCrossShardMove(t *testing.T) {
 // TestFleetOwnerReclaimEvacuates checks the event-driven path: an owner
 // arrival drains the host through the target with a Dest:-1 decision.
 func TestFleetOwnerReclaimEvacuates(t *testing.T) {
-	k := sim.NewKernel()
-	specs := make([]cluster.HostSpec, 4)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec("h")
-	}
-	cl := cluster.New(k, netsim.Params{}, specs...)
+	k, cl := plainWorld(4)
 	tgt := NewCountTarget(cl)
 	tgt.Seed(1, 6)
 	fleet := NewFleet(cl, tgt, DefaultFleetPolicy())
@@ -253,16 +243,12 @@ func TestFleetOwnerReclaimEvacuates(t *testing.T) {
 	}
 }
 
-// TestFleetSteadyStateTickZeroAlloc pins the tentpole's perf claim: once
-// the world is quiet and every scratch buffer is warm, a full tick —
-// beats, gossip, planning across all shards — allocates nothing.
+// TestFleetSteadyStateTickZeroAlloc pins the steady-state tick: once the
+// world is quiet and the load-index bucket heads and the event heap have
+// grown, a full tick — beats, gossip, planning across all shards —
+// allocates nothing.
 func TestFleetSteadyStateTickZeroAlloc(t *testing.T) {
-	k := sim.NewKernel()
-	specs := make([]cluster.HostSpec, 32)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec("h")
-	}
-	cl := cluster.New(k, netsim.Params{}, specs...)
+	k, cl := plainWorld(32)
 	tgt := NewCountTarget(cl)
 	for i := 0; i < 32; i++ {
 		tgt.Seed(i, 3) // balanced: planning runs but never moves
@@ -273,7 +259,7 @@ func TestFleetSteadyStateTickZeroAlloc(t *testing.T) {
 	fleet := NewFleet(cl, tgt, pol)
 	fleet.Start()
 	at := 10 * time.Minute
-	k.RunUntil(at) // warm every beat/gossip/heap buffer
+	k.RunUntil(at) // grow the bucket heads and the event heap
 	// AllocsPerRun, not a bare MemStats bracket: Mallocs is process-wide,
 	// and a runtime background goroutine allocating once inside a single
 	// ten-minute bracket failed this gate about one run in fifteen.

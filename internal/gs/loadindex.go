@@ -18,10 +18,9 @@ import "slices"
 // and every tie among equally loaded hosts resolves to the lowest host id,
 // so index-driven decisions are a pure function of the load history.
 type LoadIndex struct {
-	loads  []int32  // current load per host
-	next   []int32  // intrusive bucket list: next host in same-load bucket
-	prev   []int32  // previous host, -1 when head
-	stamps []uint64 // version at last change per host (delta-beat support)
+	loads []int32 // current load per host
+	next  []int32 // intrusive bucket list: next host in same-load bucket
+	prev  []int32 // previous host, -1 when head
 
 	heads []int32 // head host per load value, -1 when empty
 	fill  []int32 // Spread's per-level gather scratch, cap hosts
@@ -29,7 +28,6 @@ type LoadIndex struct {
 	minLoad int32 // lowest non-empty bucket (0 for an index of no hosts)
 	maxLoad int32 // highest non-empty bucket
 	total   int
-	version uint64
 }
 
 // NewLoadIndex returns an index covering hosts [0, hosts) all at load 0.
@@ -38,12 +36,11 @@ func NewLoadIndex(hosts int) *LoadIndex {
 	// column costs an index that never calls Spread nothing.
 	cols := make([]int32, 4*hosts)
 	x := &LoadIndex{
-		loads:  cols[0*hosts : 1*hosts : 1*hosts],
-		next:   cols[1*hosts : 2*hosts : 2*hosts],
-		prev:   cols[2*hosts : 3*hosts : 3*hosts],
-		fill:   cols[3*hosts : 3*hosts : 4*hosts],
-		stamps: make([]uint64, hosts),
-		heads:  make([]int32, 1, 16),
+		loads: cols[0*hosts : 1*hosts : 1*hosts],
+		next:  cols[1*hosts : 2*hosts : 2*hosts],
+		prev:  cols[2*hosts : 3*hosts : 3*hosts],
+		fill:  cols[3*hosts : 3*hosts : 4*hosts],
+		heads: make([]int32, 1, 16),
 	}
 	x.heads[0] = -1
 	for h := hosts - 1; h >= 0; h-- {
@@ -68,16 +65,6 @@ func (x *LoadIndex) Total() int { return x.total }
 
 // MaxLoad returns the highest load of any host (exact, not an estimate).
 func (x *LoadIndex) MaxLoad() int { return int(x.maxLoad) }
-
-// Version returns a counter that advances on every mutation. Equal
-// versions guarantee an unchanged index, which lets beat builders skip
-// work when nothing moved.
-func (x *LoadIndex) Version() uint64 { return x.version }
-
-// Stamp returns the version at which host last changed. A beat builder
-// that remembers the version of its previous beat can include only hosts
-// with a newer stamp.
-func (x *LoadIndex) Stamp(host int) uint64 { return x.stamps[host] }
 
 func (x *LoadIndex) unlink(h int32) {
 	ld := x.loads[h]
@@ -125,8 +112,6 @@ func (x *LoadIndex) Add(host, delta int) {
 	}
 	x.link(h)
 	x.total += int(nl - old)
-	x.version++
-	x.stamps[h] = x.version
 	// Both cursors stay exact: a new extreme moves its cursor there; the
 	// host leaving the old extreme's bucket empty walks the cursor to the
 	// next non-empty one, which is at most |delta| away (the host itself).
@@ -146,7 +131,7 @@ func (x *LoadIndex) Add(host, delta int) {
 	}
 }
 
-// Set forces host's load to an absolute value (beat application).
+// Set forces host's load to an absolute value (beatShard's refresh).
 func (x *LoadIndex) Set(host, load int) {
 	if host < 0 || host >= len(x.loads) {
 		return

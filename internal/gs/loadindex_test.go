@@ -157,23 +157,6 @@ func TestLoadIndexRandomChurn(t *testing.T) {
 	}
 }
 
-func TestLoadIndexStampTracksChanges(t *testing.T) {
-	x := NewLoadIndex(3)
-	v0 := x.Version()
-	x.NoteSpawn(1)
-	if x.Stamp(1) <= v0 {
-		t.Fatalf("stamp did not advance: %d <= %d", x.Stamp(1), v0)
-	}
-	if x.Stamp(0) != 0 || x.Stamp(2) != 0 {
-		t.Fatalf("untouched hosts stamped: %d %d", x.Stamp(0), x.Stamp(2))
-	}
-	v1 := x.Version()
-	x.Add(1, 0)
-	if x.Version() != v1 {
-		t.Fatalf("no-op delta advanced version")
-	}
-}
-
 // spreadByUnits is Spread's contract spelled out: n rounds of BestEligible +
 // NoteMoved, from never its own destination, stopping when from is empty or
 // nobody is eligible.

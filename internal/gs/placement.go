@@ -69,23 +69,19 @@ func (LeastLoaded) Pick(v *ShardView, from, fromLoad int, rng *sim.RNG) int {
 // still fails the improvement test, swap it for the global least-loaded
 // member. Two random probes give near-least-loaded balance without a
 // bucket walk on every decision; the swap bounds the worst case.
-type DestSwap struct {
-	// Probes per decision; 0 means 2 (the classic power-of-two choice).
-	Probes int
-}
+type DestSwap struct{}
+
+// destSwapProbes is the classic power-of-two choice.
+const destSwapProbes = 2
 
 // Name implements Placement.
 func (DestSwap) Name() string { return "dest-swap" }
 
 // Pick implements Placement.
-func (d DestSwap) Pick(v *ShardView, from, fromLoad int, rng *sim.RNG) int {
-	probes := d.Probes
-	if probes <= 0 {
-		probes = 2
-	}
+func (DestSwap) Pick(v *ShardView, from, fromLoad int, rng *sim.RNG) int {
 	n := len(v.Elig)
 	best := -1
-	for i := 0; i < probes; i++ {
+	for i := 0; i < destSwapProbes; i++ {
 		// Up to 4 draws per probe to land on an eligible slot; a miss
 		// simply weakens the probe, it never blocks the decision.
 		for try := 0; try < 4; try++ {

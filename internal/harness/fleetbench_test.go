@@ -50,9 +50,9 @@ func measureFleetStorm(b *testing.B, base *fleetBaseline) {
 // measureDecisionPath pins ns/decision and allocs/decision on a fleet
 // held in perpetual imbalance: a refill event restores the hotspot before
 // every tick, so each tick spends its full per-shard move budget forever.
-// The warmup window grows every buffer (decision log, beat scratch, event
-// heap) past what the measured window needs, so a nonzero malloc count
-// can only come from the decision path itself.
+// The warmup window grows every buffer (decision log, load-index bucket
+// heads, event heap) past what the measured window needs, so a nonzero
+// malloc count can only come from the decision path itself.
 func measureDecisionPath(b *testing.B, base *fleetBaseline) {
 	const (
 		hosts    = 256

@@ -256,7 +256,6 @@ func DefaultConfig() *Config {
 			"pvmigrate/internal/pvm":  {32, 47},
 			"pvmigrate/internal/mpvm": {48, 63},
 			"pvmigrate/internal/ft":   {64, 79},
-			"pvmigrate/internal/gs":   {80, 95},
 		},
 		WireLock:   "wiretags.lock",
 		ErrCodeDoc: "DESIGN.md",

@@ -39,10 +39,8 @@ type MTask struct {
 	// dirtyBps models how fast the task rewrites its own state (bytes per
 	// second of virtual time), driving the warm protocol's per-round
 	// residual estimate; -1 means "never set", falling back to the system's
-	// WarmDirtyBps. dirtyMarks accumulates explicit MarkDirty declarations
-	// and is drained by the precopy proc at each round boundary.
-	dirtyBps   float64
-	dirtyMarks int
+	// WarmDirtyBps.
+	dirtyBps float64
 
 	// orphaned marks an incarnation fenced off by failure handling: its host
 	// went silent and a replacement may be (or has been) respawned. An
@@ -126,16 +124,6 @@ func (mt *MTask) SetStateBytes(n int) {
 // whose state is effectively read-only after initialization (one round
 // suffices); an unset rate falls back to Config.WarmDirtyBps.
 func (mt *MTask) SetDirtyRate(bps float64) { mt.dirtyBps = bps }
-
-// MarkDirty declares that n bytes of state were just rewritten — the
-// explicit complement to the SetDirtyRate model, for bursty phases. Marks
-// accumulate and are charged to the precopy round in progress (or the
-// first round, if no migration is running).
-func (mt *MTask) MarkDirty(n int) {
-	if n > 0 {
-		mt.dirtyMarks += n
-	}
-}
 
 // memMB converts a process-image size to whole megabytes of residency.
 func memMB(stateBytes int) int {

@@ -133,10 +133,9 @@ func (s *System) runPrecopy(p *sim.Proc, mt *MTask, mig *migration) {
 
 	// Stage 3b: precopy rounds. Round 0 is the full image; each later round
 	// resends what the victim dirtied during the previous one (rate model:
-	// dirtyBps × round duration, plus explicit MarkDirty marks, capped at
-	// the image size — a task cannot dirty more state than it has).
+	// dirtyBps × round duration, capped at the image size — a task cannot
+	// dirty more state than it has).
 	toSend := mt.stateBytes
-	mt.dirtyMarks = 0 // marks before round 0 are inside the full image
 	for {
 		if s.warmGone(mt, mig) {
 			conn.Close()
@@ -156,8 +155,7 @@ func (s *System) runPrecopy(p *sim.Proc, mt *MTask, mig *migration) {
 		mig.rounds++
 		mig.precopyBytes += toSend
 		elapsed := p.Now() - began
-		dirtied := int(s.dirtyRate(mt)*elapsed.Seconds()) + mt.dirtyMarks
-		mt.dirtyMarks = 0
+		dirtied := int(s.dirtyRate(mt) * elapsed.Seconds())
 		if dirtied > mt.stateBytes {
 			dirtied = mt.stateBytes
 		}

@@ -31,9 +31,6 @@ func (n *Network) SetHostDown(h HostID, down bool) {
 	}
 }
 
-// HostDown reports whether host h is currently down.
-func (n *Network) HostDown(h HostID) bool { return n.down[h] }
-
 // Partition splits the segment: each host maps to a group number and frames
 // cross only within a group. Hosts absent from the map are in group 0.
 // Calling Partition replaces any previous partition.

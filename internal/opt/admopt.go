@@ -118,7 +118,7 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 
 	// Distribute shards with global id ranges for the processed-flag
 	// tracking.
-	counts := evenCounts(nEx, len(slaves))
+	counts := EvenCounts(nEx, len(slaves))
 	lo := 0
 	for i, s := range slaves {
 		n := counts[i]
@@ -174,7 +174,7 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 			}
 			switch tag {
 			case TagGrad:
-				pl, cnt, g, err := unpackGradient(r, p)
+				pl, cnt, g, err := UnpackGradient(r, p)
 				if err != nil {
 					return nil, err
 				}
@@ -288,7 +288,7 @@ func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
 		w, _ := sr.UpkInt()
 		st.withdrawing = w == 1
 		if st.withdrawing {
-			pl, cnt, g, gerr := unpackGradient(sr, ap.Params)
+			pl, cnt, g, gerr := UnpackGradient(sr, ap.Params)
 			if gerr == nil {
 				heldLoss, heldGrad = pl, g
 				if g == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pvmigrate/internal/core"
 	"pvmigrate/internal/sim"
 )
 
@@ -253,9 +254,30 @@ func TestParamsDefaults(t *testing.T) {
 }
 
 func TestEvenCounts(t *testing.T) {
-	c := evenCounts(10, 3)
+	c := EvenCounts(10, 3)
 	if c[0] != 4 || c[1] != 3 || c[2] != 3 {
 		t.Fatalf("counts = %v", c)
+	}
+}
+
+// A gradient reply whose loss slice is empty is a malformed payload: every
+// master's receive path (RunMaster, both RunADMMaster sites, ft.Job) must get
+// an error from the shared decoder, never an index-out-of-range panic.
+func TestUnpackGradientEmptyLoss(t *testing.T) {
+	for _, real := range []bool{false, true} {
+		for _, loss := range [][]float64{nil, {}} {
+			buf := core.NewBuffer().PkFloat64s(loss).PkInt(1).PkVirtual(8)
+			_, _, g, err := UnpackGradient(buf.Reader(), Params{Real: real})
+			if err == nil || g != nil {
+				t.Fatalf("Real=%v loss=%#v: gradient %v, error %v; want an error", real, loss, g, err)
+			}
+		}
+	}
+	// The well-formed cost-model reply still decodes.
+	buf := core.NewBuffer().PkFloat64s([]float64{2.5}).PkInt(7).PkVirtual(8)
+	pl, cnt, _, err := UnpackGradient(buf.Reader(), Params{})
+	if err != nil || pl != 2.5 || cnt != 7 {
+		t.Fatalf("well-formed reply: loss %v count %d err %v", pl, cnt, err)
 	}
 }
 

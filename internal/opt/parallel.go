@@ -121,7 +121,7 @@ func RunMaster(vp core.VP, slaves []core.TID, p Params) (*Result, error) {
 	}
 
 	// Distribute shards ("data is equally distributed among the slaves").
-	counts := evenCounts(nEx, len(slaves))
+	counts := EvenCounts(nEx, len(slaves))
 	lo := 0
 	for i, s := range slaves {
 		n := counts[i]
@@ -166,7 +166,7 @@ func RunMaster(vp core.VP, slaves []core.TID, p Params) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("opt: gradient from %v: %w", s, err)
 			}
-			pl, cnt, g, err := unpackGradient(r, p)
+			pl, cnt, g, err := UnpackGradient(r, p)
 			if err != nil {
 				return nil, err
 			}
@@ -271,7 +271,10 @@ func distributedLineSearch(vp core.VP, slaves []core.TID, p Params,
 	return 0, nil
 }
 
-func evenCounts(total, n int) []int {
+// EvenCounts splits total exemplars across n slaves as evenly as possible,
+// the first total%n slaves taking one more. Every master (RunMaster,
+// RunADMMaster, ft.Job, the serial reference) shards with it.
+func EvenCounts(total, n int) []int {
 	counts := make([]int, n)
 	base := total / n
 	rem := total % n
@@ -389,10 +392,18 @@ func packGradient(buf *core.Buffer, partialLoss float64, g *Gradient) {
 	buf.PkFloat64s(g.W1).PkFloat64s(g.B1).PkFloat64s(g.W2).PkFloat64s(g.B2)
 }
 
-func unpackGradient(r *core.Reader, p Params) (partialLoss float64, count int, g *Gradient, err error) {
+// UnpackGradient reads a gradient reply in packGradient's layout (in
+// cost-model mode: loss, count, virtual bytes). It is the one decoder behind
+// every master's receive path, ft.Job's included.
+func UnpackGradient(r *core.Reader, p Params) (partialLoss float64, count int, g *Gradient, err error) {
 	pl, err := r.UpkFloat64s()
 	if err != nil {
 		return 0, 0, nil, err
+	}
+	if len(pl) == 0 {
+		// A well-formed reply always carries exactly one partial loss; an
+		// empty slice is a malformed payload, not a crash.
+		return 0, 0, nil, errors.New("opt: gradient reply carries no partial loss")
 	}
 	count, err = r.UpkInt()
 	if err != nil {

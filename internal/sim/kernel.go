@@ -118,10 +118,6 @@ func (k *Kernel) Now() Time { return k.now }
 // stream for events scheduled afterwards.
 func (k *Kernel) SetTieBreakSeed(seed uint64) { k.tiebreak = NewRNG(seed) }
 
-// ClearTieBreak restores strict schedule-order dispatch for events scheduled
-// after the call.
-func (k *Kernel) ClearTieBreak() { k.tiebreak = nil }
-
 // nextPrio draws the tie-break priority for a newly scheduled event.
 func (k *Kernel) nextPrio() uint64 {
 	if k.tiebreak == nil {

@@ -32,9 +32,6 @@ func NewQueue[T any](k *Kernel, cap int) *Queue[T] {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.n }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // push appends v to the ring, growing it when full.
 func (q *Queue[T]) push(v T) {
 	if q.n == len(q.buf) {
