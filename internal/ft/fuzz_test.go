@@ -54,53 +54,13 @@ func buildFuzzBuffer(data []byte) *core.Buffer {
 	return buf
 }
 
-// decodeAsGradReply mirrors the master's tagGrad receive path: the (epoch,
-// iteration) header, then the gradient body. Any malformed payload must come
-// back as an error, never a panic.
-func decodeAsGradReply(t *testing.T, buf *core.Buffer, p opt.Params) {
-	t.Helper()
-	r := buf.Reader()
-	if _, err := r.UpkInt(); err != nil {
-		return
-	}
-	if _, err := r.UpkInt(); err != nil {
-		return
-	}
-	_, _, _, _ = opt.UnpackGradient(r, p)
-}
-
-// decodeAsCkptAck mirrors the master's tagCkptOK receive path.
-func decodeAsCkptAck(t *testing.T, buf *core.Buffer) {
-	t.Helper()
-	r := buf.Reader()
-	if _, err := r.UpkInt(); err != nil {
-		return
-	}
-	_, _ = r.UpkInt()
-}
-
-// decodeAsNetCmd mirrors the slave's tagNet receive path in both modes.
-func decodeAsNetCmd(t *testing.T, buf *core.Buffer, real bool) {
-	t.Helper()
-	r := buf.Reader()
-	if _, err := r.UpkInt(); err != nil {
-		return
-	}
-	if _, err := r.UpkInt(); err != nil {
-		return
-	}
-	if _, err := r.UpkVirtual(); err != nil {
-		return
-	}
-	if real {
-		_, _ = r.UpkFloat64s()
-	}
-}
-
-// FuzzFTPayloadDecode drives every ft protocol decode path with arbitrary
-// item sequences: short payloads, wrong item types, and empty slices (the
-// historical pl[0] panic in opt.UnpackGradient, the gradient decoder every
-// master shares) must all surface as errors.
+// FuzzFTPayloadDecode drives the decoders the ft protocol actually runs —
+// readStamp, and behind it the opt cores' Master.Absorb, Slave.LoadShard and
+// Slave.LoadNet — with arbitrary item sequences in both modes: short
+// payloads, wrong item types, empty slices (the historical pl[0] panic in
+// the gradient decoder every master shares), a shard whose feature, label
+// and announced counts disagree, an out-of-range label and a gradient or
+// net of the wrong shape must all surface as errors.
 func FuzzFTPayloadDecode(f *testing.F) {
 	// A well-formed cost-model gradient reply, a Real-mode one, an empty
 	// buffer, and a reply whose loss slice is empty.
@@ -108,14 +68,36 @@ func FuzzFTPayloadDecode(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 1, 7, 0, 5, 1, 2, 1, 2, 3, 1, 2, 9, 9, 1, 1, 4})
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 1})
-	pReal := opt.Params{Real: true, InputDim: 2, Hidden: 2, Classes: 2}.WithDefaults()
-	pCost := opt.Params{Real: false}.WithDefaults()
+	// Real-mode shards (dim 2, 2 classes): two exemplars announced with one
+	// feature value; one exemplar labelled 5.
+	f.Add([]byte{0, 2, 2, 24, 1, 1, 7, 1, 2, 0, 1})
+	f.Add([]byte{0, 1, 2, 12, 1, 2, 3, 4, 1, 1, 5})
+	modes := []opt.Params{
+		{Real: true, InputDim: 2, Hidden: 2, Classes: 2, TotalBytes: 120},
+		{Real: false},
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		buf := buildFuzzBuffer(data)
-		decodeAsGradReply(t, buf, pReal)
-		decodeAsGradReply(t, buf, pCost)
-		decodeAsCkptAck(t, buf)
-		decodeAsNetCmd(t, buf, true)
-		decodeAsNetCmd(t, buf, false)
+		for _, p := range modes {
+			// The master's tagGrad receive path.
+			master, err := opt.NewMaster(p, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			master.PackNet(core.NewBuffer())
+			r := buf.Reader()
+			if _, _, err := readStamp(r); err == nil {
+				_ = master.Absorb(r)
+			}
+			// The slave's tagShard and tagNet receive paths.
+			sl := opt.NewSlave(p)
+			_ = sl.LoadShard(buf.Reader())
+			r = buf.Reader()
+			if _, err := r.UpkInt(); err == nil { // the epoch
+				_, _ = sl.LoadNet(r)
+			}
+		}
+		// The tagCkpt / tagCkptOK receive paths.
+		_, _, _ = readStamp(buf.Reader())
 	})
 }

@@ -28,31 +28,10 @@ const masterKey = "ft:master"
 
 func slaveKey(idx int) string { return fmt.Sprintf("ft:slave%d", idx) }
 
-// slaveShard is a slave's stable-storage image: its exemplar shard. The
-// shard never changes after distribution — slaves are stateless request
-// servers otherwise (weights arrive with every tagNet) — so any committed
-// slave image pairs correctly with any installed master image. That
-// invariance is what lets the master's snapshot act as the commit point of
-// the coordinated checkpoint (see masterRun.checkpoint).
-type slaveShard struct {
-	count int
-	set   *opt.ExemplarSet // nil in cost-model mode
-}
-
-// masterSnapshot is the master's stable-storage image: everything needed to
-// replay training bit-for-bit from iteration iter.
-type masterSnapshot struct {
-	iter     int
-	step     float64
-	prevLoss float64
-	losses   []float64
-	flat     []float64 // nil in cost-model mode
-	trainer  opt.TrainerState
-}
-
 // JobSpec describes an FT-Opt run.
 type JobSpec struct {
-	// Opt is the training configuration (defaults as in package opt).
+	// Opt is the training configuration (defaults as in package opt). The
+	// job always takes §4.0's adaptive step: LineSearch is RunMaster's alone.
 	Opt opt.Params
 	// MasterHost places the master VP. Keep it on the checkpoint store's
 	// host: losing it is unrecoverable (the paper's GS is a single point of
@@ -74,17 +53,18 @@ type JobResult struct {
 	FinishedAt sim.Time
 }
 
-// Job is a running FT-Opt application: the same master/slave protocol as
-// opt.RunMaster / opt.RunSlave (identical update math, so the trained
-// network matches a fault-free run exactly), wrapped in epoch fencing,
-// coordinated checkpoints, and rollback recovery.
+// Job is a running FT-Opt application: opt's master and slave cores — the
+// training code every other system runs, so the trained network matches a
+// fault-free run exactly — driven through epoch fencing, coordinated
+// checkpoints, and rollback recovery. Nothing here computes a gradient or
+// touches a weight.
 type Job struct {
-	mgr    *Manager
-	spec   JobSpec
-	p      opt.Params
-	cost   opt.CostModel
-	nEx    int
-	counts []int
+	mgr  *Manager
+	spec JobSpec
+	// master holds the training state; only the master VP touches it once
+	// the job runs (StartJob sizes the VP images from it).
+	master   *opt.Master
+	netBytes int
 
 	masterOrig core.TID
 	slaveOrigs []core.TID
@@ -101,9 +81,11 @@ func StartJob(mgr *Manager, spec JobSpec) (*Job, error) {
 	if len(spec.SlaveHosts) == 0 {
 		return nil, errors.New("ft: job needs at least one slave")
 	}
-	p := spec.Opt.WithDefaults()
-	j := &Job{mgr: mgr, spec: spec, p: p, cost: p.Cost(), nEx: p.NumExemplars()}
-	j.counts = opt.EvenCounts(j.nEx, len(spec.SlaveHosts))
+	master, err := opt.NewMaster(spec.Opt, len(spec.SlaveHosts))
+	if err != nil {
+		return nil, err
+	}
+	j := &Job{mgr: mgr, spec: spec, master: master, netBytes: spec.Opt.Cost().NetBytes()}
 	mgr.job = j
 
 	for i, host := range spec.SlaveHosts {
@@ -135,13 +117,11 @@ func (j *Job) MasterOrig() core.TID { return j.masterOrig }
 // SlaveOrigs returns the slaves' stable tids in shard order.
 func (j *Job) SlaveOrigs() []core.TID { return append([]core.TID(nil), j.slaveOrigs...) }
 
-func (j *Job) slaveStateBytes(i int) int {
-	return j.counts[i]*opt.ExemplarBytes(j.p.InputDim) + j.cost.NetBytes()
-}
+func (j *Job) slaveStateBytes(i int) int { return j.master.ShardBytes(i) + j.netBytes }
 
 func (j *Job) masterStateBytes() int {
 	// Weights + CG memory + bookkeeping.
-	return 3*j.cost.NetBytes() + 64<<10
+	return 3*j.netBytes + 64<<10
 }
 
 func (j *Job) ckptEvery() int { return j.mgr.cfg.CheckpointEvery }
@@ -158,19 +138,20 @@ func (j *Job) respawnSlave(idx, host int) error {
 
 // runSlave is the slave body, shared between the initial spawn (shard
 // arrives by message) and a post-crash respawn (shard reloads from the
-// checkpoint store).
+// checkpoint store). A slave's stable-storage image is its opt.Slave as
+// checkpointed: the shard never changes after distribution and slaves are
+// stateless request servers otherwise (weights arrive with every tagNet),
+// so any committed slave image pairs correctly with any installed master
+// image. That invariance is what lets the master's snapshot act as the
+// commit point of the coordinated checkpoint (see masterRun.checkpoint).
 func (j *Job) runSlave(mt *mpvm.MTask, idx int, fromCkpt bool) {
-	p := j.p
-	var count int
-	var local *opt.ExemplarSet
-
+	var sl *opt.Slave
 	if fromCkpt {
 		snap, err := j.mgr.fetchSnapshot(mt, slaveKey(idx))
 		if err != nil {
 			return // killed again mid-reload, or no committed image
 		}
-		sh := snap.Payload.(*slaveShard)
-		count, local = sh.count, sh.set
+		sl = snap.Payload.(*opt.Slave).Restart()
 		mt.SetStateBytes(j.slaveStateBytes(idx))
 		j.mgr.slaveReady(idx)
 	} else {
@@ -178,39 +159,30 @@ func (j *Job) runSlave(mt *mpvm.MTask, idx int, fromCkpt bool) {
 		if err != nil {
 			return
 		}
-		if count, err = r.UpkInt(); err != nil {
+		sl = opt.NewSlave(j.spec.Opt)
+		if err := sl.LoadShard(r); err != nil {
 			return
-		}
-		if _, err = r.UpkVirtual(); err != nil {
-			return
-		}
-		if p.Real {
-			feats, err := r.UpkFloat64s()
-			if err != nil {
-				return
-			}
-			flabels, err := r.UpkFloat64s()
-			if err != nil {
-				return
-			}
-			labels := make([]int, len(flabels))
-			for i, f := range flabels {
-				labels[i] = int(f)
-			}
-			local = opt.NewExemplarSet(p.InputDim, p.Classes, feats, labels)
 		}
 		mt.SetStateBytes(j.slaveStateBytes(idx))
 	}
-	j.serveSlave(mt, idx, count, local)
+	j.serveSlave(mt, idx, sl)
+}
+
+// readStamp unpacks the (epoch, iteration) pair that fences a reply or a
+// checkpoint command against a rollback.
+func readStamp(r *core.Reader) (epoch, iter int, err error) {
+	if epoch, err = r.UpkInt(); err != nil {
+		return 0, 0, err
+	}
+	iter, err = r.UpkInt()
+	return epoch, iter, err
 }
 
 // serveSlave is the request loop: gradients on tagNet, stable-storage
 // writes on tagCkpt, exit on tagDone. Slaves need no epoch filtering of
 // their own — they are stateless per request — but they echo the master's
 // (epoch, iter) stamp so the master can discard pre-failure replies.
-func (j *Job) serveSlave(mt *mpvm.MTask, idx, count int, local *opt.ExemplarSet) {
-	p, cost := j.p, j.cost
-	net := &opt.Net{InputDim: p.InputDim, Hidden: p.Hidden, Classes: p.Classes}
+func (j *Job) serveSlave(mt *mpvm.MTask, idx int, sl *opt.Slave) {
 	for {
 		_, tag, r, err := mt.Recv(j.masterOrig, core.AnyTag)
 		if err != nil {
@@ -220,60 +192,30 @@ func (j *Job) serveSlave(mt *mpvm.MTask, idx, count int, local *opt.ExemplarSet)
 		case tagDone:
 			return
 		case tagNet:
+			// The net broadcast travels behind the epoch; the iteration
+			// number is the broadcast's own first item.
 			epoch, err := r.UpkInt()
 			if err != nil {
 				return
 			}
-			iter, err := r.UpkInt()
+			iter, err := sl.LoadNet(r)
 			if err != nil {
 				return
 			}
-			if _, err := r.UpkVirtual(); err != nil {
-				return
-			}
-			if p.Real {
-				flat, err := r.UpkFloat64s()
-				if err != nil {
-					return
-				}
-				if net.W1 == nil {
-					net.W1 = make([]float64, p.Hidden*p.InputDim)
-					net.B1 = make([]float64, p.Hidden)
-					net.W2 = make([]float64, p.Classes*p.Hidden)
-					net.B2 = make([]float64, p.Classes)
-				}
-				if err := net.SetFlat(flat); err != nil {
-					return
-				}
-			}
-			if err := mt.Compute(cost.GradientFlops(count)); err != nil {
-				return
-			}
 			buf := core.NewBuffer().PkInt(epoch).PkInt(iter)
-			if p.Real {
-				g := opt.NewGradient(net)
-				net.AccumulateGradient(local, 0, local.Len(), g)
-				pl := net.Loss(local) * float64(local.Len())
-				buf.PkFloat64s([]float64{pl}).PkInt(g.Count)
-				buf.PkFloat64s(g.W1).PkFloat64s(g.B1).PkFloat64s(g.W2).PkFloat64s(g.B2)
-			} else {
-				buf.PkFloat64s([]float64{0}).PkInt(count).PkVirtual(cost.NetBytes())
+			if err := sl.PackGradient(mt, buf); err != nil {
+				return
 			}
 			if err := mt.Send(j.masterOrig, tagGrad, buf); err != nil {
 				return
 			}
 		case tagCkpt:
-			epoch, err := r.UpkInt()
-			if err != nil {
-				return
-			}
-			iter, err := r.UpkInt()
+			epoch, iter, err := readStamp(r)
 			if err != nil {
 				return
 			}
 			if err := j.mgr.saveSnapshot(mt, slaveKey(idx), iter,
-				j.counts[idx]*opt.ExemplarBytes(p.InputDim),
-				&slaveShard{count: count, set: local}); err != nil {
+				j.master.ShardBytes(idx), sl); err != nil {
 				return
 			}
 			ok := core.NewBuffer().PkInt(epoch).PkInt(iter)
@@ -289,35 +231,19 @@ func (j *Job) serveSlave(mt *mpvm.MTask, idx, count int, local *opt.ExemplarSet)
 type masterRun struct {
 	j  *Job
 	mt *mpvm.MTask
-
-	set     *opt.ExemplarSet
-	net     *opt.Net
-	trainer *opt.CGTrainer
-
-	iter     int
-	step     float64
-	prevLoss float64
-	losses   []float64
 }
 
 func (j *Job) runMaster(mt *mpvm.MTask) {
-	p := j.p
-	m := &masterRun{j: j, mt: mt, step: p.Step}
-	if p.Real {
-		m.set = opt.GenerateExemplars(j.nEx, p.InputDim, p.Classes, p.Seed)
-		m.net = opt.NewNet(p.InputDim, p.Hidden, p.Classes, p.Seed+1)
-		m.trainer = opt.NewCGTrainer(m.net)
-	}
+	m := &masterRun{j: j, mt: mt}
 	err := m.run()
 	j.out.Err = err
 	j.out.Done = err == nil
 	j.out.FinishedAt = mt.Proc().Now()
 	if err == nil {
-		fl := math.NaN()
-		if len(m.losses) > 0 {
-			fl = m.losses[len(m.losses)-1]
+		j.out.Result = j.master.Result()
+		if len(j.out.Result.Losses) == 0 {
+			j.out.Result.FinalLoss = math.NaN() // cost-model mode: no loss was computed
 		}
-		j.out.Result = &opt.Result{Iterations: m.iter, FinalLoss: fl, Losses: m.losses}
 	}
 	if j.spec.OnFinish != nil {
 		j.spec.OnFinish(&j.out)
@@ -364,12 +290,11 @@ func (m *masterRun) work() error {
 			return err
 		}
 	}
-	for m.iter < m.p().Iterations {
+	for !j.master.Done() {
 		if err := m.oneIteration(); err != nil {
 			return err
 		}
-		m.iter++
-		if m.iter%j.ckptEvery() == 0 || m.iter == m.p().Iterations {
+		if j.master.Iter()%j.ckptEvery() == 0 || j.master.Done() {
 			if err := m.checkpoint(); err != nil {
 				return err
 			}
@@ -384,104 +309,50 @@ func (m *masterRun) work() error {
 	return nil
 }
 
-func (m *masterRun) p() opt.Params { return m.j.p }
-
-// distribute sends every slave its exemplar shard (identical layout to
-// opt.RunMaster's).
+// distribute sends every slave its exemplar shard.
 func (m *masterRun) distribute() error {
-	p := m.p()
-	lo := 0
 	for i, s := range m.j.slaveOrigs {
-		n := m.j.counts[i]
-		buf := core.NewBuffer().PkInt(n).PkVirtual(n * opt.ExemplarBytes(p.InputDim))
-		if p.Real {
-			shard := m.set.Slice(lo, lo+n)
-			buf.PkFloat64s(shard.Features())
-			labels := make([]float64, n)
-			for k, l := range shard.Labels() {
-				labels[k] = float64(l)
-			}
-			buf.PkFloat64s(labels)
-		}
-		if err := m.mt.Send(s, tagShard, buf); err != nil {
+		if err := m.mt.Send(s, tagShard, m.j.master.PackShard(core.NewBuffer(), i)); err != nil {
 			return err
 		}
-		lo += n
 	}
 	return nil
 }
 
-// oneIteration mirrors opt.RunMaster's loop body exactly — broadcast the
-// net, collect partial gradients in fixed slave order, CG direction,
-// adaptive step — plus the epoch/iter stamp and stale-reply filtering.
+// oneIteration is opt.RunMaster's loop body — broadcast the net, absorb the
+// partial gradients in fixed slave order, update — with the epoch stamped in
+// front of the broadcast and (epoch, iter) in front of every reply, so that
+// replies computed before a rollback are recognised and dropped.
 func (m *masterRun) oneIteration() error {
-	j, p, cost := m.j, m.p(), m.j.cost
-	epoch := j.mgr.epoch
-	netBuf := core.NewBuffer().PkInt(epoch).PkInt(m.iter).PkVirtual(cost.NetBytes())
-	if p.Real {
-		netBuf.PkFloat64s(m.net.Flat())
-	}
+	j := m.j
+	epoch, iter := j.mgr.epoch, j.master.Iter()
+	netBuf := j.master.PackNet(core.NewBuffer().PkInt(epoch))
 	for _, s := range j.slaveOrigs {
 		if err := m.mt.Send(s, tagNet, netBuf); err != nil {
 			return err
 		}
 	}
-	total := opt.NewGradient(&opt.Net{InputDim: p.InputDim, Hidden: p.Hidden, Classes: p.Classes,
-		W1: make([]float64, p.Hidden*p.InputDim), B1: make([]float64, p.Hidden),
-		W2: make([]float64, p.Classes*p.Hidden), B2: make([]float64, p.Classes)})
-	var lossSum float64
 	for _, s := range j.slaveOrigs {
 		for {
 			_, _, r, err := m.mt.Recv(s, tagGrad)
 			if err != nil {
 				return err
 			}
-			e, err := r.UpkInt()
+			e, it, err := readStamp(r)
 			if err != nil {
 				return err
 			}
-			it, err := r.UpkInt()
-			if err != nil {
-				return err
-			}
-			if e != epoch || it != m.iter {
+			if e != epoch || it != iter {
 				continue // stale reply computed before a rollback
 			}
-			pl, cnt, g, err := opt.UnpackGradient(r, p)
-			if err != nil {
+			if err := j.master.Absorb(r); err != nil {
 				return err
 			}
 			j.mgr.noteApplied(e, it)
-			lossSum += pl
-			if p.Real {
-				total.Add(g)
-			} else {
-				total.Count += cnt
-			}
 			break
 		}
 	}
-	if err := m.mt.Compute(cost.UpdateFlops(len(j.slaveOrigs))); err != nil {
-		return err
-	}
-	if p.Real {
-		meanLoss := lossSum / float64(j.nEx)
-		m.losses = append(m.losses, meanLoss)
-		grad := total.Flat()
-		dir := m.trainer.Direction(grad)
-		if m.iter > 0 && meanLoss > m.prevLoss {
-			m.step *= 0.5
-		}
-		m.prevLoss = meanLoss
-		flat := m.net.Flat()
-		for i := range flat {
-			flat[i] += m.step * dir[i]
-		}
-		if err := m.net.SetFlat(flat); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.master.Update(m.mt, nil)
 }
 
 // checkpoint runs one coordinated round:
@@ -489,7 +360,7 @@ func (m *masterRun) oneIteration() error {
 //  1. flush — mpvm.FlushAndHold quiesces all traffic toward the master
 //     (MPVM's stage 2, reused verbatim: senders block, acks barrier);
 //  2. master image → stable storage while held. Because slave images are
-//     invariant (see slaveShard), this install is the round's commit
+//     invariant (see runSlave), this install is the round's commit
 //     point: recovery always resumes from the newest installed master
 //     image, and an interrupt mid-write installs nothing (torn-write
 //     guarantee);
@@ -501,8 +372,9 @@ func (m *masterRun) oneIteration() error {
 func (m *masterRun) checkpoint() error {
 	j := m.j
 	mgr := j.mgr
+	iter := j.master.Iter()
 	mgr.trace("ft-master", "ckpt:flush",
-		fmt.Sprintf("iter %d: quiescing traffic around the master", m.iter))
+		fmt.Sprintf("iter %d: quiescing traffic around the master", iter))
 	flushed := false
 	flushCond := sim.NewCond(mgr.kernel())
 	if err := mgr.sys.FlushAndHold(j.masterOrig, func() {
@@ -522,15 +394,15 @@ func (m *masterRun) checkpoint() error {
 			return err
 		}
 	}
-	if err := mgr.saveSnapshot(m.mt, masterKey, m.iter, j.masterStateBytes(),
-		m.capture()); err != nil {
+	if err := mgr.saveSnapshot(m.mt, masterKey, iter, j.masterStateBytes(),
+		j.master.Snapshot()); err != nil {
 		return err
 	}
 	mgr.sys.Release(j.masterOrig)
 	held = false
 
 	epoch := mgr.epoch
-	ck := core.NewBuffer().PkInt(epoch).PkInt(m.iter)
+	ck := core.NewBuffer().PkInt(epoch).PkInt(iter)
 	for _, s := range j.slaveOrigs {
 		if err := m.mt.Send(s, tagCkpt, ck); err != nil {
 			return err
@@ -542,74 +414,45 @@ func (m *masterRun) checkpoint() error {
 			if err != nil {
 				return err
 			}
-			e, err := r.UpkInt()
+			e, it, err := readStamp(r)
 			if err != nil {
 				return err
 			}
-			it, err := r.UpkInt()
-			if err != nil {
-				return err
-			}
-			if e == epoch && it == m.iter {
+			if e == epoch && it == iter {
 				break
 			}
 		}
 	}
-	mgr.committed = m.iter
+	mgr.committed = iter
 	mgr.checkpoints++
 	mgr.trace("ft-master", "ckpt:commit",
-		fmt.Sprintf("iter %d: master + %d slave images stable", m.iter, len(j.slaveOrigs)))
+		fmt.Sprintf("iter %d: master + %d slave images stable", iter, len(j.slaveOrigs)))
 	return nil
-}
-
-// capture deep-copies the master's training state.
-func (m *masterRun) capture() *masterSnapshot {
-	s := &masterSnapshot{
-		iter:     m.iter,
-		step:     m.step,
-		prevLoss: m.prevLoss,
-		losses:   append([]float64(nil), m.losses...),
-	}
-	if m.p().Real {
-		s.flat = m.net.Flat()
-		s.trainer = m.trainer.Snapshot()
-	}
-	return s
 }
 
 // rollback recovers from a host-dead interrupt: wait for every respawn to
 // serve again, reload the newest installed master image, rewind. Further
 // failures during recovery restart the wait-and-reload.
 func (m *masterRun) rollback() error {
-	mgr := m.j.mgr
-	rolledFrom := m.iter
+	mgr, master := m.j.mgr, m.j.master
+	rolledFrom := master.Iter()
 	mgr.trace("ft-master", "ft:rollback",
 		fmt.Sprintf("interrupted at iter %d; waiting for respawns", rolledFrom))
-	var snap *masterSnapshot
 	for {
 		if err := mgr.waitRecovered(m.mt.Proc()); err != nil {
 			return err
 		}
 		got, err := mgr.fetchSnapshot(m.mt, masterKey)
 		if err == nil {
-			snap = got.Payload.(*masterSnapshot)
-			break
+			if err := master.Restore(got.Payload.(*opt.MasterSnapshot)); err != nil {
+				return err
+			}
+			mgr.noteResumed(master.Iter(), rolledFrom)
+			return nil
 		}
-		if recoverable(err) {
-			continue // failed again mid-reload
+		if !recoverable(err) {
+			return fmt.Errorf("ft: no recovery point: %w", err)
 		}
-		return fmt.Errorf("ft: no recovery point: %w", err)
+		// failed again mid-reload
 	}
-	m.iter = snap.iter
-	m.step = snap.step
-	m.prevLoss = snap.prevLoss
-	m.losses = append([]float64(nil), snap.losses...)
-	if m.p().Real {
-		if err := m.net.SetFlat(append([]float64(nil), snap.flat...)); err != nil {
-			return err
-		}
-		m.trainer.Restore(snap.trainer)
-	}
-	mgr.noteResumed(m.iter, rolledFrom)
-	return nil
 }

@@ -301,33 +301,55 @@ func TestRawTCPScalesLinearly(t *testing.T) {
 func TestDistributedMatchesSerialReferenceBitwise(t *testing.T) {
 	// The strongest end-to-end equivalence check: every distributed variant
 	// must produce the exact floating-point loss trajectory of the serial
-	// reference — the message-passing and migration layers are invisible to
-	// the numerics.
+	// reference — the message-passing, migration and checkpoint/rollback
+	// layers are invisible to the numerics.
 	sc := Scenario{TotalBytes: 120_000, Iterations: 6, Real: true, Seed: 9}
 	scd := sc.withDefaults()
 	ref := opt.ReferenceTrajectory(scd.params(), scd.Slaves)
 
-	runs := map[string]*Outcome{
-		"PVM":  RunPVM(sc),
-		"MPVM": RunMPVM(sc),
-		"UPVM": RunUPVM(sc),
-		"ADM":  RunADM(sc),
-		"MPVM+migration": RunMPVM(Scenario{TotalBytes: 120_000, Iterations: 6, Real: true, Seed: 9,
-			MigrateAt: 1500 * time.Millisecond, MigrateTo: 0}),
+	// The FT rows run ft.Job, the third driver of the Opt cores, on the
+	// survival acceptance scenario: fault-free, and rolled back three times.
+	ftc := survivalBase()
+	ftRef := opt.ReferenceTrajectory(opt.Params{TotalBytes: ftc.TotalBytes,
+		Iterations: ftc.Iterations, Seed: ftc.Seed, Real: true}, ftc.Slaves)
+	ftQuiet := Survival(ftc)
+	ftc.Crashes = 3
+	ftc.CrashFrom = sim.Time(float64(ftQuiet.Elapsed) * 0.2)
+	ftc.CrashTo = sim.Time(float64(ftQuiet.Elapsed) * 0.7)
+	ftCrashed := Survival(ftc)
+	if len(ftCrashed.Recoveries) == 0 {
+		t.Errorf("FT+3 crashes: no rollback happened")
 	}
-	for name, out := range runs {
-		if out.Err != nil {
-			t.Errorf("%s: %v", name, out.Err)
+
+	type run struct {
+		res *opt.Result
+		err error
+		ref []float64
+	}
+	of := func(out *Outcome) run { return run{out.Result, out.Err, ref} }
+	runs := map[string]run{
+		"PVM":  of(RunPVM(sc)),
+		"MPVM": of(RunMPVM(sc)),
+		"UPVM": of(RunUPVM(sc)),
+		"ADM":  of(RunADM(sc)),
+		"MPVM+migration": of(RunMPVM(Scenario{TotalBytes: 120_000, Iterations: 6, Real: true, Seed: 9,
+			MigrateAt: 1500 * time.Millisecond, MigrateTo: 0})),
+		"FT":           {ftQuiet.Result, ftQuiet.Err, ftRef},
+		"FT+3 crashes": {ftCrashed.Result, ftCrashed.Err, ftRef},
+	}
+	for name, r := range runs {
+		if r.err != nil {
+			t.Errorf("%s: %v", name, r.err)
 			continue
 		}
-		if len(out.Result.Losses) != len(ref) {
-			t.Errorf("%s: %d iterations vs reference %d", name, len(out.Result.Losses), len(ref))
+		if len(r.res.Losses) != len(r.ref) {
+			t.Errorf("%s: %d iterations vs reference %d", name, len(r.res.Losses), len(r.ref))
 			continue
 		}
-		for i := range ref {
-			if out.Result.Losses[i] != ref[i] {
+		for i := range r.ref {
+			if r.res.Losses[i] != r.ref[i] {
 				t.Errorf("%s: iteration %d loss %g != reference %g",
-					name, i, out.Result.Losses[i], ref[i])
+					name, i, r.res.Losses[i], r.ref[i])
 				break
 			}
 		}

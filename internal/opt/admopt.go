@@ -103,53 +103,25 @@ type slaveState struct {
 // exemplar contributes exactly once per iteration.
 func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) {
 	ap = ap.withDefaults()
-	p := ap.Params
-	cost := p.Cost()
-	nEx := p.NumExemplars()
-
-	var set *ExemplarSet
-	var net *Net
-	var trainer *CGTrainer
-	if p.Real {
-		set = GenerateExemplars(nEx, p.InputDim, p.Classes, p.Seed)
-		net = NewNet(p.InputDim, p.Hidden, p.Classes, p.Seed+1)
-		trainer = NewCGTrainer(net)
+	m, err := NewMaster(ap.Params, len(slaves))
+	if err != nil {
+		return nil, err
 	}
-
-	// Distribute shards with global id ranges for the processed-flag
-	// tracking.
-	counts := EvenCounts(nEx, len(slaves))
-	lo := 0
+	// A shard travels behind the global id of its first exemplar, for the
+	// processed-flag tracking.
 	for i, s := range slaves {
-		n := counts[i]
-		buf := core.NewBuffer().PkInt(n).PkInt(lo).PkVirtual(n * ExemplarBytes(p.InputDim))
-		if p.Real {
-			shard := set.Slice(lo, lo+n)
-			buf.PkFloat64s(shard.features)
-			labels := make([]float64, n)
-			for j, l := range shard.labels {
-				labels[j] = float64(l)
-			}
-			buf.PkFloat64s(labels)
-		}
+		buf := m.PackShard(core.NewBuffer().PkInt(m.shardLo(i)), i)
 		if err := vp.Send(s, TagShard, buf); err != nil {
 			return nil, err
 		}
-		lo += n
 	}
 
 	active := make(map[core.TID]bool, len(slaves))
 	for _, s := range slaves {
 		active[s] = true
 	}
-	res := &Result{}
-	step := p.Step
-	prevLoss := 0.0
-	for iter := 0; iter < p.Iterations; iter++ {
-		netBuf := core.NewBuffer().PkInt(iter).PkVirtual(cost.NetBytes())
-		if p.Real {
-			netBuf.PkFloat64s(net.Flat())
-		}
+	for !m.Done() {
+		netBuf := m.PackNet(core.NewBuffer())
 		for _, s := range slaves {
 			if active[s] {
 				if err := vp.Send(s, TagNet, netBuf); err != nil {
@@ -157,10 +129,6 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 				}
 			}
 		}
-		total := NewGradient(&Net{InputDim: p.InputDim, Hidden: p.Hidden, Classes: p.Classes,
-			W1: make([]float64, p.Hidden*p.InputDim), B1: make([]float64, p.Hidden),
-			W2: make([]float64, p.Classes*p.Hidden), B2: make([]float64, p.Classes)})
-		var lossSum float64
 		pending := make(map[core.TID]bool)
 		for s, a := range active {
 			if a {
@@ -174,15 +142,8 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 			}
 			switch tag {
 			case TagGrad:
-				pl, cnt, g, err := UnpackGradient(r, p)
-				if err != nil {
+				if err := m.Absorb(r); err != nil {
 					return nil, err
-				}
-				lossSum += pl
-				if p.Real {
-					total.Add(g)
-				} else {
-					total.Count += cnt
 				}
 				delete(pending, src)
 			case TagADM:
@@ -190,7 +151,7 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 				if op != "redist-request" {
 					continue
 				}
-				withdrawn, heldLoss, heldGrad, err := runRedistribution(vp, slaves, active, src, r, ap)
+				withdrawn, held, err := runRedistribution(vp, slaves, active)
 				if err != nil {
 					return nil, err
 				}
@@ -200,11 +161,8 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 						// Its processed exemplars' contribution arrives
 						// with the withdrawal; the unprocessed ones moved
 						// to still-pending receivers.
-						lossSum += heldLoss
-						if p.Real && heldGrad != nil {
-							total.Add(heldGrad)
-						} else if heldGrad != nil {
-							total.Count += heldGrad.Count
+						if err := m.Absorb(held); err != nil {
+							return nil, err
 						}
 						delete(pending, withdrawn)
 					}
@@ -212,26 +170,9 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 				ap.Stats.Redistributions++
 			}
 		}
-		if err := vp.Compute(cost.UpdateFlops(len(slaves))); err != nil {
+		if err := m.Update(vp, nil); err != nil {
 			return nil, err
 		}
-		if p.Real {
-			meanLoss := lossSum / float64(nEx)
-			if iter > 0 && meanLoss > prevLoss {
-				step *= 0.5
-			}
-			prevLoss = meanLoss
-			res.Losses = append(res.Losses, meanLoss)
-			res.FinalLoss = meanLoss
-			ap.Stats.FinalLoss = meanLoss
-			dir := trainer.Direction(total.Flat())
-			flat := net.Flat()
-			for i := range flat {
-				flat[i] += step * dir[i]
-			}
-			net.SetFlat(flat)
-		}
-		res.Iterations++
 	}
 	done := core.NewBuffer().PkInt(-1)
 	for _, s := range slaves {
@@ -239,27 +180,29 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 			return nil, err
 		}
 	}
+	res := m.Result()
+	ap.Stats.FinalLoss = res.FinalLoss
 	return res, nil
 }
 
-// runRedistribution coordinates one redistribution round at the master.
-// The requester's "redist-request" has already been received; its reader r
-// carries the request details.
-func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
-	requester core.TID, r *core.Reader, ap ADMParams) (withdrawn core.TID, heldLoss float64, heldGrad *Gradient, err error) {
-
-	withdrawFlag, _ := r.UpkInt()
+// runRedistribution coordinates one redistribution round at the master,
+// the requester's "redist-request" having been received. It returns the
+// slave that withdrew, if any, and a reader positioned at the gradient
+// reply that slave attached to its state report: what it had accumulated
+// of the open iteration.
+func runRedistribution(vp core.VP, slaves []core.TID,
+	active map[core.TID]bool) (withdrawn core.TID, held *core.Reader, err error) {
 
 	// Tell every active slave to pause at its next flag check.
 	enter := core.NewBuffer().PkString("enter-redist")
 	for _, s := range slaves {
 		if active[s] {
 			if err := vp.Send(s, TagADM, enter); err != nil {
-				return core.NoTID, 0, nil, err
+				return core.NoTID, nil, err
 			}
 		}
 	}
-	// Collect states. The withdrawing slave attaches its partial gradient.
+	// Collect states.
 	states := make(map[core.TID]*slaveState)
 	for {
 		allIn := true
@@ -271,11 +214,10 @@ func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
 		if allIn {
 			break
 		}
-		src, tag, sr, err := vp.Recv(core.AnyTID, TagADM)
+		src, _, sr, err := vp.Recv(core.AnyTID, TagADM)
 		if err != nil {
-			return core.NoTID, 0, nil, err
+			return core.NoTID, nil, err
 		}
-		_ = tag
 		op, _ := sr.UpkString()
 		if op != "state" {
 			continue
@@ -284,22 +226,19 @@ func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
 		st.rank, _ = sr.UpkInt()
 		st.count, _ = sr.UpkInt()
 		pw, _ := sr.UpkFloat64s()
+		if len(pw) == 0 {
+			return core.NoTID, nil, fmt.Errorf("opt: ADM state report from %v carries no power", src)
+		}
 		st.power = pw[0]
 		w, _ := sr.UpkInt()
 		st.withdrawing = w == 1
 		if st.withdrawing {
-			pl, cnt, g, gerr := UnpackGradient(sr, ap.Params)
-			if gerr == nil {
-				heldLoss, heldGrad = pl, g
-				if g == nil {
-					heldGrad = &Gradient{Count: cnt}
-				}
-				withdrawn = src
-			}
+			// Its gradient reply — what it had accumulated of the open
+			// iteration — follows, and is the caller's to absorb.
+			withdrawn, held = src, sr
 		}
 		states[src] = st
 	}
-	_ = withdrawFlag
 
 	// Recompute the partition over the remaining active slaves.
 	n := len(slaves)
@@ -307,9 +246,7 @@ func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
 	act := make([]bool, n)
 	current := make([]int, n)
 	total := 0
-	rankOf := make(map[core.TID]int, n)
 	for i, s := range slaves {
-		rankOf[s] = i
 		if !active[s] {
 			continue
 		}
@@ -321,11 +258,11 @@ func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
 	}
 	target, err := adm.Partition(total, powers, act)
 	if err != nil {
-		return core.NoTID, 0, nil, err
+		return core.NoTID, nil, err
 	}
 	moves, err := adm.PlanMoves(current, target)
 	if err != nil {
-		return core.NoTID, 0, nil, err
+		return core.NoTID, nil, err
 	}
 	// Broadcast the plan: each slave learns its outgoing moves and its
 	// expected incoming exemplar count.
@@ -343,7 +280,7 @@ func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
 	for _, s := range slaves {
 		if active[s] {
 			if err := vp.Send(s, TagADM, planBuf); err != nil {
-				return core.NoTID, 0, nil, err
+				return core.NoTID, nil, err
 			}
 		}
 	}
@@ -358,7 +295,7 @@ func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
 	for acks < want {
 		_, _, ar, err := vp.Recv(core.AnyTID, TagADM)
 		if err != nil {
-			return core.NoTID, 0, nil, err
+			return core.NoTID, nil, err
 		}
 		op, _ := ar.UpkString()
 		if op == "redist-done" {
@@ -369,11 +306,11 @@ func runRedistribution(vp core.VP, slaves []core.TID, active map[core.TID]bool,
 	for _, s := range slaves {
 		if active[s] {
 			if err := vp.Send(s, TagADM, complete); err != nil {
-				return core.NoTID, 0, nil, err
+				return core.NoTID, nil, err
 			}
 		}
 	}
-	return withdrawn, heldLoss, heldGrad, nil
+	return withdrawn, held, nil
 }
 
 // RunADMSlave executes one ADMopt slave: the event-driven finite-state
@@ -383,72 +320,60 @@ func RunADMSlave(vp core.VP, master core.TID, rank int, peers []core.TID,
 	events *adm.EventQueue, ap ADMParams) error {
 
 	ap = ap.withDefaults()
-	p := ap.Params
-	cost := p.Cost()
-	fsm := admFSM()
-
-	// Shard arrival.
 	_, _, r, err := vp.Recv(master, TagShard)
 	if err != nil {
 		return err
 	}
-	count, _ := r.UpkInt()
-	idLo, _ := r.UpkInt()
-	if _, err := r.UpkVirtual(); err != nil {
+	idLo, err := r.UpkInt()
+	if err != nil {
+		return fmt.Errorf("opt: ADM shard: %w", err)
+	}
+	sl := &admSlave{
+		Slave: NewSlave(ap.Params),
+		vp:    vp, master: master, rank: rank, peers: peers,
+		events: events, ap: ap, fsm: admFSM(),
+		tracker:  adm.NewTracker(),
+		chunkIdx: make([]int, 0, ap.ChunkExemplars),
+	}
+	if err := sl.LoadShard(r); err != nil {
 		return err
 	}
-	shard := adm.NewShard(idLo, idLo+count)
-	var local *ExemplarSet
-	if p.Real {
-		feats, _ := r.UpkFloat64s()
-		flabels, err := r.UpkFloat64s()
-		if err != nil {
-			return err
+	sl.shard = adm.NewShard(idLo, idLo+sl.count)
+	if ap.Real {
+		// An owned copy: the slave absorbs and sheds exemplars, and must not
+		// alias the storage the master packed.
+		sl.local = sl.local.Own()
+		for i := range sl.local.ids {
+			sl.local.ids[i] = idLo + i
 		}
-		labels := make([]int, len(flabels))
-		for i, f := range flabels {
-			labels[i] = int(f)
-		}
-		ids := make([]int, count)
-		for i := range ids {
-			ids[i] = idLo + i
-		}
-		local = &ExemplarSet{Dim: p.InputDim, Classes: p.Classes,
-			features: feats, labels: labels, ids: ids}
-		local = local.Own()
-	}
-
-	sl := &admSlave{
-		vp: vp, master: master, rank: rank, peers: peers,
-		events: events, ap: ap, cost: cost, fsm: fsm,
-		shard: shard, local: local,
-		tracker:  adm.NewTracker(),
-		net:      &Net{InputDim: p.InputDim, Hidden: p.Hidden, Classes: p.Classes},
-		chunkIdx: make([]int, 0, ap.ChunkExemplars),
+		sl.hid = make([]float64, ap.Hidden)
+		sl.out = make([]float64, ap.Classes)
 	}
 	return sl.run()
 }
 
-// admSlave bundles one slave's state.
+// admSlave bundles one slave's state: the shared slave core (shard data,
+// net, reply layout) and what the ADM protocol adds around it.
 type admSlave struct {
+	// Slave's local holds the exemplar data in real mode, row i being
+	// exemplar shard.IDs[i]: fragments leave from the tail of both and
+	// arrive at the tail of both, so a shard index is a local index (iterate
+	// checks it). Its count is the shard as first loaded; shard.Len() is the
+	// live one.
+	*Slave
+
 	vp     core.VP
 	master core.TID
 	rank   int
 	peers  []core.TID
 	events *adm.EventQueue
 	ap     ADMParams
-	cost   CostModel
 	fsm    *adm.FSM
 
-	shard *adm.Shard
-	// local holds the exemplar data in real mode, row i being exemplar
-	// shard.IDs[i]: fragments leave from the tail of both and arrive at the
-	// tail of both, so a shard index is a local index (iterate checks it).
-	local   *ExemplarSet
+	shard   *adm.Shard
 	tracker *adm.Tracker
-	net     *Net
 
-	grad        *Gradient
+	grad        *Gradient // nil in cost-model mode
 	partialLoss float64
 	withdrawing bool
 	withdrawAt  int64 // event arrival, ns
@@ -463,7 +388,6 @@ type admSlave struct {
 }
 
 func (s *admSlave) run() error {
-	p := s.ap.Params
 	for {
 		// reduce state: wait for the net (or control traffic).
 		_, tag, r, err := s.vp.Recv(core.AnyTID, core.AnyTag)
@@ -493,26 +417,8 @@ func (s *admSlave) run() error {
 			continue
 		}
 		s.fire("net-received")
-		if _, err := r.UpkInt(); err != nil {
+		if _, err := s.LoadNet(r); err != nil {
 			return err
-		}
-		if _, err := r.UpkVirtual(); err != nil {
-			return err
-		}
-		if p.Real {
-			flat, err := r.UpkFloat64s()
-			if err != nil {
-				return err
-			}
-			if s.net.W1 == nil {
-				s.net.W1 = make([]float64, p.Hidden*p.InputDim)
-				s.net.B1 = make([]float64, p.Hidden)
-				s.net.W2 = make([]float64, p.Classes*p.Hidden)
-				s.net.B2 = make([]float64, p.Classes)
-				s.hid = make([]float64, p.Hidden)
-				s.out = make([]float64, p.Classes)
-			}
-			s.net.SetFlat(flat)
 		}
 		// One iteration: process every unprocessed local exemplar, in
 		// chunks, with flag checks between chunks.
@@ -521,7 +427,7 @@ func (s *admSlave) run() error {
 		s.shard.SyncFlags(s.tracker) // no-op at iteration start (all false)
 		s.grad = nil
 		s.partialLoss = 0
-		if p.Real {
+		if s.ap.Real {
 			s.grad = NewGradient(s.net)
 		}
 		if err := s.iterate(); err != nil {
@@ -532,11 +438,7 @@ func (s *admSlave) run() error {
 		}
 		// iteration-done: ship the partial gradient.
 		buf := core.NewBuffer()
-		if p.Real {
-			packGradient(buf, s.partialLoss, s.grad)
-		} else {
-			buf.PkFloat64s([]float64{0}).PkInt(s.tracker.Done()).PkVirtual(s.cost.NetBytes())
-		}
+		s.packReply(buf, s.partialLoss, s.grad, s.tracker.Done())
 		s.fire("iteration-done")
 		if err := s.vp.Send(s.master, TagGrad, buf); err != nil {
 			return err
@@ -648,15 +550,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 	st := core.NewBuffer().PkString("state").PkInt(s.rank).PkInt(s.shard.Len()).
 		PkFloat64s([]float64{power}).PkInt(boolToInt(s.withdrawing))
 	if s.withdrawing {
-		if p.Real && s.grad != nil {
-			packGradient(st, s.partialLoss, s.grad)
-		} else {
-			done := 0
-			if s.tracker != nil {
-				done = s.tracker.Done()
-			}
-			st.PkFloat64s([]float64{0}).PkInt(done).PkVirtual(s.cost.NetBytes())
-		}
+		s.packReply(st, s.partialLoss, s.grad, s.tracker.Done())
 	}
 	if err := s.vp.Send(s.master, TagADM, st); err != nil {
 		return err
@@ -708,15 +602,8 @@ func (s *admSlave) participateRedist(requested bool) error {
 			}
 		}
 		buf.PkFloat64s(ids).PkBytes(flags)
-		var shipped *ExemplarSet
 		if p.Real {
-			shipped = s.local.TakeTail(frag.Len())
-			buf.PkFloat64s(shipped.features)
-			labels := make([]float64, shipped.Len())
-			for i, l := range shipped.labels {
-				labels[i] = float64(l)
-			}
-			buf.PkFloat64s(labels)
+			s.local.TakeTail(frag.Len()).pack(buf)
 		}
 		if err := s.vp.Send(s.peers[m.To], TagADM, buf); err != nil {
 			return err
@@ -740,30 +627,26 @@ func (s *admSlave) participateRedist(requested bool) error {
 		bytes, _ := r.UpkVirtual()
 		ids, _ := r.UpkFloat64s()
 		flags, _ := r.UpkBytes()
+		if len(flags) != len(ids) {
+			return fmt.Errorf("opt: ADM fragment carries %d ids and %d processed flags", len(ids), len(flags))
+		}
 		frag := &adm.Shard{}
 		for i := range ids {
 			frag.IDs = append(frag.IDs, int(ids[i]))
 			frag.ProcessedFlags = append(frag.ProcessedFlags, flags[i] == 1)
 		}
-		s.shard.Absorb(frag)
-		frag.SeedTracker(s.tracker)
 		if p.Real {
-			feats, _ := r.UpkFloat64s()
-			flabels, err := r.UpkFloat64s()
+			set, err := unpackExemplars(r, p, len(ids))
 			if err != nil {
 				return err
 			}
-			labels := make([]int, len(flabels))
-			for i, f := range flabels {
-				labels[i] = int(f)
+			copy(set.ids, frag.IDs)
+			if err := s.local.Absorb(set); err != nil {
+				return err
 			}
-			intIDs := make([]int, len(ids))
-			for i := range ids {
-				intIDs[i] = int(ids[i])
-			}
-			s.local.Absorb(&ExemplarSet{Dim: p.InputDim, Classes: p.Classes,
-				features: feats, labels: labels, ids: intIDs})
 		}
+		s.shard.Absorb(frag)
+		frag.SeedTracker(s.tracker)
 		// Integration cost: merging the data and flag arrays.
 		if err := s.vp.Compute(float64(bytes) * s.ap.MergeFlopsPerByte); err != nil {
 			return err

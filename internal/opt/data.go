@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 
+	"pvmigrate/internal/core"
 	"pvmigrate/internal/sim"
 )
 
@@ -69,23 +70,44 @@ func SizedSet(totalBytes, dim, classes int, seed uint64) *ExemplarSet {
 	return GenerateExemplars(n, dim, classes, seed)
 }
 
-// NewExemplarSet wraps pre-existing flat storage as a set — the receiving
-// side of a shard transfer that crossed a package boundary (internal/ft
-// unpacks wire buffers into sets with this).
-func NewExemplarSet(dim, classes int, features []float64, labels []int) *ExemplarSet {
-	return &ExemplarSet{
-		Dim: dim, Classes: classes,
-		features: features,
-		labels:   labels,
-		ids:      make([]int, len(labels)),
+// pack appends the set's features and labels to buf — the exemplar body of
+// a shard (Master.PackShard) and of an ADM fragment. Labels travel as
+// float64s: the message buffer has no int vector.
+func (s *ExemplarSet) pack(buf *core.Buffer) {
+	labels := make([]float64, len(s.labels))
+	for i, l := range s.labels {
+		labels[i] = float64(l)
 	}
+	buf.PkFloat64s(s.features).PkFloat64s(labels)
 }
 
-// Features returns the flat Len()×Dim feature storage (shared, not copied).
-func (s *ExemplarSet) Features() []float64 { return s.features }
-
-// Labels returns the category labels (shared, not copied).
-func (s *ExemplarSet) Labels() []int { return s.labels }
+// unpackExemplars reads what pack wrote into a set of p's shape, and is the
+// one place that validates it: exactly count labels, count×InputDim feature
+// values, every label a class. The features are carried by reference; the
+// ids are zero and the caller's to fill.
+func unpackExemplars(r *core.Reader, p Params, count int) (*ExemplarSet, error) {
+	feats, err := r.UpkFloat64s()
+	if err != nil {
+		return nil, fmt.Errorf("opt: exemplar features: %w", err)
+	}
+	flabels, err := r.UpkFloat64s()
+	if err != nil {
+		return nil, fmt.Errorf("opt: exemplar labels: %w", err)
+	}
+	if len(flabels) != count || len(feats) != count*p.InputDim {
+		return nil, fmt.Errorf("opt: %d exemplars announced, %d labels and %d feature values carried (dim %d)",
+			count, len(flabels), len(feats), p.InputDim)
+	}
+	labels := make([]int, count)
+	for i, f := range flabels {
+		labels[i] = int(f)
+		if labels[i] < 0 || labels[i] >= p.Classes {
+			return nil, fmt.Errorf("opt: exemplar %d labelled %v, want a class in [0, %d)", i, f, p.Classes)
+		}
+	}
+	return &ExemplarSet{Dim: p.InputDim, Classes: p.Classes,
+		features: feats, labels: labels, ids: make([]int, count)}, nil
+}
 
 // Len returns the number of exemplars.
 func (s *ExemplarSet) Len() int { return len(s.labels) }

@@ -182,6 +182,15 @@ func NewGradient(n *Net) *Gradient {
 	}
 }
 
+// zero resets the accumulator for reuse.
+func (g *Gradient) zero() {
+	clear(g.W1)
+	clear(g.B1)
+	clear(g.W2)
+	clear(g.B2)
+	g.Count = 0
+}
+
 // Add accumulates another gradient (fixed order keeps parallel reductions
 // deterministic).
 func (g *Gradient) Add(o *Gradient) {

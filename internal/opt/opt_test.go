@@ -254,7 +254,7 @@ func TestParamsDefaults(t *testing.T) {
 }
 
 func TestEvenCounts(t *testing.T) {
-	c := EvenCounts(10, 3)
+	c := evenCounts(10, 3)
 	if c[0] != 4 || c[1] != 3 || c[2] != 3 {
 		t.Fatalf("counts = %v", c)
 	}
@@ -264,20 +264,20 @@ func TestEvenCounts(t *testing.T) {
 // master's receive path (RunMaster, both RunADMMaster sites, ft.Job) must get
 // an error from the shared decoder, never an index-out-of-range panic.
 func TestUnpackGradientEmptyLoss(t *testing.T) {
-	for _, real := range []bool{false, true} {
+	for _, like := range []*Gradient{nil, NewGradient(NewNet(2, 2, 2, 1))} {
 		for _, loss := range [][]float64{nil, {}} {
 			buf := core.NewBuffer().PkFloat64s(loss).PkInt(1).PkVirtual(8)
-			_, _, g, err := UnpackGradient(buf.Reader(), Params{Real: real})
+			_, g, err := unpackGradient(buf.Reader(), like)
 			if err == nil || g != nil {
-				t.Fatalf("Real=%v loss=%#v: gradient %v, error %v; want an error", real, loss, g, err)
+				t.Fatalf("Real=%v loss=%#v: gradient %v, error %v; want an error", like != nil, loss, g, err)
 			}
 		}
 	}
 	// The well-formed cost-model reply still decodes.
 	buf := core.NewBuffer().PkFloat64s([]float64{2.5}).PkInt(7).PkVirtual(8)
-	pl, cnt, _, err := UnpackGradient(buf.Reader(), Params{})
-	if err != nil || pl != 2.5 || cnt != 7 {
-		t.Fatalf("well-formed reply: loss %v count %d err %v", pl, cnt, err)
+	pl, _, err := unpackGradient(buf.Reader(), nil)
+	if err != nil || pl != 2.5 {
+		t.Fatalf("well-formed reply: loss %v err %v", pl, err)
 	}
 }
 

@@ -70,11 +70,6 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// WithDefaults returns the params with unset fields filled in — for callers
-// outside the package (internal/ft) that re-implement the master/slave loop
-// and must agree with RunMaster on every defaulted value.
-func (p Params) WithDefaults() Params { return p.withDefaults() }
-
 // Cost returns the parameterized cost model.
 func (p Params) Cost() CostModel {
 	p = p.withDefaults()
@@ -95,117 +90,52 @@ func (p Params) NumExemplars() int {
 // Result summarizes a master's run.
 type Result struct {
 	Iterations int
-	FinalLoss  float64 // NaN in cost-model mode
-	Losses     []float64
+	// FinalLoss is the last mean loss. No loss exists in cost-model mode:
+	// RunMaster and RunADMMaster leave it 0 there, ft.Job reports NaN.
+	FinalLoss float64
+	Losses    []float64
 }
 
 // RunMaster executes the master VP: distribute exemplar shards, then per
 // iteration broadcast the net, collect partial gradients (in fixed slave
 // order, for deterministic reduction), combine, and update with a CG
-// direction and an adaptive step (§4.0's two-step apply/modify loop).
+// direction and an adaptive step (§4.0's two-step apply/modify loop) — or,
+// with Params.LineSearch, a step the slaves help choose.
 func RunMaster(vp core.VP, slaves []core.TID, p Params) (*Result, error) {
-	p = p.withDefaults()
-	if len(slaves) == 0 {
-		return nil, errors.New("opt: master needs at least one slave")
+	m, err := NewMaster(p, len(slaves))
+	if err != nil {
+		return nil, err
 	}
-	cost := p.Cost()
-	nEx := p.NumExemplars()
-
-	var set *ExemplarSet
-	var net *Net
-	var trainer *CGTrainer
-	if p.Real {
-		set = GenerateExemplars(nEx, p.InputDim, p.Classes, p.Seed)
-		net = NewNet(p.InputDim, p.Hidden, p.Classes, p.Seed+1)
-		trainer = NewCGTrainer(net)
-	}
-
-	// Distribute shards ("data is equally distributed among the slaves").
-	counts := EvenCounts(nEx, len(slaves))
-	lo := 0
 	for i, s := range slaves {
-		n := counts[i]
-		buf := core.NewBuffer().PkInt(n).PkVirtual(n * ExemplarBytes(p.InputDim))
-		if p.Real {
-			shard := set.Slice(lo, lo+n)
-			buf.PkFloat64s(shard.features)
-			labels := make([]float64, n)
-			for j, l := range shard.labels {
-				labels[j] = float64(l)
-			}
-			buf.PkFloat64s(labels)
-		}
-		if err := vp.Send(s, TagShard, buf); err != nil {
+		if err := vp.Send(s, TagShard, m.PackShard(core.NewBuffer(), i)); err != nil {
 			return nil, fmt.Errorf("opt: shard to %v: %w", s, err)
 		}
-		lo += n
 	}
-
-	res := &Result{}
-	step := p.Step
-	prevLoss := 0.0
-	var flatNet []float64
-	for iter := 0; iter < p.Iterations; iter++ {
-		netBuf := core.NewBuffer().PkInt(iter).PkVirtual(cost.NetBytes())
-		if p.Real {
-			flatNet = net.Flat()
-			netBuf.PkFloat64s(flatNet)
+	var search func(grad, dir []float64) error
+	if m.p.LineSearch {
+		search = func(grad, dir []float64) error {
+			return distributedLineSearch(vp, slaves, m, grad, dir)
 		}
+	}
+	for !m.Done() {
+		netBuf := m.PackNet(core.NewBuffer())
 		for _, s := range slaves {
 			if err := vp.Send(s, TagNet, netBuf); err != nil {
 				return nil, err
 			}
 		}
-		// Collect partial gradients in fixed order.
-		total := NewGradient(&Net{InputDim: p.InputDim, Hidden: p.Hidden, Classes: p.Classes,
-			W1: make([]float64, p.Hidden*p.InputDim), B1: make([]float64, p.Hidden),
-			W2: make([]float64, p.Classes*p.Hidden), B2: make([]float64, p.Classes)})
-		var lossSum float64
 		for _, s := range slaves {
 			_, _, r, err := vp.Recv(s, TagGrad)
 			if err != nil {
 				return nil, fmt.Errorf("opt: gradient from %v: %w", s, err)
 			}
-			pl, cnt, g, err := UnpackGradient(r, p)
-			if err != nil {
+			if err := m.Absorb(r); err != nil {
 				return nil, err
 			}
-			lossSum += pl
-			if p.Real {
-				total.Add(g)
-			} else {
-				total.Count += cnt
-			}
 		}
-		// Combine + CG update.
-		if err := vp.Compute(cost.UpdateFlops(len(slaves))); err != nil {
+		if err := m.Update(vp, search); err != nil {
 			return nil, err
 		}
-		if p.Real {
-			meanLoss := lossSum / float64(nEx)
-			res.Losses = append(res.Losses, meanLoss)
-			res.FinalLoss = meanLoss
-			grad := total.Flat()
-			dir := trainer.Direction(grad)
-			if p.LineSearch {
-				accepted, err := distributedLineSearch(vp, slaves, p, net, grad, dir, lossSum, nEx)
-				if err != nil {
-					return nil, err
-				}
-				_ = accepted
-			} else {
-				if iter > 0 && meanLoss > prevLoss {
-					step *= 0.5
-				}
-				prevLoss = meanLoss
-				flat := net.Flat()
-				for i := range flat {
-					flat[i] += step * dir[i]
-				}
-				net.SetFlat(flat)
-			}
-		}
-		res.Iterations++
 	}
 	done := core.NewBuffer().PkInt(-1)
 	for _, s := range slaves {
@@ -213,68 +143,67 @@ func RunMaster(vp core.VP, slaves []core.TID, p Params) (*Result, error) {
 			return nil, err
 		}
 	}
-	return res, nil
+	return m.Result(), nil
 }
 
 // distributedLineSearch runs the Armijo backtracking loop over the wire:
 // the master broadcasts (direction, step) trial points; every slave
 // evaluates the loss of its shard at the trial weights and returns the
 // partial sum. The accepted step updates the master's net; slaves learn the
-// final weights with the next TagNet broadcast. Returns the accepted step
-// (0 when no improving step was found, leaving the net unchanged).
-func distributedLineSearch(vp core.VP, slaves []core.TID, p Params,
-	net *Net, grad, dir []float64, lossSum0 float64, nEx int) (float64, error) {
-
+// final weights with the next TagNet broadcast. When no improving step is
+// found the net is left unchanged.
+func distributedLineSearch(vp core.VP, slaves []core.TID, m *Master, grad, dir []float64) error {
 	var slope float64
 	for i := range grad {
 		slope += grad[i] * dir[i]
 	}
 	if slope >= 0 {
-		return 0, nil // defensive; Direction restarts on non-descent
+		return nil // defensive; Direction restarts on non-descent
 	}
 	const c1 = 1e-4
-	loss0 := lossSum0 / float64(nEx)
-	base := net.Flat()
+	loss0 := m.lossSum / float64(m.nEx)
+	base := m.net.Flat()
 	step := 1.0
 	for try := 0; try < 12; try++ {
 		probe := core.NewBuffer().PkFloat64s([]float64{step}).PkFloat64s(dir).
 			PkVirtual(len(dir) * 4)
 		for _, s := range slaves {
 			if err := vp.Send(s, TagProbe, probe); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		var trialSum float64
 		for range slaves {
 			_, _, r, err := vp.Recv(core.AnyTID, TagLoss)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			v, err := r.UpkFloat64s()
 			if err != nil {
-				return 0, err
+				return fmt.Errorf("opt: trial loss: %w", err)
+			}
+			if len(v) == 0 {
+				return errors.New("opt: trial-loss reply carries no loss")
 			}
 			trialSum += v[0]
 		}
-		trial := trialSum / float64(nEx)
+		trial := trialSum / float64(m.nEx)
 		if trial <= loss0+c1*step*slope {
 			flat := make([]float64, len(base))
 			for i := range base {
 				flat[i] = base[i] + step*dir[i]
 			}
-			net.SetFlat(flat)
-			return step, nil
+			return m.net.SetFlat(flat)
 		}
 		step *= 0.5
 	}
-	net.SetFlat(base)
-	return 0, nil
+	return m.net.SetFlat(base)
 }
 
-// EvenCounts splits total exemplars across n slaves as evenly as possible,
-// the first total%n slaves taking one more. Every master (RunMaster,
-// RunADMMaster, ft.Job, the serial reference) shards with it.
-func EvenCounts(total, n int) []int {
+// evenCounts splits total exemplars across n slaves as evenly as possible,
+// the first total%n slaves taking one more. The master core and the serial
+// reference both shard with it.
+func evenCounts(total, n int) []int {
 	counts := make([]int, n)
 	base := total / n
 	rem := total % n
@@ -292,179 +221,75 @@ func EvenCounts(total, n int) []int {
 // (charged to the virtual CPU; with Real data the actual backprop runs
 // too), and return it with the partial loss.
 func RunSlave(vp core.VP, master core.TID, p Params) error {
-	p = p.withDefaults()
-	cost := p.Cost()
-
 	_, _, r, err := vp.Recv(master, TagShard)
 	if err != nil {
 		return fmt.Errorf("opt: slave shard: %w", err)
 	}
-	count, err := r.UpkInt()
-	if err != nil {
+	s := NewSlave(p)
+	if err := s.LoadShard(r); err != nil {
 		return err
 	}
-	shardBytes, err := r.UpkVirtual()
-	if err != nil {
-		return err
-	}
-	var local *ExemplarSet
-	if p.Real {
-		feats, err := r.UpkFloat64s()
-		if err != nil {
-			return err
-		}
-		flabels, err := r.UpkFloat64s()
-		if err != nil {
-			return err
-		}
-		labels := make([]int, len(flabels))
-		for i, f := range flabels {
-			labels[i] = int(f)
-		}
-		local = &ExemplarSet{Dim: p.InputDim, Classes: p.Classes,
-			features: feats, labels: labels, ids: make([]int, count)}
-	}
-	if p.OnStateBytes != nil {
-		p.OnStateBytes(shardBytes + cost.NetBytes())
-	}
-
-	net := &Net{InputDim: p.InputDim, Hidden: p.Hidden, Classes: p.Classes}
 	for {
 		_, tag, r, err := vp.Recv(master, core.AnyTag)
 		if err != nil {
 			return err
 		}
-		if tag == TagDone {
+		switch tag {
+		case TagDone:
 			return nil
-		}
-		if tag == TagProbe {
-			if err := answerProbe(vp, master, p, cost, net, local, count, r); err != nil {
+		case TagProbe:
+			if err := s.answerProbe(vp, master, r); err != nil {
 				return err
 			}
-			continue
-		}
-		if tag != TagNet {
-			continue
-		}
-		if _, err := r.UpkInt(); err != nil { // iteration number
-			return err
-		}
-		if _, err := r.UpkVirtual(); err != nil {
-			return err
-		}
-		if p.Real {
-			flat, err := r.UpkFloat64s()
-			if err != nil {
+		case TagNet:
+			if _, err := s.LoadNet(r); err != nil {
 				return err
 			}
-			if net.W1 == nil {
-				net.W1 = make([]float64, p.Hidden*p.InputDim)
-				net.B1 = make([]float64, p.Hidden)
-				net.W2 = make([]float64, p.Classes*p.Hidden)
-				net.B2 = make([]float64, p.Classes)
+			gradBuf := core.NewBuffer()
+			if err := s.PackGradient(vp, gradBuf); err != nil {
+				return err
 			}
-			if err := net.SetFlat(flat); err != nil {
+			if err := vp.Send(master, TagGrad, gradBuf); err != nil {
 				return err
 			}
 		}
-		// Apply the net to the local exemplars: the dominant cost.
-		if err := vp.Compute(cost.GradientFlops(count)); err != nil {
-			return err
-		}
-		gradBuf := core.NewBuffer()
-		var partialLoss float64
-		if p.Real {
-			g := NewGradient(net)
-			net.AccumulateGradient(local, 0, local.Len(), g)
-			partialLoss = net.Loss(local) * float64(local.Len())
-			packGradient(gradBuf, partialLoss, g)
-		} else {
-			gradBuf.PkFloat64s([]float64{0}).PkInt(count).PkVirtual(cost.NetBytes())
-		}
-		if err := vp.Send(master, TagGrad, gradBuf); err != nil {
-			return err
-		}
 	}
-}
-
-func packGradient(buf *core.Buffer, partialLoss float64, g *Gradient) {
-	buf.PkFloat64s([]float64{partialLoss}).PkInt(g.Count)
-	buf.PkFloat64s(g.W1).PkFloat64s(g.B1).PkFloat64s(g.W2).PkFloat64s(g.B2)
-}
-
-// UnpackGradient reads a gradient reply in packGradient's layout (in
-// cost-model mode: loss, count, virtual bytes). It is the one decoder behind
-// every master's receive path, ft.Job's included.
-func UnpackGradient(r *core.Reader, p Params) (partialLoss float64, count int, g *Gradient, err error) {
-	pl, err := r.UpkFloat64s()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if len(pl) == 0 {
-		// A well-formed reply always carries exactly one partial loss; an
-		// empty slice is a malformed payload, not a crash.
-		return 0, 0, nil, errors.New("opt: gradient reply carries no partial loss")
-	}
-	count, err = r.UpkInt()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if !p.Real {
-		if _, err := r.UpkVirtual(); err != nil {
-			return 0, 0, nil, err
-		}
-		return pl[0], count, nil, nil
-	}
-	g = &Gradient{Count: count}
-	if g.W1, err = r.UpkFloat64s(); err != nil {
-		return 0, 0, nil, err
-	}
-	if g.B1, err = r.UpkFloat64s(); err != nil {
-		return 0, 0, nil, err
-	}
-	if g.W2, err = r.UpkFloat64s(); err != nil {
-		return 0, 0, nil, err
-	}
-	if g.B2, err = r.UpkFloat64s(); err != nil {
-		return 0, 0, nil, err
-	}
-	return pl[0], count, g, nil
 }
 
 // answerProbe evaluates the slave's partial loss at a line-search trial
 // point (current weights + step × direction) and returns it to the master.
-func answerProbe(vp core.VP, master core.TID, p Params, cost CostModel,
-	net *Net, local *ExemplarSet, count int, r *core.Reader) error {
-
+func (s *Slave) answerProbe(vp core.VP, master core.TID, r *core.Reader) error {
 	stepV, err := r.UpkFloat64s()
 	if err != nil {
-		return err
+		return fmt.Errorf("opt: probe: %w", err)
 	}
 	dir, err := r.UpkFloat64s()
 	if err != nil {
-		return err
+		return fmt.Errorf("opt: probe: %w", err)
 	}
 	if _, err := r.UpkVirtual(); err != nil {
-		return err
+		return fmt.Errorf("opt: probe: %w", err)
 	}
 	// A forward pass over the shard (cheaper than a gradient).
-	if err := vp.Compute(float64(count) * cost.LossFlopsPerExemplar()); err != nil {
+	if err := vp.Compute(float64(s.count) * s.cost.LossFlopsPerExemplar()); err != nil {
 		return err
 	}
 	var partial float64
-	if p.Real && local != nil {
-		base := net.Flat()
+	if s.p.Real {
+		base := s.net.Flat()
+		if len(stepV) == 0 || len(dir) != len(base) {
+			return fmt.Errorf("opt: probe carries %d steps and a %d-value direction for a %d-value net",
+				len(stepV), len(dir), len(base))
+		}
 		trial := make([]float64, len(base))
 		for i := range base {
 			trial[i] = base[i] + stepV[0]*dir[i]
 		}
-		probeNet := &Net{InputDim: net.InputDim, Hidden: net.Hidden, Classes: net.Classes,
-			W1: make([]float64, len(net.W1)), B1: make([]float64, len(net.B1)),
-			W2: make([]float64, len(net.W2)), B2: make([]float64, len(net.B2))}
+		probeNet := s.net.Clone()
 		if err := probeNet.SetFlat(trial); err != nil {
 			return err
 		}
-		partial = probeNet.Loss(local) * float64(local.Len())
+		partial = probeNet.Loss(s.local) * float64(s.local.Len())
 	}
 	return vp.Send(master, TagLoss, core.NewBuffer().PkFloat64s([]float64{partial}))
 }

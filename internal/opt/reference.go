@@ -15,7 +15,7 @@ func ReferenceTrajectory(p Params, nSlaves int) []float64 {
 	net := NewNet(p.InputDim, p.Hidden, p.Classes, p.Seed+1)
 	trainer := NewCGTrainer(net)
 
-	counts := EvenCounts(nEx, nSlaves)
+	counts := evenCounts(nEx, nSlaves)
 	shards := make([]refRange, nSlaves)
 	lo := 0
 	for i, n := range counts {
