@@ -11,6 +11,11 @@
 //	pvmsim -system ft -hosts 8 -slaves 15 -crashes 3 -trace
 //	pvmsim -system mpvm -migrate-at 8s -wire
 //	pvmsim -system fleet -hosts 1000 -vps 100000 -shards 8 -storms 200
+//
+// Exit status: 0 on success, 1 when the scenario ran and failed, 2 for a
+// usage error — an unknown -system, a bad plan flag, or a count that cannot
+// describe a run (-hosts -1, -system ft -hosts 1, -slaves -2, -shards -1),
+// refused with a harness.bad-scenario error naming the flag.
 package main
 
 import (
@@ -19,6 +24,7 @@ import (
 	"os"
 
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/harness"
 	"pvmigrate/internal/netwire"
@@ -123,8 +129,7 @@ func main() {
 		os.Exit(2)
 	}
 	if out.Err != nil {
-		fmt.Fprintf(os.Stderr, "pvmsim: %v\n", out.Err)
-		os.Exit(1)
+		fail(out.Err)
 	}
 	fmt.Printf("system: %s, %0.1f MB, %d hosts, %d iterations\n",
 		*system, *mb, *hosts, out.Result.Iterations)
@@ -162,6 +167,16 @@ func main() {
 		fmt.Println()
 		fmt.Print(timeline)
 	}
+}
+
+// fail prints a run's error and exits: 2 when the harness refused the
+// scenario's counts (a usage error), 1 when the scenario ran and failed.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "pvmsim: %v\n", err)
+	if errs.Is(err, harness.CodeBadScenario) {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }
 
 // explicitFlag reports whether the named flag was set on the command
@@ -219,6 +234,9 @@ func runFleet(sc harness.FleetScenario) {
 		os.Exit(2)
 	}
 	out := harness.RunFleet(sc)
+	if out.Err != nil {
+		fail(out.Err)
+	}
 	sc = sc.WithDefaults()
 	fmt.Printf("system: fleet, %d hosts, %d work units, %d shards, seed %d\n",
 		sc.Hosts, out.FinalTotal, sc.Shards, sc.Seed)
@@ -234,8 +252,7 @@ func runFleet(sc harness.FleetScenario) {
 func runFT(c harness.SurvivalConfig, mb float64, showTrace bool) {
 	out := harness.Survival(c)
 	if out.Err != nil {
-		fmt.Fprintf(os.Stderr, "pvmsim: %v\n", out.Err)
-		os.Exit(1)
+		fail(out.Err)
 	}
 	fmt.Printf("system: ft, %0.1f MB, %d hosts, %d iterations, %d injected crashes\n",
 		mb, c.Hosts, out.Result.Iterations, len(out.Crashes))

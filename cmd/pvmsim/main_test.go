@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,5 +100,38 @@ func TestExplicitFlagIgnoresOtherFlags(t *testing.T) {
 	}
 	if d := fs.Lookup("migrate-at").Value.(flag.Getter).Get().(time.Duration); d != 8*time.Second {
 		t.Fatalf("migrate-at parsed as %v", d)
+	}
+}
+
+// TestImpossibleCountsExitTwo runs the real binary on the command lines
+// that used to reach a makeslice or divide-by-zero panic: each must print
+// an error naming the flag and exit 2, like any other usage error.
+func TestImpossibleCountsExitTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the pvmsim binary")
+	}
+	bin := filepath.Join(t.TempDir(), "pvmsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, c := range []struct{ args, names string }{
+		{"-system ft -hosts 1", "hosts"},
+		{"-system ft -hosts 3 -slaves -2", "slaves"},
+		{"-system pvm -hosts -1", "hosts"},
+		{"-system mpvm -slaves -1", "slaves"},
+		{"-system fleet -hosts -3", "hosts"},
+		{"-system fleet -hosts 50 -vps 500 -shards -1", "shards"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, strings.Fields(c.args)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("pvmsim %s: %v, want exit status 2\n%s", c.args, err, stderr.String())
+		}
+		if msg := stderr.String(); strings.Contains(msg, "panic:") || !strings.Contains(msg, c.names) {
+			t.Errorf("pvmsim %s: stderr should name %q and not panic:\n%s", c.args, c.names, msg)
+		}
 	}
 }

@@ -10,6 +10,11 @@
 //	pvmsimd -addr :8090 -tick-wall 200ms -tick-virtual 100ms
 //	pvmsimd -replay session.jsonl
 //	curl -s localhost:8090/v1/hosts | jq
+//
+// Exit status: 0 on a clean shutdown or replay, 1 on an I/O or replay
+// failure, 2 when the cluster's host count is impossible — from -hosts, or
+// from the header of the journal given to -replay (a serve.bad-request /
+// serve.journal error naming the field; no journal file is left behind).
 package main
 
 import (
@@ -19,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netwire"
 	"pvmigrate/internal/serve"
 )
@@ -77,7 +83,10 @@ func main() {
 	srv, err := serve.NewServer(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pvmsimd: %v\n", err)
-		os.Exit(1)
+		if *journal != "" {
+			os.Remove(*journal) // created above, still empty: do not block the corrected rerun
+		}
+		os.Exit(exitStatus(err))
 	}
 	hs := &http.Server{Addr: *addr, Handler: srv}
 	go func() {
@@ -93,6 +102,15 @@ func main() {
 	fmt.Println("pvmsimd: shut down cleanly")
 }
 
+// exitStatus is 2 for a config the daemon refuses (a flag or journal-header
+// count that cannot describe a cluster) and 1 for everything else.
+func exitStatus(err error) int {
+	if errs.Is(err, serve.CodeBadRequest) {
+		return 2
+	}
+	return 1
+}
+
 // runReplay re-executes a journal headlessly and prints what the live
 // session's /v1/fingerprint reported, for bit-identical comparison.
 func runReplay(path string) int {
@@ -105,7 +123,7 @@ func runReplay(path string) int {
 	core, err := serve.ReplayJournal(f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pvmsimd: replay: %v\n", err)
-		return 1
+		return exitStatus(err)
 	}
 	fmt.Printf("replayed %d commands, virtual time %.2f s\n",
 		len(core.History()), core.Now().Seconds())

@@ -36,41 +36,29 @@ import (
 	"pvmigrate/internal/upvm"
 )
 
-// Config sets one exploration run. The zero value takes the defaults below.
+// The explored cluster and job, the same for every seed.
+const (
+	// hosts is the cluster size. Host 0 carries the GS, the checkpoint
+	// store, and the job master; every other host two slave VPs.
+	hosts = 5
+	// iterations is the training length.
+	iterations = 10
+	// checkpointEvery is the coordinated-checkpoint period.
+	checkpointEvery = 2
+	// deadline caps virtual time; a run that has not finished by then is a
+	// liveness failure.
+	deadline sim.Time = 30 * time.Minute
+)
+
+// Config names one exploration run.
 type Config struct {
 	// Seed names the schedule: it feeds both the kernel tie-breaker and the
 	// scenario's fault-timing windows.
 	Seed uint64
-	// Hosts is the cluster size (default 5). Host 0 carries the GS, the
-	// checkpoint store, and the job master.
-	Hosts int
-	// Iterations is the training length (default 10).
-	Iterations int
-	// CheckpointEvery is the coordinated-checkpoint period (default 2).
-	CheckpointEvery int
 	// Real switches the job to real Opt math, so FinalLoss is a bit-exact
 	// fingerprint of every gradient the master applied (default false:
 	// cost-model mode, faster for wide sweeps).
 	Real bool
-	// Deadline caps virtual time; a run that has not finished by then is a
-	// liveness failure (default 30 virtual minutes).
-	Deadline sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.Hosts == 0 {
-		c.Hosts = 5
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 10
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 2
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 30 * time.Minute
-	}
-	return c
 }
 
 // Scenario is one fault shape whose instants the sweeper slides per seed.
@@ -85,20 +73,20 @@ type Scenario struct {
 	// one timing stream (derived from the run seed, independent of the
 	// kernel tie-break stream), so correlated instants — a crash offset
 	// from the reclaim it races — stay correlated as the seed sweeps.
-	Build func(cfg Config, rng *sim.RNG) ([]ft.Fault, []OwnerChange)
+	Build func(rng *sim.RNG) ([]ft.Fault, []OwnerChange)
 	// ADMSignals, when non-nil, enables the ADM overlay: an ADMopt job
 	// (master on host 0, one slave per other host) runs alongside the ft
 	// job, and the returned signals are delivered to its slaves — data
 	// redistribution racing the VP migrations the owner changes trigger.
 	// It draws from the same timing stream as Build, after it, so its
 	// instants stay correlated with the fault schedule across a sweep.
-	ADMSignals func(cfg Config, rng *sim.RNG, owners []OwnerChange) []ADMSignal
+	ADMSignals func(rng *sim.RNG, owners []OwnerChange) []ADMSignal
 	// ULPMoves, when non-nil, enables the UPVM overlay: one ULP per
 	// non-zero host computes beside the ft job, and the returned moves
 	// drive the UPVM hand-off protocol (flush barrier and all) across the
 	// faults Build installed. Draws from the same timing stream, after
 	// ADMSignals.
-	ULPMoves func(cfg Config, rng *sim.RNG, faults []ft.Fault) []ULPMove
+	ULPMoves func(rng *sim.RNG, faults []ft.Fault) []ULPMove
 }
 
 // OwnerChange flips a host's owner-active state at a virtual instant.
@@ -214,14 +202,13 @@ func faultRNG(seed uint64) *sim.RNG {
 }
 
 // Run executes one scenario under one seed and returns the audited handles.
-// The cluster: Hosts workstations, host 0 carrying GS + store + master, two
+// The cluster: hosts workstations, host 0 carrying GS + store + master, two
 // slave VPs on every other host.
 func Run(sc Scenario, cfg Config) *Result {
-	cfg = cfg.withDefaults()
 	k := sim.NewKernel()
 	k.SetTieBreakSeed(cfg.Seed)
 
-	specs := make([]cluster.HostSpec, cfg.Hosts)
+	specs := make([]cluster.HostSpec, hosts)
 	for i := range specs {
 		specs[i] = cluster.DefaultHostSpec(fmt.Sprintf("h%d", i))
 	}
@@ -232,32 +219,25 @@ func Run(sc Scenario, cfg Config) *Result {
 		sys.SetWarmByDefault(true)
 	}
 	log := &trace.Log{}
-	mgr := ft.NewManager(sys, ft.Config{CheckpointEvery: cfg.CheckpointEvery}, log)
-	det := ft.StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
-		ReclaimOnOwner:    true,
-		HeartbeatInterval: mgr.Config().HeartbeatInterval,
-		SuspectAfter:      mgr.Config().SuspectAfter,
-	})
-	sched.SetHeartbeatSource(det)
+	st := ft.NewStack(sys, ft.Config{CheckpointEvery: checkpointEvery},
+		gs.FleetPolicy{ReclaimOnOwner: true}, log)
+	mgr, sched := st.Mgr, st.Sched
 
 	var faults []ft.Fault
 	var owners []OwnerChange
 	var admSignals []ADMSignal
 	rng := faultRNG(cfg.Seed)
 	if sc.Build != nil {
-		faults, owners = sc.Build(cfg, rng)
+		faults, owners = sc.Build(rng)
 	}
 	if sc.ADMSignals != nil {
-		admSignals = sc.ADMSignals(cfg, rng, owners)
+		admSignals = sc.ADMSignals(rng, owners)
 	}
 	var ulpMoves []ULPMove
 	if sc.ULPMoves != nil {
-		ulpMoves = sc.ULPMoves(cfg, rng, faults)
+		ulpMoves = sc.ULPMoves(rng, faults)
 	}
-	inj := ft.NewInjector(m, log)
-	inj.OnFault(mgr.ObserveFault)
-	inj.Install(ft.Plan{Faults: faults})
+	st.Inj.Install(ft.Plan{Faults: faults})
 	for _, oc := range owners {
 		oc := oc
 		k.ScheduleAt(oc.At, func() { cl.Host(netsim.HostID(oc.Host)).SetOwnerActive(oc.Active) })
@@ -290,11 +270,11 @@ func Run(sc Scenario, cfg Config) *Result {
 			lastEvent = mv.At
 		}
 	}
-	settleUntil := lastEvent + 3*mgr.Config().SuspectAfter
+	settleUntil := lastEvent + 3*ft.SuspectAfter
 
 	res := &Result{Scenario: sc.Name, Seed: cfg.Seed,
 		Sys: sys, Mgr: mgr, Sched: sched, Log: log, Faults: faults}
-	opts := opt.Params{Iterations: cfg.Iterations}
+	opts := opt.Params{Iterations: iterations}
 	if cfg.Real {
 		opts.Real = true
 		opts.InputDim = 4
@@ -327,9 +307,9 @@ func Run(sc Scenario, cfg Config) *Result {
 		}
 		k.ScheduleAt(stopAt, func() { k.Stop() })
 	}
-	slaveHosts := make([]int, 0, 2*(cfg.Hosts-1))
+	slaveHosts := make([]int, 0, 2*(hosts-1))
 	for round := 0; round < 2; round++ {
-		for h := 1; h < cfg.Hosts; h++ {
+		for h := 1; h < hosts; h++ {
 			slaveHosts = append(slaveHosts, h)
 		}
 	}
@@ -348,7 +328,7 @@ func Run(sc Scenario, cfg Config) *Result {
 	}
 	res.Job = job
 	if res.ADMActive {
-		if err := startADMOverlay(k, m, cfg, res, admSignals, func() {
+		if err := startADMOverlay(k, m, res, admSignals, func() {
 			admDone = true
 			tryStop()
 		}); err != nil {
@@ -357,7 +337,7 @@ func Run(sc Scenario, cfg Config) *Result {
 		}
 	}
 	if res.ULPActive {
-		if err := startULPOverlay(k, m, cfg, res, ulpMoves, func() {
+		if err := startULPOverlay(k, m, res, ulpMoves, func() {
 			ulpDone = true
 			tryStop()
 		}); err != nil {
@@ -366,7 +346,7 @@ func Run(sc Scenario, cfg Config) *Result {
 		}
 	}
 	sched.Start()
-	k.RunUntil(cfg.Deadline)
+	k.RunUntil(deadline)
 
 	if res.ULPSys != nil {
 		res.ULPMoved = len(res.ULPSys.Records())
@@ -381,7 +361,7 @@ func Run(sc Scenario, cfg Config) *Result {
 		res.FinalLoss = out.Result.FinalLoss
 	}
 	if !out.Done && res.Err == nil {
-		res.Err = fmt.Errorf("chaos: job not finished by deadline %v", cfg.Deadline)
+		res.Err = fmt.Errorf("chaos: job not finished by deadline %v", deadline)
 	}
 	return res
 }
@@ -392,12 +372,12 @@ func Run(sc Scenario, cfg Config) *Result {
 // The overlay always runs the cost model — its determinism pin is the
 // fingerprint's move count and loss bits, and cost-model losses are as
 // bit-stable as real ones.
-func startADMOverlay(k *sim.Kernel, m *pvm.Machine, cfg Config, res *Result,
+func startADMOverlay(k *sim.Kernel, m *pvm.Machine, res *Result,
 	signals []ADMSignal, onDone func()) error {
-	nSlaves := cfg.Hosts - 1
+	nSlaves := hosts - 1
 	stats := &opt.ADMStats{}
 	ap := opt.ADMParams{
-		Params: opt.Params{Iterations: cfg.Iterations, TotalBytes: 200_000},
+		Params: opt.Params{Iterations: iterations, TotalBytes: 200_000},
 		Stats:  stats,
 	}
 	tids := make([]core.TID, nSlaves)
@@ -454,11 +434,11 @@ func startADMOverlay(k *sim.Kernel, m *pvm.Machine, cfg Config, res *Result,
 // across whatever faults Build installed; the bounded flush barrier is
 // what keeps a move issued into a partition from wedging the overlay (and
 // losing the ULP) forever.
-func startULPOverlay(k *sim.Kernel, m *pvm.Machine, cfg Config, res *Result,
+func startULPOverlay(k *sim.Kernel, m *pvm.Machine, res *Result,
 	moves []ULPMove, onDone func()) error {
 	usys := upvm.New(m, upvm.Config{})
 	res.ULPSys = usys
-	res.ULPCount = cfg.Hosts - 1
+	res.ULPCount = hosts - 1
 	usys.SetTracer(func(actor, stage, detail string) {
 		if stage == "2:flush-abort" {
 			res.ULPAborts++
@@ -500,6 +480,3 @@ func startULPOverlay(k *sim.Kernel, m *pvm.Machine, cfg Config, res *Result,
 	}
 	return nil
 }
-
-// slaveCount returns how many slave VPs Run spawns for cfg.
-func slaveCount(cfg Config) int { return 2 * (cfg.withDefaults().Hosts - 1) }

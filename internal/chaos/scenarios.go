@@ -22,7 +22,7 @@ func within(rng *sim.RNG, from, to sim.Time) sim.Time {
 
 // pickHost returns a seeded host in [1, hosts) excluding the given one
 // (pass -1 to exclude none). Host 0 (GS + store + master) is never picked.
-func pickHost(rng *sim.RNG, hosts, exclude int) int {
+func pickHost(rng *sim.RNG, exclude int) int {
 	for {
 		h := 1 + int(rng.Uint64()%uint64(hosts-1))
 		if h != exclude {
@@ -38,14 +38,14 @@ func pickHost(rng *sim.RNG, hosts, exclude int) int {
 // sweeps from before detection to well after the respawns land.
 var ReclaimDuringRollback = Scenario{
 	Name: "reclaim-during-rollback",
-	Build: func(cfg Config, rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
+	Build: func(rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
 		crashAt := within(rng, 4*time.Second, 10*time.Second)
-		crashed := pickHost(rng, cfg.Hosts, -1)
+		crashed := pickHost(rng, -1)
 		// The reclaim sweeps across the crash's whole recovery arc:
 		// sometimes it lands before the crash, sometimes mid-detection,
 		// sometimes mid-respawn, sometimes after recovery settled.
 		reclaimAt := crashAt + within(rng, -2*time.Second, 8*time.Second)
-		reclaimed := pickHost(rng, cfg.Hosts, crashed)
+		reclaimed := pickHost(rng, crashed)
 		faults := []ft.Fault{{At: crashAt, Kind: ft.HostCrash, Host: crashed}}
 		owners := []OwnerChange{
 			{At: reclaimAt, Host: reclaimed, Active: true},
@@ -63,10 +63,10 @@ var ReclaimDuringRollback = Scenario{
 // it interleaves an independent recovery with the evacuation.
 var CrashDuringEvacuation = Scenario{
 	Name: "crash-during-evacuation",
-	Build: func(cfg Config, rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
+	Build: func(rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
 		reclaimAt := within(rng, 4*time.Second, 8*time.Second)
-		reclaimed := pickHost(rng, cfg.Hosts, -1)
-		crashed := pickHost(rng, cfg.Hosts, reclaimed)
+		reclaimed := pickHost(rng, -1)
+		crashed := pickHost(rng, reclaimed)
 		// Sweep the crash across the whole migration protocol: flush is
 		// milliseconds, the skeleton starts at 780 ms, transfer runs for
 		// hundreds of ms more.
@@ -84,9 +84,9 @@ var CrashDuringEvacuation = Scenario{
 // and the rejoining host's orphans must be reaped with no spurious respawn.
 var SplitBrainRejoin = Scenario{
 	Name: "split-brain-rejoin",
-	Build: func(cfg Config, rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
+	Build: func(rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
 		partAt := within(rng, 4*time.Second, 10*time.Second)
-		host := pickHost(rng, cfg.Hosts, -1)
+		host := pickHost(rng, -1)
 		groups := map[netsim.HostID]int{netsim.HostID(host): 1}
 		// Heal sweeps from just past detection (orphans possibly still
 		// mid-anything) to long after recovery has fully settled.
@@ -110,16 +110,16 @@ var SplitBrainRejoin = Scenario{
 // path to the interleaving.
 var ADMRedistributionRacingMigration = Scenario{
 	Name: "adm-redistribution-racing-migration",
-	Build: func(cfg Config, rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
+	Build: func(rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
 		reclaimAt := within(rng, 4*time.Second, 9*time.Second)
-		reclaimed := pickHost(rng, cfg.Hosts, -1)
+		reclaimed := pickHost(rng, -1)
 		owners := []OwnerChange{
 			{At: reclaimAt, Host: reclaimed, Active: true},
 			{At: reclaimAt + 20*time.Second, Host: reclaimed, Active: false},
 		}
 		return nil, owners
 	},
-	ADMSignals: func(cfg Config, rng *sim.RNG, owners []OwnerChange) []ADMSignal {
+	ADMSignals: func(rng *sim.RNG, owners []OwnerChange) []ADMSignal {
 		reclaim := owners[0]
 		// Slave i lives on host i+1, so the reclaimed host's ADM share is
 		// slave reclaimed-1. The withdraw sweeps across the evacuation arc.
@@ -131,7 +131,7 @@ var ADMRedistributionRacingMigration = Scenario{
 			At: withdrawAt, Slave: reclaim.Host - 1,
 			Kind: "withdraw", Reason: core.ReasonOwnerReclaim,
 		}}
-		other := pickHost(rng, cfg.Hosts, reclaim.Host)
+		other := pickHost(rng, reclaim.Host)
 		signals = append(signals, ADMSignal{
 			At: withdrawAt + within(rng, 0, 3*time.Second), Slave: other - 1,
 			Kind: "rebalance", Reason: core.ReasonHighLoad,
@@ -153,12 +153,12 @@ var ADMRedistributionRacingMigration = Scenario{
 var CrashMidPrecopy = Scenario{
 	Name: "crash-mid-precopy",
 	Warm: true,
-	Build: func(cfg Config, rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
+	Build: func(rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
 		reclaimAt := within(rng, 4*time.Second, 8*time.Second)
-		reclaimed := pickHost(rng, cfg.Hosts, -1)
+		reclaimed := pickHost(rng, -1)
 		crashed := reclaimed
 		if rng.Float64() < 0.5 {
-			crashed = pickHost(rng, cfg.Hosts, reclaimed)
+			crashed = pickHost(rng, reclaimed)
 		}
 		crashAt := reclaimAt + within(rng, 0, 3*time.Second)
 		faults := []ft.Fault{{At: crashAt, Kind: ft.HostCrash, Host: crashed}}
@@ -178,9 +178,9 @@ var CrashMidPrecopy = Scenario{
 // (guaranteed abort).
 var ULPHandoffUnderPartition = Scenario{
 	Name: "ulp-handoff-under-partition",
-	Build: func(cfg Config, rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
+	Build: func(rng *sim.RNG) ([]ft.Fault, []OwnerChange) {
 		partAt := within(rng, 4*time.Second, 9*time.Second)
-		host := pickHost(rng, cfg.Hosts, -1)
+		host := pickHost(rng, -1)
 		groups := map[netsim.HostID]int{netsim.HostID(host): 1}
 		healAt := partAt + within(rng, 3*time.Second, 12*time.Second)
 		faults := []ft.Fault{
@@ -189,7 +189,7 @@ var ULPHandoffUnderPartition = Scenario{
 		}
 		return faults, nil
 	},
-	ULPMoves: func(cfg Config, rng *sim.RNG, faults []ft.Fault) []ULPMove {
+	ULPMoves: func(rng *sim.RNG, faults []ft.Fault) []ULPMove {
 		partAt, healAt := faults[0].At, faults[1].At
 		var cut int
 		for h := range faults[0].Groups {
@@ -198,8 +198,8 @@ var ULPHandoffUnderPartition = Scenario{
 		// ULP rank r lives on host r+1. A mover on a connected host: its
 		// flush still needs the cut host's ack, so a move inside the
 		// window aborts even though source and destination can talk.
-		src := pickHost(rng, cfg.Hosts, cut)
-		dst := pickHost(rng, cfg.Hosts, src)
+		src := pickHost(rng, cut)
+		dst := pickHost(rng, src)
 		moves := []ULPMove{{
 			At:  partAt + within(rng, -2*time.Second, 3*time.Second),
 			ULP: src - 1, Dest: dst,
@@ -208,7 +208,7 @@ var ULPHandoffUnderPartition = Scenario{
 		// move in the window aborts with zero acks.
 		moves = append(moves, ULPMove{
 			At:  partAt + within(rng, 0, 3*time.Second),
-			ULP: cut - 1, Dest: pickHost(rng, cfg.Hosts, cut),
+			ULP: cut - 1, Dest: pickHost(rng, cut),
 		})
 		// Post-heal retry of the first mover: a fresh barrier that must
 		// complete on its own acks, not the aborted round's stale ones.

@@ -37,14 +37,14 @@ type Params struct {
 	WorkFlops float64
 	// Interval is the checkpoint period (checkpoint policy only).
 	Interval sim.Time
-	// DiskBps is the local disk bandwidth for checkpoint writes/reads
-	// (a 1994 SCSI disk sustains ~1.5 MB/s).
-	DiskBps float64
-	// KillCost is SIGKILL delivery + process reaping.
-	KillCost sim.Time
-	// RestartCost is exec + re-enroll on the destination.
-	RestartCost sim.Time
 }
+
+const (
+	// killCost is SIGKILL delivery + process reaping.
+	killCost sim.Time = 60 * time.Millisecond
+	// restartCost is exec + re-enroll on the destination.
+	restartCost sim.Time = 400 * time.Millisecond
+)
 
 func (p Params) withDefaults() Params {
 	if p.StateBytes == 0 {
@@ -55,15 +55,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Interval == 0 {
 		p.Interval = time.Minute
-	}
-	if p.DiskBps == 0 {
-		p.DiskBps = 1.5e6
-	}
-	if p.KillCost == 0 {
-		p.KillCost = 60 * time.Millisecond
-	}
-	if p.RestartCost == 0 {
-		p.RestartCost = 400 * time.Millisecond
 	}
 	return p
 }
@@ -146,7 +137,7 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 	p = p.withDefaults()
 	e := newEnv()
 	res := Result{}
-	store := NewStore(e.k, p.DiskBps)
+	store := NewStore(e.k)
 	ckptCost := store.IOTime(p.StateBytes)
 	const key = "job"
 	// The initial image (progress 0) is on disk before the job starts, so a
@@ -162,7 +153,7 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 		// restart from it on the destination.
 		recover := func(progressAtEviction float64) bool {
 			done = progressAtEviction
-			if err := pr.Sleep(p.KillCost); err != nil {
+			if err := pr.Sleep(killCost); err != nil {
 				runErr = err
 				return false
 			}
@@ -171,7 +162,7 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 				runErr = err
 				return false
 			}
-			if err := pr.Sleep(p.RestartCost); err != nil {
+			if err := pr.Sleep(restartCost); err != nil {
 				runErr = err
 				return false
 			}
@@ -268,7 +259,7 @@ func RunMigrateCurrent(p Params, evictAt sim.Time) (Result, error) {
 				return
 			}
 			res.Obtrusiveness = pr.Now() - evictAt
-			if serr := pr.Sleep(p.RestartCost); serr != nil {
+			if serr := pr.Sleep(restartCost); serr != nil {
 				runErr = serr
 				return
 			}

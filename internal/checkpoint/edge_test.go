@@ -7,8 +7,7 @@ import (
 
 func TestParamsDefaults(t *testing.T) {
 	p := Params{}.withDefaults()
-	if p.StateBytes == 0 || p.WorkFlops == 0 || p.Interval == 0 ||
-		p.DiskBps == 0 || p.KillCost == 0 || p.RestartCost == 0 {
+	if p.StateBytes == 0 || p.WorkFlops == 0 || p.Interval == 0 {
 		t.Fatalf("defaults incomplete: %+v", p)
 	}
 }

@@ -49,27 +49,24 @@ type entry struct {
 // found corrupt at re-open (CorruptLatest) also falls back one generation.
 type Store struct {
 	k       *sim.Kernel
-	diskBps float64
 	entries map[string]*entry
 
-	writes       int
-	bytesWritten int64
-	writeTime    sim.Time
-	commits      []Snapshot
+	writes  int
+	commits []Snapshot
 }
 
-// NewStore creates a store on kernel k with the given disk bandwidth
-// (bytes/s; <= 0 takes the 1994 SCSI default of 1.5 MB/s).
-func NewStore(k *sim.Kernel, diskBps float64) *Store {
-	if diskBps <= 0 {
-		diskBps = 1.5e6
-	}
-	return &Store{k: k, diskBps: diskBps, entries: make(map[string]*entry)}
+// diskBps is the store's disk bandwidth for checkpoint writes and reads,
+// bytes/s: a 1994 SCSI disk sustains ~1.5 MB/s.
+const diskBps float64 = 1.5e6
+
+// NewStore creates a store on kernel k.
+func NewStore(k *sim.Kernel) *Store {
+	return &Store{k: k, entries: make(map[string]*entry)}
 }
 
 // IOTime returns the disk time for an image of the given size.
 func (st *Store) IOTime(bytes int) sim.Time {
-	return sim.FromSeconds(float64(bytes) / st.diskBps)
+	return sim.FromSeconds(float64(bytes) / diskBps)
 }
 
 // CommitTime returns the disk time for the one-sector commit record.
@@ -110,7 +107,6 @@ func (st *Store) Commit(key string) {
 	e.cur, e.hasCur = e.staged, true
 	e.staged, e.staging = Snapshot{}, false
 	st.writes++
-	st.bytesWritten += int64(e.cur.Bytes)
 	st.commits = append(st.commits, e.cur)
 }
 
@@ -120,12 +116,10 @@ func (st *Store) Commit(key string) {
 // stages nothing; one between image and commit record leaves a torn image
 // that is discarded (DiscardStaged) rather than trusted.
 func (st *Store) Write(p *sim.Proc, key string, epoch, bytes int, payload any) error {
-	d := st.IOTime(bytes)
-	if err := p.Sleep(d); err != nil {
+	if err := p.Sleep(st.IOTime(bytes)); err != nil {
 		return err
 	}
 	st.Stage(key, epoch, bytes, payload)
-	st.writeTime += d
 	if err := p.Sleep(st.CommitTime()); err != nil {
 		st.DiscardStaged(key)
 		return err
@@ -208,9 +202,3 @@ func (st *Store) Commits() []Snapshot { return st.commits }
 
 // Writes returns how many charged writes committed.
 func (st *Store) Writes() int { return st.writes }
-
-// BytesWritten returns the total committed bytes.
-func (st *Store) BytesWritten() int64 { return st.bytesWritten }
-
-// WriteTime returns cumulative disk time spent in charged writes.
-func (st *Store) WriteTime() sim.Time { return st.writeTime }

@@ -12,7 +12,7 @@ import (
 func crashBetweenImageAndCommit(t *testing.T, prior bool) *Store {
 	t.Helper()
 	k := sim.NewKernel()
-	st := NewStore(k, 1e6)
+	st := NewStore(k)
 	if prior {
 		st.Seed("job", 1, 1000, "v1")
 	}
@@ -59,7 +59,7 @@ func TestTornFirstWriteLeavesNothing(t *testing.T) {
 
 func TestCorruptLatestFallsBackToPreviousCommitted(t *testing.T) {
 	k := sim.NewKernel()
-	st := NewStore(k, 1e6)
+	st := NewStore(k)
 	var errs []error
 	k.Spawn("writer", func(p *sim.Proc) {
 		errs = append(errs, st.Write(p, "job", 1, 1000, "v1"))
@@ -93,7 +93,7 @@ func TestCorruptLatestFallsBackToPreviousCommitted(t *testing.T) {
 
 func TestStageInvisibleUntilCommit(t *testing.T) {
 	k := sim.NewKernel()
-	st := NewStore(k, 1e6)
+	st := NewStore(k)
 	st.Stage("job", 3, 2000, "staged")
 	if _, ok := st.Latest("job"); ok {
 		t.Fatal("staged image visible before commit")
@@ -118,8 +118,8 @@ func TestStageInvisibleUntilCommit(t *testing.T) {
 
 func TestReadChargesDiskTime(t *testing.T) {
 	k := sim.NewKernel()
-	st := NewStore(k, 1e6)
-	st.Seed("job", 1, 1_000_000, "v1")
+	st := NewStore(k)
+	st.Seed("job", 1, 1_500_000, "v1")
 	var took sim.Time
 	k.Spawn("reader", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -130,6 +130,6 @@ func TestReadChargesDiskTime(t *testing.T) {
 	})
 	k.Run()
 	if took < 900*time.Millisecond || took > 1100*time.Millisecond {
-		t.Errorf("1 MB at 1 MB/s took %v", took)
+		t.Errorf("1.5 MB at 1.5 MB/s took %v", took)
 	}
 }

@@ -26,40 +26,58 @@ package ft
 import (
 	"time"
 
+	"pvmigrate/internal/gs"
+	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/sim"
+	"pvmigrate/internal/trace"
 )
 
-// Config sets the fault-tolerance layer's timing and sizing knobs.
-type Config struct {
-	// HeartbeatInterval is the daemon beat period (default 500 ms).
-	HeartbeatInterval sim.Time
+// The layer's timing and placement. HeartbeatInterval and SuspectAfter are
+// exported because callers size their settle tails from them.
+const (
+	// HeartbeatInterval is the daemon beat period.
+	HeartbeatInterval sim.Time = 500 * time.Millisecond
 	// SuspectAfter is the beat silence after which the GS declares a host
-	// dead (default 2 s; must comfortably exceed HeartbeatInterval).
-	SuspectAfter sim.Time
+	// dead; it must comfortably exceed HeartbeatInterval.
+	SuspectAfter sim.Time = 2 * time.Second
+	// storeHost is the host holding the stable checkpoint store and the GS
+	// with its heartbeat detector. VPs elsewhere pay wire time to reach it.
+	storeHost = 0
+)
+
+// Config is what a caller chooses about the fault-tolerance layer.
+type Config struct {
 	// CheckpointEvery is the coordinated-checkpoint period in training
 	// iterations (default 2). The recovery guarantee is: at most this many
 	// iterations of work are lost per failure.
 	CheckpointEvery int
-	// DiskBps is the checkpoint store's disk bandwidth (default 1.5 MB/s,
-	// a 1994 SCSI disk).
-	DiskBps float64
-	// StoreHost is the host holding the stable checkpoint store (default 0,
-	// conventionally the GS host). VPs elsewhere pay wire time to reach it.
-	StoreHost int
 }
 
-func (c Config) withDefaults() Config {
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 2 * time.Second
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 2
-	}
-	if c.DiskBps == 0 {
-		c.DiskBps = 1.5e6
-	}
-	return c
+// Stack is one assembled fault-tolerant run: the recovery manager, the GS
+// that detects failures from heartbeat silence and drives it, and the fault
+// injector that feeds it true crash times.
+type Stack struct {
+	Mgr   *Manager
+	Sched *gs.Fleet
+	Inj   *Injector
+}
+
+// NewStack assembles the layer over an MPVM system, in the one order every
+// run uses (construction order is kernel event order): manager, heartbeats
+// on the GS host, the fleet scheduler with the layer's detection timing,
+// the injector. pol carries what the caller chooses about scheduling; its
+// HeartbeatInterval and SuspectAfter are overwritten. The scheduler is left
+// unstarted: a daemon starts it before any job exists, a batch run after
+// its job is spawned. log may be nil.
+func NewStack(sys *mpvm.System, cfg Config, pol gs.FleetPolicy, log *trace.Log) *Stack {
+	m := sys.Machine()
+	mgr := NewManager(sys, cfg, log)
+	det := StartHeartbeats(m.Cluster(), storeHost, HeartbeatInterval)
+	pol.HeartbeatInterval = HeartbeatInterval
+	pol.SuspectAfter = SuspectAfter
+	sched := gs.NewFleet(m.Cluster(), mgr, pol)
+	sched.SetHeartbeatSource(det)
+	inj := NewInjector(m, log)
+	inj.OnFault(mgr.ObserveFault)
+	return &Stack{Mgr: mgr, Sched: sched, Inj: inj}
 }

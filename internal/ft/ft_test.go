@@ -1,6 +1,7 @@
 package ft
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -59,19 +60,12 @@ func TestCrashPlanDeterministic(t *testing.T) {
 // host falls silent and is declared dead within the heartbeat bound; after
 // revival its beats resume and the GS takes it back.
 func TestHeartbeatDetectionAndRejoin(t *testing.T) {
-	k, cl, m, sys := buildRig(t, 3)
-	log := &trace.Log{}
-	mgr := NewManager(sys, Config{}, log)
-	det := StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
-		HeartbeatInterval: mgr.Config().HeartbeatInterval,
-		SuspectAfter:      mgr.Config().SuspectAfter,
-	})
-	sched.SetHeartbeatSource(det)
+	k, _, _, sys := buildRig(t, 3)
+	st := NewStack(sys, Config{}, gs.FleetPolicy{}, &trace.Log{})
+	sched := st.Sched
 	sched.Start()
 
-	inj := NewInjector(m, log)
-	inj.Install(Plan{Faults: []Fault{
+	st.Inj.Install(Plan{Faults: []Fault{
 		{At: 3 * time.Second, Kind: HostCrash, Host: 2, Outage: 10 * time.Second},
 	}})
 
@@ -115,13 +109,7 @@ func TestHeartbeatDetectionAndRejoin(t *testing.T) {
 // detector must never declare it dead.
 func TestReclaimedHostIsNotDeclaredDead(t *testing.T) {
 	k, cl, _, sys := buildRig(t, 2)
-	mgr := NewManager(sys, Config{}, nil)
-	det := StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
-		HeartbeatInterval: mgr.Config().HeartbeatInterval,
-		SuspectAfter:      mgr.Config().SuspectAfter,
-	})
-	sched.SetHeartbeatSource(det)
+	sched := NewStack(sys, Config{}, gs.FleetPolicy{}, nil).Sched
 	sched.Start()
 	k.Schedule(2*time.Second, func() { cl.Host(1).SetOwnerActive(true) })
 	k.Schedule(30*time.Second, func() { k.Stop() })
@@ -131,25 +119,17 @@ func TestReclaimedHostIsNotDeclaredDead(t *testing.T) {
 	}
 }
 
-// TestJobRecoversFromCrash runs a small cost-model FT job (no real data,
-// sizes only), crashes a slave host mid-run, and expects completion with a
-// bounded rollback.
-func TestJobRecoversFromCrash(t *testing.T) {
-	k, cl, m, sys := buildRig(t, 4)
+// runCrashJob is the crash-and-recover scenario: a small cost-model FT job
+// (no real data, sizes only) on four hosts whose slave host 2 crashes
+// mid-run. assemble builds the FT/GS stack over the fresh system.
+func runCrashJob(t *testing.T, assemble func(*mpvm.System, *trace.Log) *Stack) (*Stack, *trace.Log, *JobResult) {
+	t.Helper()
+	k, _, _, sys := buildRig(t, 4)
 	log := &trace.Log{}
-	mgr := NewManager(sys, Config{CheckpointEvery: 2}, log)
-	det := StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
-		HeartbeatInterval: mgr.Config().HeartbeatInterval,
-		SuspectAfter:      mgr.Config().SuspectAfter,
-	})
-	sched.SetHeartbeatSource(det)
+	st := assemble(sys, log)
+	st.Inj.Install(Plan{Faults: []Fault{{At: 6 * time.Second, Kind: HostCrash, Host: 2}}})
 
-	inj := NewInjector(m, log)
-	inj.OnFault(mgr.ObserveFault)
-	inj.Install(Plan{Faults: []Fault{{At: 6 * time.Second, Kind: HostCrash, Host: 2}}})
-
-	job, err := StartJob(mgr, JobSpec{
+	job, err := StartJob(st.Mgr, JobSpec{
 		Opt:        opt.Params{TotalBytes: 400_000, Iterations: 8},
 		MasterHost: 0,
 		SlaveHosts: []int{1, 2, 3, 1, 2, 3},
@@ -158,10 +138,56 @@ func TestJobRecoversFromCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.Start()
+	st.Sched.Start()
 	k.RunUntil(10 * time.Minute)
+	return st, log, job.Out()
+}
 
-	res := job.Out()
+func stackOf(sys *mpvm.System, log *trace.Log) *Stack {
+	return NewStack(sys, Config{CheckpointEvery: 2}, gs.FleetPolicy{}, log)
+}
+
+// TestNewStackMatchesHandAssembly pins NewStack to the assembly every rig
+// used to spell out by hand: the same crash-and-recover run built both ways
+// yields the same trace, decisions and loss.
+func TestNewStackMatchesHandAssembly(t *testing.T) {
+	byHand := func(sys *mpvm.System, log *trace.Log) *Stack {
+		m := sys.Machine()
+		mgr := NewManager(sys, Config{CheckpointEvery: 2}, log)
+		det := StartHeartbeats(m.Cluster(), 0, HeartbeatInterval)
+		sched := gs.NewFleet(m.Cluster(), mgr, gs.FleetPolicy{
+			HeartbeatInterval: HeartbeatInterval,
+			SuspectAfter:      SuspectAfter,
+		})
+		sched.SetHeartbeatSource(det)
+		inj := NewInjector(m, log)
+		inj.OnFault(mgr.ObserveFault)
+		return &Stack{Mgr: mgr, Sched: sched, Inj: inj}
+	}
+	as, alog, ares := runCrashJob(t, stackOf)
+	bs, blog, bres := runCrashJob(t, byHand)
+	if a, b := alog.Timeline(""), blog.Timeline(""); a != b {
+		t.Errorf("trace timelines differ:\n%s\nvs\n%s", a, b)
+	}
+	if a, b := as.Sched.Fingerprint(), bs.Sched.Fingerprint(); a != b {
+		t.Errorf("decision fingerprints differ: %#x vs %#x", a, b)
+	}
+	if !ares.Done || !bres.Done || len(as.Mgr.Records()) != 1 {
+		t.Fatalf("runs did not recover: done %v/%v, records %+v", ares.Done, bres.Done, as.Mgr.Records())
+	}
+	if a, b := math.Float64bits(ares.Result.FinalLoss), math.Float64bits(bres.Result.FinalLoss); a != b {
+		t.Errorf("loss bits differ: %#x vs %#x", a, b)
+	}
+	if ares.FinishedAt != bres.FinishedAt {
+		t.Errorf("finish times differ: %v vs %v", ares.FinishedAt, bres.FinishedAt)
+	}
+}
+
+// TestJobRecoversFromCrash expects the crash-and-recover run to complete
+// with a bounded rollback.
+func TestJobRecoversFromCrash(t *testing.T) {
+	st, log, res := runCrashJob(t, stackOf)
+	mgr := st.Mgr
 	if res.Err != nil {
 		t.Fatalf("job failed: %v", res.Err)
 	}
@@ -201,15 +227,10 @@ func TestJobRecoversFromCrash(t *testing.T) {
 // TestMasterHostLossIsUnrecoverable: losing the host that carries the
 // master (and the store) must surface as an error decision, not hang.
 func TestMasterHostLossIsUnrecoverable(t *testing.T) {
-	k, cl, m, sys := buildRig(t, 3)
-	mgr := NewManager(sys, Config{}, nil)
-	det := StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
-		HeartbeatInterval: mgr.Config().HeartbeatInterval,
-		SuspectAfter:      mgr.Config().SuspectAfter,
-	})
-	sched.SetHeartbeatSource(det)
-	_, err := StartJob(mgr, JobSpec{
+	k, _, _, sys := buildRig(t, 3)
+	st := NewStack(sys, Config{}, gs.FleetPolicy{}, nil)
+	sched := st.Sched
+	_, err := StartJob(st.Mgr, JobSpec{
 		Opt:        opt.Params{TotalBytes: 200_000, Iterations: 50},
 		MasterHost: 1, // deliberately apart from the GS/store host 0
 		SlaveHosts: []int{2, 2},
@@ -218,7 +239,7 @@ func TestMasterHostLossIsUnrecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Start()
-	NewInjector(m, nil).Install(Plan{Faults: []Fault{
+	st.Inj.Install(Plan{Faults: []Fault{
 		{At: 4 * time.Second, Kind: HostCrash, Host: 1},
 	}})
 	k.Schedule(15*time.Second, func() { k.Stop() })

@@ -7,6 +7,7 @@ import (
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/mpvm"
+	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/trace"
 )
@@ -83,10 +84,13 @@ type AppliedStamp struct {
 // nil.
 func NewManager(sys *mpvm.System, cfg Config, log *trace.Log) *Manager {
 	k := sys.Machine().Kernel()
+	if cfg.CheckpointEvery == 0 {
+		cfg.CheckpointEvery = 2
+	}
 	return &Manager{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		sys:       sys,
-		store:     checkpoint.NewStore(k, cfg.withDefaults().DiskBps),
+		store:     checkpoint.NewStore(k),
 		log:       log,
 		tgt:       gs.NewMPVMTarget(sys),
 		committed: -1,
@@ -95,9 +99,6 @@ func NewManager(sys *mpvm.System, cfg Config, log *trace.Log) *Manager {
 		crashAt:   make(map[int]sim.Time),
 	}
 }
-
-// Config returns the defaulted configuration.
-func (mgr *Manager) Config() Config { return mgr.cfg }
 
 // Store returns the stable checkpoint store.
 func (mgr *Manager) Store() *checkpoint.Store { return mgr.store }
@@ -122,14 +123,11 @@ func (mgr *Manager) Checkpoints() int { return mgr.checkpoints }
 // before the first).
 func (mgr *Manager) CommittedIteration() int { return mgr.committed }
 
-// NoteCrash records a crash's true time, for recovery-latency measurement.
-// Wire it to an Injector: inj.OnFault(mgr.ObserveFault).
-func (mgr *Manager) NoteCrash(host int) { mgr.crashAt[host] = mgr.kernel().Now() }
-
-// ObserveFault is an Injector OnFault callback that feeds NoteCrash.
+// ObserveFault is the Injector OnFault callback NewStack registers: it
+// records a crash's true time, for recovery-latency measurement.
 func (mgr *Manager) ObserveFault(f Fault) {
 	if f.Kind == HostCrash {
-		mgr.NoteCrash(f.Host)
+		mgr.crashAt[f.Host] = mgr.kernel().Now()
 	}
 }
 
@@ -371,14 +369,14 @@ func (mgr *Manager) shipBytes(mt *mpvm.MTask, n int) error {
 	p := mt.Proc()
 	for remaining := n; remaining > 0; {
 		net := mt.Host().Iface().Network()
-		if int(mt.Host().ID()) == mgr.cfg.StoreHost {
+		if int(mt.Host().ID()) == storeHost {
 			// Co-located with the store (possibly only after migrating):
 			// the rest is a loopback copy.
-			return sleepMigratable(mt, sim.FromSeconds(float64(remaining)/net.Params().LoopbackBps))
+			return sleepMigratable(mt, sim.FromSeconds(float64(remaining)/netsim.LoopbackBps))
 		}
 		frag := remaining
-		if frag > net.Params().MSS {
-			frag = net.Params().MSS
+		if frag > netsim.MSS {
+			frag = netsim.MSS
 		}
 		if err := net.Link().Transmit(p, frag); err != nil {
 			if err := mt.HandleSignal(err); err != nil {
@@ -388,10 +386,10 @@ func (mgr *Manager) shipBytes(mt *mpvm.MTask, n int) error {
 		}
 		remaining -= frag
 	}
-	if int(mt.Host().ID()) == mgr.cfg.StoreHost {
+	if int(mt.Host().ID()) == storeHost {
 		return nil
 	}
-	return sleepMigratable(mt, mt.Host().Iface().Network().Params().Latency)
+	return sleepMigratable(mt, netsim.Latency)
 }
 
 // sleepMigratable charges d of blocking time to the task while staying

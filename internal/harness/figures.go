@@ -39,7 +39,10 @@ func TraceUPVMMigration(sc Scenario) (*trace.Log, *Outcome) {
 // Figure2Layout builds the SPMD_opt ULP address-space layout — the
 // reproduction of the paper's Figure 2 (globally unique ULP regions).
 func Figure2Layout(sc Scenario) (string, error) {
-	r := newRig(sc)
+	r, err := newRig(sc)
+	if err != nil {
+		return "", err
+	}
 	sys := r.newUPVM()
 	if _, err := sys.Start("opt", r.sc.ulpSpecs(), func(u *upvm.ULP, rank int) {}); err != nil {
 		return "", err

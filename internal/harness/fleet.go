@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pvmigrate/internal/cluster"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/sim"
@@ -28,17 +29,17 @@ type FleetScenario struct {
 	Seed uint64
 	// Duration is the simulated run length (default 10 min).
 	Duration sim.Time
-	// PollInterval is the fleet tick cadence (default 5 s).
+	// PollInterval is the fleet tick cadence (5 s); never set, kept because bench/fleet.go reads it.
 	PollInterval sim.Time
 	// Storms is the number of owner-reclaim events: at seeded times an
 	// owner arrives on a seeded host, forcing evacuation, and departs
 	// StormDwell later (default Hosts/5).
 	Storms int
-	// StormDwell is how long each arriving owner stays (default 30 s).
+	// StormDwell is how long each arriving owner stays (30 s); never set, kept because bench/fleet.go reads it.
 	StormDwell sim.Time
-	// LoadThreshold gates rebalancing (default 2 above the even share).
+	// LoadThreshold gates rebalancing (even share + 2); never set, kept because bench/fleet.go reads it.
 	LoadThreshold int
-	// MovesPerTick is each shard's per-tick actuation budget (default 64).
+	// MovesPerTick is each shard's per-tick actuation budget (64); never set, kept because bench/fleet.go reads it.
 	MovesPerTick int
 	// Placement names the destination policy: "least-loaded" (default),
 	// "first-fit", "dest-swap".
@@ -78,8 +79,17 @@ func (sc FleetScenario) WithDefaults() FleetScenario {
 	return sc
 }
 
+func (sc FleetScenario) validate() error {
+	if sc.Duration < 0 { // the storm draws instants in [0, Duration)
+		return errs.Newf(CodeBadScenario, "duration must not be negative, got %v", sc.Duration)
+	}
+	return checkCounts(count{"hosts", sc.Hosts, 1}, count{"shards", sc.Shards, 1})
+}
+
 // FleetOutcome is what a fleet scenario produced.
 type FleetOutcome struct {
+	// Err is set, and nothing else, when the scenario was refused.
+	Err error
 	// Decisions is the total decision count (rebalance + evacuation).
 	Decisions int
 	// Moves is the number of successful one-unit rebalance moves.
@@ -105,6 +115,9 @@ type FleetOutcome struct {
 // any parallelism.
 func RunFleet(sc FleetScenario) *FleetOutcome {
 	sc = sc.WithDefaults()
+	if err := sc.validate(); err != nil {
+		return &FleetOutcome{Err: err}
+	}
 	k := sim.NewKernel()
 	specs := make([]cluster.HostSpec, sc.Hosts)
 	for i := range specs {

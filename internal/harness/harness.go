@@ -13,6 +13,7 @@ import (
 	"pvmigrate/internal/adm"
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/netsim"
@@ -117,6 +118,30 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
+// CodeBadScenario marks a run description whose counts cannot size a
+// cluster. They arrive from command lines, so each input struct has one
+// validate that checks them instead of trusting them.
+const CodeBadScenario errs.Code = "harness.bad-scenario"
+
+// count is one checked input, named as its flag spells it.
+type count struct {
+	name   string
+	v, min int
+}
+
+func checkCounts(cs ...count) error {
+	for _, c := range cs {
+		if c.v < c.min {
+			return errs.Newf(CodeBadScenario, "%s must be at least %d, got %d", c.name, c.min, c.v)
+		}
+	}
+	return nil
+}
+
+func (sc Scenario) validate() error {
+	return checkCounts(count{"hosts", sc.Hosts, 1}, count{"slaves", sc.Slaves, 1})
+}
+
 func (sc Scenario) params() opt.Params {
 	return opt.Params{
 		TotalBytes: sc.TotalBytes,
@@ -193,13 +218,16 @@ type rig struct {
 	out *Outcome
 }
 
-func newRig(sc Scenario) *rig {
+func newRig(sc Scenario) (*rig, error) {
 	sc = sc.withDefaults()
+	if err := sc.validate(); err != nil {
+		return nil, err
+	}
 	k := sim.NewKernel()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	return &rig{sc: sc, k: k, cl: cl, m: m, out: &Outcome{}}
+	return &rig{sc: sc, k: k, cl: cl, m: m, out: &Outcome{}}, nil
 }
 
 // fail keeps the first application error.
@@ -243,7 +271,10 @@ func RunPVM(sc Scenario) *Outcome { return runPVM(sc, nil) }
 // master and slaves run with (tests use it to exercise optional protocol
 // features like the distributed line search).
 func runPVM(sc Scenario, tune func(*opt.Params)) *Outcome {
-	r := newRig(sc)
+	r, err := newRig(sc)
+	if err != nil {
+		return &Outcome{Err: err}
+	}
 	p := r.sc.params()
 	if tune != nil {
 		tune(&p)
@@ -276,7 +307,10 @@ func RunMPVM(sc Scenario) *Outcome { return runMPVM(sc, nil, nil) }
 // any task is spawned (tracers attach there). act, when non-nil, replaces
 // the commanded migration of the scenario's victim at MigrateAt.
 func runMPVM(sc Scenario, setup func(*sim.Kernel, *mpvm.System), act func(sys *mpvm.System, victim core.TID) error) *Outcome {
-	r := newRig(sc)
+	r, err := newRig(sc)
+	if err != nil {
+		return &Outcome{Err: err}
+	}
 	sys := mpvm.New(r.m, mpvm.Config{})
 	if setup != nil {
 		setup(r.k, sys)
@@ -351,7 +385,10 @@ func RunUPVM(sc Scenario) *Outcome { return runUPVM(sc, nil) }
 
 // runUPVM is the UPVM runner; setup as in runMPVM.
 func runUPVM(sc Scenario, setup func(*sim.Kernel, *upvm.System)) *Outcome {
-	r := newRig(sc)
+	r, err := newRig(sc)
+	if err != nil {
+		return &Outcome{Err: err}
+	}
 	sys := r.newUPVM()
 	if setup != nil {
 		setup(r.k, sys)
@@ -361,7 +398,7 @@ func runUPVM(sc Scenario, setup func(*sim.Kernel, *upvm.System)) *Outcome {
 	for i := range slaveTIDs {
 		slaveTIDs[i] = upvm.ULPTID(i + 1)
 	}
-	_, err := sys.Start("opt", r.sc.ulpSpecs(), func(u *upvm.ULP, rank int) {
+	_, err = sys.Start("opt", r.sc.ulpSpecs(), func(u *upvm.ULP, rank int) {
 		if rank == 0 {
 			r.runMaster(u, slaveTIDs, p)
 			return
@@ -383,7 +420,10 @@ func runUPVM(sc Scenario, setup func(*sim.Kernel, *upvm.System)) *Outcome {
 // RunADM executes the scenario as ADMopt: the same master/slave placement,
 // but migration events trigger data redistribution instead of VP movement.
 func RunADM(sc Scenario) *Outcome {
-	r := newRig(sc)
+	r, err := newRig(sc)
+	if err != nil {
+		return &Outcome{Err: err}
+	}
 	stats := &opt.ADMStats{}
 	ap := opt.ADMParams{Params: r.sc.params(), Stats: stats, ChunkExemplars: r.sc.ADMChunk}
 	masterTID := r.sc.masterTID()
@@ -402,7 +442,7 @@ func RunADM(sc Scenario) *Outcome {
 		slaveTasks[i] = t
 		tids[i] = t.Mytid()
 	}
-	_, err := r.m.Spawn(0, "admopt-master", func(t *pvm.Task) {
+	_, err = r.m.Spawn(0, "admopt-master", func(t *pvm.Task) {
 		res, err := opt.RunADMMaster(t, tids, ap)
 		r.finish(t, res, err)
 	})
@@ -460,7 +500,10 @@ func RawTCP(bytes int) sim.Time {
 // chosen host returns at ownerAt and the GS evacuates it. It returns the
 // scheduler decisions and migration records.
 func OwnerReclaimScenario(sc Scenario, ownerHost int, ownerAt sim.Time) (*Outcome, []gs.Decision) {
-	r := newRig(sc)
+	r, err := newRig(sc)
+	if err != nil {
+		return &Outcome{Err: err}, nil
+	}
 	sys := mpvm.New(r.m, mpvm.Config{})
 	target := gs.NewMPVMTarget(sys)
 	sched := gs.NewFleet(r.cl, target, gs.DefaultFleetPolicy())

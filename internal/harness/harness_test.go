@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/opt"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/trace"
@@ -442,6 +443,37 @@ func TestTraceRunsTheScenarioRunRuns(t *testing.T) {
 		}
 		if !reflect.DeepEqual(traced.Records, plain.Records) {
 			t.Errorf("%s: records differ:\ntraced   %+v\nuntraced %+v", c.name, traced.Records, plain.Records)
+		}
+	}
+}
+
+// TestImpossibleCountsAreErrors: a count that cannot describe a run (it
+// arrives from a command line) comes back as a CodeBadScenario error from
+// every runner, not as a makeslice or divide-by-zero panic.
+func TestImpossibleCountsAreErrors(t *testing.T) {
+	outcome := func(o *Outcome) error { return o.Err }
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"pvm -hosts -1", func() error { return outcome(RunPVM(Scenario{Hosts: -1})) }},
+		{"mpvm -slaves -1", func() error { return outcome(RunMPVM(Scenario{Slaves: -1})) }},
+		{"upvm -slaves -3", func() error { return outcome(RunUPVM(Scenario{Slaves: -3})) }},
+		{"adm -hosts -2", func() error { return outcome(RunADM(Scenario{Hosts: -2})) }},
+		{"mpvm trace -hosts -1", func() error { _, o := TraceMPVMMigration(Scenario{Hosts: -1}); return o.Err }},
+		{"owner-reclaim -slaves -1", func() error {
+			o, _ := OwnerReclaimScenario(Scenario{Slaves: -1}, 1, time.Second)
+			return o.Err
+		}},
+		{"figure 2 -hosts -1", func() error { _, err := Figure2Layout(Scenario{Hosts: -1}); return err }},
+		{"ft -hosts 1", func() error { return Survival(SurvivalConfig{Hosts: 1}).Err }},
+		{"ft -hosts 3 -slaves -2", func() error { return Survival(SurvivalConfig{Hosts: 3, Slaves: -2}).Err }},
+		{"fleet -hosts -3", func() error { return RunFleet(FleetScenario{Hosts: -3}).Err }},
+		{"fleet -shards -1", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500, Shards: -1}).Err }},
+		{"fleet -duration -1s", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500, Duration: -time.Second}).Err }},
+	} {
+		if err := c.run(); !errs.Is(err, CodeBadScenario) {
+			t.Errorf("%s: got %v, want a %s error", c.name, err, CodeBadScenario)
 		}
 	}
 }

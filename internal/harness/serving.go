@@ -29,6 +29,9 @@ const (
 	tagServeDone  = 43 // sink → worker/frontend teardown
 )
 
+// frontendHost places a serving job's frontend and sink: the GS host.
+const frontendHost = 0
+
 // LoadSpec describes one serving job.
 type LoadSpec struct {
 	// Workers is the worker VP count (default 2).
@@ -36,8 +39,6 @@ type LoadSpec struct {
 	// WorkerHosts places worker i; nil means round robin over hosts
 	// 1..N-1 (host 0 keeps the frontend and sink).
 	WorkerHosts []int
-	// FrontendHost places the frontend and sink (default 0).
-	FrontendHost int
 	// Arrivals is the open-loop request schedule.
 	Arrivals ArrivalSpec
 	// ReqFlops is the per-request compute charge (default 2e6).
@@ -130,13 +131,13 @@ func StartLoadJob(sys *mpvm.System, spec LoadSpec) (*LoadJob, error) {
 		}
 		lj.workerOrigs = append(lj.workerOrigs, mt.OrigTID())
 	}
-	sink, err := sys.SpawnMigratable(spec.FrontendHost, "serve-sink", 16<<10,
+	sink, err := sys.SpawnMigratable(frontendHost, "serve-sink", 16<<10,
 		func(mt *mpvm.MTask) { lj.runSink(mt) })
 	if err != nil {
 		return nil, err
 	}
 	lj.sinkOrig = sink.OrigTID()
-	front, err := sys.SpawnMigratable(spec.FrontendHost, "serve-frontend", 16<<10,
+	front, err := sys.SpawnMigratable(frontendHost, "serve-frontend", 16<<10,
 		func(mt *mpvm.MTask) { lj.runFrontend(mt) })
 	if err != nil {
 		return nil, err

@@ -39,10 +39,6 @@ type SurvivalConfig struct {
 	// Outage, when > 0, revives each crashed host that long after its
 	// crash.
 	Outage sim.Time
-	// FT overrides fault-tolerance knobs; zero fields take ft defaults.
-	FT ft.Config
-	// RunCap bounds virtual time (default 2 h) in case recovery wedges.
-	RunCap sim.Time
 }
 
 func (c SurvivalConfig) withDefaults() SurvivalConfig {
@@ -64,11 +60,18 @@ func (c SurvivalConfig) withDefaults() SurvivalConfig {
 	if c.CrashFrom == 0 {
 		c.CrashFrom = 5 * time.Second
 	}
-	if c.RunCap == 0 {
-		c.RunCap = 2 * time.Hour
-	}
 	return c
 }
+
+// validate: host 0 is the GS and never runs a slave, so a survival run
+// needs at least one host besides it.
+func (c SurvivalConfig) validate() error {
+	return checkCounts(count{"hosts", c.Hosts, 2}, count{"slaves", c.Slaves, 1})
+}
+
+// survivalRunCap bounds a survival run's virtual time in case recovery
+// wedges.
+const survivalRunCap sim.Time = 2 * time.Hour
 
 // SurvivalOutcome reports the run.
 type SurvivalOutcome struct {
@@ -99,6 +102,9 @@ type SurvivalOutcome struct {
 // seeded fault plan; run to completion or the cap.
 func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return &SurvivalOutcome{Err: err}
+	}
 	k := sim.NewKernel()
 	cl := buildCluster(k, cfg.Hosts, nil)
 	m := pvm.NewMachine(cl, pvm.Config{})
@@ -108,16 +114,8 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 		log.Record(k.Now(), actor, stage, detail)
 	})
 
-	mgr := ft.NewManager(sys, cfg.FT, log)
-	det := ft.StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
-		HeartbeatInterval: mgr.Config().HeartbeatInterval,
-		SuspectAfter:      mgr.Config().SuspectAfter,
-	})
-	sched.SetHeartbeatSource(det)
-
-	inj := ft.NewInjector(m, log)
-	inj.OnFault(mgr.ObserveFault)
+	st := ft.NewStack(sys, ft.Config{}, gs.FleetPolicy{}, log)
+	mgr, sched, inj := st.Mgr, st.Sched, st.Inj
 	if cfg.Crashes > 0 {
 		candidates := make([]int, 0, cfg.Hosts-1)
 		for h := 1; h < cfg.Hosts; h++ {
@@ -145,7 +143,7 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 		return out
 	}
 	sched.Start()
-	k.RunUntil(cfg.RunCap)
+	k.RunUntil(survivalRunCap)
 
 	res := job.Out()
 	out.Result = res.Result
@@ -153,7 +151,7 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	out.Completed = res.Done
 	out.Elapsed = res.FinishedAt
 	if !res.Done && res.Err == nil {
-		out.Err = fmt.Errorf("harness: survival run hit the %v cap", cfg.RunCap)
+		out.Err = fmt.Errorf("harness: survival run hit the %v cap", survivalRunCap)
 	}
 	out.Crashes = inj.Crashes()
 	out.Recoveries = mgr.Records()

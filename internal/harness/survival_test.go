@@ -69,10 +69,7 @@ func TestSurvivalSurvivesThreeCrashes(t *testing.T) {
 	if len(out.Recoveries) == 0 {
 		t.Fatal("no recoveries recorded despite 3 crashes on slave hosts")
 	}
-	every := cfg.FT.CheckpointEvery
-	if every == 0 {
-		every = 2 // ft default
-	}
+	const every = 2 // ft's default checkpoint period
 	for _, r := range out.Recoveries {
 		if r.RecoveredAt == 0 {
 			t.Errorf("host%d recovery never completed: %+v", r.Host, r)

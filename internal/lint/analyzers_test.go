@@ -141,6 +141,18 @@ func TestErrCode(t *testing.T) {
 	linttest.Run(t, lint.NewErrCode(cfg), fixture("errcode", "flagged"), simDrivenPath)
 }
 
+func TestUnsetOpt(t *testing.T) {
+	cfg := lint.DefaultConfig()
+	// flagged: fields written only inside Default*/withDefaults, under
+	// every option-struct suffix; tagged, unexported and non-option
+	// structs stay silent.
+	linttest.Run(t, lint.NewUnsetOpt(cfg), fixture("unsetopt", "flagged"), simDrivenPath)
+	// clean: each way of setting a field (keyed and unkeyed literal,
+	// assignment, ++, through a nested field or a map index, by address).
+	// The audited UnsetOptAllow list is exercised by TestRepoClean.
+	linttest.Run(t, lint.NewUnsetOpt(cfg), fixture("unsetopt", "clean"), simDrivenPath)
+}
+
 // TestRepoClean runs the whole suite — per-package and interprocedural
 // analyzers alike — over the whole repository as one program: the merged
 // tree carries zero findings, and stays that way. This is the same gate CI

@@ -169,6 +169,7 @@ func All(cfg *Config) []*Analyzer {
 		NewBridgeCall(cfg),
 		NewWireTag(cfg),
 		NewErrCode(cfg),
+		NewUnsetOpt(cfg),
 	}
 }
 

@@ -86,7 +86,7 @@ func BenchmarkMigrateBaseline(b *testing.B) {
 		if warm.Downtime() >= cold.Downtime() {
 			b.Fatalf("warm downtime %v not below cold downtime %v", warm.Downtime(), cold.Downtime())
 		}
-		bound := warmDowntimeBound(DefaultConfig())
+		bound := warmDowntimeBound()
 		if warm.Downtime() >= bound {
 			b.Fatalf("warm downtime %v exceeds configured bound %v", warm.Downtime(), bound)
 		}

@@ -40,98 +40,55 @@ var (
 	ErrIncompatible  = errors.New("mpvm: destination host is not migration compatible")
 	ErrAlreadyMoving = errors.New("mpvm: task is already migrating")
 	ErrSameHost      = errors.New("mpvm: task is already on the destination host")
-	ErrNotMigratable = errors.New("mpvm: task was not spawned migratable")
 	ErrNoMemory      = errors.New("mpvm: destination host lacks physical memory")
 )
 
-// Config sets the migration-specific cost model. Zero fields take defaults.
-// The defaults are fitted to the paper's Table 2 (see DESIGN.md §5).
-type Config struct {
-	// SkeletonStart is fork+exec+page-in of the skeleton process on the
+// The migration cost model, fitted to the paper's Table 2 (see DESIGN.md
+// §5). The paper measures one testbed, so these are constants of it, not
+// options.
+const (
+	// skeletonStart is fork+exec+page-in of the skeleton process on the
 	// destination host plus its handshake with the mpvmd.
-	SkeletonStart sim.Time
-	// TransferChunk is the write() granularity of the state transfer.
-	TransferChunk int
-	// TransferCopyBps is the extra per-byte copy cost (user→kernel buffer
+	skeletonStart sim.Time = 780 * time.Millisecond
+	// transferChunk is the write() granularity of the state transfer.
+	transferChunk = 64 << 10
+	// transferCopyBps is the extra per-byte copy cost (user→kernel buffer
 	// and back) paid during state transfer, on top of wire time.
-	TransferCopyBps float64
-	// RestartOverhead is re-enrolling with the new mpvmd and rebinding
+	transferCopyBps float64 = 12e6
+	// restartOverhead is re-enrolling with the new mpvmd and rebinding
 	// signal handlers before the restart broadcast.
-	RestartOverhead sim.Time
-	// CtlBytes is the size of protocol control messages.
-	CtlBytes int
-	// SkeletonTimeout bounds how long a migrating process waits for the
+	restartOverhead sim.Time = 180 * time.Millisecond
+	// ctlBytes is the size of protocol control messages.
+	ctlBytes = 64
+	// skeletonTimeout bounds how long a migrating process waits for the
 	// destination mpvmd to report a listening skeleton before abandoning
 	// the migration and resuming on the source host (the destination may
 	// have crashed after stage 1).
-	SkeletonTimeout sim.Time
+	skeletonTimeout sim.Time = 5 * time.Second
 
-	// WarmCutoverBytes is the residual-delta bound for warm (iterative
+	// warmCutoverBytes is the residual-delta bound for warm (iterative
 	// precopy) migration: once the state dirtied during the last round is
 	// at or below this, the task is frozen and the final delta moves.
-	WarmCutoverBytes int
-	// WarmMaxRounds caps the precopy rounds; a task dirtying faster than
+	warmCutoverBytes = 64 << 10
+	// warmMaxRounds caps the precopy rounds; a task dirtying faster than
 	// the wire drains is cut over after this many rounds regardless of the
 	// residual.
-	WarmMaxRounds int
-	// WarmDirtyBps is the default dirty rate (bytes of state rewritten per
-	// second of virtual time) for tasks that never call SetDirtyRate.
-	WarmDirtyBps float64
-}
+	warmMaxRounds = 8
+	// warmDirtyBps is the dirty rate (bytes of state rewritten per second
+	// of virtual time) of a task that never calls SetDirtyRate.
+	warmDirtyBps float64 = 1e6
+)
 
-// DefaultConfig returns the fitted cost model.
-func DefaultConfig() Config {
-	return Config{
-		SkeletonStart:    780 * time.Millisecond,
-		TransferChunk:    64 << 10,
-		TransferCopyBps:  12e6,
-		RestartOverhead:  180 * time.Millisecond,
-		CtlBytes:         64,
-		SkeletonTimeout:  5 * time.Second,
-		WarmCutoverBytes: 64 << 10,
-		WarmMaxRounds:    8,
-		WarmDirtyBps:     1e6,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.SkeletonStart == 0 {
-		c.SkeletonStart = d.SkeletonStart
-	}
-	if c.TransferChunk == 0 {
-		c.TransferChunk = d.TransferChunk
-	}
-	if c.TransferCopyBps == 0 {
-		c.TransferCopyBps = d.TransferCopyBps
-	}
-	if c.RestartOverhead == 0 {
-		c.RestartOverhead = d.RestartOverhead
-	}
-	if c.CtlBytes == 0 {
-		c.CtlBytes = d.CtlBytes
-	}
-	if c.SkeletonTimeout == 0 {
-		c.SkeletonTimeout = d.SkeletonTimeout
-	}
-	if c.WarmCutoverBytes == 0 {
-		c.WarmCutoverBytes = d.WarmCutoverBytes
-	}
-	if c.WarmMaxRounds == 0 {
-		c.WarmMaxRounds = d.WarmMaxRounds
-	}
-	if c.WarmDirtyBps == 0 {
-		c.WarmDirtyBps = d.WarmDirtyBps
-	}
-	return c
-}
+// Config is the field-less parameter of New: bench/, which ordinary PRs may
+// not edit, compiles against mpvm.New(m, mpvm.Config{}). The next
+// benchmark-archetype PR drops it (ROADMAP item 4).
+type Config struct{}
 
 // System is the MPVM extension over a PVM machine: it installs protocol
 // handlers on every daemon (turning them into mpvmds) and tracks migratable
 // tasks.
 type System struct {
-	m   *pvm.Machine
-	cfg Config
+	m *pvm.Machine
 
 	// tasks by original (stable) tid.
 	tasks map[core.TID]*MTask
@@ -302,10 +259,9 @@ func newMigration(order core.MigrationOrder, orig core.TID, srcHost int, start s
 }
 
 // New wraps a PVM machine with MPVM protocol support.
-func New(m *pvm.Machine, cfg Config) *System {
+func New(m *pvm.Machine, _ Config) *System {
 	s := &System{
 		m:            m,
-		cfg:          cfg.withDefaults(),
 		tasks:        make(map[core.TID]*MTask),
 		incarnations: make(map[core.TID][]*MTask),
 		globalRemap:  make(map[core.TID]core.TID),
@@ -440,9 +396,6 @@ func (s *System) VPsOnHost(host int) []core.TID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// Config returns the (defaulted) migration cost model.
-func (s *System) Config() Config { return s.cfg }
 
 // Records returns all completed migration records in completion order.
 func (s *System) Records() []core.MigrationRecord { return s.records }

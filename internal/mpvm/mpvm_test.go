@@ -377,9 +377,6 @@ func TestStaleTIDForwardedAtDaemonLevel(t *testing.T) {
 
 func TestConfigAccessorAndStateBytes(t *testing.T) {
 	k, s := testSystem(t, 1)
-	if s.Config().SkeletonStart == 0 {
-		t.Fatal("config not defaulted")
-	}
 	mt, _ := s.SpawnMigratable(0, "w", 123456, func(mt *MTask) {})
 	if mt.StateBytes() != 123456 {
 		t.Fatalf("StateBytes = %d", mt.StateBytes())

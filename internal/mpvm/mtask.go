@@ -38,8 +38,8 @@ type MTask struct {
 
 	// dirtyBps models how fast the task rewrites its own state (bytes per
 	// second of virtual time), driving the warm protocol's per-round
-	// residual estimate; -1 means "never set", falling back to the system's
-	// WarmDirtyBps.
+	// residual estimate; -1 means "never set", falling back to
+	// warmDirtyBps.
 	dirtyBps float64
 
 	// orphaned marks an incarnation fenced off by failure handling: its host
@@ -122,7 +122,7 @@ func (mt *MTask) SetStateBytes(n int) {
 // bytes per second of virtual time. The warm protocol uses it to estimate
 // the residual delta after each precopy round. A rate of 0 models a task
 // whose state is effectively read-only after initialization (one round
-// suffices); an unset rate falls back to Config.WarmDirtyBps.
+// suffices); an unset rate falls back to warmDirtyBps (1 MB/s).
 func (mt *MTask) SetDirtyRate(bps float64) { mt.dirtyBps = bps }
 
 // memMB converts a process-image size to whole megabytes of residency.

@@ -14,8 +14,8 @@ import (
 // warm protocol keeps the victim computing while its image streams across
 // in rounds: round 0 carries the full image, each later round carries only
 // the state dirtied during the previous one, and the victim is frozen only
-// for the final delta once the residual falls under WarmCutoverBytes (or
-// WarmMaxRounds caps the chase). The stage-2 flush stays in force across
+// for the final delta once the residual falls under warmCutoverBytes (or
+// warmMaxRounds caps the chase). The stage-2 flush stays in force across
 // the rounds, so the victim's inbox is quiescent for the cutover; warm
 // shrinks the victim's frozen window, not its peers' blocked-send window.
 
@@ -114,7 +114,7 @@ func (s *System) dirtyRate(mt *MTask) float64 {
 	if mt.dirtyBps >= 0 {
 		return mt.dirtyBps
 	}
-	return s.cfg.WarmDirtyBps
+	return warmDirtyBps
 }
 
 // runPrecopy runs stages 3–4 of the warm protocol in its own kernel proc,

@@ -88,15 +88,15 @@ func measureDowntime(t *testing.T, warm bool, stateBytes int) core.MigrationReco
 }
 
 // warmDowntimeBound is the guarantee the precopy protocol gives: once the
-// residual delta is under WarmCutoverBytes, the frozen window covers at
+// residual delta is under warmCutoverBytes, the frozen window covers at
 // most that residual plus the buffered messages and register context over
 // the wire, plus the restart overhead. The factor-4 slack absorbs protocol
 // control round trips without weakening the linear-in-state comparison
 // (the cold downtime for the same task is two orders of magnitude larger).
-func warmDowntimeBound(cfg Config) sim.Time {
+func warmDowntimeBound() sim.Time {
 	const contextBytes = 4 << 10
-	wire := sim.FromSeconds(4 * float64(cfg.WarmCutoverBytes+contextBytes) / cfg.TransferCopyBps)
-	return wire + 4*cfg.RestartOverhead + time.Second
+	wire := sim.FromSeconds(4 * float64(warmCutoverBytes+contextBytes) / transferCopyBps)
+	return wire + 4*restartOverhead + time.Second
 }
 
 // TestWarmBoundedDowntime pins the tentpole guarantee: for a large-state
@@ -113,7 +113,7 @@ func TestWarmBoundedDowntime(t *testing.T) {
 	if warm.Downtime() >= cold.Downtime() {
 		t.Fatalf("warm downtime %v not below cold downtime %v", warm.Downtime(), cold.Downtime())
 	}
-	bound := warmDowntimeBound(DefaultConfig())
+	bound := warmDowntimeBound()
 	if warm.Downtime() >= bound {
 		t.Fatalf("warm downtime %v exceeds configured bound %v", warm.Downtime(), bound)
 	}
@@ -121,7 +121,7 @@ func TestWarmBoundedDowntime(t *testing.T) {
 		stateBytes>>20, cold.Downtime(), warm.Downtime(), bound, warm.Rounds, warm.PrecopyBytes)
 }
 
-// TestWarmRoundCapCutsOver pins the WarmMaxRounds escape hatch: a task
+// TestWarmRoundCapCutsOver pins the warmMaxRounds escape hatch: a task
 // dirtying faster than the wire drains still cuts over after the round
 // cap instead of chasing the delta forever.
 func TestWarmRoundCapCutsOver(t *testing.T) {
@@ -144,7 +144,7 @@ func TestWarmRoundCapCutsOver(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
-	if got, want := recs[0].Rounds, DefaultConfig().WarmMaxRounds; got != want {
+	if got, want := recs[0].Rounds, warmMaxRounds; got != want {
 		t.Fatalf("rounds = %d, want the cap %d", got, want)
 	}
 }

@@ -109,15 +109,15 @@ func (s *System) migrateChecked(mt *MTask, dest int, reason core.MigrationReason
 	srcD := s.m.Daemon(int(srcHost.ID()))
 	if warm {
 		s.trace("GS", "1:migration-event", fmt.Sprintf("migrate %v to host%d (%s, warm)", orig, dest, reason))
-		srcD.SendCtl(int(srcHost.ID()), s.cfg.CtlBytes,
+		srcD.SendCtl(int(srcHost.ID()), ctlBytes,
 			&pvm.CtlMsg{Kind: "mpvm", Payload: &warmMigrateCmd{
 				order: order, orig: orig,
-				maxRounds: s.cfg.WarmMaxRounds, cutoverBytes: s.cfg.WarmCutoverBytes,
+				maxRounds: warmMaxRounds, cutoverBytes: warmCutoverBytes,
 			}})
 		return nil
 	}
 	s.trace("GS", "1:migration-event", fmt.Sprintf("migrate %v to host%d (%s)", orig, dest, reason))
-	srcD.SendCtl(int(srcHost.ID()), s.cfg.CtlBytes,
+	srcD.SendCtl(int(srcHost.ID()), ctlBytes,
 		&pvm.CtlMsg{Kind: "mpvm", Payload: &migrateCmd{order: order, orig: orig}})
 	return nil
 }
@@ -173,7 +173,7 @@ func (s *System) startFlush(d *pvm.Daemon, mig *migration, what string) {
 	s.migrations[mig.orig] = mig
 	s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush", what)
 	for h := 0; h < s.m.NHosts(); h++ {
-		d.SendCtl(h, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm",
+		d.SendCtl(h, ctlBytes, &pvm.CtlMsg{Kind: "mpvm",
 			Payload: &flushCmd{orig: mig.orig, srcHost: mig.srcHost}})
 	}
 }
@@ -188,7 +188,7 @@ func (s *System) onFlushCmd(d *pvm.Daemon, cmd *flushCmd) {
 			mt.applyFlush(cmd.orig)
 		}
 	}
-	d.SendCtl(cmd.srcHost, s.cfg.CtlBytes,
+	d.SendCtl(cmd.srcHost, ctlBytes,
 		&pvm.CtlMsg{Kind: "mpvm", Payload: &flushAck{orig: cmd.orig, host: int(d.Host().ID())}})
 }
 
@@ -253,7 +253,7 @@ func (s *System) maybeFinishFlush(mig *migration) {
 func (s *System) onSkeletonReq(d *pvm.Daemon, req *skeletonReq) {
 	port := migPortBase + req.rpc
 	k := s.m.Kernel()
-	k.Schedule(s.cfg.SkeletonStart, func() {
+	k.Schedule(skeletonStart, func() {
 		l, err := d.Host().Iface().Listen(port)
 		if err != nil {
 			return
@@ -313,9 +313,9 @@ func (s *System) onSkeletonReq(d *pvm.Daemon, req *skeletonReq) {
 			// State assumed: tell the source so it can exit and the task
 			// can restart here.
 			// lint:reason a broken transfer connection surfaces as the source's own Recv error, which aborts the migration
-			_ = conn.Send(p, s.cfg.CtlBytes, "state-assumed")
+			_ = conn.Send(p, ctlBytes, "state-assumed")
 		})
-		d.SendCtl(req.srcHost, s.cfg.CtlBytes,
+		d.SendCtl(req.srcHost, ctlBytes,
 			&pvm.CtlMsg{Kind: "mpvm", Payload: &skeletonReady{rpc: req.rpc, port: port}})
 	})
 }
@@ -342,7 +342,7 @@ func (s *System) cancelMigration(orig core.TID, d *pvm.Daemon) {
 	}
 	cur := s.CurrentTID(orig)
 	for h := 0; h < s.m.NHosts(); h++ {
-		d.SendCtl(h, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm",
+		d.SendCtl(h, ctlBytes, &pvm.CtlMsg{Kind: "mpvm",
 			Payload: &restartCmd{orig: orig, oldTID: cur, newTID: cur}})
 	}
 	s.noteAbort(orig)
@@ -361,9 +361,9 @@ func (s *System) onRestartCmd(d *pvm.Daemon, cmd *restartCmd) {
 	}
 }
 
-// skeletonTimeout is the rpc reply installed when the destination mpvmd
+// skeletonTimedOut is the rpc reply installed when the destination mpvmd
 // never answers a skeleton request (it crashed after stage 1).
-type skeletonTimeout struct{}
+type skeletonTimedOut struct{}
 
 // abortOnSource abandons a migration whose destination failed before the
 // process image committed to it: the task keeps running where it is, and
@@ -427,12 +427,12 @@ func (s *System) executeMigration(mt *MTask, sig migrateSignal) {
 // the reason to abort to source.
 func (s *System) openTransfer(p *sim.Proc, mt *MTask, srcD *pvm.Daemon, destHost int) (*netsim.Conn, error) {
 	rpcID, pend := s.nextRPC()
-	srcD.SendCtl(destHost, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm", Payload: &skeletonReq{
+	srcD.SendCtl(destHost, ctlBytes, &pvm.CtlMsg{Kind: "mpvm", Payload: &skeletonReq{
 		rpc: rpcID, orig: mt.orig, name: mt.Name(),
 		srcHost: int(srcD.Host().ID()), bytes: mt.stateBytes,
 	}})
-	s.m.Kernel().Schedule(s.cfg.SkeletonTimeout, func() {
-		s.completeRPC(rpcID, skeletonTimeout{})
+	s.m.Kernel().Schedule(skeletonTimeout, func() {
+		s.completeRPC(rpcID, skeletonTimedOut{})
 	})
 	for pend.reply == nil {
 		if err := pend.cond.Wait(p); err != nil {
@@ -442,7 +442,7 @@ func (s *System) openTransfer(p *sim.Proc, mt *MTask, srcD *pvm.Daemon, destHost
 	}
 	ready, ok := pend.reply.(*skeletonReady)
 	if !ok {
-		return nil, fmt.Errorf("no skeleton on host%d within %v", destHost, s.cfg.SkeletonTimeout)
+		return nil, fmt.Errorf("no skeleton on host%d within %v", destHost, skeletonTimeout)
 	}
 	s.trace("skeleton", "3:skeleton-ready", fmt.Sprintf("listening on host%d:%d", destHost, ready.port))
 	conn, err := srcD.Host().Iface().Dial(p, netsim.HostID(destHost), ready.port)
@@ -466,7 +466,7 @@ func takeInbox(mt *MTask) (inbox []*pvm.Message, tailBytes int) {
 }
 
 // stream is stage 3b's wire loop: hdr (a stateHeader, or one precopy
-// round's roundHeader) announces n bytes, which follow in TransferChunk
+// round's roundHeader) announces n bytes, which follow in transferChunk
 // writes from srcHost.
 func (s *System) stream(p *sim.Proc, conn *netsim.Conn, srcHost *cluster.Host, hdr any, n int) error {
 	if err := conn.Send(p, 64, hdr); err != nil {
@@ -474,12 +474,12 @@ func (s *System) stream(p *sim.Proc, conn *netsim.Conn, srcHost *cluster.Host, h
 	}
 	for n > 0 {
 		chunk := n
-		if chunk > s.cfg.TransferChunk {
-			chunk = s.cfg.TransferChunk
+		if chunk > transferChunk {
+			chunk = transferChunk
 		}
 		// write() copies through the kernel on both sides — the cost that
 		// keeps MPVM above raw TCP in Table 2.
-		s.m.ChargeCPU(p, srcHost, sim.FromSeconds(float64(chunk)/s.cfg.TransferCopyBps))
+		s.m.ChargeCPU(p, srcHost, sim.FromSeconds(float64(chunk)/transferCopyBps))
 		if err := conn.Send(p, chunk, nil); err != nil {
 			return err
 		}
@@ -526,12 +526,12 @@ func (s *System) commit(p *sim.Proc, mt *MTask, mig *migration, destD *pvm.Daemo
 	oldTID := mt.Mytid()
 	newTID := mt.AttachToHost(destD)
 	s.trace(mt.orig.String(), "4:restart", fmt.Sprintf("re-enrolled as %v; broadcasting restart", newTID))
-	s.m.ChargeCPU(p, mt.Host(), s.cfg.RestartOverhead)
+	s.m.ChargeCPU(p, mt.Host(), restartOverhead)
 	mt.RestoreInbox(inbox)
 	mt.tidHistoryNext[oldTID] = newTID
 	s.globalRemap[mt.orig] = newTID
 	for h := 0; h < s.m.NHosts(); h++ {
-		destD.SendCtl(h, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm",
+		destD.SendCtl(h, ctlBytes, &pvm.CtlMsg{Kind: "mpvm",
 			Payload: &restartCmd{orig: mt.orig, oldTID: oldTID, newTID: newTID}})
 	}
 

@@ -130,7 +130,7 @@ func (s *System) Respawn(orig core.TID, host int, name string, stateBytes int, b
 	s.trace(fmt.Sprintf("mpvmd%d", host), "4:respawn",
 		fmt.Sprintf("%v re-incarnated as %v on host%d; broadcasting restart", orig, newTID, host))
 	for h := 0; h < s.m.NHosts(); h++ {
-		d.SendCtl(h, s.cfg.CtlBytes, &pvm.CtlMsg{Kind: "mpvm",
+		d.SendCtl(h, ctlBytes, &pvm.CtlMsg{Kind: "mpvm",
 			Payload: &restartCmd{orig: orig, oldTID: oldCur, newTID: newTID}})
 	}
 	s.notePlacement(orig, host, task)

@@ -25,7 +25,7 @@ func StartCrossTraffic(n *Network, seed uint64, utilization float64) *CrossTraff
 	}
 	ct := &CrossTraffic{k: n.k}
 	rng := sim.NewRNG(seed)
-	frame := n.params.MSS
+	frame := MSS
 	frameTime := n.link.frameTime(frame)
 	meanGap := sim.Time(float64(frameTime) * (1 - utilization) / utilization)
 	ct.proc = n.k.Spawn("cross-traffic", func(p *sim.Proc) {

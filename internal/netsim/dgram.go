@@ -77,7 +77,7 @@ func (i *Iface) SendDgram(srcPort int, dst HostID, dstPort int, bytes int, paylo
 	var tok uint64 // wire token, when a real backend carries the frame
 	var wired bool // true when tok must be redeemed at delivery
 	if dst == i.host {
-		arrival = k.Now() + i.net.params.DgramOverhead + loopbackTime(i.net.params, bytes)
+		arrival = k.Now() + dgramOverhead + loopbackTime(bytes)
 		if arrival < i.lastLoopback {
 			arrival = i.lastLoopback // FIFO through the local IPC path
 		}
@@ -87,8 +87,8 @@ func (i *Iface) SendDgram(srcPort int, dst HostID, dstPort int, bytes int, paylo
 		var lastEnd sim.Time
 		for {
 			frag := remaining
-			if frag > i.net.params.MSS {
-				frag = i.net.params.MSS
+			if frag > MSS {
+				frag = MSS
 			}
 			lastEnd = i.net.link.reserve(frag)
 			remaining -= frag
@@ -96,7 +96,7 @@ func (i *Iface) SendDgram(srcPort int, dst HostID, dstPort int, bytes int, paylo
 				break
 			}
 		}
-		arrival = lastEnd + i.net.params.Latency
+		arrival = lastEnd + Latency
 		if w := i.net.wire; w != nil {
 			var t uint64
 			var err error
@@ -147,6 +147,6 @@ func (i *Iface) CloseDgram(port int) {
 	}
 }
 
-func loopbackTime(p Params, bytes int) sim.Time {
-	return sim.FromSeconds(float64(bytes) / p.LoopbackBps)
+func loopbackTime(bytes int) sim.Time {
+	return sim.FromSeconds(float64(bytes) / LoopbackBps)
 }

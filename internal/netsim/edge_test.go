@@ -137,7 +137,7 @@ func TestGoodputRespectsParamOverride(t *testing.T) {
 	if slow.GoodputBps() >= fast.GoodputBps() {
 		t.Fatal("bandwidth override ignored")
 	}
-	d := DefaultParams()
+	d := Params{}
 	if d.GoodputBps() < 1.0e6 || d.GoodputBps() > 1.1e6 {
 		t.Fatalf("default goodput = %f", d.GoodputBps())
 	}

@@ -7,9 +7,9 @@ import "pvmigrate/internal/sim"
 // seconds, and competing transfers interleave at frame granularity because
 // each sender reserves one frame slot at a time.
 type Link struct {
-	k         *sim.Kernel
-	params    Params
-	busyUntil sim.Time
+	k            *sim.Kernel
+	bandwidthBps float64
+	busyUntil    sim.Time
 
 	// accounting
 	bytesCarried  int64 // payload bytes
@@ -17,14 +17,10 @@ type Link struct {
 	busyTime      sim.Time
 }
 
-func newLink(k *sim.Kernel, p Params) *Link {
-	return &Link{k: k, params: p}
-}
-
 // frameTime returns the wire occupancy of a frame carrying payload bytes.
 func (l *Link) frameTime(payload int) sim.Time {
-	bits := float64(payload+l.params.FrameOverhead) * 8
-	return sim.FromSeconds(bits / l.params.BandwidthBps)
+	bits := float64(payload+frameOverhead) * 8
+	return sim.FromSeconds(bits / l.bandwidthBps)
 }
 
 // reserve books wire time for a frame starting no earlier than now and
@@ -58,9 +54,6 @@ func (l *Link) BytesCarried() int64 { return l.bytesCarried }
 
 // FramesCarried returns the total frame count.
 func (l *Link) FramesCarried() int64 { return l.framesCarried }
-
-// BusyTime returns the cumulative wire occupancy.
-func (l *Link) BusyTime() sim.Time { return l.busyTime }
 
 // Utilization returns busy time ÷ elapsed time since simulation start.
 func (l *Link) Utilization() float64 {

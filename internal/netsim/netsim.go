@@ -21,72 +21,46 @@ import (
 // HostID identifies a workstation on the network (dense, 0-based).
 type HostID int
 
-// Params configures the network model. Zero fields take the defaults from
-// DefaultParams.
-type Params struct {
-	// BandwidthBps is the raw wire rate in bits per second (10 Mb/s
-	// Ethernet in the paper's testbed).
-	BandwidthBps float64
+// The calibrated 1994 testbed model: shared Ethernet between HP 9000/720
+// workstations (see DESIGN.md §5). MSS, Latency and LoopbackBps are
+// exported because ft's checkpoint shipping charges the same wire model
+// fragment by fragment.
+const (
 	// Latency is the one-way propagation plus interrupt/driver latency per
 	// frame.
-	Latency sim.Time
+	Latency sim.Time = 700 * time.Microsecond
 	// MSS is the TCP maximum segment payload per frame.
-	MSS int
-	// FrameOverhead is the *equivalent* per-frame overhead in bytes. It
+	MSS = 1460
+	// frameOverhead is the *equivalent* per-frame overhead in bytes. It
 	// folds together Ethernet/IP/TCP headers, the inter-frame gap, ACK
 	// traffic and per-frame protocol processing, and is fitted so bulk TCP
-	// goodput matches the paper's measured raw-TCP bandwidth.
-	FrameOverhead int
-	// TCPSetup is the connection establishment cost beyond the handshake
+	// goodput matches the paper's measured raw-TCP bandwidth: 1460 B
+	// payload per (1460+295)·8/10e6 s = 1.04 MB/s.
+	frameOverhead = 295
+	// tcpSetup is the connection establishment cost beyond the handshake
 	// round trips (socket creation, accept processing).
-	TCPSetup sim.Time
-	// DgramOverhead is the per-datagram fixed cost (UDP syscall + driver).
-	DgramOverhead sim.Time
+	tcpSetup sim.Time = 25 * time.Millisecond
+	// dgramOverhead is the per-datagram fixed cost (UDP syscall + driver).
+	dgramOverhead sim.Time = 300 * time.Microsecond
 	// LoopbackBps is the effective memory-copy bandwidth for same-host
-	// delivery, bytes/s.
-	LoopbackBps float64
+	// delivery, bytes/s (HP-720-era memcpy).
+	LoopbackBps float64 = 25e6
+)
+
+// Params is what a caller chooses about the network.
+type Params struct {
+	// BandwidthBps is the raw wire rate in bits per second (default 10 Mb/s,
+	// the Ethernet of the paper's testbed).
+	BandwidthBps float64
 	// Wire, when non-nil, carries every cross-host frame over a real
 	// OS-level transport in addition to the timing model (see the Wire
 	// interface in wire.go). nil keeps the fully in-memory backend.
 	Wire Wire
 }
 
-// DefaultParams returns the calibrated 1994 testbed model: 10 Mb/s shared
-// Ethernet between HP 9000/720 workstations.
-func DefaultParams() Params {
-	return Params{
-		BandwidthBps:  10e6,
-		Latency:       700 * time.Microsecond,
-		MSS:           1460,
-		FrameOverhead: 295, // fitted: 1460B payload per (1460+295)*8/10e6 s = 1.04 MB/s
-		TCPSetup:      25 * time.Millisecond,
-		DgramOverhead: 300 * time.Microsecond,
-		LoopbackBps:   25e6, // HP-720-era memcpy
-	}
-}
-
 func (p Params) withDefaults() Params {
-	d := DefaultParams()
 	if p.BandwidthBps == 0 {
-		p.BandwidthBps = d.BandwidthBps
-	}
-	if p.Latency == 0 {
-		p.Latency = d.Latency
-	}
-	if p.MSS == 0 {
-		p.MSS = d.MSS
-	}
-	if p.FrameOverhead == 0 {
-		p.FrameOverhead = d.FrameOverhead
-	}
-	if p.TCPSetup == 0 {
-		p.TCPSetup = d.TCPSetup
-	}
-	if p.DgramOverhead == 0 {
-		p.DgramOverhead = d.DgramOverhead
-	}
-	if p.LoopbackBps == 0 {
-		p.LoopbackBps = d.LoopbackBps
+		p.BandwidthBps = 10e6
 	}
 	return p
 }
@@ -94,14 +68,12 @@ func (p Params) withDefaults() Params {
 // GoodputBps returns the model's steady-state bulk TCP payload bandwidth in
 // bytes per second. With default parameters this is ~1.04 MB/s.
 func (p Params) GoodputBps() float64 {
-	p = p.withDefaults()
-	return float64(p.MSS) / (float64(p.MSS+p.FrameOverhead) * 8 / p.BandwidthBps)
+	return float64(MSS) / (float64(MSS+frameOverhead) * 8 / p.withDefaults().BandwidthBps)
 }
 
 // Network is a shared Ethernet segment connecting a set of host interfaces.
 type Network struct {
 	k      *sim.Kernel
-	params Params
 	link   *Link
 	wire   Wire // nil = in-memory only
 	ifaces map[HostID]*Iface
@@ -118,8 +90,7 @@ func New(k *sim.Kernel, params Params) *Network {
 	p := params.withDefaults()
 	return &Network{
 		k:      k,
-		params: p,
-		link:   newLink(k, p),
+		link:   &Link{k: k, bandwidthBps: p.BandwidthBps},
 		wire:   p.Wire,
 		ifaces: make(map[HostID]*Iface),
 	}
@@ -127,9 +98,6 @@ func New(k *sim.Kernel, params Params) *Network {
 
 // Kernel returns the kernel the network runs on.
 func (n *Network) Kernel() *sim.Kernel { return n.k }
-
-// Params returns the (defaulted) model parameters.
-func (n *Network) Params() Params { return n.params }
 
 // Link returns the shared Ethernet link, mainly for tests and utilization
 // probes.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestGoodputCalibration(t *testing.T) {
-	g := DefaultParams().GoodputBps()
+	g := Params{}.GoodputBps()
 	// The paper's raw-TCP column implies ~1.04 MB/s.
 	if g < 1.00e6 || g > 1.08e6 {
 		t.Fatalf("calibrated goodput = %.0f B/s, want ~1.04e6", g)
@@ -80,7 +80,7 @@ func TestLinkFIFOAndSharing(t *testing.T) {
 	// must be the sum (no overlap on a shared medium), and both finish at
 	// about the same time (fair interleaving).
 	var endA, endB sim.Time
-	frame := n.Params().MSS
+	frame := MSS
 	k.Spawn("a", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			link.Transmit(p, frame)
@@ -276,7 +276,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	link := n.Link()
 	k.Spawn("s", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			link.Transmit(p, n.Params().MSS)
+			link.Transmit(p, MSS)
 		}
 	})
 	k.Run()

@@ -43,7 +43,7 @@ func TestBindDgramEphemeralSkipsBoundPorts(t *testing.T) {
 }
 
 // Regression: Dial books its three 40-byte handshake frames on the shared
-// link but used to sleep a fixed TCPSetup + 3·Latency, ignoring when those
+// link but used to sleep a fixed tcpSetup + 3·Latency, ignoring when those
 // frames actually clear the wire. Under cross-traffic the dialer then
 // "completed" its handshake long before its own SYN frames had
 // transmitted. The handshake is done no earlier than the last reserved
@@ -60,7 +60,7 @@ func TestDialWaitsForHandshakeFrames(t *testing.T) {
 	// Pre-load ~1 s of backlog on the wire, as heavy cross-traffic would.
 	var backlogEnd sim.Time
 	for backlogEnd < sim.FromSeconds(1) {
-		backlogEnd = n.link.reserve(n.params.MSS)
+		backlogEnd = n.link.reserve(MSS)
 	}
 
 	var completed sim.Time
@@ -74,7 +74,7 @@ func TestDialWaitsForHandshakeFrames(t *testing.T) {
 		t.Fatalf("dial: %v", dialErr)
 	}
 	// The dialer's SYN/SYN-ACK/ACK frames queue behind the backlog.
-	earliest := backlogEnd + 3*n.link.frameTime(40) + n.params.Latency + n.params.TCPSetup
+	earliest := backlogEnd + 3*n.link.frameTime(40) + Latency + tcpSetup
 	if completed < earliest {
 		t.Fatalf("dial completed at %v, before its handshake frames cleared the wire (earliest %v)",
 			completed, earliest)
@@ -93,7 +93,7 @@ func TestDialRefusedWhenListenerClosesMidHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	k.Schedule(n.params.TCPSetup/2, func() { l.Close() })
+	k.Schedule(tcpSetup/2, func() { l.Close() })
 
 	var dialErr error
 	gotConn := false

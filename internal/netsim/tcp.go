@@ -128,11 +128,11 @@ func (i *Iface) Dial(p *sim.Proc, dst HostID, port int) (*Conn, error) {
 		for f := 0; f < 3; f++ {
 			lastEnd = i.net.link.reserve(40)
 		}
-		if err := p.SleepUntil(lastEnd + i.net.params.Latency); err != nil {
+		if err := p.SleepUntil(lastEnd + Latency); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.Sleep(i.net.params.TCPSetup); err != nil {
+	if err := p.Sleep(tcpSetup); err != nil {
 		return nil, err
 	}
 	if !i.net.Reachable(i.host, dst) {
@@ -189,7 +189,7 @@ func (c *Conn) Send(p *sim.Proc, bytes int, payload any) error {
 	seg := Segment{Bytes: bytes, Payload: payload, SentAt: p.Now()}
 	var arrival sim.Time
 	if c.remote == c.local {
-		d := loopbackTime(c.net.params, bytes)
+		d := loopbackTime(bytes)
 		if err := p.Sleep(d); err != nil {
 			return err
 		}
@@ -198,8 +198,8 @@ func (c *Conn) Send(p *sim.Proc, bytes int, payload any) error {
 		remaining := bytes
 		for {
 			frag := remaining
-			if frag > c.net.params.MSS {
-				frag = c.net.params.MSS
+			if frag > MSS {
+				frag = MSS
 			}
 			if frag < 0 {
 				frag = 0
@@ -212,7 +212,7 @@ func (c *Conn) Send(p *sim.Proc, bytes int, payload any) error {
 				break
 			}
 		}
-		arrival = p.Now() + c.net.params.Latency
+		arrival = p.Now() + Latency
 	}
 	seg.ArrivedAt = arrival
 	if arrival > c.lastArrival {

@@ -21,16 +21,19 @@ type ADMParams struct {
 	// flag checks (rapid response requires small chunks; each check costs
 	// a conditional — part of ADM's overhead).
 	ChunkExemplars int
-	// MergeFlopsPerByte charges the receiver for integrating absorbed
-	// exemplars into its arrays and flag structures (fitted to Table 6's
-	// effective redistribution rate).
-	MergeFlopsPerByte float64
-	// RedistFixedFlops charges each participant for the repartitioning
-	// computation and synchronization bookkeeping per redistribution round.
-	RedistFixedFlops float64
 	// Stats collects measurements across the application's VPs.
 	Stats *ADMStats
 }
+
+const (
+	// mergeFlopsPerByte charges the receiver for integrating absorbed
+	// exemplars into its arrays and flag structures (fitted to Table 6's
+	// effective redistribution rate).
+	mergeFlopsPerByte float64 = 8.2
+	// redistFixedFlops charges each participant for the repartitioning
+	// computation and synchronization bookkeeping per redistribution round.
+	redistFixedFlops float64 = 6.5e6
+)
 
 // ADMStats aggregates what the ADMopt VPs observed.
 type ADMStats struct {
@@ -56,12 +59,6 @@ func (p ADMParams) withDefaults() ADMParams {
 	}
 	if p.ChunkExemplars == 0 {
 		p.ChunkExemplars = 100
-	}
-	if p.MergeFlopsPerByte == 0 {
-		p.MergeFlopsPerByte = 8.2
-	}
-	if p.RedistFixedFlops == 0 {
-		p.RedistFixedFlops = 6.5e6
 	}
 	if p.Stats == nil {
 		p.Stats = &ADMStats{}
@@ -541,7 +538,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 		}
 	}
 	// Repartition bookkeeping cost.
-	if err := s.vp.Compute(s.ap.RedistFixedFlops); err != nil {
+	if err := s.vp.Compute(redistFixedFlops); err != nil {
 		return err
 	}
 	// Report state; a withdrawing slave attaches its partial gradient.
@@ -648,7 +645,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 		s.shard.Absorb(frag)
 		frag.SeedTracker(s.tracker)
 		// Integration cost: merging the data and flag arrays.
-		if err := s.vp.Compute(float64(bytes) * s.ap.MergeFlopsPerByte); err != nil {
+		if err := s.vp.Compute(float64(bytes) * mergeFlopsPerByte); err != nil {
 			return err
 		}
 		received += cnt

@@ -111,7 +111,7 @@ func TestADMParamsDefaults(t *testing.T) {
 	if math.Abs(ap.Overhead-1.23) > 1e-9 {
 		t.Fatalf("ADM overhead default = %f", ap.Overhead)
 	}
-	if ap.ChunkExemplars == 0 || ap.MergeFlopsPerByte == 0 || ap.Stats == nil {
+	if ap.ChunkExemplars == 0 || ap.Stats == nil {
 		t.Fatalf("defaults incomplete: %+v", ap)
 	}
 	// Explicit overhead is respected.

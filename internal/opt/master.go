@@ -41,7 +41,7 @@ func NewMaster(p Params, nSlaves int) (*Master, error) {
 		return nil, errors.New("opt: master needs at least one slave")
 	}
 	p = p.withDefaults()
-	m := &Master{p: p, cost: p.Cost(), nEx: p.NumExemplars(), step: p.Step}
+	m := &Master{p: p, cost: p.Cost(), nEx: p.NumExemplars(), step: initialStep}
 	m.counts = evenCounts(m.nEx, nSlaves)
 	if p.Real {
 		m.set = GenerateExemplars(m.nEx, p.InputDim, p.Classes, p.Seed)

@@ -33,8 +33,6 @@ type Params struct {
 	Real bool
 	// Overhead multiplies per-exemplar compute cost (ADMopt ≈ 1.23).
 	Overhead float64
-	// Step is the initial update step (adapted during training).
-	Step float64
 	// LineSearch enables the distributed Armijo line search: instead of a
 	// fixed adaptive step, the master broadcasts trial points and the
 	// slaves evaluate partial losses — extra protocol rounds per iteration,
@@ -44,6 +42,10 @@ type Params struct {
 	// the shard arrives — MPVM uses it to size the migratable image.
 	OnStateBytes func(bytes int)
 }
+
+// initialStep is the first update step; §4.0's apply/modify rule adapts it
+// during training.
+const initialStep float64 = 0.5
 
 func (p Params) withDefaults() Params {
 	if p.InputDim == 0 {
@@ -60,9 +62,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Iterations == 0 {
 		p.Iterations = 4
-	}
-	if p.Step == 0 {
-		p.Step = 0.5
 	}
 	if p.Overhead == 0 {
 		p.Overhead = 1.0

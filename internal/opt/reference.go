@@ -24,7 +24,7 @@ func ReferenceTrajectory(p Params, nSlaves int) []float64 {
 	}
 
 	var losses []float64
-	step := p.Step
+	step := initialStep
 	prevLoss := 0.0
 	for iter := 0; iter < p.Iterations; iter++ {
 		total := NewGradient(net)

@@ -87,7 +87,7 @@ func (d *Daemon) run(p *sim.Proc) {
 		if err != nil {
 			return
 		}
-		d.m.chargeCPU(p, d.host, d.m.cfg.DaemonProcessing)
+		d.m.chargeCPU(p, d.host, daemonProcessing)
 		switch payload := dg.Payload.(type) {
 		case *Message:
 			d.route(p, payload)

@@ -169,7 +169,7 @@ func (t *Task) groupRPCToMaster(req *groupReq) (*groupReply, error) {
 	p := t.proc
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
-	t.m.chargeCPU(p, t.host, t.m.cfg.LibCallOverhead)
+	t.m.chargeCPU(p, t.host, libCallOverhead)
 	g := t.m.groups
 	g.nextID++
 	req.id = g.nextID

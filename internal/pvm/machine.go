@@ -25,48 +25,26 @@ const (
 	taskPortBase = 1000 // task listen ports: taskPortBase + local id
 )
 
-// Config sets the substrate's cost model. Zero fields take defaults.
-type Config struct {
-	// PackBps is the memory bandwidth charged for packing/unpacking message
+// The substrate's cost model, calibrated to the paper's 1994 workstations
+// (see DESIGN.md §5).
+const (
+	// packBps is the memory bandwidth charged for packing/unpacking message
 	// buffers (one copy on each side), bytes/s.
-	PackBps float64
-	// LibCallOverhead is the fixed CPU cost of entering the run-time
+	packBps float64 = 25e6
+	// libCallOverhead is the fixed CPU cost of entering the run-time
 	// library (argument checking, buffer management).
-	LibCallOverhead sim.Time
-	// DaemonProcessing is the per-message CPU cost at each pvmd hop.
-	DaemonProcessing sim.Time
-	// SpawnCost is the fork+exec+enroll cost of starting a task.
-	SpawnCost sim.Time
+	libCallOverhead sim.Time = 60 * time.Microsecond
+	// daemonProcessing is the per-message CPU cost at each pvmd hop.
+	daemonProcessing sim.Time = 250 * time.Microsecond
+	// spawnCost is the fork+exec+enroll cost of starting a task.
+	spawnCost sim.Time = 280 * time.Millisecond
+)
+
+// Config is what a caller chooses about the substrate.
+type Config struct {
 	// DirectRoute makes new tasks default to PvmRouteDirect (task-to-task
 	// TCP) instead of routing through the daemons.
 	DirectRoute bool
-}
-
-// DefaultConfig returns the calibrated 1994-workstation cost model.
-func DefaultConfig() Config {
-	return Config{
-		PackBps:          25e6,
-		LibCallOverhead:  60 * time.Microsecond,
-		DaemonProcessing: 250 * time.Microsecond,
-		SpawnCost:        280 * time.Millisecond,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.PackBps == 0 {
-		c.PackBps = d.PackBps
-	}
-	if c.LibCallOverhead == 0 {
-		c.LibCallOverhead = d.LibCallOverhead
-	}
-	if c.DaemonProcessing == 0 {
-		c.DaemonProcessing = d.DaemonProcessing
-	}
-	if c.SpawnCost == 0 {
-		c.SpawnCost = d.SpawnCost
-	}
-	return c
 }
 
 // Message is one task-to-task message in flight.
@@ -102,7 +80,7 @@ type Machine struct {
 
 // NewMachine starts a pvmd on every host of the cluster.
 func NewMachine(cl *cluster.Cluster, cfg Config) *Machine {
-	m := &Machine{cl: cl, k: cl.Kernel(), cfg: cfg.withDefaults(),
+	m := &Machine{cl: cl, k: cl.Kernel(), cfg: cfg,
 		spawnWait: make(map[int]*spawnPending)}
 	m.groups = newGroupServer(m)
 	for _, h := range cl.Hosts() {
@@ -116,9 +94,6 @@ func (m *Machine) Cluster() *cluster.Cluster { return m.cl }
 
 // Kernel returns the simulation kernel.
 func (m *Machine) Kernel() *sim.Kernel { return m.k }
-
-// Config returns the (defaulted) cost model.
-func (m *Machine) Config() Config { return m.cfg }
 
 // Daemon returns the pvmd on host h.
 func (m *Machine) Daemon(h int) *Daemon {
@@ -194,5 +169,5 @@ func (m *Machine) chargeCPU(p *sim.Proc, h *cluster.Host, d sim.Time) {
 
 // packTime returns the CPU time to copy n bytes through the packing layer.
 func (m *Machine) packTime(n int) sim.Time {
-	return sim.FromSeconds(float64(n) / m.cfg.PackBps)
+	return sim.FromSeconds(float64(n) / packBps)
 }

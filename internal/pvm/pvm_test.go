@@ -49,7 +49,7 @@ func TestSpawnAndTIDs(t *testing.T) {
 	}
 	// Bodies start only after the spawn cost.
 	for tid, at := range started {
-		if at < m.Config().SpawnCost {
+		if at < spawnCost {
 			t.Fatalf("task %v started at %v, before spawn cost", tid, at)
 		}
 	}

@@ -46,7 +46,7 @@ func (t *Task) SpawnTask(host int, name string, body func(*Task)) (core.TID, err
 	p := t.proc
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
-	t.m.chargeCPU(p, t.host, t.m.cfg.LibCallOverhead)
+	t.m.chargeCPU(p, t.host, libCallOverhead)
 
 	t.m.spawnSeq++
 	id := t.m.spawnSeq

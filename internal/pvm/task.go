@@ -72,7 +72,7 @@ func newTask(d *Daemon, local int, name string, body func(*Task)) *Task {
 		// other blocking call, or the victim would silently swallow it and
 		// hold its flush-blocked senders forever. Anything the handler does
 		// not absorb (a kill) aborts the exec before the body runs.
-		if err := p.Sleep(d.m.cfg.SpawnCost); err != nil {
+		if err := p.Sleep(spawnCost); err != nil {
 			if t.handleSignal(err) != nil {
 				if !t.exited {
 					t.Exit()
@@ -271,7 +271,7 @@ func (t *Task) SendAs(p *sim.Proc, dst core.TID, tag int, buf *core.Buffer) erro
 	}
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
-	t.m.chargeCPU(p, t.host, t.m.cfg.LibCallOverhead+t.m.packTime(buf.Bytes()))
+	t.m.chargeCPU(p, t.host, libCallOverhead+t.m.packTime(buf.Bytes()))
 	if t.beforeSend != nil {
 		if err := t.beforeSend(dst); err != nil {
 			return err
@@ -330,7 +330,7 @@ func (t *Task) Recv(src core.TID, tag int) (core.TID, int, *core.Reader, error) 
 	p := t.proc
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
-	t.m.chargeCPU(p, t.host, t.m.cfg.LibCallOverhead)
+	t.m.chargeCPU(p, t.host, libCallOverhead)
 	for {
 		for i, msg := range t.inbox {
 			if t.match(msg, src, tag) {
@@ -360,7 +360,7 @@ func (t *Task) TRecv(src core.TID, tag int, timeout sim.Time) (core.TID, int, *c
 	p := t.proc
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
-	t.m.chargeCPU(p, t.host, t.m.cfg.LibCallOverhead)
+	t.m.chargeCPU(p, t.host, libCallOverhead)
 	deadline := p.Now() + timeout
 	// A wake at the deadline so the cond wait cannot oversleep.
 	timer := t.m.k.Schedule(timeout, func() { t.inboxCond.Broadcast() })
@@ -399,7 +399,7 @@ func (t *Task) NRecv(src core.TID, tag int) (core.TID, int, *core.Reader, bool, 
 	p := t.proc
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
-	t.m.chargeCPU(p, t.host, t.m.cfg.LibCallOverhead)
+	t.m.chargeCPU(p, t.host, libCallOverhead)
 	for i, msg := range t.inbox {
 		if t.match(msg, src, tag) {
 			t.inbox = append(t.inbox[:i], t.inbox[i+1:]...)

@@ -47,6 +47,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate refuses a host count that, defaults applied, cannot size a
+// cluster: it arrives from a flag or a journal header. The field is named
+// as the header spells it.
+func (c Config) validate() error {
+	if c.withDefaults().Hosts < 1 {
+		return errs.Newf(CodeBadRequest, "config hosts must be at least 1, got %d", c.Hosts)
+	}
+	return nil
+}
+
 // JobKind selects what a submitted job runs.
 type JobKind string
 
@@ -107,7 +117,6 @@ type Core struct {
 	sys   *mpvm.System
 	log   *trace.Log
 	mgr   *ft.Manager
-	det   *ft.Detector
 	sched *gs.Fleet
 	inj   *ft.Injector
 	ex    *plan.Executor
@@ -150,24 +159,15 @@ func NewCore(cfg Config, wire netsim.Wire) *Core {
 	sys.SetTracer(func(actor, stage, detail string) {
 		log.Record(k.Now(), actor, stage, detail)
 	})
-	mgr := ft.NewManager(sys, ft.Config{CheckpointEvery: cfg.CheckpointEvery}, log)
-	det := ft.StartHeartbeats(cl, 0, mgr.Config().HeartbeatInterval)
-	sched := gs.NewFleet(cl, mgr, gs.FleetPolicy{
-		ReclaimOnOwner:    true,
-		LoadThreshold:     cfg.LoadThreshold,
-		HeartbeatInterval: mgr.Config().HeartbeatInterval,
-		SuspectAfter:      mgr.Config().SuspectAfter,
-	})
-	sched.SetHeartbeatSource(det)
-	inj := ft.NewInjector(m, log)
-	inj.OnFault(mgr.ObserveFault)
-	sched.Start()
+	st := ft.NewStack(sys, ft.Config{CheckpointEvery: cfg.CheckpointEvery},
+		gs.FleetPolicy{ReclaimOnOwner: true, LoadThreshold: cfg.LoadThreshold}, log)
+	st.Sched.Start()
 	// The plan executor's only nondeterminism is its placement-probe RNG;
 	// seeding it from the journaled config keeps plan execution replayable.
 	ex := plan.NewExecutor(sys, cfg.Seed)
 	return &Core{
 		cfg: cfg, k: k, cl: cl, m: m, sys: sys, log: log,
-		mgr: mgr, det: det, sched: sched, inj: inj, ex: ex,
+		mgr: st.Mgr, sched: st.Sched, inj: st.Inj, ex: ex,
 	}
 }
 

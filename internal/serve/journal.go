@@ -77,8 +77,9 @@ type JournalData struct {
 
 // ReadJournal parses a journal stream. It tolerates exactly one kind of
 // damage: a torn final line (reported via Torn, dropped). A malformed line
-// anywhere else, a bad header, or a sequence gap refuses to load — a
-// journal that replays at all must replay faithfully.
+// anywhere else, a bad header (an impossible count in its config included),
+// or a sequence gap refuses to load — a journal that replays at all must
+// replay faithfully.
 func ReadJournal(r io.Reader) (*JournalData, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
@@ -99,6 +100,9 @@ func ReadJournal(r io.Reader) (*JournalData, error) {
 	if hdr.Version != journalVersion {
 		return nil, errs.Newf(CodeJournal, "journal version %d, want %d",
 			hdr.Version, journalVersion)
+	}
+	if err := hdr.Config.validate(); err != nil {
+		return nil, errs.New(CodeJournal, "journal header", err)
 	}
 	data := &JournalData{Config: hdr.Config}
 	for i, line := range lines[1:] {

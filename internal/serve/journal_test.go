@@ -191,3 +191,26 @@ func TestReplayRefusesClockDrift(t *testing.T) {
 		t.Fatalf("tampered journal: err = %v, want %s", err, CodeReplay)
 	}
 }
+
+// TestImpossibleHostCountIsAnError: a host count that cannot describe a
+// cluster — from a flag (NewServer), a caller (Replay) or a journal header
+// (ReadJournal, ReplayJournal) — is a coded error naming the field, not a
+// makeslice panic when the cluster is built.
+func TestImpossibleHostCountIsAnError(t *testing.T) {
+	const header = `{"version":1,"config":{"hosts":-3,"seed":0,"checkpoint_every":2,"load_threshold":0}}` + "\n"
+	for _, c := range []struct {
+		name string
+		run  func() error
+		code errs.Code
+	}{
+		{"NewServer", func() error { _, err := NewServer(Options{Config: Config{Hosts: -1}}); return err }, CodeBadRequest},
+		{"Replay", func() error { _, err := Replay(Config{Hosts: -1}, nil); return err }, CodeBadRequest},
+		{"ReadJournal", func() error { _, err := ReadJournal(strings.NewReader(header)); return err }, CodeJournal},
+		{"ReplayJournal", func() error { _, err := ReplayJournal(strings.NewReader(header)); return err }, CodeJournal},
+	} {
+		err := c.run()
+		if errs.CodeOf(err) != c.code || !strings.Contains(err.Error(), "hosts") {
+			t.Errorf("%s: got %v, want a %s error naming hosts", c.name, err, c.code)
+		}
+	}
+}

@@ -13,8 +13,12 @@ import (
 // errors abort: CodeReplay (clock mismatch: the log does not describe this
 // cluster) and CodeUnknownCommand (the journal was written by a newer
 // daemon whose command this build cannot execute; skipping it would
-// silently desynchronize every state and fingerprint after it).
+// silently desynchronize every state and fingerprint after it). A config
+// with an impossible count is refused before any cluster is built.
 func Replay(cfg Config, cmds []Command) (*Core, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	c := NewCore(cfg, nil)
 	for _, cmd := range cmds {
 		err := c.Apply(cmd)

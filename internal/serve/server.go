@@ -49,8 +49,12 @@ type Server struct {
 }
 
 // NewServer builds the cluster and, when a journal sink is given, writes
-// the journal header.
+// the journal header. A config with an impossible count is refused with
+// CodeBadRequest before anything is built or written.
 func NewServer(opts Options) (*Server, error) {
+	if err := opts.Config.validate(); err != nil {
+		return nil, err
+	}
 	s := &Server{
 		core: NewCore(opts.Config, opts.Wire),
 		hub:  &hub{},

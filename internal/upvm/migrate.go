@@ -248,8 +248,8 @@ func (p *Process) sendState(mp *sim.Proc, destProc *Process, u *ULP, inbox []*UM
 	remaining := segBytes
 	for remaining > 0 {
 		chunk := remaining
-		if chunk > cfg.XferChunk {
-			chunk = cfg.XferChunk
+		if chunk > xferChunk {
+			chunk = xferChunk
 		}
 		if err := mp.Sleep(sim.FromSeconds(float64(chunk) / cfg.XferBps)); err != nil {
 			return err

@@ -136,7 +136,7 @@ func (p *Process) acquire(u *ULP) error {
 	p.holder = u
 	if p.lastRun != u {
 		p.lastRun = u
-		p.sys.m.ChargeCPU(u.proc, p.Host(), p.sys.cfg.CtxSwitch)
+		p.sys.m.ChargeCPU(u.proc, p.Host(), ctxSwitch)
 	}
 	return nil
 }
@@ -217,7 +217,7 @@ func (p *Process) forward(dstID int, msg *UMessage) {
 	srcID, _ := ULPFromTID(msg.Src)
 	wrapped := core.NewBuffer().
 		PkInt(srcID).PkInt(dstID).PkInt(msg.Tag).
-		PkVirtual(p.sys.cfg.RemoteHeaderBytes).
+		PkVirtual(remoteHeaderBytes).
 		PkBuffer(msg.Buf)
 	if err := p.task.Send(dst.task.Mytid(), tagData, wrapped); err != nil {
 		// Remote process unreachable: hold the message like any other

@@ -174,7 +174,7 @@ func (u *ULP) Send(dst core.TID, tag int, buf *core.Buffer) error {
 	if local, isHere := p.ulps[dstID]; isHere {
 		// Buffer hand-off: the library passes the message buffer straight
 		// to the destination ULP — no copy (paper §4.2.1).
-		u.sys.m.ChargeCPU(u.proc, p.Host(), u.sys.cfg.HandoffCost)
+		u.sys.m.ChargeCPU(u.proc, p.Host(), handoffCost)
 		local.deliver(&UMessage{
 			Src: u.Mytid(), Dst: dst, Tag: tag, Buf: buf,
 			SentAt: u.proc.Now(), Local: true,
@@ -188,7 +188,7 @@ func (u *ULP) Send(dst core.TID, tag int, buf *core.Buffer) error {
 	dstProc := u.sys.procs[h]
 	wrapped := core.NewBuffer().
 		PkInt(u.id).PkInt(dstID).PkInt(tag).
-		PkVirtual(u.sys.cfg.RemoteHeaderBytes).
+		PkVirtual(remoteHeaderBytes).
 		PkBuffer(buf)
 	return p.task.SendAs(u.proc, dstProc.task.Mytid(), tagData, wrapped)
 }

@@ -45,7 +45,6 @@ var (
 	ErrSameHost     = errors.New("upvm: ulp already on destination host")
 	ErrMoving       = errors.New("upvm: ulp already migrating")
 	ErrIncompatible = errors.New("upvm: destination not migration compatible")
-	ErrNotSPMD      = errors.New("upvm: system not started")
 )
 
 // Reserved tags for the UPVM library's process-level messages.
@@ -71,29 +70,32 @@ func ULPFromTID(tid core.TID) (int, bool) {
 	return tid.Local() - 1, true
 }
 
-// Config is the UPVM cost model. Zero fields take defaults. The migration
-// rates are *fitted to the paper's measured prototype* (Table 4), which the
-// authors describe as unoptimized — especially the accept mechanism.
-type Config struct {
-	// CtxSwitch is a ULP context switch (save/restore registers, switch
+// The UPVM cost model's fixed part (see DESIGN.md §5).
+const (
+	// ctxSwitch is a ULP context switch (save/restore registers, switch
 	// stacks) in the library scheduler.
-	CtxSwitch sim.Time
-	// HandoffCost is a local (same-process) message delivery: the library
+	ctxSwitch sim.Time = 45 * time.Microsecond
+	// handoffCost is a local (same-process) message delivery: the library
 	// hands the buffer pointer to the destination ULP.
-	HandoffCost sim.Time
-	// RemoteHeaderBytes is the extra UPVM routing information carried by
+	handoffCost sim.Time = 25 * time.Microsecond
+	// remoteHeaderBytes is the extra UPVM routing information carried by
 	// each remote message (the "marginally slower remote communication").
-	RemoteHeaderBytes int
-	// XferChunk is the pvm_pkbyte granularity of ULP state transfer.
-	XferChunk int
+	remoteHeaderBytes = 32
+	// xferChunk is the pvm_pkbyte granularity of ULP state transfer.
+	xferChunk = 32 << 10
+)
+
+// Config is what a caller chooses about UPVM. Zero fields take defaults.
+// The migration rates are *fitted to the paper's measured prototype*
+// (Table 4), which the authors describe as unoptimized — especially the
+// accept mechanism; Extension D re-runs the table with tuned ones.
+type Config struct {
 	// XferBps is the effective source-side off-load rate of the prototype's
 	// pkbyte/send transfer path (fitted: 0.3 MB off-loaded in ~1.6 s).
 	XferBps float64
 	// AcceptBps is the destination-side ULP accept/placement rate (fitted:
 	// the paper's surprising 6.88 s migration vs 1.67 s obtrusiveness).
 	AcceptBps float64
-	// CtlBytes sizes protocol control messages.
-	CtlBytes int
 	// FlushTimeout bounds the stage-2 flush barrier. A crashed peer is
 	// detected at send time and leaves the barrier, but a live peer behind
 	// a network partition accepts the datagram loss silently: its ack
@@ -110,45 +112,15 @@ type Config struct {
 	BoundaryOnly bool
 }
 
-// DefaultConfig returns the fitted prototype cost model.
-func DefaultConfig() Config {
-	return Config{
-		CtxSwitch:         45 * time.Microsecond,
-		HandoffCost:       25 * time.Microsecond,
-		RemoteHeaderBytes: 32,
-		XferChunk:         32 << 10,
-		XferBps:           195e3,
-		AcceptBps:         62e3,
-		CtlBytes:          64,
-		FlushTimeout:      2 * time.Second,
-	}
-}
-
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.CtxSwitch == 0 {
-		c.CtxSwitch = d.CtxSwitch
-	}
-	if c.HandoffCost == 0 {
-		c.HandoffCost = d.HandoffCost
-	}
-	if c.RemoteHeaderBytes == 0 {
-		c.RemoteHeaderBytes = d.RemoteHeaderBytes
-	}
-	if c.XferChunk == 0 {
-		c.XferChunk = d.XferChunk
-	}
 	if c.XferBps == 0 {
-		c.XferBps = d.XferBps
+		c.XferBps = 195e3
 	}
 	if c.AcceptBps == 0 {
-		c.AcceptBps = d.AcceptBps
-	}
-	if c.CtlBytes == 0 {
-		c.CtlBytes = d.CtlBytes
+		c.AcceptBps = 62e3
 	}
 	if c.FlushTimeout == 0 {
-		c.FlushTimeout = d.FlushTimeout
+		c.FlushTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -198,9 +170,6 @@ func New(m *pvm.Machine, cfg Config) *System {
 
 // Machine returns the underlying PVM machine.
 func (s *System) Machine() *pvm.Machine { return s.m }
-
-// Config returns the (defaulted) cost model.
-func (s *System) Config() Config { return s.cfg }
 
 // Records returns completed ULP migrations.
 func (s *System) Records() []core.MigrationRecord { return s.records }

@@ -337,32 +337,6 @@ func Decode(data []byte) (any, error) {
 	return v, nil
 }
 
-// OpenFrame validates a frame header and returns its tag plus a value
-// Reader positioned at the body — the zero-allocation alternative to
-// Decode for callers that decode in place into caller-owned storage
-// (batched scheduler heartbeats do this every tick). The Reader aliases
-// data.
-func OpenFrame(data []byte) (Tag, Reader, error) {
-	if len(data) < HeaderLen {
-		return 0, Reader{}, errs.Newf(CodeTruncated, "wirefmt: frame %d bytes, need %d-byte header", len(data), HeaderLen)
-	}
-	if data[0] != magic0 || data[1] != magic1 {
-		return 0, Reader{}, errs.Newf(CodeBadMagic, "wirefmt: bad magic 0x%02x%02x", data[0], data[1])
-	}
-	if data[2] != Version {
-		return 0, Reader{}, errs.Newf(CodeBadVersion, "wirefmt: version %d, this decoder speaks %d", data[2], Version)
-	}
-	tag := Tag(binary.LittleEndian.Uint16(data[3:]))
-	n := binary.LittleEndian.Uint32(data[5:])
-	if n > MaxBody {
-		return 0, Reader{}, errs.Newf(CodeOversized, "wirefmt: header claims %d-byte body, over MaxBody", n)
-	}
-	if int(n) != len(data)-HeaderLen {
-		return 0, Reader{}, errs.Newf(CodeLengthClaim, "wirefmt: header claims %d-byte body, frame carries %d", n, len(data)-HeaderLen)
-	}
-	return tag, Reader{data: data, pos: HeaderLen}, nil
-}
-
 // Reader is a bounds-checked cursor over a frame body, handed to
 // registered DecodeFuncs. Every method returns a structured error instead
 // of reading past the end, and nested-value recursion is depth-capped.

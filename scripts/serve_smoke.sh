@@ -18,6 +18,22 @@ post() { curl -sf -X POST -d "$2" "$BASE$1"; }
 say "building pvmsimd (-race)"
 go build -race -o "$WORK/pvmsimd" ./cmd/pvmsimd
 
+# A count that cannot describe a cluster — from a flag or from a journal
+# header — is a usage error (exit 2 and a message naming the field), not a
+# Go panic, and leaves no journal file behind.
+refused() { # refused <field> <pvmsimd args...>
+  local field="$1" status=0; shift
+  "$WORK/pvmsimd" "$@" >"$WORK/refused.log" 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || grep -q 'panic:' "$WORK/refused.log" || ! grep -q "$field" "$WORK/refused.log"; then
+    say "pvmsimd $* should exit 2 naming $field, got $status:"; cat "$WORK/refused.log"; exit 1
+  fi
+}
+say "refusing impossible host counts"
+refused hosts -hosts -1 -journal "$WORK/refused.jsonl"
+[ ! -e "$WORK/refused.jsonl" ] || { say "refused start left a journal behind"; exit 1; }
+echo '{"version":1,"config":{"hosts":-3,"seed":0,"checkpoint_every":2,"load_threshold":0}}' >"$WORK/badheader.jsonl"
+refused hosts -replay "$WORK/badheader.jsonl"
+
 say "starting daemon on $ADDR (pacer 100ms wall -> 100ms virtual)"
 "$WORK/pvmsimd" -addr "$ADDR" -hosts 3 -journal "$WORK/session.jsonl" \
   -tick-wall 100ms -tick-virtual 100ms >"$WORK/daemon.log" 2>&1 &
