@@ -33,6 +33,7 @@ func main() {
 
 	// --- MPVM: migration is constrained to compatible hosts ------------
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := mixedCluster(k)
 	sys := mpvm.New(pvm.NewMachine(cl, pvm.Config{}), mpvm.Config{})
 	w, err := sys.SpawnMigratable(0, "worker", 1<<20, func(mt *mpvm.MTask) {

@@ -24,6 +24,7 @@ import (
 // to the idle host3.
 func run(balance bool) (sim.Time, []gs.Decision, []core.MigrationRecord) {
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := cluster.New(k, netsim.Params{},
 		cluster.DefaultHostSpec("host1"),
 		cluster.DefaultHostSpec("host2"),

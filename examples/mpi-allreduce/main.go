@@ -20,6 +20,7 @@ import (
 
 func main() {
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := cluster.New(k, netsim.Params{},
 		cluster.DefaultHostSpec("host1"),
 		cluster.DefaultHostSpec("host2"),

@@ -21,6 +21,7 @@ func main() {
 	// A kernel, two calibrated HP 9000/720-class hosts on 10 Mb/s Ethernet,
 	// a PVM machine, and the MPVM migration layer on top.
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := cluster.New(k, netsim.Params{},
 		cluster.DefaultHostSpec("host1"),
 		cluster.DefaultHostSpec("host2"))

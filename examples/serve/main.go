@@ -109,6 +109,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer replayed.Close()
 	fmt.Printf("replay fingerprint: %s\n", replayed.FingerprintHex())
 	if replayed.FingerprintHex() == fp.Fingerprint {
 		fmt.Println("identical: the journal is the session")

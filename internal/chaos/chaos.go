@@ -206,6 +206,9 @@ func faultRNG(seed uint64) *sim.RNG {
 // slave VPs on every other host.
 func Run(sc Scenario, cfg Config) *Result {
 	k := sim.NewKernel()
+	// The checkers read the returned handles' records, not the kernel:
+	// closing on every return path leaves them what the run produced.
+	defer k.Close()
 	k.SetTieBreakSeed(cfg.Seed)
 
 	specs := make([]cluster.HostSpec, hosts)

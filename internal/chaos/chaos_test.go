@@ -3,9 +3,11 @@ package chaos
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/sweep"
 )
 
 // seedFlag reproduces one explored schedule: go test ./internal/chaos
@@ -99,6 +101,7 @@ func TestSweep(t *testing.T) {
 		DeterminismEvery: 8,
 		Config:           sweepConfig,
 	}
+	base := runtime.NumGoroutine()
 	for _, sc := range Scenarios {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -108,6 +111,37 @@ func TestSweep(t *testing.T) {
 			}
 		})
 	}
+	checkNoLeakedProcs(t, base, sweep.Workers(opts.Workers))
+}
+
+// maxLiveProcs bounds the procs one chaos kernel has live at a time (five
+// hosts' daemons, the ft job, the GS, the overlays, in-flight migrations:
+// about 50 today).
+const maxLiveProcs = 128
+
+// checkNoLeakedProcs is the goroutine leak gate: Run closes its kernel, so
+// what a sweep leaves behind is sim's worker pool, which never holds more
+// coroutines than were live at once — one kernel's worth per sweep worker,
+// however many seeds ran. A run that left its parked procs behind would
+// add a dozen goroutines per seed.
+func checkNoLeakedProcs(t *testing.T, base, workers int) {
+	t.Helper()
+	if got, bound := runtime.NumGoroutine(), base+workers*(1+maxLiveProcs); got > bound {
+		t.Errorf("%d goroutines after the sweep, %d before it: more than the %d that %d workers' kernels can pool",
+			got, base, bound-base, workers)
+	}
+}
+
+// TestSweepLeavesNoGoroutines runs a 16-seed sweep of every scenario on two
+// workers: 96 runs, which without Kernel.Close leave 1,200 goroutines
+// parked.
+func TestSweepLeavesNoGoroutines(t *testing.T) {
+	const workers = 2
+	base := runtime.NumGoroutine()
+	for _, sc := range Scenarios {
+		Sweep(sc, SweepOptions{Seeds: 16, Workers: workers, Config: sweepConfig})
+	}
+	checkNoLeakedProcs(t, base, workers)
 }
 
 // TestParallelSweepMatchesSerial pins the parallel runner's determinism

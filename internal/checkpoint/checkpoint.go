@@ -136,6 +136,7 @@ type evictSignal struct{}
 func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 	p = p.withDefaults()
 	e := newEnv()
+	defer e.k.Close()
 	res := Result{}
 	store := NewStore(e.k)
 	ckptCost := store.IOTime(p.StateBytes)
@@ -237,6 +238,7 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 func RunMigrateCurrent(p Params, evictAt sim.Time) (Result, error) {
 	p = p.withDefaults()
 	e := newEnv()
+	defer e.k.Close()
 	res := Result{}
 
 	var runErr error

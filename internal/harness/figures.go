@@ -43,6 +43,7 @@ func Figure2Layout(sc Scenario) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer r.k.Close()
 	sys := r.newUPVM()
 	if _, err := sys.Start("opt", r.sc.ulpSpecs(), func(u *upvm.ULP, rank int) {}); err != nil {
 		return "", err

@@ -119,6 +119,7 @@ func RunFleet(sc FleetScenario) *FleetOutcome {
 		return &FleetOutcome{Err: err}
 	}
 	k := sim.NewKernel()
+	defer k.Close()
 	specs := make([]cluster.HostSpec, sc.Hosts)
 	for i := range specs {
 		specs[i] = cluster.DefaultHostSpec(fmt.Sprintf("host%d", i+1))

@@ -275,6 +275,7 @@ func runPVM(sc Scenario, tune func(*opt.Params)) *Outcome {
 	if err != nil {
 		return &Outcome{Err: err}
 	}
+	defer r.k.Close()
 	p := r.sc.params()
 	if tune != nil {
 		tune(&p)
@@ -311,6 +312,7 @@ func runMPVM(sc Scenario, setup func(*sim.Kernel, *mpvm.System), act func(sys *m
 	if err != nil {
 		return &Outcome{Err: err}
 	}
+	defer r.k.Close()
 	sys := mpvm.New(r.m, mpvm.Config{})
 	if setup != nil {
 		setup(r.k, sys)
@@ -389,6 +391,7 @@ func runUPVM(sc Scenario, setup func(*sim.Kernel, *upvm.System)) *Outcome {
 	if err != nil {
 		return &Outcome{Err: err}
 	}
+	defer r.k.Close()
 	sys := r.newUPVM()
 	if setup != nil {
 		setup(r.k, sys)
@@ -424,6 +427,7 @@ func RunADM(sc Scenario) *Outcome {
 	if err != nil {
 		return &Outcome{Err: err}
 	}
+	defer r.k.Close()
 	stats := &opt.ADMStats{}
 	ap := opt.ADMParams{Params: r.sc.params(), Stats: stats, ChunkExemplars: r.sc.ADMChunk}
 	masterTID := r.sc.masterTID()
@@ -467,6 +471,7 @@ func RunADM(sc Scenario) *Outcome {
 // Table 2's lower-bound column.
 func RawTCP(bytes int) sim.Time {
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, 2, nil)
 	l, err := cl.Host(1).Iface().Listen(9000)
 	if err != nil {
@@ -504,6 +509,7 @@ func OwnerReclaimScenario(sc Scenario, ownerHost int, ownerAt sim.Time) (*Outcom
 	if err != nil {
 		return &Outcome{Err: err}, nil
 	}
+	defer r.k.Close()
 	sys := mpvm.New(r.m, mpvm.Config{})
 	target := gs.NewMPVMTarget(sys)
 	sched := gs.NewFleet(r.cl, target, gs.DefaultFleetPolicy())

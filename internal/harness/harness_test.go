@@ -3,11 +3,13 @@ package harness
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/opt"
+	"pvmigrate/internal/plan"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/trace"
 	"pvmigrate/internal/upvm"
@@ -474,6 +476,43 @@ func TestImpossibleCountsAreErrors(t *testing.T) {
 	} {
 		if err := c.run(); !errs.Is(err, CodeBadScenario) {
 			t.Errorf("%s: got %v, want a %s error", c.name, err, CodeBadScenario)
+		}
+	}
+}
+
+// TestRunnersLeaveNoGoroutines: a runner closes its kernel, so the procs a
+// finished run leaves parked (daemons, skeletons, the GS) are unwound and
+// their coroutines go back to sim's worker pool. Each runner's first call
+// may grow the pool to the run's peak of live procs; after that the
+// process's goroutine count does not move however often it runs.
+func TestRunnersLeaveNoGoroutines(t *testing.T) {
+	sc := Scenario{TotalBytes: 600_000, Iterations: 4, MigrateAt: 2 * time.Second, MigrateTo: 0}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RunPVM", func() error { return RunPVM(sc).Err }},
+		{"RunMPVM", func() error { return RunMPVM(sc).Err }},
+		{"RunUPVM", func() error { return RunUPVM(sc).Err }},
+		{"RunADM", func() error { return RunADM(sc).Err }},
+		{"RunMPVMPlan", func() error { o, _ := RunMPVMPlan(sc, 1, plan.ModeCold, 1); return o.Err }},
+		{"RawTCP", func() error { RawTCP(100_000); return nil }},
+		{"OwnerReclaimScenario", func() error { o, _ := OwnerReclaimScenario(sc, 1, time.Second); return o.Err }},
+		{"Survival", func() error { return Survival(SurvivalConfig{Crashes: 1, Seed: 3}).Err }},
+		{"RunServing", func() error { return RunServing(servingScenario(1)).Err }},
+		{"RunFleet", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500}).Err }},
+	} {
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		base := runtime.NumGoroutine()
+		for i := 0; i < 2; i++ {
+			if err := c.run(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		if got := runtime.NumGoroutine(); got > base {
+			t.Errorf("%s: %d goroutines after the first run, %d after two more", c.name, base, got)
 		}
 	}
 }

@@ -356,6 +356,7 @@ func RunServing(sc ServeScenario) *ServingOutcome {
 		sc.Deadline = sc.Load.Arrivals.Horizon + 10*time.Minute
 	}
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, nil)
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})

@@ -106,6 +106,7 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 		return &SurvivalOutcome{Err: err}
 	}
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, cfg.Hosts, nil)
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})

@@ -100,9 +100,9 @@ func funcKey(fn *types.Func) string {
 	if !ok || sig.Recv() == nil {
 		return fn.Name()
 	}
-	t := sig.Recv().Type()
+	t := types.Unalias(sig.Recv().Type())
 	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+		t = types.Unalias(ptr.Elem())
 	}
 	if named, ok := t.(*types.Named); ok {
 		return named.Obj().Name() + "." + fn.Name()

@@ -23,12 +23,13 @@ type Config struct {
 	WallClockAllow []string
 
 	// ConcurrencyAllow exempts packages from rawgoroutine: internal/sim
-	// holds the one sanctioned goroutine trampoline (Kernel.Spawn in
-	// proc.go and its channel hand-off in kernel.go), internal/sweep the
-	// one sanctioned fan-out of *whole independent runs* across host
-	// threads, internal/netwire the socket bridge goroutines that drain
-	// real sockets while the kernel goroutine blocks inside
-	// AwaitExternal, and internal/serve the HTTP side of the daemon
+	// holds the one sanctioned trampoline (the pooled iter.Pull workers
+	// in proc.go that Kernel.dispatch switches to, and the mutex around
+	// their free list), internal/sweep the one sanctioned fan-out of
+	// *whole independent runs* across host threads, internal/netwire
+	// the socket bridge goroutines that drain real sockets while the
+	// kernel goroutine blocks inside AwaitExternal, and internal/serve
+	// the HTTP side of the daemon
 	// (handler goroutines, the SSE hub and the pacer live on the wall
 	// side of the AwaitExternal bridge; a single mutex serialises their
 	// entry into the kernel); everything else must use sim.Proc

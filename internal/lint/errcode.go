@@ -39,7 +39,7 @@ func NewErrCode(cfg *Config) *Analyzer {
 		declared := make(map[string][]decl) // code value -> declarations
 
 		isCode := func(t types.Type) bool {
-			named, ok := t.(*types.Named)
+			named, ok := types.Unalias(t).(*types.Named)
 			if !ok {
 				return false
 			}

@@ -228,7 +228,7 @@ func returnsError(f *types.Func) (pos int, ok bool) {
 	}
 	res := sig.Results()
 	for i := 0; i < res.Len(); i++ {
-		if named, isNamed := res.At(i).Type().(*types.Named); isNamed &&
+		if named, isNamed := types.Unalias(res.At(i).Type()).(*types.Named); isNamed &&
 			named.Obj().Pkg() == nil && named.Obj().Name() == "error" {
 			return i, true
 		}

@@ -22,6 +22,7 @@ var allocDeny = map[string]map[string]bool{
 	"sort":          nil,
 	"encoding/json": nil,
 	"encoding/gob":  nil,
+	"iter":          nil,
 	"strconv": {
 		"Atoi": true, "ParseInt": true, "ParseUint": true,
 		"ParseFloat": true, "ParseBool": true,

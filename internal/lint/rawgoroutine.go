@@ -16,8 +16,9 @@ var hostConcurrencyPkgs = map[string]bool{
 // concurrency above the kernel is cooperative, expressed as sim.Proc
 // coroutines the kernel dispatches one at a time in virtual-time order. A
 // raw goroutine races the kernel's schedule and breaks seed replay; the
-// one sanctioned use (the Kernel.Spawn trampoline and its run/yield
-// channel pair in internal/sim) is allowlisted via cfg.ConcurrencyAllow.
+// one sanctioned use (the iter.Pull workers behind Kernel.dispatch and the
+// mutex around their free list in internal/sim) is allowlisted via
+// cfg.ConcurrencyAllow.
 func NewRawGoroutine(cfg *Config) *Analyzer {
 	a := &Analyzer{
 		Name: "rawgoroutine",

@@ -1,11 +1,21 @@
 // Fixture: a conforming registration — in range, unique, encoder and
 // decoder present, golden-frame coverage in golden_test.go, shape pinned
-// in LOCK. Fully silent.
+// in LOCK. Fully silent. At's type is an alias, as sim.Time is: LOCK pins
+// the type the alias names (time.Duration<int64>), never the alias's name.
 package golden
 
-import "pvmigrate/internal/wirefmt"
+import (
+	"time"
 
-type msgA struct{ X int }
+	"pvmigrate/internal/wirefmt"
+)
+
+type stamp = time.Duration
+
+type msgA struct {
+	X  int
+	At stamp
+}
 
 func enc(dst []byte, v any) ([]byte, error) { return dst, nil }
 

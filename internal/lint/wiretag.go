@@ -255,10 +255,10 @@ func WireLockContent(prog *Program, cfg *Config) string {
 	var order []string
 	var walk func(t types.Type)
 	walk = func(t types.Type) {
-		if ptr, ok := t.(*types.Pointer); ok {
+		if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
 			t = ptr.Elem()
 		}
-		named, ok := t.(*types.Named)
+		named, ok := types.Unalias(t).(*types.Named)
 		if !ok {
 			return
 		}
@@ -300,6 +300,7 @@ func typeKey(t types.Type) string {
 	if t == nil {
 		return "?"
 	}
+	t = types.Unalias(t)
 	if ptr, ok := t.(*types.Pointer); ok {
 		return "*" + typeKey(ptr.Elem())
 	}
@@ -319,9 +320,10 @@ func typeDisplay(named *types.Named) string {
 
 // kindDisplay renders a field type's wire-relevant kind: named types keep
 // their identity (with the underlying kind for non-structs), composites
-// recurse, basics are themselves.
+// recurse, basics are themselves. An alias is the type it names: the lock
+// pins wire shapes, and `type Time = time.Duration` has time.Duration's.
 func kindDisplay(t types.Type) string {
-	switch t := t.(type) {
+	switch t := types.Unalias(t).(type) {
 	case *types.Named:
 		if _, ok := t.Underlying().(*types.Struct); ok {
 			return typeDisplay(t)

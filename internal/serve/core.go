@@ -171,6 +171,12 @@ func NewCore(cfg Config, wire netsim.Wire) *Core {
 	}
 }
 
+// Close ends the cluster's life: every proc still parked is unwound and its
+// worker reclaimed (sim.Kernel.Close). The Core stays readable — history,
+// jobs, metrics, fingerprint — but applies no further command. Idempotent;
+// Server.Close calls it, a Replay caller does so itself.
+func (c *Core) Close() { c.k.Close() }
+
 // Kernel exposes the kernel for the Server's AwaitExternal bridge.
 func (c *Core) Kernel() *sim.Kernel { return c.k }
 

@@ -64,6 +64,7 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.Journal != nil {
 		jw, err := NewJournalWriter(opts.Journal, s.core.Config())
 		if err != nil {
+			s.core.Close()
 			return nil, err
 		}
 		s.jw = jw
@@ -89,10 +90,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // then shuts the http.Server down.
 func (s *Server) Done() <-chan struct{} { return s.done }
 
-// Close stops the pacer and refuses further commands. Idempotent.
+// Close refuses further commands, closes the Core (no command reaches the
+// kernel once shuttingDown is set under mu) and stops the pacer. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.shuttingDown = true
+	s.core.Close()
 	s.mu.Unlock()
 	s.closeOnce.Do(func() { close(s.done) })
 	if s.pacerDone != nil {

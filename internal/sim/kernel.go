@@ -81,9 +81,11 @@ type Kernel struct {
 	seq     uint64
 	events  []event // implicit 4-ary min-heap ordered by eventBefore
 	running *Proc
-	procs   []*Proc
+	procs   []*Proc // live procs only: a finished proc is dropped in dispatch
+	blocked int     // how many of procs are in pBlocked, kept at the transitions
 	nextPID int
 	stopped bool
+	closed  bool
 
 	// Cancel-cell pool. freeCells is the free list; in steady state every
 	// schedule/pop pair recycles a cell and neither slice grows.
@@ -279,6 +281,9 @@ func (k *Kernel) RunUntil(deadline Time) int {
 }
 
 func (k *Kernel) run(deadline Time) int {
+	if k.closed {
+		panic("sim: Run on a closed kernel")
+	}
 	k.stopped = false
 	for len(k.events) > 0 && !k.stopped {
 		if deadline >= 0 && k.events[0].at > deadline {
@@ -301,35 +306,74 @@ func (k *Kernel) run(deadline Time) int {
 		}
 		k.dispatch(p)
 	}
-	return k.blockedCount()
+	return k.blocked
 }
 
-// dispatch resumes p and waits until it blocks again or finishes. Kernel
-// and proc hand control back and forth over the proc's single unbuffered
-// handoff channel; at most one of the two is ever runnable between the
-// rendezvous points, so the schedule stays deterministic.
+// dispatch switches to p's coroutine and returns when p blocks again or
+// its body returns. The switch is direct (iter.Pull's coroswitch), not a
+// scheduler wake-up, and exactly one of kernel and proc runs at any time,
+// so the schedule stays deterministic.
 func (k *Kernel) dispatch(p *Proc) {
 	k.running = p
 	p.state = pRunning
-	p.hand <- struct{}{}
-	<-p.hand
+	k.blocked--
+	if p.w == nil {
+		p.w = getWorker()
+		p.w.p = p
+	}
+	p.w.next()
 	k.running = nil
+	if p.state != pDone {
+		return
+	}
+	putWorker(p.w)
+	k.retire(p)
 	if p.panicked != nil {
-		panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, p.panicked)) // lint:alloc panic path, simulation is already dead
+		panic(fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", p.name, p.panicked, p.stack)) // lint:alloc panic path, simulation is already dead
 	}
-	if p.state == pDone {
-		p.doneCond.Broadcast()
-	}
+	p.doneCond.Broadcast()
 }
 
-func (k *Kernel) blockedCount() int {
-	n := 0
-	for _, p := range k.procs {
-		if p.state == pBlocked {
-			n++
-		}
+// retire forgets a finished proc: the last live proc takes its slot in
+// k.procs, so a long session's Run returns and Blocked walks cost what is
+// live, not what was ever spawned.
+func (k *Kernel) retire(p *Proc) {
+	p.w, p.body = nil, nil
+	n := len(k.procs) - 1
+	last := k.procs[n]
+	k.procs[p.idx], last.idx = last, p.idx
+	k.procs[n] = nil
+	k.procs = k.procs[:n]
+}
+
+// Close ends the kernel's life: every proc still parked is unwound — its
+// deferred calls run, and a blocking call made by one of them continues
+// the unwind instead of blocking — and its worker goes back to the pool;
+// queued events are discarded. Without Close a parked proc's coroutine,
+// and the whole simulation graph its stack references, is never reclaimed.
+// Close is idempotent and must not be called from inside a proc; Run after
+// Close panics.
+func (k *Kernel) Close() {
+	if k.closed {
+		return
 	}
-	return n
+	if k.running != nil {
+		panic(fmt.Sprintf("sim: Close called from proc %q", k.running.name))
+	}
+	k.closed = true
+	// A deferred call may Spawn; such a proc lands at the end of k.procs
+	// and is retired below without ever starting.
+	for len(k.procs) > 0 {
+		p := k.procs[len(k.procs)-1]
+		if p.w != nil {
+			k.dispatch(p) // block() panics closeUnwind as soon as it resumes
+			continue
+		}
+		p.state = pDone
+		k.blocked--
+		k.retire(p)
+	}
+	k.events = nil
 }
 
 // Blocked returns the names of procs that are currently blocked, sorted.

@@ -3,6 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"runtime/debug"
+	"sync"
 )
 
 type procState int
@@ -35,27 +38,99 @@ func IsInterrupted(err error) (*Interrupted, bool) {
 	return nil, false
 }
 
-// Proc is a simulated thread of control. Its body function runs on a
-// dedicated goroutine, but the kernel guarantees that at most one proc
-// executes at a time, so proc code needs no locking when touching shared
-// simulation state.
+// Proc is a simulated thread of control. Its body runs on a pull-coroutine
+// (iter.Pull) that the kernel switches to directly, the way UPVM's library
+// switches ULPs without going through the OS scheduler. The kernel runs at
+// most one proc at a time, so proc code needs no locking when touching
+// shared simulation state.
 type Proc struct {
 	k     *Kernel
 	id    int
+	idx   int // position in k.procs while the proc is live
 	name  string
 	state procState
 	gen   uint64 // increments around every block; stale wakes are dropped
-	// hand is the proc's single reusable handoff channel: the kernel sends
-	// to resume the proc, the proc sends to yield back. Unbuffered, so each
-	// hand-over is a rendezvous and the two sides strictly alternate.
-	hand     chan struct{}
+	// w is the coroutine the body runs on: taken from the pool at the first
+	// dispatch, returned when the body has returned.
+	w        *worker
 	body     func(*Proc)
 	panicked any
+	stack    []byte // the body's own stack at the panic
 	doneCond *Cond
 
 	intrPending bool
 	intrReason  any
 	intrMasked  bool
+}
+
+// worker is a long-lived pull-coroutine that runs one proc body after
+// another. Between bodies it is parked in the pool's free list.
+type worker struct {
+	next  func() (struct{}, bool) // kernel side: switch to the coroutine
+	yield func(struct{}) bool     // proc side: switch back to the kernel
+	p     *Proc                   // current tenant
+}
+
+// pool is the free list of parked workers, shared by every kernel in the
+// process. A mutex-guarded slice rather than a sync.Pool: nothing empties
+// it behind the program's back, so allocation counts repeat from run to
+// run. Workers are never stopped; the pool holds at most as many as the
+// process ever had procs live at one time.
+var pool struct {
+	sync.Mutex
+	free []*worker
+}
+
+func getWorker() *worker {
+	pool.Lock()
+	if n := len(pool.free); n > 0 {
+		w := pool.free[n-1]
+		pool.free[n-1] = nil
+		pool.free = pool.free[:n-1]
+		pool.Unlock()
+		return w
+	}
+	pool.Unlock()
+	w := &worker{}                // lint:alloc pool miss: one worker per peak-concurrent proc, not per switch
+	w.next, _ = iter.Pull(w.loop) // lint:alloc the same miss; the worker is never stopped, so stop is dropped
+	return w
+}
+
+func putWorker(w *worker) {
+	w.p = nil
+	pool.Lock()
+	pool.free = append(pool.free, w)
+	pool.Unlock()
+}
+
+// loop is the coroutine's body: run the tenant, hand control back, and wake
+// up with the next tenant installed.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.run(w.p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// closeUnwind is the panic value Kernel.Close unwinds a parked proc with.
+type closeUnwind struct{}
+
+// run executes p's body to completion. A panic stops here, so the worker
+// survives its tenant; the kernel re-raises a real one from dispatch.
+func (w *worker) run(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, closing := r.(closeUnwind); !closing {
+				p.panicked = r
+				p.stack = debug.Stack() // panic path: the simulation is already dead
+			}
+		}
+		p.state = pDone
+	}()
+	p.body(p)
 }
 
 // Spawn creates a proc named name executing body and schedules it to start
@@ -70,28 +145,16 @@ func (k *Kernel) SpawnAt(at Time, name string, body func(*Proc)) *Proc {
 	p := &Proc{
 		k:     k,
 		id:    k.nextPID,
+		idx:   len(k.procs),
 		name:  name,
 		state: pBlocked,
-		hand:  make(chan struct{}),
 		body:  body,
 	}
 	p.doneCond = NewCond(k)
 	k.procs = append(k.procs, p)
-	go p.main()
+	k.blocked++
 	k.scheduleWake(p, at, p.gen)
 	return p
-}
-
-func (p *Proc) main() {
-	<-p.hand // first dispatch
-	defer func() {
-		if r := recover(); r != nil {
-			p.panicked = r
-		}
-		p.state = pDone
-		p.hand <- struct{}{}
-	}()
-	p.body(p)
 }
 
 // Kernel returns the kernel this proc belongs to.
@@ -119,13 +182,19 @@ func (p *Proc) block(wake Timer) error {
 	if p.k.running != p {
 		panic(fmt.Sprintf("sim: blocking call on proc %q from outside its own context", p.name)) // lint:alloc panic path, a blocking call from the wrong context is a bug
 	}
+	if p.k.closed {
+		panic(closeUnwind{}) // a blocking call in a deferred function continues the unwind
+	}
 	if p.intrPending && !p.intrMasked {
 		wake.Cancel()
 		return p.takeInterrupt()
 	}
 	p.state = pBlocked
-	p.hand <- struct{}{}
-	<-p.hand
+	p.k.blocked++
+	p.w.yield(struct{}{})
+	if p.k.closed {
+		panic(closeUnwind{})
+	}
 	p.gen++ // any wake events targeting the old generation are now stale
 	wake.Cancel()
 	if p.intrPending && !p.intrMasked {
