@@ -51,6 +51,8 @@ func main() {
 		fmt.Println(harness.ExtensionCrossTraffic())
 		fmt.Println(harness.ExtensionUPVMTuned())
 		fmt.Println(harness.ExtensionADMRebalance())
+		fmt.Println(harness.ExtensionRoute())
+		fmt.Println(harness.ExtensionADMChunk())
 	case *table != "":
 		fn, ok := tables[*table]
 		if !ok {

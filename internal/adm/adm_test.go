@@ -58,9 +58,6 @@ func TestFSMRejectsUndeclared(t *testing.T) {
 	if f.State() != "compute" {
 		t.Fatalf("state changed on rejected event: %q", f.State())
 	}
-	if !f.Can("iteration-done") || f.Can("bogus") {
-		t.Fatal("Can() broken")
-	}
 }
 
 func TestFSMTableRendersFigure4(t *testing.T) {

@@ -61,12 +61,6 @@ func (f *FSM) On(from State, event string, to State) *FSM {
 // State returns the current state.
 func (f *FSM) State() State { return f.state }
 
-// Can reports whether event is legal in the current state.
-func (f *FSM) Can(event string) bool {
-	_, ok := f.rules[f.state][event]
-	return ok
-}
-
 // Fire takes the transition for event, returning the new state. Undeclared
 // transitions return an error and leave the state unchanged — the guard
 // against lost or mis-handled migration events.

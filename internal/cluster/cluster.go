@@ -92,16 +92,6 @@ func (c *Cluster) Host(id netsim.HostID) *Host {
 	return c.hosts[id]
 }
 
-// HostByName returns the host with the given name, or nil.
-func (c *Cluster) HostByName(name string) *Host {
-	for _, h := range c.hosts {
-		if h.spec.Name == name {
-			return h
-		}
-	}
-	return nil
-}
-
 // ID returns the host's network id.
 func (h *Host) ID() netsim.HostID { return h.id }
 

@@ -23,12 +23,6 @@ func TestClusterConstruction(t *testing.T) {
 	if c.Host(0).Name() != "host1" || c.Host(1).Name() != "host2" {
 		t.Fatal("host names wrong")
 	}
-	if c.HostByName("host2") != c.Host(1) {
-		t.Fatal("HostByName broken")
-	}
-	if c.HostByName("nope") != nil {
-		t.Fatal("HostByName ghost")
-	}
 	if c.Host(5) != nil || c.Host(-1) != nil {
 		t.Fatal("out-of-range Host not nil")
 	}

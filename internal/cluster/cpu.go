@@ -202,9 +202,3 @@ func (h *LoadHandle) Remove() {
 	h.job = nil
 	h.cpu.reschedule()
 }
-
-// TimeFor returns how long work units would take on an otherwise idle
-// processor — useful for tests and calibration.
-func (c *CPU) TimeFor(work float64) sim.Time {
-	return sim.FromSeconds(work / c.speed)
-}

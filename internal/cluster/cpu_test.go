@@ -210,11 +210,3 @@ func TestPropEqualSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTimeFor(t *testing.T) {
-	k := sim.NewKernel()
-	cpu := NewCPU(k, 2e6)
-	if d := cpu.TimeFor(1e6); d != 500*time.Millisecond {
-		t.Fatalf("TimeFor = %v", d)
-	}
-}

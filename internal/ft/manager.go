@@ -149,9 +149,6 @@ func (mgr *Manager) MoveOne(from, to int, reason core.MigrationReason) error {
 // HostLoad implements gs.Target.
 func (mgr *Manager) HostLoad(host int) int { return mgr.tgt.HostLoad(host) }
 
-// Index returns the wrapped target's load index.
-func (mgr *Manager) Index() *gs.LoadIndex { return mgr.tgt.Index() }
-
 // --- failure handling ----------------------------------------------------------
 
 // HostDead implements gs.FailureTarget: the GS declared a host lost. The

@@ -271,3 +271,65 @@ func TestFleetSteadyStateTickZeroAlloc(t *testing.T) {
 		t.Fatalf("a steady-state minute of ticks allocated %.0f times, want 0", allocs)
 	}
 }
+
+// TestFleetDecisionPathZeroAlloc pins what the balanced tick above never
+// reaches: moves and decision-log appends. The fleet is held in perpetual
+// imbalance — a refill event restores one hotspot per shard just before
+// every tick, so each tick spends its full per-shard move budget forever.
+// The warmup grows every buffer (decision-log pages, load-index bucket
+// heads, event heap) past what a measured window needs, so a malloc in the
+// window can only come from the decision path itself.
+func TestFleetDecisionPathZeroAlloc(t *testing.T) {
+	const (
+		hosts    = 256
+		perHost  = 40
+		shards   = 8
+		interval = 5 * time.Second
+		window   = 200 // ticks per measured run
+	)
+	k, cl := plainWorld(hosts)
+	defer k.Close()
+	tgt := NewCountTarget(cl)
+	for i := 0; i < hosts; i++ {
+		tgt.Seed(i, perHost)
+	}
+	pol := DefaultFleetPolicy()
+	pol.Shards = shards
+	pol.LoadThreshold = perHost + 2
+	pol.Source = SourceWorkUnits
+	pol.MovesPerTick = 8
+	fleet := NewFleet(cl, tgt, pol)
+	fleet.Start()
+	idx := tgt.Index()
+	var refill func()
+	refill = func() {
+		for i := 0; i < hosts; i++ {
+			if i%(hosts/shards) == 0 {
+				idx.Set(i, perHost*4)
+			} else {
+				idx.Set(i, perHost)
+			}
+		}
+		k.Schedule(interval, refill)
+	}
+	refill()
+	at := 2 * window * interval
+	k.RunUntil(at)
+	warm := len(fleet.Decisions())
+	if warm == 0 {
+		t.Fatal("decision-path warmup produced no decisions")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		fleet.ResetDecisions() // keeps the warmed pages
+		at += window * interval
+		k.RunUntil(at)
+	})
+	n := 0
+	fleet.EachDecision(func(Decision) { n++ })
+	if n == 0 || n > warm {
+		t.Fatalf("a measured window made %d decisions (warmup %d) — imbalance not steady", n, warm)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d decisions allocated %.0f times, want 0", n, allocs)
+	}
+}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -191,6 +192,60 @@ func TestAllTableAndFigureRenderersRun(t *testing.T) {
 		if strings.Contains(out, "failed") {
 			t.Errorf("%s reported failure:\n%s", name, out)
 		}
+	}
+}
+
+// lastColumns returns, per data row of a rendered table, the trailing n
+// cells parsed as numbers.
+func lastColumns(t *testing.T, table string, n int) [][]float64 {
+	t.Helper()
+	if strings.Contains(table, "failed") {
+		t.Fatalf("table reported a failure:\n%s", table)
+	}
+	var rows [][]float64
+	lines := strings.Split(table, "\n")
+	for _, line := range lines[3:] { // title, headers, separator
+		cells := strings.Fields(line)
+		if strings.HasPrefix(line, "  ") || len(cells) < n {
+			break // footnotes
+		}
+		row := make([]float64, n)
+		for i, c := range cells[len(cells)-n:] {
+			v, err := strconv.ParseFloat(c, 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			row[i] = v
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestRouteAndChunkExtensionsMatchExperiments pins the two ablations to the
+// values EXPERIMENTS.md quotes, and to the claims it draws from them.
+func TestRouteAndChunkExtensionsMatchExperiments(t *testing.T) {
+	route := lastColumns(t, ExtensionRoute().String(), 1)
+	if want := [][]float64{{8.59}, {8.68}}; fmt.Sprint(route) != fmt.Sprint(want) {
+		t.Errorf("route runtimes = %v, EXPERIMENTS.md says %v", route, want)
+	} else if daemon, direct := route[0][0], route[1][0]; direct < 0.98*daemon || direct > 1.02*daemon {
+		t.Errorf("direct route %.2f s vs daemon route %.2f s: want within 2%%", direct, daemon)
+	}
+
+	chunk := lastColumns(t, ExtensionADMChunk().String(), 2) // withdrawal, runtime
+	want := [][]float64{{5.05, 273.79}, {5.41, 273.35}, {6.25, 272.66}, {9.61, 270.13}}
+	if fmt.Sprint(chunk) != fmt.Sprint(want) {
+		t.Fatalf("chunk sweep = %v, EXPERIMENTS.md says %v", chunk, want)
+	}
+	lo, hi := chunk[0][1], chunk[0][1]
+	for i, row := range chunk {
+		if i > 0 && row[0] <= chunk[i-1][0] {
+			t.Errorf("withdrawal cost not monotone in chunk size: %v", chunk)
+		}
+		lo, hi = min(lo, row[1]), max(hi, row[1])
+	}
+	if spread := (hi - lo) / lo; spread > 0.015 {
+		t.Errorf("runtime spread across chunk sizes %.2f%%, want ≤ 1.5%%", spread*100)
 	}
 }
 

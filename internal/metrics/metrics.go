@@ -33,25 +33,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// Std returns the sample standard deviation.
-func (s *Series) Std() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Stddev returns the sample standard deviation. It is an alias for Std,
-// named to match the Percentile/Stddev pair the fault-tolerance reports use.
-func (s *Series) Stddev() float64 { return s.Std() }
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks, the same convention as numpy's
 // default. An empty series reports 0; p outside [0, 100] is clamped.

@@ -123,9 +123,9 @@ func (s *System) migrateChecked(mt *MTask, dest int, reason core.MigrationReason
 }
 
 // handleCtl is installed as every daemon's Control hook.
-func (s *System) handleCtl(d *pvm.Daemon, c *pvm.CtlMsg) bool {
+func (s *System) handleCtl(d *pvm.Daemon, c *pvm.CtlMsg) {
 	if c.Kind != "mpvm" {
-		return false
+		return
 	}
 	switch p := c.Payload.(type) {
 	case *migrateCmd:
@@ -143,7 +143,6 @@ func (s *System) handleCtl(d *pvm.Daemon, c *pvm.CtlMsg) bool {
 	case *restartCmd:
 		s.onRestartCmd(d, p)
 	}
-	return true
 }
 
 // onMigrateCmd (source mpvmd): stage 1 → start stage 2 by flushing.

@@ -60,24 +60,6 @@ func TestCrossTrafficDegradesGoodput(t *testing.T) {
 	}
 }
 
-func TestCrossTrafficStops(t *testing.T) {
-	k := sim.NewKernel()
-	n := New(k, Params{})
-	ct := StartCrossTraffic(n, 1, 0.5)
-	k.RunUntil(1e9)
-	carried := n.Link().FramesCarried()
-	if carried == 0 {
-		t.Fatal("no cross traffic injected")
-	}
-	ct.Stop()
-	k.RunUntil(2e9)
-	after := n.Link().FramesCarried()
-	k.RunUntil(10e9)
-	if n.Link().FramesCarried() > after+1 {
-		t.Fatal("cross traffic kept flowing after Stop")
-	}
-}
-
 func TestCrossTrafficPanicsOnBadUtilization(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k, Params{})

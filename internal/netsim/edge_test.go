@@ -47,35 +47,6 @@ func TestLoopbackTCPConn(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	k := sim.NewKernel()
-	n := New(k, Params{})
-	a, b := n.Attach(0), n.Attach(1)
-	l, _ := b.Listen(1)
-	var srv *Conn
-	k.Spawn("srv", func(p *sim.Proc) {
-		srv, _ = l.Accept(p)
-	})
-	k.Spawn("cli", func(p *sim.Proc) {
-		c, err := a.Dial(p, 1, 1)
-		if err != nil {
-			return
-		}
-		c.Send(p, 100, "x")
-	})
-	k.Run()
-	if srv == nil {
-		t.Fatal("no connection")
-	}
-	seg, ok := srv.TryRecv()
-	if !ok || seg.Payload != "x" {
-		t.Fatalf("TryRecv = %+v, %v", seg, ok)
-	}
-	if _, ok := srv.TryRecv(); ok {
-		t.Fatal("phantom second segment")
-	}
-}
-
 func TestListenerCloseUnblocksAccept(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k, Params{})

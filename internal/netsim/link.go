@@ -14,7 +14,6 @@ type Link struct {
 	// accounting
 	bytesCarried  int64 // payload bytes
 	framesCarried int64
-	busyTime      sim.Time
 }
 
 // frameTime returns the wire occupancy of a frame carrying payload bytes.
@@ -37,7 +36,6 @@ func (l *Link) reserve(payload int) sim.Time {
 	l.busyUntil = start + d
 	l.bytesCarried += int64(payload)
 	l.framesCarried++
-	l.busyTime += d
 	return l.busyUntil
 }
 
@@ -54,11 +52,3 @@ func (l *Link) BytesCarried() int64 { return l.bytesCarried }
 
 // FramesCarried returns the total frame count.
 func (l *Link) FramesCarried() int64 { return l.framesCarried }
-
-// Utilization returns busy time ÷ elapsed time since simulation start.
-func (l *Link) Utilization() float64 {
-	if l.k.Now() == 0 {
-		return 0
-	}
-	return float64(l.busyTime) / float64(l.k.Now())
-}

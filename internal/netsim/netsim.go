@@ -96,9 +96,6 @@ func New(k *sim.Kernel, params Params) *Network {
 	}
 }
 
-// Kernel returns the kernel the network runs on.
-func (n *Network) Kernel() *sim.Kernel { return n.k }
-
 // Link returns the shared Ethernet link, mainly for tests and utilization
 // probes.
 func (n *Network) Link() *Link { return n.link }

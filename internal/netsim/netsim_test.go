@@ -269,18 +269,3 @@ func TestConnClose(t *testing.T) {
 		t.Fatalf("recvErr = %v", recvErr)
 	}
 }
-
-func TestUtilizationAccounting(t *testing.T) {
-	k := sim.NewKernel()
-	n := New(k, Params{})
-	link := n.Link()
-	k.Spawn("s", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			link.Transmit(p, MSS)
-		}
-	})
-	k.Run()
-	if u := link.Utilization(); math.Abs(u-1.0) > 1e-9 {
-		t.Fatalf("utilization = %f, want 1.0 for saturating sender", u)
-	}
-}

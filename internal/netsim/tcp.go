@@ -73,9 +73,6 @@ func (i *Iface) Listen(port int) (*Listener, error) {
 	return l, nil
 }
 
-// Port returns the listener's port.
-func (l *Listener) Port() int { return l.port }
-
 // Accept blocks until a connection arrives and returns the server-side
 // endpoint.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
@@ -256,11 +253,6 @@ func (c *Conn) Recv(p *sim.Proc) (Segment, error) {
 		return Segment{}, ErrConnClosed
 	}
 	return seg, err
-}
-
-// TryRecv returns a queued segment without blocking.
-func (c *Conn) TryRecv() (Segment, bool) {
-	return c.inbox.TryGet()
 }
 
 // Close tears down this endpoint. The two directions are intentionally

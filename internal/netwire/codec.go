@@ -11,8 +11,7 @@ import "pvmigrate/internal/wirefmt"
 // AppendEncode is append-style so the transport can reuse one scratch
 // buffer across frames: the steady-state encode path of the default
 // BinaryCodec performs zero allocations once the buffer has grown to the
-// working set (pinned by TestBinaryEncodeZeroAlloc and the BENCH_WIRE
-// gate).
+// working set (pinned by TestBinaryEncodeZeroAlloc).
 type WireCodec interface {
 	// AppendEncode appends payload's encoding to dst and returns the
 	// extended slice. On error dst is returned at its original length.

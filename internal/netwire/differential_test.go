@@ -131,8 +131,6 @@ func TestCodecDifferentialRandomized(t *testing.T) {
 // The default codec's steady-state encode path must not allocate once the
 // pooled buffer has grown to the working set — this is what lets SendDgram
 // and stream.Send reuse one scratch buffer with zero garbage per frame.
-// The BENCH_WIRE gate enforces the same invariant under the benchmark
-// workload; this is the fast always-on check.
 func TestBinaryEncodeZeroAlloc(t *testing.T) {
 	c := netwire.BinaryCodec{}
 	loadvec := make([]float64, 64)

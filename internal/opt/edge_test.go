@@ -5,14 +5,6 @@ import (
 	"testing"
 )
 
-func TestGradientBytes(t *testing.T) {
-	n := NewNet(8, 4, 3, 1)
-	g := NewGradient(n)
-	if g.Bytes() != n.NumParams()*4 {
-		t.Fatalf("gradient bytes = %d, params*4 = %d", g.Bytes(), n.NumParams()*4)
-	}
-}
-
 func TestNetClone(t *testing.T) {
 	n := NewNet(4, 3, 2, 7)
 	c := n.Clone()

@@ -224,11 +224,6 @@ func (g *Gradient) Flat() []float64 {
 	return out
 }
 
-// Bytes returns the gradient's wire size (single precision).
-func (g *Gradient) Bytes() int {
-	return (len(g.W1) + len(g.B1) + len(g.W2) + len(g.B2)) * 4
-}
-
 // AccumulateGradient adds the back-propagation gradient of the cross-
 // entropy loss over the set's exemplars [lo, hi) into g.
 func (n *Net) AccumulateGradient(set *ExemplarSet, lo, hi int, g *Gradient) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netwire"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/wirefmt"
@@ -29,10 +30,31 @@ func pvmWireFixtures() []struct {
 			Buf: buf, SentAt: sim.FromSeconds(2), Hops: 1,
 		}, "5057012000170000008280208280401280d0acf30e02100002000e0302686914"},
 		{"ctlmsg-kill", &CtlMsg{Kind: "kill", From: core.MakeTID(0, 1), Payload: core.MakeTID(1, 2)}, "50570121000d000000046b696c6c8280201100848040"},
-		{"spawn-req", &spawnReq{rpc: 7, name: "worker", replyHost: 1}, "5057012200090000000e06776f726b657202"},
-		{"spawn-reply", &spawnReply{rpc: 7, tid: core.MakeTID(1, 2), err: "no such host"}, "5057012300110000000e8480400c6e6f207375636820686f7374"},
-		{"group-req", &groupReq{id: 3, op: "join", group: "workers", tid: core.MakeTID(0, 1), host: 0, count: 2}, "50570124001300000006046a6f696e07776f726b6572738280200004"},
-		{"group-reply", &groupReply{id: 3, inst: 1, size: 2, members: []core.TID{core.MakeTID(0, 1), core.MakeTID(1, 1)}, err: ""}, "50570125000b0000000602040382802082804000"},
+	}
+}
+
+// The frames of the four retired wire types (tags 34–37), as an older peer
+// would still emit them. They are pinned as negative fixtures: the tags are
+// retired, not reused, so each must decode to a wire.unknown-tag error.
+var retiredFrames = []struct{ name, hex string }{
+	{"spawn-req", "5057012200090000000e06776f726b657202"},
+	{"spawn-reply", "5057012300110000000e8480400c6e6f207375636820686f7374"},
+	{"group-req", "50570124001300000006046a6f696e07776f726b6572738280200004"},
+	{"group-reply", "50570125000b0000000602040382802082804000"},
+}
+
+func TestRetiredTagsStayUnknown(t *testing.T) {
+	for _, c := range retiredFrames {
+		t.Run(c.name, func(t *testing.T) {
+			raw, err := hex.DecodeString(c.hex)
+			if err != nil {
+				t.Fatalf("bad fixture: %v", err)
+			}
+			v, err := wirefmt.Decode(raw)
+			if !errs.Is(err, wirefmt.CodeUnknownTag) {
+				t.Fatalf("decoded %#v, err %v; want %s", v, err, wirefmt.CodeUnknownTag)
+			}
+		})
 	}
 }
 

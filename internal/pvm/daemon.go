@@ -10,13 +10,12 @@ import (
 )
 
 // CtlMsg is a daemon control message (anything that is not plain
-// task-to-task data): group operations, and — via the Control hook — the
-// MPVM migration protocol messages.
+// task-to-task data): via the Control hook, the MPVM migration protocol
+// messages.
 type CtlMsg struct {
 	Kind    string
 	From    core.TID
 	Payload any
-	Reply   func(any) // kernel-context reply channel for local RPCs
 }
 
 // Daemon is a pvmd: one per host, responsible for task creation and
@@ -35,10 +34,9 @@ type Daemon struct {
 	// no forwarder claims them, so nothing is silently lost.
 	held []*Message
 
-	// Control, when set, sees every CtlMsg before default handling and
-	// reports whether it consumed the message. The MPVM daemon extension
+	// Control, when set, is handed every CtlMsg. The MPVM daemon extension
 	// installs itself here.
-	Control func(d *Daemon, c *CtlMsg) bool
+	Control func(d *Daemon, c *CtlMsg)
 	// ForwardUnknown, when set, is offered data messages addressed to tids
 	// with no local task (e.g. tasks that migrated away). It reports
 	// whether it re-routed the message.
@@ -72,13 +70,6 @@ func (d *Daemon) Tasks() []*Task {
 	return ts
 }
 
-func (d *Daemon) task(tid core.TID) *Task {
-	if tid.Host() != int(d.host.ID()) {
-		return nil
-	}
-	return d.tasks[tid.Local()]
-}
-
 // run is the daemon main loop: receive datagrams, charge processing cost,
 // dispatch.
 func (d *Daemon) run(p *sim.Proc) {
@@ -92,7 +83,12 @@ func (d *Daemon) run(p *sim.Proc) {
 		case *Message:
 			d.route(p, payload)
 		case *CtlMsg:
-			d.handleCtl(p, payload)
+			// Stock pvmd handles no control kind itself: what the hook
+			// does not recognise (or any kind with no hook installed) is
+			// ignored.
+			if d.Control != nil {
+				d.Control(d, payload)
+			}
 		default:
 			// Unknown datagram: drop, like a malformed UDP packet.
 		}
@@ -126,24 +122,6 @@ func (d *Daemon) route(p *sim.Proc, msg *Message) {
 // HeldMessages returns messages that could not be delivered or forwarded.
 // A correct migration layer keeps this empty.
 func (d *Daemon) HeldMessages() []*Message { return d.held }
-
-// handleCtl processes a control message, offering it to the Control hook
-// first.
-func (d *Daemon) handleCtl(p *sim.Proc, c *CtlMsg) {
-	if d.Control != nil && d.Control(d, c) {
-		return
-	}
-	switch c.Kind {
-	case "group":
-		d.m.groups.handle(d, c)
-	case "kill":
-		d.m.handleKill(d, c)
-	case "spawn":
-		d.m.handleSpawn(d, c)
-	default:
-		// Unknown control kind: ignore.
-	}
-}
 
 // SendCtl sends a control message to another daemon (or to this one, via
 // loopback) with the given accounted size.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/sim"
 )
 
 func TestDirectRouteFallsBackWhenPeerGone(t *testing.T) {
@@ -24,73 +25,6 @@ func TestDirectRouteFallsBackWhenPeerGone(t *testing.T) {
 	}
 	if len(m.Daemon(1).HeldMessages()) != 1 {
 		t.Fatalf("held = %d", len(m.Daemon(1).HeldMessages()))
-	}
-}
-
-func TestSetDirectRouteMidStream(t *testing.T) {
-	k, m := testMachine(t, 2, Config{})
-	var got []int
-	recvr, _ := m.Spawn(1, "recv", func(task *Task) {
-		for i := 0; i < 4; i++ {
-			_, _, r, err := task.Recv(core.AnyTID, core.AnyTag)
-			if err != nil {
-				return
-			}
-			v, _ := r.UpkInt()
-			got = append(got, v)
-		}
-	})
-	m.Spawn(0, "send", func(task *Task) {
-		task.Send(recvr.Mytid(), 0, core.NewBuffer().PkInt(0))
-		task.Send(recvr.Mytid(), 0, core.NewBuffer().PkInt(1))
-		// Wait for the daemon-routed messages to drain before switching
-		// routes (cross-route ordering is not guaranteed, as in real PVM).
-		task.Proc().Sleep(time.Second)
-		task.SetDirectRoute(true)
-		task.Send(recvr.Mytid(), 0, core.NewBuffer().PkInt(2))
-		task.Send(recvr.Mytid(), 0, core.NewBuffer().PkInt(3))
-	})
-	k.Run()
-	if len(got) != 4 {
-		t.Fatalf("got %v", got)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order %v", got)
-		}
-	}
-}
-
-func TestProbeWithSrcFilter(t *testing.T) {
-	k, m := testMachine(t, 3, Config{})
-	var probeA, probeB bool
-	var senderA *Task
-	recvr, _ := m.Spawn(0, "recv", func(task *Task) {
-		task.Proc().Sleep(3 * time.Second)
-		probeA = task.Probe(senderA.Mytid(), core.AnyTag)
-		probeB = task.Probe(core.MakeTID(2, 1), core.AnyTag)
-	})
-	senderA, _ = m.Spawn(1, "a", func(task *Task) {
-		task.Send(recvr.Mytid(), 1, core.NewBuffer().PkInt(1))
-	})
-	k.Run()
-	if !probeA || probeB {
-		t.Fatalf("probeA=%v probeB=%v", probeA, probeB)
-	}
-}
-
-func TestBytesSentAccounting(t *testing.T) {
-	k, m := testMachine(t, 2, Config{})
-	recvr, _ := m.Spawn(1, "recv", func(task *Task) {
-		task.Recv(core.AnyTID, core.AnyTag)
-	})
-	var sender *Task
-	sender, _ = m.Spawn(0, "send", func(task *Task) {
-		task.Send(recvr.Mytid(), 0, core.NewBuffer().PkVirtual(12345))
-	})
-	k.Run()
-	if _, _, bytes := sender.Stats(); bytes != 12345 {
-		t.Fatalf("bytesSent = %d", bytes)
 	}
 }
 
@@ -139,5 +73,40 @@ func TestWireBytesIncludesHeader(t *testing.T) {
 	msg := &Message{Buf: core.NewBuffer().PkVirtual(100)}
 	if msg.WireBytes() != 100+msgHeaderBytes {
 		t.Fatalf("WireBytes = %d", msg.WireBytes())
+	}
+}
+
+// An older peer can still emit the control kinds stock pvmd used to serve
+// (group server, pvm_kill, the spawn RPC). They must cost exactly what any
+// unknown kind costs — the datagram and the daemon's processing charge —
+// and do nothing: no kill, no held message, no further event.
+func TestRetiredControlKindsIgnored(t *testing.T) {
+	type outcome struct {
+		events uint64
+		end    sim.Time
+		held   int
+		exited bool
+	}
+	run := func(kind string) outcome {
+		k, m := testMachine(t, 2, Config{})
+		defer k.Close()
+		victim, _ := m.Spawn(1, "victim", func(task *Task) {
+			task.Recv(core.AnyTID, core.AnyTag)
+		})
+		k.Schedule(time.Second, func() {
+			m.Daemon(0).SendCtl(1, 64, &CtlMsg{Kind: kind, From: core.MakeTID(0, 1), Payload: victim.Mytid()})
+		})
+		k.Run()
+		return outcome{k.EventsScheduled(), k.Now(),
+			len(m.Daemon(0).HeldMessages()) + len(m.Daemon(1).HeldMessages()), victim.Exited()}
+	}
+	want := run("no-such-kind")
+	if want.held != 0 || want.exited {
+		t.Fatalf("unknown kind was not ignored: %+v", want)
+	}
+	for _, kind := range []string{"group", "kill", "spawn"} {
+		if got := run(kind); got != want {
+			t.Errorf("CtlMsg kind %q: %+v, want %+v (an ignored kind)", kind, got, want)
+		}
 	}
 }

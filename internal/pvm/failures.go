@@ -27,8 +27,8 @@ func (t *Task) ForceKill(reason any) { t.forceKill(reason) }
 
 // forceKill terminates the task immediately: it is deregistered and its
 // proc is interrupted with the given reason so any blocking call unwinds.
-// Unlike Task.Kill (pvm_kill), no control message is routed — the host is
-// gone, there is no daemon left to deliver anything.
+// No control message is routed — the host is gone, there is no daemon left
+// to deliver anything.
 func (t *Task) forceKill(reason any) {
 	if t.exited {
 		return

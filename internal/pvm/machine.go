@@ -1,8 +1,11 @@
 // Package pvm implements a PVM 3.x-style message-passing substrate on the
 // simulated cluster: one pvmd daemon per host, tasks (virtual processors)
 // with tids, typed message buffers, blocking/non-blocking receive with
-// wildcards, daemon-routed and direct TCP-routed communication, process
-// spawning, and dynamic groups with barrier and broadcast.
+// wildcards, daemon-routed and direct TCP-routed communication, and process
+// spawning. It is sized by its traffic — what Opt, the three migration
+// systems and the GS send; PVM's group server, collectives, pvm_mcast/
+// notify/kill/trecv/probe and the task-side spawn RPC had no caller and are
+// not modelled.
 //
 // The package exposes the hook points (tid remapping, send interception,
 // signal handling, message forwarding) that the MPVM migration layer plugs
@@ -69,10 +72,6 @@ type Machine struct {
 	k       *sim.Kernel
 	cfg     Config
 	daemons []*Daemon
-	groups  *groupServer
-
-	spawnSeq  int
-	spawnWait map[int]*spawnPending
 
 	// daemonInit hooks are re-applied to daemons created by ReviveHost.
 	daemonInit []func(*Daemon)
@@ -80,9 +79,7 @@ type Machine struct {
 
 // NewMachine starts a pvmd on every host of the cluster.
 func NewMachine(cl *cluster.Cluster, cfg Config) *Machine {
-	m := &Machine{cl: cl, k: cl.Kernel(), cfg: cfg,
-		spawnWait: make(map[int]*spawnPending)}
-	m.groups = newGroupServer(m)
+	m := &Machine{cl: cl, k: cl.Kernel(), cfg: cfg}
 	for _, h := range cl.Hosts() {
 		m.daemons = append(m.daemons, newDaemon(m, h))
 	}
@@ -115,16 +112,6 @@ func (m *Machine) Spawn(host int, name string, body func(*Task)) (*Task, error) 
 		return nil, fmt.Errorf("pvm: no host %d", host)
 	}
 	return d.spawnTask(name, body), nil
-}
-
-// TaskByTID finds a live task anywhere in the machine.
-func (m *Machine) TaskByTID(tid core.TID) *Task {
-	for _, d := range m.daemons {
-		if t := d.task(tid); t != nil {
-			return t
-		}
-	}
-	return nil
 }
 
 // ChargeCPU exposes the library cost-charging primitive to the migration

@@ -195,9 +195,9 @@ func TestPairwiseFIFOOrdering(t *testing.T) {
 	}
 }
 
-func TestNRecvAndProbe(t *testing.T) {
+func TestNRecv(t *testing.T) {
 	k, m := testMachine(t, 2, Config{})
-	var probed, nrecvEmpty, nrecvFull bool
+	var nrecvEmpty, nrecvFull bool
 	recvr, _ := m.Spawn(1, "recv", func(task *Task) {
 		_, _, _, ok, err := task.NRecv(core.AnyTID, core.AnyTag)
 		if err != nil {
@@ -205,7 +205,6 @@ func TestNRecvAndProbe(t *testing.T) {
 		}
 		nrecvEmpty = !ok
 		task.Proc().Sleep(5 * time.Second) // let the message arrive
-		probed = task.Probe(core.AnyTID, 3)
 		_, tag, r, ok, err := task.NRecv(core.AnyTID, core.AnyTag)
 		if err != nil || !ok || tag != 3 {
 			t.Errorf("nrecv: tag=%d ok=%v err=%v", tag, ok, err)
@@ -220,8 +219,8 @@ func TestNRecvAndProbe(t *testing.T) {
 		task.Send(recvr.Mytid(), 3, core.NewBuffer().PkInt(9))
 	})
 	runToCompletion(t, k)
-	if !nrecvEmpty || !probed || !nrecvFull {
-		t.Fatalf("nrecvEmpty=%v probed=%v nrecvFull=%v", nrecvEmpty, probed, nrecvFull)
+	if !nrecvEmpty || !nrecvFull {
+		t.Fatalf("nrecvEmpty=%v nrecvFull=%v", nrecvEmpty, nrecvFull)
 	}
 }
 
@@ -288,9 +287,6 @@ func TestExitDropsTask(t *testing.T) {
 	if !task.Exited() {
 		t.Fatal("task did not exit")
 	}
-	if m.TaskByTID(task.Mytid()) != nil {
-		t.Fatal("exited task still registered")
-	}
 	if got := len(m.Daemon(0).Tasks()); got != 0 {
 		t.Fatalf("daemon still lists %d tasks", got)
 	}
@@ -322,171 +318,5 @@ func TestSendInvalidTID(t *testing.T) {
 		if err == nil {
 			t.Fatalf("bad send %d succeeded", i)
 		}
-	}
-}
-
-func TestStatsAccounting(t *testing.T) {
-	k, m := testMachine(t, 2, Config{})
-	var recvCount int
-	recvr, _ := m.Spawn(1, "recv", func(task *Task) {
-		for i := 0; i < 3; i++ {
-			if _, _, _, err := task.Recv(core.AnyTID, core.AnyTag); err != nil {
-				return
-			}
-		}
-		_, recvCount, _ = task.Stats()
-	})
-	var sender *Task
-	sender, _ = m.Spawn(0, "send", func(task *Task) {
-		for i := 0; i < 3; i++ {
-			task.Send(recvr.Mytid(), 0, core.NewBuffer().PkVirtual(100))
-		}
-	})
-	runToCompletion(t, k)
-	sent, _, bytes := sender.Stats()
-	if sent != 3 || bytes != 300 {
-		t.Fatalf("sender stats: %d msgs %d bytes", sent, bytes)
-	}
-	if recvCount != 3 {
-		t.Fatalf("receiver stats: %d msgs", recvCount)
-	}
-}
-
-func TestTRecvTimesOut(t *testing.T) {
-	k, m := testMachine(t, 1, Config{})
-	var ok bool
-	var waited sim.Time
-	m.Spawn(0, "w", func(task *Task) {
-		start := task.Proc().Now()
-		_, _, _, got, err := task.TRecv(core.AnyTID, core.AnyTag, 3*time.Second)
-		if err != nil {
-			t.Errorf("trecv: %v", err)
-			return
-		}
-		ok = got
-		waited = task.Proc().Now() - start
-	})
-	k.Run()
-	if ok {
-		t.Fatal("TRecv returned a phantom message")
-	}
-	if waited < 3*time.Second || waited > 3*time.Second+100*time.Millisecond {
-		t.Fatalf("waited %v, want ~3s", waited)
-	}
-}
-
-func TestTRecvReceivesBeforeDeadline(t *testing.T) {
-	k, m := testMachine(t, 2, Config{})
-	var got int
-	var ok bool
-	recvr, _ := m.Spawn(1, "recv", func(task *Task) {
-		_, _, r, o, err := task.TRecv(core.AnyTID, 1, time.Minute)
-		if err != nil || !o {
-			t.Errorf("trecv: ok=%v err=%v", o, err)
-			return
-		}
-		ok = o
-		got, _ = r.UpkInt()
-	})
-	m.Spawn(0, "send", func(task *Task) {
-		task.Proc().Sleep(2 * time.Second)
-		task.Send(recvr.Mytid(), 1, core.NewBuffer().PkInt(88))
-	})
-	k.Run()
-	if !ok || got != 88 {
-		t.Fatalf("ok=%v got=%d", ok, got)
-	}
-}
-
-func TestTRecvZeroTimeoutIsNRecv(t *testing.T) {
-	k, m := testMachine(t, 1, Config{})
-	var ok bool
-	var at sim.Time
-	m.Spawn(0, "w", func(task *Task) {
-		start := task.Proc().Now()
-		_, _, _, ok, _ = task.TRecv(core.AnyTID, core.AnyTag, 0)
-		at = task.Proc().Now() - start
-	})
-	k.Run()
-	if ok || at > 10*time.Millisecond {
-		t.Fatalf("zero-timeout TRecv blocked (%v) or matched", at)
-	}
-}
-
-func TestSpawnTaskFromRunningTask(t *testing.T) {
-	// pvm_spawn semantics: a master task starts its own slaves at run time.
-	k, m := testMachine(t, 2, Config{})
-	var echoed []int
-	m.Spawn(0, "master", func(master *Task) {
-		slaves := make([]core.TID, 2)
-		for i := 0; i < 2; i++ {
-			tid, err := master.SpawnTask(i, "slave", func(s *Task) {
-				src, _, r, err := s.Recv(core.AnyTID, 1)
-				if err != nil {
-					return
-				}
-				v, _ := r.UpkInt()
-				s.Send(src, 2, core.NewBuffer().PkInt(v*10))
-			})
-			if err != nil {
-				t.Errorf("spawn %d: %v", i, err)
-				return
-			}
-			slaves[i] = tid
-		}
-		for i, s := range slaves {
-			if err := master.Send(s, 1, core.NewBuffer().PkInt(i+1)); err != nil {
-				t.Errorf("send: %v", err)
-				return
-			}
-		}
-		for range slaves {
-			_, _, r, err := master.Recv(core.AnyTID, 2)
-			if err != nil {
-				t.Errorf("recv: %v", err)
-				return
-			}
-			v, _ := r.UpkInt()
-			echoed = append(echoed, v)
-		}
-	})
-	k.Run()
-	if len(echoed) != 2 {
-		t.Fatalf("echoed = %v", echoed)
-	}
-	sum := echoed[0] + echoed[1]
-	if sum != 30 { // 10 + 20 in either order
-		t.Fatalf("echoed = %v", echoed)
-	}
-}
-
-func TestSpawnTaskOnMissingHost(t *testing.T) {
-	k, m := testMachine(t, 1, Config{})
-	var err error
-	m.Spawn(0, "master", func(master *Task) {
-		_, err = master.SpawnTask(7, "x", func(*Task) {})
-	})
-	k.Run()
-	if err == nil {
-		t.Fatal("spawn on missing host succeeded")
-	}
-}
-
-func TestSpawnTaskPaysRoundTrip(t *testing.T) {
-	k, m := testMachine(t, 2, Config{})
-	var spawnTook sim.Time
-	m.Spawn(0, "master", func(master *Task) {
-		start := master.Proc().Now()
-		if _, err := master.SpawnTask(1, "slave", func(*Task) {}); err != nil {
-			t.Errorf("spawn: %v", err)
-			return
-		}
-		spawnTook = master.Proc().Now() - start
-	})
-	k.Run()
-	// One remote control round trip: a few ms, well below the spawn cost
-	// (the reply comes back when the task is created, not when it runs).
-	if spawnTook <= 0 || spawnTook > 100*time.Millisecond {
-		t.Fatalf("SpawnTask took %v", spawnTook)
 	}
 }

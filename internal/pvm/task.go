@@ -33,11 +33,10 @@ type Task struct {
 	directRoute bool
 	conns       map[core.TID]*netsim.Conn
 
-	exited       bool
-	exitWatchers []exitWatcher
-	// onExit hooks run synchronously inside Exit(), before the pvm_notify
-	// messages go out. The scheduler's load index subscribes here so host
-	// load accounting updates at the exit instant, not a poll later.
+	exited bool
+	// onExit hooks run synchronously inside Exit(). The scheduler's load
+	// index subscribes here so host load accounting updates at the exit
+	// instant, not a poll later.
 	onExit []func(*Task)
 
 	// Migration-layer hooks (installed by mpvm; nil under plain PVM).
@@ -45,10 +44,6 @@ type Task struct {
 	srcRemap   func(core.TID) core.TID  // stable sender tid on receive
 	beforeSend func(dst core.TID) error // may block (flush protocol)
 	onSignal   func(reason any) error   // runs migration in task context
-
-	// stats
-	sent, received int
-	bytesSent      int64
 }
 
 var _ core.VP = (*Task)(nil)
@@ -110,15 +105,6 @@ func (t *Task) Machine() *Machine { return t.m }
 
 // Exited reports whether the task has called Exit.
 func (t *Task) Exited() bool { return t.exited }
-
-// Stats returns messages sent, messages received, and bytes sent.
-func (t *Task) Stats() (sent, received int, bytesSent int64) {
-	return t.sent, t.received, t.bytesSent
-}
-
-// SetDirectRoute switches between daemon routing and task-to-task TCP
-// (pvm_setopt(PvmRoute, PvmRouteDirect)).
-func (t *Task) SetDirectRoute(on bool) { t.directRoute = on }
 
 // --- migration-layer hook installation ------------------------------------
 
@@ -220,9 +206,6 @@ func (t *Task) deliver(msg *Message) {
 	t.inboxCond.Broadcast()
 }
 
-// InboxLen returns the number of queued, unreceived messages.
-func (t *Task) InboxLen() int { return len(t.inbox) }
-
 // TakeInbox removes and returns all queued messages (used when migrating:
 // unreceived messages are part of the transferred state).
 func (t *Task) TakeInbox() []*Message {
@@ -285,8 +268,6 @@ func (t *Task) SendAs(p *sim.Proc, dst core.TID, tag int, buf *core.Buffer) erro
 		return fmt.Errorf("%w: %v", ErrBadTID, rdst)
 	}
 	msg := &Message{Src: t.tid, Dst: rdst, Tag: tag, Buf: buf, SentAt: p.Now()}
-	t.sent++
-	t.bytesSent += int64(buf.Bytes())
 	if t.directRoute && t.sendDirect(p, rdst, msg) {
 		return nil
 	}
@@ -350,46 +331,6 @@ func (t *Task) Recv(src core.TID, tag int) (core.TID, int, *core.Reader, error) 
 	}
 }
 
-// TRecv is the timed receive (pvm_trecv): it behaves like Recv but gives up
-// after the timeout, returning ok=false. A zero or negative timeout makes
-// it equivalent to NRecv.
-func (t *Task) TRecv(src core.TID, tag int, timeout sim.Time) (core.TID, int, *core.Reader, bool, error) {
-	if timeout <= 0 {
-		return t.NRecv(src, tag)
-	}
-	p := t.proc
-	p.MaskInterrupts()
-	defer p.UnmaskInterrupts()
-	t.m.chargeCPU(p, t.host, libCallOverhead)
-	deadline := p.Now() + timeout
-	// A wake at the deadline so the cond wait cannot oversleep.
-	timer := t.m.k.Schedule(timeout, func() { t.inboxCond.Broadcast() })
-	defer timer.Cancel()
-	for {
-		if t.exited {
-			return core.NoTID, 0, nil, false, ErrTaskExited
-		}
-		for i, msg := range t.inbox {
-			if t.match(msg, src, tag) {
-				t.inbox = append(t.inbox[:i], t.inbox[i+1:]...)
-				tid, tag2, r, err := t.finishRecv(p, msg)
-				return tid, tag2, r, err == nil, err
-			}
-		}
-		if p.Now() >= deadline {
-			return core.NoTID, 0, nil, false, nil
-		}
-		p.UnmaskInterrupts()
-		err := t.inboxCond.Wait(p)
-		p.MaskInterrupts()
-		if err != nil {
-			if herr := t.handleSignal(err); herr != nil {
-				return core.NoTID, 0, nil, false, herr
-			}
-		}
-	}
-}
-
 // NRecv is the non-blocking receive: ok reports whether a matching message
 // was available.
 func (t *Task) NRecv(src core.TID, tag int) (core.TID, int, *core.Reader, bool, error) {
@@ -410,19 +351,8 @@ func (t *Task) NRecv(src core.TID, tag int) (core.TID, int, *core.Reader, bool, 
 	return core.NoTID, 0, nil, false, nil
 }
 
-// Probe reports whether a matching message is queued, without consuming it.
-func (t *Task) Probe(src core.TID, tag int) bool {
-	for _, msg := range t.inbox {
-		if t.match(msg, src, tag) {
-			return true
-		}
-	}
-	return false
-}
-
 func (t *Task) finishRecv(p *sim.Proc, msg *Message) (core.TID, int, *core.Reader, error) {
 	t.m.chargeCPU(p, t.host, t.m.packTime(msg.Buf.Bytes()))
-	t.received++
 	srcTID := msg.Src
 	if t.srcRemap != nil {
 		srcTID = t.srcRemap(srcTID)
@@ -454,7 +384,7 @@ func (t *Task) Compute(flops float64) error {
 // --- lifecycle -----------------------------------------------------------------
 
 // Exit deregisters the task (pvm_exit), tears down its endpoints, and
-// fires any pvm_notify exit notifications.
+// runs the OnExit hooks.
 func (t *Task) Exit() {
 	if t.exited {
 		return
@@ -467,10 +397,6 @@ func (t *Task) Exit() {
 		fn(t)
 	}
 	t.onExit = nil
-	for _, w := range t.exitWatchers {
-		t.m.sendExitNotice(w.who, t.tid, w.tag)
-	}
-	t.exitWatchers = nil
 }
 
 // OnExit registers fn to run synchronously when the task exits, in

@@ -189,9 +189,6 @@ func (c *Core) Now() sim.Time { return c.k.Now() }
 // History returns the applied command log (the in-memory journal).
 func (c *Core) History() []Command { return append([]Command(nil), c.history...) }
 
-// Jobs returns the submitted jobs in submission order.
-func (c *Core) Jobs() []*Job { return append([]*Job(nil), c.jobs...) }
-
 // Plans returns the submitted plans in submission order.
 func (c *Core) Plans() []*PlanStatus { return append([]*PlanStatus(nil), c.plans...) }
 

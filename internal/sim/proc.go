@@ -157,9 +157,6 @@ func (k *Kernel) SpawnAt(at Time, name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// Kernel returns the kernel this proc belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Name returns the proc's name, fixed at Spawn time.
 func (p *Proc) Name() string { return p.name }
 

@@ -114,26 +114,6 @@ func (q *Queue[T]) Get(p *Proc) (T, error) {
 	return v, nil
 }
 
-// TryGet removes and returns the head item without blocking.
-func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if q.n == 0 {
-		return zero, false
-	}
-	v := q.pop()
-	q.notFull.Signal()
-	return v, true
-}
-
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if q.n == 0 {
-		return zero, false
-	}
-	return q.buf[q.head], true
-}
-
 // Drain removes and returns all queued items.
 func (q *Queue[T]) Drain() []T {
 	if q.n == 0 {

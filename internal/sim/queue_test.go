@@ -106,20 +106,14 @@ func TestQueueClose(t *testing.T) {
 func TestQueueTryOps(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k, 1)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty succeeded")
-	}
 	if !q.TryPut(1) {
 		t.Fatal("TryPut on empty bounded queue failed")
 	}
 	if q.TryPut(2) {
 		t.Fatal("TryPut on full queue succeeded")
 	}
-	if v, ok := q.Peek(); !ok || v != 1 {
-		t.Fatalf("Peek = %v, %v", v, ok)
-	}
-	if v, ok := q.TryGet(); !ok || v != 1 {
-		t.Fatalf("TryGet = %v, %v", v, ok)
+	if got := q.Drain(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("queue holds %v, want [1]", got)
 	}
 }
 

@@ -74,12 +74,6 @@ func (a *AddressSpace) Reserve(ulpID int, size int) (Region, error) {
 	return r, nil
 }
 
-// Region returns a ULP's reserved region.
-func (a *AddressSpace) Region(ulpID int) (Region, bool) {
-	r, ok := a.regions[ulpID]
-	return r, ok
-}
-
 // Capacity returns the remaining reservable bytes — the paper's "limit on
 // the number of ULPs that could be created depending on the memory
 // requirements of each ULP".

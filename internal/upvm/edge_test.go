@@ -69,11 +69,8 @@ func TestULPAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := ulps[0]
-	if u.StateBytes() != 65_000 {
-		t.Fatalf("StateBytes = %d", u.StateBytes())
-	}
-	if u.Region().Size == 0 {
-		t.Fatal("no region reserved")
+	if u.Region().Size < 65_000 {
+		t.Fatalf("region of %d bytes does not hold the three segments", u.Region().Size)
 	}
 	if u.Process() != s.Process(1) {
 		t.Fatal("Process accessor wrong")

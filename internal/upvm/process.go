@@ -97,9 +97,6 @@ func newProcess(s *System, host int, name string) (*Process, error) {
 // Host returns the workstation the process runs on.
 func (p *Process) Host() *cluster.Host { return p.task.Host() }
 
-// Task returns the underlying PVM task.
-func (p *Process) Task() *pvm.Task { return p.task }
-
 // NumULPs returns the number of ULPs currently resident.
 func (p *Process) NumULPs() int { return len(p.ulps) }
 

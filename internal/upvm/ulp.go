@@ -85,16 +85,6 @@ func (u *ULP) Process() *Process { return u.p }
 // Region returns the ULP's globally unique virtual address region.
 func (u *ULP) Region() Region { return u.region }
 
-// StateBytes returns the ULP's migratable segment size plus queued message
-// bytes.
-func (u *ULP) StateBytes() int {
-	n := u.spec.StateBytes()
-	for _, m := range u.inbox {
-		n += m.Buf.Bytes()
-	}
-	return n
-}
-
 // Done reports whether the ULP's body has returned.
 func (u *ULP) Done() bool { return u.done }
 
@@ -146,9 +136,6 @@ func (u *ULP) deliver(msg *UMessage) {
 	}
 	u.inboxCond.Broadcast()
 }
-
-// InboxLen returns queued message count.
-func (u *ULP) InboxLen() int { return len(u.inbox) }
 
 // Send delivers buf to the ULP named dst. Same-process destinations get the
 // zero-copy hand-off; remote destinations are wrapped with the UPVM routing
