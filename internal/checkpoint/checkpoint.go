@@ -29,12 +29,8 @@ import (
 	"pvmigrate/internal/sim"
 )
 
-// Params describes the job and the environment costs.
+// Params describes the policy run.
 type Params struct {
-	// StateBytes is the process image size (data+heap+stack).
-	StateBytes int
-	// WorkFlops is the job's total computation.
-	WorkFlops float64
 	// Interval is the checkpoint period (checkpoint policy only).
 	Interval sim.Time
 }
@@ -44,15 +40,14 @@ const (
 	killCost sim.Time = 60 * time.Millisecond
 	// restartCost is exec + re-enroll on the destination.
 	restartCost sim.Time = 400 * time.Millisecond
+	// jobStateBytes is the compared job's process image (data+heap+stack).
+	jobStateBytes int = 4 << 20
+	// jobWorkFlops is the job's total computation: 300 s on the calibrated
+	// 9 Mflop/s CPU.
+	jobWorkFlops float64 = 9e6 * 300
 )
 
 func (p Params) withDefaults() Params {
-	if p.StateBytes == 0 {
-		p.StateBytes = 4 << 20
-	}
-	if p.WorkFlops == 0 {
-		p.WorkFlops = 9e6 * 300 // 300 s on the calibrated CPU
-	}
 	if p.Interval == 0 {
 		p.Interval = time.Minute
 	}
@@ -139,11 +134,11 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 	defer e.k.Close()
 	res := Result{}
 	store := NewStore(e.k)
-	ckptCost := store.IOTime(p.StateBytes)
+	ckptCost := store.IOTime(jobStateBytes)
 	const key = "job"
 	// The initial image (progress 0) is on disk before the job starts, so a
 	// pre-first-checkpoint eviction restarts from scratch after a full read.
-	store.Seed(key, 0, p.StateBytes, 0.0)
+	store.Seed(key, 0, jobStateBytes, 0.0)
 
 	var runErr error
 	job := e.k.Spawn("job", func(pr *sim.Proc) {
@@ -159,7 +154,7 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 				return false
 			}
 			res.Obtrusiveness = pr.Now() - evictAt
-			if err := transfer(pr, e, e.src, e.dst, p.StateBytes); err != nil {
+			if err := transfer(pr, e, e.src, e.dst, jobStateBytes); err != nil {
 				runErr = err
 				return false
 			}
@@ -180,10 +175,10 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 			return true
 		}
 
-		for done < p.WorkFlops {
+		for done < jobWorkFlops {
 			sliceFlops := sim.Seconds(p.Interval) * host.CPU().Speed()
-			if sliceFlops > p.WorkFlops-done {
-				sliceFlops = p.WorkFlops - done
+			if sliceFlops > jobWorkFlops-done {
+				sliceFlops = jobWorkFlops - done
 			}
 			rem, err := host.CPU().Compute(pr, sliceFlops)
 			if err != nil {
@@ -197,13 +192,13 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 				continue
 			}
 			done += sliceFlops
-			if done >= p.WorkFlops {
+			if done >= jobWorkFlops {
 				break
 			}
 			// Freeze and write the checkpoint. An interrupted write commits
 			// nothing (the store's torn-write guarantee), so recovery falls
 			// back to the previous image.
-			if err := store.Write(pr, key, res.Checkpoints+1, p.StateBytes, done); err != nil {
+			if err := store.Write(pr, key, res.Checkpoints+1, jobStateBytes, done); err != nil {
 				if _, ok := sim.IsInterrupted(err); !ok {
 					runErr = err
 					return
@@ -234,16 +229,15 @@ func RunCheckpointed(p Params, evictAt sim.Time) (Result, error) {
 
 // RunMigrateCurrent executes the job under the MPVM policy on the same
 // substrate: on eviction the live state transfers and computation resumes
-// exactly where it stopped.
-func RunMigrateCurrent(p Params, evictAt sim.Time) (Result, error) {
-	p = p.withDefaults()
+// exactly where it stopped. No checkpoint period applies.
+func RunMigrateCurrent(evictAt sim.Time) (Result, error) {
 	e := newEnv()
 	defer e.k.Close()
 	res := Result{}
 
 	var runErr error
 	job := e.k.Spawn("job", func(pr *sim.Proc) {
-		remaining := p.WorkFlops
+		remaining := jobWorkFlops
 		host := e.src
 		for remaining > 0 {
 			rem, err := host.CPU().Compute(pr, remaining)
@@ -256,7 +250,7 @@ func RunMigrateCurrent(p Params, evictAt sim.Time) (Result, error) {
 			}
 			remaining = rem
 			// Live-state transfer (flush is trivial for a lone process).
-			if terr := transfer(pr, e, e.src, e.dst, p.StateBytes); terr != nil {
+			if terr := transfer(pr, e, e.src, e.dst, jobStateBytes); terr != nil {
 				runErr = terr
 				return
 			}

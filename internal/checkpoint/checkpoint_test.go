@@ -7,16 +7,13 @@ import (
 	"pvmigrate/internal/sim"
 )
 
-func baseParams() Params {
-	return Params{
-		StateBytes: 4 << 20,
-		WorkFlops:  9e6 * 300, // 300 s solo
-		Interval:   time.Minute,
-	}
-}
+// soloSeconds is the job's run time on the 9 Mflop/s CPU with no eviction.
+const soloSeconds = jobWorkFlops / 9e6
+
+func baseParams() Params { return Params{Interval: time.Minute} }
 
 func TestMigrateCurrentNoLostWork(t *testing.T) {
-	res, err := RunMigrateCurrent(baseParams(), 100*time.Second)
+	res, err := RunMigrateCurrent(100 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +22,12 @@ func TestMigrateCurrentNoLostWork(t *testing.T) {
 	}
 	// 4 MB over ~1.04 MB/s ≈ 4 s obtrusiveness.
 	obtr := res.Obtrusiveness.Seconds()
-	if obtr < 3.5 || obtr > 5.0 {
-		t.Fatalf("obtrusiveness = %.2f s", obtr)
+	if want := float64(jobStateBytes) / 1.04e6; obtr < want-0.5 || obtr > want+1 {
+		t.Fatalf("obtrusiveness = %.2f s, want ~%.2f", obtr, want)
 	}
 	// Completion ≈ 300 s work + migration pause.
 	c := res.Completion.Seconds()
-	if c < 300 || c > 310 {
+	if c < soloSeconds || c > soloSeconds+10 {
 		t.Fatalf("completion = %.2f s", c)
 	}
 }
@@ -44,7 +41,7 @@ func TestCheckpointedTinyObtrusiveness(t *testing.T) {
 	if res.Obtrusiveness > 200*time.Millisecond {
 		t.Fatalf("checkpoint obtrusiveness = %v", res.Obtrusiveness)
 	}
-	migr, err := RunMigrateCurrent(baseParams(), 100*time.Second)
+	migr, err := RunMigrateCurrent(100 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +60,7 @@ func TestCheckpointedPaysPeriodicCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := RunMigrateCurrent(baseParams(), never)
+	mg, err := RunMigrateCurrent(never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestCompletionCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := RunMigrateCurrent(baseParams(), evict)
+	mg, err := RunMigrateCurrent(evict)
 	if err != nil {
 		t.Fatal(err)
 	}

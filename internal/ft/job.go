@@ -30,8 +30,7 @@ func slaveKey(idx int) string { return fmt.Sprintf("ft:slave%d", idx) }
 
 // JobSpec describes an FT-Opt run.
 type JobSpec struct {
-	// Opt is the training configuration (defaults as in package opt). The
-	// job always takes §4.0's adaptive step: LineSearch is RunMaster's alone.
+	// Opt is the training configuration (defaults as in package opt).
 	Opt opt.Params
 	// MasterHost places the master VP. Keep it on the checkpoint store's
 	// host: losing it is unrecoverable (the paper's GS is a single point of
@@ -352,7 +351,7 @@ func (m *masterRun) oneIteration() error {
 			break
 		}
 	}
-	return j.master.Update(m.mt, nil)
+	return j.master.Update(m.mt)
 }
 
 // checkpoint runs one coordinated round:

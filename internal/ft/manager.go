@@ -326,18 +326,18 @@ func (mgr *Manager) noteResumed(resumeIter, rolledFrom int) {
 // (frame-paced over the shared wire; a loopback copy when co-located) and
 // writes it to stable storage. Both costs are charged to the calling proc;
 // a rollback or kill at any point installs nothing. A *migrate* signal does
-// not abort the write: the disk sleeps run through sleepMigratable, so a
+// not abort the write: the disk sleeps run through MTask.SleepUntil, so a
 // slave can be evacuated mid-checkpoint and its image still lands — the
 // two-phase Stage/Commit keeps the torn-write guarantee either way.
 func (mgr *Manager) saveSnapshot(mt *mpvm.MTask, key string, epoch, bytes int, payload any) error {
 	if err := mgr.shipBytes(mt, bytes); err != nil {
 		return err
 	}
-	if err := sleepMigratable(mt, mgr.store.IOTime(bytes)); err != nil {
+	if err := mt.SleepUntil(mt.Proc().Now() + mgr.store.IOTime(bytes)); err != nil {
 		return err
 	}
 	mgr.store.Stage(key, epoch, bytes, payload)
-	if err := sleepMigratable(mt, mgr.store.CommitTime()); err != nil {
+	if err := mt.SleepUntil(mt.Proc().Now() + mgr.store.CommitTime()); err != nil {
 		mgr.store.DiscardStaged(key)
 		return err
 	}
@@ -369,7 +369,7 @@ func (mgr *Manager) shipBytes(mt *mpvm.MTask, n int) error {
 		if int(mt.Host().ID()) == storeHost {
 			// Co-located with the store (possibly only after migrating):
 			// the rest is a loopback copy.
-			return sleepMigratable(mt, sim.FromSeconds(float64(remaining)/netsim.LoopbackBps))
+			return mt.SleepUntil(p.Now() + sim.FromSeconds(float64(remaining)/netsim.LoopbackBps))
 		}
 		frag := remaining
 		if frag > netsim.MSS {
@@ -386,25 +386,7 @@ func (mgr *Manager) shipBytes(mt *mpvm.MTask, n int) error {
 	if int(mt.Host().ID()) == storeHost {
 		return nil
 	}
-	return sleepMigratable(mt, netsim.Latency)
-}
-
-// sleepMigratable charges d of blocking time to the task while staying
-// migration-transparent: a migrate signal arriving mid-sleep runs the
-// migration in the task's own context (via the library's signal hook) and
-// the sleep resumes for the remainder. Any other interrupt — rollback,
-// kill — surfaces to the caller.
-func sleepMigratable(mt *mpvm.MTask, d sim.Time) error {
-	p := mt.Proc()
-	end := p.Now() + d
-	for p.Now() < end {
-		if err := p.SleepUntil(end); err != nil {
-			if err := mt.HandleSignal(err); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return mt.SleepUntil(p.Now() + netsim.Latency)
 }
 
 func (mgr *Manager) kernel() *sim.Kernel { return mgr.sys.Machine().Kernel() }

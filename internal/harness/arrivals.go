@@ -6,7 +6,7 @@ import (
 
 // arrivals.go generates the open-loop request schedules of the serving
 // scenarios: seeded Poisson processes, optionally modulated by a diurnal
-// load curve, or explicit trace-file schedules. A schedule is a pure
+// load curve. A schedule is a pure
 // function of its spec — the same spec produces the same arrival instants
 // whether generated serially or inside an internal/sweep worker — so a
 // serving run is as replayable as a batch run.
@@ -31,10 +31,6 @@ type ArrivalSpec struct {
 	Diurnal []float64
 	// MaxN, when > 0, caps the schedule length.
 	MaxN int
-	// Trace, when non-nil, is an explicit schedule (trace-file replay):
-	// Rate/Seed/Diurnal are ignored and the instants are used as given
-	// (still clipped to Horizon and MaxN).
-	Trace []sim.Time
 }
 
 // peakMult returns the largest diurnal multiplier (1 when no curve).
@@ -69,19 +65,6 @@ func (a ArrivalSpec) mult(t sim.Time) float64 {
 // probability rate(t)/peak, which realizes the piecewise-constant diurnal
 // intensity exactly and stays a pure function of the seed.
 func (a ArrivalSpec) Schedule() []sim.Time {
-	if a.Trace != nil {
-		out := make([]sim.Time, 0, len(a.Trace))
-		for _, t := range a.Trace {
-			if t < 0 || (a.Horizon > 0 && t >= a.Horizon) {
-				continue
-			}
-			if a.MaxN > 0 && len(out) == a.MaxN {
-				break
-			}
-			out = append(out, a.Start+t)
-		}
-		return out
-	}
 	if a.Rate <= 0 || a.Horizon <= 0 {
 		return nil
 	}

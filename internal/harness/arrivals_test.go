@@ -82,22 +82,10 @@ func TestArrivalDiurnalCurve(t *testing.T) {
 	}
 }
 
-func TestArrivalMaxNAndTrace(t *testing.T) {
+func TestArrivalMaxN(t *testing.T) {
 	spec := ArrivalSpec{Rate: 100, Horizon: 10 * time.Second, Seed: 1, MaxN: 7}
 	if n := len(spec.Schedule()); n != 7 {
 		t.Fatalf("MaxN=7 produced %d arrivals", n)
-	}
-	tr := ArrivalSpec{
-		Horizon: 2 * time.Second,
-		Trace: []sim.Time{
-			100 * time.Millisecond, 500 * time.Millisecond,
-			3 * time.Second, // beyond horizon: clipped
-		},
-	}
-	got := tr.Schedule()
-	want := []sim.Time{100 * time.Millisecond, 500 * time.Millisecond}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("trace schedule = %v, want %v", got, want)
 	}
 }
 

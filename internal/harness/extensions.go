@@ -14,7 +14,7 @@ func ExtensionCheckpoint() *metrics.Table {
 	t := metrics.NewTable("Extension A. Eviction policy: migrate current state vs periodic checkpoints (300 s job, 4 MB image, evicted at t=150 s)",
 		"policy", "obtrusiveness (s)", "completion (s)", "lost work (Mflop)", "checkpoints")
 	evict := 150 * time.Second
-	mg, err := checkpoint.RunMigrateCurrent(checkpoint.Params{}, evict)
+	mg, err := checkpoint.RunMigrateCurrent(evict)
 	if err == nil {
 		t.AddRow("migrate current state", mg.Obtrusiveness.Seconds(), mg.Completion.Seconds(),
 			mg.LostWorkFlops/1e6, 0)

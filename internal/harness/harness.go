@@ -265,21 +265,13 @@ func (r *rig) atMigrate(act func() error) {
 
 // RunPVM executes the scenario on plain PVM (no migration support; any
 // MigrateAt is ignored). This is the paper's baseline column.
-func RunPVM(sc Scenario) *Outcome { return runPVM(sc, nil) }
-
-// runPVM is the PVM runner. tune, when non-nil, adjusts the opt parameters
-// master and slaves run with (tests use it to exercise optional protocol
-// features like the distributed line search).
-func runPVM(sc Scenario, tune func(*opt.Params)) *Outcome {
+func RunPVM(sc Scenario) *Outcome {
 	r, err := newRig(sc)
 	if err != nil {
 		return &Outcome{Err: err}
 	}
 	defer r.k.Close()
 	p := r.sc.params()
-	if tune != nil {
-		tune(&p)
-	}
 	tids := make([]core.TID, r.sc.Slaves)
 	for i := range tids {
 		t, err := r.m.Spawn(r.sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), func(t *pvm.Task) {

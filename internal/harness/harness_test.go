@@ -359,39 +359,6 @@ func TestDistributedMatchesSerialReferenceBitwise(t *testing.T) {
 	}
 }
 
-func TestDistributedLineSearchMonotoneAndBitwise(t *testing.T) {
-	// With the distributed Armijo line search the parallel run regains the
-	// serial trainer's monotone-descent guarantee, and still matches the
-	// serial reference bitwise.
-	mk := func() Scenario {
-		sc := Scenario{TotalBytes: 120_000, Iterations: 6, Real: true, Seed: 4}
-		return sc
-	}
-	sc := mk().withDefaults()
-	p := sc.params()
-	p.LineSearch = true
-	ref := opt.ReferenceTrajectory(p, sc.Slaves)
-
-	run := runPVM(sc, func(p *opt.Params) { p.LineSearch = true })
-	if run.Err != nil {
-		t.Fatal(run.Err)
-	}
-	losses := run.Result.Losses
-	if len(losses) != len(ref) {
-		t.Fatalf("iterations: %d vs %d", len(losses), len(ref))
-	}
-	for i := 1; i < len(losses); i++ {
-		if losses[i] > losses[i-1]+1e-12 {
-			t.Fatalf("loss increased at iter %d: %v", i, losses)
-		}
-	}
-	for i := range ref {
-		if losses[i] != ref[i] {
-			t.Fatalf("iter %d: %g != reference %g", i, losses[i], ref[i])
-		}
-	}
-}
-
 func TestUPVMMultipleULPsPerNode(t *testing.T) {
 	// Paper §4.2.1: "if an application is divided into more than one VP per
 	// node, an application will run faster since UPVM optimizes local

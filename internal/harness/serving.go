@@ -77,6 +77,17 @@ func (ls LoadSpec) workerHost(i, hosts int) int {
 	return 1 + i%(hosts-1)
 }
 
+// validate refuses the counts that would crash the job's procs: they arrive
+// from a serve journal, so they are checked, not trusted. A WorkerHosts list
+// that is present must place someone.
+func (ls LoadSpec) validate() error {
+	cs := []count{{"workers", ls.Workers, 0}, {"req_bytes", ls.ReqBytes, 0}}
+	if ls.WorkerHosts != nil {
+		cs = append(cs, count{"worker_hosts entries", len(ls.WorkerHosts), 1})
+	}
+	return checkCounts(cs...)
+}
+
 // LoadJob is a running serving application.
 type LoadJob struct {
 	spec     LoadSpec
@@ -116,6 +127,9 @@ func (lj *LoadJob) Requests() int { return len(lj.schedule) }
 // the sink, then the frontend, all migratable. The caller runs the kernel.
 func StartLoadJob(sys *mpvm.System, spec LoadSpec) (*LoadJob, error) {
 	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	lj := &LoadJob{spec: spec, schedule: spec.Arrivals.Schedule(), Latency: &metrics.Series{}}
 	if len(lj.schedule) == 0 {
 		return nil, fmt.Errorf("harness: serving job has an empty arrival schedule")
@@ -146,28 +160,13 @@ func StartLoadJob(sys *mpvm.System, spec LoadSpec) (*LoadJob, error) {
 	return lj, nil
 }
 
-// sleepMigratableUntil sleeps to an absolute instant while staying
-// migration-transparent: a migrate signal mid-sleep runs the migration in
-// the task's own context and the sleep resumes for the remainder.
-func sleepMigratableUntil(mt *mpvm.MTask, until sim.Time) error {
-	p := mt.Proc()
-	for p.Now() < until {
-		if err := p.SleepUntil(until); err != nil {
-			if err := mt.HandleSignal(err); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // runFrontend replays the arrival schedule open-loop: each request is sent
 // at its arrival instant regardless of how far behind the workers are (the
 // defining property of open-loop load — queueing delay shows up as latency,
 // not as a slowed-down generator).
 func (lj *LoadJob) runFrontend(mt *mpvm.MTask) {
 	for i, at := range lj.schedule {
-		if err := sleepMigratableUntil(mt, at); err != nil {
+		if err := mt.SleepUntil(at); err != nil {
 			lj.fail(err)
 			return
 		}

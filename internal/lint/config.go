@@ -268,18 +268,10 @@ func DefaultConfig() *Config {
 		UnsetOptAllow: map[string]string{
 			// Varied by tests only: each names the test that builds a
 			// world with it. The analyzer sees the non-test build.
-			"pvmigrate/internal/netsim.Params.BandwidthBps":   "netsim/edge_test.go varies the wire rate to check goodput follows it",
-			"pvmigrate/internal/upvm.Config.BoundaryOnly":     "upvm_test.go compares boundary-only capture against interrupt capture (paper §5.0)",
-			"pvmigrate/internal/upvm.Config.FlushTimeout":     "flushabort_test.go shortens the barrier to revert a ULP under a partition",
-			"pvmigrate/internal/upvm.ULPSpec.HeapBytes":       "upvm/edge_test.go sizes all three ULP segments",
-			"pvmigrate/internal/harness.ArrivalSpec.Trace":    "arrivals_test.go replays an explicit arrival trace",
-			"pvmigrate/internal/harness.ServeScenario":        "RunServing's experiment description; serving_test.go builds every value",
-			"pvmigrate/internal/opt.Params.LineSearch":        "opt/edge_test.go runs the reference trainer with the Armijo search and checks ADM refuses it",
-			"pvmigrate/internal/checkpoint.Params.StateBytes": "checkpoint_test.go spells out the job image its eviction instants are timed against",
-			"pvmigrate/internal/checkpoint.Params.WorkFlops":  "checkpoint_test.go spells out the job length its lost-work bounds are sized against",
-			"pvmigrate/internal/chaos.Config.Seed":            "the sweep's per-seed default (inside SweepOptions.withDefaults) and every chaos test name a schedule with it",
-			"pvmigrate/internal/chaos.Config.Real":            "chaos_test.go audits with real Opt math so the loss fingerprints every gradient",
-			"pvmigrate/internal/chaos.SweepOptions":           "sized by the chaos tests' -seeds/-parallel flags",
+			"pvmigrate/internal/harness.ServeScenario": "RunServing's experiment description; serving_test.go builds every value",
+			"pvmigrate/internal/chaos.Config.Seed":     "the sweep's per-seed default (inside SweepOptions.withDefaults) and every chaos test name a schedule with it",
+			"pvmigrate/internal/chaos.Config.Real":     "chaos_test.go audits with real Opt math so the loss fingerprints every gradient",
+			"pvmigrate/internal/chaos.SweepOptions":    "sized by the chaos tests' -seeds/-parallel flags",
 			// Read by bench/fleet.go, which ordinary PRs may not edit; the
 			// next benchmark-archetype PR drops them (ROADMAP item 4).
 			"pvmigrate/internal/harness.FleetScenario.PollInterval":  "bench/fleet.go:120 reads it into its own gs.FleetPolicy",

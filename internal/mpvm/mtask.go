@@ -205,6 +205,24 @@ func (mt *MTask) onSignal(reason any) error {
 	return &sim.Interrupted{Reason: reason}
 }
 
+// SleepUntil blocks the task until virtual time t while staying
+// migration-transparent, for layers that block outside the library (ft's
+// checkpoint I/O, the serving frontend): a migrate signal mid-sleep runs the
+// migration in the task's own context through HandleSignal and the sleep
+// resumes for the remainder. Any other interrupt — rollback, kill —
+// surfaces to the caller.
+func (mt *MTask) SleepUntil(t sim.Time) error {
+	p := mt.Proc()
+	for p.Now() < t {
+		if err := p.SleepUntil(t); err != nil {
+			if err := mt.HandleSignal(err); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // migrateSignal is delivered to the victim process once flushing completes.
 type migrateSignal struct {
 	mig *migration

@@ -102,18 +102,6 @@ func TestConnEndpointsAndSegmentTimestamps(t *testing.T) {
 	}
 }
 
-func TestGoodputRespectsParamOverride(t *testing.T) {
-	slow := Params{BandwidthBps: 1e6}.withDefaults()
-	fast := Params{BandwidthBps: 100e6}.withDefaults()
-	if slow.GoodputBps() >= fast.GoodputBps() {
-		t.Fatal("bandwidth override ignored")
-	}
-	d := Params{}
-	if d.GoodputBps() < 1.0e6 || d.GoodputBps() > 1.1e6 {
-		t.Fatalf("default goodput = %f", d.GoodputBps())
-	}
-}
-
 func TestDgramEphemeralPorts(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k, Params{})

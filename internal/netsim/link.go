@@ -7,9 +7,8 @@ import "pvmigrate/internal/sim"
 // seconds, and competing transfers interleave at frame granularity because
 // each sender reserves one frame slot at a time.
 type Link struct {
-	k            *sim.Kernel
-	bandwidthBps float64
-	busyUntil    sim.Time
+	k         *sim.Kernel
+	busyUntil sim.Time
 
 	// accounting
 	bytesCarried  int64 // payload bytes
@@ -19,7 +18,7 @@ type Link struct {
 // frameTime returns the wire occupancy of a frame carrying payload bytes.
 func (l *Link) frameTime(payload int) sim.Time {
 	bits := float64(payload+frameOverhead) * 8
-	return sim.FromSeconds(bits / l.bandwidthBps)
+	return sim.FromSeconds(bits / bandwidthBps)
 }
 
 // reserve books wire time for a frame starting no earlier than now and

@@ -45,30 +45,23 @@ const (
 	// LoopbackBps is the effective memory-copy bandwidth for same-host
 	// delivery, bytes/s (HP-720-era memcpy).
 	LoopbackBps float64 = 25e6
+	// bandwidthBps is the raw wire rate in bits per second: the 10 Mb/s
+	// Ethernet of the paper's testbed.
+	bandwidthBps float64 = 10e6
 )
 
 // Params is what a caller chooses about the network.
 type Params struct {
-	// BandwidthBps is the raw wire rate in bits per second (default 10 Mb/s,
-	// the Ethernet of the paper's testbed).
-	BandwidthBps float64
 	// Wire, when non-nil, carries every cross-host frame over a real
 	// OS-level transport in addition to the timing model (see the Wire
 	// interface in wire.go). nil keeps the fully in-memory backend.
 	Wire Wire
 }
 
-func (p Params) withDefaults() Params {
-	if p.BandwidthBps == 0 {
-		p.BandwidthBps = 10e6
-	}
-	return p
-}
-
 // GoodputBps returns the model's steady-state bulk TCP payload bandwidth in
-// bytes per second. With default parameters this is ~1.04 MB/s.
-func (p Params) GoodputBps() float64 {
-	return float64(MSS) / (float64(MSS+frameOverhead) * 8 / p.withDefaults().BandwidthBps)
+// bytes per second: ~1.04 MB/s.
+func GoodputBps() float64 {
+	return float64(MSS) / (float64(MSS+frameOverhead) * 8 / bandwidthBps)
 }
 
 // Network is a shared Ethernet segment connecting a set of host interfaces.
@@ -86,11 +79,10 @@ type Network struct {
 }
 
 // New creates a network on kernel k with the given parameters.
-func New(k *sim.Kernel, params Params) *Network {
-	p := params.withDefaults()
+func New(k *sim.Kernel, p Params) *Network {
 	return &Network{
 		k:      k,
-		link:   &Link{k: k, bandwidthBps: p.BandwidthBps},
+		link:   &Link{k: k},
 		wire:   p.Wire,
 		ifaces: make(map[HostID]*Iface),
 	}

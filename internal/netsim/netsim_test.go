@@ -9,7 +9,7 @@ import (
 )
 
 func TestGoodputCalibration(t *testing.T) {
-	g := Params{}.GoodputBps()
+	g := GoodputBps()
 	// The paper's raw-TCP column implies ~1.04 MB/s.
 	if g < 1.00e6 || g > 1.08e6 {
 		t.Fatalf("calibrated goodput = %.0f B/s, want ~1.04e6", g)

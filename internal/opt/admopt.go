@@ -50,7 +50,6 @@ type ADMStats struct {
 
 func (p ADMParams) withDefaults() ADMParams {
 	p.Params = p.Params.withDefaults()
-	p.LineSearch = false // the ADM protocol uses the fixed adaptive step
 	if p.Overhead == 1.0 {
 		// ADM's measured quiet-case penalty (Table 5): the FSM switch,
 		// per-chunk flag checks, and the processed-exemplar array.
@@ -167,7 +166,7 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 				ap.Stats.Redistributions++
 			}
 		}
-		if err := m.Update(vp, nil); err != nil {
+		if err := m.Update(vp); err != nil {
 			return nil, err
 		}
 	}

@@ -30,16 +30,6 @@ func (c CostModel) GradientFlops(n int) float64 {
 	return float64(n) * c.GradientFlopsPerExemplar()
 }
 
-// LossFlopsPerExemplar returns the forward-only cost (line search probes).
-func (c CostModel) LossFlopsPerExemplar() float64 {
-	weights := float64(c.InputDim*c.Hidden + c.Hidden*c.Classes)
-	f := 2 * weights
-	if c.OverheadFactor > 0 {
-		f *= c.OverheadFactor
-	}
-	return f
-}
-
 // UpdateFlops returns the master's per-iteration cost: combining partial
 // gradients, the CG direction update, and applying the step.
 func (c CostModel) UpdateFlops(nSlaves int) float64 {

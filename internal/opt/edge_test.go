@@ -81,16 +81,6 @@ func TestReferenceTrajectoryMatchesSerialTrainerShape(t *testing.T) {
 	}
 }
 
-func TestReferenceLineSearchMonotone(t *testing.T) {
-	p := Params{TotalBytes: 100_000, Iterations: 8, Real: true, Seed: 12, LineSearch: true}
-	losses := ReferenceTrajectory(p, 3)
-	for i := 1; i < len(losses); i++ {
-		if losses[i] > losses[i-1]+1e-12 {
-			t.Fatalf("loss increased at %d: %v", i, losses)
-		}
-	}
-}
-
 func TestUpdateFlopsScalesWithSlaves(t *testing.T) {
 	c := CostModel{InputDim: 8, Hidden: 4, Classes: 2}
 	if c.UpdateFlops(4) <= c.UpdateFlops(1) {
@@ -110,11 +100,6 @@ func TestADMParamsDefaults(t *testing.T) {
 	ap2 := ADMParams{Params: Params{Overhead: 2.0}}.withDefaults()
 	if ap2.Overhead != 2.0 {
 		t.Fatalf("explicit overhead overridden: %f", ap2.Overhead)
-	}
-	// LineSearch is not supported by the ADM protocol.
-	ap3 := ADMParams{Params: Params{LineSearch: true}}.withDefaults()
-	if ap3.LineSearch {
-		t.Fatal("ADM accepted LineSearch")
 	}
 }
 

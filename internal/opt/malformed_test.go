@@ -14,9 +14,8 @@ import (
 
 // TestMalformedMessagesAreErrors: a peer that sends a structurally valid
 // message with inconsistent contents — a shard whose counts disagree, a
-// label that is no class, a state report cut short, an empty step or loss
-// slice, a gradient of the wrong shape, a fragment with fewer flags than
-// ids — gets an "opt:" error out of the driver that received it, never an
+// label that is no class, a state report cut short, a gradient of the wrong
+// shape, a fragment with fewer flags than ids — gets an "opt:" error out of the driver that received it, never an
 // index or slice-bounds panic. The payloads are packed by hand, so the test
 // also pins the layouts the drivers exchange.
 func TestMalformedMessagesAreErrors(t *testing.T) {
@@ -70,19 +69,8 @@ func TestMalformedMessagesAreErrors(t *testing.T) {
 		{"RunADMSlave: shard announces 2 exemplars, carries 1 feature value", runADMSlave(real), []scripted{
 			{master, TagShard, shard(core.NewBuffer().PkInt(2), 2, []float64{1}, []float64{0, 1})},
 			{master, TagNet, net}}},
-		{"RunSlave: probe with an empty step", runSlave(real), []scripted{
-			{master, TagShard, shard(core.NewBuffer(), 1, []float64{1, 2}, []float64{1})},
-			{master, TagNet, net},
-			{master, TagProbe, core.NewBuffer().PkFloat64s(nil).PkFloat64s(flat).PkVirtual(48)}}},
 		{"RunMaster: gradient of the wrong shape", runMaster(real), []scripted{
 			{slave, TagGrad, grad([]float64{1})}}},
-		{"RunMaster: line-search reply with no loss", func(vp *quietVP) error {
-			p := real
-			p.LineSearch = true
-			return runMaster(p)(vp)
-		}, []scripted{
-			{slave, TagGrad, grad([]float64{1, 0, 0, 0})},
-			{slave, TagLoss, core.NewBuffer().PkFloat64s(nil)}}},
 		{"RunADMMaster: state report cut short", runADMMaster, []scripted{
 			{slave, TagADM, adm0("redist-request").PkInt(1)},
 			{slave, TagADM, adm0("state").PkInt(0).PkInt(3)}}},

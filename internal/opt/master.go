@@ -111,34 +111,26 @@ func (m *Master) Absorb(r *core.Reader) error {
 
 // Update closes the iteration: charge the combine-and-update work to vp
 // and, in Real mode, record the mean loss, take the CG direction and move
-// the net along it — by §4.0's two-step apply/modify rule (halve the step
-// whenever the loss rose), or by search when the caller has its own way to
-// choose the step (RunMaster's distributed line search).
-func (m *Master) Update(vp core.VP, search func(grad, dir []float64) error) error {
+// the net along it by §4.0's two-step apply/modify rule (halve the step
+// whenever the loss rose).
+func (m *Master) Update(vp core.VP) error {
 	if err := vp.Compute(m.cost.UpdateFlops(len(m.counts))); err != nil {
 		return err
 	}
 	if m.p.Real {
 		meanLoss := m.lossSum / float64(m.nEx)
 		m.losses = append(m.losses, meanLoss)
-		grad := m.total.Flat()
-		dir := m.trainer.Direction(grad)
-		if search != nil {
-			if err := search(grad, dir); err != nil {
-				return err
-			}
-		} else {
-			if m.iter > 0 && meanLoss > m.prevLoss {
-				m.step *= 0.5
-			}
-			m.prevLoss = meanLoss
-			flat := m.net.Flat()
-			for i := range flat {
-				flat[i] += m.step * dir[i]
-			}
-			if err := m.net.SetFlat(flat); err != nil {
-				return err
-			}
+		dir := m.trainer.Direction(m.total.Flat())
+		if m.iter > 0 && meanLoss > m.prevLoss {
+			m.step *= 0.5
+		}
+		m.prevLoss = meanLoss
+		flat := m.net.Flat()
+		for i := range flat {
+			flat[i] += m.step * dir[i]
+		}
+		if err := m.net.SetFlat(flat); err != nil {
+			return err
 		}
 	}
 	m.iter++

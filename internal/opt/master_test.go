@@ -30,7 +30,7 @@ func TestMasterCostModelIterationAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := m.Update(vp, nil); err != nil {
+			if err := m.Update(vp); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -80,7 +80,7 @@ func TestMasterRestoreReplaysBitwise(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := m.Update(vp, nil); err != nil {
+			if err := m.Update(vp); err != nil {
 				t.Fatal(err)
 			}
 		}

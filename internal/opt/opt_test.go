@@ -238,9 +238,6 @@ func TestCostModelScaling(t *testing.T) {
 	if c.NetBytes() != (64*32+32+32*16+16)*4 {
 		t.Fatalf("net bytes = %d", c.NetBytes())
 	}
-	if c.LossFlopsPerExemplar() >= per {
-		t.Fatal("forward pass should cost less than forward+backward")
-	}
 }
 
 func TestParamsDefaults(t *testing.T) {

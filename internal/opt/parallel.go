@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"errors"
 	"fmt"
 
 	"pvmigrate/internal/core"
@@ -13,8 +12,6 @@ const (
 	TagNet   = 12 // master → slave: current network, start an iteration
 	TagGrad  = 13 // slave → master: partial gradient + partial loss
 	TagDone  = 14 // master → slave: training finished
-	TagProbe = 15 // master → slave: line-search trial point (direction+step)
-	TagLoss  = 16 // slave → master: partial loss at the trial point
 )
 
 // Params configures a parallel Opt run.
@@ -33,11 +30,6 @@ type Params struct {
 	Real bool
 	// Overhead multiplies per-exemplar compute cost (ADMopt ≈ 1.23).
 	Overhead float64
-	// LineSearch enables the distributed Armijo line search: instead of a
-	// fixed adaptive step, the master broadcasts trial points and the
-	// slaves evaluate partial losses — extra protocol rounds per iteration,
-	// but the same monotone descent guarantee as the serial trainer.
-	LineSearch bool
 	// OnStateBytes, if set, is told the slave's resident state size once
 	// the shard arrives — MPVM uses it to size the migratable image.
 	OnStateBytes func(bytes int)
@@ -98,8 +90,7 @@ type Result struct {
 // RunMaster executes the master VP: distribute exemplar shards, then per
 // iteration broadcast the net, collect partial gradients (in fixed slave
 // order, for deterministic reduction), combine, and update with a CG
-// direction and an adaptive step (§4.0's two-step apply/modify loop) — or,
-// with Params.LineSearch, a step the slaves help choose.
+// direction and an adaptive step (§4.0's two-step apply/modify loop).
 func RunMaster(vp core.VP, slaves []core.TID, p Params) (*Result, error) {
 	m, err := NewMaster(p, len(slaves))
 	if err != nil {
@@ -108,12 +99,6 @@ func RunMaster(vp core.VP, slaves []core.TID, p Params) (*Result, error) {
 	for i, s := range slaves {
 		if err := vp.Send(s, TagShard, m.PackShard(core.NewBuffer(), i)); err != nil {
 			return nil, fmt.Errorf("opt: shard to %v: %w", s, err)
-		}
-	}
-	var search func(grad, dir []float64) error
-	if m.p.LineSearch {
-		search = func(grad, dir []float64) error {
-			return distributedLineSearch(vp, slaves, m, grad, dir)
 		}
 	}
 	for !m.Done() {
@@ -132,7 +117,7 @@ func RunMaster(vp core.VP, slaves []core.TID, p Params) (*Result, error) {
 				return nil, err
 			}
 		}
-		if err := m.Update(vp, search); err != nil {
+		if err := m.Update(vp); err != nil {
 			return nil, err
 		}
 	}
@@ -143,60 +128,6 @@ func RunMaster(vp core.VP, slaves []core.TID, p Params) (*Result, error) {
 		}
 	}
 	return m.Result(), nil
-}
-
-// distributedLineSearch runs the Armijo backtracking loop over the wire:
-// the master broadcasts (direction, step) trial points; every slave
-// evaluates the loss of its shard at the trial weights and returns the
-// partial sum. The accepted step updates the master's net; slaves learn the
-// final weights with the next TagNet broadcast. When no improving step is
-// found the net is left unchanged.
-func distributedLineSearch(vp core.VP, slaves []core.TID, m *Master, grad, dir []float64) error {
-	var slope float64
-	for i := range grad {
-		slope += grad[i] * dir[i]
-	}
-	if slope >= 0 {
-		return nil // defensive; Direction restarts on non-descent
-	}
-	const c1 = 1e-4
-	loss0 := m.lossSum / float64(m.nEx)
-	base := m.net.Flat()
-	step := 1.0
-	for try := 0; try < 12; try++ {
-		probe := core.NewBuffer().PkFloat64s([]float64{step}).PkFloat64s(dir).
-			PkVirtual(len(dir) * 4)
-		for _, s := range slaves {
-			if err := vp.Send(s, TagProbe, probe); err != nil {
-				return err
-			}
-		}
-		var trialSum float64
-		for range slaves {
-			_, _, r, err := vp.Recv(core.AnyTID, TagLoss)
-			if err != nil {
-				return err
-			}
-			v, err := r.UpkFloat64s()
-			if err != nil {
-				return fmt.Errorf("opt: trial loss: %w", err)
-			}
-			if len(v) == 0 {
-				return errors.New("opt: trial-loss reply carries no loss")
-			}
-			trialSum += v[0]
-		}
-		trial := trialSum / float64(m.nEx)
-		if trial <= loss0+c1*step*slope {
-			flat := make([]float64, len(base))
-			for i := range base {
-				flat[i] = base[i] + step*dir[i]
-			}
-			return m.net.SetFlat(flat)
-		}
-		step *= 0.5
-	}
-	return m.net.SetFlat(base)
 }
 
 // evenCounts splits total exemplars across n slaves as evenly as possible,
@@ -236,10 +167,6 @@ func RunSlave(vp core.VP, master core.TID, p Params) error {
 		switch tag {
 		case TagDone:
 			return nil
-		case TagProbe:
-			if err := s.answerProbe(vp, master, r); err != nil {
-				return err
-			}
 		case TagNet:
 			if _, err := s.LoadNet(r); err != nil {
 				return err
@@ -253,42 +180,4 @@ func RunSlave(vp core.VP, master core.TID, p Params) error {
 			}
 		}
 	}
-}
-
-// answerProbe evaluates the slave's partial loss at a line-search trial
-// point (current weights + step × direction) and returns it to the master.
-func (s *Slave) answerProbe(vp core.VP, master core.TID, r *core.Reader) error {
-	stepV, err := r.UpkFloat64s()
-	if err != nil {
-		return fmt.Errorf("opt: probe: %w", err)
-	}
-	dir, err := r.UpkFloat64s()
-	if err != nil {
-		return fmt.Errorf("opt: probe: %w", err)
-	}
-	if _, err := r.UpkVirtual(); err != nil {
-		return fmt.Errorf("opt: probe: %w", err)
-	}
-	// A forward pass over the shard (cheaper than a gradient).
-	if err := vp.Compute(float64(s.count) * s.cost.LossFlopsPerExemplar()); err != nil {
-		return err
-	}
-	var partial float64
-	if s.p.Real {
-		base := s.net.Flat()
-		if len(stepV) == 0 || len(dir) != len(base) {
-			return fmt.Errorf("opt: probe carries %d steps and a %d-value direction for a %d-value net",
-				len(stepV), len(dir), len(base))
-		}
-		trial := make([]float64, len(base))
-		for i := range base {
-			trial[i] = base[i] + stepV[0]*dir[i]
-		}
-		probeNet := s.net.Clone()
-		if err := probeNet.SetFlat(trial); err != nil {
-			return err
-		}
-		partial = probeNet.Loss(s.local) * float64(s.local.Len())
-	}
-	return vp.Send(master, TagLoss, core.NewBuffer().PkFloat64s([]float64{partial}))
 }

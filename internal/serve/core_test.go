@@ -11,7 +11,7 @@ import (
 
 // apply builds and applies a command stamped at the core's current instant,
 // the way the Server's write path does.
-func apply(t *testing.T, c *Core, kind CommandKind, fill func(*Command)) error {
+func apply(t testing.TB, c *Core, kind CommandKind, fill func(*Command)) error {
 	t.Helper()
 	cmd := Command{Seq: c.applied + 1, At: c.Now(), Kind: kind}
 	if fill != nil {
@@ -20,7 +20,7 @@ func apply(t *testing.T, c *Core, kind CommandKind, fill func(*Command)) error {
 	return c.Apply(cmd)
 }
 
-func advance(t *testing.T, c *Core, d sim.Time) {
+func advance(t testing.TB, c *Core, d sim.Time) {
 	t.Helper()
 	if err := apply(t, c, CmdAdvance, func(cmd *Command) { cmd.Advance = d }); err != nil {
 		t.Fatalf("advance %v: %v", d, err)

@@ -19,7 +19,7 @@ const (
 	goldenSessionEvents      = 41819
 )
 
-func goldenSession(t *testing.T) *Core {
+func goldenSession(t testing.TB) *Core {
 	t.Helper()
 	c := NewCore(Config{Hosts: 4, LoadThreshold: 2}, nil)
 	must := func(kind CommandKind, fill func(*Command)) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -212,5 +213,46 @@ func TestImpossibleHostCountIsAnError(t *testing.T) {
 		if errs.CodeOf(err) != c.code || !strings.Contains(err.Error(), "hosts") {
 			t.Errorf("%s: got %v, want a %s error naming hosts", c.name, err, c.code)
 		}
+	}
+}
+
+// TestMalformedLoadJobIsABadRequest: a load job whose counts would crash
+// its procs — a negative worker count, a worker_hosts list that is present
+// but empty, a negative request size — is refused at submit as a
+// serve.bad-request naming the field, not a kernel panic on the next
+// advance. The command is journaled before it runs, so replaying the
+// session must not panic either.
+func TestMalformedLoadJobIsABadRequest(t *testing.T) {
+	for _, c := range []struct{ field, spec string }{
+		{"workers", `{"kind":"load","workers":-1,"rate_per_sec":10,"requests":20}`},
+		{"worker_hosts", `{"kind":"load","worker_hosts":[],"rate_per_sec":10,"requests":20}`},
+		{"req_bytes", `{"kind":"load","req_bytes":-1,"rate_per_sec":10,"requests":20}`},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			var spec JobSpec
+			if err := json.Unmarshal([]byte(c.spec), &spec); err != nil {
+				t.Fatal(err)
+			}
+			live := NewCore(Config{}, nil)
+			defer live.Close()
+			err := apply(t, live, CmdSubmit, func(cmd *Command) { cmd.Job = &spec })
+			if errs.CodeOf(err) != CodeBadRequest || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("submit: got %v, want a %s error naming %s", err, CodeBadRequest, c.field)
+			}
+			advance(t, live, time.Second)
+			replayed, err := Replay(live.Config(), live.History())
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			defer replayed.Close()
+			if replayed.Fingerprint() != live.Fingerprint() {
+				t.Fatal("replay diverged from the live session")
+			}
+		})
 	}
 }

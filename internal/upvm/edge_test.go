@@ -59,7 +59,7 @@ func TestULPNRecv(t *testing.T) {
 func TestULPAccessors(t *testing.T) {
 	k, s := testSystem(t, 2)
 	ulps, err := s.Start("app", []ULPSpec{
-		{Host: 1, DataBytes: 50_000, HeapBytes: 10_000, StackBytes: 5_000},
+		{Host: 1, DataBytes: 60_000, StackBytes: 5_000},
 	}, func(u *ULP, rank int) {
 		if u.ID() != 0 || u.Host().Name() != "host2" {
 			t.Errorf("accessors: id=%d host=%s", u.ID(), u.Host().Name())
@@ -70,7 +70,7 @@ func TestULPAccessors(t *testing.T) {
 	}
 	u := ulps[0]
 	if u.Region().Size < 65_000 {
-		t.Fatalf("region of %d bytes does not hold the three segments", u.Region().Size)
+		t.Fatalf("region of %d bytes does not hold the two segments", u.Region().Size)
 	}
 	if u.Process() != s.Process(1) {
 		t.Fatal("Process accessor wrong")

@@ -16,14 +16,14 @@ import (
 // stage-2 flush, the barrier times out instead of wedging, the captured
 // ULP reverts to the source and keeps running, no migration record is
 // emitted for the abort, and a retry after the partition heals succeeds
-// exactly once.
+// exactly once. It runs at the shipped flushTimeout.
 func TestFlushTimeoutRevertsULPUnderPartition(t *testing.T) {
 	k := sim.NewKernel()
 	cl := cluster.New(k, netsim.Params{},
 		cluster.DefaultHostSpec("h1"),
 		cluster.DefaultHostSpec("h2"),
 		cluster.DefaultHostSpec("h3"))
-	s := New(pvm.NewMachine(cl, pvm.Config{}), Config{FlushTimeout: time.Second})
+	s := New(pvm.NewMachine(cl, pvm.Config{}), Config{})
 
 	var stages []string
 	s.SetTracer(func(actor, stage, detail string) { stages = append(stages, stage) })
@@ -45,7 +45,8 @@ func TestFlushTimeoutRevertsULPUnderPartition(t *testing.T) {
 			t.Errorf("migrate during partition: %v", err)
 		}
 	})
-	k.Schedule(5*time.Second, func() {
+	deadline := 2*time.Second + flushTimeout
+	k.Schedule(deadline+2*time.Second, func() {
 		if u.Migrating() {
 			t.Error("ULP still migrating 2s past the flush deadline: barrier wedged")
 		}
@@ -62,7 +63,7 @@ func TestFlushTimeoutRevertsULPUnderPartition(t *testing.T) {
 	})
 	// The retry's fresh barrier must not be satisfied by stale acks from
 	// the aborted one (the seq guard) — it has to complete on its own.
-	k.Schedule(6*time.Second, func() {
+	k.Schedule(deadline+3*time.Second, func() {
 		if err := s.Migrate(0, 2, core.ReasonManual); err != nil {
 			t.Errorf("migrate after heal: %v", err)
 		}

@@ -129,11 +129,7 @@ func (p *Process) runMigration(mp *sim.Proc, u *ULP, dest int, reason core.Migra
 	u.migrating = true
 	delete(p.ulps, u.id)
 	p.locator[u.id] = dest
-	if !cfg.BoundaryOnly {
-		// Asynchronous capture: interrupt the ULP wherever it is.
-		u.proc.Interrupt(migPause{})
-	}
-	// Under BoundaryOnly the ULP parks by itself at its next receive.
+	u.proc.Interrupt(migPause{})
 	p.sys.trace(fmt.Sprintf("proc%d", p.host), "1:context-captured", fmt.Sprintf("ULP%d suspended", u.id))
 
 	// Stage 2: flush. Every other process updates its locator (future
@@ -159,7 +155,7 @@ func (p *Process) runMigration(mp *sim.Proc, u *ULP, dest int, reason core.Migra
 	// succeeds, and the ack never comes. The wait is therefore bounded;
 	// on expiry the migration aborts and the captured ULP reverts to the
 	// source rather than being lost to a wedged barrier.
-	deadline := mp.Now() + cfg.FlushTimeout
+	deadline := mp.Now() + flushTimeout
 	wake := p.sys.m.Kernel().ScheduleAt(deadline, fs.cond.Broadcast)
 	for fs.have < fs.want {
 		if mp.Now() >= deadline {
@@ -206,7 +202,7 @@ func (p *Process) runMigration(mp *sim.Proc, u *ULP, dest int, reason core.Migra
 	segBytes := u.spec.StateBytes()
 	as := &flushState{want: 1, seq: fs.seq, cond: sim.NewCond(p.sys.m.Kernel())}
 	p.ackWait[u.id] = as
-	ackTimeout := sim.FromSeconds(float64(segBytes)/cfg.AcceptBps) + 2*cfg.FlushTimeout
+	ackTimeout := sim.FromSeconds(float64(segBytes)/cfg.AcceptBps) + 2*flushTimeout
 	for attempt := 0; as.have < as.want; attempt++ {
 		if attempt > 0 {
 			p.sys.trace(fmt.Sprintf("proc%d", p.host), "3:retransmit",

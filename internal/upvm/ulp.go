@@ -183,8 +183,8 @@ func (u *ULP) Send(dst core.TID, tag int, buf *core.Buffer) error {
 // Recv blocks until a message matching src and tag is in the ULP's inbox.
 // While blocked, the ULP is descheduled: it releases the run token so
 // another runnable ULP of the same process executes (the paper's library
-// scheduling). Receive entry is also the code-segment boundary at which a
-// BoundaryOnly migration captures the ULP.
+// scheduling). A ULP that reaches a receive while its migration is under
+// way (the capture interrupt still pending) parks at the entry.
 func (u *ULP) Recv(src core.TID, tag int) (core.TID, int, *core.Reader, error) {
 	if u.migrating {
 		u.p.release(u)

@@ -83,6 +83,14 @@ const (
 	remoteHeaderBytes = 32
 	// xferChunk is the pvm_pkbyte granularity of ULP state transfer.
 	xferChunk = 32 << 10
+	// flushTimeout bounds the stage-2 flush barrier. A crashed peer is
+	// detected at send time and leaves the barrier, but a live peer behind
+	// a network partition accepts the datagram loss silently: its ack never
+	// arrives, and an unbounded wait would wedge the migration forever with
+	// the ULP captured — lost to the application. On expiry the migration
+	// aborts and the ULP reverts to the source process. (Not from the paper:
+	// the partition hardening of DESIGN.md §7e.)
+	flushTimeout sim.Time = 2 * time.Second
 )
 
 // Config is what a caller chooses about UPVM. Zero fields take defaults.
@@ -96,20 +104,6 @@ type Config struct {
 	// AcceptBps is the destination-side ULP accept/placement rate (fitted:
 	// the paper's surprising 6.88 s migration vs 1.67 s obtrusiveness).
 	AcceptBps float64
-	// FlushTimeout bounds the stage-2 flush barrier. A crashed peer is
-	// detected at send time and leaves the barrier, but a live peer behind
-	// a network partition accepts the datagram loss silently: its ack
-	// never arrives, and an unbounded wait would wedge the migration
-	// forever with the ULP captured — lost to the application. On expiry
-	// the migration aborts and the ULP reverts to the source process.
-	FlushTimeout sim.Time
-	// BoundaryOnly restricts migration points to message-receive
-	// boundaries, the Data Parallel C policy the paper contrasts with
-	// (§5.0: "VP migration is possible only at the beginning or end of
-	// code segments"): a computing ULP is not interrupted; it is captured
-	// when it next blocks on a receive. Cheaper to implement, but the
-	// response latency grows with the longest compute segment.
-	BoundaryOnly bool
 }
 
 func (c Config) withDefaults() Config {
@@ -118,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AcceptBps == 0 {
 		c.AcceptBps = 62e3
-	}
-	if c.FlushTimeout == 0 {
-		c.FlushTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -201,15 +192,14 @@ func (s *System) Process(host int) *Process {
 type ULPSpec struct {
 	// Host is the initial placement.
 	Host int
-	// DataBytes + HeapBytes + StackBytes sizes the ULP's private segments
-	// (its migratable state).
+	// DataBytes + StackBytes sizes the ULP's private segments (its
+	// migratable state; the heap is folded into the data segment).
 	DataBytes  int
-	HeapBytes  int
 	StackBytes int
 }
 
 // StateBytes returns the ULP's total migratable segment size.
-func (u ULPSpec) StateBytes() int { return u.DataBytes + u.HeapBytes + u.StackBytes }
+func (u ULPSpec) StateBytes() int { return u.DataBytes + u.StackBytes }
 
 // Start launches the SPMD application: one UPVM process on every host of
 // the machine, and one ULP per spec running body(ulp, rank). It returns the

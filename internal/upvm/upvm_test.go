@@ -382,53 +382,3 @@ func TestObtrusivenessScalesWithULPSize(t *testing.T) {
 		t.Fatalf("scaling ratio = %.1f, want ~7 (linear in size)", ratio)
 	}
 }
-
-func TestBoundaryOnlyMigrationWaitsForReceive(t *testing.T) {
-	// DPC-style boundary migration (paper §5.0): the ULP is captured only
-	// when it reaches a receive, so the response latency includes the rest
-	// of the compute segment — unlike the asynchronous default.
-	measure := func(boundaryOnly bool) sim.Time {
-		k := sim.NewKernel()
-		cl := cluster.New(k, netsim.Params{},
-			cluster.DefaultHostSpec("h0"), cluster.DefaultHostSpec("h1"))
-		sys := New(pvm.NewMachine(cl, pvm.Config{}), Config{BoundaryOnly: boundaryOnly})
-		// One worker computing 20 s segments between receives, plus a feeder.
-		s2 := sys
-		_, err := s2.Start("app", []ULPSpec{
-			{Host: 0, DataBytes: mb(0.3)},
-			{Host: 1, DataBytes: 1000},
-		}, func(u *ULP, rank int) {
-			if rank == 1 {
-				for i := 0; i < 3; i++ {
-					u.Send(ULPTID(0), 1, core.NewBuffer().PkInt(i))
-				}
-				return
-			}
-			for i := 0; i < 3; i++ {
-				if _, _, _, err := u.Recv(core.AnyTID, 1); err != nil {
-					return
-				}
-				if err := u.Compute(u.Host().Spec().Speed * 20); err != nil {
-					return
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Signal mid-segment: ~5 s into a 20 s compute.
-		k.Schedule(6*time.Second, func() { s2.Migrate(0, 1, core.ReasonOwnerReclaim) })
-		k.RunUntil(10 * time.Minute)
-		if len(s2.Records()) != 1 {
-			t.Fatalf("boundaryOnly=%v: migrations = %d", boundaryOnly, len(s2.Records()))
-		}
-		return s2.Records()[0].Obtrusiveness()
-	}
-	async := measure(false)
-	boundary := measure(true)
-	// The boundary policy must pay (most of) the remaining segment before
-	// state capture: expect roughly 14-15 s of extra latency.
-	if boundary < async+10*time.Second {
-		t.Fatalf("boundary-only obtrusiveness %v not ≫ asynchronous %v", boundary, async)
-	}
-}
