@@ -13,9 +13,10 @@
 //	pvmsim -system fleet -hosts 1000 -vps 100000 -shards 8 -storms 200
 //
 // Exit status: 0 on success, 1 when the scenario ran and failed, 2 for a
-// usage error — an unknown -system, a bad plan flag, or a count that cannot
-// describe a run (-hosts -1, -system ft -hosts 1, -slaves -2, -shards -1),
-// refused with a harness.bad-scenario error naming the flag.
+// usage error — an unknown -system, a bad plan flag, or a count or name that
+// cannot describe a run (-hosts -1, -system ft -hosts 1, -slaves -2,
+// -shards -1, -placement bogus), refused with a harness.bad-scenario error
+// naming the flag.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/errs"
-	"pvmigrate/internal/gs"
 	"pvmigrate/internal/harness"
 	"pvmigrate/internal/netwire"
 	"pvmigrate/internal/plan"
@@ -170,7 +170,7 @@ func main() {
 }
 
 // fail prints a run's error and exits: 2 when the harness refused the
-// scenario's counts (a usage error), 1 when the scenario ran and failed.
+// scenario (a usage error), 1 when the scenario ran and failed.
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "pvmsim: %v\n", err)
 	if errs.Is(err, harness.CodeBadScenario) {
@@ -229,10 +229,6 @@ func planSettings(fs *flag.FlagSet, mode string, conc int) (plan.Mode, int, erro
 // runFleet runs the fleet-scale scheduling scenario and prints its
 // outcome summary.
 func runFleet(sc harness.FleetScenario) {
-	if sc.Placement != "" && gs.PlacementByName(sc.Placement) == nil {
-		fmt.Fprintf(os.Stderr, "pvmsim: unknown -placement %q (want least-loaded, first-fit or dest-swap)\n", sc.Placement)
-		os.Exit(2)
-	}
 	out := harness.RunFleet(sc)
 	if out.Err != nil {
 		fail(out.Err)

@@ -104,8 +104,9 @@ func TestExplicitFlagIgnoresOtherFlags(t *testing.T) {
 }
 
 // TestImpossibleCountsExitTwo runs the real binary on the command lines
-// that used to reach a makeslice or divide-by-zero panic: each must print
-// an error naming the flag and exit 2, like any other usage error.
+// that used to reach a makeslice or divide-by-zero panic, or (-placement
+// bogus) to run the default policy: each must print an error naming the
+// flag and exit 2, like any other usage error.
 func TestImpossibleCountsExitTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the pvmsim binary")
@@ -121,6 +122,7 @@ func TestImpossibleCountsExitTwo(t *testing.T) {
 		{"-system mpvm -slaves -1", "slaves"},
 		{"-system fleet -hosts -3", "hosts"},
 		{"-system fleet -hosts 50 -vps 500 -shards -1", "shards"},
+		{"-system fleet -hosts 40 -vps 400 -duration 1m -placement bogus", "placement"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, strings.Fields(c.args)...)

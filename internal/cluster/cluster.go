@@ -42,20 +42,28 @@ type Host struct {
 	ownerActive bool
 	ownerLoad   *LoadHandle
 	down        bool
-
-	// ownerWatchers are notified on owner arrival/departure (the global
-	// scheduler subscribes here).
-	ownerWatchers []func(h *Host, active bool)
-	// availWatchers are notified on host failure/recovery (the
-	// fault-tolerance layer subscribes here).
-	availWatchers []func(h *Host, alive bool)
 }
+
+// Change names which of a host's scheduling facts just moved.
+type Change uint8
+
+const (
+	// OwnerChanged: SetOwnerActive flipped the owner state.
+	OwnerChanged Change = iota
+	// AvailChanged: Fail or Recover flipped the host's availability.
+	AvailChanged
+	// RunqChanged: the host's run-queue length (LoadAverage) changed.
+	RunqChanged
+)
 
 // Cluster is the set of hosts plus the network connecting them.
 type Cluster struct {
 	k     *sim.Kernel
 	net   *netsim.Network
 	hosts []*Host
+
+	// watchers hear every Change on every host, in registration order.
+	watchers []func(h *Host, ch Change)
 }
 
 // New builds a cluster of the given hosts on a fresh network.
@@ -70,9 +78,25 @@ func New(k *sim.Kernel, netParams netsim.Params, specs ...HostSpec) *Cluster {
 			iface:   c.net.Attach(id),
 			cluster: c,
 		}
+		h.cpu.host = h
 		c.hosts = append(c.hosts, h)
 	}
 	return c
+}
+
+// Watch registers fn to be called (in kernel context) whenever any host's
+// owner state, availability or run-queue length changes: the load daemons
+// reporting to the global scheduler (paper §2.0), pushed rather than polled.
+// fn runs synchronously inside the call that made the change, once the
+// changed fact reads its new value.
+func (c *Cluster) Watch(fn func(h *Host, ch Change)) {
+	c.watchers = append(c.watchers, fn)
+}
+
+func (h *Host) notify(ch Change) {
+	for _, fn := range h.cluster.watchers {
+		fn(h, ch)
+	}
 }
 
 // Kernel returns the simulation kernel.
@@ -145,15 +169,9 @@ func (h *Host) MemUsedMB() int { return h.memUsedMB }
 // OwnerActive reports whether the workstation's owner is currently using it.
 func (h *Host) OwnerActive() bool { return h.ownerActive }
 
-// OnOwnerChange registers a callback invoked (in kernel context) whenever
-// the owner arrives or departs.
-func (h *Host) OnOwnerChange(fn func(h *Host, active bool)) {
-	h.ownerWatchers = append(h.ownerWatchers, fn)
-}
-
 // SetOwnerActive flips the owner state. Owner presence adds interactive
-// load to the CPU and notifies watchers; the global scheduler reacts by
-// evacuating guest VPs ("owner reclamation").
+// load to the CPU and notifies watchers (OwnerChanged); the global
+// scheduler reacts by evacuating guest VPs ("owner reclamation").
 func (h *Host) SetOwnerActive(active bool) {
 	if active == h.ownerActive {
 		return
@@ -165,9 +183,7 @@ func (h *Host) SetOwnerActive(active bool) {
 		h.ownerLoad.Remove()
 		h.ownerLoad = nil
 	}
-	for _, fn := range h.ownerWatchers {
-		fn(h, active)
-	}
+	h.notify(OwnerChanged)
 }
 
 // LoadAverage returns the host's instantaneous run-queue length — what a
@@ -178,15 +194,9 @@ func (h *Host) LoadAverage() int { return h.cpu.ActiveJobs() }
 // flip the state.
 func (h *Host) Alive() bool { return !h.down }
 
-// OnAvailChange registers a callback invoked (in kernel context) whenever
-// the host fails or recovers.
-func (h *Host) OnAvailChange(fn func(h *Host, alive bool)) {
-	h.availWatchers = append(h.availWatchers, fn)
-}
-
 // Fail takes the host down: it disappears from the network, loses its
 // memory contents (reservations are wiped — a crash frees everything), and
-// notifies availability watchers. Processes on the host are not killed here;
+// notifies watchers (AvailChanged). Processes on the host are not killed here;
 // the PVM layer does that (Machine.CrashHost), since the cluster does not
 // know about tasks.
 func (h *Host) Fail() {
@@ -200,9 +210,7 @@ func (h *Host) Fail() {
 		h.ownerLoad = nil
 	}
 	h.cluster.net.SetHostDown(h.id, true)
-	for _, fn := range h.availWatchers {
-		fn(h, false)
-	}
+	h.notify(AvailChanged)
 }
 
 // Recover brings a failed host back up with empty memory, as after a
@@ -218,7 +226,5 @@ func (h *Host) Recover() {
 	if h.ownerActive && h.ownerLoad == nil {
 		h.ownerLoad = h.cpu.AddLoad()
 	}
-	for _, fn := range h.availWatchers {
-		fn(h, true)
-	}
+	h.notify(AvailChanged)
 }

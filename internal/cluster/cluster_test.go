@@ -72,7 +72,11 @@ func TestOwnerReclamationAddsLoadAndNotifies(t *testing.T) {
 	k := sim.NewKernel()
 	h := twoHosts(k).Host(0)
 	var events []bool
-	h.OnOwnerChange(func(_ *Host, active bool) { events = append(events, active) })
+	h.Cluster().Watch(func(h *Host, c Change) {
+		if c == OwnerChanged {
+			events = append(events, h.OwnerActive())
+		}
+	})
 	h.SetOwnerActive(true)
 	if h.LoadAverage() != 1 {
 		t.Fatalf("load = %d after owner arrival", h.LoadAverage())
@@ -91,10 +95,12 @@ func TestOwnerActivityGenerator(t *testing.T) {
 	k := sim.NewKernel()
 	h := twoHosts(k).Host(0)
 	arrivals, departures := 0, 0
-	h.OnOwnerChange(func(_ *Host, active bool) {
-		if active {
+	h.Cluster().Watch(func(h *Host, c Change) {
+		switch {
+		case c != OwnerChanged:
+		case h.OwnerActive():
 			arrivals++
-		} else {
+		default:
 			departures++
 		}
 	})
@@ -114,7 +120,11 @@ func TestOwnerActivityDeterministic(t *testing.T) {
 		k := sim.NewKernel()
 		h := twoHosts(k).Host(0)
 		var times []sim.Time
-		h.OnOwnerChange(func(_ *Host, _ bool) { times = append(times, k.Now()) })
+		h.Cluster().Watch(func(_ *Host, c Change) {
+			if c == OwnerChanged {
+				times = append(times, k.Now())
+			}
+		})
 		StartOwnerActivity(h, 7, time.Hour, 20*time.Minute)
 		k.RunUntil(24 * time.Hour)
 		return times
@@ -127,6 +137,69 @@ func TestOwnerActivityDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("owner activity not deterministic")
 		}
+	}
+}
+
+// TestWatchHearsEveryChange drives every path that moves a host's owner
+// state, availability or run-queue length — compute admission, completion
+// and interruption, background load, owner arrival and departure, a crash
+// and a recovery — and requires the watch to hear each one with the new
+// value already readable: a watcher that keeps only what it heard ends with
+// the host's live facts. A bare NewCPU tells no one.
+func TestWatchHearsEveryChange(t *testing.T) {
+	k := sim.NewKernel()
+	c := twoHosts(k)
+	h := c.Host(0)
+	var runq, runqEvents, owner, avail int
+	alive := true
+	// Errorf, not Fatalf: the run-queue changes are heard inside procs.
+	c.Watch(func(w *Host, ch Change) {
+		if w != h {
+			t.Errorf("change %d reported for %s", ch, w.Name())
+		}
+		switch ch {
+		case RunqChanged:
+			if w.LoadAverage() == runq {
+				t.Errorf("%v: RunqChanged with the run queue still %d", k.Now(), runq)
+			}
+			runq = w.LoadAverage()
+			runqEvents++
+		case OwnerChanged:
+			owner++
+		case AvailChanged:
+			alive = w.Alive()
+			avail++
+		}
+	})
+	bare := NewCPU(k, 1e6)
+	for i := 0; i < 3; i++ {
+		k.SpawnAt(sim.Time(i)*time.Second, "job", func(p *sim.Proc) { h.CPU().Compute(p, 2e6) })
+		k.Spawn("bare", func(p *sim.Proc) { bare.Compute(p, 1e6) })
+	}
+	victim := k.Spawn("victim", func(p *sim.Proc) { h.CPU().Compute(p, 50e6) })
+	k.Schedule(1500*time.Millisecond, func() { victim.Interrupt("migrate") })
+	bg := NewBackgroundLoad(h)
+	k.Schedule(2*time.Second, func() { bg.Set(2) })
+	k.Schedule(3*time.Second, func() { h.SetOwnerActive(true) })
+	k.Schedule(4*time.Second, func() { h.Fail() })
+	k.Schedule(5*time.Second, func() { h.Recover() })
+	k.Schedule(6*time.Second, func() { bg.Set(0); h.SetOwnerActive(false) })
+	for at := 100 * time.Millisecond; at < 8*time.Second; at += 250 * time.Millisecond {
+		k.Schedule(at, func() {
+			if runq != h.LoadAverage() {
+				t.Fatalf("%v: heard run queue %d, host has %d", k.Now(), runq, h.LoadAverage())
+			}
+		})
+	}
+	k.Run()
+	if runq != h.LoadAverage() || alive != h.Alive() || owner != 2 || avail != 2 {
+		t.Fatalf("heard runq %d, alive %v, %d owner and %d availability changes; host has runq %d, alive %v",
+			runq, alive, owner, avail, h.LoadAverage(), h.Alive())
+	}
+	// 4 admissions, 4 exits (3 completions, 1 interrupt), 2 + 2 background
+	// jobs, the owner's load on, off at the crash, on at recovery, off.
+	if runqEvents != 16 {
+		t.Fatalf("heard %d run-queue changes, want 16", runqEvents)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 // floating-point operations, with speed in FLOP/s.
 type CPU struct {
 	k     *sim.Kernel
+	host  *Host   // notified of every run-queue length change; nil for a bare NewCPU
 	speed float64 // work units per second
 	// jobs holds the runnable jobs in admission order. Every walk below is
 	// in that order, so jobs finishing at one instant wake in the order
@@ -44,6 +45,8 @@ type LoadHandle struct {
 }
 
 // NewCPU creates a processor with the given speed in work units per second.
+// A CPU built here belongs to no host, so its run-queue changes reach no
+// Cluster.Watch.
 func NewCPU(k *sim.Kernel, speed float64) *CPU {
 	if speed <= 0 {
 		panic("cluster: CPU speed must be positive")
@@ -84,6 +87,14 @@ func (c *CPU) newJob(work float64) *cpuJob {
 func (c *CPU) withdraw(j *cpuJob) {
 	if i := slices.Index(c.jobs, j); i >= 0 {
 		c.jobs = slices.Delete(c.jobs, i, i+1)
+		c.runqChanged()
+	}
+}
+
+// runqChanged tells the host's watchers that ActiveJobs moved.
+func (c *CPU) runqChanged() {
+	if c.host != nil {
+		c.host.notify(RunqChanged)
 	}
 }
 
@@ -148,10 +159,14 @@ func (c *CPU) onCompletion() {
 		j.done = true
 		j.doneCond.Broadcast()
 	}
+	finished := live < len(c.jobs)
 	clear(c.jobs[live:])
 	c.jobs = c.jobs[:live]
 	c.completion = sim.Timer{}
 	c.reschedule()
+	if finished {
+		c.runqChanged()
+	}
 }
 
 // Compute executes work units on the processor, blocking the calling proc
@@ -167,6 +182,7 @@ func (c *CPU) Compute(p *sim.Proc, work float64) (remaining float64, err error) 
 	j := c.newJob(work)
 	c.jobs = append(c.jobs, j)
 	c.reschedule()
+	c.runqChanged()
 	for !j.done {
 		if err = j.doneCond.Wait(p); err != nil {
 			// Migration signal or similar: withdraw the unfinished job.
@@ -189,6 +205,7 @@ func (c *CPU) AddLoad() *LoadHandle {
 	j := &cpuJob{remaining: math.Inf(1)}
 	c.jobs = append(c.jobs, j)
 	c.reschedule()
+	c.runqChanged()
 	return &LoadHandle{cpu: c, job: j}
 }
 

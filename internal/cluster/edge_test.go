@@ -47,7 +47,11 @@ func TestOwnerActivityStop(t *testing.T) {
 	k := sim.NewKernel()
 	h := twoHosts(k).Host(0)
 	changes := 0
-	h.OnOwnerChange(func(*Host, bool) { changes++ })
+	h.Cluster().Watch(func(_ *Host, c Change) {
+		if c == OwnerChanged {
+			changes++
+		}
+	})
 	a := StartOwnerActivity(h, 3, time.Minute, time.Minute)
 	k.RunUntil(10 * time.Minute)
 	before := changes

@@ -149,6 +149,10 @@ func (mgr *Manager) MoveOne(from, to int, reason core.MigrationReason) error {
 // HostLoad implements gs.Target.
 func (mgr *Manager) HostLoad(host int) int { return mgr.tgt.HostLoad(host) }
 
+// Index returns the load table that serves HostLoad, so the scheduler hears
+// its changes instead of polling.
+func (mgr *Manager) Index() *gs.LoadIndex { return mgr.tgt.Index() }
+
 // --- failure handling ----------------------------------------------------------
 
 // HostDead implements gs.FailureTarget: the GS declared a host lost. The

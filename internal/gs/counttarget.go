@@ -13,16 +13,27 @@ import (
 // is a counter rather than a simulated process — and for benchmarking the
 // scheduler's decision path in isolation.
 type CountTarget struct {
-	cl   *cluster.Cluster
-	idx  *LoadIndex
+	cl  *cluster.Cluster
+	idx *LoadIndex
+	// elig is every host's receiver eligibility (alive, owner-free), kept
+	// current by a cluster watch.
 	elig []bool
 }
 
 // NewCountTarget returns a CountTarget over the cluster with every host
 // at load 0.
 func NewCountTarget(cl *cluster.Cluster) *CountTarget {
-	n := len(cl.Hosts())
-	return &CountTarget{cl: cl, idx: NewLoadIndex(n), elig: make([]bool, n)}
+	hs := cl.Hosts()
+	t := &CountTarget{cl: cl, idx: NewLoadIndex(len(hs)), elig: make([]bool, len(hs))}
+	for i, h := range hs {
+		t.elig[i] = h.Alive() && !h.OwnerActive()
+	}
+	cl.Watch(func(h *cluster.Host, c cluster.Change) {
+		if c != cluster.RunqChanged {
+			t.elig[h.ID()] = h.Alive() && !h.OwnerActive()
+		}
+	})
+	return t
 }
 
 // Index returns the incremental load table that serves HostLoad.
@@ -50,17 +61,14 @@ func (t *CountTarget) MoveOne(from, to int, reason core.MigrationReason) error {
 }
 
 // EvacuateHost implements Target: every counter on the host spreads over
-// the least-loaded alive, owner-free hosts, rebalancing as it goes (each
-// unit lands on the currently least-loaded destination, lowest host id on
-// ties — deterministic), in one LoadIndex.Spread.
+// the least-loaded other alive, owner-free hosts, rebalancing as it goes
+// (each unit lands on the currently least-loaded destination, lowest host id
+// on ties — deterministic), in one LoadIndex.Spread.
 func (t *CountTarget) EvacuateHost(host int, reason core.MigrationReason) (int, error) {
 	n := t.idx.Load(host)
 	if n == 0 {
 		return 0, errs.Newf(CodeNoMovable, "no work unit on host %d", host).
 			AddContext("reason", reason)
-	}
-	for i, h := range t.cl.Hosts() {
-		t.elig[i] = i != host && h.Alive() && !h.OwnerActive()
 	}
 	moved := t.idx.Spread(host, n, t.elig)
 	if moved < n {

@@ -52,18 +52,37 @@ func TestCountTargetEvacuateSpreads(t *testing.T) {
 }
 
 // TestCountTargetEvacuateZeroAlloc: on a warm index an evacuation — the
-// eligibility sweep, the water-fill, the sort of its last level — allocates
-// nothing, whatever the host's load.
+// water-fill, the sort of its last level, and the marks it makes in a
+// subscribed fleet's dirty lists — allocates nothing, whatever the host's
+// load. Each run beats the fleet first, so the marks queue afresh.
 func TestCountTargetEvacuateZeroAlloc(t *testing.T) {
 	loads := make([]int, 64)
 	for h := range loads {
 		loads[h] = 90 + (h*37)%23
 	}
 	loads[5] = 400
-	_, tgt := countTarget(loads...)
+	cl, tgt := countTarget(loads...)
+	pol := DefaultFleetPolicy()
+	pol.Shards = 4
+	f := NewFleet(cl, tgt, pol)
 	evacuateAndReseed := func() {
+		for _, s := range f.shards {
+			f.beatShard(s)
+		}
 		if moved, err := tgt.EvacuateHost(5, core.ReasonOwnerReclaim); moved != 400 || err != nil {
 			t.Fatalf("evacuate = (%d, %v), want (400, nil)", moved, err)
+		}
+		queued, touched := 0, 0
+		for _, s := range f.shards {
+			queued += len(s.dirty)
+		}
+		for h, n := range loads {
+			if tgt.HostLoad(h) != n {
+				touched++
+			}
+		}
+		if queued != touched || touched < 2 {
+			t.Fatalf("the evacuation touched %d hosts and queued %d slots in the fleet", touched, queued)
 		}
 		for h, n := range loads {
 			tgt.Index().Set(h, n)

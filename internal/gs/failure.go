@@ -74,9 +74,9 @@ func (f *Fleet) suspect(silent sim.Time) bool {
 	return silent > f.pol.SuspectAfter
 }
 
-// watchOnce scans heartbeat ages and flips suspicion state. beatShard (the
-// alive bit) and planRemote (root validation) keep a declared-dead host out
-// of every plan.
+// watchOnce scans heartbeat ages and flips suspicion state, marking each
+// flipped host for the next beat. beatShard (the alive bit) and planRemote
+// (root validation) keep a declared-dead host out of every plan.
 func (f *Fleet) watchOnce() {
 	now := f.k.Now()
 	for id := range f.hosts {
@@ -87,6 +87,7 @@ func (f *Fleet) watchOnce() {
 		silent := now - last
 		if !f.dead[id] && f.suspect(silent) {
 			f.dead[id] = true
+			f.mark(id)
 			var moved int
 			var err error
 			if ft, ok := f.target.(FailureTarget); ok {
@@ -98,6 +99,7 @@ func (f *Fleet) watchOnce() {
 			})
 		} else if f.dead[id] && !f.suspect(silent) {
 			f.dead[id] = false
+			f.mark(id)
 			if rt, ok := f.target.(RejoinTarget); ok {
 				rt.HostRejoined(id)
 			}

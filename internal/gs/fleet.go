@@ -14,8 +14,8 @@ type LoadSource int
 
 const (
 	// SourceRunQueue drives decisions from host run-queue lengths — the
-	// paper's 1994 policy. With one shard this is the paper's single GS
-	// polling every load daemon.
+	// paper's 1994 policy. With one shard this is the paper's single GS,
+	// to which every load daemon reports.
 	SourceRunQueue LoadSource = iota
 	// SourceWorkUnits drives decisions from the work-unit load index
 	// through the pluggable Placement policy — the fleet-scale mode,
@@ -64,9 +64,9 @@ type FleetPolicy struct {
 	SuspectAfter sim.Time
 }
 
-// DefaultFleetPolicy is the paper's GS: one shard polling run queues every
-// 5 s, evacuating on owner arrival; rebalancing and failure detection stay
-// off until LoadThreshold / the heartbeat fields are set.
+// DefaultFleetPolicy is the paper's GS: one shard planning over run queues
+// every 5 s, evacuating on owner arrival; rebalancing and failure detection
+// stay off until LoadThreshold / the heartbeat fields are set.
 func DefaultFleetPolicy() FleetPolicy {
 	return FleetPolicy{
 		Shards:         1,
@@ -85,22 +85,21 @@ func DefaultFleetPolicy() FleetPolicy {
 const gossipStaleness = 3
 
 // loadVector is the bounded-staleness summary a shard gossips to its peers:
-// its least-loaded eligible member by work units and by run-queue length
-// (global host ids; -1 when the shard has no eligible receiver), which is
-// what picking a remote destination takes without a global scan. epoch is the
-// gossip round it was built in; 0 means none received yet.
+// its least-loaded eligible member by the one load signal the fleet plans by
+// (Source: run-queue length or work units) and that load, as a global host
+// id (-1 when the shard has no eligible receiver). That is what picking a
+// remote destination takes without a global scan. epoch is the gossip round
+// it was built in; 0 means none received yet.
 type loadVector struct {
-	epoch       uint64
-	minLoad     int
-	minHost     int
-	minRunq     int
-	minRunqHost int
+	epoch   uint64
+	minLoad int
+	minHost int
 }
 
 // fleetShard is one shard's local scheduler state: the members' tables as
-// of the last beat (loads, run queues, availability), the shard's seeded
-// RNG, its own load vector and the freshest one received from every other
-// shard.
+// of the last beat (loads, run queues, availability), the slots due for a
+// refresh at the next one, the shard's seeded RNG, its own load vector and
+// the freshest one received from every other shard.
 type fleetShard struct {
 	id   int
 	base int // first global host id
@@ -115,16 +114,21 @@ type fleetShard struct {
 	donorOK []bool // donor eligibility: alive
 	pv      ShardView
 
+	// dirty lists the slots Fleet.mark queued since the last beat, each once
+	// (capacity n: queueing never allocates).
+	dirty []int32
+
 	vec    loadVector
 	remote []loadVector // freshest vector per source shard
 }
 
 // Fleet is the Global Scheduler: hosts partition into shards, each
-// refreshing its members' tables once per tick and planning its own moves
-// from an incremental load view; a thin root actuates the plans, resolves
-// cross-shard moves steered by gossiped load vectors, evacuates hosts
-// whose owner returns and declares heartbeat-silent hosts dead. All
-// decisions are a pure function of (cluster history, policy, seed).
+// refreshing, once per tick, the members' table slots whose facts changed
+// and planning its own moves from an incremental load view; a thin root
+// actuates the plans, resolves cross-shard moves steered by gossiped load
+// vectors, evacuates hosts whose owner returns and declares heartbeat-silent
+// hosts dead. All decisions are a pure function of (cluster history,
+// policy, seed).
 type Fleet struct {
 	cl     *cluster.Cluster
 	k      *sim.Kernel
@@ -133,6 +137,12 @@ type Fleet struct {
 
 	hosts  []*cluster.Host
 	shards []*fleetShard
+
+	// marked[id] is set while host id's slot waits in its shard's dirty
+	// list. polled is set when the target announces no load change (it has
+	// no Index), so every beat refreshes every slot.
+	marked []bool
+	polled bool
 
 	log     decisionLog
 	stopped bool
@@ -171,7 +181,7 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 		pol.GossipPeers = 2
 	}
 	f := &Fleet{cl: cl, k: cl.Kernel(), target: target, pol: pol, hosts: hosts,
-		dead: make([]bool, len(hosts))}
+		dead: make([]bool, len(hosts)), marked: make([]bool, len(hosts))}
 	f.tickFn = f.tick
 	f.watchFn = f.watch
 	nsh := pol.Shards
@@ -189,11 +199,24 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 			runq:    make([]int, n),
 			elig:    make([]bool, n),
 			donorOK: make([]bool, n),
+			dirty:   make([]int32, 0, n),
 			remote:  make([]loadVector, nsh),
 		}
 		s.pv = ShardView{Index: s.view, Elig: s.elig}
 		f.shards = append(f.shards, s)
 		base += n
+	}
+	// The first beat reads every slot; after it, a slot is re-read only when
+	// the cluster, the target's index, the dead set or applyMove says it
+	// changed.
+	for id := range hosts {
+		f.mark(id)
+	}
+	cl.Watch(func(h *cluster.Host, _ cluster.Change) { f.mark(int(h.ID())) })
+	if it, ok := target.(interface{ Index() *LoadIndex }); ok {
+		it.Index().OnChange(f.mark)
+	} else {
+		f.polled = true
 	}
 	return f
 }
@@ -228,13 +251,11 @@ func (f *Fleet) Stop() { f.stopped = true }
 // tie-break downstream.
 func (f *Fleet) Start() {
 	if f.pol.ReclaimOnOwner {
-		for _, h := range f.hosts {
-			h.OnOwnerChange(func(h *cluster.Host, active bool) {
-				if active && !f.stopped {
-					f.evacuate(int(h.ID()), core.ReasonOwnerReclaim)
-				}
-			})
-		}
+		f.cl.Watch(func(h *cluster.Host, c cluster.Change) {
+			if c == cluster.OwnerChanged && h.OwnerActive() && !f.stopped {
+				f.evacuate(int(h.ID()), core.ReasonOwnerReclaim)
+			}
+		})
 	}
 	if f.pol.LoadThreshold > 0 {
 		f.k.Schedule(f.pol.PollInterval, f.tickFn)
@@ -299,13 +320,34 @@ func (f *Fleet) tick() {
 	f.k.Schedule(f.pol.PollInterval, f.tickFn)
 }
 
-// beatShard polls the shard's members — availability, run queue, work-unit
-// load — and writes what it read straight into the shard's tables: the
-// shards partition one process's state, so a beat is an assignment, not a
-// message. LoadIndex.Set is a no-op for a member whose load did not move.
+// mark queues host's slot for the next beat of its shard; a slot already
+// queued stays queued once.
+func (f *Fleet) mark(host int) {
+	if f.marked[host] {
+		return
+	}
+	f.marked[host] = true
+	s := f.shardOf(host)
+	s.dirty = append(s.dirty, int32(host-s.base))
+}
+
+// beatShard re-reads the members whose facts changed since the last beat —
+// availability, run queue, work-unit load — and writes what it read straight
+// into the shard's tables: the shards partition one process's state, so a
+// beat is an assignment, not a message. The order of the writes does not
+// matter, because every LoadIndex answer breaks ties by lowest id. Against a
+// target with no index every member is re-read.
 func (f *Fleet) beatShard(s *fleetShard) {
-	for i := 0; i < s.n; i++ {
+	if f.polled {
+		s.dirty = s.dirty[:0]
+		for i := 0; i < s.n; i++ {
+			s.dirty = append(s.dirty, int32(i))
+		}
+	}
+	for _, slot := range s.dirty {
+		i := int(slot)
 		id := s.base + i
+		f.marked[id] = false
 		h := f.hosts[id]
 		// A host the GS has declared dead is dead to planning even if the
 		// machine itself is up (a partition): no donor, no receiver, not
@@ -316,6 +358,7 @@ func (f *Fleet) beatShard(s *fleetShard) {
 		s.runq[i] = h.LoadAverage()
 		s.view.Set(i, f.target.HostLoad(id))
 	}
+	s.dirty = s.dirty[:0]
 }
 
 // gossipRound advances the gossip epoch: every shard summarizes its view
@@ -343,29 +386,25 @@ func (f *Fleet) pickPeer(s *fleetShard) int {
 	return p
 }
 
-// buildVector summarizes the shard's applied view into its load vector.
+// buildVector summarizes the shard's applied view into its load vector: the
+// least-loaded eligible member by the signal planRemote compares.
 func (f *Fleet) buildVector(s *fleetShard) {
 	v := &s.vec
 	v.epoch = f.epoch
-	slot, load := s.view.BestEligible(s.elig)
+	slot, load := -1, 0
+	if f.pol.Source == SourceRunQueue {
+		for i := 0; i < s.n; i++ {
+			if s.elig[i] && (slot < 0 || s.runq[i] < load) {
+				slot, load = i, s.runq[i]
+			}
+		}
+	} else {
+		slot, load = s.view.BestEligible(s.elig)
+	}
 	if slot >= 0 {
 		v.minLoad, v.minHost = load, s.base+slot
 	} else {
 		v.minLoad, v.minHost = 0, -1
-	}
-	minRunq, minSlot := int(^uint(0)>>1), -1
-	for i := 0; i < s.n; i++ {
-		if !s.elig[i] {
-			continue
-		}
-		if s.runq[i] < minRunq {
-			minRunq, minSlot = s.runq[i], i
-		}
-	}
-	if minSlot >= 0 {
-		v.minRunq, v.minRunqHost = minRunq, s.base+minSlot
-	} else {
-		v.minRunq, v.minRunqHost = 0, -1
 	}
 }
 
@@ -407,7 +446,7 @@ func (f *Fleet) planRunQueue(s *fleetShard) (int, int, bool) {
 	}
 	// No local receiver improves the imbalance: look for a remote one in
 	// the gossiped vectors.
-	return f.planRemote(s, s.base+worst, worstLoad, true)
+	return f.planRemote(s, s.base+worst, worstLoad)
 }
 
 // planWorkUnits selects from the work-unit index through the placement
@@ -426,13 +465,13 @@ func (f *Fleet) planWorkUnits(s *fleetShard) (int, int, bool) {
 	if dest >= 0 {
 		return s.base + donor, s.base + dest, true
 	}
-	return f.planRemote(s, s.base+donor, donorLoad, false)
+	return f.planRemote(s, s.base+donor, donorLoad)
 }
 
 // planRemote scans the shard's received load vectors for the best
 // cross-shard destination within the staleness bound; the root validates
 // liveness against the live cluster before the move is actuated.
-func (f *Fleet) planRemote(s *fleetShard, from, fromLoad int, byRunq bool) (int, int, bool) {
+func (f *Fleet) planRemote(s *fleetShard, from, fromLoad int) (int, int, bool) {
 	bestHost, bestLoad := -1, 0
 	for i := range s.remote {
 		v := &s.remote[i]
@@ -440,9 +479,6 @@ func (f *Fleet) planRemote(s *fleetShard, from, fromLoad int, byRunq bool) (int,
 			continue
 		}
 		host, load := v.minHost, v.minLoad
-		if byRunq {
-			host, load = v.minRunqHost, v.minRunq
-		}
 		if host < 0 || !improves(fromLoad, load) {
 			continue
 		}
@@ -462,12 +498,16 @@ func (f *Fleet) planRemote(s *fleetShard, from, fromLoad int, byRunq bool) (int,
 }
 
 // applyMove optimistically updates the involved shard views so the plans
-// still to come this tick do not re-plan against state this one changed.
+// still to come this tick do not re-plan against state this one changed,
+// and marks both slots: the next beat re-reads them, which reconciles the
+// guess with a target whose moves land later.
 func (f *Fleet) applyMove(from, to int) {
 	fs := f.shardOf(from)
 	ts := f.shardOf(to)
 	fs.view.NoteExit(from - fs.base)
 	ts.view.NoteSpawn(to - ts.base)
+	f.mark(from)
+	f.mark(to)
 }
 
 // shardOf returns the shard owning host. NewFleet's contiguous partition

@@ -42,20 +42,27 @@ func countWorld(hosts, vps int, seed uint64, dur time.Duration) (*sim.Kernel, *c
 			tgt.Seed(rng.Intn(hosts), 1)
 		}
 	}
+	churn(k, cl, rng, dur)
+	return k, cl, tgt
+}
+
+// churn pre-schedules countWorld's run-queue and owner churn on any
+// cluster: every second one host's background load jumps to a seeded level,
+// and one second in seven an owner arrives at or leaves a seeded host.
+func churn(k *sim.Kernel, cl *cluster.Cluster, rng *sim.RNG, dur time.Duration) {
 	hs := cl.Hosts()
-	bgs := make([]*cluster.BackgroundLoad, hosts)
+	bgs := make([]*cluster.BackgroundLoad, len(hs))
 	for i, h := range hs {
 		bgs[i] = cluster.NewBackgroundLoad(h)
 	}
 	for at := time.Second; at < dur; at += time.Second {
-		h, n := rng.Intn(hosts), rng.Intn(8)
+		h, n := rng.Intn(len(hs)), rng.Intn(8)
 		k.Schedule(at, func() { bgs[h].Set(n) })
 		if rng.Intn(7) == 0 {
-			oh, active := rng.Intn(hosts), rng.Intn(2) == 0
+			oh, active := rng.Intn(len(hs)), rng.Intn(2) == 0
 			k.Schedule(at, func() { hs[oh].SetOwnerActive(active) })
 		}
 	}
-	return k, cl, tgt
 }
 
 // TestFleetOneShardMatchesCentralized is the equivalence pin. Until the

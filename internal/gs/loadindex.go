@@ -28,6 +28,8 @@ type LoadIndex struct {
 	minLoad int32 // lowest non-empty bucket (0 for an index of no hosts)
 	maxLoad int32 // highest non-empty bucket
 	total   int
+
+	watchers []func(host int) // OnChange subscribers, in registration order
 }
 
 // NewLoadIndex returns an index covering hosts [0, hosts) all at load 0.
@@ -89,6 +91,14 @@ func (x *LoadIndex) link(h int32) {
 	x.heads[ld] = h
 }
 
+// OnChange registers fn to be called with the host whenever a host's load
+// really moves, once the index reads the new value. A call that leaves the
+// load where it was (a zero delta, a Set to the current value, a clamp at
+// zero) calls no one.
+func (x *LoadIndex) OnChange(fn func(host int)) {
+	x.watchers = append(x.watchers, fn)
+}
+
 // Add applies a signed delta to host's load. Negative results clamp to
 // zero — a target that double-counts an exit has a bug the cross-check
 // test catches; the index itself must stay well-formed either way.
@@ -128,6 +138,9 @@ func (x *LoadIndex) Add(host, delta int) {
 		for x.heads[x.minLoad] < 0 {
 			x.minLoad++
 		}
+	}
+	for _, fn := range x.watchers {
+		fn(host)
 	}
 }
 

@@ -83,6 +83,9 @@ func (sc FleetScenario) validate() error {
 	if sc.Duration < 0 { // the storm draws instants in [0, Duration)
 		return errs.Newf(CodeBadScenario, "duration must not be negative, got %v", sc.Duration)
 	}
+	if gs.PlacementByName(sc.Placement) == nil {
+		return errs.Newf(CodeBadScenario, "unknown placement %q (want least-loaded, first-fit or dest-swap)", sc.Placement)
+	}
 	return checkCounts(count{"hosts", sc.Hosts, 1}, count{"shards", sc.Shards, 1})
 }
 

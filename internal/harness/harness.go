@@ -118,9 +118,10 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// CodeBadScenario marks a run description whose counts cannot size a
-// cluster. They arrive from command lines, so each input struct has one
-// validate that checks them instead of trusting them.
+// CodeBadScenario marks a run description that cannot describe a run: a
+// count that cannot size a cluster, or a policy name nothing answers to.
+// They arrive from command lines, so each input struct has one validate that
+// checks them instead of trusting them.
 const CodeBadScenario errs.Code = "harness.bad-scenario"
 
 // count is one checked input, named as its flag spells it.

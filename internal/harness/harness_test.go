@@ -416,9 +416,10 @@ func TestTraceRunsTheScenarioRunRuns(t *testing.T) {
 	}
 }
 
-// TestImpossibleCountsAreErrors: a count that cannot describe a run (it
-// arrives from a command line) comes back as a CodeBadScenario error from
-// every runner, not as a makeslice or divide-by-zero panic.
+// TestImpossibleCountsAreErrors: a count or name that cannot describe a run
+// (it arrives from a command line) comes back as a CodeBadScenario error from
+// every runner, not as a makeslice or divide-by-zero panic, nor as a run of
+// some default in its place.
 func TestImpossibleCountsAreErrors(t *testing.T) {
 	outcome := func(o *Outcome) error { return o.Err }
 	for _, c := range []struct {
@@ -440,6 +441,9 @@ func TestImpossibleCountsAreErrors(t *testing.T) {
 		{"fleet -hosts -3", func() error { return RunFleet(FleetScenario{Hosts: -3}).Err }},
 		{"fleet -shards -1", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500, Shards: -1}).Err }},
 		{"fleet -duration -1s", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500, Duration: -time.Second}).Err }},
+		{"fleet -placement bogus", func() error {
+			return RunFleet(FleetScenario{Hosts: 40, VPs: 400, Duration: time.Minute, Placement: "bogus"}).Err
+		}},
 	} {
 		if err := c.run(); !errs.Is(err, CodeBadScenario) {
 			t.Errorf("%s: got %v, want a %s error", c.name, err, CodeBadScenario)

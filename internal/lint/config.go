@@ -201,9 +201,11 @@ func DefaultConfig() *Config {
 			// The load index under every target and placement, and the
 			// counter target's one-pass evacuation, are rooted by name so
 			// they stay covered whoever calls them: what
-			// TestCountTargetEvacuateZeroAlloc asserts.
+			// TestCountTargetEvacuateZeroAlloc asserts. Fleet.mark is
+			// rooted too: the cluster watch and LoadIndex.OnChange reach it
+			// through func values, which noalloc does not follow.
 			"pvmigrate/internal/gs": {
-				"Fleet.beatShard", "Fleet.gossipRound", "Fleet.planShard",
+				"Fleet.beatShard", "Fleet.gossipRound", "Fleet.planShard", "Fleet.mark",
 				"LoadIndex.Add", "LoadIndex.BestEligible", "LoadIndex.WorstEligible",
 				"LoadIndex.Spread", "CountTarget.EvacuateHost",
 			},

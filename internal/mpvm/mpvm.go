@@ -278,15 +278,15 @@ func New(m *pvm.Machine, _ Config) *System {
 	// A host dying mid-flush would otherwise leave every stage-2 barrier
 	// waiting on an ack that can never arrive — and every sender to the
 	// migrating task blocked forever behind it.
-	for _, h := range m.Cluster().Hosts() {
-		h.OnAvailChange(func(host *cluster.Host, alive bool) {
-			if alive {
-				s.NoteHostReachable(int(host.ID()))
-			} else {
-				s.NoteHostUnreachable(int(host.ID()))
-			}
-		})
-	}
+	m.Cluster().Watch(func(host *cluster.Host, c cluster.Change) {
+		switch {
+		case c != cluster.AvailChanged:
+		case host.Alive():
+			s.NoteHostReachable(int(host.ID()))
+		default:
+			s.NoteHostUnreachable(int(host.ID()))
+		}
+	})
 	return s
 }
 

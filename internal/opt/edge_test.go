@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-func TestNetClone(t *testing.T) {
-	n := NewNet(4, 3, 2, 7)
-	c := n.Clone()
-	c.W1[0] += 1
-	if n.W1[0] == c.W1[0] {
-		t.Fatal("clone shares storage")
-	}
-}
-
 func TestClassifyAfterTraining(t *testing.T) {
 	set := GenerateExemplars(200, 6, 3, 2)
 	n := NewNet(6, 10, 3, 3)

@@ -69,16 +69,6 @@ func (n *Net) NumParams() int {
 // (single-precision floats, as on the 1994 testbed).
 func (n *Net) Bytes() int { return n.NumParams() * 4 }
 
-// Clone deep-copies the network.
-func (n *Net) Clone() *Net {
-	c := *n
-	c.W1 = append([]float64(nil), n.W1...)
-	c.B1 = append([]float64(nil), n.B1...)
-	c.W2 = append([]float64(nil), n.W2...)
-	c.B2 = append([]float64(nil), n.B2...)
-	return &c
-}
-
 // Flat returns all parameters as one vector (copy).
 func (n *Net) Flat() []float64 {
 	out := make([]float64, 0, n.NumParams())
