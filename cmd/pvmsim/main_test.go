@@ -105,8 +105,9 @@ func TestExplicitFlagIgnoresOtherFlags(t *testing.T) {
 
 // TestImpossibleCountsExitTwo runs the real binary on the command lines
 // that used to reach a makeslice or divide-by-zero panic, or (-placement
-// bogus) to run the default policy: each must print an error naming the
-// flag and exit 2, like any other usage error.
+// bogus) to run the default policy, or (a negative -vps or -storms) to run a
+// meaningless fleet: each must print an error naming the flag and exit 2,
+// like any other usage error.
 func TestImpossibleCountsExitTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the pvmsim binary")
@@ -123,6 +124,8 @@ func TestImpossibleCountsExitTwo(t *testing.T) {
 		{"-system fleet -hosts -3", "hosts"},
 		{"-system fleet -hosts 50 -vps 500 -shards -1", "shards"},
 		{"-system fleet -hosts 40 -vps 400 -duration 1m -placement bogus", "placement"},
+		{"-system fleet -hosts 40 -vps -5 -duration 1m", "vps"},
+		{"-system fleet -hosts 40 -vps 400 -duration 1m -storms -3", "storms"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, strings.Fields(c.args)...)

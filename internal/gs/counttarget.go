@@ -17,20 +17,20 @@ type CountTarget struct {
 	idx *LoadIndex
 	// elig is every host's receiver eligibility (alive, owner-free), kept
 	// current by a cluster watch.
-	elig []bool
+	elig HostSet
 }
 
 // NewCountTarget returns a CountTarget over the cluster with every host
 // at load 0.
 func NewCountTarget(cl *cluster.Cluster) *CountTarget {
 	hs := cl.Hosts()
-	t := &CountTarget{cl: cl, idx: NewLoadIndex(len(hs)), elig: make([]bool, len(hs))}
+	t := &CountTarget{cl: cl, idx: NewLoadIndex(len(hs)), elig: NewHostSet(len(hs))}
 	for i, h := range hs {
-		t.elig[i] = h.Alive() && !h.OwnerActive()
+		t.elig.Put(i, h.Alive() && !h.OwnerActive())
 	}
 	cl.Watch(func(h *cluster.Host, c cluster.Change) {
 		if c != cluster.RunqChanged {
-			t.elig[h.ID()] = h.Alive() && !h.OwnerActive()
+			t.elig.Put(int(h.ID()), h.Alive() && !h.OwnerActive())
 		}
 	})
 	return t

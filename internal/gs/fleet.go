@@ -20,7 +20,7 @@ const (
 	// SourceWorkUnits drives decisions from the work-unit load index
 	// through the pluggable Placement policy — the fleet-scale mode,
 	// where run-queue sampling across thousands of hosts is replaced by
-	// index buckets.
+	// index levels.
 	SourceWorkUnits
 )
 
@@ -110,8 +110,8 @@ type fleetShard struct {
 	// Member tables, slot-indexed, refreshed by beatShard.
 	view    *LoadIndex
 	runq    []int
-	elig    []bool // receiver eligibility: alive && owner-free
-	donorOK []bool // donor eligibility: alive
+	elig    HostSet // receiver eligibility: alive && owner-free
+	donorOK HostSet // donor eligibility: alive
 	pv      ShardView
 
 	// dirty lists the slots Fleet.mark queued since the last beat, each once
@@ -197,8 +197,8 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 			rng:     sim.NewRNG(pol.Seed ^ (0x9e3779b97f4a7c15 * uint64(id+1))),
 			view:    NewLoadIndex(n),
 			runq:    make([]int, n),
-			elig:    make([]bool, n),
-			donorOK: make([]bool, n),
+			elig:    NewHostSet(n),
+			donorOK: NewHostSet(n),
 			dirty:   make([]int32, 0, n),
 			remote:  make([]loadVector, nsh),
 		}
@@ -353,8 +353,8 @@ func (f *Fleet) beatShard(s *fleetShard) {
 		// machine itself is up (a partition): no donor, no receiver, not
 		// gossiped as anyone's minHost.
 		alive := h.Alive() && !f.dead[id]
-		s.donorOK[i] = alive
-		s.elig[i] = alive && !h.OwnerActive()
+		s.donorOK.Put(i, alive)
+		s.elig.Put(i, alive && !h.OwnerActive())
 		s.runq[i] = h.LoadAverage()
 		s.view.Set(i, f.target.HostLoad(id))
 	}
@@ -394,7 +394,7 @@ func (f *Fleet) buildVector(s *fleetShard) {
 	slot, load := -1, 0
 	if f.pol.Source == SourceRunQueue {
 		for i := 0; i < s.n; i++ {
-			if s.elig[i] && (slot < 0 || s.runq[i] < load) {
+			if s.elig.Has(i) && (slot < 0 || s.runq[i] < load) {
 				slot, load = i, s.runq[i]
 			}
 		}
@@ -427,14 +427,14 @@ func (f *Fleet) planRunQueue(s *fleetShard) (int, int, bool) {
 	worst, worstLoad := -1, 0
 	best, bestLoad := -1, int(^uint(0)>>1)
 	for i := 0; i < s.n; i++ {
-		if !s.donorOK[i] {
+		if !s.donorOK.Has(i) {
 			continue
 		}
 		runq := s.runq[i]
 		if runq > worstLoad && s.view.Load(i) > 0 {
 			worst, worstLoad = i, runq
 		}
-		if runq < bestLoad && s.elig[i] {
+		if runq < bestLoad && s.elig.Has(i) {
 			best, bestLoad = i, runq
 		}
 	}

@@ -251,7 +251,7 @@ func TestFleetOwnerReclaimEvacuates(t *testing.T) {
 }
 
 // TestFleetSteadyStateTickZeroAlloc pins the steady-state tick: once the
-// world is quiet and the load-index bucket heads and the event heap have
+// world is quiet and the load-index level rows and the event heap have
 // grown, a full tick — beats, gossip, planning across all shards —
 // allocates nothing.
 func TestFleetSteadyStateTickZeroAlloc(t *testing.T) {
@@ -266,7 +266,7 @@ func TestFleetSteadyStateTickZeroAlloc(t *testing.T) {
 	fleet := NewFleet(cl, tgt, pol)
 	fleet.Start()
 	at := 10 * time.Minute
-	k.RunUntil(at) // grow the bucket heads and the event heap
+	k.RunUntil(at) // grow the level rows and the event heap
 	// AllocsPerRun, not a bare MemStats bracket: Mallocs is process-wide,
 	// and a runtime background goroutine allocating once inside a single
 	// ten-minute bracket failed this gate about one run in fifteen.
@@ -283,8 +283,8 @@ func TestFleetSteadyStateTickZeroAlloc(t *testing.T) {
 // reaches: moves and decision-log appends. The fleet is held in perpetual
 // imbalance — a refill event restores one hotspot per shard just before
 // every tick, so each tick spends its full per-shard move budget forever.
-// The warmup grows every buffer (decision-log pages, load-index bucket
-// heads, event heap) past what a measured window needs, so a malloc in the
+// The warmup grows every buffer (decision-log pages, load-index level
+// rows, event heap) past what a measured window needs, so a malloc in the
 // window can only come from the decision path itself.
 func TestFleetDecisionPathZeroAlloc(t *testing.T) {
 	const (

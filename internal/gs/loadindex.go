@@ -1,32 +1,54 @@
 package gs
 
-import "slices"
+import "math/bits"
+
+// HostSet is a set of host ids (or shard slots) in [0, n), one bit each:
+// the eligibility masks the index's queries take. It is a struct, not a bare
+// slice, so that ranging over it or taking its length cannot silently count
+// words where hosts were meant. Has and Put take h in [0, n).
+type HostSet struct{ w []uint64 }
+
+// NewHostSet returns an empty set over [0, n).
+func NewHostSet(n int) HostSet { return HostSet{w: make([]uint64, (n+63)>>6)} }
+
+// Has reports whether h is in the set.
+func (s HostSet) Has(h int) bool { return s.w[h>>6]&(1<<(h&63)) != 0 }
+
+// Put adds h to the set when on holds and removes it otherwise. The set is
+// shared by every copy of it, as a slice's elements are.
+func (s HostSet) Put(h int, on bool) {
+	if on {
+		s.w[h>>6] |= 1 << (h & 63)
+	} else {
+		s.w[h>>6] &^= 1 << (h & 63)
+	}
+}
 
 // LoadIndex is the incremental per-host load table behind every scheduling
 // target. Targets push deltas (NoteSpawn/NoteExit/NoteMoved) as placement
 // changes happen, so reading a host's load — or finding the most/least
-// loaded host — never rescans tasks. Hosts with equal load sit on an
-// intrusive doubly-linked bucket list, and the index tracks the exact
-// minimum and maximum load, which makes "worst eligible host" a walk down
-// from the maximum and "best eligible host" a walk up from the minimum
-// instead of an O(hosts) scan, and keeps the steady-state mutation path
-// O(1) and allocation-free: the only growth is the bucket head array, which
-// is amortised over the life of the index and never grows during a
-// steady-state scheduling tick. Memory is O(hosts + maxLoad).
+// loaded host — never rescans tasks. Each load level has one bitmap row of
+// the hosts at that load, and the index tracks the exact minimum and maximum
+// load, so "worst eligible host" is a walk down from the maximum and "best
+// eligible host" a walk up from the minimum, each level one AND of its row
+// with the eligibility set and a trailing-zero count. The steady-state
+// mutation path is O(1) and allocation-free: the only growth is a new row
+// when a host first reaches a load, amortised over the life of the index.
+// Memory is (maxLoad+1)·⌈hosts/64⌉ words, which is what buys the lowest id
+// of a level for one word operation instead of a walk over its members.
 //
 // Host ids index the table directly (the cluster assigns dense ids from 0),
 // and every tie among equally loaded hosts resolves to the lowest host id,
-// so index-driven decisions are a pure function of the load history.
+// so index-driven decisions are a pure function of the loads alone: the
+// order of the calls that produced them does not matter.
 type LoadIndex struct {
-	loads []int32 // current load per host
-	next  []int32 // intrusive bucket list: next host in same-load bucket
-	prev  []int32 // previous host, -1 when head
+	loads []int32  // current load per host
+	w     int      // words per row, ⌈hosts/64⌉
+	rows  []uint64 // level ℓ's hosts are the bits of rows[ℓ·w : (ℓ+1)·w]
+	count []int32  // hosts per level
 
-	heads []int32 // head host per load value, -1 when empty
-	fill  []int32 // Spread's per-level gather scratch, cap hosts
-
-	minLoad int32 // lowest non-empty bucket (0 for an index of no hosts)
-	maxLoad int32 // highest non-empty bucket
+	minLoad int32 // lowest non-empty level (0 for an index of no hosts)
+	maxLoad int32 // highest non-empty level
 	total   int
 
 	watchers []func(host int) // OnChange subscribers, in registration order
@@ -34,20 +56,17 @@ type LoadIndex struct {
 
 // NewLoadIndex returns an index covering hosts [0, hosts) all at load 0.
 func NewLoadIndex(hosts int) *LoadIndex {
-	// The four per-host int32 columns share one allocation, so the scratch
-	// column costs an index that never calls Spread nothing.
-	cols := make([]int32, 4*hosts)
+	w := (hosts + 63) >> 6
 	x := &LoadIndex{
-		loads: cols[0*hosts : 1*hosts : 1*hosts],
-		next:  cols[1*hosts : 2*hosts : 2*hosts],
-		prev:  cols[2*hosts : 3*hosts : 3*hosts],
-		fill:  cols[3*hosts : 3*hosts : 4*hosts],
-		heads: make([]int32, 1, 16),
+		loads: make([]int32, hosts),
+		w:     w,
+		rows:  make([]uint64, w, 16*w),
+		count: make([]int32, 1, 16),
 	}
-	x.heads[0] = -1
-	for h := hosts - 1; h >= 0; h-- {
-		x.link(int32(h))
+	for h := 0; h < hosts; h++ {
+		x.rows[h>>6] |= 1 << (h & 63)
 	}
+	x.count[0] = int32(hosts)
 	return x
 }
 
@@ -68,29 +87,6 @@ func (x *LoadIndex) Total() int { return x.total }
 // MaxLoad returns the highest load of any host (exact, not an estimate).
 func (x *LoadIndex) MaxLoad() int { return int(x.maxLoad) }
 
-func (x *LoadIndex) unlink(h int32) {
-	ld := x.loads[h]
-	if x.prev[h] >= 0 {
-		x.next[x.prev[h]] = x.next[h]
-	} else {
-		x.heads[ld] = x.next[h]
-	}
-	if x.next[h] >= 0 {
-		x.prev[x.next[h]] = x.prev[h]
-	}
-}
-
-func (x *LoadIndex) link(h int32) {
-	ld := x.loads[h]
-	head := x.heads[ld]
-	x.next[h] = head
-	x.prev[h] = -1
-	if head >= 0 {
-		x.prev[head] = h
-	}
-	x.heads[ld] = h
-}
-
 // OnChange registers fn to be called with the host whenever a host's load
 // really moves, once the index reads the new value. A call that leaves the
 // load where it was (a zero delta, a Set to the current value, a clamp at
@@ -106,8 +102,7 @@ func (x *LoadIndex) Add(host, delta int) {
 	if host < 0 || host >= len(x.loads) || delta == 0 {
 		return
 	}
-	h := int32(host)
-	old := x.loads[h]
+	old := x.loads[host]
 	nl := old + int32(delta)
 	if nl < 0 {
 		nl = 0
@@ -115,27 +110,33 @@ func (x *LoadIndex) Add(host, delta int) {
 	if nl == old {
 		return
 	}
-	x.unlink(h)
-	x.loads[h] = nl
-	for int32(len(x.heads)) <= nl {
-		x.heads = append(x.heads, -1)
+	word, bit := host>>6, uint64(1)<<(host&63)
+	x.rows[int(old)*x.w+word] &^= bit
+	x.count[old]--
+	for int32(len(x.count)) <= nl {
+		x.count = append(x.count, 0)
+		for i := 0; i < x.w; i++ {
+			x.rows = append(x.rows, 0)
+		}
 	}
-	x.link(h)
+	x.rows[int(nl)*x.w+word] |= bit
+	x.count[nl]++
+	x.loads[host] = nl
 	x.total += int(nl - old)
 	// Both cursors stay exact: a new extreme moves its cursor there; the
-	// host leaving the old extreme's bucket empty walks the cursor to the
+	// host leaving the old extreme's level empty walks the cursor to the
 	// next non-empty one, which is at most |delta| away (the host itself).
 	if nl > x.maxLoad {
 		x.maxLoad = nl
 	} else if old == x.maxLoad {
-		for x.heads[x.maxLoad] < 0 {
+		for x.count[x.maxLoad] == 0 {
 			x.maxLoad--
 		}
 	}
 	if nl < x.minLoad {
 		x.minLoad = nl
 	} else if old == x.minLoad {
-		for x.heads[x.minLoad] < 0 {
+		for x.count[x.minLoad] == 0 {
 			x.minLoad++
 		}
 	}
@@ -165,84 +166,85 @@ func (x *LoadIndex) NoteMoved(from, to int) {
 }
 
 // Spread moves up to n work units off host from, each onto the least-loaded
-// eligible host at that moment, lowest host id on ties, and returns how many
+// host in elig at that moment, lowest host id on ties, and returns how many
 // moved: fewer than n only when from holds fewer or no host is eligible. The
 // result is by contract that of n rounds of BestEligible + NoteMoved; from is
 // never a destination, whatever elig says of it.
 //
 // It is one water-fill, not n searches: every eligible host on the lowest
-// level takes one unit, which puts it in the next level's bucket, and the
-// fill goes up a level. Only the last level can have more takers than units
-// left, and there the lowest ids win. Cost is O(units moved + hosts walked
-// past), and from's own bucket changes once.
-func (x *LoadIndex) Spread(from, n int, elig []bool) int {
+// level takes one unit, which puts it on the next level's row, and the fill
+// goes up a level. Only the last level can have more takers than units left,
+// and there the lowest ids win, which is the order the row's bits come out
+// in. Each word is read before its hosts are raised, so a host takes at most
+// one unit per level. Cost is O(units moved + words of the levels walked),
+// and from's own level changes once.
+func (x *LoadIndex) Spread(from, n int, elig HostSet) int {
 	if from < 0 || from >= len(x.loads) {
 		return 0
 	}
 	if have := int(x.loads[from]); n > have {
 		n = have
 	}
+	fw, fb := from>>6, uint64(1)<<(from&63)
 	moved := 0
 	for ld := x.minLoad; moved < n && ld <= x.maxLoad; ld++ {
-		level := x.fill[:0]
-		for h := x.heads[ld]; h >= 0; h = x.next[h] {
-			if int(h) != from && (elig == nil || elig[h]) {
-				level = append(level, h)
+		if x.count[ld] == 0 {
+			continue
+		}
+		row := int(ld) * x.w
+		for i := 0; i < x.w && moved < n; i++ {
+			m := x.rows[row+i] & elig.w[i]
+			if i == fw {
+				m &^= fb
+			}
+			for ; m != 0 && moved < n; m &= m - 1 {
+				x.Add(i<<6+bits.TrailingZeros64(m), 1)
+				moved++
 			}
 		}
-		if left := n - moved; len(level) > left {
-			slices.Sort(level)
-			level = level[:left]
-		}
-		for _, h := range level {
-			x.Add(int(h), 1)
-		}
-		moved += len(level)
 	}
 	x.Add(from, -moved)
 	return moved
 }
 
-// WorstEligible returns the eligible host with the highest non-zero load
-// and that load, or (-1, 0) when no loaded host is eligible. elig may be
-// nil (every host eligible); otherwise elig[h] gates host h. Ties resolve
-// to the lowest host id, walking the bucket at each load level.
-func (x *LoadIndex) WorstEligible(elig []bool) (host, load int) {
+// WorstEligible returns the host in elig with the highest non-zero load and
+// that load, or (-1, 0) when no loaded host is eligible. Ties resolve to the
+// lowest host id.
+func (x *LoadIndex) WorstEligible(elig HostSet) (host, load int) {
 	for ld := x.maxLoad; ld >= 1; ld-- {
-		best := int32(-1)
-		for h := x.heads[ld]; h >= 0; h = x.next[h] {
-			if elig != nil && !elig[h] {
-				continue
-			}
-			if best < 0 || h < best {
-				best = h
-			}
+		if x.count[ld] == 0 {
+			continue
 		}
-		if best >= 0 {
-			return int(best), int(ld)
+		if h := x.lowest(ld, elig); h >= 0 {
+			return h, int(ld)
 		}
 	}
 	return -1, 0
 }
 
-// BestEligible returns the eligible host with the lowest load and that
-// load, or (-1, 0) when no host is eligible. Ties resolve to the lowest
-// host id. The walk starts at the tracked minimum, so the empty levels
-// below the least-loaded host cost nothing.
-func (x *LoadIndex) BestEligible(elig []bool) (host, load int) {
+// BestEligible returns the host in elig with the lowest load and that load,
+// or (-1, 0) when no host is eligible. Ties resolve to the lowest host id.
+// The walk starts at the tracked minimum, so the empty levels below the
+// least-loaded host cost nothing.
+func (x *LoadIndex) BestEligible(elig HostSet) (host, load int) {
 	for ld := x.minLoad; ld <= x.maxLoad; ld++ {
-		best := int32(-1)
-		for h := x.heads[ld]; h >= 0; h = x.next[h] {
-			if elig != nil && !elig[h] {
-				continue
-			}
-			if best < 0 || h < best {
-				best = h
-			}
+		if x.count[ld] == 0 {
+			continue
 		}
-		if best >= 0 {
-			return int(best), int(ld)
+		if h := x.lowest(ld, elig); h >= 0 {
+			return h, int(ld)
 		}
 	}
 	return -1, 0
+}
+
+// lowest returns the lowest host in elig at load ld, or -1.
+func (x *LoadIndex) lowest(ld int32, elig HostSet) int {
+	row := x.rows[int(ld)*x.w : int(ld+1)*x.w]
+	for i, word := range row {
+		if m := word & elig.w[i]; m != 0 {
+			return i<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
 }

@@ -8,8 +8,8 @@ import "pvmigrate/internal/sim"
 // shard writes it.
 type ShardView struct {
 	Index *LoadIndex
-	// Elig gates which member slots may receive work.
-	Elig []bool
+	// Elig holds the member slots that may receive work.
+	Elig HostSet
 }
 
 // Placement picks the destination for one work unit leaving an overloaded
@@ -37,8 +37,8 @@ func (FirstFit) Name() string { return "first-fit" }
 
 // Pick implements Placement.
 func (FirstFit) Pick(v *ShardView, from, fromLoad int, rng *sim.RNG) int {
-	for slot := range v.Elig {
-		if slot == from || !v.Elig[slot] {
+	for slot := 0; slot < v.Index.Hosts(); slot++ {
+		if slot == from || !v.Elig.Has(slot) {
 			continue
 		}
 		if improves(fromLoad, v.Index.Load(slot)) {
@@ -68,7 +68,7 @@ func (LeastLoaded) Pick(v *ShardView, from, fromLoad int, rng *sim.RNG) int {
 // two seeded-random eligible members, keep the lighter, and if that probe
 // still fails the improvement test, swap it for the global least-loaded
 // member. Two random probes give near-least-loaded balance without a
-// bucket walk on every decision; the swap bounds the worst case.
+// level walk on every decision; the swap bounds the worst case.
 type DestSwap struct{}
 
 // destSwapProbes is the classic power-of-two choice.
@@ -79,14 +79,14 @@ func (DestSwap) Name() string { return "dest-swap" }
 
 // Pick implements Placement.
 func (DestSwap) Pick(v *ShardView, from, fromLoad int, rng *sim.RNG) int {
-	n := len(v.Elig)
+	n := v.Index.Hosts()
 	best := -1
 	for i := 0; i < destSwapProbes; i++ {
 		// Up to 4 draws per probe to land on an eligible slot; a miss
 		// simply weakens the probe, it never blocks the decision.
 		for try := 0; try < 4; try++ {
 			slot := rng.Intn(n)
-			if slot == from || !v.Elig[slot] {
+			if slot == from || !v.Elig.Has(slot) {
 				continue
 			}
 			if best < 0 || v.Index.Load(slot) < v.Index.Load(best) ||

@@ -11,13 +11,12 @@ import (
 // eligible unless listed in blocked.
 func viewOf(loads []int, blocked ...int) *ShardView {
 	idx := NewLoadIndex(len(loads))
-	elig := make([]bool, len(loads))
+	elig := allHosts(len(loads))
 	for i, l := range loads {
 		idx.Set(i, l)
-		elig[i] = true
 	}
 	for _, b := range blocked {
-		elig[b] = false
+		elig.Put(b, false)
 	}
 	return &ShardView{Index: idx, Elig: elig}
 }
@@ -40,6 +39,34 @@ func TestPlacementPolicies(t *testing.T) {
 	// The donor itself is never a destination even at load 0.
 	if got := (LeastLoaded{}).Pick(viewOf([]int{0, 5}), 1, 5, rng); got != 0 {
 		t.Errorf("least-loaded picked %d, want 0", got)
+	}
+}
+
+// TestPlacementPastOneWord: in a 130-slot view, where eligibility spans
+// three words, the only slot that is both eligible and improving is the last
+// one, 129. Every policy must find it — DestSwap by its probes or, far more
+// often, by its least-loaded fallback.
+func TestPlacementPastOneWord(t *testing.T) {
+	loads := make([]int, 130)
+	var blocked []int
+	for i := range loads {
+		loads[i] = 9 // eligible, but one below the donor: no improvement
+		if i%3 == 1 {
+			loads[i], blocked = 0, append(blocked, i) // improving, but blocked
+		}
+	}
+	loads[0], loads[129] = 10, 2
+	v := viewOf(loads, blocked...)
+	rng := sim.NewRNG(130)
+	for _, p := range []Placement{FirstFit{}, LeastLoaded{}} {
+		if got := p.Pick(v, 0, 10, rng); got != 129 {
+			t.Errorf("%s picked %d, want 129", p.Name(), got)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if got := (DestSwap{}).Pick(v, 0, 10, rng); got != 129 {
+			t.Fatalf("dest-swap draw %d picked %d, want 129", i, got)
+		}
 	}
 }
 

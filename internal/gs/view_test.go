@@ -214,9 +214,9 @@ func trackFleets(t *testing.T, w *trackedWorld, src LoadSource, shards []int) []
 					alive := hs[id].Alive() && !f.dead[id]
 					elig := alive && !hs[id].OwnerActive()
 					if s.view.Load(i) != w.tgt.HostLoad(id) || s.runq[i] != hs[id].LoadAverage() ||
-						s.donorOK[i] != alive || s.elig[i] != elig {
+						s.donorOK.Has(i) != alive || s.elig.Has(i) != elig {
 						t.Fatalf("%v fleet %d %s: host %d view (load %d, runq %d, donor %v, elig %v), live (%d, %d, %v, %v)",
-							k.Now(), n, when, id, s.view.Load(i), s.runq[i], s.donorOK[i], s.elig[i],
+							k.Now(), n, when, id, s.view.Load(i), s.runq[i], s.donorOK.Has(i), s.elig.Has(i),
 							w.tgt.HostLoad(id), hs[id].LoadAverage(), alive, elig)
 					}
 					sawDown = sawDown || !hs[id].Alive()

@@ -86,7 +86,8 @@ func (sc FleetScenario) validate() error {
 	if gs.PlacementByName(sc.Placement) == nil {
 		return errs.Newf(CodeBadScenario, "unknown placement %q (want least-loaded, first-fit or dest-swap)", sc.Placement)
 	}
-	return checkCounts(count{"hosts", sc.Hosts, 1}, count{"shards", sc.Shards, 1})
+	return checkCounts(count{"hosts", sc.Hosts, 1}, count{"shards", sc.Shards, 1},
+		count{"vps", sc.VPs, 0}, count{"storms", sc.Storms, 0})
 }
 
 // FleetOutcome is what a fleet scenario produced.

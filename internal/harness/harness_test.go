@@ -441,6 +441,12 @@ func TestImpossibleCountsAreErrors(t *testing.T) {
 		{"fleet -hosts -3", func() error { return RunFleet(FleetScenario{Hosts: -3}).Err }},
 		{"fleet -shards -1", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500, Shards: -1}).Err }},
 		{"fleet -duration -1s", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500, Duration: -time.Second}).Err }},
+		{"fleet -vps -5", func() error {
+			return RunFleet(FleetScenario{Hosts: 40, VPs: -5, Duration: time.Minute}).Err
+		}},
+		{"fleet -storms -3", func() error {
+			return RunFleet(FleetScenario{Hosts: 40, VPs: 400, Duration: time.Minute, Storms: -3}).Err
+		}},
 		{"fleet -placement bogus", func() error {
 			return RunFleet(FleetScenario{Hosts: 40, VPs: 400, Duration: time.Minute, Placement: "bogus"}).Err
 		}},

@@ -240,10 +240,10 @@ func (e *Executor) view() *gs.ShardView {
 		}
 		idx.NoteSpawn(int(mt.Host().ID()))
 	}
-	elig := make([]bool, m.NHosts())
-	for h := range elig {
+	elig := gs.NewHostSet(m.NHosts())
+	for h := 0; h < m.NHosts(); h++ {
 		d := m.Daemon(h)
-		elig[h] = d != nil && d.Host().Alive()
+		elig.Put(h, d != nil && d.Host().Alive())
 	}
 	return &gs.ShardView{Index: idx, Elig: elig}
 }
@@ -256,10 +256,10 @@ func (e *Executor) pickDest(v *gs.ShardView, pol gs.Placement, from int) int {
 	if dest := pol.Pick(v, from, v.Index.Load(from), e.rng); dest >= 0 {
 		return dest
 	}
-	was := v.Elig[from]
-	v.Elig[from] = false
+	was := v.Elig.Has(from)
+	v.Elig.Put(from, false)
 	dest, _ := v.Index.BestEligible(v.Elig)
-	v.Elig[from] = was
+	v.Elig.Put(from, was)
 	return dest
 }
 

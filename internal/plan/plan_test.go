@@ -307,3 +307,28 @@ func TestPlanReportsFailures(t *testing.T) {
 		t.Fatalf("bogus VP outcome = %+v", res.Groups[0].Outcomes[1])
 	}
 }
+
+// TestPickDestRestoresFromBit: pickDest's fallback hides from from the
+// least-loaded search and then puts its eligibility back as it found it —
+// set or clear — in a 130-host view, where from (64) opens the second word
+// and the only other eligible host (129) sits in the third.
+func TestPickDestRestoresFromBit(t *testing.T) {
+	_, s := testSystem(t, 2)
+	e := NewExecutor(s, 5)
+	for _, fromElig := range []bool{true, false} {
+		idx := gs.NewLoadIndex(130)
+		elig := gs.NewHostSet(130)
+		for h := 0; h < 130; h++ {
+			idx.Set(h, 1) // all equal: the policy's improvement guard declines
+		}
+		elig.Put(64, fromElig)
+		elig.Put(129, true)
+		v := &gs.ShardView{Index: idx, Elig: elig}
+		if got := e.pickDest(v, gs.LeastLoaded{}, 64); got != 129 {
+			t.Errorf("from eligible %v: pickDest = %d, want 129", fromElig, got)
+		}
+		if v.Elig.Has(64) != fromElig || !v.Elig.Has(129) {
+			t.Errorf("from eligible %v: after pickDest Has(64) = %v, Has(129) = %v", fromElig, v.Elig.Has(64), v.Elig.Has(129))
+		}
+	}
+}
