@@ -1,6 +1,7 @@
 package adm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,19 +218,20 @@ func TestPropPlanMovesReachTarget(t *testing.T) {
 	}
 }
 
-func TestTrackerNoDoubleProcessing(t *testing.T) {
-	tr := NewTracker()
-	if !tr.MarkProcessed(5) {
-		t.Fatal("first mark rejected")
+func TestShardNoDoubleProcessing(t *testing.T) {
+	s := NewShard(0, 10)
+	if end, n := s.NextChunk(0, 4); end != 4 || n != 4 {
+		t.Fatalf("first chunk = (%d, %d), want (4, 4)", end, n)
 	}
-	if tr.MarkProcessed(5) {
-		t.Fatal("double processing allowed")
+	s.MarkRange(0, 4)
+	if end, n := s.NextChunk(0, 4); end != 8 || n != 4 {
+		t.Fatalf("chunk over processed positions = (%d, %d), want (8, 4)", end, n)
 	}
-	if tr.Done() != 1 || !tr.Processed(5) || tr.Processed(6) {
-		t.Fatal("tracker state wrong")
+	if err := s.Absorb(NewShard(3, 4), 10); err == nil {
+		t.Fatal("a second copy of exemplar 3 absorbed")
 	}
-	tr.Reset()
-	if tr.Done() != 0 || tr.Processed(5) {
+	s.Reset()
+	if s.Processed(0) || s.Processed(3) {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -241,65 +243,75 @@ func TestShardFragmentAndAbsorb(t *testing.T) {
 	if a.Len() != 6 || frag.Len() != 4 {
 		t.Fatalf("lens = %d, %d", a.Len(), frag.Len())
 	}
-	b.Absorb(frag)
+	if err := b.Absorb(frag, 20); err != nil {
+		t.Fatal(err)
+	}
 	if b.Len() != 14 {
 		t.Fatalf("b.Len = %d", b.Len())
 	}
-	if err := CheckDisjoint(20, a, b); err != nil {
+	if err := checkDisjoint(20, a, b); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestShardFlagsTravelWithData(t *testing.T) {
 	a := NewShard(0, 10)
-	trA := NewTracker()
 	// A processes exemplars 6..9, then ships 5..9 away mid-iteration.
-	for id := 6; id < 10; id++ {
-		trA.MarkProcessed(id)
-	}
-	a.SyncFlags(trA)
+	a.MarkRange(6, 10)
 	frag := a.TakeFragment(5) // ids 5..9
-	trB := NewTracker()
-	frag.SeedTracker(trB)
-	// The receiver must see 6..9 as already processed, 5 as not.
-	if trB.Processed(5) {
-		t.Fatal("exemplar 5 wrongly marked")
+	b := NewShard(10, 12)
+	if err := b.Absorb(frag, 20); err != nil {
+		t.Fatal(err)
 	}
-	for id := 6; id < 10; id++ {
-		if !trB.Processed(id) {
-			t.Fatalf("exemplar %d lost its processed flag", id)
+	// The receiver must see 6..9 as already processed, 5 as not: its
+	// iteration's one chunk is its own two exemplars and 5.
+	for i := 0; i < b.Len(); i++ {
+		if want := b.ID(i) >= 6 && b.ID(i) <= 9; b.Processed(i) != want {
+			t.Fatalf("exemplar %d processed = %v, want %v", b.ID(i), b.Processed(i), want)
 		}
 	}
-	// Receiver processes the rest; combined, every exemplar is processed
-	// exactly once.
-	processedOnce := trA.Done() // 4 by A
-	for i, id := range frag.IDs {
-		if !frag.ProcessedFlags[i] {
-			if !trB.MarkProcessed(id) {
-				t.Fatalf("double processing of %d", id)
+	end, n := b.NextChunk(0, 100)
+	if end != b.Len() || n != 3 || b.ID(2) != 5 {
+		t.Fatalf("receiver's chunk = (%d, %d), want exemplars 10, 11 and 5 over all %d positions", end, n, b.Len())
+	}
+}
+
+// checkDisjoint verifies that the given shards partition exactly the ids
+// [0, total): no exemplar lost, none duplicated — the ADM correctness
+// invariant the property tests exercise.
+func checkDisjoint(total int, shards ...*Shard) error {
+	seen := make([]bool, total)
+	n := 0
+	for si, s := range shards {
+		for i := 0; i < s.Len(); i++ {
+			id := s.ID(i)
+			if id < 0 || id >= total {
+				return fmt.Errorf("shard %d has out-of-range exemplar %d", si, id)
 			}
-			processedOnce++
+			if seen[id] {
+				return fmt.Errorf("exemplar %d duplicated (shard %d)", id, si)
+			}
+			seen[id] = true
+			n++
 		}
 	}
-	if processedOnce != 5+4-4+4 { // A did 4 (6..9); B did 1 (5): total distinct = 5
-		// Recompute plainly: distinct processed = 4 (A) + 1 (B) = 5 of ids 5..9.
-		if processedOnce != 5 {
-			t.Fatalf("processedOnce = %d", processedOnce)
-		}
+	if n != total {
+		return fmt.Errorf("%d of %d exemplars present", n, total)
 	}
+	return nil
 }
 
 func TestCheckDisjointCatchesLossAndDup(t *testing.T) {
 	a := NewShard(0, 5)
 	b := NewShard(5, 10)
-	if err := CheckDisjoint(10, a, b); err != nil {
+	if err := checkDisjoint(10, a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckDisjoint(11, a, b); err == nil {
+	if err := checkDisjoint(11, a, b); err == nil {
 		t.Fatal("missing exemplar undetected")
 	}
 	dup := NewShard(4, 6)
-	if err := CheckDisjoint(10, a, b, dup); err == nil {
+	if err := checkDisjoint(10, a, b, dup); err == nil {
 		t.Fatal("duplicate exemplar undetected")
 	}
 }
@@ -328,9 +340,11 @@ func TestPropRedistributionConservesExemplars(t *testing.T) {
 			}
 			count := int(op>>8)%7 + 1
 			frag := shards[from].TakeFragment(count)
-			shards[to].Absorb(frag)
+			if shards[to].Absorb(frag, total) != nil {
+				return false
+			}
 		}
-		return CheckDisjoint(total, shards...) == nil
+		return checkDisjoint(total, shards...) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

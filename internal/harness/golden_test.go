@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
@@ -24,6 +25,10 @@ const (
 	// (the examples/owner-reclaim world). Hash of the GS decision
 	// fingerprint and every migration record's cost and obtrusiveness.
 	goldenOwnerReclaimDigest = 0x2c6459b89b34ce3d
+	// ADM through redistribution: the real-mode withdrawal and rebalance runs
+	// and the cost-model rebalance below. Hash of every loss's bits, the
+	// elapsed time and each withdrawal record's obtrusiveness.
+	goldenADMRedistributionDigest = 0x324ead7255381127
 )
 
 func TestGoldenSurvivalDigest(t *testing.T) {
@@ -67,6 +72,38 @@ func TestGoldenOwnerReclaimDigest(t *testing.T) {
 	if got := h.Sum64(); got != goldenOwnerReclaimDigest {
 		t.Fatalf("owner-reclaim digest %#x, want %#x (decisions %+v, records %+v)",
 			got, uint64(goldenOwnerReclaimDigest), decisions, out.Records)
+	}
+}
+
+// TestGoldenADMRedistribution pins ADM by value through the redistribution
+// paths: exemplars withdrawn mid-iteration with their processed flags, and
+// repartitioned by power. The tests that compare these runs with quiet ones
+// allow a floating-point tolerance (a rebalance regroups the summation);
+// this holds the exact numbers.
+func TestGoldenADMRedistribution(t *testing.T) {
+	h := fnv.New64a()
+	for _, sc := range []Scenario{
+		{TotalBytes: 150_000, Iterations: 8, Real: true, Seed: 3, MigrateAt: 2 * time.Second},
+		{TotalBytes: 120_000, Iterations: 6, Real: true, Seed: 21, BackgroundLoad: map[int]int{1: 1},
+			MigrateAt: 1500 * time.Millisecond, MigrateSlave: 1, ADMRebalance: true},
+		{TotalBytes: 4_200_000, Iterations: 8, BackgroundLoad: map[int]int{1: 1},
+			MigrateAt: 8 * time.Second, MigrateSlave: 1, ADMRebalance: true},
+	} {
+		out := RunADM(sc)
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		fmt.Fprintf(h, "%d|%d|", int64(out.Elapsed), len(out.Records))
+		for _, l := range out.Result.Losses {
+			fmt.Fprintf(h, "%x,", math.Float64bits(l))
+		}
+		for _, r := range out.Records {
+			fmt.Fprintf(h, "obtr=%d,", int64(r.Obtrusiveness()))
+		}
+		fmt.Fprintln(h)
+	}
+	if got := h.Sum64(); got != goldenADMRedistributionDigest {
+		t.Fatalf("ADM redistribution digest %#x, want %#x", got, uint64(goldenADMRedistributionDigest))
 	}
 }
 

@@ -177,11 +177,11 @@ func DefaultConfig() *Config {
 				"Kernel.scheduleWake", "Kernel.scheduleWakeTimer",
 				"Kernel.run", "Kernel.dispatch",
 			},
-			// ADM's processed-exemplar flag array: what
-			// TestTrackerSteadyStateZeroAlloc asserts (growth to a new
-			// largest id is the one audited site).
+			// ADM's processed-flag bitmap on the chunk path: what
+			// TestShardChunkPathZeroAlloc and
+			// TestADMSlaveChunkLoopZeroAlloc assert.
 			"pvmigrate/internal/adm": {
-				"Tracker.MarkProcessed", "Tracker.Processed", "Tracker.Reset",
+				"Shard.NextChunk", "Shard.MarkRange", "Shard.Processed", "Shard.Reset",
 			},
 			// The processor-sharing CPU under every simulated task: what
 			// TestComputeWarmZeroAlloc asserts (a free-list miss is the one

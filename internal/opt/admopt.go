@@ -103,8 +103,8 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	// A shard travels behind the global id of its first exemplar, for the
-	// processed-flag tracking.
+	// A shard travels behind the global id of its first exemplar: exemplars
+	// keep their ids as fragments move between slaves.
 	for i, s := range slaves {
 		buf := m.PackShard(core.NewBuffer().PkInt(m.shardLo(i)), i)
 		if err := vp.Send(s, TagShard, buf); err != nil {
@@ -328,11 +328,12 @@ func RunADMSlave(vp core.VP, master core.TID, rank int, peers []core.TID,
 		Slave: NewSlave(ap.Params),
 		vp:    vp, master: master, rank: rank, peers: peers,
 		events: events, ap: ap, fsm: admFSM(),
-		tracker:  adm.NewTracker(),
-		chunkIdx: make([]int, 0, ap.ChunkExemplars),
 	}
 	if err := sl.LoadShard(r); err != nil {
 		return err
+	}
+	if total := ap.NumExemplars(); idLo < 0 || sl.count < 0 || idLo+sl.count > total {
+		return fmt.Errorf("opt: ADM shard holds ids [%d, %d), not within the job's %d exemplars", idLo, idLo+sl.count, total)
 	}
 	sl.shard = adm.NewShard(idLo, idLo+sl.count)
 	if ap.Real {
@@ -352,7 +353,7 @@ func RunADMSlave(vp core.VP, master core.TID, rank int, peers []core.TID,
 // net, reply layout) and what the ADM protocol adds around it.
 type admSlave struct {
 	// Slave's local holds the exemplar data in real mode, row i being
-	// exemplar shard.IDs[i]: fragments leave from the tail of both and
+	// exemplar shard.ID(i): fragments leave from the tail of both and
 	// arrive at the tail of both, so a shard index is a local index (iterate
 	// checks it). Its count is the shard as first loaded; shard.Len() is the
 	// live one.
@@ -366,20 +367,18 @@ type admSlave struct {
 	ap     ADMParams
 	fsm    *adm.FSM
 
-	shard   *adm.Shard
-	tracker *adm.Tracker
+	shard *adm.Shard
 
 	grad        *Gradient // nil in cost-model mode
 	partialLoss float64
+	processed   int // exemplars this slave processed this iteration
 	withdrawing bool
 	withdrawAt  int64 // event arrival, ns
-	// cursor: every shard index below it has been examined this iteration
-	// (processed or skipped-as-processed), so chunk collection is O(chunk)
-	// instead of rescanning the whole shard.
+	// cursor: every shard position below it is processed this iteration, so
+	// the next chunk is searched for from here, not from the shard's start.
 	cursor int
-	// Scratch reused across chunks: the shard indices of the current chunk,
-	// and in real mode the forward pass's activations.
-	chunkIdx []int
+	// Real-mode scratch reused across exemplars: the forward pass's
+	// activations.
 	hid, out []float64
 }
 
@@ -418,9 +417,8 @@ func (s *admSlave) run() error {
 		}
 		// One iteration: process every unprocessed local exemplar, in
 		// chunks, with flag checks between chunks.
-		s.cursor = 0
-		s.tracker.Reset()
-		s.shard.SyncFlags(s.tracker) // no-op at iteration start (all false)
+		s.cursor, s.processed = 0, 0
+		s.shard.Reset()
 		s.grad = nil
 		s.partialLoss = 0
 		if s.ap.Real {
@@ -434,7 +432,7 @@ func (s *admSlave) run() error {
 		}
 		// iteration-done: ship the partial gradient.
 		buf := core.NewBuffer()
-		s.packReply(buf, s.partialLoss, s.grad, s.tracker.Done())
+		s.packReply(buf, s.partialLoss, s.grad, s.processed)
 		s.fire("iteration-done")
 		if err := s.vp.Send(s.master, TagGrad, buf); err != nil {
 			return err
@@ -447,42 +445,20 @@ func (s *admSlave) run() error {
 // between chunks.
 func (s *admSlave) iterate() error {
 	for {
-		// Collect the next chunk of unprocessed exemplars, resuming the
-		// scan where the previous chunk left off.
-		chunkIdx := s.chunkIdx[:0]
-		for s.cursor < s.shard.Len() && len(chunkIdx) < s.ap.ChunkExemplars {
-			if !s.tracker.Processed(s.shard.IDs[s.cursor]) {
-				chunkIdx = append(chunkIdx, s.cursor)
-			}
-			s.cursor++
-		}
-		s.chunkIdx = chunkIdx
-		if len(chunkIdx) == 0 {
+		// The next chunk: the unprocessed exemplars of [cursor, end).
+		end, n := s.shard.NextChunk(s.cursor, s.ap.ChunkExemplars)
+		if n == 0 {
 			return nil
 		}
-		if err := s.vp.Compute(s.cost.GradientFlops(len(chunkIdx))); err != nil {
+		if err := s.vp.Compute(s.cost.GradientFlops(n)); err != nil {
 			return err
 		}
-		for _, i := range chunkIdx {
-			id := s.shard.IDs[i]
-			if !s.tracker.MarkProcessed(id) {
-				continue
-			}
-			if s.ap.Real {
-				if s.local.ID(i) != id {
-					panic(fmt.Sprintf("opt: ADM slave %d: local row %d holds exemplar %d, shard says %d",
-						s.rank, i, s.local.ID(i), id))
-				}
-				s.net.AccumulateGradient(s.local, i, i+1, s.grad)
-				x, label := s.local.Exemplar(i)
-				s.net.forward(x, s.hid, s.out)
-				pr := s.out[label]
-				if pr < 1e-300 {
-					pr = 1e-300
-				}
-				s.partialLoss += -math.Log(pr)
-			}
+		if s.ap.Real {
+			s.accumulate(s.cursor, end)
 		}
+		s.shard.MarkRange(s.cursor, end)
+		s.cursor = end
+		s.processed += n
 		// The migration-event flag check (and any pending coordination).
 		if s.events.Pending() {
 			ev, _ := s.events.Take()
@@ -517,6 +493,28 @@ func (s *admSlave) iterate() error {
 	}
 }
 
+// accumulate adds the gradient and loss of the unprocessed exemplars in
+// shard positions [from, end) to the iteration's, in position order.
+func (s *admSlave) accumulate(from, end int) {
+	for i := from; i < end; i++ {
+		if s.shard.Processed(i) {
+			continue
+		}
+		if id := s.shard.ID(i); s.local.ID(i) != id {
+			panic(fmt.Sprintf("opt: ADM slave %d: local row %d holds exemplar %d, shard says %d",
+				s.rank, i, s.local.ID(i), id))
+		}
+		s.net.AccumulateGradient(s.local, i, i+1, s.grad)
+		x, label := s.local.Exemplar(i)
+		s.net.forward(x, s.hid, s.out)
+		pr := s.out[label]
+		if pr < 1e-300 {
+			pr = 1e-300
+		}
+		s.partialLoss += -math.Log(pr)
+	}
+}
+
 // participateRedist runs one redistribution round from a slave's
 // perspective. If requested is true, this slave initiated the round (it
 // already sent redist-request and must still consume the master's
@@ -546,7 +544,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 	st := core.NewBuffer().PkString("state").PkInt(s.rank).PkInt(s.shard.Len()).
 		PkFloat64s([]float64{power}).PkInt(boolToInt(s.withdrawing))
 	if s.withdrawing {
-		s.packReply(st, s.partialLoss, s.grad, s.tracker.Done())
+		s.packReply(st, s.partialLoss, s.grad, s.processed)
 	}
 	if err := s.vp.Send(s.master, TagADM, st); err != nil {
 		return err
@@ -578,10 +576,10 @@ func (s *admSlave) participateRedist(requested bool) error {
 		}
 		break
 	}
-	// Execute my outgoing moves: fragment and ship (flags travel with the
-	// data so receivers do not reprocess). Shipping cuts the shard's tail;
-	// keep the iteration cursor inside the shard.
-	s.shard.SyncFlags(s.tracker)
+	// Execute my outgoing moves: fragment and ship, each exemplar's global
+	// id and processed flag beside its data, so receivers do not reprocess.
+	// Shipping cuts the shard's tail; keep the iteration cursor inside the
+	// shard.
 	for _, m := range moves {
 		if m.From != s.rank {
 			continue
@@ -591,9 +589,9 @@ func (s *admSlave) participateRedist(requested bool) error {
 		buf := core.NewBuffer().PkString("frag").PkInt(m.Count).PkVirtual(bytes)
 		ids := make([]float64, frag.Len())
 		flags := make([]byte, frag.Len())
-		for i := range frag.IDs {
-			ids[i] = float64(frag.IDs[i])
-			if frag.ProcessedFlags[i] {
+		for i := range ids {
+			ids[i] = float64(frag.ID(i))
+			if frag.Processed(i) {
 				flags[i] = 1
 			}
 		}
@@ -608,7 +606,10 @@ func (s *admSlave) participateRedist(requested bool) error {
 	if s.cursor > s.shard.Len() {
 		s.cursor = s.shard.Len()
 	}
-	// Absorb incoming fragments.
+	// Absorb incoming fragments. A fragment whose lengths disagree, or whose
+	// ids are not exemplars of the job this slave may take — out of range,
+	// or already held — is malformed: absorbed, it would lose or duplicate
+	// work.
 	received := 0
 	for received < expectIncoming {
 		_, _, r, err := s.vp.Recv(core.AnyTID, TagADM)
@@ -623,26 +624,28 @@ func (s *admSlave) participateRedist(requested bool) error {
 		bytes, _ := r.UpkVirtual()
 		ids, _ := r.UpkFloat64s()
 		flags, _ := r.UpkBytes()
-		if len(flags) != len(ids) {
-			return fmt.Errorf("opt: ADM fragment carries %d ids and %d processed flags", len(ids), len(flags))
+		if len(ids) != cnt || len(flags) != cnt {
+			return fmt.Errorf("opt: ADM fragment announces %d exemplars and carries %d ids and %d processed flags",
+				cnt, len(ids), len(flags))
 		}
-		frag := &adm.Shard{}
-		for i := range ids {
-			frag.IDs = append(frag.IDs, int(ids[i]))
-			frag.ProcessedFlags = append(frag.ProcessedFlags, flags[i] == 1)
+		fragIDs := make([]int, cnt)
+		for i, id := range ids {
+			fragIDs[i] = int(id)
+		}
+		frag := adm.NewFragment(fragIDs, flags)
+		if err := s.shard.Absorb(frag, p.NumExemplars()); err != nil {
+			return fmt.Errorf("opt: ADM fragment: %w", err)
 		}
 		if p.Real {
-			set, err := unpackExemplars(r, p, len(ids))
+			set, err := unpackExemplars(r, p, cnt)
 			if err != nil {
 				return err
 			}
-			copy(set.ids, frag.IDs)
+			copy(set.ids, fragIDs)
 			if err := s.local.Absorb(set); err != nil {
 				return err
 			}
 		}
-		s.shard.Absorb(frag)
-		frag.SeedTracker(s.tracker)
 		// Integration cost: merging the data and flag arrays.
 		if err := s.vp.Compute(float64(bytes) * mergeFlopsPerByte); err != nil {
 			return err

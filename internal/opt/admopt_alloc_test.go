@@ -49,8 +49,7 @@ func (v *quietVP) NRecv(core.TID, int) (core.TID, int, *core.Reader, bool, error
 func (v *quietVP) Host() *cluster.Host { return v.host }
 
 // TestADMSlaveChunkLoopZeroAlloc: in cost-model mode a whole iteration —
-// every chunk's index collection, flag checks and marks — reuses the slave's
-// scratch and allocates nothing once the tracker covers the shard.
+// every chunk's search, flag checks and marks — allocates nothing.
 func TestADMSlaveChunkLoopZeroAlloc(t *testing.T) {
 	ap := ADMParams{}.withDefaults()
 	const n = 1050 // ten full chunks and a short one
@@ -58,24 +57,22 @@ func TestADMSlaveChunkLoopZeroAlloc(t *testing.T) {
 	s := &admSlave{
 		Slave: NewSlave(ap.Params),
 		vp:    vp, events: &adm.EventQueue{}, ap: ap,
-		shard:    adm.NewShard(500, 500+n),
-		tracker:  adm.NewTracker(),
-		chunkIdx: make([]int, 0, ap.ChunkExemplars),
+		shard: adm.NewShard(500, 500+n),
 	}
 	iteration := func() {
-		s.cursor = 0
-		s.tracker.Reset()
+		s.cursor, s.processed = 0, 0
+		s.shard.Reset()
 		if err := s.iterate(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	iteration() // sizes the tracker
+	iteration()
 	vp.computes = 0
 	allocs := testing.AllocsPerRun(20, iteration)
 	if allocs != 0 {
 		t.Fatalf("cost-model iteration allocates %v per run, want 0", allocs)
 	}
-	if s.tracker.Done() != n || vp.computes != 21*11 {
-		t.Fatalf("processed %d exemplars in %d chunks, want %d in %d", s.tracker.Done(), vp.computes, n, 21*11)
+	if s.processed != n || vp.computes != 21*11 {
+		t.Fatalf("processed %d exemplars in %d chunks, want %d in %d", s.processed, vp.computes, n, 21*11)
 	}
 }

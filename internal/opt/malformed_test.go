@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -15,8 +16,9 @@ import (
 // TestMalformedMessagesAreErrors: a peer that sends a structurally valid
 // message with inconsistent contents — a shard whose counts disagree, a
 // label that is no class, a state report cut short, a gradient of the wrong
-// shape, a fragment with fewer flags than ids — gets an "opt:" error out of the driver that received it, never an
-// index or slice-bounds panic. The payloads are packed by hand, so the test
+// shape, a fragment with fewer flags than ids, or with ids the receiver may
+// not take — gets an "opt:" error out of the driver that received it, never
+// an index or slice-bounds panic, and never silently absorbed. The payloads are packed by hand, so the test
 // also pins the layouts the drivers exchange.
 func TestMalformedMessagesAreErrors(t *testing.T) {
 	const (
@@ -38,6 +40,17 @@ func TestMalformedMessagesAreErrors(t *testing.T) {
 			PkFloat64s(w1).PkFloat64s(make([]float64, 2)).PkFloat64s(make([]float64, 4)).PkFloat64s(make([]float64, 2))
 	}
 	adm0 := func(op string) *core.Buffer { return core.NewBuffer().PkString(op) }
+	// A cost-model ADM slave holding exemplars 2 and 3 enters a
+	// redistribution that brings it one fragment: count exemplars announced,
+	// ids carried, each flagged processed.
+	fragTo := func(count int, ids []float64) []scripted {
+		return []scripted{
+			{master, TagShard, core.NewBuffer().PkInt(2).PkInt(2).PkVirtual(24)},
+			{master, TagADM, adm0("enter-redist")},
+			{master, TagADM, adm0("plan").PkInt(0).PkInt(1)},
+			{slave, TagADM, adm0("frag").PkInt(count).PkVirtual(count * 12).
+				PkFloat64s(ids).PkBytes(bytes.Repeat([]byte{1}, len(ids)))}}
+	}
 
 	runSlave := func(p Params) func(*quietVP) error {
 		return func(vp *quietVP) error { return RunSlave(vp, master, p) }
@@ -79,6 +92,11 @@ func TestMalformedMessagesAreErrors(t *testing.T) {
 			{master, TagADM, adm0("enter-redist")},
 			{master, TagADM, adm0("plan").PkInt(0).PkInt(1)},
 			{slave, TagADM, adm0("frag").PkInt(1).PkVirtual(12).PkFloat64s([]float64{9}).PkBytes(nil)}}},
+		{"RunADMSlave: fragment with a negative id", runADMSlave(Params{}), fragTo(1, []float64{-1})},
+		{"RunADMSlave: fragment with an id past the job's exemplars", runADMSlave(Params{}),
+			fragTo(1, []float64{float64(Params{}.NumExemplars())})},
+		{"RunADMSlave: fragment with an id the slave holds", runADMSlave(Params{}), fragTo(1, []float64{3})},
+		{"RunADMSlave: fragment announces 2 exemplars, carries 1", runADMSlave(Params{}), fragTo(2, []float64{9})},
 	}
 	host := cluster.New(sim.NewKernel(), netsim.Params{}, cluster.DefaultHostSpec("h0")).Hosts()[0]
 	for _, c := range cases {
