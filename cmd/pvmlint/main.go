@@ -4,17 +4,16 @@
 //	go run ./cmd/pvmlint ./...
 //
 // It proves at compile time what internal/chaos samples at run time: no
-// wall-clock reads, no global RNG, no order-visible map iteration, no raw
-// goroutines in sim-driven code, no silently dropped protocol errors — and,
-// interprocedurally, no allocation on the zero-alloc hot paths (noalloc),
-// no blocking host I/O outside the AwaitExternal bridge (bridgecall), wire
-// registries that match spec and lockfile (wiretag), and error codes
-// declared once and documented (errcode).
+// wall-clock reads or order-visible map iteration in sim-driven code, no
+// silently dropped protocol errors — and, over the whole program, no
+// allocation on the zero-alloc hot paths (noalloc), no blocking host I/O
+// outside the AwaitExternal bridge (bridgecall), error codes declared once
+// and documented (errcode), and no option field that nothing sets
+// (unsetopt).
 //
 // Exit status 1 means findings were reported; 2 means a package failed to
 // load. -json emits one JSON object per finding (file, line, column,
-// analyzer, message) for CI annotation. -write-wiretags regenerates
-// wiretags.lock from the registries instead of linting.
+// analyzer, message) for CI annotation.
 package main
 
 import (
@@ -22,29 +21,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"pvmigrate/internal/lint"
 )
 
 func main() {
-	var (
-		only          string
-		jsonOut       bool
-		verbose       bool
-		writeWiretags bool
-	)
-	flag.StringVar(&only, "analyzers", "",
-		"comma-separated subset of analyzers to run (default: all)")
-	flag.BoolVar(&jsonOut, "json", false,
+	jsonOut := flag.Bool("json", false,
 		"emit one JSON object per finding: {file, line, col, analyzer, message}")
-	flag.BoolVar(&verbose, "v", false,
-		"log files the loader deliberately skips (tests, build-tag excluded)")
-	flag.BoolVar(&writeWiretags, "write-wiretags", false,
-		"regenerate the wiretags.lock shape pin from the registries and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pvmlint [-analyzers a,b] [-json] [-v] [-write-wiretags] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: pvmlint [-json] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Analyzers:\n")
 		for _, a := range lint.All(lint.DefaultConfig()) {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
@@ -58,66 +43,19 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	cfg := lint.DefaultConfig()
-	analyzers := lint.All(cfg)
-	if only != "" {
-		want := make(map[string]bool)
-		for _, name := range strings.Split(only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-		var picked []*lint.Analyzer
-		for _, a := range analyzers {
-			if want[a.Name] {
-				picked = append(picked, a)
-				delete(want, a.Name)
-			}
-		}
-		for name := range want {
-			fmt.Fprintf(os.Stderr, "pvmlint: unknown analyzer %q\n", name)
-			os.Exit(2)
-		}
-		analyzers = picked
-	}
-
-	loader := lint.NewLoader()
-	if verbose {
-		loader.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	pkgs, err := loader.LoadPatterns(patterns)
+	pkgs, err := lint.NewLoader().LoadPatterns(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pvmlint: %v\n", err)
 		os.Exit(2)
 	}
-	prog := lint.NewProgram(pkgs)
-
-	if writeWiretags {
-		root := prog.RootDir()
-		if root == "" {
-			fmt.Fprintln(os.Stderr, "pvmlint: cannot locate module root for wiretags.lock")
-			os.Exit(2)
-		}
-		path := cfg.WireLock
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(root, path)
-		}
-		if err := os.WriteFile(path, []byte(lint.WireLockContent(prog, cfg)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "pvmlint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("pvmlint: wrote %s\n", path)
-		return
-	}
-
-	diags, err := lint.RunAll(prog, analyzers)
+	diags, err := lint.RunAll(lint.NewProgram(pkgs), lint.All(lint.DefaultConfig()))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pvmlint: %v\n", err)
 		os.Exit(2)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
-		if jsonOut {
+		if *jsonOut {
 			enc.Encode(struct {
 				File     string `json:"file"`
 				Line     int    `json:"line"`

@@ -16,19 +16,9 @@ const simDrivenPath = "pvmigrate/internal/lintfixture"
 // here must produce no diagnostics.
 const kernelPath = "pvmigrate/internal/sim"
 
-// sweepPath is the allowlisted sweep-runner package: its worker-pool
-// fan-out of whole independent runs is one of the two host concurrencies
-// sanctioned outside the kernel.
-const sweepPath = "pvmigrate/internal/sweep"
-
-// netwirePath is the allowlisted wire-transport package: its socket bridge
-// goroutines are the other sanctioned host concurrency (and the one
-// sanctioned wall-clock use besides the kernel — socket deadlines).
-const netwirePath = "pvmigrate/internal/netwire"
-
-// servePath is the allowlisted daemon package: its HTTP handlers, SSE hub
-// and pacer live on the wall side of the AwaitExternal bridge, so both
-// rawgoroutine and nowallclock stand down for this one path.
+// servePath is the allowlisted daemon package: its pacer lives on the wall
+// side of the AwaitExternal bridge, so nowallclock stands down for this
+// one path.
 const servePath = "pvmigrate/internal/serve"
 
 func fixture(analyzer, variant string) string {
@@ -45,35 +35,10 @@ func TestNoWallClock(t *testing.T) {
 	linttest.Run(t, lint.NewNoWallClock(cfg), fixture("nowallclock", "servepacerelsewhere"), simDrivenPath)
 }
 
-func TestSeededRand(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	linttest.Run(t, lint.NewSeededRand(cfg), fixture("seededrand", "flagged"), simDrivenPath)
-	linttest.Run(t, lint.NewSeededRand(cfg), fixture("seededrand", "allowed"), simDrivenPath)
-}
-
 func TestMapOrder(t *testing.T) {
 	cfg := lint.DefaultConfig()
 	linttest.Run(t, lint.NewMapOrder(cfg), fixture("maporder", "flagged"), simDrivenPath)
 	linttest.Run(t, lint.NewMapOrder(cfg), fixture("maporder", "allowed"), simDrivenPath)
-}
-
-func TestRawGoroutine(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	linttest.Run(t, lint.NewRawGoroutine(cfg), fixture("rawgoroutine", "flagged"), simDrivenPath)
-	linttest.Run(t, lint.NewRawGoroutine(cfg), fixture("rawgoroutine", "allowed"), kernelPath)
-	// The sweep runner's worker pool is silent under its own allowlisted
-	// path and fully flagged under any other sim-driven path: the
-	// allowlist names the package, not the idiom.
-	linttest.Run(t, lint.NewRawGoroutine(cfg), fixture("rawgoroutine", "sweeprunner"), sweepPath)
-	linttest.Run(t, lint.NewRawGoroutine(cfg), fixture("rawgoroutine", "sweepelsewhere"), simDrivenPath)
-	// Same contract for the netwire socket bridge, the third allowlisted
-	// package: silent under its own path, fully flagged anywhere else.
-	linttest.Run(t, lint.NewRawGoroutine(cfg), fixture("rawgoroutine", "netwirebridge"), netwirePath)
-	linttest.Run(t, lint.NewRawGoroutine(cfg), fixture("rawgoroutine", "netwireelsewhere"), simDrivenPath)
-	// And for the serve daemon's HTTP/SSE side, the fourth: its mutexes,
-	// hub channels and pacer goroutine pass only under its own path.
-	linttest.Run(t, lint.NewRawGoroutine(cfg), fixture("rawgoroutine", "serveloop"), servePath)
-	linttest.Run(t, lint.NewRawGoroutine(cfg), fixture("rawgoroutine", "serveelsewhere"), simDrivenPath)
 }
 
 func TestDroppedErr(t *testing.T) {
@@ -107,28 +72,6 @@ func TestBridgeCall(t *testing.T) {
 	bcfg := lint.DefaultConfig()
 	bcfg.BridgeFuncs[simDrivenPath] = []string{"Pump"}
 	linttest.Run(t, lint.NewBridgeCall(bcfg), fixture("bridgecall", "bridged"), simDrivenPath)
-}
-
-func TestWireTag(t *testing.T) {
-	run := func(variant string) {
-		t.Helper()
-		cfg := lint.DefaultConfig()
-		cfg.WireRanges = map[string][2]int{simDrivenPath: {80, 89}}
-		dir := fixture("wiretag", variant)
-		lock, err := filepath.Abs(filepath.Join(dir, "LOCK"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if variant == "missinglock" {
-			lock = filepath.Join(filepath.Dir(lock), "NO_SUCH_LOCK")
-		}
-		cfg.WireLock = lock
-		linttest.Run(t, lint.NewWireTag(cfg), dir, simDrivenPath)
-	}
-	run("flagged")     // range, duplicate, missing-encoder, missing-golden
-	run("golden")      // fully conforming: silent
-	run("drift")       // committed lock pins a shape the struct no longer has
-	run("missinglock") // no lockfile at all
 }
 
 func TestErrCode(t *testing.T) {

@@ -95,8 +95,7 @@ func NewBridgeCall(cfg *Config) *Analyzer {
 
 		inScope := func(fi *FuncInfo) bool {
 			return pathInAny(fi.Pkg.Path, cfg.SimDriven) &&
-				!pathInAny(fi.Pkg.Path, cfg.BridgeAllow) &&
-				(cfg.IncludeTests || !testFile(fi.Pkg.Fset, fi.Decl.Pos()))
+				!pathInAny(fi.Pkg.Path, cfg.BridgeAllow)
 		}
 
 		// siteBlocking: does this site enter blocking code?
@@ -119,13 +118,9 @@ func NewBridgeCall(cfg *Config) *Analyzer {
 		eligibleSites := func(fi *FuncInfo) []*CallSite {
 			var out []*CallSite
 			for _, s := range fi.In {
-				if s.ViaGo {
-					continue
+				if !s.ViaGo {
+					out = append(out, s)
 				}
-				if !cfg.IncludeTests && testFile(s.Caller.Pkg.Fset, s.Pos()) {
-					continue
-				}
-				out = append(out, s)
 			}
 			return out
 		}

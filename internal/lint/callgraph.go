@@ -41,9 +41,8 @@ func NewProgram(pkgs []*Package) *Program {
 func (p *Program) Package(path string) *Package { return p.byPath[path] }
 
 // RootDir locates the module root (the directory holding go.mod) by walking
-// up from the first loaded package; "" if none is found. Program-relative
-// artifacts — wiretags.lock, the DESIGN.md error-code table — resolve
-// against it.
+// up from the first loaded package; "" if none is found. errcode resolves
+// Config.ErrCodeDoc (the DESIGN.md error-code table) against it.
 func (p *Program) RootDir() string {
 	if p.rootDir != "" {
 		return p.rootDir

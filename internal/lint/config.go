@@ -22,20 +22,6 @@ type Config struct {
 	// already.
 	WallClockAllow []string
 
-	// ConcurrencyAllow exempts packages from rawgoroutine: internal/sim
-	// holds the one sanctioned trampoline (the pooled iter.Pull workers
-	// in proc.go that Kernel.dispatch switches to, and the mutex around
-	// their free list), internal/sweep the one sanctioned fan-out of
-	// *whole independent runs* across host threads, internal/netwire
-	// the socket bridge goroutines that drain real sockets while the
-	// kernel goroutine blocks inside AwaitExternal, and internal/serve
-	// the HTTP side of the daemon
-	// (handler goroutines, the SSE hub and the pacer live on the wall
-	// side of the AwaitExternal bridge; a single mutex serialises their
-	// entry into the kernel); everything else must use sim.Proc
-	// scheduling.
-	ConcurrencyAllow []string
-
 	// EffectCalls maps a callee package path to the function/method names
 	// whose invocation is order-visible: scheduling a sim event, sending a
 	// frame, recording trace state. A map-range body containing one of
@@ -84,18 +70,6 @@ type Config struct {
 	// tooling belongs here — code that can never run under the kernel.
 	BridgeAllow []string
 
-	// WireRanges assigns each registry package its wire-tag block, closed
-	// on both ends. A wirefmt.Register call from any other package — or
-	// with a tag outside its package's block — is a wiretag finding.
-	WireRanges map[string][2]int
-
-	// WireLock is the committed field-shape lockfile for every registered
-	// wire type, relative to the module root (absolute paths are used
-	// verbatim; fixtures do that). Shape drift against it is a wiretag
-	// finding until the lockfile is regenerated and the wire version
-	// bumped.
-	WireLock string
-
 	// ErrCodeDoc is the document (relative to the module root, absolute
 	// used verbatim) whose error-code table must mention every declared
 	// errs.Code, each spelled `code` in backquotes.
@@ -105,11 +79,6 @@ type Config struct {
 	// ("pkgpath.Struct") or one field ("pkgpath.Struct.Field") that no
 	// non-test code sets, mapped to the reason it stays an option anyway.
 	UnsetOptAllow map[string]string
-
-	// IncludeTests extends the checks into _test.go files. Off by
-	// default: tests drive the simulation from outside and may use the
-	// real clock for their own watchdogs.
-	IncludeTests bool
 }
 
 // DefaultConfig is the policy for this repository.
@@ -120,12 +89,6 @@ func DefaultConfig() *Config {
 		},
 		WallClockAllow: []string{
 			"pvmigrate/internal/sim",
-			"pvmigrate/internal/netwire",
-			"pvmigrate/internal/serve",
-		},
-		ConcurrencyAllow: []string{
-			"pvmigrate/internal/sim",
-			"pvmigrate/internal/sweep",
 			"pvmigrate/internal/netwire",
 			"pvmigrate/internal/serve",
 		},
@@ -171,7 +134,8 @@ func DefaultConfig() *Config {
 		},
 		AllocHot: map[string][]string{
 			// The kernel schedule/dispatch path: what
-			// BenchmarkKernelScheduleDispatch reports as 0 allocs/op.
+			// BenchmarkKernelScheduleDispatch reports as 0 allocs/op and
+			// TestComputeWarmZeroAlloc drives through the CPU below.
 			"pvmigrate/internal/sim": {
 				"Kernel.Schedule", "Kernel.ScheduleAt", "Kernel.scheduleAt",
 				"Kernel.scheduleWake", "Kernel.scheduleWakeTimer",
@@ -218,8 +182,9 @@ func DefaultConfig() *Config {
 				"Reader.Int64", "Reader.Int", "Reader.Float64",
 				"Reader.Bytes", "Reader.Remaining", "Reader.CheckClaim",
 			},
-			// The UDP and TCP send paths: what TestBinaryEncodeZeroAlloc
-			// asserts stay pooled.
+			// The UDP and TCP send paths. TestBinaryEncodeZeroAlloc gates
+			// only the encode they call; the pooled packet buffer and
+			// writev pair are held allocation-free here alone.
 			"pvmigrate/internal/netwire": {
 				"Backend.SendDgram", "stream.Send",
 			},
@@ -259,13 +224,6 @@ func DefaultConfig() *Config {
 			// under the kernel.
 			"pvmigrate/internal/lint",
 		},
-		WireRanges: map[string][2]int{
-			"pvmigrate/internal/core": {16, 31},
-			"pvmigrate/internal/pvm":  {32, 47},
-			"pvmigrate/internal/mpvm": {48, 63},
-			"pvmigrate/internal/ft":   {64, 79},
-		},
-		WireLock:   "wiretags.lock",
 		ErrCodeDoc: "DESIGN.md",
 		UnsetOptAllow: map[string]string{
 			// Varied by tests only: each names the test that builds a

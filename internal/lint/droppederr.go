@@ -53,9 +53,6 @@ func NewDroppedErr(cfg *Config) *Analyzer {
 			return nil
 		}
 		for _, file := range pass.Files {
-			if !cfg.IncludeTests && testFile(pass.Fset, file.Pos()) {
-				continue
-			}
 			reasons := reasonLines(pass.Fset, file)
 			suppress := func(line int) bool {
 				if r := reasons[line]; r != nil {

@@ -1,11 +1,13 @@
 // Package lint is pvmigrate's static determinism-and-protocol-hygiene
 // checker suite. It proves, at compile time, the invariants that
 // internal/chaos can only sample at run time: a deterministic virtual-time
-// kernel is only deterministic if no sim-driven code reads the wall clock,
-// draws from an unseeded RNG, iterates a map where order is observable, or
-// sidesteps the kernel scheduler with raw goroutines — and the migration
-// protocol is only audit-able if no protocol-path error is silently
-// dropped.
+// kernel is only deterministic if no sim-driven code reads the wall clock
+// or iterates a map where order is observable — and the migration protocol
+// is only audit-able if no protocol-path error is silently dropped. Each
+// rule here is one whose violation can pass every test that runs the code
+// (DESIGN.md §6c/§6d); a global RNG draw or a raw goroutine fails the
+// golden digests and -race the first time a test reaches it, so those are
+// left to the tests.
 //
 // The package mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is built on the standard library
@@ -155,19 +157,16 @@ func RunAll(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return out, nil
 }
 
-// All returns the full suite, built from cfg: the five per-package
-// determinism/hygiene passes from PR 3 and the four interprocedural
-// invariant passes layered on the callgraph.
+// All returns the full suite, built from cfg: the three per-package
+// determinism/hygiene passes and the four program-level passes
+// (noalloc, bridgecall, errcode, unsetopt).
 func All(cfg *Config) []*Analyzer {
 	return []*Analyzer{
 		NewNoWallClock(cfg),
-		NewSeededRand(cfg),
 		NewMapOrder(cfg),
-		NewRawGoroutine(cfg),
 		NewDroppedErr(cfg),
 		NewNoAlloc(cfg),
 		NewBridgeCall(cfg),
-		NewWireTag(cfg),
 		NewErrCode(cfg),
 		NewUnsetOpt(cfg),
 	}
@@ -242,9 +241,4 @@ func returnsError(f *types.Func) (pos int, ok bool) {
 func directiveComment(c *ast.Comment, name string) bool {
 	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 	return strings.HasPrefix(text, name)
-}
-
-// testFile reports whether the file holding pos is a _test.go file.
-func testFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

@@ -26,22 +26,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// Generated names the loaded files carrying a standard
-	// `// Code generated … DO NOT EDIT.` header. They are analyzed like
-	// any other file — generated code runs like any other code — but
-	// tools rendering diagnostics may want the distinction.
-	Generated map[string]bool
-}
-
-// SkippedFile records one file the loader deliberately left out of a
-// package, and why. Skips used to be silent, which hid a real gap: a
-// build-tag-excluded file is invisible to every analyzer, so an invariant
-// violation inside it survives until someone builds with that tag.
-type SkippedFile struct {
-	Dir    string
-	Name   string
-	Reason string
 }
 
 // Loader parses and type-checks packages for analysis. Dependencies —
@@ -66,13 +50,6 @@ type Loader struct {
 	// loaded caches every analysis package by import path; ImportFrom
 	// serves these before falling back to the source importer.
 	loaded map[string]*Package
-
-	// Logf, when set, receives one line per skipped file as it happens
-	// (pvmlint -v wires this to stderr). Skips are always recorded on the
-	// loader regardless.
-	Logf func(format string, args ...any)
-
-	skipped []SkippedFile
 }
 
 // NewLoader returns a loader with a shared file set and import cache; load
@@ -95,7 +72,7 @@ func NewLoader() *Loader {
 // be served, via ImportFrom, to every later fixture importing the real
 // package of that name.
 func (l *Loader) Fork() *Loader {
-	return &Loader{fset: l.fset, imp: l.imp, loaded: make(map[string]*Package), Logf: l.Logf}
+	return &Loader{fset: l.fset, imp: l.imp, loaded: make(map[string]*Package)}
 }
 
 // Import implements types.Importer.
@@ -114,29 +91,14 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	return l.imp.ImportFrom(path, dir, mode)
 }
 
-// Skipped returns every file the loader has deliberately excluded so far,
-// with reasons, in the order encountered.
-func (l *Loader) Skipped() []SkippedFile { return l.skipped }
-
-func (l *Loader) skip(dir, name, reason string) {
-	l.skipped = append(l.skipped, SkippedFile{Dir: dir, Name: name, Reason: reason})
-	if l.Logf != nil {
-		l.Logf("lint: skipping %s: %s", filepath.Join(dir, name), reason)
-	}
-}
-
 // LoadFiles parses the named files as one package rooted at dir and
 // type-checks it under the given import path.
 func (l *Loader) LoadFiles(dir, importPath string, names []string) (*Package, error) {
 	var files []*ast.File
-	generated := make(map[string]bool)
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
-		}
-		if ast.IsGenerated(f) {
-			generated[name] = true
 		}
 		files = append(files, f)
 	}
@@ -167,48 +129,37 @@ func (l *Loader) LoadFiles(dir, importPath string, names []string) (*Package, er
 		return nil, err
 	}
 	pkg := &Package{
-		Path:      importPath,
-		Dir:       dir,
-		Fset:      l.fset,
-		Files:     files,
-		Types:     tpkg,
-		Info:      info,
-		Generated: generated,
+		Path:  importPath,
+		Dir:   dir,
+		Fset:  l.fset,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 	}
 	l.loaded[importPath] = pkg
 	return pkg, nil
 }
 
 // LoadDir loads dir as one package: every .go file the default build
-// context would compile. Test files, dotfiles and files excluded by build
-// constraints are skipped explicitly — each skip is recorded (and logged
-// via Logf), never silent.
+// context would compile. Test files, files the go tool ignores (leading
+// . or _) and files excluded by build constraints are left out.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	ctx := build.Default
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		switch {
-		case strings.HasPrefix(name, "."), strings.HasPrefix(name, "_"):
-			l.skip(dir, name, "ignored by the go tool (leading . or _)")
-		case strings.HasSuffix(name, "_test.go"):
-			l.skip(dir, name, "test file (analyzers run on the non-test build; pass IncludeTests-aware loads explicitly)")
-		default:
-			match, err := ctx.MatchFile(dir, name)
-			if err != nil {
-				return nil, fmt.Errorf("lint: %s: %w", filepath.Join(dir, name), err)
-			}
-			if !match {
-				l.skip(dir, name, "excluded by build constraints for "+ctx.GOOS+"/"+ctx.GOARCH)
-				continue
-			}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", filepath.Join(dir, name), err)
+		}
+		if match {
 			names = append(names, name)
 		}
 	}
@@ -217,24 +168,20 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 }
 
 // listedPackage is the slice of `go list -json` output the loader needs.
-// IgnoredGoFiles and TestGoFiles are requested so their exclusion is
-// recorded, not silent; Imports orders the load so dependencies are cached
-// before their dependents are type-checked.
+// Imports orders the load so dependencies are cached before their
+// dependents are type-checked.
 type listedPackage struct {
-	ImportPath     string
-	Dir            string
-	GoFiles        []string
-	IgnoredGoFiles []string
-	TestGoFiles    []string
-	XTestGoFiles   []string
-	Imports        []string
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Imports    []string
 }
 
 // ListPatterns expands package patterns (./..., specific import paths) to
 // concrete packages using the go command, which works offline against the
 // module tree.
 func ListPatterns(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles,IgnoredGoFiles,TestGoFiles,XTestGoFiles,Imports"}, patterns...)
+	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles,Imports"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -287,10 +234,10 @@ func dependencyOrder(listed []listedPackage) []listedPackage {
 	return out
 }
 
-// LoadPatterns loads every package matching the patterns, recording the
-// files `go list` reports but the analysis build excludes. Packages load
-// in dependency order so each one's imports resolve to already-loaded
-// analysis packages (see Loader.ImportFrom).
+// LoadPatterns loads every package matching the patterns: the GoFiles of
+// its non-test build. Packages load in dependency order so each one's
+// imports resolve to already-loaded analysis packages (see
+// Loader.ImportFrom).
 func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	listed, err := ListPatterns(patterns)
 	if err != nil {
@@ -298,12 +245,6 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	}
 	var pkgs []*Package
 	for _, lp := range dependencyOrder(listed) {
-		for _, name := range lp.IgnoredGoFiles {
-			l.skip(lp.Dir, name, "excluded by build constraints (go list IgnoredGoFiles)")
-		}
-		for _, name := range append(append([]string(nil), lp.TestGoFiles...), lp.XTestGoFiles...) {
-			l.skip(lp.Dir, name, "test file (analyzers run on the non-test build)")
-		}
 		p, err := l.LoadFiles(lp.Dir, lp.ImportPath, lp.GoFiles)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)

@@ -39,9 +39,6 @@ func NewMapOrder(cfg *Config) *Analyzer {
 			return nil
 		}
 		for _, file := range pass.Files {
-			if !cfg.IncludeTests && testFile(pass.Fset, file.Pos()) {
-				continue
-			}
 			// The sorted-later search scopes to the enclosing top-level
 			// function body (a sort after a closure's loop still counts).
 			ast.Inspect(file, func(n ast.Node) bool {

@@ -9,8 +9,7 @@ import (
 )
 
 // wirefmtPath is the wire-format package: noalloc roots the enc argument of
-// every wirefmt.Register call, and wiretag audits the registry those calls
-// build.
+// every wirefmt.Register call.
 const wirefmtPath = "pvmigrate/internal/wirefmt"
 
 // allocDeny lists standard-library packages whose calls allocate; the inner
@@ -21,7 +20,6 @@ var allocDeny = map[string]map[string]bool{
 	"errors":        nil,
 	"sort":          nil,
 	"encoding/json": nil,
-	"encoding/gob":  nil,
 	"iter":          nil,
 	"strconv": {
 		"Atoi": true, "ParseInt": true, "ParseUint": true,
@@ -121,9 +119,6 @@ func NewNoAlloc(cfg *Config) *Analyzer {
 		directives := make(map[string]map[int]*directive)
 		for _, pkg := range pass.Prog.Pkgs {
 			for _, file := range pkg.Files {
-				if !cfg.IncludeTests && testFile(pkg.Fset, file.Pos()) {
-					continue
-				}
 				for _, cg := range file.Comments {
 					for _, c := range cg.List {
 						if !directiveComment(c, "lint:alloc") {

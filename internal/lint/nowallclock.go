@@ -35,9 +35,6 @@ func NewNoWallClock(cfg *Config) *Analyzer {
 			return nil
 		}
 		for _, file := range pass.Files {
-			if !cfg.IncludeTests && testFile(pass.Fset, file.Pos()) {
-				continue
-			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {

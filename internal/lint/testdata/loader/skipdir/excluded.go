@@ -3,5 +3,5 @@
 package skipfix
 
 // Excluded is behind a build tag the analysis build never sets: the loader
-// must skip it with a recorded reason, not silently.
+// must leave it out.
 func Excluded() int { return 0 }

@@ -2,6 +2,5 @@
 
 package skipfix
 
-// Gen is generated code: loaded and analyzed like any other file, but
-// marked in Package.Generated for diagnostic rendering.
+// Gen is generated code: loaded and analyzed like any other file.
 func Gen() int { return 2 }

@@ -86,9 +86,6 @@ func NewUnsetOpt(cfg *Config) *Analyzer {
 				return true
 			}
 			for _, file := range pkg.Files {
-				if !cfg.IncludeTests && testFile(pkg.Fset, file.Pos()) {
-					continue
-				}
 				for _, d := range file.Decls {
 					if fd, ok := d.(*ast.FuncDecl); !ok || !defaultsFunc(fd.Name.Name) {
 						ast.Inspect(d, visit)

@@ -14,18 +14,17 @@
 // the simulation — fingerprints stay seed-deterministic while payloads
 // prove they survive a real wire.
 //
-// Everything built on internal/sim is single-threaded by construction, and
-// the pvmlint rawgoroutine analyzer forbids host concurrency above the
-// kernel. This package is the third sanctioned exception (after the
-// kernel's own coroutine trampoline in internal/sim and the independent-
-// run fan-out in internal/sweep): socket reads must happen on host
-// goroutines because the kernel goroutine is the one blocked inside
-// AwaitExternal waiting for them. The bridge goroutines touch no simulation
-// state — they move opaque []byte blobs into mutex-guarded maps keyed by
-// token (datagrams) or sequence number (stream frames), and the kernel
-// goroutine does all encoding and decoding itself. netwire is allowlisted
-// in internal/lint.Config.ConcurrencyAllow and (for its socket deadlines,
-// which bound AwaitExternal against a lost datagram) WallClockAllow.
+// Everything built on internal/sim is single-threaded by construction, with
+// no host concurrency above the kernel. This package is the third
+// exception (after the kernel's own coroutine trampoline in internal/sim
+// and the independent-run fan-out in internal/sweep): socket reads must
+// happen on host goroutines because the kernel goroutine is the one
+// blocked inside AwaitExternal waiting for them. The bridge goroutines
+// touch no simulation state — they move opaque []byte blobs into
+// mutex-guarded maps keyed by token (datagrams) or sequence number (stream
+// frames), and the kernel goroutine does all encoding and decoding itself.
+// netwire is allowlisted in internal/lint.Config.WallClockAllow for its
+// socket deadlines, which bound AwaitExternal against a lost datagram.
 package netwire
 
 import (

@@ -2,15 +2,15 @@
 // host CPUs.
 //
 // Everything built on internal/sim is single-threaded by construction — the
-// kernel dispatches one proc at a time, and the pvmlint rawgoroutine
-// analyzer forbids host concurrency everywhere above the kernel. That rule
-// is exactly what makes *runs* embarrassingly parallel: a seeded experiment
-// touches no state outside its own kernel, so a sweep of N seeds can run on
-// N host threads with bit-for-bit the same per-seed results as a serial
-// loop. This package is the one sanctioned place (besides the kernel's
-// coroutine trampoline) where host goroutines exist; it is allowlisted in
-// internal/lint.Config.ConcurrencyAllow, and the determinism contract is
-// pinned by chaos's parallel-vs-serial sweep test.
+// kernel dispatches one proc at a time, and no code above the kernel starts
+// a host goroutine (one that touched a kernel would fail -race and the
+// golden digests the first time a test ran it). That rule is exactly what
+// makes *runs* embarrassingly parallel: a seeded experiment touches no
+// state outside its own kernel, so a sweep of N seeds can run on N host
+// threads with bit-for-bit the same per-seed results as a serial loop. This
+// package is the one place (besides the kernel's coroutine trampoline)
+// where goroutines run simulations, and the determinism contract is pinned
+// by chaos's parallel-vs-serial sweep test.
 //
 // The contract for worker functions: build every kernel, RNG and system
 // inside fn, reference nothing mutable from outside, and return a plain

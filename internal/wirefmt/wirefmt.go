@@ -44,11 +44,12 @@
 // # Type tags and versioning
 //
 // Tags 0–15 are the built-in primitives below. Protocol packages claim
-// tags in fixed, documented ranges (16–31 core, 32–47 pvm, 48–63 mpvm,
-// 64–79 ft, 80–95 gs) via Register from their init functions. Tag values
-// and field order are wire ABI: changing either requires bumping Version,
-// and the golden-bytes tests in each owning package exist to make an
-// accidental change loud. A decoder receiving an unknown version or tag
+// tags by convention in documented bands (16–31 core, 32–47 pvm, 48–63
+// mpvm, 64–79 ft) via Register from their init functions. Tag values and
+// the order an encoder writes its fields are wire ABI: changing either
+// requires bumping Version, and the golden-bytes tests in each owning
+// package exist to make an accidental change loud. A struct's Go field
+// order is not: the encoders name every field they write. A decoder receiving an unknown version or tag
 // returns a structured error (wire.bad-version / wire.unknown-tag) rather
 // than guessing — version skew is an explicit failure, never a misparse.
 //
@@ -143,9 +144,9 @@ var (
 
 // Register installs the wire encoding for sample's concrete type under
 // tag. Protocol packages call it from init; double registration of a tag
-// or type, or a tag inside the built-in range, is a programming error and
-// panics. Registered names are used in error messages only — the wire
-// carries tags, never names.
+// or type, a tag inside the built-in range, or a missing encoder or
+// decoder is a programming error and panics. Registered names are used in
+// error messages only — the wire carries tags, never names.
 func Register(tag Tag, name string, sample any, enc EncodeFunc, dec DecodeFunc) {
 	if tag < tagReserved {
 		panic("wirefmt: tag " + name + " in the built-in primitive range")
@@ -153,6 +154,9 @@ func Register(tag Tag, name string, sample any, enc EncodeFunc, dec DecodeFunc) 
 	t := reflect.TypeOf(sample)
 	if t == nil {
 		panic("wirefmt: Register with nil sample")
+	}
+	if enc == nil || dec == nil {
+		panic("wirefmt: " + name + " registered with a nil encoder or decoder")
 	}
 	if _, dup := byTag[tag]; dup {
 		panic("wirefmt: duplicate tag registration: " + name)

@@ -135,7 +135,10 @@ func TestFrameErrors(t *testing.T) {
 }
 
 // Encoding an unregistered type is a structured failure, not a panic —
-// netsim surfaces it as the protocol bug it is.
+// netsim surfaces it as the protocol bug it is. Registering a type with a
+// nil encoder or decoder is the init-time programming error that would
+// make it so, and panics there; the refused registration leaves the type
+// unencodable.
 func TestUnencodable(t *testing.T) {
 	type stray struct{ X int }
 	if _, err := Append(nil, stray{1}); !errs.Is(err, CodeUnencodable) {
@@ -143,6 +146,29 @@ func TestUnencodable(t *testing.T) {
 	}
 	if _, err := AppendAny(nil, stray{1}); !errs.Is(err, CodeUnencodable) {
 		t.Fatalf("AppendAny err = %v, want %s", err, CodeUnencodable)
+	}
+
+	enc := func(dst []byte, v any) ([]byte, error) { return dst, nil }
+	dec := func(r *Reader) (any, error) { return stray{}, nil }
+	for _, c := range []struct {
+		name string
+		enc  EncodeFunc
+		dec  DecodeFunc
+	}{
+		{"nil-enc", nil, dec},
+		{"nil-dec", enc, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register with %s did not panic", c.name)
+				}
+			}()
+			Register(0xfff0, "stray", stray{}, c.enc, c.dec)
+		})
+	}
+	if _, err := Append(nil, stray{1}); !errs.Is(err, CodeUnencodable) {
+		t.Fatalf("after refused registrations: err = %v, want %s", err, CodeUnencodable)
 	}
 }
 
