@@ -42,6 +42,7 @@ type Host struct {
 	ownerActive bool
 	ownerLoad   *LoadHandle
 	down        bool
+	dead        bool
 }
 
 // Change names which of a host's scheduling facts just moved.
@@ -54,6 +55,8 @@ const (
 	AvailChanged
 	// RunqChanged: the host's run-queue length (LoadAverage) changed.
 	RunqChanged
+	// DeadChanged: SetDeclaredDead flipped the scheduler's dead verdict.
+	DeadChanged
 )
 
 // Cluster is the set of hosts plus the network connecting them.
@@ -193,6 +196,29 @@ func (h *Host) LoadAverage() int { return h.cpu.ActiveJobs() }
 // Alive reports whether the host is up. Hosts start alive; Fail and Recover
 // flip the state.
 func (h *Host) Alive() bool { return !h.down }
+
+// DeclaredDead reports whether the global scheduler has declared the host
+// lost: its daemon's heartbeats fell silent, whether it crashed or is only
+// cut off (then it is still Alive). It is the one dead verdict every
+// placement path reads.
+func (h *Host) DeclaredDead() bool { return h.dead }
+
+// SetDeclaredDead records the scheduler's verdict and notifies watchers
+// (DeadChanged). Only the scheduler calls it.
+func (h *Host) SetDeclaredDead(dead bool) {
+	if dead == h.dead {
+		return
+	}
+	h.dead = dead
+	h.notify(DeadChanged)
+}
+
+// Receives reports whether the host may take work displaced from another:
+// it is alive, not declared dead, and its owner is away. It is the one
+// receiver predicate of every placement path — evacuations, rebalancing
+// moves, plans and respawns; a moving process image also needs
+// MigrationCompatible.
+func (h *Host) Receives() bool { return !h.down && !h.dead && !h.ownerActive }
 
 // Fail takes the host down: it disappears from the network, loses its
 // memory contents (reservations are wiped — a crash frees everything), and

@@ -141,17 +141,18 @@ func TestOwnerActivityDeterministic(t *testing.T) {
 }
 
 // TestWatchHearsEveryChange drives every path that moves a host's owner
-// state, availability or run-queue length — compute admission, completion
-// and interruption, background load, owner arrival and departure, a crash
-// and a recovery — and requires the watch to hear each one with the new
+// state, availability, dead verdict or run-queue length — compute
+// admission, completion and interruption, background load, owner arrival
+// and departure, a crash and a recovery, a verdict and its withdrawal — and
+// requires the watch to hear each one with the new
 // value already readable: a watcher that keeps only what it heard ends with
 // the host's live facts. A bare NewCPU tells no one.
 func TestWatchHearsEveryChange(t *testing.T) {
 	k := sim.NewKernel()
 	c := twoHosts(k)
 	h := c.Host(0)
-	var runq, runqEvents, owner, avail int
-	alive := true
+	var runq, runqEvents, owner, avail, verdicts int
+	alive, dead := true, false
 	// Errorf, not Fatalf: the run-queue changes are heard inside procs.
 	c.Watch(func(w *Host, ch Change) {
 		if w != h {
@@ -169,6 +170,9 @@ func TestWatchHearsEveryChange(t *testing.T) {
 		case AvailChanged:
 			alive = w.Alive()
 			avail++
+		case DeadChanged:
+			dead = w.DeclaredDead()
+			verdicts++
 		}
 	})
 	bare := NewCPU(k, 1e6)
@@ -182,7 +186,9 @@ func TestWatchHearsEveryChange(t *testing.T) {
 	k.Schedule(2*time.Second, func() { bg.Set(2) })
 	k.Schedule(3*time.Second, func() { h.SetOwnerActive(true) })
 	k.Schedule(4*time.Second, func() { h.Fail() })
+	k.Schedule(4500*time.Millisecond, func() { h.SetDeclaredDead(true); h.SetDeclaredDead(true) })
 	k.Schedule(5*time.Second, func() { h.Recover() })
+	k.Schedule(5500*time.Millisecond, func() { h.SetDeclaredDead(false) })
 	k.Schedule(6*time.Second, func() { bg.Set(0); h.SetOwnerActive(false) })
 	for at := 100 * time.Millisecond; at < 8*time.Second; at += 250 * time.Millisecond {
 		k.Schedule(at, func() {
@@ -192,14 +198,48 @@ func TestWatchHearsEveryChange(t *testing.T) {
 		})
 	}
 	k.Run()
-	if runq != h.LoadAverage() || alive != h.Alive() || owner != 2 || avail != 2 {
-		t.Fatalf("heard runq %d, alive %v, %d owner and %d availability changes; host has runq %d, alive %v",
-			runq, alive, owner, avail, h.LoadAverage(), h.Alive())
+	if runq != h.LoadAverage() || alive != h.Alive() || dead != h.DeclaredDead() ||
+		owner != 2 || avail != 2 || verdicts != 2 {
+		t.Fatalf("heard runq %d, alive %v, dead %v, %d owner, %d availability and %d verdict changes; host has runq %d, alive %v, dead %v",
+			runq, alive, dead, owner, avail, verdicts, h.LoadAverage(), h.Alive(), h.DeclaredDead())
 	}
 	// 4 admissions, 4 exits (3 completions, 1 interrupt), 2 + 2 background
 	// jobs, the owner's load on, off at the crash, on at recovery, off.
 	if runqEvents != 16 {
 		t.Fatalf("heard %d run-queue changes, want 16", runqEvents)
+	}
+}
+
+// TestReceivesIsTheReceiverPredicate: a host receives displaced work only
+// while it is up, not declared dead and free of its owner — each of the
+// three facts alone takes it out.
+func TestReceivesIsTheReceiverPredicate(t *testing.T) {
+	h := twoHosts(sim.NewKernel()).Host(0)
+	for _, tc := range []struct {
+		name string
+		set  func(on bool)
+	}{
+		{"crashed", func(on bool) {
+			if on {
+				h.Fail()
+			} else {
+				h.Recover()
+			}
+		}},
+		{"declared dead", h.SetDeclaredDead},
+		{"owner active", h.SetOwnerActive},
+	} {
+		if !h.Receives() {
+			t.Fatalf("before %s: a clean host does not receive", tc.name)
+		}
+		tc.set(true)
+		if h.Receives() {
+			t.Fatalf("%s host still receives", tc.name)
+		}
+		tc.set(false)
+	}
+	if !h.Receives() {
+		t.Fatal("host does not receive once every fact is restored")
 	}
 }
 

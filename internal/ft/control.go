@@ -11,16 +11,25 @@ import (
 // commanding a rollback without a failure, and detaching a finished job so
 // the manager can accept the next one.
 
-// Structured error codes for control-plane rollback/clear requests.
+// Structured error codes for job submission, control-plane rollback/clear
+// requests and recovery.
 const (
 	// CodeNoJob: the manager has no registered job.
 	CodeNoJob errs.Code = "ft.no-job"
 	// CodeJobFinished: the job already ran to completion (or died); there
 	// is nothing left to roll back.
 	CodeJobFinished errs.Code = "ft.job-finished"
-	// CodeNoCheckpoint: no coordinated checkpoint round has closed yet, so
-	// a commanded rollback would have no recovery point to land on.
+	// CodeNoCheckpoint: no coordinated checkpoint round has closed yet, or
+	// its master image cannot be read back, so a rollback has no recovery
+	// point to land on.
 	CodeNoCheckpoint errs.Code = "ft.no-checkpoint"
+	// CodeJobRunning: the manager already has a job; one runs at a time.
+	CodeJobRunning errs.Code = "ft.job-running"
+	// CodeNoSlaves: a job spec names no slave host.
+	CodeNoSlaves errs.Code = "ft.no-slaves"
+	// CodeMasterLost: the host running the master was declared dead; the
+	// job cannot be recovered.
+	CodeMasterLost errs.Code = "ft.master-lost"
 )
 
 // Job returns the manager's registered job, or nil.

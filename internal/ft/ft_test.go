@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pvmigrate/internal/cluster"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/netsim"
@@ -247,11 +248,64 @@ func TestMasterHostLossIsUnrecoverable(t *testing.T) {
 
 	var sawErr bool
 	for _, d := range sched.Decisions() {
-		if d.Reason == "host-failure" && d.Host == 1 && d.Err != nil {
+		if d.Reason == "host-failure" && d.Host == 1 && errs.Is(d.Err, CodeMasterLost) {
 			sawErr = true
 		}
 	}
 	if !sawErr {
 		t.Errorf("master-host loss produced no error decision: %+v", sched.Decisions())
+	}
+}
+
+// TestRespawnSkipsDeclaredDeadHost: a respawn never lands on a host the GS
+// declared dead earlier and that is still silent. Host 4 runs nothing and is
+// cut off at 3 s (a partition: it stays up, idle, with the shortest run
+// queue, since hosts 0–3 carry one background job each); the GS declares it
+// dead. Host 2 then crashes, and its slave must be respawned elsewhere.
+func TestRespawnSkipsDeclaredDeadHost(t *testing.T) {
+	const cut, crashed = 4, 2
+	k, cl, _, sys := buildRig(t, 5)
+	defer k.Close()
+	for h := 0; h < cut; h++ {
+		cluster.NewBackgroundLoad(cl.Host(netsim.HostID(h))).Set(1)
+	}
+	st := stackOf(sys, nil)
+	st.Inj.Install(Plan{Faults: []Fault{
+		{At: 3 * time.Second, Kind: LinkPartition, Groups: map[netsim.HostID]int{cut: 1}},
+		{At: 8 * time.Second, Kind: HostCrash, Host: crashed},
+	}})
+	job, err := StartJob(st.Mgr, JobSpec{
+		Opt:        opt.Params{TotalBytes: 400_000, Iterations: 12},
+		MasterHost: 0,
+		SlaveHosts: []int{1, 2, 3},
+		OnFinish:   func(*JobResult) { k.Stop() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Sched.Start()
+	k.RunUntil(10 * time.Minute)
+
+	var order []int
+	for _, d := range st.Sched.Decisions() {
+		switch d.Reason {
+		case "host-failure":
+			order = append(order, d.Host)
+		case "host-rejoin":
+			t.Fatalf("host %d rejoined: %+v", d.Host, st.Sched.Decisions())
+		}
+	}
+	if len(order) != 2 || order[0] != cut || order[1] != crashed {
+		t.Fatalf("hosts declared dead %v, want [%d %d]", order, cut, crashed)
+	}
+	for _, orig := range job.SlaveOrigs() {
+		for _, inc := range sys.Incarnations(orig) {
+			if int(inc.Host().ID()) == cut {
+				t.Fatalf("slave %v has an incarnation on declared-dead host %d", orig, cut)
+			}
+		}
+	}
+	if out := job.Out(); !out.Done || len(st.Mgr.Records()) != 1 {
+		t.Fatalf("job did not recover: done %v err %v, records %+v", out.Done, out.Err, st.Mgr.Records())
 	}
 }

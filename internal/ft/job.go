@@ -1,11 +1,11 @@
 package ft
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/opt"
 	"pvmigrate/internal/sim"
@@ -75,10 +75,10 @@ type Job struct {
 // the job with the manager. The caller runs the kernel.
 func StartJob(mgr *Manager, spec JobSpec) (*Job, error) {
 	if mgr.job != nil {
-		return nil, errors.New("ft: manager already has a job")
+		return nil, errs.New(CodeJobRunning, "manager already has a job", nil)
 	}
 	if len(spec.SlaveHosts) == 0 {
-		return nil, errors.New("ft: job needs at least one slave")
+		return nil, errs.New(CodeNoSlaves, "job needs at least one slave", nil)
 	}
 	master, err := opt.NewMaster(spec.Opt, len(spec.SlaveHosts))
 	if err != nil {
@@ -450,7 +450,7 @@ func (m *masterRun) rollback() error {
 			return nil
 		}
 		if !recoverable(err) {
-			return fmt.Errorf("ft: no recovery point: %w", err)
+			return errs.New(CodeNoCheckpoint, "no recovery point", err)
 		}
 		// failed again mid-reload
 	}

@@ -5,6 +5,7 @@ import (
 
 	"pvmigrate/internal/checkpoint"
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/netsim"
@@ -172,7 +173,7 @@ func (mgr *Manager) HostDead(host int) (int, error) {
 	now := mgr.kernel().Now()
 	mmt := mgr.sys.Task(j.masterOrig)
 	if mmt != nil && int(mmt.Host().ID()) == host && !j.out.Done {
-		return 0, fmt.Errorf("ft: master host %d lost; job unrecoverable", host)
+		return 0, errs.Newf(CodeMasterLost, "master host %d lost; job unrecoverable", host)
 	}
 	// Once the master's body has returned there is no in-flight computation
 	// to recover: a slave found on the dead host exited with the job (or is
@@ -220,18 +221,22 @@ func (mgr *Manager) HostDead(host int) (int, error) {
 	for _, idx := range lost {
 		mgr.pending[idx] = true
 	}
+	// A respawn reloads its shard from the store: data moves, not an image,
+	// so any host that Receives will do.
+	dests := mgr.tgt.Index().Place(host, len(lost),
+		gs.Receivers(mgr.sys.Machine().Cluster().Host(netsim.HostID(host)), false))
 	var firstErr error
 	respawned := 0
-	for _, idx := range lost {
-		dest := mgr.pickHost(host)
-		if dest < 0 {
+	for i, idx := range lost {
+		if i >= len(dests) {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("ft: no live host for slave %d", idx)
+				firstErr = errs.Newf(gs.CodeNoDestination, "no live host for slave %d", idx).
+					AddContext("from", host)
 			}
 			delete(mgr.pending, idx)
 			continue
 		}
-		if err := j.respawnSlave(idx, dest); err != nil {
+		if err := j.respawnSlave(idx, dests[i]); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -260,22 +265,6 @@ func (mgr *Manager) HostRejoined(host int) {
 		return
 	}
 	mgr.trace("GS", "ft:host-rejoin", fmt.Sprintf("host%d beating again", host))
-}
-
-// pickHost returns the least-loaded live, owner-free host other than
-// exclude, or -1.
-func (mgr *Manager) pickHost(exclude int) int {
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for _, h := range mgr.sys.Machine().Cluster().Hosts() {
-		id := int(h.ID())
-		if id == exclude || !h.Alive() || h.OwnerActive() {
-			continue
-		}
-		if load := h.LoadAverage(); load < bestLoad {
-			best, bestLoad = id, load
-		}
-	}
-	return best
 }
 
 // slaveReady marks a respawned slave as serving again (called from the

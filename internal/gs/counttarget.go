@@ -15,8 +15,7 @@ import (
 type CountTarget struct {
 	cl  *cluster.Cluster
 	idx *LoadIndex
-	// elig is every host's receiver eligibility (alive, owner-free), kept
-	// current by a cluster watch.
+	// elig holds the hosts that Receive, kept current by a cluster watch.
 	elig HostSet
 }
 
@@ -26,11 +25,11 @@ func NewCountTarget(cl *cluster.Cluster) *CountTarget {
 	hs := cl.Hosts()
 	t := &CountTarget{cl: cl, idx: NewLoadIndex(len(hs)), elig: NewHostSet(len(hs))}
 	for i, h := range hs {
-		t.elig.Put(i, h.Alive() && !h.OwnerActive())
+		t.elig.Put(i, h.Receives())
 	}
 	cl.Watch(func(h *cluster.Host, c cluster.Change) {
 		if c != cluster.RunqChanged {
-			t.elig.Put(int(h.ID()), h.Alive() && !h.OwnerActive())
+			t.elig.Put(int(h.ID()), h.Receives())
 		}
 	})
 	return t
@@ -52,8 +51,8 @@ func (t *CountTarget) MoveOne(from, to int, reason core.MigrationReason) error {
 			AddContext("to", to).AddContext("reason", reason)
 	}
 	hs := t.cl.Hosts()
-	if to < 0 || to >= len(hs) || !hs[to].Alive() {
-		return errs.Newf(CodeNoDestination, "destination host %d not alive", to).
+	if to < 0 || to >= len(hs) || !hs[to].Receives() {
+		return errs.Newf(CodeNoDestination, "destination host %d cannot receive", to).
 			AddContext("from", from).AddContext("reason", reason)
 	}
 	t.idx.NoteMoved(from, to)
@@ -61,7 +60,7 @@ func (t *CountTarget) MoveOne(from, to int, reason core.MigrationReason) error {
 }
 
 // EvacuateHost implements Target: every counter on the host spreads over
-// the least-loaded other alive, owner-free hosts, rebalancing as it goes
+// the least-loaded other hosts that Receive, rebalancing as it goes
 // (each unit lands on the currently least-loaded destination, lowest host id
 // on ties — deterministic), in one LoadIndex.Spread.
 func (t *CountTarget) EvacuateHost(host int, reason core.MigrationReason) (int, error) {

@@ -47,8 +47,8 @@ func (f *Fleet) SetHeartbeatSource(src HeartbeatSource) { f.hb = src }
 // DeadHosts returns the hosts currently declared dead, ascending.
 func (f *Fleet) DeadHosts() []int {
 	var out []int
-	for id, dead := range f.dead {
-		if dead {
+	for id, h := range f.hosts {
+		if h.DeclaredDead() {
 			out = append(out, id)
 		}
 	}
@@ -74,20 +74,20 @@ func (f *Fleet) suspect(silent sim.Time) bool {
 	return silent > f.pol.SuspectAfter
 }
 
-// watchOnce scans heartbeat ages and flips suspicion state, marking each
-// flipped host for the next beat. beatShard (the alive bit) and planRemote
-// (root validation) keep a declared-dead host out of every plan.
+// watchOnce scans heartbeat ages and flips each host's dead verdict
+// (cluster.Host.SetDeclaredDead), which every placement path reads through
+// Host.Receives and whose DeadChanged notice marks the host for the next
+// beat.
 func (f *Fleet) watchOnce() {
 	now := f.k.Now()
-	for id := range f.hosts {
+	for id, h := range f.hosts {
 		last, ok := f.hb.LastHeard(id)
 		if !ok {
 			continue
 		}
 		silent := now - last
-		if !f.dead[id] && f.suspect(silent) {
-			f.dead[id] = true
-			f.mark(id)
+		if !h.DeclaredDead() && f.suspect(silent) {
+			h.SetDeclaredDead(true)
 			var moved int
 			var err error
 			if ft, ok := f.target.(FailureTarget); ok {
@@ -97,9 +97,8 @@ func (f *Fleet) watchOnce() {
 				At: now, Host: id, Dest: -1,
 				Reason: core.ReasonHostFailure, Moved: moved, Err: err,
 			})
-		} else if f.dead[id] && !f.suspect(silent) {
-			f.dead[id] = false
-			f.mark(id)
+		} else if h.DeclaredDead() && !f.suspect(silent) {
+			h.SetDeclaredDead(false)
 			if rt, ok := f.target.(RejoinTarget); ok {
 				rt.HostRejoined(id)
 			}

@@ -1,6 +1,8 @@
 package gs
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,9 +86,10 @@ func (p *partitionBeats) LastHeard(host int) (sim.Time, bool) {
 // 3 as destination or host 6 as source; before and after, both are used.
 //
 // With three shards (hosts 0–2, 3–5, 6–8) host 0's shard has no local
-// receiver, so its moves go through planRemote, and gossip only every third
-// tick leaves it holding a vector that still advertises host 3 after the
-// declaration — the root validation is then the only thing in the way.
+// receiver, so its moves go through planRemote. Each round a shard pushes
+// its vector to two peers drawn with repeats, so host 0's shard can miss a
+// round and still hold a vector from before the declaration that advertises
+// host 3 — the root validation is then the only thing in the way.
 func TestFleetDeclaredDeadHostIsNeitherDonorNorReceiver(t *testing.T) {
 	const (
 		hot      = 0 // stays alive, always has work to shed
@@ -130,8 +133,6 @@ func TestFleetDeclaredDeadHostIsNeitherDonorNorReceiver(t *testing.T) {
 			pol.Shards = tc.shards
 			pol.Source = tc.src
 			pol.LoadThreshold = tc.threshold
-			pol.GossipEvery = 3
-			pol.GossipPeers = 8 // every round reaches both other shards
 			pol.HeartbeatInterval = time.Second
 			pol.SuspectAfter = 3 * time.Second
 			fleet := NewFleet(cl, tgt, pol)
@@ -188,6 +189,95 @@ func TestFleetDeclaredDeadHostIsNeitherDonorNorReceiver(t *testing.T) {
 			if toReceiver[2] == 0 || fromDonor[2] == 0 {
 				t.Fatalf("after rejoin host %d received %d and host %d shed %d: not eligible again",
 					receiver, toReceiver[2], donor, fromDonor[2])
+			}
+		})
+	}
+}
+
+// TestEvacuationSkipsDeclaredDeadHost: an owner reclaim never sends work to
+// a host the GS has declared dead. Host 3 is up but cut off (a partition),
+// idle and the least loaded, so it looks like the best receiver; it falls
+// silent at 2 s and is declared dead at 6 s, and host 0's owner returns at
+// 10 s. The MPVM row spreads two processes, the counter row six units, over
+// hosts 1 and 2.
+func TestEvacuationSkipsDeclaredDeadHost(t *testing.T) {
+	const dead = 3
+	for _, tc := range []struct {
+		name  string
+		moved int
+		world func(t *testing.T) (*sim.Kernel, *cluster.Cluster, Target, func() string)
+	}{
+		{"mpvm", 2, func(t *testing.T) (*sim.Kernel, *cluster.Cluster, Target, func() string) {
+			k, cl, sys := setup(t, 4)
+			tgt := NewMPVMTarget(sys)
+			for _, host := range []int{0, 0, 1, 2} {
+				tgt.Track(spawnWorker(t, sys, host, 120).OrigTID())
+			}
+			var orders []string
+			sys.SetTracer(func(actor, stage, detail string) {
+				if stage == "1:migration-event" {
+					orders = append(orders, detail)
+				}
+			})
+			return k, cl, tgt, func() string {
+				if len(orders) != 2 {
+					return fmt.Sprintf("orders %q, want both processes ordered off host 0", orders)
+				}
+				for _, o := range orders {
+					if strings.Contains(o, fmt.Sprintf("host%d", dead)) {
+						return fmt.Sprintf("orders %q name host %d", orders, dead)
+					}
+				}
+				return ""
+			}
+		}},
+		{"count", 6, func(t *testing.T) (*sim.Kernel, *cluster.Cluster, Target, func() string) {
+			k, cl := plainWorld(4)
+			tgt := NewCountTarget(cl)
+			tgt.Seed(0, 6)
+			tgt.Seed(1, 2)
+			tgt.Seed(2, 2)
+			return k, cl, tgt, func() string {
+				if tgt.HostLoad(dead) != 0 || tgt.HostLoad(1) != 5 || tgt.HostLoad(2) != 5 {
+					return fmt.Sprintf("loads %d %d %d %d, want 0 5 5 0",
+						tgt.HostLoad(0), tgt.HostLoad(1), tgt.HostLoad(2), tgt.HostLoad(3))
+				}
+				return ""
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, cl, tgt, landed := tc.world(t)
+			defer k.Close()
+			pol := DefaultFleetPolicy()
+			pol.HeartbeatInterval = time.Second
+			pol.SuspectAfter = 3 * time.Second
+			fleet := NewFleet(cl, tgt, pol)
+			hb := &partitionBeats{k: k, cut: map[int]sim.Time{}}
+			fleet.SetHeartbeatSource(hb)
+			fleet.Start()
+			k.Schedule(2*time.Second, func() { hb.cut[dead] = k.Now() })
+			k.Schedule(10*time.Second, func() {
+				if d := fleet.DeadHosts(); len(d) != 1 || d[0] != dead {
+					t.Errorf("dead hosts at the reclaim = %v, want [%d]", d, dead)
+				}
+				cl.Hosts()[0].SetOwnerActive(true)
+			})
+			k.RunUntil(20 * time.Second)
+			if msg := landed(); msg != "" {
+				t.Fatal(msg)
+			}
+			var reclaims int
+			for _, d := range fleet.Decisions() {
+				if d.Reason == core.ReasonOwnerReclaim {
+					reclaims++
+					if d.Host != 0 || d.Moved != tc.moved || d.Err != nil {
+						t.Fatalf("reclaim decision %+v", d)
+					}
+				}
+			}
+			if reclaims != 1 {
+				t.Fatalf("%d reclaim decisions, want 1: %+v", reclaims, fleet.Decisions())
 			}
 		})
 	}

@@ -47,11 +47,6 @@ type FleetPolicy struct {
 	// the paper's one move per poll; fleet scenarios raise it so a
 	// hotspot drains in bounded ticks).
 	MovesPerTick int
-	// GossipEvery runs a gossip round every N ticks (default 1).
-	GossipEvery int
-	// GossipPeers is how many seeded-random peers each shard pushes its
-	// load vector to per round (default 2).
-	GossipPeers int
 	// Seed derives every shard's deterministic peer-selection and
 	// placement-probe stream.
 	Seed uint64
@@ -75,14 +70,17 @@ func DefaultFleetPolicy() FleetPolicy {
 		Source:         SourceRunQueue,
 		Placement:      LeastLoaded{},
 		MovesPerTick:   1,
-		GossipEvery:    1,
-		GossipPeers:    2,
 	}
 }
 
-// gossipStaleness bounds how many epochs old a remote load vector may be and
-// still steer a cross-shard move.
-const gossipStaleness = 3
+const (
+	// gossipPeers is how many seeded-random peers each shard pushes its load
+	// vector to in a gossip round, which a multi-shard fleet runs every tick.
+	gossipPeers = 2
+	// gossipStaleness bounds how many epochs old a remote load vector may be
+	// and still steer a cross-shard move.
+	gossipStaleness = 3
+)
 
 // loadVector is the bounded-staleness summary a shard gossips to its peers:
 // its least-loaded eligible member by the one load signal the fleet plans by
@@ -110,8 +108,8 @@ type fleetShard struct {
 	// Member tables, slot-indexed, refreshed by beatShard.
 	view    *LoadIndex
 	runq    []int
-	elig    HostSet // receiver eligibility: alive && owner-free
-	donorOK HostSet // donor eligibility: alive
+	elig    HostSet // receiver eligibility: the host Receives
+	donorOK HostSet // donor eligibility: alive and not declared dead
 	pv      ShardView
 
 	// dirty lists the slots Fleet.mark queued since the last beat, each once
@@ -150,9 +148,8 @@ type Fleet struct {
 	epoch   uint64
 	tickFn  func()
 
-	// Failure detection (failure.go). dead is indexed by host id.
+	// Failure detection (failure.go); its verdict lives on the hosts.
 	hb      HeartbeatSource
-	dead    []bool
 	watchFn func()
 }
 
@@ -174,14 +171,8 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 	if pol.MovesPerTick < 1 {
 		pol.MovesPerTick = 1
 	}
-	if pol.GossipEvery < 1 {
-		pol.GossipEvery = 1
-	}
-	if pol.GossipPeers < 1 {
-		pol.GossipPeers = 2
-	}
 	f := &Fleet{cl: cl, k: cl.Kernel(), target: target, pol: pol, hosts: hosts,
-		dead: make([]bool, len(hosts)), marked: make([]bool, len(hosts))}
+		marked: make([]bool, len(hosts))}
 	f.tickFn = f.tick
 	f.watchFn = f.watch
 	nsh := pol.Shards
@@ -207,8 +198,8 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 		base += n
 	}
 	// The first beat reads every slot; after it, a slot is re-read only when
-	// the cluster, the target's index, the dead set or applyMove says it
-	// changed.
+	// the cluster (owner, availability, run queue, dead verdict), the
+	// target's index or applyMove says it changed.
 	for id := range hosts {
 		f.mark(id)
 	}
@@ -291,7 +282,7 @@ func (f *Fleet) tick() {
 	for _, s := range f.shards {
 		f.beatShard(s)
 	}
-	if len(f.shards) > 1 && (f.tickNo-1)%uint64(f.pol.GossipEvery) == 0 {
+	if len(f.shards) > 1 {
 		f.gossipRound()
 	}
 	for _, s := range f.shards {
@@ -352,9 +343,8 @@ func (f *Fleet) beatShard(s *fleetShard) {
 		// A host the GS has declared dead is dead to planning even if the
 		// machine itself is up (a partition): no donor, no receiver, not
 		// gossiped as anyone's minHost.
-		alive := h.Alive() && !f.dead[id]
-		s.donorOK.Put(i, alive)
-		s.elig.Put(i, alive && !h.OwnerActive())
+		s.donorOK.Put(i, h.Alive() && !h.DeclaredDead())
+		s.elig.Put(i, h.Receives())
 		s.runq[i] = h.LoadAverage()
 		s.view.Set(i, f.target.HostLoad(id))
 	}
@@ -362,14 +352,14 @@ func (f *Fleet) beatShard(s *fleetShard) {
 }
 
 // gossipRound advances the gossip epoch: every shard summarizes its view
-// into a load vector and copies it into the remote tables of GossipPeers
+// into a load vector and copies it into the remote tables of gossipPeers
 // seeded peers. Peer choice is a pure function of the shard's seed, so a
 // sweep replays bit-identically.
 func (f *Fleet) gossipRound() {
 	f.epoch++
 	for _, s := range f.shards {
 		f.buildVector(s)
-		for j := 0; j < f.pol.GossipPeers; j++ {
+		for j := 0; j < gossipPeers; j++ {
 			f.shards[f.pickPeer(s)].remote[s.id] = s.vec
 		}
 	}
@@ -490,8 +480,7 @@ func (f *Fleet) planRemote(s *fleetShard, from, fromLoad int) (int, int, bool) {
 		return 0, 0, false
 	}
 	// Root validation: the vector is bounded-stale; the move is not.
-	h := f.hosts[bestHost]
-	if !h.Alive() || h.OwnerActive() || f.dead[bestHost] {
+	if !f.hosts[bestHost].Receives() {
 		return 0, 0, false
 	}
 	return from, bestHost, true

@@ -216,7 +216,6 @@ func TestFleetCrossShardMove(t *testing.T) {
 	pol.Shards = 2
 	pol.LoadThreshold = 1
 	pol.Source = SourceWorkUnits
-	pol.GossipPeers = 1 // with 2 shards every round reaches the other shard
 	fleet := NewFleet(cl, tgt, pol)
 	fleet.Start()
 	k.RunUntil(time.Minute)

@@ -29,21 +29,43 @@ type Target interface {
 	HostLoad(host int) int
 }
 
-// bestDest is the one destination rule the VP-moving targets evacuate by:
-// among the other hosts that are alive, owner-free and migration-compatible
-// with from, the one with the fewest runnable jobs, lowest id on ties; -1
-// when there is none.
-func bestDest(from *cluster.Host) int {
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for _, h := range from.Cluster().Hosts() {
-		if h == from || !h.Alive() || h.OwnerActive() || !from.MigrationCompatible(h) {
+// Receivers is the receiver set for work leaving from: every other host
+// that Receives and — when image is set, because a process image moves, not
+// data — is migration-compatible with from.
+func Receivers(from *cluster.Host, image bool) HostSet {
+	hs := from.Cluster().Hosts()
+	set := NewHostSet(len(hs))
+	for i, h := range hs {
+		set.Put(i, h != from && h.Receives() && (!image || from.MigrationCompatible(h)))
+	}
+	return set
+}
+
+// orderMoves places n processes leaving from by the one pick rule
+// (LoadIndex.Place over Receivers(from, true)), calls move(i, dest) for each
+// — dest -1 when process i found no receiver — and returns how many moves
+// were accepted and the first error.
+func orderMoves(idx *LoadIndex, from *cluster.Host, n int, move func(i, dest int) error) (int, error) {
+	var dests []int
+	if n > 0 {
+		dests = idx.Place(int(from.ID()), n, Receivers(from, true))
+	}
+	moved := 0
+	var firstErr error
+	for i := 0; i < n; i++ {
+		dest := -1
+		if i < len(dests) {
+			dest = dests[i]
+		}
+		if err := move(i, dest); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
-		if load := h.LoadAverage(); load < bestLoad {
-			best, bestLoad = int(h.ID()), load
-		}
+		moved++
 	}
-	return best
+	return moved, firstErr
 }
 
 // Decision is one scheduling action taken, for logs and tests.

@@ -207,6 +207,40 @@ func (x *LoadIndex) Spread(from, n int, elig HostSet) int {
 	return moved
 }
 
+// Place returns the receivers of n units leaving host from, in the order
+// Spread(from, n, elig) would raise them, and moves nothing: the one pick
+// rule of every path that places displaced work — least load, lowest id on
+// ties, each pick counted before the next. Unlike Spread it does not cap n
+// at from's load, since a caller's units need not all be counted there yet.
+// It returns fewer than n hosts only when elig holds no host but from.
+//
+// It is Spread's water-fill on a copy of the eligible set: the hosts of the
+// lowest level take one unit each in id order, then the next level's
+// hosts join them, and once every level is in, the takers go round.
+func (x *LoadIndex) Place(from, n int, elig HostSet) []int {
+	var out []int
+	takers := NewHostSet(len(x.loads))
+	for ld := x.minLoad; len(out) < n; ld++ {
+		joined := ld <= x.maxLoad
+		if joined {
+			for i := range takers.w {
+				takers.w[i] |= x.rows[int(ld)*x.w+i] & elig.w[i]
+			}
+			takers.Put(from, false)
+		}
+		took := len(out)
+		for i, word := range takers.w {
+			for m := word; m != 0 && len(out) < n; m &= m - 1 {
+				out = append(out, i<<6+bits.TrailingZeros64(m))
+			}
+		}
+		if !joined && len(out) == took {
+			break
+		}
+	}
+	return out
+}
+
 // WorstEligible returns the host in elig with the highest non-zero load and
 // that load, or (-1, 0) when no loaded host is eligible. Ties resolve to the
 // lowest host id.

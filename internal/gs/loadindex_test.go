@@ -2,6 +2,7 @@ package gs
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"pvmigrate/internal/sim"
@@ -215,15 +216,36 @@ func spreadByUnits(x *LoadIndex, from, n int, elig HostSet) int {
 	return moved
 }
 
+// placeByUnits is Place's literal unit loop: n rounds of BestEligible over
+// elig without from, each pick raised on x before the next.
+func placeByUnits(x *LoadIndex, from, n int, elig HostSet) []int {
+	mask := NewHostSet(x.Hosts())
+	for h := 0; h < x.Hosts(); h++ {
+		mask.Put(h, h != from && elig.Has(h))
+	}
+	var out []int
+	for len(out) < n {
+		dest, _ := x.BestEligible(mask)
+		if dest < 0 {
+			break
+		}
+		x.NoteSpawn(dest)
+		out = append(out, dest)
+	}
+	return out
+}
+
 // TestPropSpreadMatchesUnitLoop drives Spread and the literal unit loop on
 // twin random indexes — skewed loads with empty levels between them, every
 // shape of eligibility — and requires the same index afterwards, as far as
-// any caller can tell.
+// any caller can tell. Place, asked first on the same index, must name the
+// hosts Spread then raises, in its order, and beyond from's load go on as
+// its own unit loop does on a third twin.
 func TestPropSpreadMatchesUnitLoop(t *testing.T) {
 	rng := sim.NewRNG(1994)
 	for trial := 0; trial < 600; trial++ {
 		hosts := 1 + rng.Intn(300)
-		a, b := NewLoadIndex(hosts), NewLoadIndex(hosts)
+		a, b, c := NewLoadIndex(hosts), NewLoadIndex(hosts), NewLoadIndex(hosts)
 		// A few distinct levels, far apart, so levels are crowded and most
 		// levels between them are empty; then some strays.
 		levels := []int{0, rng.Intn(4), 5 + rng.Intn(40), 60 + rng.Intn(200)}
@@ -234,12 +256,14 @@ func TestPropSpreadMatchesUnitLoop(t *testing.T) {
 			}
 			a.Set(h, ld)
 			b.Set(h, ld)
+			c.Set(h, ld)
 		}
 		from := rng.Intn(hosts)
 		if rng.Intn(3) > 0 { // usually a host worth evacuating
 			ld := 1 + rng.Intn(400)
 			a.Set(from, ld)
 			b.Set(from, ld)
+			c.Set(from, ld)
 		}
 		all := allHosts(hosts)
 		elig := all // everyone, from included
@@ -262,10 +286,20 @@ func TestPropSpreadMatchesUnitLoop(t *testing.T) {
 			n += 1 + rng.Intn(5) // more than it holds
 		}
 
+		placed := a.Place(from, n, elig)
+		if want := placeByUnits(c, from, n, elig); !slices.Equal(placed, want) {
+			t.Fatalf("trial %d (hosts %d from %d n %d): Place %v, unit loop %v", trial, hosts, from, n, placed, want)
+		}
+		var raised []int
+		a.watchers = nil
+		a.OnChange(func(h int) { raised = append(raised, h) })
 		got := a.Spread(from, n, elig)
 		want := spreadByUnits(b, from, n, elig)
 		if got != want {
 			t.Fatalf("trial %d (hosts %d from %d n %d): moved %d, unit loop %d", trial, hosts, from, n, got, want)
+		}
+		if got > 0 && !slices.Equal(raised[:got], placed[:got]) {
+			t.Fatalf("trial %d (hosts %d from %d n %d): Spread raised %v, Place named %v", trial, hosts, from, n, raised[:got], placed[:got])
 		}
 		for h := 0; h < hosts; h++ {
 			if a.Load(h) != b.Load(h) {

@@ -4,6 +4,7 @@ import (
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/mpvm"
+	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/pvm"
 )
 
@@ -109,33 +110,24 @@ func (t *MPVMTarget) bruteHostLoad(host int) int {
 	return n
 }
 
-// EvacuateHost migrates every tracked VP off the host, each to the
-// migration-compatible host with the fewest runnable jobs.
+// EvacuateHost migrates every tracked VP off the host, placed by the one
+// pick rule over the receivers its image may go to.
 func (t *MPVMTarget) EvacuateHost(host int, reason core.MigrationReason) (int, error) {
-	moved := 0
-	var firstErr error
+	var vps []core.TID
 	for _, orig := range t.vps {
 		mt := t.sys.Task(orig)
-		if mt == nil || mt.Exited() || mt.Migrating() || int(mt.Host().ID()) != host {
-			continue
+		if mt != nil && !mt.Exited() && !mt.Migrating() && int(mt.Host().ID()) == host {
+			vps = append(vps, orig)
 		}
-		dest := bestDest(mt.Host())
-		if dest < 0 {
-			if firstErr == nil {
-				firstErr = errs.Newf(CodeNoDestination, "no compatible destination for %v", orig).
-					AddContext("from", host).AddContext("reason", reason)
-			}
-			continue
-		}
-		if err := t.sys.Migrate(orig, dest, reason); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		moved++
 	}
-	return moved, firstErr
+	from := t.sys.Machine().Cluster().Host(netsim.HostID(host))
+	return orderMoves(t.idx, from, len(vps), func(i, dest int) error {
+		if dest < 0 {
+			return errs.Newf(CodeNoDestination, "no compatible destination for %v", vps[i]).
+				AddContext("from", host).AddContext("reason", reason)
+		}
+		return t.sys.Migrate(vps[i], dest, reason)
+	})
 }
 
 // MoveOne migrates one tracked VP from one host to another.

@@ -173,40 +173,58 @@ func TestUPVMTargetMoveOne(t *testing.T) {
 }
 
 // TestUPVMEvacuationSkipsDeadHost: evacuation never orders a ULP onto a
-// crashed host, however idle it looks. UPVMTarget's own copy of the
-// destination rule had lost the Alive() check its MPVM twin kept. Only the
-// stage-1 order is asserted: the move itself then aborts at UPVM's flush
-// barrier, because the crashed peer never acks and UPVM has no host-loss
-// discount — ROADMAP item 5 (one protocol core), not this rule.
+// host that is crashed, or that the GS has declared dead while it is still
+// up (a partition), however idle it looks. Only the stage-1 order is
+// asserted: a move to the crashed host would abort at
+// UPVM's flush barrier, because the crashed peer never acks and UPVM has no
+// host-loss discount — ROADMAP item 4 (one protocol core), not this rule.
 func TestUPVMEvacuationSkipsDeadHost(t *testing.T) {
-	k := sim.NewKernel()
-	cl := cluster.New(k, netsim.Params{},
-		cluster.DefaultHostSpec("h1"), cluster.DefaultHostSpec("h2"), cluster.DefaultHostSpec("h3"))
-	sys := upvm.New(pvm.NewMachine(cl, pvm.Config{}), upvm.Config{})
-	var orders []string
-	sys.SetTracer(func(actor, stage, detail string) {
-		if stage == "1:migration-event" {
-			orders = append(orders, detail)
-		}
-	})
-	_, err := sys.Start("app", []upvm.ULPSpec{
-		{Host: 0, DataBytes: 100_000},
-		{Host: 2, DataBytes: 100_000},
-	}, func(u *upvm.ULP, rank int) { u.Compute(u.Host().Spec().Speed * 30) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := NewUPVMTarget(sys)
-	target.Track(0)
-	target.Track(1)
-	k.Schedule(time.Second, func() { cl.Host(1).Fail() })
-	k.Schedule(2*time.Second, func() {
-		if moved, err := target.EvacuateHost(0, core.ReasonOwnerReclaim); moved != 1 || err != nil {
-			t.Errorf("EvacuateHost = %d, %v; want 1 move ordered", moved, err)
-		}
-	})
-	k.RunUntil(time.Minute)
-	if len(orders) != 1 || orders[0] != "migrate ULP0 to host2 (owner-reclaim)" {
-		t.Fatalf("stage-1 orders = %q, want ULP0 sent to host2 (host1 is down)", orders)
+	for _, tc := range []struct {
+		name string
+		lose func(k *sim.Kernel, cl *cluster.Cluster, tgt *UPVMTarget)
+	}{
+		{"crashed", func(k *sim.Kernel, cl *cluster.Cluster, _ *UPVMTarget) {
+			k.Schedule(time.Second, func() { cl.Host(1).Fail() })
+		}},
+		{"declared dead", func(k *sim.Kernel, cl *cluster.Cluster, tgt *UPVMTarget) {
+			pol := FleetPolicy{HeartbeatInterval: 500 * time.Millisecond, SuspectAfter: time.Second}
+			fleet := NewFleet(cl, tgt, pol)
+			fleet.SetHeartbeatSource(&partitionBeats{k: k, cut: map[int]sim.Time{1: 0}})
+			fleet.Start()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			defer k.Close()
+			cl := cluster.New(k, netsim.Params{},
+				cluster.DefaultHostSpec("h1"), cluster.DefaultHostSpec("h2"), cluster.DefaultHostSpec("h3"))
+			sys := upvm.New(pvm.NewMachine(cl, pvm.Config{}), upvm.Config{})
+			var orders []string
+			sys.SetTracer(func(actor, stage, detail string) {
+				if stage == "1:migration-event" {
+					orders = append(orders, detail)
+				}
+			})
+			_, err := sys.Start("app", []upvm.ULPSpec{
+				{Host: 0, DataBytes: 100_000},
+				{Host: 2, DataBytes: 100_000},
+			}, func(u *upvm.ULP, rank int) { u.Compute(u.Host().Spec().Speed * 30) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := NewUPVMTarget(sys)
+			target.Track(0)
+			target.Track(1)
+			tc.lose(k, cl, target)
+			k.Schedule(2*time.Second, func() {
+				if moved, err := target.EvacuateHost(0, core.ReasonOwnerReclaim); moved != 1 || err != nil {
+					t.Errorf("EvacuateHost = %d, %v; want 1 move ordered", moved, err)
+				}
+			})
+			k.RunUntil(time.Minute)
+			if len(orders) != 1 || orders[0] != "migrate ULP0 to host2 (owner-reclaim)" {
+				t.Fatalf("stage-1 orders = %q, want ULP0 sent to host2 (host1 is %s)", orders, tc.name)
+			}
+		})
 	}
 }

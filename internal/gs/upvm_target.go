@@ -3,6 +3,7 @@ package gs
 import (
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/errs"
+	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/upvm"
 )
 
@@ -81,32 +82,24 @@ func (t *UPVMTarget) bruteHostLoad(host int) int {
 	return n
 }
 
-// EvacuateHost migrates every tracked ULP off the host.
+// EvacuateHost migrates every tracked ULP off the host, placed by the one
+// pick rule over the receivers its image may go to.
 func (t *UPVMTarget) EvacuateHost(host int, reason core.MigrationReason) (int, error) {
-	moved := 0
-	var firstErr error
+	var ids []int
 	for _, id := range t.ulps {
 		u := t.sys.ULP(id)
-		if u == nil || u.Done() || u.Migrating() || int(u.Host().ID()) != host {
-			continue
+		if u != nil && !u.Done() && !u.Migrating() && int(u.Host().ID()) == host {
+			ids = append(ids, id)
 		}
-		dest := bestDest(u.Host())
-		if dest < 0 {
-			if firstErr == nil {
-				firstErr = errs.Newf(CodeNoDestination, "no compatible destination for ULP %d", id).
-					AddContext("from", host).AddContext("reason", reason)
-			}
-			continue
-		}
-		if err := t.sys.Migrate(id, dest, reason); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		moved++
 	}
-	return moved, firstErr
+	from := t.sys.Machine().Cluster().Host(netsim.HostID(host))
+	return orderMoves(t.idx, from, len(ids), func(i, dest int) error {
+		if dest < 0 {
+			return errs.Newf(CodeNoDestination, "no compatible destination for ULP %d", ids[i]).
+				AddContext("from", host).AddContext("reason", reason)
+		}
+		return t.sys.Migrate(ids[i], dest, reason)
+	})
 }
 
 // MoveOne migrates one tracked ULP between hosts.

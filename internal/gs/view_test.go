@@ -140,8 +140,8 @@ func mpvmTracked(t *testing.T) *trackedWorld {
 // however a slot's facts change, the beat that follows has heard of it. Each
 // world runs under owner storms, run-queue churn, crashes, partitions the GS
 // declares dead, and rebalancing. Right after every beat each slot's load,
-// run queue, donor and receiver eligibility equal the live host / target /
-// Fleet.dead facts. Where moves land inside MoveOne (a CountTarget) they
+// run queue, donor and receiver eligibility equal the live host (owner,
+// availability, dead verdict) and target facts. Where moves land inside MoveOne (a CountTarget) they
 // still do at the end of the tick, since applyMove mirrors the move exactly.
 // Every remote vector whose epoch is current equals its sender's field for
 // field and is a copy of it.
@@ -211,7 +211,7 @@ func trackFleets(t *testing.T, w *trackedWorld, src LoadSource, shards []int) []
 			for _, s := range f.shards {
 				for i := 0; i < s.n; i++ {
 					id := s.base + i
-					alive := hs[id].Alive() && !f.dead[id]
+					alive := hs[id].Alive() && !hs[id].DeclaredDead()
 					elig := alive && !hs[id].OwnerActive()
 					if s.view.Load(i) != w.tgt.HostLoad(id) || s.runq[i] != hs[id].LoadAverage() ||
 						s.donorOK.Has(i) != alive || s.elig.Has(i) != elig {
@@ -220,7 +220,7 @@ func trackFleets(t *testing.T, w *trackedWorld, src LoadSource, shards []int) []
 							w.tgt.HostLoad(id), hs[id].LoadAverage(), alive, elig)
 					}
 					sawDown = sawDown || !hs[id].Alive()
-					sawDead = sawDead || f.dead[id]
+					sawDead = sawDead || hs[id].DeclaredDead()
 					sawOwner = sawOwner || hs[id].OwnerActive()
 				}
 			}

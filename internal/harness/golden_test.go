@@ -20,7 +20,7 @@ const (
 	// back after 3 s (three host-failure and three host-rejoin decisions).
 	// Hash of the GS decision fingerprint, every recovery record and the
 	// elapsed time.
-	goldenSurvivalDigest = 0xe58dada375104f2b
+	goldenSurvivalDigest = 0xd961c402feb2bd1f
 	// OwnerReclaimScenario: 3 hosts, 3 slaves, owner of host 1 back at 20 s
 	// (the examples/owner-reclaim world). Hash of the GS decision
 	// fingerprint and every migration record's cost and obtrusiveness.

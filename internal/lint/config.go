@@ -207,15 +207,11 @@ func DefaultConfig() *Config {
 			// runs on its own goroutine, and journal replay happens before
 			// the kernel is live. Each enters the kernel only through the
 			// mutex-serialised apply path, which journals under
-			// AwaitExternal.
+			// AwaitExternal. The POST handlers are closures of
+			// Server.post, which routes calls, so they need no entry.
 			"pvmigrate/internal/serve": {
 				"Server.ServeHTTP", "Server.Close", "Server.pace",
-				"Server.handleSubmit", "Server.handleJob",
-				"Server.handleMigrate", "Server.handlePlan",
-				"Server.handleFault",
-				"Server.handleOwner", "Server.handleRollback",
-				"Server.handleAdvance", "Server.handleTrace",
-				"Server.serveStream",
+				"Server.handleJob", "Server.handleTrace", "Server.serveStream",
 			},
 		},
 		BridgeAllow: []string{

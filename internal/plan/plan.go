@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/sim"
@@ -70,33 +71,36 @@ type Spec struct {
 	Groups []Group
 }
 
+// CodeBadSpec: a plan spec has a shape no executor can run.
+const CodeBadSpec errs.Code = "plan.bad-spec"
+
 // Validate rejects specs that cannot be executed, naming the offending
 // group. Destination liveness and per-VP validity are runtime concerns
 // (they may change between submission and execution); shape is not.
 func (s Spec) Validate() error {
 	if s.Name == "" {
-		return fmt.Errorf("plan: spec needs a name")
+		return errs.Newf(CodeBadSpec, "spec needs a name")
 	}
 	if len(s.Groups) == 0 {
-		return fmt.Errorf("plan %q: no groups", s.Name)
+		return errs.Newf(CodeBadSpec, "plan %q: no groups", s.Name)
 	}
 	for i, g := range s.Groups {
 		switch g.Mode {
 		case "", ModeCold, ModeWarm:
 		default:
-			return fmt.Errorf("plan %q group %d: unknown mode %q", s.Name, i, g.Mode)
+			return errs.Newf(CodeBadSpec, "plan %q group %d: unknown mode %q", s.Name, i, g.Mode)
 		}
 		if len(g.VPs) == 0 && g.FromHost < 0 {
-			return fmt.Errorf("plan %q group %d: no VPs and no FromHost selector", s.Name, i)
+			return errs.Newf(CodeBadSpec, "plan %q group %d: no VPs and no FromHost selector", s.Name, i)
 		}
 		if g.Dest < 0 && g.Dest != UnplacedDest {
-			return fmt.Errorf("plan %q group %d: bad dest %d", s.Name, i, g.Dest)
+			return errs.Newf(CodeBadSpec, "plan %q group %d: bad dest %d", s.Name, i, g.Dest)
 		}
 		if g.Dest == UnplacedDest && gs.PlacementByName(g.Placement) == nil {
-			return fmt.Errorf("plan %q group %d: unknown placement %q", s.Name, i, g.Placement)
+			return errs.Newf(CodeBadSpec, "plan %q group %d: unknown placement %q", s.Name, i, g.Placement)
 		}
 		if g.Concurrency < 0 {
-			return fmt.Errorf("plan %q group %d: negative concurrency", s.Name, i)
+			return errs.Newf(CodeBadSpec, "plan %q group %d: negative concurrency", s.Name, i)
 		}
 	}
 	return nil
@@ -226,13 +230,12 @@ func (e *Executor) victims(g *Group) []core.TID {
 	return e.sys.VPsOnHost(g.FromHost)
 }
 
-// view snapshots per-host load (live VPs per host) and receiver
-// eligibility for the placement strategies. Rebuilt at each group start;
-// within a group, commanded moves update it optimistically so staged
-// picks spread instead of dogpiling the initially-lightest host.
-func (e *Executor) view() *gs.ShardView {
-	m := e.sys.Machine()
-	idx := gs.NewLoadIndex(m.NHosts())
+// loads snapshots per-host load (live VPs per host) for the placement
+// strategies. Rebuilt at each group start; within a group, commanded moves
+// update it optimistically so staged picks spread instead of dogpiling the
+// initially-lightest host.
+func (e *Executor) loads() *gs.LoadIndex {
+	idx := gs.NewLoadIndex(e.sys.Machine().NHosts())
 	for _, vp := range e.sys.VPIDs() {
 		mt := e.sys.Task(vp)
 		if mt == nil || mt.Exited() || mt.Orphaned() {
@@ -240,26 +243,18 @@ func (e *Executor) view() *gs.ShardView {
 		}
 		idx.NoteSpawn(int(mt.Host().ID()))
 	}
-	elig := gs.NewHostSet(m.NHosts())
-	for h := 0; h < m.NHosts(); h++ {
-		d := m.Daemon(h)
-		elig.Put(h, d != nil && d.Host().Alive())
-	}
-	return &gs.ShardView{Index: idx, Elig: elig}
+	return idx
 }
 
-// pickDest chooses a destination for one VP leaving from. The placement
-// policy's improvement guard may decline (moving between near-equal hosts
-// just swaps the imbalance); an evacuation must move regardless, so a
-// decline falls back to the least-loaded live host other than the source.
+// pickDest chooses a destination for one VP leaving from among v's
+// receivers. The placement policy's improvement guard may decline (moving
+// between near-equal hosts just swaps the imbalance); an evacuation must
+// move regardless, so a decline falls back to the least-loaded receiver.
 func (e *Executor) pickDest(v *gs.ShardView, pol gs.Placement, from int) int {
 	if dest := pol.Pick(v, from, v.Index.Load(from), e.rng); dest >= 0 {
 		return dest
 	}
-	was := v.Elig.Has(from)
-	v.Elig.Put(from, false)
 	dest, _ := v.Index.BestEligible(v.Elig)
-	v.Elig.Put(from, was)
 	return dest
 }
 
@@ -277,7 +272,7 @@ func (e *Executor) runGroup(p *sim.Proc, g *Group, idx int) GroupResult {
 		budget = 1
 	}
 	pol := gs.PlacementByName(g.Placement)
-	v := e.view()
+	v := &gs.ShardView{Index: e.loads()}
 	for _, vp := range vps {
 		for len(e.pending) >= budget {
 			if err := e.cond.Wait(p); err != nil {
@@ -295,8 +290,8 @@ func (e *Executor) runGroup(p *sim.Proc, g *Group, idx int) GroupResult {
 		}
 		from := int(mt.Host().ID())
 		if out.Dest == UnplacedDest {
-			out.Dest = e.pickDest(v, pol, from)
-			if out.Dest < 0 || out.Dest == from {
+			v.Elig = gs.Receivers(mt.Host(), true)
+			if out.Dest = e.pickDest(v, pol, from); out.Dest < 0 {
 				out.Err = "no eligible destination"
 				continue
 			}

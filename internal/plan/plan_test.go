@@ -308,27 +308,36 @@ func TestPlanReportsFailures(t *testing.T) {
 	}
 }
 
-// TestPickDestRestoresFromBit: pickDest's fallback hides from from the
-// least-loaded search and then puts its eligibility back as it found it —
-// set or clear — in a 130-host view, where from (64) opens the second word
-// and the only other eligible host (129) sits in the third.
-func TestPickDestRestoresFromBit(t *testing.T) {
-	_, s := testSystem(t, 2)
-	e := NewExecutor(s, 5)
-	for _, fromElig := range []bool{true, false} {
-		idx := gs.NewLoadIndex(130)
-		elig := gs.NewHostSet(130)
-		for h := 0; h < 130; h++ {
-			idx.Set(h, 1) // all equal: the policy's improvement guard declines
+// TestPlanPlacementSkipsOwnedHost: a least-loaded evacuation plan never
+// places a VP on a host whose owner is active, however idle it looks. Host 1
+// runs nothing but has its owner back; hosts 2 and 3 run one VP each, so the
+// three VPs leaving host 0 must all go there.
+func TestPlanPlacementSkipsOwnedHost(t *testing.T) {
+	const owned = 1
+	k, s := testSystem(t, 4)
+	defer k.Close()
+	spawnWorkers(t, s, 0, 3, 1<<20)
+	spawnWorkers(t, s, 2, 1, 1<<20)
+	spawnWorkers(t, s, 3, 1, 1<<20)
+	s.Machine().Cluster().Host(owned).SetOwnerActive(true)
+	var res *Result
+	ex := NewExecutor(s, 11)
+	k.Schedule(time.Second, func() {
+		err := ex.Start(Spec{Name: "evac-host0", Groups: []Group{{
+			FromHost: 0, Mode: ModeWarm, Dest: UnplacedDest,
+			Placement: "least-loaded", Concurrency: 2,
+		}}}, func(r Result) { res = &r })
+		if err != nil {
+			t.Errorf("start: %v", err)
 		}
-		elig.Put(64, fromElig)
-		elig.Put(129, true)
-		v := &gs.ShardView{Index: idx, Elig: elig}
-		if got := e.pickDest(v, gs.LeastLoaded{}, 64); got != 129 {
-			t.Errorf("from eligible %v: pickDest = %d, want 129", fromElig, got)
-		}
-		if v.Elig.Has(64) != fromElig || !v.Elig.Has(129) {
-			t.Errorf("from eligible %v: after pickDest Has(64) = %v, Has(129) = %v", fromElig, v.Elig.Has(64), v.Elig.Has(129))
+	})
+	k.RunUntil(10 * time.Minute)
+	if res == nil || res.Moved != 3 || res.Failed != 0 {
+		t.Fatalf("result = %+v", res)
+	}
+	for _, o := range res.Groups[0].Outcomes {
+		if o.Dest == owned {
+			t.Errorf("%v placed on owner-active host %d: %+v", o.VP, owned, res.Groups[0].Outcomes)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func TestServerCloseReleasesProcs(t *testing.T) {
 		if got := srv.core.Fingerprint(); got != fp {
 			t.Fatalf("fingerprint %#x before Close, %#x after: the unwind must not touch the outcome", fp, got)
 		}
-		if _, err := srv.mutate(CmdAdvance, nil, nil); !errs.Is(err, CodeShutdown) {
+		if _, err := srv.mutate(Command{Kind: CmdAdvance}, nil); !errs.Is(err, CodeShutdown) {
 			t.Fatalf("advance after Close: %v, want %s", err, CodeShutdown)
 		}
 	}

@@ -10,10 +10,13 @@ import (
 	"pvmigrate/internal/errs"
 )
 
-// routes wires the control plane. Mutations are POSTs through mutate (and
-// therefore the journal); queries are GETs through view.
+// routes wires the control plane. Mutations are POSTs through post (and
+// therefore mutate and the journal); queries are GETs through view.
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	s.post("POST /v1/jobs", CmdSubmit, http.StatusCreated, func(r *http.Request, cmd *Command) error {
+		cmd.Job = new(JobSpec)
+		return decode(r, cmd.Job)
+	}, func(c *Core) any { return c.jobView(c.jobs[len(c.jobs)-1]) })
 	s.mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.view(func(c *Core) any { return c.JobViews() }))
 	})
@@ -24,18 +27,39 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/tasks", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.view(func(c *Core) any { return c.Tasks() }))
 	})
-	s.mux.HandleFunc("POST /v1/migrations", s.handleMigrate)
+	s.post("POST /v1/migrations", CmdMigrate, http.StatusOK, func(r *http.Request, cmd *Command) error {
+		cmd.Migrate = new(MigrateArgs)
+		return decode(r, cmd.Migrate)
+	}, okMetrics)
 	s.mux.HandleFunc("GET /v1/migrations", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.view(func(c *Core) any { return migrationViews(c) }))
 	})
-	s.mux.HandleFunc("POST /v1/plans", s.handlePlan)
+	s.post("POST /v1/plans", CmdPlan, http.StatusCreated, func(r *http.Request, cmd *Command) error {
+		cmd.Plan = new(PlanArgs)
+		return decode(r, cmd.Plan)
+	}, func(c *Core) any { return planView(c.plans[len(c.plans)-1]) })
 	s.mux.HandleFunc("GET /v1/plans", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.view(func(c *Core) any { return planViews(c) }))
 	})
-	s.mux.HandleFunc("POST /v1/faults", s.handleFault)
-	s.mux.HandleFunc("POST /v1/owner", s.handleOwner)
-	s.mux.HandleFunc("POST /v1/rollback", s.handleRollback)
-	s.mux.HandleFunc("POST /v1/advance", s.handleAdvance)
+	s.post("POST /v1/faults", CmdFault, http.StatusOK, func(r *http.Request, cmd *Command) error {
+		cmd.Fault = new(FaultArgs)
+		return decode(r, cmd.Fault)
+	}, okMetrics)
+	s.post("POST /v1/owner", CmdOwner, http.StatusOK, func(r *http.Request, cmd *Command) error {
+		cmd.Owner = new(OwnerArgs)
+		return decode(r, cmd.Owner)
+	}, okMetrics)
+	s.post("POST /v1/rollback", CmdRollback, http.StatusOK, nil, func(c *Core) any {
+		return map[string]any{"ok": true, "epoch": c.mgr.Epoch()}
+	})
+	s.post("POST /v1/advance", CmdAdvance, http.StatusOK, func(r *http.Request, cmd *Command) error {
+		var body struct {
+			Ms int64 `json:"ms"`
+		}
+		err := decode(r, &body)
+		cmd.Advance = time.Duration(body.Ms) * time.Millisecond
+		return err
+	}, func(c *Core) any { return c.Metrics() })
 	s.mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.view(func(c *Core) any { return c.Metrics() }))
 	})
@@ -74,23 +98,30 @@ func (s *Server) routes() {
 	})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	if !decode(w, r, &spec) {
-		return
-	}
-	res, err := s.mutate(CmdSubmit, func(cmd *Command) error {
-		cmd.Job = &spec
-		return nil
-	}, func(c *Core) any {
-		return c.jobView(c.jobs[len(c.jobs)-1])
+// post registers the one path every journaled mutation takes: body (nil
+// for a command without one) decodes the request into the command, mutate
+// journals and applies it, and reply builds the status response.
+func (s *Server) post(pattern string, kind CommandKind, status int,
+	body func(*http.Request, *Command) error, reply func(*Core) any) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		cmd := Command{Kind: kind}
+		if body != nil {
+			if err := body(r, &cmd); err != nil {
+				writeErr(w, err)
+				return
+			}
+		}
+		res, err := s.mutate(cmd, reply)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, status, res)
 	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, res)
 }
+
+// okMetrics is the reply of a mutation that answers with the metrics.
+func okMetrics(c *Core) any { return map[string]any{"ok": true, "metrics": c.Metrics()} }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
@@ -112,109 +143,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, jv)
-}
-
-func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	var args MigrateArgs
-	if !decode(w, r, &args) {
-		return
-	}
-	res, err := s.mutate(CmdMigrate, func(cmd *Command) error {
-		cmd.Migrate = &args
-		return nil
-	}, func(c *Core) any {
-		return map[string]any{"ok": true, "metrics": c.Metrics()}
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var args PlanArgs
-	if !decode(w, r, &args) {
-		return
-	}
-	res, err := s.mutate(CmdPlan, func(cmd *Command) error {
-		cmd.Plan = &args
-		return nil
-	}, func(c *Core) any {
-		return planView(c.plans[len(c.plans)-1])
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, res)
-}
-
-func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
-	var args FaultArgs
-	if !decode(w, r, &args) {
-		return
-	}
-	res, err := s.mutate(CmdFault, func(cmd *Command) error {
-		cmd.Fault = &args
-		return nil
-	}, func(c *Core) any {
-		return map[string]any{"ok": true, "metrics": c.Metrics()}
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleOwner(w http.ResponseWriter, r *http.Request) {
-	var args OwnerArgs
-	if !decode(w, r, &args) {
-		return
-	}
-	res, err := s.mutate(CmdOwner, func(cmd *Command) error {
-		cmd.Owner = &args
-		return nil
-	}, func(c *Core) any {
-		return map[string]any{"ok": true, "metrics": c.Metrics()}
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
-	res, err := s.mutate(CmdRollback, nil, func(c *Core) any {
-		return map[string]any{"ok": true, "epoch": c.mgr.Epoch()}
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Ms int64 `json:"ms"`
-	}
-	if !decode(w, r, &body) {
-		return
-	}
-	res, err := s.mutate(CmdAdvance, func(cmd *Command) error {
-		cmd.Advance = time.Duration(body.Ms) * time.Millisecond
-		return nil
-	}, func(c *Core) any {
-		return c.Metrics()
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -326,16 +254,14 @@ func planViews(c *Core) []PlanView {
 	return out
 }
 
-// decode parses a JSON request body; on failure it writes the error
-// envelope and reports false.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// decode parses a JSON request body into v.
+func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeErr(w, errs.New(CodeBadRequest, "malformed JSON body", err))
-		return false
+		return errs.New(CodeBadRequest, "malformed JSON body", err)
 	}
-	return true
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

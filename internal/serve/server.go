@@ -113,33 +113,22 @@ func (s *Server) pace(wall time.Duration, tick sim.Time) {
 		case <-s.done:
 			return
 		case <-t.C:
-			_, _ = s.mutate(CmdAdvance, func(cmd *Command) error {
-				cmd.Advance = tick
-				return nil
-			}, nil)
+			_, _ = s.mutate(Command{Kind: CmdAdvance, Advance: tick}, nil)
 		}
 	}
 }
 
-// mutate is the single write path: stamp the command at the current
-// virtual instant, journal it (real disk I/O under AwaitExternal, the
-// kernel bridge), execute it, publish the resulting frame. fill validates
-// and completes the command before it is journaled — a fill error means
-// nothing was recorded. after, when non-nil, builds the response under the
-// same lock.
-func (s *Server) mutate(kind CommandKind, fill func(*Command) error,
-	after func(*Core) any) (any, error) {
+// mutate is the single write path: stamp the command with its sequence
+// number and the current virtual instant, journal it (real disk I/O under
+// AwaitExternal, the kernel bridge), execute it, publish the resulting
+// frame. after, when non-nil, builds the response under the same lock.
+func (s *Server) mutate(cmd Command, after func(*Core) any) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.shuttingDown {
 		return nil, errs.New(CodeShutdown, "daemon is shutting down", nil)
 	}
-	cmd := Command{Seq: s.core.applied + 1, At: s.core.Now(), Kind: kind}
-	if fill != nil {
-		if err := fill(&cmd); err != nil {
-			return nil, err
-		}
-	}
+	cmd.Seq, cmd.At = s.core.applied+1, s.core.Now()
 	if s.jw != nil {
 		var jerr error
 		s.core.Kernel().AwaitExternal(func() { jerr = s.jw.Append(cmd) })
