@@ -28,8 +28,8 @@ func blockingLeaf(f *types.Func) bool {
 // blocking host I/O (syscall/net/os, io forwarding) only through the
 // Kernel.AwaitExternal bridge — lexically inside the callback, so virtual
 // time is provably frozen for the wait — or inside a function audited in
-// cfg.BridgeFuncs (the wall side: socket-drain goroutines, HTTP handlers,
-// the pacer; code the host invokes, never the kernel).
+// cfg.BridgeFuncs (the wall side: HTTP handlers, the pacer; code the host
+// invokes, never the kernel).
 //
 // The check is interprocedural: a helper that hides a conn.Write two frames
 // deep is caught at the call that enters the helper. A helper is *covered*

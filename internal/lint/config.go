@@ -14,8 +14,9 @@ type Config struct {
 	// WallClockAllow exempts packages from nowallclock: the sim kernel
 	// itself (it owns virtual time and may consult nothing else, but its
 	// tests time out against the real clock), internal/netwire (its
-	// socket deadlines bound AwaitExternal against lost bytes; they can
-	// never influence virtual time) and internal/serve (the daemon's
+	// socket deadlines bound the kernel goroutine's own reads and writes,
+	// made inside AwaitExternal, against lost bytes; they can never
+	// influence virtual time) and internal/serve (the daemon's
 	// pacer ticks on the wall clock, but each tick only enters the kernel
 	// as a journaled advance command, so replay never consults real
 	// time) — cmd/ and examples/ entry points are outside SimDriven
@@ -61,7 +62,7 @@ type Config struct {
 	// BridgeFuncs is bridgecall's audited allowlist: package path →
 	// function keys sanctioned to perform blocking host I/O outside a
 	// Kernel.AwaitExternal callback. These are the wall side of the
-	// bridge: socket-drain goroutines, HTTP handlers, the daemon pacer —
+	// bridge: HTTP handlers, the daemon pacer —
 	// entry points the host invokes, never the kernel. Where PR 3's
 	// analyzers exempted whole packages, this list names functions.
 	BridgeFuncs map[string][]string
@@ -184,7 +185,10 @@ func DefaultConfig() *Config {
 			},
 			// The UDP and TCP send paths. TestBinaryEncodeZeroAlloc gates
 			// only the encode they call; the pooled packet buffer and
-			// writev pair are held allocation-free here alone.
+			// writev pair are held allocation-free here alone. A send
+			// re-arms its socket deadline only once half of it has run out;
+			// past the backlog bound it drains the destination, whose
+			// copies of the bytes read are the audited allocations.
 			"pvmigrate/internal/netwire": {
 				"Backend.SendDgram", "stream.Send",
 			},
@@ -196,13 +200,6 @@ func DefaultConfig() *Config {
 			"pvmigrate/internal/errs",
 		},
 		BridgeFuncs: map[string][]string{
-			// netwire's socket bridge: goroutines that drain real sockets
-			// while the kernel goroutine is parked in AwaitExternal, plus
-			// the host-side teardown the harness owns.
-			"pvmigrate/internal/netwire": {
-				"Backend.readDgrams", "Backend.acceptLoop",
-				"Backend.matchDial", "stream.read", "Backend.Shutdown",
-			},
 			// serve's wall side: net/http invokes the handlers, the pacer
 			// runs on its own goroutine, and journal replay happens before
 			// the kernel is live. Each enters the kernel only through the

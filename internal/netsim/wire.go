@@ -19,19 +19,23 @@ package netsim
 //
 // The contract between netsim and a backend:
 //
+//   - Every method is called on the kernel goroutine, one at a time; a
+//     backend needs no goroutine or lock of its own.
 //   - SendDgram is called at virtual send time and returns a token;
 //     RecvDgram(token) is called inside AwaitExternal at virtual delivery
-//     time and blocks until the datagram has crossed the socket. Every
-//     token is eventually redeemed exactly once — even when the simulated
-//     delivery is then dropped (host down, partition, closed port), so the
-//     backend never leaks in-flight frames.
+//     time and reads the destination socket on the calling goroutine until
+//     that datagram has crossed it. Every token is eventually redeemed
+//     exactly once — even when the simulated delivery is then dropped
+//     (host down, partition, closed port), so the backend never leaks
+//     in-flight frames.
 //   - Listen/CloseListen bracket a simulated TCP listener's lifetime; Dial
 //     returns both endpoints of an established real connection, paired
 //     with the simulated Conn endpoints. WireConn.Send is called after the
 //     sender's pacing completes with a per-direction sequence number;
 //     WireConn.Recv(seq) — on the *peer's* endpoint, inside AwaitExternal —
-//     blocks until that frame arrives. Close (idempotent) tears the real
-//     stream down after the last scheduled delivery.
+//     reads that endpoint's socket on the calling goroutine until frame seq
+//     arrives. Close (idempotent) tears the real stream down after the
+//     last scheduled delivery.
 //
 // A marshal failure is a bug in a payload type, not a runtime condition:
 // netsim panics on it loudly. Surfacing exactly those bugs is the reason
@@ -43,8 +47,9 @@ type Wire interface {
 	// SendDgram ships one datagram payload and returns the token that
 	// redeems it. The error is a marshal failure (netsim panics on it).
 	SendDgram(src HostID, srcPort int, dst HostID, dstPort int, payload any) (token uint64, err error)
-	// RecvDgram blocks until the datagram identified by token has crossed
-	// the wire and returns the decoded payload. Called inside AwaitExternal.
+	// RecvDgram reads the wire on the calling goroutine until the datagram
+	// identified by token has crossed it and returns the decoded payload.
+	// Called inside AwaitExternal.
 	RecvDgram(token uint64) (any, error)
 	// Listen opens the real listener paired with a simulated Listen.
 	Listen(h HostID, port int) error
@@ -60,9 +65,10 @@ type WireConn interface {
 	// Send marshals payload and writes it as frame seq. The error is a
 	// marshal failure or a torn-down stream.
 	Send(seq uint64, payload any) error
-	// Recv blocks until frame seq (sent by the peer endpoint) has arrived
-	// and returns the decoded payload; it errors when the stream was torn
-	// down first. Called inside AwaitExternal.
+	// Recv reads this endpoint's socket on the calling goroutine until
+	// frame seq (sent by the peer endpoint) has arrived and returns the
+	// decoded payload; it errors when the stream was torn down first.
+	// Called inside AwaitExternal.
 	Recv(seq uint64) (any, error)
 	// Close tears down the real stream. Idempotent; closing either
 	// endpoint closes the underlying connection.

@@ -2,9 +2,11 @@ package netwire_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pvmigrate/internal/harness"
+	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/netwire"
 	"pvmigrate/internal/sim"
 )
@@ -66,6 +68,50 @@ func TestCrossBackendEquivalence(t *testing.T) {
 				t.Error("wire run opened no streams — the state transfer bypassed the wire")
 			}
 		})
+	}
+}
+
+// midRunCount samples runtime.NumGoroutine at the first Dial, when the
+// backend is live with every host socket bound and a stream open.
+type midRunCount struct {
+	netsim.Wire
+	goroutines int
+}
+
+func (m *midRunCount) Dial(src, dst netsim.HostID, port int) (netsim.WireConn, netsim.WireConn, error) {
+	c, s, err := m.Wire.Dial(src, dst, port)
+	if err == nil && m.goroutines == 0 {
+		m.goroutines = runtime.NumGoroutine()
+	}
+	return c, s, err
+}
+
+// The backend runs on the kernel goroutine alone: mid-way through a
+// wire-backed warm MPVM migration there are exactly as many goroutines as
+// before netwire.New. A first in-memory run fills the kernel's
+// process-wide coroutine pool, whose idle workers are goroutines too.
+func TestWireRunStartsNoGoroutines(t *testing.T) {
+	sc := harness.Scenario{TotalBytes: 4_200_000, Iterations: 10, MigrateAt: 8 * sim.FromSeconds(1), Warm: true}
+	if out := harness.RunMPVM(sc); out.Err != nil {
+		t.Fatalf("in-memory run: %v", out.Err)
+	}
+	before := runtime.NumGoroutine()
+	b := netwire.New()
+	defer b.Shutdown()
+	w := &midRunCount{Wire: b}
+	sc.Wire = w
+	out := harness.RunMPVM(sc)
+	if out.Err != nil {
+		t.Fatalf("wire run: %v", out.Err)
+	}
+	if len(out.Records) != 1 || out.Records[0].PrecopyBytes == 0 {
+		t.Fatalf("records %+v, want one warm migration with precopy", out.Records)
+	}
+	if w.goroutines == 0 {
+		t.Fatal("the run never dialed a stream")
+	}
+	if w.goroutines != before {
+		t.Errorf("%d goroutines mid-run, %d before netwire.New", w.goroutines, before)
 	}
 }
 

@@ -14,30 +14,29 @@
 // the simulation — fingerprints stay seed-deterministic while payloads
 // prove they survive a real wire.
 //
-// Everything built on internal/sim is single-threaded by construction, with
-// no host concurrency above the kernel. This package is the third
-// exception (after the kernel's own coroutine trampoline in internal/sim
-// and the independent-run fan-out in internal/sweep): socket reads must
-// happen on host goroutines because the kernel goroutine is the one
-// blocked inside AwaitExternal waiting for them. The bridge goroutines
-// touch no simulation state — they move opaque []byte blobs into
-// mutex-guarded maps keyed by token (datagrams) or sequence number (stream
-// frames), and the kernel goroutine does all encoding and decoding itself.
-// netwire is allowlisted in internal/lint.Config.WallClockAllow for its
-// socket deadlines, which bound AwaitExternal against a lost datagram.
+// The backend is confined to the kernel goroutine, the only caller of
+// every method (netsim is single-threaded): a receive reads its socket
+// itself, inside the AwaitExternal that froze virtual time for it, and
+// parks any other frame it reads first — by token (datagrams) or sequence
+// number (stream frames) — for the receive that asks for it later. Nothing
+// here starts a goroutine, takes a lock or waits on a channel; Shutdown may
+// run on another goroutine once the kernel has stopped, and only flips an
+// atomic flag and closes sockets. netwire is allowlisted in
+// internal/lint.Config.WallClockAllow for its socket deadlines, which bound
+// each of the kernel goroutine's own reads and writes against lost bytes.
 package netwire
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"io"
 	"net"
 	"net/netip"
-	"slices"
-	"sync"
+	"os"
+	"sync/atomic"
 	"time"
 
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netsim"
 )
 
@@ -60,28 +59,42 @@ const dgramMagic = 0x70766d77 // "pvmw"
 // Datagram fragment header: magic u32 | token u64 | fragIdx u16 | nFrags u16.
 const dgramHeaderLen = 16
 
+// backlogBound and backlogBytes cap what a socket may hold unread. The
+// kernel goroutine is every socket's only reader, so nothing drains a
+// socket between its receives: a send that would leave more than
+// backlogBound packets (or frames) or backlogBytes bytes unread on its
+// destination first reads everything there into the parked maps. A burst
+// therefore can neither overflow a UDP receive buffer (which drops) nor
+// block a TCP write against its only reader (which times out).
+const (
+	backlogBound = 256
+	backlogBytes = 128 << 10
+)
+
+// The wire.* codes of the transport itself (wirefmt holds the codec's).
+const (
+	// CodeShutdown: the backend was shut down.
+	CodeShutdown errs.Code = "wire.shutdown"
+	// CodeTimeout: a socket operation outlived its deadline.
+	CodeTimeout errs.Code = "wire.timeout"
+	// CodeStreamClosed: a stream endpoint was closed, or its peer hung up.
+	CodeStreamClosed errs.Code = "wire.stream-closed"
+	// CodeDial: a real connection for a simulated Dial could not be made.
+	CodeDial errs.Code = "wire.dial"
+	// CodeListen: a real listener for a simulated Listen could not be opened.
+	CodeListen errs.Code = "wire.listen"
+	// CodeUnknownToken: RecvDgram was given a token SendDgram never issued,
+	// or one already redeemed.
+	CodeUnknownToken errs.Code = "wire.unknown-token"
+	// CodeIO: a socket read or write failed for any other reason.
+	CodeIO errs.Code = "wire.io"
+)
+
 // ErrShutdown is returned by operations on a Backend after Shutdown.
-var ErrShutdown = errors.New("netwire: backend shut down")
+var ErrShutdown = errs.New(CodeShutdown, "netwire: backend shut down", nil)
 
 // ErrTimeout is wrapped into errors from waits that exceeded wireTimeout.
-var ErrTimeout = errors.New("netwire: wire timeout")
-
-// awaitWire receives one value from a bridge goroutine's hand-off channel,
-// giving up after wireTimeout. ok is false when the channel was closed
-// (teardown). The timer is stopped on the way out: go.mod pins go 1.22
-// timer semantics, under which an un-stopped timer stays live in the
-// runtime heap until it fires, so a wait that completes normally must not
-// leave its 30 s timer behind.
-func awaitWire[T any](ch <-chan T) (v T, ok, timedOut bool) {
-	t := time.NewTimer(wireTimeout)
-	defer t.Stop()
-	select {
-	case v, ok = <-ch:
-		return v, ok, false
-	case <-t.C:
-		return v, false, true
-	}
-}
+var ErrTimeout = errs.New(CodeTimeout, "netwire: wire timeout", nil)
 
 // Stats counts real traffic carried for the simulation. All fields are
 // cumulative since New.
@@ -97,39 +110,36 @@ type Stats struct {
 // Backend implements netsim.Wire over loopback sockets: one UDP socket per
 // attached host for datagrams, one real TCP connection per simulated
 // stream. Install it via netsim.Params.Wire and Shutdown it when the run
-// ends. Methods are called from the kernel goroutine (netsim is
-// single-threaded); the internal mutex exists to coordinate with the
-// socket reader goroutines, not with other callers.
+// ends. Every method but Shutdown runs on the kernel goroutine.
 type Backend struct {
 	codec WireCodec
 
-	// encScratch and pkt are the pooled encode buffers for the send hot
-	// path. Send methods (SendDgram, stream.Send) run on the kernel
-	// goroutine only — netsim is single-threaded — so these need no lock:
-	// the bridge goroutines never touch them. encScratch holds one frame's
-	// codec output and is retained between sends, so a steady-state encode
-	// costs zero allocations; pkt is the fixed-size datagram assembly
-	// buffer (header + one fragment).
+	// encScratch and pkt are the pooled buffers of the datagram paths.
+	// encScratch holds one frame's codec output and is retained between
+	// sends, so a steady-state encode costs zero allocations; pkt is the
+	// one fixed-size packet buffer, where a send assembles header + one
+	// fragment and every UDP read lands (never both at once).
 	encScratch []byte
 	pkt        []byte
 
-	mu        sync.Mutex
-	closed    bool
+	closed    atomic.Bool
 	hosts     map[netsim.HostID]*hostSock
-	listeners map[hostPort]*wireListener
-	arrived   map[uint64][]byte      // datagrams read before RecvDgram asked
-	waiters   map[uint64]chan []byte // RecvDgram blocked on arrival
-	dials     map[uint64]chan net.Conn
-	streams   map[uint64]*stream
+	listeners map[hostPort]*net.TCPListener
+	streams   map[*stream]struct{} // open endpoints, for Shutdown
+	sent      map[uint64]*hostSock // token → destination socket, until redeemed
+	arrived   map[uint64][]byte    // datagrams read before RecvDgram asked
+	partials  map[uint64]*partial  // datagrams with fragments still unread
 	nextToken uint64
 	nextNonce uint64
-	nextSID   uint64
 	stats     Stats
 }
 
 type hostSock struct {
-	udp  *net.UDPConn
-	addr netip.AddrPort // WriteToUDPAddrPort avoids the per-write sockaddr allocation
+	host     netsim.HostID
+	udp      *net.UDPConn
+	addr     netip.AddrPort // WriteToUDPAddrPort avoids the per-write sockaddr allocation
+	deadline time.Time
+	unread   backlog
 }
 
 type hostPort struct {
@@ -137,8 +147,20 @@ type hostPort struct {
 	port int
 }
 
-type wireListener struct {
-	ln net.Listener
+// backlog counts what has been written toward a socket and not yet read.
+type backlog struct{ n, bytes int }
+
+// full reports whether one more packet or frame of bytes would exceed the
+// backlog bounds.
+func (q *backlog) full(bytes int) bool {
+	return q.n >= backlogBound || q.bytes+bytes > backlogBytes
+}
+
+// partial is a datagram under reassembly: fragment i lands at i·maxChunk.
+type partial struct {
+	data []byte
+	size int // payload length, known once the last fragment arrived
+	got  int // fragments received
 }
 
 // New builds a Backend using the default BinaryCodec (internal/wirefmt).
@@ -151,51 +173,72 @@ func New() *Backend {
 func NewWithCodec(c WireCodec) *Backend {
 	return &Backend{
 		codec:     c,
-		pkt:       make([]byte, dgramHeaderLen+maxChunk),
+		pkt:       make([]byte, dgramHeaderLen+maxChunk+512),
 		hosts:     make(map[netsim.HostID]*hostSock),
-		listeners: make(map[hostPort]*wireListener),
+		listeners: make(map[hostPort]*net.TCPListener),
+		streams:   make(map[*stream]struct{}),
+		sent:      make(map[uint64]*hostSock),
 		arrived:   make(map[uint64][]byte),
-		waiters:   make(map[uint64]chan []byte),
-		dials:     make(map[uint64]chan net.Conn),
-		streams:   make(map[uint64]*stream),
+		partials:  make(map[uint64]*partial),
 	}
+}
+
+// armDeadline keeps c's read/write deadline at least wireTimeout/2 away,
+// re-arming it to wireTimeout only when less than half remains: every
+// blocking operation on c is bounded by between 15 s and 30 s without a
+// SetDeadline call per frame.
+func armDeadline(c net.Conn, d *time.Time) {
+	now := time.Now()
+	if d.Sub(now) < wireTimeout/2 {
+		*d = now.Add(wireTimeout)
+		_ = c.SetDeadline(*d)
+	}
+}
+
+// sockErr classifies a failed socket operation at stage: a socket closed
+// by Shutdown, an expired deadline, a peer hang-up, or plain I/O failure.
+func (b *Backend) sockErr(stage string, err error) *errs.Error {
+	switch {
+	case b.closed.Load():
+		return errs.New(CodeShutdown, stage, ErrShutdown)
+	case errors.Is(err, os.ErrDeadlineExceeded): // lint:alloc error path, classifies a socket failure
+		return errs.New(CodeTimeout, stage, ErrTimeout)
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, net.ErrClosed): // lint:alloc error path, classifies a socket failure
+		return errs.New(CodeStreamClosed, stage, err)
+	}
+	return errs.New(CodeIO, stage, err)
 }
 
 // AttachHost implements netsim.Wire: it binds the host's loopback UDP
-// socket and starts its reader. Binding can only fail for environmental
-// reasons (no loopback interface, fd exhaustion) that make the whole run
-// impossible, so failure panics rather than limping on.
+// socket. Binding can only fail for environmental reasons (no loopback
+// interface, fd exhaustion) that make the whole run impossible, so failure
+// panics rather than limping on.
 func (b *Backend) AttachHost(h netsim.HostID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
+	if b.closed.Load() {
 		panic("netwire: AttachHost after Shutdown")
 	}
-	if _, err := b.hostLocked(h); err != nil {
-		panic(fmt.Sprintf("netwire: cannot bind UDP socket for host %d: %v", h, err))
+	if _, err := b.host(h); err != nil {
+		panic(err.Error())
 	}
 }
 
-// hostLocked returns the UDP socket for h, binding it on first use.
-// Callers hold b.mu.
-func (b *Backend) hostLocked(h netsim.HostID) (*hostSock, error) {
+// host returns the UDP socket for h, binding it on first use.
+func (b *Backend) host(h netsim.HostID) (*hostSock, error) {
 	if s, ok := b.hosts[h]; ok {
 		return s, nil
 	}
 	// lint:alloc first-use socket bind, once per host; steady-state sends hit the cache above
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
 	if err != nil {
-		return nil, err
+		return nil, errs.New(CodeIO, "bind datagram socket", err).AddContext("host", h)
 	}
-	// Bursts accumulate between a frame's virtual send and delivery; a
-	// large kernel buffer plus the always-draining reader goroutine keeps
-	// loopback loss out of the picture.
+	// A large kernel buffer keeps loopback loss out of the picture between
+	// the kernel goroutine's reads; the backlog bounds cap what it holds.
 	_ = conn.SetReadBuffer(8 << 20)
 	_ = conn.SetWriteBuffer(8 << 20)
 	// lint:alloc first-use socket bind, once per host; steady-state sends hit the cache above
-	s := &hostSock{udp: conn, addr: conn.LocalAddr().(*net.UDPAddr).AddrPort()}
+	s := &hostSock{host: h, udp: conn, addr: conn.LocalAddr().(*net.UDPAddr).AddrPort()}
 	b.hosts[h] = s
-	go b.readDgrams(s) // lint:alloc one reader goroutine per host socket, spawned at first-use bind only
 	return s, nil
 }
 
@@ -213,229 +256,158 @@ func (b *Backend) SendDgram(src netsim.HostID, srcPort int, dst netsim.HostID, d
 		return 0, err
 	}
 	b.encScratch = data[:0] // retain grown capacity for the next frame
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	if b.closed.Load() {
 		return 0, ErrShutdown
 	}
-	srcSock, err := b.hostLocked(src)
+	srcSock, err := b.host(src)
 	if err != nil {
-		b.mu.Unlock()
 		return 0, err
 	}
-	dstSock, err := b.hostLocked(dst)
+	dstSock, err := b.host(dst)
 	if err != nil {
-		b.mu.Unlock()
 		return 0, err
 	}
 	b.nextToken++
 	tok := b.nextToken
-	b.mu.Unlock()
 
 	nfrags := (len(data) + maxChunk - 1) / maxChunk
 	if nfrags == 0 {
 		nfrags = 1 // zero-byte payloads still travel as one packet
 	}
-	pkt := b.pkt
-	binary.BigEndian.PutUint32(pkt[0:], dgramMagic)
-	binary.BigEndian.PutUint64(pkt[4:], tok)
-	binary.BigEndian.PutUint16(pkt[14:], uint16(nfrags))
+	armDeadline(srcSock.udp, &srcSock.deadline)
 	for i := 0; i < nfrags; i++ {
-		lo := i * maxChunk
-		hi := lo + maxChunk
-		if hi > len(data) {
-			hi = len(data)
+		frag := data[i*maxChunk : min(len(data), (i+1)*maxChunk)]
+		if dstSock.unread.full(len(frag)) {
+			if err := b.drain(dstSock); err != nil {
+				return 0, err
+			}
 		}
+		pkt := b.pkt[:dgramHeaderLen+len(frag)]
+		binary.BigEndian.PutUint32(pkt[0:], dgramMagic)
+		binary.BigEndian.PutUint64(pkt[4:], tok)
 		binary.BigEndian.PutUint16(pkt[12:], uint16(i))
-		n := copy(pkt[dgramHeaderLen:], data[lo:hi])
-		if _, err := srcSock.udp.WriteToUDPAddrPort(pkt[:dgramHeaderLen+n], dstSock.addr); err != nil {
-			return 0, fmt.Errorf("netwire: dgram %d->%d: %w", src, dst, err) // lint:alloc error path, after the write already failed
+		binary.BigEndian.PutUint16(pkt[14:], uint16(nfrags))
+		copy(pkt[dgramHeaderLen:], frag)
+		if _, err := srcSock.udp.WriteToUDPAddrPort(pkt, dstSock.addr); err != nil {
+			return 0, b.sockErr("send datagram", err).AddContext("token", tok).AddContext("host", dst)
 		}
+		dstSock.unread.n++
+		dstSock.unread.bytes += len(frag)
 	}
+	b.sent[tok] = dstSock
 
-	b.mu.Lock()
 	b.stats.Dgrams++
 	b.stats.DgramPackets += int64(nfrags)
 	b.stats.DgramBytes += int64(len(data))
-	b.mu.Unlock()
 	return tok, nil
 }
 
-// RecvDgram implements netsim.Wire: block (inside AwaitExternal — virtual
-// time is frozen) until the datagram identified by token has been read off
-// the destination socket, then decode and return it.
+// RecvDgram implements netsim.Wire: read the destination socket (inside
+// AwaitExternal — virtual time is frozen) until the datagram identified by
+// token is complete, parking the other datagrams read on the way, then
+// decode it.
 func (b *Backend) RecvDgram(token uint64) (any, error) {
-	b.mu.Lock()
-	if data, ok := b.arrived[token]; ok {
-		delete(b.arrived, token)
-		b.mu.Unlock()
-		return b.codec.Decode(data)
-	}
-	if b.closed {
-		b.mu.Unlock()
+	if b.closed.Load() {
 		return nil, ErrShutdown
 	}
-	ch := make(chan []byte, 1)
-	b.waiters[token] = ch
-	b.mu.Unlock()
-
-	data, ok, timedOut := awaitWire(ch)
-	if timedOut {
-		b.mu.Lock()
-		delete(b.waiters, token)
-		b.mu.Unlock()
-		return nil, fmt.Errorf("netwire: datagram token %d never arrived: %w", token, ErrTimeout)
-	}
+	s, ok := b.sent[token]
 	if !ok {
-		return nil, ErrShutdown
+		return nil, errs.New(CodeUnknownToken, "recv datagram: token never sent or already redeemed", nil).AddContext("token", token)
+	}
+	delete(b.sent, token)
+	data, ok := b.arrived[token]
+	delete(b.arrived, token)
+	for !ok {
+		tok, d, done, err := b.readPacket(s)
+		switch {
+		case err != nil:
+			return nil, err.AddContext("token", token)
+		case done && tok == token:
+			data, ok = d, true
+		case done:
+			b.arrived[tok] = d
+		}
 	}
 	return b.codec.Decode(data)
 }
 
-// readDgrams is the per-host bridge goroutine: it drains the UDP socket,
-// reassembles fragments, and hands complete datagrams to deliverDgram. It
-// exits when Shutdown closes the socket. Partial-fragment state is local
-// to this goroutine (fragments of one token all arrive on one socket).
-func (b *Backend) readDgrams(s *hostSock) {
-	type partial struct {
-		frags [][]byte
-		got   int
-	}
-	partials := make(map[uint64]*partial)
-	buf := make([]byte, dgramHeaderLen+maxChunk+512)
-	for {
-		n, err := s.udp.Read(buf)
+// drain reads every packet still unread on s, parking the datagrams they
+// complete for their RecvDgram.
+func (b *Backend) drain(s *hostSock) *errs.Error {
+	for s.unread.n > 0 {
+		tok, data, done, err := b.readPacket(s)
 		if err != nil {
-			return
+			return err
 		}
-		if n < dgramHeaderLen || binary.BigEndian.Uint32(buf) != dgramMagic {
-			continue
-		}
-		tok := binary.BigEndian.Uint64(buf[4:])
-		idx := int(binary.BigEndian.Uint16(buf[12:]))
-		nfrags := int(binary.BigEndian.Uint16(buf[14:]))
-		frag := append([]byte(nil), buf[dgramHeaderLen:n]...)
-		if nfrags <= 1 {
-			b.deliverDgram(tok, frag)
-			continue
-		}
-		p := partials[tok]
-		if p == nil {
-			p = &partial{frags: make([][]byte, nfrags)}
-			partials[tok] = p
-		}
-		if idx < len(p.frags) && p.frags[idx] == nil {
-			p.frags[idx] = frag
-			p.got++
-		}
-		if p.got == len(p.frags) {
-			delete(partials, tok)
-			var whole []byte
-			for _, f := range p.frags {
-				whole = append(whole, f...)
-			}
-			b.deliverDgram(tok, whole)
+		if done {
+			b.arrived[tok] = data
 		}
 	}
+	return nil
 }
 
-// deliverDgram hands a reassembled datagram to its waiter, or parks it for
-// the RecvDgram that has not asked yet.
-func (b *Backend) deliverDgram(token uint64, data []byte) {
-	b.mu.Lock()
-	if ch, ok := b.waiters[token]; ok {
-		delete(b.waiters, token)
-		b.mu.Unlock()
-		ch <- data // cap 1; exactly one delivery per token
-		return
+// readPacket reads one packet off s. A fragment joins its datagram's
+// partial; done reports that the packet completed the datagram tok.
+func (b *Backend) readPacket(s *hostSock) (tok uint64, data []byte, done bool, _ *errs.Error) {
+	armDeadline(s.udp, &s.deadline)
+	n, err := s.udp.Read(b.pkt)
+	if err != nil {
+		return 0, nil, false, b.sockErr("recv datagram", err).AddContext("host", s.host)
 	}
-	b.arrived[token] = data
-	b.mu.Unlock()
+	pkt := b.pkt[:n]
+	if n < dgramHeaderLen || binary.BigEndian.Uint32(pkt) != dgramMagic {
+		return 0, nil, false, nil // stray traffic on the ephemeral port
+	}
+	frag := pkt[dgramHeaderLen:]
+	s.unread.n--
+	s.unread.bytes -= len(frag)
+	tok = binary.BigEndian.Uint64(pkt[4:])
+	idx := int(binary.BigEndian.Uint16(pkt[12:]))
+	nfrags := int(binary.BigEndian.Uint16(pkt[14:]))
+	if nfrags <= 1 {
+		// The decoded value may alias its bytes, so they must outlive pkt.
+		return tok, append([]byte(nil), frag...), true, nil // lint:alloc drain parks a datagram, only past the backlog bound
+	}
+	p := b.partials[tok]
+	if p == nil {
+		p = &partial{data: make([]byte, nfrags*maxChunk)} // lint:alloc drain parks a fragment, only past the backlog bound
+		b.partials[tok] = p
+	}
+	if idx >= nfrags || len(p.data) != nfrags*maxChunk {
+		return 0, nil, false, nil // inconsistent header: not one of ours
+	}
+	copy(p.data[idx*maxChunk:], frag)
+	if idx == nfrags-1 {
+		p.size = idx*maxChunk + len(frag)
+	}
+	if p.got++; p.got < nfrags {
+		return 0, nil, false, nil
+	}
+	delete(b.partials, tok)
+	return tok, p.data[:p.size], true, nil
 }
 
 // Stats returns a snapshot of the traffic counters.
 func (b *Backend) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.stats
 }
 
-// Shutdown closes every socket and wakes every waiter with an error. It is
-// idempotent and must be called when the run ends; reader goroutines exit
-// as their sockets close.
+// Shutdown closes every socket; later operations fail with ErrShutdown. It
+// is idempotent and must be called when the run ends, after the kernel has
+// stopped calling the backend.
 func (b *Backend) Shutdown() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	if b.closed.Swap(true) {
 		return
 	}
-	b.closed = true
-	socks := make([]*hostSock, 0, len(b.hosts))
-	for _, h := range sortedKeys(b.hosts) {
-		socks = append(socks, b.hosts[h])
-	}
-	lns := make([]*wireListener, 0, len(b.listeners))
-	for _, hp := range sortedHostPorts(b.listeners) {
-		lns = append(lns, b.listeners[hp])
-	}
-	waiterChans := make([]chan []byte, 0, len(b.waiters))
-	for _, tok := range sortedKeys(b.waiters) {
-		waiterChans = append(waiterChans, b.waiters[tok])
-	}
-	b.waiters = make(map[uint64]chan []byte)
-	dialChans := make([]chan net.Conn, 0, len(b.dials))
-	for _, nonce := range sortedKeys(b.dials) {
-		dialChans = append(dialChans, b.dials[nonce])
-	}
-	b.dials = make(map[uint64]chan net.Conn)
-	strs := make([]*stream, 0, len(b.streams))
-	for _, id := range sortedKeys(b.streams) {
-		strs = append(strs, b.streams[id])
-	}
-	b.streams = make(map[uint64]*stream)
-	b.mu.Unlock()
-
-	for _, s := range socks {
+	for _, s := range b.hosts {
 		s.udp.Close()
 	}
-	for _, wl := range lns {
-		wl.ln.Close()
+	for _, ln := range b.listeners {
+		ln.Close()
 	}
-	for _, ch := range waiterChans {
-		close(ch)
+	for s := range b.streams {
+		s.conn.Close()
 	}
-	for _, ch := range dialChans {
-		close(ch)
-	}
-	for _, s := range strs {
-		s.Close()
-	}
-}
-
-// sortedKeys returns a map's keys in ascending order: teardown fan-out is
-// order-insensitive in effect, but deterministic iteration keeps the
-// maporder invariant trivially true for the whole package.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-func sortedHostPorts[V any](m map[hostPort]V) []hostPort {
-	keys := make([]hostPort, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b hostPort) int {
-		if a.host != b.host {
-			return int(a.host) - int(b.host)
-		}
-		return a.port - b.port
-	})
-	return keys
 }
 
 var _ netsim.Wire = (*Backend)(nil)

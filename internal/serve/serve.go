@@ -38,9 +38,10 @@
 //
 // # Concurrency exception
 //
-// This package is, with internal/sim, internal/sweep and internal/netwire,
-// one of the few sanctioned users of host concurrency (goroutines, mutexes,
-// channels) and the wall clock: HTTP handlers and SSE subscriber fan-out
+// This package is, with internal/sim and internal/sweep, one of the few
+// sanctioned users of host concurrency (goroutines, mutexes, channels), and
+// with internal/sim and internal/netwire one of the few that read the wall
+// clock: HTTP handlers and SSE subscriber fan-out
 // are inherently concurrent, and the optional pacer maps wall-clock ticks
 // to virtual advances. pvmlint's allowlists name this package explicitly;
 // the same idioms anywhere else in sim-driven code still flag.
