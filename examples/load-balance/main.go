@@ -31,7 +31,7 @@ func run(balance bool) (sim.Time, []gs.Decision, []core.MigrationRecord) {
 		cluster.DefaultHostSpec("host3"))
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})
-	target := gs.NewMPVMTarget(sys)
+	target := gs.NewVPTarget(sys)
 	var sched *gs.Fleet
 	if balance {
 		sched = gs.NewFleet(cl, target, gs.FleetPolicy{LoadThreshold: 1, PollInterval: 5 * time.Second})

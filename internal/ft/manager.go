@@ -39,16 +39,17 @@ type RecoveryRecord struct {
 	LostIterations int
 }
 
-// Manager is the recovery coordinator: a gs.Target (wrapping the standard
-// MPVM adapter, so load-balancing and owner-reclaim migration keep working)
-// that additionally implements gs.FailureTarget and gs.RejoinTarget. It
-// owns the stable checkpoint store and the running FT job.
+// Manager is the recovery coordinator: a gs.Target (the embedded VP target,
+// so load-balancing and owner-reclaim migration keep working, and Track and
+// Index come with it) that additionally implements gs.FailureTarget and
+// gs.RejoinTarget. It owns the stable checkpoint store and the running FT
+// job.
 type Manager struct {
+	*gs.VPTarget[core.TID]
 	cfg   Config
 	sys   *mpvm.System
 	store *checkpoint.Store
 	log   *trace.Log
-	tgt   *gs.MPVMTarget
 
 	job *Job
 
@@ -89,11 +90,11 @@ func NewManager(sys *mpvm.System, cfg Config, log *trace.Log) *Manager {
 		cfg.CheckpointEvery = 2
 	}
 	return &Manager{
+		VPTarget:  gs.NewVPTarget(sys),
 		cfg:       cfg,
 		sys:       sys,
 		store:     checkpoint.NewStore(k),
 		log:       log,
-		tgt:       gs.NewMPVMTarget(sys),
 		committed: -1,
 		pending:   make(map[int]bool),
 		recovered: sim.NewCond(k),
@@ -131,28 +132,6 @@ func (mgr *Manager) ObserveFault(f Fault) {
 		mgr.crashAt[f.Host] = mgr.kernel().Now()
 	}
 }
-
-// --- gs.Target delegation ------------------------------------------------------
-
-// Track registers a migratable task with the load-balancing adapter.
-func (mgr *Manager) Track(orig core.TID) { mgr.tgt.Track(orig) }
-
-// EvacuateHost implements gs.Target.
-func (mgr *Manager) EvacuateHost(host int, reason core.MigrationReason) (int, error) {
-	return mgr.tgt.EvacuateHost(host, reason)
-}
-
-// MoveOne implements gs.Target.
-func (mgr *Manager) MoveOne(from, to int, reason core.MigrationReason) error {
-	return mgr.tgt.MoveOne(from, to, reason)
-}
-
-// HostLoad implements gs.Target.
-func (mgr *Manager) HostLoad(host int) int { return mgr.tgt.HostLoad(host) }
-
-// Index returns the load table that serves HostLoad, so the scheduler hears
-// its changes instead of polling.
-func (mgr *Manager) Index() *gs.LoadIndex { return mgr.tgt.Index() }
 
 // --- failure handling ----------------------------------------------------------
 
@@ -223,7 +202,7 @@ func (mgr *Manager) HostDead(host int) (int, error) {
 	}
 	// A respawn reloads its shard from the store: data moves, not an image,
 	// so any host that Receives will do.
-	dests := mgr.tgt.Index().Place(host, len(lost),
+	dests := mgr.Index().Place(host, len(lost),
 		gs.Receivers(mgr.sys.Machine().Cluster().Host(netsim.HostID(host)), false))
 	var firstErr error
 	respawned := 0

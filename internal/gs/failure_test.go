@@ -27,7 +27,7 @@ func TestSuspectBoundary(t *testing.T) {
 	k, cl, sys := setup(t, 2)
 	pol := DefaultFleetPolicy()
 	pol.SuspectAfter = 10 * time.Second
-	sched := NewFleet(cl, NewMPVMTarget(sys), pol)
+	sched := NewFleet(cl, NewVPTarget(sys), pol)
 	hb := fakeBeats{last: map[int]sim.Time{0: 0, 1: 0}}
 	sched.SetHeartbeatSource(hb)
 
@@ -209,7 +209,7 @@ func TestEvacuationSkipsDeclaredDeadHost(t *testing.T) {
 	}{
 		{"mpvm", 2, func(t *testing.T) (*sim.Kernel, *cluster.Cluster, Target, func() string) {
 			k, cl, sys := setup(t, 4)
-			tgt := NewMPVMTarget(sys)
+			tgt := NewVPTarget(sys)
 			for _, host := range []int{0, 0, 1, 2} {
 				tgt.Track(spawnWorker(t, sys, host, 120).OrigTID())
 			}

@@ -39,7 +39,7 @@ type MTaskAlias = mpvm.MTask
 
 func TestOwnerReclaimEvacuatesHost(t *testing.T) {
 	k, cl, sys := setup(t, 2)
-	target := NewMPVMTarget(sys)
+	target := NewVPTarget(sys)
 	w := spawnWorker(t, sys, 0, 60)
 	target.Track(w.OrigTID())
 	sched := NewFleet(cl, target, DefaultFleetPolicy())
@@ -62,7 +62,7 @@ func TestOwnerReclaimEvacuatesHost(t *testing.T) {
 
 func TestOwnerReclaimSkipsOwnedDestinations(t *testing.T) {
 	k, cl, sys := setup(t, 3)
-	target := NewMPVMTarget(sys)
+	target := NewVPTarget(sys)
 	w := spawnWorker(t, sys, 0, 60)
 	target.Track(w.OrigTID())
 	sched := NewFleet(cl, target, DefaultFleetPolicy())
@@ -78,7 +78,7 @@ func TestOwnerReclaimSkipsOwnedDestinations(t *testing.T) {
 
 func TestEvacuateWithNoDestinationLogsError(t *testing.T) {
 	k, cl, sys := setup(t, 2)
-	target := NewMPVMTarget(sys)
+	target := NewVPTarget(sys)
 	w := spawnWorker(t, sys, 0, 30)
 	target.Track(w.OrigTID())
 	cl.Host(1).SetOwnerActive(true) // the only destination is owned
@@ -97,7 +97,7 @@ func TestEvacuateWithNoDestinationLogsError(t *testing.T) {
 
 func TestLoadThresholdRebalance(t *testing.T) {
 	k, cl, sys := setup(t, 2)
-	target := NewMPVMTarget(sys)
+	target := NewVPTarget(sys)
 	// Two workers on host1, none on host2 + background load on host1.
 	w1 := spawnWorker(t, sys, 0, 120)
 	w2 := spawnWorker(t, sys, 0, 120)
@@ -127,7 +127,7 @@ func TestLoadThresholdRebalance(t *testing.T) {
 
 func TestHostLoadCounting(t *testing.T) {
 	k, _, sys := setup(t, 2)
-	target := NewMPVMTarget(sys)
+	target := NewVPTarget(sys)
 	w1 := spawnWorker(t, sys, 0, 1)
 	w2 := spawnWorker(t, sys, 1, 1)
 	target.Track(w1.OrigTID())
@@ -144,7 +144,7 @@ func TestHostLoadCounting(t *testing.T) {
 
 func TestMoveOneNoVP(t *testing.T) {
 	_, _, sys := setup(t, 2)
-	target := NewMPVMTarget(sys)
+	target := NewVPTarget(sys)
 	if err := target.MoveOne(0, 1, core.ReasonManual); err == nil {
 		t.Fatal("MoveOne with no VPs succeeded")
 	}
@@ -152,7 +152,7 @@ func TestMoveOneNoVP(t *testing.T) {
 
 func TestSchedulerStop(t *testing.T) {
 	k, cl, sys := setup(t, 2)
-	target := NewMPVMTarget(sys)
+	target := NewVPTarget(sys)
 	w := spawnWorker(t, sys, 0, 60)
 	target.Track(w.OrigTID())
 	sched := NewFleet(cl, target, DefaultFleetPolicy())

@@ -36,7 +36,7 @@ func (e *errTarget) HostLoad(host int) int { return e.loads[host] }
 // VPs between equally-overloaded hosts.
 func TestLoadThresholdAllHostsLoaded(t *testing.T) {
 	k, cl, sys := setup(t, 3)
-	target := NewMPVMTarget(sys)
+	target := NewVPTarget(sys)
 	var bgs []*cluster.BackgroundLoad
 	for i := 0; i < 3; i++ {
 		w := spawnWorker(t, sys, i, 120)

@@ -31,7 +31,7 @@ func TestUPVMTargetOwnerReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := NewUPVMTarget(sys)
+	target := NewVPTarget(sys)
 	for i := 0; i < 3; i++ {
 		target.Track(i)
 	}
@@ -135,7 +135,7 @@ func TestManualEvacuate(t *testing.T) {
 	sys := upvm.New(pvm.NewMachine(cl, pvm.Config{}), upvm.Config{})
 	sys.Start("app", []upvm.ULPSpec{{Host: 1, DataBytes: 50_000}},
 		func(u *upvm.ULP, rank int) { u.Compute(u.Host().Spec().Speed * 30) })
-	target := NewUPVMTarget(sys)
+	target := NewVPTarget(sys)
 	target.Track(0)
 	sched := NewFleet(cl, target, FleetPolicy{}) // no automatic triggers
 	sched.Start()
@@ -156,7 +156,7 @@ func TestUPVMTargetMoveOne(t *testing.T) {
 	sys := upvm.New(pvm.NewMachine(cl, pvm.Config{}), upvm.Config{})
 	sys.Start("app", []upvm.ULPSpec{{Host: 0, DataBytes: 50_000}},
 		func(u *upvm.ULP, rank int) { u.Compute(u.Host().Spec().Speed * 30) })
-	target := NewUPVMTarget(sys)
+	target := NewVPTarget(sys)
 	target.Track(0)
 	if err := target.MoveOne(1, 0, core.ReasonManual); err == nil {
 		t.Fatal("MoveOne from empty host succeeded")
@@ -181,12 +181,12 @@ func TestUPVMTargetMoveOne(t *testing.T) {
 func TestUPVMEvacuationSkipsDeadHost(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		lose func(k *sim.Kernel, cl *cluster.Cluster, tgt *UPVMTarget)
+		lose func(k *sim.Kernel, cl *cluster.Cluster, tgt *VPTarget[int])
 	}{
-		{"crashed", func(k *sim.Kernel, cl *cluster.Cluster, _ *UPVMTarget) {
+		{"crashed", func(k *sim.Kernel, cl *cluster.Cluster, _ *VPTarget[int]) {
 			k.Schedule(time.Second, func() { cl.Host(1).Fail() })
 		}},
-		{"declared dead", func(k *sim.Kernel, cl *cluster.Cluster, tgt *UPVMTarget) {
+		{"declared dead", func(k *sim.Kernel, cl *cluster.Cluster, tgt *VPTarget[int]) {
 			pol := FleetPolicy{HeartbeatInterval: 500 * time.Millisecond, SuspectAfter: time.Second}
 			fleet := NewFleet(cl, tgt, pol)
 			fleet.SetHeartbeatSource(&partitionBeats{k: k, cut: map[int]sim.Time{1: 0}})
@@ -212,7 +212,7 @@ func TestUPVMEvacuationSkipsDeadHost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			target := NewUPVMTarget(sys)
+			target := NewVPTarget(sys)
 			target.Track(0)
 			target.Track(1)
 			tc.lose(k, cl, target)

@@ -110,7 +110,7 @@ func lateTracked(t *testing.T) *trackedWorld {
 func mpvmTracked(t *testing.T) *trackedWorld {
 	const hosts, vps = 12, 36
 	k, cl, sys := setup(t, hosts)
-	tgt := NewMPVMTarget(sys)
+	tgt := NewVPTarget(sys)
 	rng := sim.NewRNG(trackedSeed)
 	for i := 0; i < vps; i++ {
 		host, secs := rng.Intn(hosts/3), 60+rng.Float64()*240

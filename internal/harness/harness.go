@@ -504,7 +504,7 @@ func OwnerReclaimScenario(sc Scenario, ownerHost int, ownerAt sim.Time) (*Outcom
 	}
 	defer r.k.Close()
 	sys := mpvm.New(r.m, mpvm.Config{})
-	target := gs.NewMPVMTarget(sys)
+	target := gs.NewVPTarget(sys)
 	sched := gs.NewFleet(r.cl, target, gs.DefaultFleetPolicy())
 	// The slaves' images are sized up front, an even share of the training
 	// set each, so the evacuation's cost does not depend on how far a slave

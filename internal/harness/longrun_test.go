@@ -34,7 +34,7 @@ func TestDayInTheLife(t *testing.T) {
 	cl := cluster.New(k, netsim.Params{}, specs...)
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})
-	target := gs.NewMPVMTarget(sys)
+	target := gs.NewVPTarget(sys)
 	sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
 	sched.Start()
 
@@ -127,7 +127,7 @@ func TestDayInTheLifeDeterministic(t *testing.T) {
 			cluster.DefaultHostSpec("a"), cluster.DefaultHostSpec("b"), cluster.DefaultHostSpec("c"))
 		m := pvm.NewMachine(cl, pvm.Config{})
 		sys := mpvm.New(m, mpvm.Config{})
-		target := gs.NewMPVMTarget(sys)
+		target := gs.NewVPTarget(sys)
 		sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
 		sched.Start()
 		for i := 1; i < 3; i++ {

@@ -359,7 +359,7 @@ func RunServing(sc ServeScenario) *ServingOutcome {
 	cl := buildCluster(k, sc.Hosts, nil)
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})
-	target := gs.NewMPVMTarget(sys)
+	target := gs.NewVPTarget(sys)
 	sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
 	out := &ServingOutcome{}
 

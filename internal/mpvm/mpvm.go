@@ -125,10 +125,12 @@ type System struct {
 	rpcWait map[int]*rpcPending
 
 	// placeHooks run whenever a VP's authoritative placement changes: a
-	// migration reintegrates on its destination, or a respawn re-incarnates
-	// the VP on a recovery host. The scheduler's incremental load index
-	// subscribes here so HostLoad never rescans tasks.
-	placeHooks []func(orig core.TID, host int, task *pvm.Task)
+	// migration reintegrates on its destination, a respawn re-incarnates
+	// the VP on a recovery host, or its current incarnation exits (host
+	// -1; a replaced incarnation's exit is not reported). The scheduler's
+	// incremental load index subscribes here so HostLoad never rescans
+	// tasks.
+	placeHooks []func(orig core.TID, host int)
 
 	// recordHooks run once per completed migration, right after its record
 	// is appended; abortHooks run when an in-flight migration is abandoned
@@ -146,13 +148,13 @@ type System struct {
 // OnPlacement registers fn to run whenever a VP's placement changes (see
 // placeHooks). Hooks run synchronously at the protocol step that commits
 // the new placement, in registration order.
-func (s *System) OnPlacement(fn func(orig core.TID, host int, task *pvm.Task)) {
+func (s *System) OnPlacement(fn func(orig core.TID, host int)) {
 	s.placeHooks = append(s.placeHooks, fn)
 }
 
-func (s *System) notePlacement(orig core.TID, host int, task *pvm.Task) {
+func (s *System) notePlacement(orig core.TID, host int) {
 	for _, fn := range s.placeHooks {
-		fn(orig, host, task)
+		fn(orig, host)
 	}
 }
 
@@ -411,6 +413,17 @@ func (s *System) trace(actor, stage, detail string) {
 
 // Tasks returns the migratable tasks by original tid.
 func (s *System) Task(orig core.TID) *MTask { return s.tasks[orig] }
+
+// Placement reports the host of a VP's current incarnation, whether that
+// incarnation is live (not exited; an orphan counts) and whether it is
+// mid-migration. An unknown tid is host -1, not live.
+func (s *System) Placement(orig core.TID) (host int, live, migrating bool) {
+	mt := s.tasks[orig]
+	if mt == nil {
+		return -1, false, false
+	}
+	return int(mt.Host().ID()), !mt.Exited(), mt.Migrating()
+}
 
 // CurrentTID resolves an original tid to the task's current tid.
 func (s *System) CurrentTID(orig core.TID) core.TID {

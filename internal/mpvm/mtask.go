@@ -93,12 +93,18 @@ func (s *System) newMTask(stateBytes int) *MTask {
 	}
 }
 
-// linkHooks links the MPVM library hooks into the task.
+// linkHooks links the MPVM library hooks into the task, and arms the exit
+// hook that reports host -1 while mt is still the VP's current incarnation.
 func (s *System) linkHooks(mt *MTask, task *pvm.Task) {
 	task.SetResolver(mt.resolveTID)
 	task.SetSrcRemap(mt.remapSrc)
 	task.SetBeforeSend(mt.beforeSend)
 	task.SetOnSignal(mt.onSignal)
+	task.OnExit(func(*pvm.Task) {
+		if s.tasks[mt.orig] == mt {
+			s.notePlacement(mt.orig, -1)
+		}
+	})
 }
 
 // OrigTID returns the stable tid the application uses for this task.

@@ -547,5 +547,5 @@ func (s *System) commit(p *sim.Proc, mt *MTask, mig *migration, destD *pvm.Daemo
 	rec.Frozen = mig.frozen
 	s.finishMigration(mig, rec)
 	s.trace(mt.orig.String(), "4:reintegrated", "resuming application execution")
-	s.notePlacement(mt.orig, mig.order.Dest, mt.Task)
+	s.notePlacement(mt.orig, mig.order.Dest)
 }

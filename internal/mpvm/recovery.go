@@ -133,7 +133,7 @@ func (s *System) Respawn(orig core.TID, host int, name string, stateBytes int, b
 		d.SendCtl(h, ctlBytes, &pvm.CtlMsg{Kind: "mpvm",
 			Payload: &restartCmd{orig: orig, oldTID: oldCur, newTID: newTID}})
 	}
-	s.notePlacement(orig, host, task)
+	s.notePlacement(orig, host)
 	return nt, nil
 }
 

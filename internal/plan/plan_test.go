@@ -231,10 +231,10 @@ func TestColdPlanMatchesSequentialMigrate(t *testing.T) {
 }
 
 // planTarget is a gs.Target whose whole-host evacuation is a warm,
-// two-at-a-time plan instead of MPVMTarget's inline cold loop. The count
+// two-at-a-time plan instead of gs.VPTarget's inline cold loop. The count
 // it returns is the moves commanded; the plan settles asynchronously.
 type planTarget struct {
-	*gs.MPVMTarget
+	*gs.VPTarget[core.TID]
 	ex *Executor
 }
 
@@ -253,7 +253,7 @@ func (pt planTarget) EvacuateHost(host int, reason core.MigrationReason) (int, e
 func TestSchedulerEvacuatesThroughPlan(t *testing.T) {
 	k, s := testSystem(t, 3)
 	vps := spawnWorkers(t, s, 0, 3, 2<<20)
-	target := planTarget{gs.NewMPVMTarget(s), NewExecutor(s, 9)}
+	target := planTarget{gs.NewVPTarget(s), NewExecutor(s, 9)}
 	sched := gs.NewFleet(s.Machine().Cluster(), target, gs.DefaultFleetPolicy())
 	sched.Start()
 	k.Schedule(3*time.Second, func() {

@@ -34,9 +34,9 @@ type Task struct {
 	conns       map[core.TID]*netsim.Conn
 
 	exited bool
-	// onExit hooks run synchronously inside Exit(). The scheduler's load
-	// index subscribes here so host load accounting updates at the exit
-	// instant, not a poll later.
+	// onExit hooks run synchronously inside Exit(). mpvm's placement hook
+	// and the ADM target's load index subscribe here so host load
+	// accounting updates at the exit instant, not a poll later.
 	onExit []func(*Task)
 
 	// Migration-layer hooks (installed by mpvm; nil under plain PVM).

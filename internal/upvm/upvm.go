@@ -180,6 +180,16 @@ func (s *System) Space() *AddressSpace { return s.space }
 // ULP returns the ULP with the given id, or nil.
 func (s *System) ULP(id int) *ULP { return s.ulps[id] }
 
+// Placement reports the ULP's host, whether it is live (not done) and
+// whether it is mid-migration. An unknown id is host -1, not live.
+func (s *System) Placement(id int) (host int, live, migrating bool) {
+	u := s.ulps[id]
+	if u == nil {
+		return -1, false, false
+	}
+	return int(u.Host().ID()), !u.Done(), u.Migrating()
+}
+
 // Process returns the UPVM process on the given host, or nil.
 func (s *System) Process(host int) *Process {
 	if host < 0 || host >= len(s.procs) {
