@@ -47,6 +47,47 @@ func bruteBest(x *LoadIndex, elig HostSet) (int, int) {
 	return host, load
 }
 
+// checkLevels is the index's invariant oracle: every structure derived from
+// the loads — each level's row and count, the occupancy bits, both cursors
+// and the total — must say what a recount of loads says.
+func checkLevels(t *testing.T, x *LoadIndex) {
+	t.Helper()
+	levels := len(x.count)
+	rows := make([]uint64, levels*x.w)
+	count := make([]int32, levels)
+	total, lo, hi := 0, int32(0), int32(0)
+	for h, ld := range x.loads {
+		if ld < 0 || int(ld) >= levels {
+			t.Fatalf("host %d at load %d, outside the %d levels", h, ld, levels)
+		}
+		rows[int(ld)*x.w+h>>6] |= 1 << (h & 63)
+		count[ld]++
+		total += int(ld)
+		if h == 0 || ld < lo {
+			lo = ld
+		}
+		hi = max(hi, ld)
+	}
+	if !slices.Equal(x.rows, rows) {
+		t.Fatalf("rows disagree with loads %v", x.loads)
+	}
+	if !slices.Equal(x.count, count) {
+		t.Fatalf("count %v, loads say %v", x.count, count)
+	}
+	if len(x.occ) < (levels+63)>>6 {
+		t.Fatalf("%d occupancy words for %d levels", len(x.occ), levels)
+	}
+	for ld := 0; ld < len(x.occ)<<6; ld++ {
+		want := ld < levels && count[ld] > 0
+		if got := x.occ[ld>>6]&(1<<(ld&63)) != 0; got != want {
+			t.Fatalf("occupancy bit %d = %v, want %v", ld, got, want)
+		}
+	}
+	if x.minLoad != lo || x.maxLoad != hi || x.total != total {
+		t.Fatalf("cursors [%d, %d] total %d, loads say [%d, %d] total %d", x.minLoad, x.maxLoad, x.total, lo, hi, total)
+	}
+}
+
 // wordSizes straddle the 64-bit word boundaries of a HostSet and an index row.
 var wordSizes = []int{1, 23, 63, 64, 65, 130}
 
@@ -153,6 +194,7 @@ func TestLoadIndexRandomChurn(t *testing.T) {
 				x.Set(h, n)
 				ref[h] = n
 			}
+			checkLevels(t, x)
 			// Every step, not every 97th: the best-host walk starts at a
 			// cursor that every mutation must keep exact, and a stale one
 			// shows only until the next mutation happens to repair it.
@@ -298,6 +340,7 @@ func TestPropSpreadMatchesUnitLoop(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d (hosts %d from %d n %d): moved %d, unit loop %d", trial, hosts, from, n, got, want)
 		}
+		checkLevels(t, a)
 		if got > 0 && !slices.Equal(raised[:got], placed[:got]) {
 			t.Fatalf("trial %d (hosts %d from %d n %d): Spread raised %v, Place named %v", trial, hosts, from, n, raised[:got], placed[:got])
 		}
@@ -382,6 +425,155 @@ func TestLoadIndexSetOrderDoesNotMatter(t *testing.T) {
 		if am, bm := a.Spread(from, n, e), b.Spread(from, n, e); am != bm || !reflect.DeepEqual(aCalls, bCalls) {
 			t.Fatalf("trial %d (hosts %d): Spread(%d, %d) moved %d and %d, calls\n%v\n%v", trial, hosts, from, n, am, bm, aCalls, bCalls)
 		}
+		checkLevels(t, a)
+		checkLevels(t, b)
 		agree("after Spread")
+	}
+}
+
+// TestPlaceFromOutOfRange: a from outside the index names no host, so Place
+// excludes no one and answers as its unit loop does; Spread moves nothing
+// and calls no one. -1 and 64 lie outside the 10-host index's one word, 10
+// and 63 inside it.
+func TestPlaceFromOutOfRange(t *testing.T) {
+	const hosts = 10
+	loads := []int{4, 0, 2, 7, 0, 1, 3, 0, 5, 2}
+	build := func() *LoadIndex {
+		x := NewLoadIndex(hosts)
+		for h, ld := range loads {
+			x.Set(h, ld)
+		}
+		return x
+	}
+	half := NewHostSet(hosts)
+	for h := 0; h < hosts; h += 2 {
+		half.Put(h, true)
+	}
+	for _, from := range []int{-65, -1, 10, 63, 64, 1000} {
+		for _, elig := range []HostSet{allHosts(hosts), half} {
+			x := build()
+			got := x.Place(from, 12, elig)
+			if want := placeByUnits(build(), from, 12, elig); !slices.Equal(got, want) {
+				t.Fatalf("Place(%d, 12) = %v, unit loop %v", from, got, want)
+			}
+			calls := 0
+			x.OnChange(func(int) { calls++ })
+			if moved := x.Spread(from, 12, elig); moved != 0 || calls != 0 {
+				t.Fatalf("Spread(%d, 12) moved %d with %d calls, want 0 and 0", from, moved, calls)
+			}
+			checkLevels(t, x)
+		}
+	}
+}
+
+// TestSpreadLoneClimber is the shape that once cost one level per unit:
+// owner-held hosts at 0 that cannot receive, one receiving host at 3, the
+// rest at 130 and from at 250, so the fill's gaps cross the occupancy
+// word's 64-level boundaries. The climber takes 127 units alone, one per
+// level from 3 to 130; the last 73 go one each to it and the 72 lowest ids
+// among the hosts it joins there, then from is named once.
+func TestSpreadLoneClimber(t *testing.T) {
+	const hosts, held, climber, from, n = 100, 10, 10, 99, 200
+	build := func() *LoadIndex {
+		x := NewLoadIndex(hosts)
+		for h := held + 1; h < hosts; h++ {
+			x.Set(h, 130)
+		}
+		x.Set(climber, 3)
+		x.Set(from, 250)
+		return x
+	}
+	elig := allHosts(hosts)
+	for h := 0; h < held; h++ {
+		elig.Put(h, false)
+	}
+	var want []int
+	for i := 0; i < 127; i++ {
+		want = append(want, climber)
+	}
+	for h := climber; h < climber+73; h++ {
+		want = append(want, h)
+	}
+
+	a, b, c := build(), build(), build()
+	placed := c.Place(from, n, elig)
+	if !slices.Equal(placed, want) {
+		t.Fatalf("Place named %v,\nwant %v", placed, want)
+	}
+	var calls []int
+	a.OnChange(func(h int) { calls = append(calls, h) })
+	if moved, ref := a.Spread(from, n, elig), spreadByUnits(b, from, n, elig); moved != n || ref != n {
+		t.Fatalf("Spread moved %d, unit loop %d, want %d", moved, ref, n)
+	}
+	checkLevels(t, a)
+	if !slices.Equal(calls, append(want, from)) {
+		t.Fatalf("OnChange calls %v,\nwant %v then %d", calls, want, from)
+	}
+	for h := 0; h < hosts; h++ {
+		if a.Load(h) != b.Load(h) {
+			t.Fatalf("Load(%d) = %d, unit loop %d", h, a.Load(h), b.Load(h))
+		}
+	}
+	if a.Load(climber) != 131 || a.Load(82) != 131 || a.Load(83) != 130 || a.Load(from) != 50 {
+		t.Fatalf("loads climber %d, 82 %d, 83 %d, from %d; want 131, 131, 130, 50",
+			a.Load(climber), a.Load(82), a.Load(83), a.Load(from))
+	}
+}
+
+// TestPlaceAllocatesOnlyItsResult: on a warm index, Place's one allocation
+// is the slice it returns — the fill runs on the index's own scratch.
+func TestPlaceAllocatesOnlyItsResult(t *testing.T) {
+	x := NewLoadIndex(130)
+	for h := 0; h < 130; h++ {
+		x.Set(h, (h*37)%23)
+	}
+	elig := allHosts(130)
+	x.Place(5, 300, elig)
+	if allocs := testing.AllocsPerRun(50, func() { x.Place(5, 300, elig) }); allocs != 1 {
+		t.Fatalf("Place allocated %.0f times, want 1", allocs)
+	}
+}
+
+// BenchmarkLoadIndexSpread evacuates 100 units from one host of a
+// 1,000-host index in fleet_storm's level shape — 100,000 units, a fifth of
+// them on the 50 hot hosts, and every tenth host owner-held at 0 and unable
+// to receive — and then puts every touched host back, so each op starts
+// from the same loads. Warm, an op allocates nothing.
+func BenchmarkLoadIndexSpread(b *testing.B) {
+	const hosts, units, evac = 1000, 100000, 100
+	rng := sim.NewRNG(1994)
+	base := make([]int, hosts)
+	for i := 0; i < units; i++ {
+		if i%5 == 0 {
+			base[rng.Intn(hosts/20)]++
+		} else {
+			base[rng.Intn(hosts)]++
+		}
+	}
+	elig := allHosts(hosts)
+	for h := 0; h < hosts; h += 10 {
+		base[h] = 0
+		elig.Put(h, false)
+	}
+	const from = 101
+	base[from] = evac
+	x := NewLoadIndex(hosts)
+	for h, ld := range base {
+		x.Set(h, ld)
+	}
+	op := func() {
+		if x.Spread(from, evac, elig) != evac {
+			b.Fatal("the evacuation stranded units")
+		}
+		for _, h := range x.ids {
+			x.Set(h, base[h])
+		}
+		x.Set(from, evac)
+	}
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
