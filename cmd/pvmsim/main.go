@@ -103,8 +103,7 @@ func main() {
 		if *planEvac >= 0 {
 			mode, conc, err := planSettings(flag.CommandLine, *planMode, *planConc)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "pvmsim: %v\n", err)
-				os.Exit(2)
+				fail(err)
 			}
 			out, planRes = harness.RunMPVMPlan(sc, *planEvac, mode, conc)
 		} else if *trace {
@@ -212,7 +211,7 @@ func planSettings(fs *flag.FlagSet, mode string, conc int) (plan.Mode, int, erro
 	switch m {
 	case plan.ModeCold, plan.ModeWarm:
 	default:
-		return "", 0, fmt.Errorf("unknown -plan-mode %q (want warm or cold)", mode)
+		return "", 0, errs.Newf(harness.CodeBadScenario, "unknown -plan-mode %q (want warm or cold)", mode)
 	}
 	if !explicitFlag(fs, "plan-concurrency") {
 		if m == plan.ModeWarm {
@@ -221,7 +220,7 @@ func planSettings(fs *flag.FlagSet, mode string, conc int) (plan.Mode, int, erro
 		return m, 1, nil
 	}
 	if conc < 1 {
-		return "", 0, fmt.Errorf("-plan-concurrency must be at least 1, got %d", conc)
+		return "", 0, errs.Newf(harness.CodeBadScenario, "-plan-concurrency must be at least 1, got %d", conc)
 	}
 	return m, conc, nil
 }

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"pvmigrate/internal/errs"
+	"pvmigrate/internal/harness"
 	"pvmigrate/internal/plan"
 )
 
@@ -75,8 +77,8 @@ func TestPlanSettingsModeDependentDefaults(t *testing.T) {
 			fs := parse(t, c.args...)
 			mode, conc, err := planSettings(fs, c.modeFlag, c.concFlag)
 			if c.wantErr {
-				if err == nil {
-					t.Fatalf("planSettings(%v) = %v/%d, want error", c.args, mode, conc)
+				if !errs.Is(err, harness.CodeBadScenario) {
+					t.Fatalf("planSettings(%v) = %v/%d, %v; want a %s error", c.args, mode, conc, err, harness.CodeBadScenario)
 				}
 				return
 			}

@@ -12,30 +12,26 @@ import (
 	"pvmigrate/internal/adm"
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/harness"
 	"pvmigrate/internal/mpvm"
-	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/opt"
-	"pvmigrate/internal/pvm"
-	"pvmigrate/internal/sim"
 )
-
-func mixedCluster(k *sim.Kernel) *cluster.Cluster {
-	return cluster.New(k, netsim.Params{},
-		cluster.HostSpec{Name: "hp1", Arch: "hppa1.1-hpux9", Speed: 9e6, MemMB: 64},
-		cluster.HostSpec{Name: "hp2", Arch: "hppa1.1-hpux9", Speed: 9e6, MemMB: 64},
-		cluster.HostSpec{Name: "sun1", Arch: "sparc-sunos4", Speed: 7e6, MemMB: 32},
-	)
-}
 
 func main() {
 	fmt.Println("cluster: hp1, hp2 (PA-RISC/HP-UX) + sun1 (SPARC/SunOS)")
 	fmt.Println()
 
 	// --- MPVM: migration is constrained to compatible hosts ------------
-	k := sim.NewKernel()
-	defer k.Close()
-	cl := mixedCluster(k)
-	sys := mpvm.New(pvm.NewMachine(cl, pvm.Config{}), mpvm.Config{})
+	world := harness.NewWorld(harness.WorldSpec{
+		Hosts: []cluster.HostSpec{
+			{Name: "hp1", Arch: "hppa1.1-hpux9", Speed: 9e6, MemMB: 64},
+			{Name: "hp2", Arch: "hppa1.1-hpux9", Speed: 9e6, MemMB: 64},
+			{Name: "sun1", Arch: "sparc-sunos4", Speed: 7e6, MemMB: 32},
+		},
+		System: harness.MPVM,
+	})
+	defer world.Close()
+	k, sys := world.K, world.MPVM
 	w, err := sys.SpawnMigratable(0, "worker", 1<<20, func(mt *mpvm.MTask) {
 		mt.Compute(mt.Host().Spec().Speed * 30)
 	})

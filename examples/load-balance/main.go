@@ -12,10 +12,9 @@ import (
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/gs"
+	"pvmigrate/internal/harness"
 	"pvmigrate/internal/mpvm"
-	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/opt"
-	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
 )
 
@@ -23,19 +22,15 @@ import (
 // job at t=10 s; with balancing enabled the GS may move the affected slave
 // to the idle host3.
 func run(balance bool) (sim.Time, []gs.Decision, []core.MigrationRecord) {
-	k := sim.NewKernel()
-	defer k.Close()
-	cl := cluster.New(k, netsim.Params{},
-		cluster.DefaultHostSpec("host1"),
-		cluster.DefaultHostSpec("host2"),
-		cluster.DefaultHostSpec("host3"))
-	m := pvm.NewMachine(cl, pvm.Config{})
-	sys := mpvm.New(m, mpvm.Config{})
-	target := gs.NewVPTarget(sys)
-	var sched *gs.Fleet
+	w := harness.NewWorld(harness.WorldSpec{
+		Hosts:  harness.Workstations(3, "host%d", 1),
+		System: harness.MPVM,
+		Fleet:  &gs.FleetPolicy{LoadThreshold: 1, PollInterval: 5 * time.Second},
+	})
+	defer w.Close()
+	k, cl, sys := w.K, w.Cluster, w.MPVM
 	if balance {
-		sched = gs.NewFleet(cl, target, gs.FleetPolicy{LoadThreshold: 1, PollInterval: 5 * time.Second})
-		sched.Start()
+		w.Fleet.Start()
 	}
 
 	p := opt.Params{TotalBytes: 6_000_000, Iterations: 6}
@@ -50,18 +45,14 @@ func run(balance bool) (sim.Time, []gs.Decision, []core.MigrationRecord) {
 		mt, _ := sys.SpawnMigratable(i, fmt.Sprintf("slave%d", i), p.TotalBytes/2,
 			func(mt *mpvm.MTask) { opt.RunSlave(mt.Task, master.OrigTID(), pp) })
 		tids[i] = mt.OrigTID()
-		target.Track(mt.OrigTID())
+		w.VPs.Track(mt.OrigTID())
 	}
 	// A competing job lands on host2 (index 1) and stays.
 	k.Schedule(10*time.Second, func() {
 		cluster.NewBackgroundLoad(cl.Host(1)).Set(2)
 	})
 	k.RunUntil(time.Hour)
-	var decisions []gs.Decision
-	if sched != nil {
-		decisions = sched.Decisions()
-	}
-	return elapsed, decisions, sys.Records()
+	return elapsed, w.Fleet.Decisions(), sys.Records()
 }
 
 func main() {

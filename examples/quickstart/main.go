@@ -8,31 +8,23 @@ import (
 	"fmt"
 	"time"
 
-	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/harness"
 	"pvmigrate/internal/mpvm"
-	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/pvm"
-	"pvmigrate/internal/sim"
-	"pvmigrate/internal/trace"
 )
 
 func main() {
 	// A kernel, two calibrated HP 9000/720-class hosts on 10 Mb/s Ethernet,
-	// a PVM machine, and the MPVM migration layer on top.
-	k := sim.NewKernel()
-	defer k.Close()
-	cl := cluster.New(k, netsim.Params{},
-		cluster.DefaultHostSpec("host1"),
-		cluster.DefaultHostSpec("host2"))
-	machine := pvm.NewMachine(cl, pvm.Config{})
-	sys := mpvm.New(machine, mpvm.Config{})
-
-	// Trace the migration protocol stages.
-	log := &trace.Log{}
-	sys.SetTracer(func(actor, stage, detail string) {
-		log.Record(k.Now(), actor, stage, detail)
+	// a PVM machine, and the MPVM migration layer on top, tracing the
+	// migration protocol's stages.
+	w := harness.NewWorld(harness.WorldSpec{
+		Hosts:  harness.Workstations(2, "host%d", 1),
+		System: harness.MPVM,
+		Trace:  true,
 	})
+	defer w.Close()
+	k, machine, sys := w.K, w.Machine, w.MPVM
 
 	// A worker that alternates computing and reporting to a collector.
 	collectorTID := core.MakeTID(0, 1)
@@ -76,7 +68,7 @@ func main() {
 	k.Run()
 
 	fmt.Println()
-	fmt.Print(log.Timeline("MPVM migration protocol stages:"))
+	fmt.Print(w.Log.Timeline("MPVM migration protocol stages:"))
 	for _, r := range sys.Records() {
 		fmt.Printf("\nmigrated %v → %v: obtrusiveness %.2f s, migration cost %.2f s, %d KB of state\n",
 			r.VP, r.NewTID, r.Obtrusiveness().Seconds(), r.Cost().Seconds(), r.StateBytes>>10)

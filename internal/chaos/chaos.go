@@ -23,10 +23,10 @@ import (
 	"time"
 
 	"pvmigrate/internal/adm"
-	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/ft"
 	"pvmigrate/internal/gs"
+	"pvmigrate/internal/harness"
 	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/opt"
@@ -205,26 +205,18 @@ func faultRNG(seed uint64) *sim.RNG {
 // The cluster: hosts workstations, host 0 carrying GS + store + master, two
 // slave VPs on every other host.
 func Run(sc Scenario, cfg Config) *Result {
-	k := sim.NewKernel()
+	w := harness.NewWorld(harness.WorldSpec{
+		Hosts:    harness.Workstations(hosts, "h%d", 0),
+		TieBreak: &cfg.Seed,
+		System:   harness.MPVM,
+		Warm:     sc.Warm,
+		FT:       &ft.Config{CheckpointEvery: checkpointEvery},
+		Fleet:    &gs.FleetPolicy{ReclaimOnOwner: true},
+	})
 	// The checkers read the returned handles' records, not the kernel:
 	// closing on every return path leaves them what the run produced.
-	defer k.Close()
-	k.SetTieBreakSeed(cfg.Seed)
-
-	specs := make([]cluster.HostSpec, hosts)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec(fmt.Sprintf("h%d", i))
-	}
-	cl := cluster.New(k, netsim.Params{}, specs...)
-	m := pvm.NewMachine(cl, pvm.Config{})
-	sys := mpvm.New(m, mpvm.Config{})
-	if sc.Warm {
-		sys.SetWarmByDefault(true)
-	}
-	log := &trace.Log{}
-	st := ft.NewStack(sys, ft.Config{CheckpointEvery: checkpointEvery},
-		gs.FleetPolicy{ReclaimOnOwner: true}, log)
-	mgr, sched := st.Mgr, st.Sched
+	defer w.Close()
+	k, cl, sys, mgr, sched := w.K, w.Cluster, w.MPVM, w.Mgr, w.Fleet
 
 	var faults []ft.Fault
 	var owners []OwnerChange
@@ -240,7 +232,7 @@ func Run(sc Scenario, cfg Config) *Result {
 	if sc.ULPMoves != nil {
 		ulpMoves = sc.ULPMoves(rng, faults)
 	}
-	st.Inj.Install(ft.Plan{Faults: faults})
+	w.Inj.Install(ft.Plan{Faults: faults})
 	for _, oc := range owners {
 		oc := oc
 		k.ScheduleAt(oc.At, func() { cl.Host(netsim.HostID(oc.Host)).SetOwnerActive(oc.Active) })
@@ -276,7 +268,7 @@ func Run(sc Scenario, cfg Config) *Result {
 	settleUntil := lastEvent + 3*ft.SuspectAfter
 
 	res := &Result{Scenario: sc.Name, Seed: cfg.Seed,
-		Sys: sys, Mgr: mgr, Sched: sched, Log: log, Faults: faults}
+		Sys: sys, Mgr: mgr, Sched: sched, Log: w.Log, Faults: faults}
 	opts := opt.Params{Iterations: iterations}
 	if cfg.Real {
 		opts.Real = true
@@ -331,7 +323,7 @@ func Run(sc Scenario, cfg Config) *Result {
 	}
 	res.Job = job
 	if res.ADMActive {
-		if err := startADMOverlay(k, m, res, admSignals, func() {
+		if err := startADMOverlay(w, res, admSignals, func() {
 			admDone = true
 			tryStop()
 		}); err != nil {
@@ -340,7 +332,7 @@ func Run(sc Scenario, cfg Config) *Result {
 		}
 	}
 	if res.ULPActive {
-		if err := startULPOverlay(k, m, res, ulpMoves, func() {
+		if err := startULPOverlay(w, res, ulpMoves, func() {
 			ulpDone = true
 			tryStop()
 		}); err != nil {
@@ -375,8 +367,8 @@ func Run(sc Scenario, cfg Config) *Result {
 // The overlay always runs the cost model — its determinism pin is the
 // fingerprint's move count and loss bits, and cost-model losses are as
 // bit-stable as real ones.
-func startADMOverlay(k *sim.Kernel, m *pvm.Machine, res *Result,
-	signals []ADMSignal, onDone func()) error {
+func startADMOverlay(w *harness.World, res *Result, signals []ADMSignal, onDone func()) error {
+	m := w.Machine
 	nSlaves := hosts - 1
 	stats := &opt.ADMStats{}
 	ap := opt.ADMParams{
@@ -421,7 +413,7 @@ func startADMOverlay(k *sim.Kernel, m *pvm.Machine, res *Result,
 		if s.Slave < 0 || s.Slave >= nSlaves {
 			continue
 		}
-		k.ScheduleAt(s.At, func() {
+		w.K.ScheduleAt(s.At, func() {
 			if t := slaveTasks[s.Slave]; !t.Exited() {
 				adm.Signal(t, adm.Event{Kind: s.Kind, Reason: s.Reason})
 			}
@@ -437,9 +429,8 @@ func startADMOverlay(k *sim.Kernel, m *pvm.Machine, res *Result,
 // across whatever faults Build installed; the bounded flush barrier is
 // what keeps a move issued into a partition from wedging the overlay (and
 // losing the ULP) forever.
-func startULPOverlay(k *sim.Kernel, m *pvm.Machine, res *Result,
-	moves []ULPMove, onDone func()) error {
-	usys := upvm.New(m, upvm.Config{})
+func startULPOverlay(w *harness.World, res *Result, moves []ULPMove, onDone func()) error {
+	usys := upvm.New(w.Machine, upvm.Config{})
 	res.ULPSys = usys
 	res.ULPCount = hosts - 1
 	usys.SetTracer(func(actor, stage, detail string) {
@@ -475,7 +466,7 @@ func startULPOverlay(k *sim.Kernel, m *pvm.Machine, res *Result,
 	}
 	for _, mv := range moves {
 		mv := mv
-		k.ScheduleAt(mv.At, func() {
+		w.K.ScheduleAt(mv.At, func() {
 			// A refused move (ULP mid-migration, finished, or already on
 			// Dest) is part of the swept schedule.
 			_ = usys.Migrate(mv.ULP, mv.Dest, core.ReasonOwnerReclaim)

@@ -79,6 +79,8 @@ type env struct {
 	dst *cluster.Host
 }
 
+// newEnv is built by hand, not by harness.NewWorld: harness imports this
+// package, and the testbed is two bare hosts with no PVM on them.
 func newEnv() env {
 	k := sim.NewKernel()
 	cl := cluster.New(k, netsim.Params{},

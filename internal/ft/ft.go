@@ -68,7 +68,9 @@ type Stack struct {
 // the injector. pol carries what the caller chooses about scheduling; its
 // HeartbeatInterval and SuspectAfter are overwritten. The scheduler is left
 // unstarted: a daemon starts it before any job exists, a batch run after
-// its job is spawned. log may be nil.
+// its job is spawned. log may be nil. Runs get it through harness.NewWorld;
+// it stays here because ft cannot import harness and its own tests build
+// stacks directly.
 func NewStack(sys *mpvm.System, cfg Config, pol gs.FleetPolicy, log *trace.Log) *Stack {
 	m := sys.Machine()
 	mgr := NewManager(sys, cfg, log)

@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"time"
 
-	"pvmigrate/internal/metrics"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/sweep"
 )
@@ -86,36 +84,5 @@ func TestArrivalMaxN(t *testing.T) {
 	spec := ArrivalSpec{Rate: 100, Horizon: 10 * time.Second, Seed: 1, MaxN: 7}
 	if n := len(spec.Schedule()); n != 7 {
 		t.Fatalf("MaxN=7 produced %d arrivals", n)
-	}
-}
-
-// TestSLOReportMatchesHandChecked pins the percentile accounting to a
-// hand-computed fixture and to metrics.Series.Percentile itself.
-func TestSLOReportMatchesHandChecked(t *testing.T) {
-	lat := &metrics.Series{}
-	for i := 1; i <= 10; i++ {
-		lat.Add(float64(i) / 10) // 0.1, 0.2, ..., 1.0
-	}
-	rep := NewSLOReport(lat, 500*time.Millisecond)
-	if rep.N != 10 {
-		t.Fatalf("N = %d", rep.N)
-	}
-	// 0.6..1.0 exceed the 0.5 s objective.
-	if rep.Violations != 5 {
-		t.Fatalf("violations = %d, want 5", rep.Violations)
-	}
-	// numpy-convention p95 of 0.1..1.0: rank 0.95*9 = 8.55 →
-	// 0.9 + 0.55*(1.0-0.9) = 0.955.
-	if math.Abs(rep.P95-0.955) > 1e-12 {
-		t.Fatalf("p95 = %v, want 0.955", rep.P95)
-	}
-	if math.Abs(rep.P50-0.55) > 1e-12 {
-		t.Fatalf("p50 = %v, want 0.55", rep.P50)
-	}
-	if rep.P95 != lat.Percentile(95) || rep.P99 != lat.Percentile(99) {
-		t.Fatal("report percentiles must come from Series.Percentile")
-	}
-	if rep.Max != 1.0 || math.Abs(rep.Mean-0.55) > 1e-12 {
-		t.Fatalf("max/mean = %v/%v", rep.Max, rep.Mean)
 	}
 }

@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
-	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
-	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/sim"
 )
 
@@ -122,15 +119,21 @@ func RunFleet(sc FleetScenario) *FleetOutcome {
 	if err := sc.validate(); err != nil {
 		return &FleetOutcome{Err: err}
 	}
-	k := sim.NewKernel()
-	defer k.Close()
-	specs := make([]cluster.HostSpec, sc.Hosts)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec(fmt.Sprintf("host%d", i+1))
-	}
-	cl := cluster.New(k, netsim.Params{}, specs...)
-	tgt := gs.NewCountTarget(cl)
+	pol := gs.DefaultFleetPolicy()
+	pol.Shards = sc.Shards
+	pol.PollInterval = sc.PollInterval
+	pol.LoadThreshold = sc.LoadThreshold
+	pol.Source = gs.SourceWorkUnits
+	pol.Placement = gs.PlacementByName(sc.Placement)
+	pol.MovesPerTick = sc.MovesPerTick
+	pol.Seed = sc.Seed
+	w := NewWorld(WorldSpec{Hosts: Workstations(sc.Hosts, "host%d", 1), Fleet: &pol})
+	defer w.Close()
+	tgt, fleet := w.Counts, w.Fleet
 
+	// The fleet exists before the units are seeded and the storm is
+	// scheduled: NewFleet schedules no event and marks every slot for the
+	// first beat, so the order leaves the run as it was.
 	rng := sim.NewRNG(sc.Seed)
 	hot := sc.Hosts / 20
 	if hot < 1 {
@@ -146,31 +149,22 @@ func RunFleet(sc FleetScenario) *FleetOutcome {
 
 	// Owner-reclaim storm: seeded arrivals across the run, each owner
 	// departing StormDwell later.
-	hosts := cl.Hosts()
+	hosts := w.Cluster.Hosts()
 	span := int64(sc.Duration)
 	for i := 0; i < sc.Storms; i++ {
 		at := sim.Time(1 + rng.Uint64()%uint64(span))
 		h := rng.Intn(sc.Hosts)
-		k.ScheduleAt(at, func() { hosts[h].SetOwnerActive(true) })
-		k.ScheduleAt(at+sc.StormDwell, func() { hosts[h].SetOwnerActive(false) })
+		w.K.ScheduleAt(at, func() { hosts[h].SetOwnerActive(true) })
+		w.K.ScheduleAt(at+sc.StormDwell, func() { hosts[h].SetOwnerActive(false) })
 	}
 
-	pol := gs.DefaultFleetPolicy()
-	pol.Shards = sc.Shards
-	pol.PollInterval = sc.PollInterval
-	pol.LoadThreshold = sc.LoadThreshold
-	pol.Source = gs.SourceWorkUnits
-	pol.Placement = gs.PlacementByName(sc.Placement)
-	pol.MovesPerTick = sc.MovesPerTick
-	pol.Seed = sc.Seed
-	fleet := gs.NewFleet(cl, tgt, pol)
 	fleet.Start()
-	k.RunUntil(sc.Duration)
+	w.K.RunUntil(sc.Duration)
 	fleet.Stop()
 
 	out := &FleetOutcome{
 		Fingerprint: fleet.Fingerprint(),
-		Events:      k.EventsScheduled(),
+		Events:      w.K.EventsScheduled(),
 		FinalTotal:  tgt.Index().Total(),
 	}
 	fleet.EachDecision(func(d gs.Decision) {

@@ -4,6 +4,11 @@
 // suite, the cmd tools and the integration tests all drive experiments
 // through this package, so every table and figure is regenerated from the
 // same code paths.
+//
+// Every run's substrate — kernel, cluster, system, Global Scheduler, FT
+// layer, trace log — is built by NewWorld from a WorldSpec and ended by
+// World.Close: the runners here, serve's daemon core, the chaos explorer
+// and the examples each write a spec literal and then their own workload.
 package harness
 
 import (
@@ -11,7 +16,6 @@ import (
 	"time"
 
 	"pvmigrate/internal/adm"
-	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
@@ -22,6 +26,7 @@ import (
 	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/sweep"
+	"pvmigrate/internal/trace"
 	"pvmigrate/internal/upvm"
 )
 
@@ -124,6 +129,10 @@ func (sc Scenario) withDefaults() Scenario {
 // checks them instead of trusting them.
 const CodeBadScenario errs.Code = "harness.bad-scenario"
 
+// CodeRunCap marks a run that reached its virtual-time cap before its job
+// finished: recovery, or the job itself, wedged.
+const CodeRunCap errs.Code = "harness.run-cap"
+
 // count is one checked input, named as its flag spells it.
 type count struct {
 	name   string
@@ -186,49 +195,30 @@ type Outcome struct {
 	Err error
 }
 
-func buildCluster(k *sim.Kernel, hosts int, wire netsim.Wire) *cluster.Cluster {
-	specs := make([]cluster.HostSpec, hosts)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec(fmt.Sprintf("host%d", i+1))
-	}
-	return cluster.New(k, netsim.Params{Wire: wire}, specs...)
-}
-
-// applyBackgroundLoad installs the scenario's competing jobs and network
-// cross traffic.
-func (sc Scenario) applyBackgroundLoad(cl *cluster.Cluster) {
-	for host, n := range sc.BackgroundLoad {
-		if h := cl.Host(netsim.HostID(host)); h != nil {
-			cluster.NewBackgroundLoad(h).Set(n)
-		}
-	}
-	if sc.CrossTraffic > 0 {
-		netsim.StartCrossTraffic(cl.Network(), 4242, sc.CrossTraffic)
-	}
-}
-
-// rig is one run's testbed — the kernel, the workstation network with the
-// scenario's background load, the PVM machine and the outcome under
+// rig is one run: the scenario, its world and the outcome under
 // construction. Every runner below starts from newRig, so a Scenario field
 // means the same thing under all four systems and under tracing.
 type rig struct {
+	*World
 	sc  Scenario
-	k   *sim.Kernel
-	cl  *cluster.Cluster
-	m   *pvm.Machine
 	out *Outcome
 }
 
-func newRig(sc Scenario) (*rig, error) {
+// newRig validates the scenario and builds its world. spec carries what the
+// runner chooses — system, tracing, fleet policy; the scenario fills in the
+// workstations, wire, routing and background load.
+func newRig(sc Scenario, spec WorldSpec) (*rig, error) {
 	sc = sc.withDefaults()
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel()
-	cl := buildCluster(k, sc.Hosts, sc.Wire)
-	sc.applyBackgroundLoad(cl)
-	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
-	return &rig{sc: sc, k: k, cl: cl, m: m, out: &Outcome{}}, nil
+	spec.Hosts = Workstations(sc.Hosts, "host%d", 1)
+	spec.Wire = sc.Wire
+	spec.Direct = sc.Direct
+	spec.BackgroundLoad = sc.BackgroundLoad
+	spec.CrossTraffic = sc.CrossTraffic
+	spec.UPVM = sc.UPVM
+	return &rig{World: NewWorld(spec), sc: sc, out: &Outcome{}}, nil
 }
 
 // fail keeps the first application error.
@@ -253,29 +243,29 @@ func (r *rig) finish(vp core.VP, res *opt.Result, err error) {
 	if r.sc.CrossTraffic > 0 {
 		// Cross traffic is perpetual: it would keep the event loop alive
 		// forever after the application finishes.
-		r.k.Stop()
+		r.K.Stop()
 	}
 }
 
 // atMigrate schedules the scenario's mid-run event, if it has one.
 func (r *rig) atMigrate(act func() error) {
 	if r.sc.MigrateAt > 0 {
-		r.k.Schedule(r.sc.MigrateAt, func() { r.fail(act()) })
+		r.K.Schedule(r.sc.MigrateAt, func() { r.fail(act()) })
 	}
 }
 
 // RunPVM executes the scenario on plain PVM (no migration support; any
 // MigrateAt is ignored). This is the paper's baseline column.
 func RunPVM(sc Scenario) *Outcome {
-	r, err := newRig(sc)
+	r, err := newRig(sc, WorldSpec{System: PVM})
 	if err != nil {
 		return &Outcome{Err: err}
 	}
-	defer r.k.Close()
+	defer r.Close()
 	p := r.sc.params()
 	tids := make([]core.TID, r.sc.Slaves)
 	for i := range tids {
-		t, err := r.m.Spawn(r.sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), func(t *pvm.Task) {
+		t, err := r.Machine.Spawn(r.sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), func(t *pvm.Task) {
 			r.fail(opt.RunSlave(t, r.sc.masterTID(), p))
 		})
 		if err != nil {
@@ -284,36 +274,36 @@ func RunPVM(sc Scenario) *Outcome {
 		}
 		tids[i] = t.Mytid()
 	}
-	if _, err := r.m.Spawn(0, "opt-master", func(t *pvm.Task) { r.runMaster(t, tids, p) }); err != nil {
+	if _, err := r.Machine.Spawn(0, "opt-master", func(t *pvm.Task) { r.runMaster(t, tids, p) }); err != nil {
 		r.fail(err)
 		return r.out
 	}
-	r.k.Run()
+	r.K.Run()
 	return r.out
 }
 
 // RunMPVM executes the scenario on MPVM, optionally migrating a slave
 // mid-run. The returned records carry the obtrusiveness and migration-cost
 // measurements of Table 2.
-func RunMPVM(sc Scenario) *Outcome { return runMPVM(sc, nil, nil) }
+func RunMPVM(sc Scenario) *Outcome {
+	out, _ := runMPVM(sc, false, nil)
+	return out
+}
 
-// runMPVM is the MPVM runner. setup, when non-nil, sees the system before
-// any task is spawned (tracers attach there). act, when non-nil, replaces
-// the commanded migration of the scenario's victim at MigrateAt.
-func runMPVM(sc Scenario, setup func(*sim.Kernel, *mpvm.System), act func(sys *mpvm.System, victim core.TID) error) *Outcome {
-	r, err := newRig(sc)
+// runMPVM is the MPVM runner; withTrace also records the protocol stage
+// log it returns. act, when non-nil, replaces the commanded migration of
+// the scenario's victim at MigrateAt.
+func runMPVM(sc Scenario, withTrace bool, act func(sys *mpvm.System, victim core.TID) error) (*Outcome, *trace.Log) {
+	r, err := newRig(sc, WorldSpec{System: MPVM, Trace: withTrace})
 	if err != nil {
-		return &Outcome{Err: err}
+		return &Outcome{Err: err}, nil
 	}
-	defer r.k.Close()
-	sys := mpvm.New(r.m, mpvm.Config{})
-	if setup != nil {
-		setup(r.k, sys)
-	}
-	tids, err := r.spawnMPVMApp(sys, 0)
+	defer r.Close()
+	sys := r.MPVM
+	tids, err := r.spawnMPVMApp(0)
 	if err != nil {
 		r.fail(err)
-		return r.out
+		return r.out, r.Log
 	}
 	if act == nil {
 		act = func(sys *mpvm.System, victim core.TID) error {
@@ -325,9 +315,9 @@ func runMPVM(sc Scenario, setup func(*sim.Kernel, *mpvm.System), act func(sys *m
 		}
 	}
 	r.atMigrate(func() error { return act(sys, tids[r.sc.MigrateSlave]) })
-	r.k.Run()
+	r.K.Run()
 	r.out.Records = sys.Records()
-	return r.out
+	return r.out, r.Log
 }
 
 // RunMPVMPlan executes the scenario on MPVM and, at MigrateAt, launches a
@@ -337,7 +327,7 @@ func runMPVM(sc Scenario, setup func(*sim.Kernel, *mpvm.System), act func(sys *m
 // (nil when the run finished before the plan settled).
 func RunMPVMPlan(sc Scenario, evacHost int, mode plan.Mode, concurrency int) (*Outcome, *plan.Result) {
 	var res *plan.Result
-	out := runMPVM(sc, nil, func(sys *mpvm.System, _ core.TID) error {
+	out, _ := runMPVM(sc, false, func(sys *mpvm.System, _ core.TID) error {
 		return plan.NewExecutor(sys, sc.Seed).Start(plan.Spec{
 			Name: fmt.Sprintf("evac-host%d", evacHost),
 			Groups: []plan.Group{{
@@ -366,29 +356,20 @@ func (sc Scenario) ulpSpecs() []upvm.ULPSpec {
 	return specs
 }
 
-// newUPVM wraps the rig's machine with the scenario's UPVM cost model.
-func (r *rig) newUPVM() *upvm.System {
-	ucfg := upvm.Config{}
-	if r.sc.UPVM != nil {
-		ucfg = *r.sc.UPVM
-	}
-	return upvm.New(r.m, ucfg)
+// RunUPVM executes the SPMD scenario on UPVM.
+func RunUPVM(sc Scenario) *Outcome {
+	out, _ := runUPVM(sc, false)
+	return out
 }
 
-// RunUPVM executes the SPMD scenario on UPVM.
-func RunUPVM(sc Scenario) *Outcome { return runUPVM(sc, nil) }
-
-// runUPVM is the UPVM runner; setup as in runMPVM.
-func runUPVM(sc Scenario, setup func(*sim.Kernel, *upvm.System)) *Outcome {
-	r, err := newRig(sc)
+// runUPVM is the UPVM runner; withTrace as in runMPVM.
+func runUPVM(sc Scenario, withTrace bool) (*Outcome, *trace.Log) {
+	r, err := newRig(sc, WorldSpec{System: UPVM, Trace: withTrace})
 	if err != nil {
-		return &Outcome{Err: err}
+		return &Outcome{Err: err}, nil
 	}
-	defer r.k.Close()
-	sys := r.newUPVM()
-	if setup != nil {
-		setup(r.k, sys)
-	}
+	defer r.Close()
+	sys := r.UPVM
 	p := r.sc.params()
 	slaveTIDs := make([]core.TID, r.sc.Slaves)
 	for i := range slaveTIDs {
@@ -403,24 +384,24 @@ func runUPVM(sc Scenario, setup func(*sim.Kernel, *upvm.System)) *Outcome {
 	})
 	if err != nil {
 		r.fail(err)
-		return r.out
+		return r.out, r.Log
 	}
 	r.atMigrate(func() error {
 		return sys.Migrate(r.sc.MigrateSlave+1, r.sc.MigrateTo, core.ReasonOwnerReclaim)
 	})
-	r.k.Run()
+	r.K.Run()
 	r.out.Records = sys.Records()
-	return r.out
+	return r.out, r.Log
 }
 
 // RunADM executes the scenario as ADMopt: the same master/slave placement,
 // but migration events trigger data redistribution instead of VP movement.
 func RunADM(sc Scenario) *Outcome {
-	r, err := newRig(sc)
+	r, err := newRig(sc, WorldSpec{System: PVM})
 	if err != nil {
 		return &Outcome{Err: err}
 	}
-	defer r.k.Close()
+	defer r.Close()
 	stats := &opt.ADMStats{}
 	ap := opt.ADMParams{Params: r.sc.params(), Stats: stats, ChunkExemplars: r.sc.ADMChunk}
 	masterTID := r.sc.masterTID()
@@ -429,7 +410,7 @@ func RunADM(sc Scenario) *Outcome {
 	tids := make([]core.TID, r.sc.Slaves)
 	for i := range tids {
 		i := i
-		t, err := r.m.Spawn(r.sc.slaveHost(i), fmt.Sprintf("admopt-slave%d", i), func(t *pvm.Task) {
+		t, err := r.Machine.Spawn(r.sc.slaveHost(i), fmt.Sprintf("admopt-slave%d", i), func(t *pvm.Task) {
 			r.fail(opt.RunADMSlave(t, masterTID, i, tids, adm.Attach(t), ap))
 		})
 		if err != nil {
@@ -439,7 +420,7 @@ func RunADM(sc Scenario) *Outcome {
 		slaveTasks[i] = t
 		tids[i] = t.Mytid()
 	}
-	_, err = r.m.Spawn(0, "admopt-master", func(t *pvm.Task) {
+	_, err = r.Machine.Spawn(0, "admopt-master", func(t *pvm.Task) {
 		res, err := opt.RunADMMaster(t, tids, ap)
 		r.finish(t, res, err)
 	})
@@ -455,7 +436,7 @@ func RunADM(sc Scenario) *Outcome {
 		adm.Signal(slaveTasks[r.sc.MigrateSlave], ev)
 		return nil
 	})
-	r.k.Run()
+	r.K.Run()
 	r.out.Records = stats.Records
 	return r.out
 }
@@ -463,15 +444,14 @@ func RunADM(sc Scenario) *Outcome {
 // RawTCP measures a bulk TCP transfer of n bytes between two idle hosts —
 // Table 2's lower-bound column.
 func RawTCP(bytes int) sim.Time {
-	k := sim.NewKernel()
-	defer k.Close()
-	cl := buildCluster(k, 2, nil)
-	l, err := cl.Host(1).Iface().Listen(9000)
+	w := NewWorld(WorldSpec{Hosts: Workstations(2, "host%d", 1)})
+	defer w.Close()
+	l, err := w.Cluster.Host(1).Iface().Listen(9000)
 	if err != nil {
 		return 0
 	}
 	var done sim.Time
-	k.Spawn("sink", func(p *sim.Proc) {
+	w.K.Spawn("sink", func(p *sim.Proc) {
 		conn, err := l.Accept(p)
 		if err != nil {
 			return
@@ -481,16 +461,16 @@ func RawTCP(bytes int) sim.Time {
 		}
 	})
 	var start sim.Time
-	k.Spawn("source", func(p *sim.Proc) {
+	w.K.Spawn("source", func(p *sim.Proc) {
 		start = p.Now()
-		conn, err := cl.Host(0).Iface().Dial(p, 1, 9000)
+		conn, err := w.Cluster.Host(0).Iface().Dial(p, 1, 9000)
 		if err != nil {
 			return
 		}
 		// lint:reason measurement probe; a failed send leaves done unset, which the caller reports
 		_ = conn.Send(p, bytes, nil)
 	})
-	k.Run()
+	w.K.Run()
 	return done - start
 }
 
@@ -498,36 +478,34 @@ func RawTCP(bytes int) sim.Time {
 // chosen host returns at ownerAt and the GS evacuates it. It returns the
 // scheduler decisions and migration records.
 func OwnerReclaimScenario(sc Scenario, ownerHost int, ownerAt sim.Time) (*Outcome, []gs.Decision) {
-	r, err := newRig(sc)
+	pol := gs.DefaultFleetPolicy()
+	r, err := newRig(sc, WorldSpec{System: MPVM, Fleet: &pol})
 	if err != nil {
 		return &Outcome{Err: err}, nil
 	}
-	defer r.k.Close()
-	sys := mpvm.New(r.m, mpvm.Config{})
-	target := gs.NewVPTarget(sys)
-	sched := gs.NewFleet(r.cl, target, gs.DefaultFleetPolicy())
+	defer r.Close()
 	// The slaves' images are sized up front, an even share of the training
 	// set each, so the evacuation's cost does not depend on how far a slave
 	// got with loading its shard when the owner returned.
-	tids, err := r.spawnMPVMApp(sys, r.sc.TotalBytes/r.sc.Slaves)
+	tids, err := r.spawnMPVMApp(r.sc.TotalBytes / r.sc.Slaves)
 	if err != nil {
 		r.fail(err)
 		return r.out, nil
 	}
 	for _, tid := range tids {
-		target.Track(tid)
+		r.VPs.Track(tid)
 	}
-	sched.Start()
-	r.k.Schedule(ownerAt, func() { r.cl.Host(netsim.HostID(ownerHost)).SetOwnerActive(true) })
-	r.k.RunUntil(2 * time.Hour)
-	r.out.Records = sys.Records()
-	return r.out, sched.Decisions()
+	r.Fleet.Start()
+	r.K.Schedule(ownerAt, func() { r.Cluster.Host(netsim.HostID(ownerHost)).SetOwnerActive(true) })
+	r.K.RunUntil(2 * time.Hour)
+	r.out.Records = r.MPVM.Records()
+	return r.out, r.Fleet.Decisions()
 }
 
 // spawnMPVMApp starts the scenario's migratable slave tasks and the master,
 // returning the slaves' stable tids. A slave's image is stateBytes, or, when
 // that is 0, whatever the slave reports once its shard is loaded.
-func (r *rig) spawnMPVMApp(sys *mpvm.System, stateBytes int) ([]core.TID, error) {
+func (r *rig) spawnMPVMApp(stateBytes int) ([]core.TID, error) {
 	tids := make([]core.TID, r.sc.Slaves)
 	for i := range tids {
 		p := r.sc.params()
@@ -539,7 +517,7 @@ func (r *rig) spawnMPVMApp(sys *mpvm.System, stateBytes int) ([]core.TID, error)
 				}
 			}
 		}
-		mt, err := sys.SpawnMigratable(r.sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), stateBytes,
+		mt, err := r.MPVM.SpawnMigratable(r.sc.slaveHost(i), fmt.Sprintf("opt-slave%d", i), stateBytes,
 			func(mt *mpvm.MTask) { r.fail(opt.RunSlave(mt.Task, r.sc.masterTID(), p)) })
 		if err != nil {
 			return nil, err
@@ -551,6 +529,6 @@ func (r *rig) spawnMPVMApp(sys *mpvm.System, stateBytes int) ([]core.TID, error)
 	// application does): it needs the tid-remapping hooks to keep talking
 	// to migrated slaves.
 	p := r.sc.params()
-	_, err := sys.SpawnMigratable(0, "opt-master", 1<<20, func(mt *mpvm.MTask) { r.runMaster(mt.Task, tids, p) })
+	_, err := r.MPVM.SpawnMigratable(0, "opt-master", 1<<20, func(mt *mpvm.MTask) { r.runMaster(mt.Task, tids, p) })
 	return tids, err
 }

@@ -476,7 +476,6 @@ func TestRunnersLeaveNoGoroutines(t *testing.T) {
 		{"RawTCP", func() error { RawTCP(100_000); return nil }},
 		{"OwnerReclaimScenario", func() error { o, _ := OwnerReclaimScenario(sc, 1, time.Second); return o.Err }},
 		{"Survival", func() error { return Survival(SurvivalConfig{Crashes: 1, Seed: 3}).Err }},
-		{"RunServing", func() error { return RunServing(servingScenario(1)).Err }},
 		{"RunFleet", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500}).Err }},
 	} {
 		if err := c.run(); err != nil {

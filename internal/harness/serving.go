@@ -5,21 +5,19 @@ import (
 	"time"
 
 	"pvmigrate/internal/core"
-	"pvmigrate/internal/gs"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/metrics"
 	"pvmigrate/internal/mpvm"
-	"pvmigrate/internal/netsim"
-	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
 )
 
-// serving.go is the request-driven scenario family: instead of one batch
-// Opt job, the cluster runs a long-lived serving application — an open-loop
-// frontend replaying an ArrivalSpec schedule, a pool of migratable worker
-// VPs, and a sink accounting per-request latency against an SLO — while the
-// GS migrates workers underneath it (owner reclaims, load chasing). This is
-// the surface on which the paper's migration policies meet "heavy traffic"
-// instead of batch iterations.
+// serving.go is the request-driven job, which serve.Core runs as its "load"
+// kind: instead of one batch Opt job, the cluster runs a long-lived serving
+// application — an open-loop frontend replaying an ArrivalSpec schedule, a
+// pool of migratable worker VPs, and a sink accounting per-request latency
+// against an SLO — while the GS migrates workers underneath it (owner
+// reclaims, load chasing). This is the surface on which the paper's
+// migration policies meet "heavy traffic" instead of batch iterations.
 
 // Message tags of the serving protocol. Requests carry their arrival
 // instant so the sink can charge queueing delay, not just service time.
@@ -132,7 +130,7 @@ func StartLoadJob(sys *mpvm.System, spec LoadSpec) (*LoadJob, error) {
 	}
 	lj := &LoadJob{spec: spec, schedule: spec.Arrivals.Schedule(), Latency: &metrics.Series{}}
 	if len(lj.schedule) == 0 {
-		return nil, fmt.Errorf("harness: serving job has an empty arrival schedule")
+		return nil, errs.Newf(CodeBadScenario, "serving job has an empty arrival schedule")
 	}
 	hosts := len(sys.Machine().Cluster().Hosts())
 	for i := 0; i < spec.Workers; i++ {
@@ -272,127 +270,4 @@ func (lj *LoadJob) fail(err error) {
 	if lj.Err == nil {
 		lj.Err = err
 	}
-}
-
-// SLOReport condenses a latency series against an objective. Percentiles
-// come from metrics.Series.Percentile (numpy-convention linear
-// interpolation), so a report is reproducible from the raw series.
-type SLOReport struct {
-	N          int     `json:"n"`
-	Violations int     `json:"violations"`
-	SLOSecs    float64 `json:"slo_secs"`
-	Mean       float64 `json:"mean"`
-	P50        float64 `json:"p50"`
-	P95        float64 `json:"p95"`
-	P99        float64 `json:"p99"`
-	Max        float64 `json:"max"`
-}
-
-// NewSLOReport builds the report for a latency series (seconds) against
-// slo. Violations are recounted from the series, so the report is a pure
-// function of (series, slo).
-func NewSLOReport(lat *metrics.Series, slo sim.Time) SLOReport {
-	rep := SLOReport{
-		N:       lat.N(),
-		SLOSecs: slo.Seconds(),
-		Mean:    lat.Mean(),
-		P50:     lat.Percentile(50),
-		P95:     lat.Percentile(95),
-		P99:     lat.Percentile(99),
-		Max:     lat.Max(),
-	}
-	for _, v := range lat.Values() {
-		if v > rep.SLOSecs {
-			rep.Violations++
-		}
-	}
-	return rep
-}
-
-// ServeScenario is one request-driven experiment: a serving job under the
-// default GS (owner reclaim on), with an optional mid-run owner reclaim.
-type ServeScenario struct {
-	// Hosts is the workstation count (default 3).
-	Hosts int
-	// Load is the serving job (arrival schedule, workers, SLO). All
-	// randomness lives in Load.Arrivals.Seed; the kernel keeps its default
-	// schedule-order dispatch (interleaving exploration stays the chaos
-	// package's job).
-	Load LoadSpec
-	// OwnerHost/OwnerAt, when OwnerAt > 0, flip the host's owner active
-	// mid-run so the GS must evacuate its workers under load.
-	OwnerHost int
-	OwnerAt   sim.Time
-	// Deadline caps virtual time (default: 10 minutes past the horizon).
-	Deadline sim.Time
-}
-
-// ServingOutcome is what a serving experiment produced.
-type ServingOutcome struct {
-	// Latency is the per-request latency series, seconds.
-	Latency *metrics.Series
-	// Report is the SLO accounting over Latency.
-	Report SLOReport
-	// Completed counts served requests; Done means the full schedule.
-	Completed int
-	Done      bool
-	// Elapsed is the sink's completion instant.
-	Elapsed sim.Time
-	// Decisions are the GS's orders; Records the resulting migrations.
-	Decisions []gs.Decision
-	Records   []core.MigrationRecord
-	// Err is the first application error.
-	Err error
-}
-
-// RunServing executes a request-driven scenario under MPVM + GS and
-// returns the latency and migration measurements.
-func RunServing(sc ServeScenario) *ServingOutcome {
-	if sc.Hosts == 0 {
-		sc.Hosts = 3
-	}
-	if sc.Deadline == 0 {
-		sc.Deadline = sc.Load.Arrivals.Horizon + 10*time.Minute
-	}
-	k := sim.NewKernel()
-	defer k.Close()
-	cl := buildCluster(k, sc.Hosts, nil)
-	m := pvm.NewMachine(cl, pvm.Config{})
-	sys := mpvm.New(m, mpvm.Config{})
-	target := gs.NewVPTarget(sys)
-	sched := gs.NewFleet(cl, target, gs.DefaultFleetPolicy())
-	out := &ServingOutcome{}
-
-	lj, err := StartLoadJob(sys, sc.Load)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	for _, orig := range lj.WorkerOrigs() {
-		target.Track(orig)
-	}
-	lj.OnFinish = func(lj *LoadJob) {
-		k.Schedule(2*time.Second, func() { k.Stop() })
-	}
-	sched.Start()
-	if sc.OwnerAt > 0 {
-		k.ScheduleAt(sc.OwnerAt, func() {
-			cl.Host(netsim.HostID(sc.OwnerHost)).SetOwnerActive(true)
-		})
-	}
-	k.RunUntil(sc.Deadline)
-
-	out.Latency = lj.Latency
-	out.Report = NewSLOReport(lj.Latency, lj.spec.SLO)
-	out.Completed = lj.Completed
-	out.Done = lj.Done
-	out.Elapsed = lj.FinishedAt
-	out.Decisions = sched.Decisions()
-	out.Records = sys.Records()
-	out.Err = lj.Err
-	if !lj.Done && out.Err == nil {
-		out.Err = fmt.Errorf("harness: serving job not finished by deadline %v (%d/%d served)",
-			sc.Deadline, lj.Completed, lj.Requests())
-	}
-	return out
 }

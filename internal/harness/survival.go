@@ -1,15 +1,13 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/ft"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/metrics"
-	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/opt"
-	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/trace"
 )
@@ -105,18 +103,14 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	if err := cfg.validate(); err != nil {
 		return &SurvivalOutcome{Err: err}
 	}
-	k := sim.NewKernel()
-	defer k.Close()
-	cl := buildCluster(k, cfg.Hosts, nil)
-	m := pvm.NewMachine(cl, pvm.Config{})
-	sys := mpvm.New(m, mpvm.Config{})
-	log := &trace.Log{}
-	sys.SetTracer(func(actor, stage, detail string) {
-		log.Record(k.Now(), actor, stage, detail)
+	w := NewWorld(WorldSpec{
+		Hosts:  Workstations(cfg.Hosts, "host%d", 1),
+		System: MPVM,
+		Trace:  true,
+		FT:     &ft.Config{},
 	})
-
-	st := ft.NewStack(sys, ft.Config{}, gs.FleetPolicy{}, log)
-	mgr, sched, inj := st.Mgr, st.Sched, st.Inj
+	defer w.Close()
+	mgr, sched, inj := w.Mgr, w.Fleet, w.Inj
 	if cfg.Crashes > 0 {
 		candidates := make([]int, 0, cfg.Hosts-1)
 		for h := 1; h < cfg.Hosts; h++ {
@@ -130,21 +124,21 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	for i := range slaveHosts {
 		slaveHosts[i] = i%(cfg.Hosts-1) + 1
 	}
-	out := &SurvivalOutcome{Trace: log,
+	out := &SurvivalOutcome{Trace: w.Log,
 		RecoverySecs: &metrics.Series{}, DetectSecs: &metrics.Series{}}
 	job, err := ft.StartJob(mgr, ft.JobSpec{
 		Opt: opt.Params{TotalBytes: cfg.TotalBytes, Iterations: cfg.Iterations,
 			Seed: cfg.Seed, Real: cfg.Real},
 		MasterHost: 0,
 		SlaveHosts: slaveHosts,
-		OnFinish:   func(*ft.JobResult) { k.Stop() },
+		OnFinish:   func(*ft.JobResult) { w.K.Stop() },
 	})
 	if err != nil {
 		out.Err = err
 		return out
 	}
 	sched.Start()
-	k.RunUntil(survivalRunCap)
+	w.K.RunUntil(survivalRunCap)
 
 	res := job.Out()
 	out.Result = res.Result
@@ -152,7 +146,7 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	out.Completed = res.Done
 	out.Elapsed = res.FinishedAt
 	if !res.Done && res.Err == nil {
-		out.Err = fmt.Errorf("harness: survival run hit the %v cap", survivalRunCap)
+		out.Err = errs.Newf(CodeRunCap, "survival run hit the %v cap", survivalRunCap)
 	}
 	out.Crashes = inj.Crashes()
 	out.Recoveries = mgr.Records()

@@ -221,10 +221,9 @@ func DefaultConfig() *Config {
 		UnsetOptAllow: map[string]string{
 			// Varied by tests only: each names the test that builds a
 			// world with it. The analyzer sees the non-test build.
-			"pvmigrate/internal/harness.ServeScenario": "RunServing's experiment description; serving_test.go builds every value",
-			"pvmigrate/internal/chaos.Config.Seed":     "the sweep's per-seed default (inside SweepOptions.withDefaults) and every chaos test name a schedule with it",
-			"pvmigrate/internal/chaos.Config.Real":     "chaos_test.go audits with real Opt math so the loss fingerprints every gradient",
-			"pvmigrate/internal/chaos.SweepOptions":    "sized by the chaos tests' -seeds/-parallel flags",
+			"pvmigrate/internal/chaos.Config.Seed":  "the sweep's per-seed default (inside SweepOptions.withDefaults) and every chaos test name a schedule with it",
+			"pvmigrate/internal/chaos.Config.Real":  "chaos_test.go audits with real Opt math so the loss fingerprints every gradient",
+			"pvmigrate/internal/chaos.SweepOptions": "sized by the chaos tests' -seeds/-parallel flags",
 			// Read by bench/fleet.go, which ordinary PRs may not edit; the
 			// next benchmark-archetype PR drops them (ROADMAP item 4).
 			"pvmigrate/internal/harness.FleetScenario.PollInterval":  "bench/fleet.go:120 reads it into its own gs.FleetPolicy",

@@ -41,13 +41,13 @@ func TestServerCloseReleasesProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
 		srv := midRunServer(t)
-		if blocked := len(srv.core.k.Blocked()); blocked == 0 {
+		if blocked := len(srv.core.w.K.Blocked()); blocked == 0 {
 			t.Fatal("no proc is parked mid-run: the session no longer exercises Close")
 		}
 		fp := srv.core.Fingerprint()
 		srv.Close()
 		srv.Close() // idempotent
-		if blocked := srv.core.k.Blocked(); len(blocked) != 0 {
+		if blocked := srv.core.w.K.Blocked(); len(blocked) != 0 {
 			t.Fatalf("procs still parked after Close: %v", blocked)
 		}
 		if got := srv.core.Fingerprint(); got != fp {
@@ -72,7 +72,7 @@ func TestCoreCloseAfterReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(c.k.Blocked()) == 0 {
+		if len(c.w.K.Blocked()) == 0 {
 			t.Fatal("no proc is parked after the replay: nothing for Close to release")
 		}
 		c.Close()

@@ -114,9 +114,9 @@ type Command struct {
 // The returned error is the action's error; a CodeReplay error means the
 // command did not execute at all (clock mismatch).
 func (c *Core) Apply(cmd Command) error {
-	if cmd.At != c.k.Now() {
+	if cmd.At != c.w.K.Now() {
 		return errs.Newf(CodeReplay, "command %d stamped at %v but clock is %v",
-			cmd.Seq, cmd.At, c.k.Now()).AddContext("kind", string(cmd.Kind))
+			cmd.Seq, cmd.At, c.w.K.Now()).AddContext("kind", string(cmd.Kind))
 	}
 	var err error
 	switch cmd.Kind {
@@ -131,7 +131,7 @@ func (c *Core) Apply(cmd Command) error {
 	case CmdOwner:
 		err = c.applyOwner(cmd.Owner)
 	case CmdRollback:
-		err = c.inKernel(c.mgr.ForceRollback)
+		err = c.inKernel(c.w.Mgr.ForceRollback)
 	case CmdPlan:
 		err = c.applyPlan(cmd.Plan)
 	default:
@@ -150,8 +150,8 @@ func (c *Core) Apply(cmd Command) error {
 // triggers synchronously (interrupts, sends) observe kernel context.
 func (c *Core) inKernel(fn func() error) error {
 	var err error
-	c.k.ScheduleAt(c.k.Now(), func() { err = fn() })
-	c.k.RunUntil(c.k.Now())
+	c.w.K.ScheduleAt(c.w.K.Now(), func() { err = fn() })
+	c.w.K.RunUntil(c.w.K.Now())
 	return err
 }
 
@@ -159,7 +159,7 @@ func (c *Core) applyAdvance(d sim.Time) error {
 	if d <= 0 {
 		return errs.Newf(CodeBadRequest, "advance must be positive, got %v", d)
 	}
-	c.k.RunUntil(c.k.Now() + d)
+	c.w.K.RunUntil(c.w.K.Now() + d)
 	return nil
 }
 
@@ -170,7 +170,7 @@ func (c *Core) applySubmit(spec *JobSpec) error {
 	_, err := c.submit(*spec)
 	// The spawns scheduled kernel events at the current instant; drain
 	// them so the tasks exist before the next command or query.
-	c.k.RunUntil(c.k.Now())
+	c.w.K.RunUntil(c.w.K.Now())
 	return err
 }
 
@@ -181,11 +181,11 @@ func (c *Core) applyMigrate(args *MigrateArgs) error {
 	if err := c.checkHost(args.To); err != nil {
 		return err
 	}
-	if c.sys.Task(args.Orig) == nil {
+	if c.w.MPVM.Task(args.Orig) == nil {
 		return errs.Newf(CodeNotFound, "no task with orig tid %d", args.Orig)
 	}
 	return c.inKernel(func() error {
-		if err := c.sys.Migrate(args.Orig, args.To, core.ReasonManual); err != nil {
+		if err := c.w.MPVM.Migrate(args.Orig, args.To, core.ReasonManual); err != nil {
 			return errs.New(CodeConflict, "migration rejected", err).
 				AddContext("orig", int(args.Orig)).AddContext("to", args.To)
 		}
@@ -198,7 +198,7 @@ func (c *Core) applyFault(args *FaultArgs) error {
 		return errs.New(CodeBadRequest, "fault command carries no args", nil)
 	}
 	f := ft.Fault{
-		At:       c.k.Now(),
+		At:       c.w.K.Now(),
 		Kind:     ft.FaultKind(args.Kind),
 		Host:     args.Host,
 		Outage:   time.Duration(args.OutageMs) * time.Millisecond,
@@ -228,8 +228,8 @@ func (c *Core) applyFault(args *FaultArgs) error {
 		return errs.Newf(CodeBadRequest, "unknown fault kind %q", args.Kind).
 			AddContext("kinds", "host-crash,host-revive,link-partition,link-heal,link-loss")
 	}
-	c.inj.Install(ft.Plan{Faults: []ft.Fault{f}})
-	c.k.RunUntil(c.k.Now())
+	c.w.Inj.Install(ft.Plan{Faults: []ft.Fault{f}})
+	c.w.K.RunUntil(c.w.K.Now())
 	return nil
 }
 
@@ -272,7 +272,7 @@ func (c *Core) applyPlan(args *PlanArgs) error {
 	if err := spec.Validate(); err != nil {
 		return errs.New(CodeBadRequest, "invalid plan", err)
 	}
-	st := &PlanStatus{ID: len(c.plans) + 1, Name: spec.Name, SubmittedAt: c.k.Now()}
+	st := &PlanStatus{ID: len(c.plans) + 1, Name: spec.Name, SubmittedAt: c.w.K.Now()}
 	err := c.inKernel(func() error {
 		return c.ex.Start(spec, func(r plan.Result) {
 			st.Done = true
@@ -294,7 +294,7 @@ func (c *Core) applyOwner(args *OwnerArgs) error {
 		return err
 	}
 	return c.inKernel(func() error {
-		c.cl.Host(netsim.HostID(args.Host)).SetOwnerActive(args.Active)
+		c.w.Cluster.Host(netsim.HostID(args.Host)).SetOwnerActive(args.Active)
 		return nil
 	})
 }

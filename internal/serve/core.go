@@ -1,19 +1,15 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
-	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/ft"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/harness"
-	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/opt"
 	"pvmigrate/internal/plan"
-	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/trace"
 )
@@ -106,20 +102,13 @@ type Job struct {
 	Load *harness.LoadJob
 }
 
-// Core is the deterministic half of the daemon: the kernel, the cluster,
-// the FT/GS stack, and the command log. It has no locks and no goroutines —
+// Core is the deterministic half of the daemon: its world (kernel, cluster,
+// MPVM, the FT/GS stack, the trace log) and the command log. It has no locks and no goroutines —
 // Server serializes access; Replay drives it headlessly.
 type Core struct {
-	cfg   Config
-	k     *sim.Kernel
-	cl    *cluster.Cluster
-	m     *pvm.Machine
-	sys   *mpvm.System
-	log   *trace.Log
-	mgr   *ft.Manager
-	sched *gs.Fleet
-	inj   *ft.Injector
-	ex    *plan.Executor
+	cfg Config
+	w   *harness.World
+	ex  *plan.Executor
 
 	jobs    []*Job
 	plans   []*PlanStatus
@@ -139,52 +128,43 @@ type PlanStatus struct {
 	Result      *plan.Result
 }
 
-// NewCore builds the cluster and starts the GS. wire, when non-nil, routes
+// NewCore builds the world and starts the GS before any job exists. wire, when non-nil, routes
 // every cross-host frame over the real-transport backend (netwire); replay
 // passes nil and must produce identical outcomes (the netwire contract).
 func NewCore(cfg Config, wire netsim.Wire) *Core {
 	cfg = cfg.withDefaults()
-	k := sim.NewKernel()
+	spec := harness.WorldSpec{
+		Hosts:  harness.Workstations(cfg.Hosts, "h%d", 0),
+		Wire:   wire,
+		System: harness.MPVM,
+		Trace:  true,
+		FT:     &ft.Config{CheckpointEvery: cfg.CheckpointEvery},
+		Fleet:  &gs.FleetPolicy{ReclaimOnOwner: true, LoadThreshold: cfg.LoadThreshold},
+	}
 	if cfg.Seed != 0 {
-		k.SetTieBreakSeed(cfg.Seed)
+		spec.TieBreak = &cfg.Seed
 	}
-	specs := make([]cluster.HostSpec, cfg.Hosts)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec(fmt.Sprintf("h%d", i))
-	}
-	cl := cluster.New(k, netsim.Params{Wire: wire}, specs...)
-	m := pvm.NewMachine(cl, pvm.Config{})
-	sys := mpvm.New(m, mpvm.Config{})
-	log := &trace.Log{}
-	sys.SetTracer(func(actor, stage, detail string) {
-		log.Record(k.Now(), actor, stage, detail)
-	})
-	st := ft.NewStack(sys, ft.Config{CheckpointEvery: cfg.CheckpointEvery},
-		gs.FleetPolicy{ReclaimOnOwner: true, LoadThreshold: cfg.LoadThreshold}, log)
-	st.Sched.Start()
+	w := harness.NewWorld(spec)
+	w.Fleet.Start()
 	// The plan executor's only nondeterminism is its placement-probe RNG;
 	// seeding it from the journaled config keeps plan execution replayable.
-	ex := plan.NewExecutor(sys, cfg.Seed)
-	return &Core{
-		cfg: cfg, k: k, cl: cl, m: m, sys: sys, log: log,
-		mgr: st.Mgr, sched: st.Sched, inj: st.Inj, ex: ex,
-	}
+	return &Core{cfg: cfg, w: w, ex: plan.NewExecutor(w.MPVM, cfg.Seed)}
 }
 
 // Close ends the cluster's life: every proc still parked is unwound and its
 // worker reclaimed (sim.Kernel.Close). The Core stays readable — history,
 // jobs, metrics, fingerprint — but applies no further command. Idempotent;
 // Server.Close calls it, a Replay caller does so itself.
-func (c *Core) Close() { c.k.Close() }
+func (c *Core) Close() { c.w.Close() }
 
 // Kernel exposes the kernel for the Server's AwaitExternal bridge.
-func (c *Core) Kernel() *sim.Kernel { return c.k }
+func (c *Core) Kernel() *sim.Kernel { return c.w.K }
 
 // Config returns the cluster config (with defaults applied).
 func (c *Core) Config() Config { return c.cfg }
 
 // Now is the cluster's virtual time.
-func (c *Core) Now() sim.Time { return c.k.Now() }
+func (c *Core) Now() sim.Time { return c.w.K.Now() }
 
 // History returns the applied command log (the in-memory journal).
 func (c *Core) History() []Command { return append([]Command(nil), c.history...) }
@@ -201,10 +181,10 @@ func (c *Core) Job(id int) *Job {
 }
 
 // Trace returns trace events from index since on.
-func (c *Core) Trace(since int) []trace.Event { return c.log.Since(since) }
+func (c *Core) Trace(since int) []trace.Event { return c.w.Log.Since(since) }
 
 // TraceLen returns the trace length.
-func (c *Core) TraceLen() int { return c.log.Len() }
+func (c *Core) TraceLen() int { return c.w.Log.Len() }
 
 // submit validates a job spec against the live cluster and starts it. It
 // runs on the wall side of the kernel (task spawns schedule their own
@@ -222,7 +202,7 @@ func (c *Core) submit(spec JobSpec) (*Job, error) {
 }
 
 func (c *Core) submitOpt(spec JobSpec) (*Job, error) {
-	if c.mgr.Job() != nil && !c.mgr.ClearFinishedJob() {
+	if c.w.Mgr.Job() != nil && !c.w.Mgr.ClearFinishedJob() {
 		return nil, errs.New(CodeConflict, "an opt job is already running", nil).
 			AddContext("kind", string(JobOpt))
 	}
@@ -245,8 +225,8 @@ func (c *Core) submitOpt(spec JobSpec) (*Job, error) {
 			return nil, err
 		}
 	}
-	job := &Job{ID: len(c.jobs) + 1, Kind: JobOpt, Spec: spec, SubmittedAt: c.k.Now()}
-	ftJob, err := ft.StartJob(c.mgr, ft.JobSpec{
+	job := &Job{ID: len(c.jobs) + 1, Kind: JobOpt, Spec: spec, SubmittedAt: c.w.K.Now()}
+	ftJob, err := ft.StartJob(c.w.Mgr, ft.JobSpec{
 		Opt: opt.Params{
 			Iterations: spec.Iterations,
 			TotalBytes: spec.TotalBytes,
@@ -287,7 +267,7 @@ func (c *Core) submitLoad(spec JobSpec) (*Job, error) {
 		Arrivals: harness.ArrivalSpec{
 			Rate:    spec.RatePerSec,
 			Horizon: time.Duration(spec.HorizonMs) * time.Millisecond,
-			Start:   c.k.Now(),
+			Start:   c.w.K.Now(),
 			Seed:    spec.Seed,
 			Diurnal: spec.Diurnal,
 			MaxN:    spec.Requests,
@@ -296,13 +276,13 @@ func (c *Core) submitLoad(spec JobSpec) (*Job, error) {
 		ReqBytes: spec.ReqBytes,
 		SLO:      time.Duration(spec.SLOMs) * time.Millisecond,
 	}
-	job := &Job{ID: len(c.jobs) + 1, Kind: JobLoad, Spec: spec, SubmittedAt: c.k.Now()}
-	lj, err := harness.StartLoadJob(c.sys, ls)
+	job := &Job{ID: len(c.jobs) + 1, Kind: JobLoad, Spec: spec, SubmittedAt: c.w.K.Now()}
+	lj, err := harness.StartLoadJob(c.w.MPVM, ls)
 	if err != nil {
 		return nil, errs.New(CodeBadRequest, "load job rejected", err)
 	}
 	for _, orig := range lj.WorkerOrigs() {
-		c.mgr.Track(orig)
+		c.w.Mgr.Track(orig)
 	}
 	job.Load = lj
 	c.jobs = append(c.jobs, job)

@@ -108,14 +108,14 @@ func TestCoreManualMigration(t *testing.T) {
 	}
 	advance(t, c, 10*time.Minute)
 	found := false
-	for _, r := range c.sys.Records() {
+	for _, r := range c.w.MPVM.Records() {
 		if r.VP == orig && r.From == 1 && r.To == 2 {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("no manual migration record for vp %d in %d records",
-			orig, len(c.sys.Records()))
+			orig, len(c.w.MPVM.Records()))
 	}
 	if !c.jobs[0].Opt.Out().Done {
 		t.Fatal("opt job did not survive the manual migration")
@@ -165,7 +165,7 @@ func TestCoreRollbackRequiresJobAndCheckpoint(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	advance(t, c, 20*time.Second)
-	if c.mgr.CommittedIteration() < 0 {
+	if c.w.Mgr.CommittedIteration() < 0 {
 		t.Skip("no checkpoint committed yet at 20s; scenario timing drifted")
 	}
 	if err := apply(t, c, CmdRollback, nil); err != nil {
@@ -221,13 +221,13 @@ func TestCoreOwnerReclaimEvacuates(t *testing.T) {
 	}
 	advance(t, c, 10*time.Minute)
 	evacuated := false
-	for _, r := range c.sys.Records() {
+	for _, r := range c.w.MPVM.Records() {
 		if r.From == 1 {
 			evacuated = true
 		}
 	}
 	if !evacuated {
-		t.Fatalf("owner reclaim moved nothing off host 1 (%d records)", len(c.sys.Records()))
+		t.Fatalf("owner reclaim moved nothing off host 1 (%d records)", len(c.w.MPVM.Records()))
 	}
 	if !c.jobs[0].Load.Done {
 		t.Fatal("load job did not finish after reclaim")

@@ -20,14 +20,14 @@ func (c *Core) Fingerprint() uint64 {
 		fmt.Fprintf(h, format, args...)
 		h.Write([]byte{0})
 	}
-	put("now=%d applied=%d failed=%d", int64(c.k.Now()), c.applied, c.failed)
-	for _, e := range c.log.Events() {
+	put("now=%d applied=%d failed=%d", int64(c.w.K.Now()), c.applied, c.failed)
+	for _, e := range c.w.Log.Events() {
 		put("ev %d %s %s %s", int64(e.At), e.Actor, e.Stage, e.Detail)
 	}
-	for _, r := range c.sys.Records() {
+	for _, r := range c.w.MPVM.Records() {
 		put("mig %+v", r)
 	}
-	for _, r := range c.mgr.Records() {
+	for _, r := range c.w.Mgr.Records() {
 		put("rec %+v", r)
 	}
 	// A session without plans folds nothing here, so journals recorded
@@ -45,8 +45,8 @@ func (c *Core) Fingerprint() uint64 {
 			}
 		}
 	}
-	put("ckpt=%d committed=%d", c.mgr.Checkpoints(), c.mgr.CommittedIteration())
-	for _, cm := range c.mgr.Store().Commits() {
+	put("ckpt=%d committed=%d", c.w.Mgr.Checkpoints(), c.w.Mgr.CommittedIteration())
+	for _, cm := range c.w.Mgr.Store().Commits() {
 		put("commit %s@%d", cm.Key, cm.Epoch)
 	}
 	for _, j := range c.jobs {

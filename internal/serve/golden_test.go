@@ -67,7 +67,7 @@ func TestGoldenSessionFingerprint(t *testing.T) {
 		t.Fatalf("session did not drain: opt done=%v load done=%v",
 			c.jobs[0].Opt.Out().Done, c.jobs[1].Load.Done)
 	}
-	if len(c.mgr.Records()) == 0 {
+	if len(c.w.Mgr.Records()) == 0 {
 		t.Fatal("the crash produced no recovery: the session no longer exercises failure detection")
 	}
 	if p := c.plans[0]; !p.Done || p.Result.Failed != 0 {
@@ -76,7 +76,7 @@ func TestGoldenSessionFingerprint(t *testing.T) {
 	if got := c.Fingerprint(); got != goldenSessionFingerprint {
 		t.Fatalf("session fingerprint %#016x, want %#016x", got, uint64(goldenSessionFingerprint))
 	}
-	if got := c.k.EventsScheduled(); got != goldenSessionEvents {
+	if got := c.w.K.EventsScheduled(); got != goldenSessionEvents {
 		t.Fatalf("kernel events scheduled = %d, want %d", got, goldenSessionEvents)
 	}
 }

@@ -28,7 +28,7 @@ func recordSession(t *testing.T, cfg Config) (*bytes.Buffer, *Core) {
 		}
 		// Write-ahead under the kernel bridge, exactly like Server.mutate.
 		var jerr error
-		c.k.AwaitExternal(func() { jerr = jw.Append(cmd) })
+		c.w.K.AwaitExternal(func() { jerr = jw.Append(cmd) })
 		if jerr != nil {
 			t.Fatalf("journal append: %v", jerr)
 		}
@@ -75,18 +75,18 @@ func TestJournalReplayReproducesFingerprint(t *testing.T) {
 	if !live.jobs[0].Opt.Out().Done || !live.jobs[1].Load.Done {
 		t.Fatal("live session did not finish both jobs")
 	}
-	if live.k.ExternalWaits() != uint64(live.applied) {
+	if live.w.K.ExternalWaits() != uint64(live.applied) {
 		t.Fatalf("external waits %d, want one per journaled command (%d)",
-			live.k.ExternalWaits(), live.applied)
+			live.w.K.ExternalWaits(), live.applied)
 	}
 
 	replayed, err := ReplayJournal(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if replayed.k.ExternalWaits() != 0 {
+	if replayed.w.K.ExternalWaits() != 0 {
 		t.Fatalf("headless replay crossed the bridge %d times, want 0",
-			replayed.k.ExternalWaits())
+			replayed.w.K.ExternalWaits())
 	}
 	if lf, rf := live.Fingerprint(), replayed.Fingerprint(); lf != rf {
 		t.Fatalf("replay fingerprint %016x diverged from live %016x", rf, lf)

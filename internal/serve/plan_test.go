@@ -28,7 +28,7 @@ func recordPlanSession(t *testing.T, cfg Config) (*bytes.Buffer, *Core) {
 			fill(&cmd)
 		}
 		var jerr error
-		c.k.AwaitExternal(func() { jerr = jw.Append(cmd) })
+		c.w.K.AwaitExternal(func() { jerr = jw.Append(cmd) })
 		if jerr != nil {
 			t.Fatalf("journal append: %v", jerr)
 		}
@@ -74,7 +74,7 @@ func TestPlanCommandExecutesAndReplays(t *testing.T) {
 		t.Fatalf("plan result = %+v", res)
 	}
 	warm := 0
-	for _, r := range live.sys.Records() {
+	for _, r := range live.w.MPVM.Records() {
 		if r.Mode == core.MigrationWarm {
 			warm++
 			if r.Frozen == 0 || r.Downtime() <= 0 {

@@ -50,7 +50,7 @@ func (s *Server) routes() {
 		return decode(r, cmd.Owner)
 	}, okMetrics)
 	s.post("POST /v1/rollback", CmdRollback, http.StatusOK, nil, func(c *Core) any {
-		return map[string]any{"ok": true, "epoch": c.mgr.Epoch()}
+		return map[string]any{"ok": true, "epoch": c.w.Mgr.Epoch()}
 	})
 	s.post("POST /v1/advance", CmdAdvance, http.StatusOK, func(r *http.Request, cmd *Command) error {
 		var body struct {
@@ -182,7 +182,7 @@ type MigrationView struct {
 }
 
 func migrationViews(c *Core) []MigrationView {
-	recs := c.sys.Records()
+	recs := c.w.MPVM.Records()
 	out := make([]MigrationView, 0, len(recs))
 	for _, r := range recs {
 		out = append(out, MigrationView{

@@ -78,7 +78,7 @@ func ms(t sim.Time) int64 { return t.Milliseconds() }
 // Hosts projects every workstation.
 func (c *Core) Hosts() []HostView {
 	out := make([]HostView, 0, c.cfg.Hosts)
-	for _, h := range c.cl.Hosts() {
+	for _, h := range c.w.Cluster.Hosts() {
 		out = append(out, HostView{
 			ID:          int(h.ID()),
 			Name:        h.Name(),
@@ -94,14 +94,14 @@ func (c *Core) Hosts() []HostView {
 // Tasks projects every migratable VP, in stable-tid order (VPIDs sorts).
 func (c *Core) Tasks() []TaskView {
 	var out []TaskView
-	for _, orig := range c.sys.VPIDs() {
-		mt := c.sys.Task(orig)
+	for _, orig := range c.w.MPVM.VPIDs() {
+		mt := c.w.MPVM.Task(orig)
 		if mt == nil {
 			continue
 		}
 		out = append(out, TaskView{
 			Orig:       int(orig),
-			Current:    int(c.sys.CurrentTID(orig)),
+			Current:    int(c.w.MPVM.CurrentTID(orig)),
 			Name:       mt.Name(),
 			Host:       int(mt.Host().ID()),
 			Exited:     mt.Exited(),
@@ -161,24 +161,24 @@ func (c *Core) jobView(j *Job) JobView {
 // Metrics builds the telemetry frame.
 func (c *Core) Metrics() MetricsSnapshot {
 	alive := 0
-	for _, h := range c.cl.Hosts() {
+	for _, h := range c.w.Cluster.Hosts() {
 		if h.Alive() {
 			alive++
 		}
 	}
 	return MetricsSnapshot{
-		VirtualMs:       ms(c.k.Now()),
+		VirtualMs:       ms(c.w.K.Now()),
 		CommandsApplied: c.applied,
 		CommandsFailed:  c.failed,
 		Hosts:           c.cfg.Hosts,
 		HostsAlive:      alive,
-		DeadHosts:       c.sched.DeadHosts(),
+		DeadHosts:       c.w.Fleet.DeadHosts(),
 		Jobs:            len(c.jobs),
 		Plans:           len(c.plans),
-		Migrations:      len(c.sys.Records()),
-		Recoveries:      len(c.mgr.Records()),
-		Checkpoints:     c.mgr.Checkpoints(),
-		TraceLen:        c.log.Len(),
-		ExternalWaits:   c.k.ExternalWaits(),
+		Migrations:      len(c.w.MPVM.Records()),
+		Recoveries:      len(c.w.Mgr.Records()),
+		Checkpoints:     c.w.Mgr.Checkpoints(),
+		TraceLen:        c.w.Log.Len(),
+		ExternalWaits:   c.w.K.ExternalWaits(),
 	}
 }
