@@ -269,3 +269,35 @@ func TestConnClose(t *testing.T) {
 		t.Fatalf("recvErr = %v", recvErr)
 	}
 }
+
+// TestBulkSendResumesInPlace: a bulk Send paces itself one frame at a time,
+// and on an idle link each frame's wake is the next event, so the sender
+// runs all 719 frames of a MiB without a coroutine switch — the first
+// dispatch is the only one.
+func TestBulkSendResumesInPlace(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	n := New(k, Params{})
+	a, b := n.Attach(0), n.Attach(1)
+	if _, err := b.Listen(5000); err != nil {
+		t.Fatal(err)
+	}
+	var frames int64
+	var switches uint64
+	k.Spawn("send", func(p *sim.Proc) {
+		conn, err := a.Dial(p, 1, 5000)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		f0, s0 := n.Link().FramesCarried(), k.ProcSwitches()
+		if err := conn.Send(p, 1<<20, nil); err != nil {
+			t.Errorf("send: %v", err)
+		}
+		frames, switches = n.Link().FramesCarried()-f0, k.ProcSwitches()-s0
+	})
+	k.Run()
+	if frames != 719 || switches != 0 || k.ProcSwitches() != 1 {
+		t.Fatalf("1 MiB send: %d frames, %d switches during it, %d in the run; want 719, 0, 1", frames, switches, k.ProcSwitches())
+	}
+}

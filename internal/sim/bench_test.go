@@ -47,11 +47,36 @@ func BenchmarkKernelScheduleDispatch(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkProcContextSwitch is one coroutine switch per op: two procs
+// yield in turn, so each Yield's wake queues behind the other proc's and
+// the kernel switches to it. (A lone yielding proc would resume in place
+// and measure BenchmarkKernelSleepInPlace's path instead.)
 func BenchmarkProcContextSwitch(b *testing.B) {
 	k := NewKernel()
-	k.Spawn("switcher", func(p *Proc) {
+	defer k.Close()
+	left := b.N
+	for _, name := range []string{"ping", "pong"} {
+		k.Spawn(name, func(p *Proc) {
+			for left > 0 {
+				left--
+				p.Yield()
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkKernelSleepInPlace is one Sleep per op by a lone proc: its wake
+// is always the next event, so the proc pops it on its own stack and never
+// switches (Kernel.resumeInPlace). It must run at 0 allocs/op.
+func BenchmarkKernelSleepInPlace(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	k.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Yield()
+			p.Sleep(time.Microsecond)
 		}
 	})
 	b.ReportAllocs()

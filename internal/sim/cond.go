@@ -36,16 +36,17 @@ func (c *Cond) Wait(p *Proc) error {
 
 // Signal wakes one waiting proc, if any. Waiters that were already woken by
 // other means (interrupts) are skipped, so a Signal is never wasted on a
-// stale entry.
+// stale entry. The entries behind the woken one are copied down rather than
+// resliced past, so the next Wait appends into the same storage.
 func (c *Cond) Signal() {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+	for i, w := range c.waiters {
 		if w.p.state == pBlocked && w.p.gen == w.gen {
+			c.waiters = c.waiters[:copy(c.waiters, c.waiters[i+1:])]
 			c.k.scheduleWake(w.p, c.k.now, w.gen)
 			return
 		}
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Broadcast wakes all waiting procs. The waiter storage is kept, so a

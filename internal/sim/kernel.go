@@ -87,6 +87,18 @@ type Kernel struct {
 	stopped bool
 	closed  bool
 
+	// deadline is the running RunUntil's (-1 under Run): a proc walking
+	// in place honours it as the run loop does.
+	deadline Time
+	// walking is the proc whose block is running events on its own stack
+	// (resumeInPlace), nil otherwise; held is a panic one of those events
+	// raised, kept for dispatch to re-raise on the kernel's side.
+	walking *Proc
+	held    any
+
+	// switches counts coroutine switches into procs (dispatch).
+	switches uint64
+
 	// Cancel-cell pool. freeCells is the free list; in steady state every
 	// schedule/pop pair recycles a cell and neither slice grows.
 	cells     []cancelCell
@@ -135,6 +147,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 // kernel was created. Every Schedule/ScheduleAt/wake consumes one sequence
 // number, so this is the natural throughput denominator for benchmarks.
 func (k *Kernel) EventsScheduled() uint64 { return k.seq }
+
+// ProcSwitches reports how many times the kernel has switched into a proc's
+// coroutine. A proc whose own wake is the next event resumes in place and
+// costs no switch (see resumeInPlace).
+func (k *Kernel) ProcSwitches() uint64 { return k.switches }
 
 // heapPush inserts e, sifting up with the hole-propagation idiom: parents
 // move down until e's slot is found, then e is written once.
@@ -285,6 +302,7 @@ func (k *Kernel) run(deadline Time) int {
 		panic("sim: Run on a closed kernel")
 	}
 	k.stopped = false
+	k.deadline = deadline
 	for len(k.events) > 0 && !k.stopped {
 		if deadline >= 0 && k.events[0].at > deadline {
 			break
@@ -312,17 +330,24 @@ func (k *Kernel) run(deadline Time) int {
 // dispatch switches to p's coroutine and returns when p blocks again or
 // its body returns. The switch is direct (iter.Pull's coroswitch), not a
 // scheduler wake-up, and exactly one of kernel and proc runs at any time,
-// so the schedule stays deterministic.
+// so the schedule stays deterministic. A callback that panicked while p
+// ran it in place is re-raised here, with its own value, and p stays
+// parked.
 func (k *Kernel) dispatch(p *Proc) {
 	k.running = p
 	p.state = pRunning
 	k.blocked--
+	k.switches++
 	if p.w == nil {
 		p.w = getWorker()
 		p.w.p = p
 	}
 	p.w.next()
 	k.running = nil
+	if r := k.held; r != nil {
+		k.held = nil
+		panic(r)
+	}
 	if p.state != pDone {
 		return
 	}
@@ -332,6 +357,68 @@ func (k *Kernel) dispatch(p *Proc) {
 		panic(fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", p.name, p.panicked, p.stack)) // lint:alloc panic path, simulation is already dead
 	}
 	p.doneCond.Broadcast()
+}
+
+// resumeInPlace runs, on the stack of p (which has just blocked), the loop
+// iterations Kernel.run would run next, for as long as the head event is a
+// canceled one or a callback, honouring Stop and the RunUntil deadline. If
+// that walk ends at p's own live wake, the wake is popped and p is made
+// running again without a coroutine switch; the result is true. Otherwise
+// it returns false with the head event untouched, p yields, and run goes on
+// from that event. Each event the walk takes is popped, retired and clocked
+// exactly as run would take it, and the walk itself schedules nothing, so
+// dispatch order and seq assignment cannot tell the two paths apart. A
+// callback's panic is held for dispatch to re-raise.
+func (k *Kernel) resumeInPlace(p *Proc) bool {
+	k.running = nil
+	k.walking = p
+	for len(k.events) > 0 && !k.stopped {
+		h := &k.events[0]
+		if k.deadline >= 0 && h.at > k.deadline {
+			break
+		}
+		if h.cell >= 0 && k.cells[h.cell].canceled {
+			k.retireCell(k.heapPop().cell)
+			continue
+		}
+		if h.fn == nil && (h.p != p || h.gen != p.gen) {
+			break // someone else's wake (or a stale one): run dispatches it
+		}
+		e := k.heapPop()
+		if e.cell >= 0 {
+			k.retireCell(e.cell)
+		}
+		if e.at > k.now {
+			k.now = e.at
+		}
+		if e.fn == nil {
+			k.walking = nil
+			k.running = p
+			p.state = pRunning
+			k.blocked--
+			return true
+		}
+		if !k.callInPlace(e.fn) {
+			break
+		}
+	}
+	k.walking = nil
+	return false
+}
+
+// callInPlace runs a callback for resumeInPlace and reports whether it
+// returned; a panic is stored in k.held instead of unwinding p's stack.
+func (k *Kernel) callInPlace(fn func()) (returned bool) {
+	defer k.holdPanic()
+	fn()
+	return true
+}
+
+// holdPanic is callInPlace's deferred recover.
+func (k *Kernel) holdPanic() {
+	if r := recover(); r != nil {
+		k.held = r
+	}
 }
 
 // retire forgets a finished proc: the last live proc takes its slot in
@@ -351,14 +438,18 @@ func (k *Kernel) retire(p *Proc) {
 // the unwind instead of blocking — and its worker goes back to the pool;
 // queued events are discarded. Without Close a parked proc's coroutine,
 // and the whole simulation graph its stack references, is never reclaimed.
-// Close is idempotent and must not be called from inside a proc; Run after
-// Close panics.
+// Close is idempotent and must not be called from inside a proc, nor from a
+// callback that a blocked proc is running in place (resumeInPlace: the
+// proc cannot be unwound from its own stack); Run after Close panics.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
 	}
 	if k.running != nil {
 		panic(fmt.Sprintf("sim: Close called from proc %q", k.running.name))
+	}
+	if k.walking != nil {
+		panic(fmt.Sprintf("sim: Close called from a callback proc %q is running in place", k.walking.name))
 	}
 	k.closed = true
 	// A deferred call may Spawn; such a proc lands at the end of k.procs

@@ -134,7 +134,8 @@ func (w *worker) run(p *Proc) {
 }
 
 // Spawn creates a proc named name executing body and schedules it to start
-// at the current virtual time (after already queued events).
+// at the current virtual time: after the events already queued for now, or,
+// under a tie-break seed, wherever its drawn priority places it among them.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	return k.SpawnAt(k.now, name, body)
 }
@@ -174,7 +175,8 @@ func (p *Proc) Done() bool { return p.state == pDone }
 // this block; it is canceled if the proc is woken by something else (e.g. an
 // interrupt) so it cannot fire late and corrupt a future block. Canceling
 // the wake that actually fired is a no-op (its cancel cell was already
-// recycled), so the unconditional Cancel below is safe.
+// recycled), so the unconditional Cancel below is safe. When p's own wake
+// is the next event, p resumes in place and never yields (resumeInPlace).
 func (p *Proc) block(wake Timer) error {
 	if p.k.running != p {
 		panic(fmt.Sprintf("sim: blocking call on proc %q from outside its own context", p.name)) // lint:alloc panic path, a blocking call from the wrong context is a bug
@@ -188,9 +190,11 @@ func (p *Proc) block(wake Timer) error {
 	}
 	p.state = pBlocked
 	p.k.blocked++
-	p.w.yield(struct{}{})
-	if p.k.closed {
-		panic(closeUnwind{})
+	if !p.k.resumeInPlace(p) {
+		p.w.yield(struct{}{})
+		if p.k.closed {
+			panic(closeUnwind{})
+		}
 	}
 	p.gen++ // any wake events targeting the old generation are now stale
 	wake.Cancel()
