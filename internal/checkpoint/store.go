@@ -1,10 +1,13 @@
 package checkpoint
 
 import (
-	"fmt"
-
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/sim"
 )
+
+// CodeNoSnapshot marks a Read of a key with no committed snapshot: nothing
+// was ever committed under it, or every generation was found corrupt.
+const CodeNoSnapshot errs.Code = "checkpoint.no-snapshot"
 
 // Snapshot is one committed checkpoint image.
 type Snapshot struct {
@@ -37,9 +40,9 @@ type entry struct {
 }
 
 // Store is stable checkpoint storage: a keyed map of snapshots on a disk
-// whose bandwidth is charged to the calling process. Both the §5.0
-// Condor-style single-job policy (RunCheckpointed) and the coordinated
-// checkpoint protocol in internal/ft write through it.
+// whose bandwidth is charged to the calling process. The coordinated
+// checkpoint protocol in internal/ft writes through it, one key per image
+// (the master's, each slave's).
 //
 // Writes are two-phase: the image is written in full, then a one-sector
 // commit record makes it the snapshot recovery will read. An interrupt (or
@@ -50,8 +53,6 @@ type entry struct {
 type Store struct {
 	k       *sim.Kernel
 	entries map[string]*entry
-
-	writes  int
 	commits []Snapshot
 }
 
@@ -81,22 +82,19 @@ func (st *Store) entry(key string) *entry {
 	return e
 }
 
-// Stage records a fully written but uncommitted image for key. Callers that
-// charge disk time themselves (the ft manager, which must stay
-// migration-transparent while sleeping) use Stage + Commit directly; Write
-// wraps the whole sequence for everyone else. A staged image is invisible to
-// Read/Latest until Commit.
-func (st *Store) Stage(key string, epoch, bytes int, payload any) {
+// stage records a fully written but uncommitted image for key. A staged
+// image is invisible to Read until commit.
+func (st *Store) stage(key string, epoch, bytes int, payload any) {
 	e := st.entry(key)
 	e.staged = Snapshot{Key: key, Epoch: epoch, Bytes: bytes, Payload: payload, WrittenAt: st.k.Now()}
 	e.staging = true
 }
 
-// Commit installs the staged image for key: the previously committed
+// commit installs the staged image for key: the previously committed
 // snapshot is kept one generation back, the staged one becomes current. A
-// Commit with nothing staged is a no-op (the caller was interrupted before
+// commit with nothing staged is a no-op (the caller was interrupted before
 // the image finished).
-func (st *Store) Commit(key string) {
+func (st *Store) commit(key string) {
 	e := st.entry(key)
 	if !e.staging {
 		return
@@ -106,31 +104,32 @@ func (st *Store) Commit(key string) {
 	}
 	e.cur, e.hasCur = e.staged, true
 	e.staged, e.staging = Snapshot{}, false
-	st.writes++
 	st.commits = append(st.commits, e.cur)
 }
 
-// Write charges the image's disk time to p, stages it, charges the commit
-// record, and commits. On interruption at any point nothing new is
-// committed and the interrupt error is returned: an interrupt mid-image
-// stages nothing; one between image and commit record leaves a torn image
-// that is discarded (DiscardStaged) rather than trusted.
-func (st *Store) Write(p *sim.Proc, key string, epoch, bytes int, payload any) error {
-	if err := p.Sleep(st.IOTime(bytes)); err != nil {
+// Write spends the image's disk time through sleep, stages it, spends the
+// commit record's, and commits. sleep is how the writer passes virtual
+// time: a proc's Sleep, or an MPVM task's SleepUntil, which lets a slave be
+// evacuated mid-write and its image still land. On interruption at any
+// point nothing new is committed and the interrupt error is returned: an
+// interrupt mid-image stages nothing; one between image and commit record
+// leaves a torn image that is discarded rather than trusted.
+func (st *Store) Write(sleep func(sim.Time) error, key string, epoch, bytes int, payload any) error {
+	if err := sleep(st.IOTime(bytes)); err != nil {
 		return err
 	}
-	st.Stage(key, epoch, bytes, payload)
-	if err := p.Sleep(st.CommitTime()); err != nil {
-		st.DiscardStaged(key)
+	st.stage(key, epoch, bytes, payload)
+	if err := sleep(st.CommitTime()); err != nil {
+		st.discardStaged(key)
 		return err
 	}
-	st.Commit(key)
+	st.commit(key)
 	return nil
 }
 
-// DiscardStaged drops an uncommitted staged image for key, modelling
+// discardStaged drops an uncommitted staged image for key, modelling
 // re-open finding an image without its commit record.
-func (st *Store) DiscardStaged(key string) {
+func (st *Store) discardStaged(key string) {
 	e := st.entry(key)
 	e.staged, e.staging = Snapshot{}, false
 }
@@ -152,25 +151,12 @@ func (st *Store) CorruptLatest(key string) bool {
 	return true
 }
 
-// Seed installs a committed snapshot without charging disk time — the
-// initial image that exists before the job starts (e.g. the executable's
-// data segment).
-func (st *Store) Seed(key string, epoch, bytes int, payload any) {
-	st.Stage(key, epoch, bytes, payload)
-	e := st.entry(key)
-	if e.hasCur {
-		e.prev, e.hasPrev = e.cur, true
-	}
-	e.cur, e.hasCur = e.staged, true
-	e.staged, e.staging = Snapshot{}, false
-}
-
 // Read charges the disk time to re-read the latest committed snapshot for
 // key and returns it.
 func (st *Store) Read(p *sim.Proc, key string) (Snapshot, error) {
 	e, ok := st.entries[key]
 	if !ok || !e.hasCur {
-		return Snapshot{}, fmt.Errorf("checkpoint: no snapshot for %q", key)
+		return Snapshot{}, errs.Newf(CodeNoSnapshot, "no snapshot for %q", key)
 	}
 	s := e.cur
 	if err := p.Sleep(st.IOTime(s.Bytes)); err != nil {
@@ -179,26 +165,7 @@ func (st *Store) Read(p *sim.Proc, key string) (Snapshot, error) {
 	return s, nil
 }
 
-// Latest returns the latest committed snapshot for key without charging I/O
-// time (kernel-context peeking, e.g. deciding whether recovery is possible).
-func (st *Store) Latest(key string) (Snapshot, bool) {
-	e, ok := st.entries[key]
-	if !ok || !e.hasCur {
-		return Snapshot{}, false
-	}
-	return e.cur, true
-}
-
-// Staging reports whether key has a written-but-uncommitted image.
-func (st *Store) Staging(key string) bool {
-	e, ok := st.entries[key]
-	return ok && e.staging
-}
-
 // Commits returns every committed snapshot in commit order (all keys
 // interleaved) — the chaos invariant checkers read this to assert commit
 // monotonicity.
 func (st *Store) Commits() []Snapshot { return st.commits }
-
-// Writes returns how many charged writes committed.
-func (st *Store) Writes() int { return st.writes }

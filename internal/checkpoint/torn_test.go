@@ -4,26 +4,34 @@ import (
 	"testing"
 	"time"
 
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/sim"
 )
 
 // crashBetweenImageAndCommit interrupts a writer after the image is fully on
-// disk but before the commit record lands, and returns the store.
-func crashBetweenImageAndCommit(t *testing.T, prior bool) *Store {
+// disk but before the commit record lands, and returns the store. With
+// prior, the writer first commits a v1 image.
+func crashBetweenImageAndCommit(t *testing.T, prior bool) (*sim.Kernel, *Store) {
 	t.Helper()
 	k := sim.NewKernel()
 	st := NewStore(k)
+	var start sim.Time // when the v2 write begins
 	if prior {
-		st.Seed("job", 1, 1000, "v1")
+		start = st.IOTime(1000) + st.CommitTime()
 	}
-	imageTime := st.IOTime(4000)
 	var writeErr error
 	p := k.Spawn("writer", func(p *sim.Proc) {
-		writeErr = st.Write(p, "job", 2, 4000, "v2")
+		if prior {
+			if err := st.Write(p.Sleep, "job", 1, 1000, "v1"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		writeErr = st.Write(p.Sleep, "job", 2, 4000, "v2")
 	})
 	// Strike inside the commit-record window: after the image write, before
 	// the (much shorter) commit record completes.
-	k.Schedule(imageTime+st.CommitTime()/2, func() { p.Interrupt("crash") })
+	k.Schedule(start+st.IOTime(4000)+st.CommitTime()/2, func() { p.Interrupt("crash") })
 	k.Run()
 	if writeErr == nil {
 		t.Fatal("interrupted write reported success")
@@ -31,28 +39,41 @@ func crashBetweenImageAndCommit(t *testing.T, prior bool) *Store {
 	if _, ok := sim.IsInterrupted(writeErr); !ok {
 		t.Fatalf("want Interrupted, got %v", writeErr)
 	}
-	return st
+	return k, st
+}
+
+// committed reads key's snapshot the way recovery does, from a proc, and
+// reports whether one was committed.
+func committed(t *testing.T, k *sim.Kernel, st *Store, key string) (Snapshot, bool) {
+	t.Helper()
+	var snap Snapshot
+	var err error
+	k.Spawn("reader", func(p *sim.Proc) { snap, err = st.Read(p, key) })
+	k.Run()
+	if err != nil && !errs.Is(err, CodeNoSnapshot) {
+		t.Fatal(err)
+	}
+	return snap, err == nil
 }
 
 func TestTornWriteBetweenImageAndCommit(t *testing.T) {
-	st := crashBetweenImageAndCommit(t, true)
+	k, st := crashBetweenImageAndCommit(t, true)
+	// Write's failure path discards the staged image itself, so not even a
+	// later commit installs it.
+	st.commit("job")
 	// Re-open: the torn image must not be trusted; the committed v1 remains.
-	snap, ok := st.Latest("job")
+	snap, ok := committed(t, k, st, "job")
 	if !ok || snap.Payload != "v1" || snap.Epoch != 1 {
 		t.Fatalf("torn write corrupted the committed image: %+v ok=%v", snap, ok)
 	}
-	if st.Staging("job") {
-		// Write's failure path discards the staged image itself.
-		t.Error("torn image left staged after failed Write")
-	}
-	if st.Writes() != 0 {
-		t.Errorf("torn write counted as committed: %d", st.Writes())
+	if n := len(st.Commits()); n != 1 {
+		t.Errorf("torn write counted as committed: %d commits, want v1's 1", n)
 	}
 }
 
 func TestTornFirstWriteLeavesNothing(t *testing.T) {
-	st := crashBetweenImageAndCommit(t, false)
-	if _, ok := st.Latest("job"); ok {
+	k, st := crashBetweenImageAndCommit(t, false)
+	if _, ok := committed(t, k, st, "job"); ok {
 		t.Error("torn first write produced a readable snapshot")
 	}
 }
@@ -62,8 +83,8 @@ func TestCorruptLatestFallsBackToPreviousCommitted(t *testing.T) {
 	st := NewStore(k)
 	var errs []error
 	k.Spawn("writer", func(p *sim.Proc) {
-		errs = append(errs, st.Write(p, "job", 1, 1000, "v1"))
-		errs = append(errs, st.Write(p, "job", 2, 1000, "v2"))
+		errs = append(errs, st.Write(p.Sleep, "job", 1, 1000, "v1"))
+		errs = append(errs, st.Write(p.Sleep, "job", 2, 1000, "v2"))
 	})
 	k.Run()
 	for _, err := range errs {
@@ -71,14 +92,14 @@ func TestCorruptLatestFallsBackToPreviousCommitted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snap, _ := st.Latest("job"); snap.Payload != "v2" {
+	if snap, _ := committed(t, k, st, "job"); snap.Payload != "v2" {
 		t.Fatalf("latest is %v, want v2", snap.Payload)
 	}
 	// Re-open finds the latest image corrupt: fall back one generation.
 	if !st.CorruptLatest("job") {
 		t.Fatal("no fallback generation found")
 	}
-	snap, ok := st.Latest("job")
+	snap, ok := committed(t, k, st, "job")
 	if !ok || snap.Payload != "v1" || snap.Epoch != 1 {
 		t.Fatalf("fallback wrong: %+v ok=%v", snap, ok)
 	}
@@ -86,7 +107,7 @@ func TestCorruptLatestFallsBackToPreviousCommitted(t *testing.T) {
 	if st.CorruptLatest("job") {
 		t.Error("two fallback generations from two commits")
 	}
-	if _, ok := st.Latest("job"); ok {
+	if _, ok := committed(t, k, st, "job"); ok {
 		t.Error("snapshot readable after both generations corrupt")
 	}
 }
@@ -94,34 +115,34 @@ func TestCorruptLatestFallsBackToPreviousCommitted(t *testing.T) {
 func TestStageInvisibleUntilCommit(t *testing.T) {
 	k := sim.NewKernel()
 	st := NewStore(k)
-	st.Stage("job", 3, 2000, "staged")
-	if _, ok := st.Latest("job"); ok {
+	st.stage("job", 3, 2000, "staged")
+	if _, ok := committed(t, k, st, "job"); ok {
 		t.Fatal("staged image visible before commit")
 	}
-	if !st.Staging("job") {
-		t.Fatal("Staging not reported")
-	}
-	st.Commit("job")
-	snap, ok := st.Latest("job")
+	st.commit("job")
+	snap, ok := committed(t, k, st, "job")
 	if !ok || snap.Payload != "staged" {
 		t.Fatalf("commit did not install staged image: %+v", snap)
 	}
-	if st.Writes() != 1 {
-		t.Errorf("commit count %d, want 1", st.Writes())
-	}
 	// Commit with nothing staged is a no-op.
-	st.Commit("job")
-	if st.Writes() != 1 || len(st.Commits()) != 1 {
-		t.Errorf("empty commit counted: writes=%d commits=%d", st.Writes(), len(st.Commits()))
+	st.commit("job")
+	if n := len(st.Commits()); n != 1 {
+		t.Errorf("empty commit counted: %d commits, want 1", n)
 	}
 }
 
 func TestReadChargesDiskTime(t *testing.T) {
 	k := sim.NewKernel()
 	st := NewStore(k)
-	st.Seed("job", 1, 1_500_000, "v1")
 	var took sim.Time
 	k.Spawn("reader", func(p *sim.Proc) {
+		if _, err := st.Read(p, "job"); !errs.Is(err, CodeNoSnapshot) {
+			t.Errorf("read before any commit: %v, want %s", err, CodeNoSnapshot)
+		}
+		if err := st.Write(p.Sleep, "job", 1, 1_500_000, "v1"); err != nil {
+			t.Error(err)
+			return
+		}
 		t0 := p.Now()
 		if _, err := st.Read(p, "job"); err != nil {
 			t.Error(err)

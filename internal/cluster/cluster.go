@@ -5,8 +5,7 @@
 package cluster
 
 import (
-	"fmt"
-
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/sim"
 )
@@ -147,11 +146,14 @@ func (h *Host) MigrationCompatible(other *Host) bool {
 	return h.spec.Arch == other.spec.Arch
 }
 
+// CodeOutOfMemory marks an AllocMem the host's physical memory cannot hold.
+const CodeOutOfMemory errs.Code = "cluster.out-of-memory"
+
 // AllocMem reserves MB of memory; it fails when the host would exceed its
 // physical memory (the model does not page).
 func (h *Host) AllocMem(mb int) error {
 	if h.memUsedMB+mb > h.spec.MemMB {
-		return fmt.Errorf("cluster: host %s out of memory (%d used + %d wanted > %d MB)",
+		return errs.Newf(CodeOutOfMemory, "host %s out of memory (%d used + %d wanted > %d MB)",
 			h.spec.Name, h.memUsedMB, mb, h.spec.MemMB)
 	}
 	h.memUsedMB += mb

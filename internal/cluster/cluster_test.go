@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/sim"
 )
@@ -52,8 +53,8 @@ func TestMemoryAccounting(t *testing.T) {
 	if err := h.AllocMem(60); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AllocMem(10); err == nil {
-		t.Fatal("over-allocation succeeded")
+	if err := h.AllocMem(10); !errs.Is(err, CodeOutOfMemory) {
+		t.Fatalf("over-allocation: %v, want %s", err, CodeOutOfMemory)
 	}
 	h.FreeMem(30)
 	if err := h.AllocMem(10); err != nil {

@@ -209,7 +209,7 @@ func TestJobRecoversFromCrash(t *testing.T) {
 	if r.RecoveredAt == 0 || r.LostIterations > 2 || r.LostIterations < 0 {
 		t.Errorf("rollback out of bounds: %+v", r)
 	}
-	if mgr.Checkpoints() == 0 || mgr.Store().Writes() == 0 {
+	if mgr.Checkpoints() == 0 || len(mgr.Store().Commits()) == 0 {
 		t.Error("no checkpoints committed")
 	}
 	// The trace should show the full recovery arc.

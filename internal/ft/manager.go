@@ -125,6 +125,31 @@ func (mgr *Manager) Checkpoints() int { return mgr.checkpoints }
 // before the first).
 func (mgr *Manager) CommittedIteration() int { return mgr.committed }
 
+// LostWork is the run time the recoveries so far rolled back, summed: for
+// each, the crash instant minus when the master image it resumed from was
+// written. That image is the newest one committed before the GS declared the
+// host dead, since the declaration interrupts the master and a write it cuts
+// off commits nothing. An image written after the crash (its round closed
+// inside the detection window) lost nothing.
+func (mgr *Manager) LostWork() sim.Time {
+	var lost sim.Time
+	for _, r := range mgr.records {
+		from := sim.Time(-1)
+		for _, s := range mgr.store.Commits() {
+			if s.WrittenAt > r.DetectedAt {
+				break
+			}
+			if s.Key == masterKey {
+				from = s.WrittenAt
+			}
+		}
+		if from >= 0 && r.CrashedAt > from {
+			lost += r.CrashedAt - from
+		}
+	}
+	return lost
+}
+
 // ObserveFault is the Injector OnFault callback NewStack registers: it
 // records a crash's true time, for recovery-latency measurement.
 func (mgr *Manager) ObserveFault(f Fault) {
@@ -300,21 +325,13 @@ func (mgr *Manager) noteResumed(resumeIter, rolledFrom int) {
 // a rollback or kill at any point installs nothing. A *migrate* signal does
 // not abort the write: the disk sleeps run through MTask.SleepUntil, so a
 // slave can be evacuated mid-checkpoint and its image still lands — the
-// two-phase Stage/Commit keeps the torn-write guarantee either way.
+// store's two-phase write keeps the torn-write guarantee either way.
 func (mgr *Manager) saveSnapshot(mt *mpvm.MTask, key string, epoch, bytes int, payload any) error {
 	if err := mgr.shipBytes(mt, bytes); err != nil {
 		return err
 	}
-	if err := mt.SleepUntil(mt.Proc().Now() + mgr.store.IOTime(bytes)); err != nil {
-		return err
-	}
-	mgr.store.Stage(key, epoch, bytes, payload)
-	if err := mt.SleepUntil(mt.Proc().Now() + mgr.store.CommitTime()); err != nil {
-		mgr.store.DiscardStaged(key)
-		return err
-	}
-	mgr.store.Commit(key)
-	return nil
+	sleep := func(d sim.Time) error { return mt.SleepUntil(mt.Proc().Now() + d) }
+	return mgr.store.Write(sleep, key, epoch, bytes, payload)
 }
 
 // fetchSnapshot reads the latest image for key (disk time) and ships it to

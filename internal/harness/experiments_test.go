@@ -222,9 +222,20 @@ func lastColumns(t *testing.T, table string, n int) [][]float64 {
 	return rows
 }
 
-// TestRouteAndChunkExtensionsMatchExperiments pins the two ablations to the
-// values EXPERIMENTS.md quotes, and to the claims it draws from them.
+// TestRouteAndChunkExtensionsMatchExperiments pins the two ablations and
+// Extension A's eviction policies to the values EXPERIMENTS.md quotes, and
+// the ablations to the claims it draws from them.
 func TestRouteAndChunkExtensionsMatchExperiments(t *testing.T) {
+	policies := lastColumns(t, ExtensionCheckpoint().String(), 5) // obtrusiveness, completion, no eviction, lost work, checkpoints
+	if want := [][]float64{
+		{3.20, 173.71, 170.43, 0, 0},
+		{0, 221.94, 242.06, 1.82, 12},
+		{0, 212.52, 208.94, 7.34, 7},
+		{0, 227.63, 192.38, 42.46, 4},
+	}; fmt.Sprint(policies) != fmt.Sprint(want) {
+		t.Errorf("eviction policies = %v, EXPERIMENTS.md says %v", policies, want)
+	}
+
 	route := lastColumns(t, ExtensionRoute().String(), 1)
 	if want := [][]float64{{8.59}, {8.68}}; fmt.Sprint(route) != fmt.Sprint(want) {
 		t.Errorf("route runtimes = %v, EXPERIMENTS.md says %v", route, want)

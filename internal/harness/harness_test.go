@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -477,6 +479,12 @@ func TestRunnersLeaveNoGoroutines(t *testing.T) {
 		{"OwnerReclaimScenario", func() error { o, _ := OwnerReclaimScenario(sc, 1, time.Second); return o.Err }},
 		{"Survival", func() error { return Survival(SurvivalConfig{Crashes: 1, Seed: 3}).Err }},
 		{"RunFleet", func() error { return RunFleet(FleetScenario{Hosts: 50, VPs: 500}).Err }},
+		{"ExtensionCheckpoint", func() error {
+			if s := ExtensionCheckpoint().String(); strings.Contains(s, "failed") {
+				return errors.New(s)
+			}
+			return nil
+		}},
 	} {
 		if err := c.run(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)

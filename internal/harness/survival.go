@@ -37,6 +37,9 @@ type SurvivalConfig struct {
 	// Outage, when > 0, revives each crashed host that long after its
 	// crash.
 	Outage sim.Time
+	// FT is what the run chooses about the fault-tolerance layer (the
+	// checkpoint period).
+	FT ft.Config
 }
 
 func (c SurvivalConfig) withDefaults() SurvivalConfig {
@@ -89,6 +92,8 @@ type SurvivalOutcome struct {
 	DetectSecs   *metrics.Series
 	// Checkpoints counts fully-closed coordinated checkpoint rounds.
 	Checkpoints int
+	// LostWork is the run time the recoveries rolled back (ft.Manager.LostWork).
+	LostWork sim.Time
 	// Decisions is the GS action log (host-failure / host-rejoin entries).
 	Decisions []gs.Decision
 	// Trace holds the fault/checkpoint/recovery timeline.
@@ -107,7 +112,7 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 		Hosts:  Workstations(cfg.Hosts, "host%d", 1),
 		System: MPVM,
 		Trace:  true,
-		FT:     &ft.Config{},
+		FT:     &cfg.FT,
 	})
 	defer w.Close()
 	mgr, sched, inj := w.Mgr, w.Fleet, w.Inj
@@ -151,6 +156,7 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	out.Crashes = inj.Crashes()
 	out.Recoveries = mgr.Records()
 	out.Checkpoints = mgr.Checkpoints()
+	out.LostWork = mgr.LostWork()
 	out.Decisions = sched.Decisions()
 	for _, r := range out.Recoveries {
 		if r.RecoveredAt > 0 {

@@ -225,7 +225,7 @@ func DefaultConfig() *Config {
 			"pvmigrate/internal/chaos.Config.Real":  "chaos_test.go audits with real Opt math so the loss fingerprints every gradient",
 			"pvmigrate/internal/chaos.SweepOptions": "sized by the chaos tests' -seeds/-parallel flags",
 			// Read by bench/fleet.go, which ordinary PRs may not edit; the
-			// next benchmark-archetype PR drops them (ROADMAP item 4).
+			// next benchmark-archetype PR drops them (ROADMAP item 8(d)).
 			"pvmigrate/internal/harness.FleetScenario.PollInterval":  "bench/fleet.go:120 reads it into its own gs.FleetPolicy",
 			"pvmigrate/internal/harness.FleetScenario.LoadThreshold": "bench/fleet.go reads it into its own gs.FleetPolicy",
 			"pvmigrate/internal/harness.FleetScenario.MovesPerTick":  "bench/fleet.go reads it into its own gs.FleetPolicy",

@@ -22,7 +22,7 @@ func blankDial(p *sim.Proc, i *netsim.Iface) *netsim.Conn {
 }
 
 func bareWrite(p *sim.Proc, st *checkpoint.Store) {
-	st.Write(p, "vp1", 1, 1024, nil) // want `error from pvmigrate/internal/checkpoint\.Write dropped on a protocol path`
+	st.Write(p.Sleep, "vp1", 1, 1024, nil) // want `error from pvmigrate/internal/checkpoint\.Write dropped on a protocol path`
 }
 
 func staleJustification(p *sim.Proc, c *netsim.Conn) error {

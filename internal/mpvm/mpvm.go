@@ -81,7 +81,7 @@ const (
 
 // Config is the field-less parameter of New: bench/, which ordinary PRs may
 // not edit, compiles against mpvm.New(m, mpvm.Config{}). The next
-// benchmark-archetype PR drops it (ROADMAP item 4).
+// benchmark-archetype PR drops it (ROADMAP item 8(d)).
 type Config struct{}
 
 // System is the MPVM extension over a PVM machine: it installs protocol
