@@ -26,56 +26,36 @@ func main() {
 	flag.Parse()
 	harness.SetParallel(*parallel)
 
-	tables := map[string]func() string{
-		"1":  func() string { return harness.Table1().String() },
-		"2":  func() string { return harness.Table2().String() },
-		"3":  func() string { return harness.Table3().String() },
-		"4":  func() string { return harness.Table4().String() },
-		"4x": func() string { return harness.Table4Extended().String() },
-		"5":  func() string { return harness.Table5().String() },
-		"6":  func() string { return harness.Table6().String() },
-	}
-	figures := map[string]func() string{
-		"1": harness.Figure1,
-		"2": harness.Figure2,
-		"3": harness.Figure3,
-		"4": harness.Figure4,
-	}
-
 	switch {
 	case *extensions:
 		fmt.Println("Extensions beyond the paper's evaluation (see DESIGN.md §8)")
 		fmt.Println()
-		fmt.Println(harness.ExtensionCheckpoint())
-		fmt.Println(harness.ExtensionGranularity())
-		fmt.Println(harness.ExtensionCrossTraffic())
-		fmt.Println(harness.ExtensionUPVMTuned())
-		fmt.Println(harness.ExtensionADMRebalance())
-		fmt.Println(harness.ExtensionRoute())
-		fmt.Println(harness.ExtensionADMChunk())
+		show("extension", "")
 	case *table != "":
-		fn, ok := tables[*table]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "migrate-bench: unknown table %q\n", *table)
-			os.Exit(2)
-		}
-		fmt.Println(fn())
+		show("table", *table)
 	case *figure != "":
-		fn, ok := figures[*figure]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "migrate-bench: unknown figure %q\n", *figure)
-			os.Exit(2)
-		}
-		fmt.Println(fn())
+		show("figure", *figure)
 	default:
 		fmt.Println("Reproducing the evaluation of \"Adaptive load migration systems for PVM\" (SC'94)")
 		fmt.Println("Simulated testbed: 2× HP 9000/720 (calibrated), 10 Mb/s shared Ethernet.")
 		fmt.Println()
-		for _, id := range []string{"1", "2", "3", "4", "4x", "5", "6"} {
-			fmt.Println(tables[id]())
+		show("table", "")
+		show("figure", "")
+	}
+}
+
+// show prints the harness sections of one kind in order: all of them, or
+// the one whose id is id. An unknown id exits 2.
+func show(kind, id string) {
+	found := false
+	for _, s := range harness.Sections {
+		if s.Kind == kind && (id == "" || s.ID == id) {
+			fmt.Println(s.Render())
+			found = true
 		}
-		for _, id := range []string{"1", "2", "3", "4"} {
-			fmt.Println(figures[id]())
-		}
+	}
+	if !found {
+		fmt.Fprintf(os.Stderr, "migrate-bench: unknown %s %q\n", kind, id)
+		os.Exit(2)
 	}
 }

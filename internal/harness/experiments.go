@@ -1,21 +1,27 @@
 package harness
 
 import (
+	"fmt"
 	"time"
 
+	"pvmigrate/internal/core"
 	"pvmigrate/internal/metrics"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/sweep"
 )
 
-// The per-experiment configurations, fixed here so the benchmark suite, the
-// cmd tools and EXPERIMENTS.md all describe the same runs.
+// The paper's evaluation (§4.0), declared once: each table's runs and the
+// paper's number for every cell a table sets beside its measurement.
+// migrate-bench prints Sections, EXPERIMENTS.md is that output checked by
+// TestExperimentsMatchMigrateBench, and TestTable1_…TestTable6_ hold every
+// paperCell to the band the reproduction claims.
 
-// Table2Sizes are the training-set sizes of Tables 2 and 6, in bytes (the
+// Table2Sizes are the training-set sizes of Tables 2, 4x and 6, in bytes (the
 // migrating slave holds half of each).
 var Table2Sizes = []int{600_000, 4_200_000, 5_800_000, 9_800_000, 13_500_000, 20_800_000}
 
-// Paper values, indexed like Table2Sizes.
+// The paper's sweep numbers in seconds, indexed like Table2Sizes. Table 6's
+// are both obtrusiveness and migration cost.
 var (
 	PaperTable2RawTCP = []float64{0.27, 1.82, 2.51, 4.42, 6.17, 10.00}
 	PaperTable2Obtr   = []float64{1.17, 2.93, 3.90, 5.92, 8.42, 12.52}
@@ -23,7 +29,17 @@ var (
 	PaperTable6Cost   = []float64{1.75, 4.42, 5.46, 9.96, 12.41, 21.69}
 )
 
-// Quiet-case experiment configurations.
+// The paper's other numbers, in seconds.
+const (
+	paperTable1     = 198.0 // PVM and MPVM alike
+	paperTable3PVM  = 4.92
+	paperTable3UPVM = 4.75
+	paperTable4Obtr = 1.67
+	paperTable4Cost = 6.88
+	paperTable5PVM  = 188.0
+	paperTable5ADM  = 232.0
+)
+
 var (
 	// Table1Scenario: 9 MB training set (the paper's Table 1/5 workload);
 	// six CG iterations land the two-host runtime in the paper's ~190 s
@@ -31,99 +47,129 @@ var (
 	Table1Scenario = Scenario{TotalBytes: 9_000_000, Iterations: 6}
 	// Table3Scenario: the small SPMD_opt configuration of Tables 3/4.
 	Table3Scenario = Scenario{TotalBytes: 600_000, Iterations: 2}
+	// table4Scenario is Table 4's one UPVM migration of a 0.6 MB slave at
+	// t=2 s. Figures 1 and 3 trace it under MPVM and UPVM, and Extension D
+	// reruns it with a tuned UPVM.
+	table4Scenario = Scenario{TotalBytes: 600_000, Iterations: 6, MigrateAt: 2 * time.Second}
 )
 
-// migrateAfterDistribution picks a migration instant safely past the
-// initial shard distribution (which saturates the shared Ethernet).
-func migrateAfterDistribution(totalBytes int) sim.Time {
-	return sim.FromSeconds(3 + float64(totalBytes/2)/1.0e6)
+// sweepScenario is Tables 2, 4x and 6 at one size. The migration (or ADM
+// withdrawal) lands safely past the initial shard distribution, which
+// saturates the shared Ethernet.
+func sweepScenario(totalBytes, iterations int) Scenario {
+	return Scenario{TotalBytes: totalBytes, Iterations: iterations,
+		MigrateAt: sim.FromSeconds(3 + float64(totalBytes/2)/1.0e6)}
+}
+
+// A paperCell is one number a paper table prints beside the reproduction's
+// measurement of it, both in seconds.
+type paperCell struct {
+	name            string // table, column and row: "Table 2 obtr 4.2 MB"
+	measured, paper float64
+}
+
+// sizeCell names a sweep table's cell at one training-set size.
+func sizeCell(column string, totalBytes int, measured, paper float64) paperCell {
+	return paperCell{fmt.Sprintf("%s %.1f MB", column, float64(totalBytes)/1e6), measured, paper}
+}
+
+// A quietRun is one row of a quiet-case table (Tables 1, 3 and 5): a
+// system's runtime beside the paper's.
+type quietRun struct {
+	system string
+	run    func(Scenario) *Outcome
+	paper  float64
+}
+
+// quietTable runs every system on sc and renders each runtime beside the
+// paper's; a failed run is a note in its row's place.
+func quietTable(table, title string, sc Scenario, rows ...quietRun) (*metrics.Table, []paperCell) {
+	outs := sweep.Map(len(rows), parallelism, func(i int) *Outcome { return rows[i].run(sc) })
+	t := metrics.NewTable(table+". "+title, "system", "measured (s)", "paper (s)", "delta %")
+	var cells []paperCell
+	for i, r := range rows {
+		if outs[i].Err != nil {
+			t.AddNote("%s failed: %v", r.system, outs[i].Err)
+			continue
+		}
+		m := outs[i].Elapsed.Seconds()
+		t.AddRow(r.system, m, r.paper, metrics.DeltaPct(m, r.paper))
+		cells = append(cells, paperCell{table + " " + r.system, m, r.paper})
+	}
+	return t, cells
+}
+
+// migration returns a migration run's one record, or notes the run as
+// failed.
+func migration(t *metrics.Table, run string, out *Outcome) (core.MigrationRecord, bool) {
+	if out.Err != nil || len(out.Records) != 1 {
+		t.AddNote("%s failed: err=%v records=%d", run, out.Err, len(out.Records))
+		return core.MigrationRecord{}, false
+	}
+	return out.Records[0], true
 }
 
 // Table1 regenerates "PVM vs. MPVM, normal (no migration) execution".
-func Table1() *metrics.Table {
-	runs := parRuns(
-		func() *Outcome { return RunPVM(Table1Scenario) },
-		func() *Outcome { return RunMPVM(Table1Scenario) },
-	)
-	pvmOut, mpvmOut := runs[0], runs[1]
-	t := metrics.NewTable("Table 1. PVM vs. MPVM quiet-case runtime (9 MB training set)",
-		"system", "measured (s)", "paper (s)", "delta %")
-	t.AddRow("PVM", pvmOut.Elapsed.Seconds(), 198.0, metrics.DeltaPct(pvmOut.Elapsed.Seconds(), 198))
-	t.AddRow("MPVM", mpvmOut.Elapsed.Seconds(), 198.0, metrics.DeltaPct(mpvmOut.Elapsed.Seconds(), 198))
+func Table1() *metrics.Table { t, _ := table1(); return t }
+
+func table1() (*metrics.Table, []paperCell) {
+	t, cells := quietTable("Table 1", "PVM vs. MPVM quiet-case runtime (9 MB training set)", Table1Scenario,
+		quietRun{"PVM", RunPVM, paperTable1}, quietRun{"MPVM", RunMPVM, paperTable1})
 	t.AddNote("paper result: MPVM performance identical to PVM; overhead masked by large messages")
-	return t
+	return t, cells
 }
 
 // Table2 regenerates the MPVM migration sweep.
-func Table2() *metrics.Table {
+func Table2() *metrics.Table { t, _ := table2(); return t }
+
+func table2() (*metrics.Table, []paperCell) {
 	t := metrics.NewTable("Table 2. MPVM obtrusiveness and migration cost (slave holds half the listed size)",
 		"data (MB)", "raw TCP (s)", "obtr (s)", "ratio", "migr (s)",
 		"paper raw", "paper obtr", "paper migr")
-	type sized struct {
-		raw float64
-		out *Outcome
-	}
-	runs := sweep.Map(len(Table2Sizes), parallelism, func(i int) sized {
-		total := Table2Sizes[i]
-		return sized{
-			raw: RawTCP(total / 2).Seconds(),
-			out: RunMPVM(Scenario{
-				TotalBytes: total,
-				Iterations: 8,
-				MigrateAt:  migrateAfterDistribution(total),
-				MigrateTo:  0,
-			}),
-		}
+	runs := sweep.Map(len(Table2Sizes), parallelism, func(i int) *Outcome {
+		return RunMPVM(sweepScenario(Table2Sizes[i], 8))
 	})
+	var cells []paperCell
 	for i, total := range Table2Sizes {
-		out := runs[i].out
-		if out.Err != nil || len(out.Records) != 1 {
-			t.AddNote("size %d failed: err=%v records=%d", total, out.Err, len(out.Records))
+		r, ok := migration(t, fmt.Sprint("size ", total), runs[i])
+		if !ok {
 			continue
 		}
-		r := out.Records[0]
-		obtr := r.Obtrusiveness().Seconds()
-		cost := r.Cost().Seconds()
-		t.AddRow(float64(total)/1e6, runs[i].raw, obtr, obtr/runs[i].raw, cost,
+		raw, obtr, cost := RawTCP(total/2).Seconds(), r.Obtrusiveness().Seconds(), r.Cost().Seconds()
+		t.AddRow(float64(total)/1e6, raw, obtr, obtr/raw, cost,
 			PaperTable2RawTCP[i], PaperTable2Obtr[i], PaperTable2Cost[i])
+		cells = append(cells, sizeCell("Table 2 raw", total, raw, PaperTable2RawTCP[i]),
+			sizeCell("Table 2 obtr", total, obtr, PaperTable2Obtr[i]),
+			sizeCell("Table 2 migr", total, cost, PaperTable2Cost[i]))
 	}
 	t.AddNote("ratio = obtrusiveness / raw TCP; approaches ~1.2 for large sizes as in the paper")
-	return t
+	return t, cells
 }
 
 // Table3 regenerates "PVM vs. UPVM, normal execution" (SPMD_opt, 0.6 MB).
-func Table3() *metrics.Table {
-	runs := parRuns(
-		func() *Outcome { return RunPVM(Table3Scenario) },
-		func() *Outcome { return RunUPVM(Table3Scenario) },
-	)
-	pvmOut, upvmOut := runs[0], runs[1]
-	t := metrics.NewTable("Table 3. PVM vs. UPVM quiet-case runtime (SPMD_opt, 0.6 MB)",
-		"system", "measured (s)", "paper (s)", "delta %")
-	t.AddRow("PVM", pvmOut.Elapsed.Seconds(), 4.92, metrics.DeltaPct(pvmOut.Elapsed.Seconds(), 4.92))
-	t.AddRow("UPVM", upvmOut.Elapsed.Seconds(), 4.75, metrics.DeltaPct(upvmOut.Elapsed.Seconds(), 4.75))
+func Table3() *metrics.Table { t, _ := table3(); return t }
+
+func table3() (*metrics.Table, []paperCell) {
+	t, cells := quietTable("Table 3", "PVM vs. UPVM quiet-case runtime (SPMD_opt, 0.6 MB)", Table3Scenario,
+		quietRun{"PVM", RunPVM, paperTable3PVM}, quietRun{"UPVM", RunUPVM, paperTable3UPVM})
 	t.AddNote("paper result: UPVM slightly faster — the co-located master/slave pair uses buffer hand-off")
-	return t
+	return t, cells
 }
 
 // Table4 regenerates the UPVM migration measurement (0.6 MB).
-func Table4() *metrics.Table {
-	out := RunUPVM(Scenario{
-		TotalBytes: 600_000,
-		Iterations: 6,
-		MigrateAt:  2 * time.Second,
-		MigrateTo:  0,
-	})
+func Table4() *metrics.Table { t, _ := table4(); return t }
+
+func table4() (*metrics.Table, []paperCell) {
 	t := metrics.NewTable("Table 4. UPVM obtrusiveness and migration cost (0.6 MB)",
 		"data (MB)", "obtr (s)", "migr (s)", "paper obtr", "paper migr")
-	if out.Err != nil || len(out.Records) != 1 {
-		t.AddNote("run failed: err=%v records=%d", out.Err, len(out.Records))
-		return t
+	r, ok := migration(t, "run", RunUPVM(table4Scenario))
+	if !ok {
+		return t, nil
 	}
-	r := out.Records[0]
-	t.AddRow(0.6, r.Obtrusiveness().Seconds(), r.Cost().Seconds(), 1.67, 6.88)
+	obtr, cost := r.Obtrusiveness().Seconds(), r.Cost().Seconds()
+	t.AddRow(0.6, obtr, cost, paperTable4Obtr, paperTable4Cost)
 	t.AddNote("the large obtr→migr gap reproduces the prototype's slow ULP accept mechanism (§4.2.3)")
-	return t
+	return t, []paperCell{{"Table 4 obtr", obtr, paperTable4Obtr}, {"Table 4 migr", cost, paperTable4Cost}}
 }
 
 // Table4Extended sweeps UPVM migration across all Table 2 sizes — the
@@ -132,82 +178,59 @@ func Table4Extended() *metrics.Table {
 	t := metrics.NewTable("Table 4x. UPVM migration sweep (extension: the paper's promised full results)",
 		"data (MB)", "obtr (s)", "migr (s)")
 	runs := sweep.Map(len(Table2Sizes), parallelism, func(i int) *Outcome {
-		return RunUPVM(Scenario{
-			TotalBytes: Table2Sizes[i],
-			Iterations: 10,
-			MigrateAt:  migrateAfterDistribution(Table2Sizes[i]),
-			MigrateTo:  0,
-		})
+		return RunUPVM(sweepScenario(Table2Sizes[i], 10))
 	})
 	for i, total := range Table2Sizes {
-		out := runs[i]
-		if out.Err != nil || len(out.Records) != 1 {
-			t.AddNote("size %d failed: err=%v records=%d", total, out.Err, len(out.Records))
-			continue
+		if r, ok := migration(t, fmt.Sprint("size ", total), runs[i]); ok {
+			t.AddRow(float64(total)/1e6, r.Obtrusiveness().Seconds(), r.Cost().Seconds())
 		}
-		r := out.Records[0]
-		t.AddRow(float64(total)/1e6, r.Obtrusiveness().Seconds(), r.Cost().Seconds())
 	}
 	t.AddNote("scaled with the prototype's fitted transfer/accept rates; linear in ULP size")
 	return t
 }
 
 // Table5 regenerates "Quiet-case overhead, PVM_opt versus ADMopt".
-func Table5() *metrics.Table {
-	runs := parRuns(
-		func() *Outcome { return RunPVM(Table1Scenario) },
-		func() *Outcome { return RunADM(Table1Scenario) },
-	)
-	pvmOut, admOut := runs[0], runs[1]
-	t := metrics.NewTable("Table 5. Quiet-case overhead, PVM_opt versus ADMopt (9 MB)",
-		"system", "measured (s)", "paper (s)", "delta %")
-	t.AddRow("PVM_opt", pvmOut.Elapsed.Seconds(), 188.0, metrics.DeltaPct(pvmOut.Elapsed.Seconds(), 188))
-	t.AddRow("ADMopt", admOut.Elapsed.Seconds(), 232.0, metrics.DeltaPct(admOut.Elapsed.Seconds(), 232))
-	ratio := admOut.Elapsed.Seconds() / pvmOut.Elapsed.Seconds()
-	t.AddNote("measured ratio %.2f (paper 1.23: FSM switch + event flags + processed-exemplar array)", ratio)
-	return t
+func Table5() *metrics.Table { t, _ := table5(); return t }
+
+func table5() (*metrics.Table, []paperCell) {
+	t, cells := quietTable("Table 5", "Quiet-case overhead, PVM_opt versus ADMopt (9 MB)", Table1Scenario,
+		quietRun{"PVM_opt", RunPVM, paperTable5PVM}, quietRun{"ADMopt", RunADM, paperTable5ADM})
+	if len(cells) == 2 {
+		t.AddNote("measured ratio %.2f (paper %.2f: FSM switch + event flags + processed-exemplar array)",
+			cells[1].measured/cells[0].measured, paperTable5ADM/paperTable5PVM)
+	}
+	return t, cells
 }
 
 // Table6 regenerates the ADMopt redistribution sweep.
-func Table6() *metrics.Table {
+func Table6() *metrics.Table { t, _ := table6(); return t }
+
+func table6() (*metrics.Table, []paperCell) {
 	t := metrics.NewTable("Table 6. ADMopt obtrusiveness (= migration cost)",
 		"data (MB)", "migr (s)", "paper (s)", "delta %")
 	runs := sweep.Map(len(Table2Sizes), parallelism, func(i int) *Outcome {
-		return RunADM(Scenario{
-			TotalBytes: Table2Sizes[i],
-			Iterations: 8,
-			MigrateAt:  migrateAfterDistribution(Table2Sizes[i]),
-		})
+		return RunADM(sweepScenario(Table2Sizes[i], 8))
 	})
+	var cells []paperCell
 	for i, total := range Table2Sizes {
-		out := runs[i]
-		if out.Err != nil || len(out.Records) != 1 {
-			t.AddNote("size %d failed: err=%v records=%d", total, out.Err, len(out.Records))
+		r, ok := migration(t, fmt.Sprint("size ", total), runs[i])
+		if !ok {
 			continue
 		}
-		cost := out.Records[0].Cost().Seconds()
-		t.AddRow(float64(total)/1e6, cost, PaperTable6Cost[i], metrics.DeltaPct(cost, PaperTable6Cost[i]))
+		paper := PaperTable6Cost[i]
+		cost := r.Cost().Seconds()
+		t.AddRow(float64(total)/1e6, cost, paper, metrics.DeltaPct(cost, paper))
+		cells = append(cells, sizeCell("Table 6 obtr", total, r.Obtrusiveness().Seconds(), paper),
+			sizeCell("Table 6 migr", total, cost, paper))
 	}
 	t.AddNote("ADM has no restart stage: obtrusiveness equals migration cost (§4.3.3)")
-	return t
+	return t, cells
 }
 
 // Figure1 renders the MPVM migration stage timeline.
 func Figure1() string {
-	log, _ := TraceMPVMMigration(Scenario{
-		TotalBytes: 600_000, Iterations: 6,
-		MigrateAt: 2 * time.Second, MigrateTo: 0,
-	})
+	log, _ := TraceMPVMMigration(table4Scenario)
 	return log.Timeline("Figure 1. MPVM migration: the four protocol stages (timeline)")
-}
-
-// Figure3 renders the UPVM migration stage timeline.
-func Figure3() string {
-	log, _ := TraceUPVMMigration(Scenario{
-		TotalBytes: 600_000, Iterations: 6,
-		MigrateAt: 2 * time.Second, MigrateTo: 0,
-	})
-	return log.Timeline("Figure 3. UPVM migration: stages of migrating a ULP (timeline)")
 }
 
 // Figure2 renders the ULP address-space layout.
@@ -219,45 +242,37 @@ func Figure2() string {
 	return "Figure 2. Globally unique ULP address regions across all processes\n" + layout
 }
 
+// Figure3 renders the UPVM migration stage timeline.
+func Figure3() string {
+	log, _ := TraceUPVMMigration(table4Scenario)
+	return log.Timeline("Figure 3. UPVM migration: stages of migrating a ULP (timeline)")
+}
+
 // Figure4 renders the ADM finite-state machine.
 func Figure4() string {
 	return "Figure 4. The finite-state machine program for ADM Opt\n" + Figure4FSM()
 }
 
-// GranularityResult compares redistribution granularity (paper §3.4): on a
-// cluster where one machine runs a competing job, MPVM's whole-process
-// units cannot balance load, while UPVM's finer ULPs can be placed in
-// proportion to each machine's effective speed.
-type GranularityResult struct {
-	// MPVMCoarse is the runtime with one process per host, data split
-	// evenly — the slow host gates every iteration.
-	MPVMCoarse sim.Time
-	// UPVMFine is the runtime with 6 slave ULPs placed 4:2 to match the
-	// 2:1 effective speed ratio.
-	UPVMFine sim.Time
+// A Section is one block of migrate-bench's output: a table, a figure or an
+// extension, by its -table or -figure id or its letter.
+type Section struct {
+	Kind, ID string
+	Render   func() string
 }
 
-// GranularityExperiment runs the comparison: host 2 carries one background
-// job (halving its effective speed) in both runs.
-func GranularityExperiment() GranularityResult {
-	load := map[int]int{1: 1}
-	runs := parRuns(
-		func() *Outcome {
-			return RunMPVM(Scenario{
-				TotalBytes:     4_200_000,
-				Iterations:     6,
-				BackgroundLoad: load,
-			})
-		},
-		func() *Outcome {
-			return RunUPVM(Scenario{
-				TotalBytes:     4_200_000,
-				Iterations:     6,
-				Slaves:         6,
-				SlaveHosts:     []int{0, 0, 0, 0, 1, 1},
-				BackgroundLoad: load,
-			})
-		},
-	)
-	return GranularityResult{MPVMCoarse: runs[0].Elapsed, UPVMFine: runs[1].Elapsed}
+// Sections lists every section in migrate-bench's order.
+var Sections = []Section{
+	{"table", "1", text(Table1)}, {"table", "2", text(Table2)}, {"table", "3", text(Table3)},
+	{"table", "4", text(Table4)}, {"table", "4x", text(Table4Extended)}, {"table", "5", text(Table5)},
+	{"table", "6", text(Table6)},
+	{"figure", "1", Figure1}, {"figure", "2", Figure2}, {"figure", "3", Figure3}, {"figure", "4", Figure4},
+	{"extension", "A", text(ExtensionCheckpoint)}, {"extension", "B", text(ExtensionGranularity)},
+	{"extension", "C", text(ExtensionCrossTraffic)}, {"extension", "D", text(ExtensionUPVMTuned)},
+	{"extension", "E", text(ExtensionADMRebalance)}, {"extension", "F", text(ExtensionRoute)},
+	{"extension", "G", text(ExtensionADMChunk)},
+}
+
+// text renders a table renderer's output as a Section does.
+func text(table func() *metrics.Table) func() string {
+	return func() string { return table().String() }
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"cmp"
+	"fmt"
 	"time"
 
 	"pvmigrate/internal/errs"
@@ -112,16 +113,43 @@ func ExtensionCheckpoint() *metrics.Table {
 	return t
 }
 
-// ExtensionGranularity renders the §3.4 granularity experiment.
+// ExtensionGranularity compares redistribution granularity (paper §3.4): on
+// a cluster where host 2 runs one competing job (halving its effective
+// speed), MPVM's whole-process units cannot balance load — with one process
+// per host and the data split evenly, the slow host gates every iteration —
+// while UPVM's six slave ULPs can be placed 4:2 to match the 2:1 effective
+// speed ratio.
 func ExtensionGranularity() *metrics.Table {
-	res := GranularityExperiment()
+	load := map[int]int{1: 1}
+	coarse := RunMPVM(Scenario{
+		TotalBytes: 4_200_000, Iterations: 6, BackgroundLoad: load,
+	})
+	fine := RunUPVM(Scenario{
+		TotalBytes: 4_200_000, Iterations: 6, BackgroundLoad: load,
+		Slaves: 6, SlaveHosts: []int{0, 0, 0, 0, 1, 1},
+	})
 	t := metrics.NewTable("Extension B. Redistribution granularity (one host at half speed, 4.2 MB)",
 		"configuration", "runtime (s)")
-	t.AddRow("MPVM: 2 processes, data 1:1", res.MPVMCoarse.Seconds())
-	t.AddRow("UPVM: 6 ULPs placed 4:2", res.UPVMFine.Seconds())
-	t.AddNote("speedup %.2fx — finer ULPs match the 2:1 effective speed ratio (paper §3.4.2)",
-		float64(res.MPVMCoarse)/float64(res.UPVMFine))
+	if runtimeRows(t, []string{"MPVM: 2 processes, data 1:1", "UPVM: 6 ULPs placed 4:2"}, coarse, fine) {
+		t.AddNote("speedup %.2fx — finer ULPs match the 2:1 effective speed ratio (paper §3.4.2)",
+			float64(coarse.Elapsed)/float64(fine.Elapsed))
+	}
 	return t
+}
+
+// runtimeRows adds one runtime row per run, named in order, or a note in a
+// failed run's place, and reports whether every run succeeded.
+func runtimeRows(t *metrics.Table, names []string, outs ...*Outcome) bool {
+	ok := true
+	for i, out := range outs {
+		if out.Err != nil {
+			t.AddNote("%s failed: %v", names[i], out.Err)
+			ok = false
+			continue
+		}
+		t.AddRow(names[i], out.Elapsed.Seconds())
+	}
+	return ok
 }
 
 // ExtensionCrossTraffic renders MPVM migration under Ethernet contention.
@@ -134,11 +162,9 @@ func ExtensionCrossTraffic() *metrics.Table {
 			MigrateAt: 8 * time.Second, MigrateTo: 0,
 			CrossTraffic: u,
 		})
-		if out.Err != nil || len(out.Records) != 1 {
-			t.AddNote("utilization %.0f%% failed", u*100)
-			continue
+		if r, ok := migration(t, fmt.Sprintf("utilization %.0f%%", u*100), out); ok {
+			t.AddRow(int(u*100), r.Obtrusiveness().Seconds())
 		}
-		t.AddRow(int(u*100), out.Records[0].Obtrusiveness().Seconds())
 	}
 	t.AddNote("the state transfer competes with background frames (paper §1.0's fluctuating bandwidth)")
 	return t
@@ -156,17 +182,11 @@ func ExtensionUPVMTuned() *metrics.Table {
 		{"tuned (wire-speed xfer, memcpy accept)", &upvm.Config{XferBps: 950e3, AcceptBps: 12e6}},
 	}
 	for _, c := range configs {
-		out := RunUPVM(Scenario{
-			TotalBytes: 600_000, Iterations: 6,
-			MigrateAt: 2 * time.Second, MigrateTo: 0,
-			UPVM: c.cfg,
-		})
-		if out.Err != nil || len(out.Records) != 1 {
-			t.AddNote("%s failed", c.name)
-			continue
+		sc := table4Scenario
+		sc.UPVM = c.cfg
+		if r, ok := migration(t, c.name, RunUPVM(sc)); ok {
+			t.AddRow(c.name, r.Obtrusiveness().Seconds(), r.Cost().Seconds())
 		}
-		r := out.Records[0]
-		t.AddRow(c.name, r.Obtrusiveness().Seconds(), r.Cost().Seconds())
 	}
 	t.AddNote("the optimization the authors reported as in progress (§4.2.3)")
 	return t
@@ -187,13 +207,7 @@ func ExtensionADMRebalance() *metrics.Table {
 	})
 	t := metrics.NewTable("Extension E. ADM power-weighted rebalancing (one host at half speed, 4.2 MB)",
 		"configuration", "runtime (s)")
-	if static.Err == nil {
-		t.AddRow("static even split", static.Elapsed.Seconds())
-	}
-	if rebalanced.Err == nil {
-		t.AddRow("one rebalance event at t=8 s", rebalanced.Elapsed.Seconds())
-	}
-	if static.Err == nil && rebalanced.Err == nil {
+	if runtimeRows(t, []string{"static even split", "one rebalance event at t=8 s"}, static, rebalanced) {
 		t.AddNote("speedup %.2fx — data shifted 2:1 to match effective speeds (paper §3.4.3)",
 			static.Elapsed.Seconds()/rebalanced.Elapsed.Seconds())
 	}
@@ -206,18 +220,10 @@ func ExtensionADMRebalance() *metrics.Table {
 func ExtensionRoute() *metrics.Table {
 	t := metrics.NewTable("Extension F. PVM message routing: daemon route vs direct TCP (0.6 MB, quiet)",
 		"route", "runtime (s)")
-	for _, direct := range []bool{false, true} {
-		name := "via the pvmds (default)"
-		if direct {
-			name = "task-to-task TCP (PvmRouteDirect)"
-		}
-		out := RunPVM(Scenario{TotalBytes: 600_000, Iterations: 4, Direct: direct})
-		if out.Err != nil {
-			t.AddNote("%s failed: %v", name, out.Err)
-			continue
-		}
-		t.AddRow(name, out.Elapsed.Seconds())
-	}
+	quiet := Scenario{TotalBytes: 600_000, Iterations: 4}
+	direct := quiet
+	direct.Direct = true
+	runtimeRows(t, []string{"via the pvmds (default)", "task-to-task TCP (PvmRouteDirect)"}, RunPVM(quiet), RunPVM(direct))
 	t.AddNote("within 1%%: the direct route costs a fixed ~0.09 s at start-up and wins back ~2 ms per iteration")
 	return t
 }
@@ -233,11 +239,9 @@ func ExtensionADMChunk() *metrics.Table {
 			TotalBytes: 4_200_000, Iterations: 8,
 			MigrateAt: 6 * time.Second, ADMChunk: chunk,
 		})
-		if out.Err != nil || len(out.Records) != 1 {
-			t.AddNote("chunk %d failed", chunk)
-			continue
+		if r, ok := migration(t, fmt.Sprint("chunk ", chunk), out); ok {
+			t.AddRow(chunk, r.Cost().Seconds(), out.Elapsed.Seconds())
 		}
-		t.AddRow(chunk, out.Records[0].Cost().Seconds(), out.Elapsed.Seconds())
 	}
 	t.AddNote("the flag checks are cheap; responsiveness is what the chunk size buys")
 	return t

@@ -25,7 +25,6 @@ import (
 	"pvmigrate/internal/plan"
 	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
-	"pvmigrate/internal/sweep"
 	"pvmigrate/internal/trace"
 	"pvmigrate/internal/upvm"
 )
@@ -40,12 +39,6 @@ var parallelism int
 // SetParallel sets the worker bound for subsequent table regenerations
 // (cmd/migrate-bench -parallel N).
 func SetParallel(n int) { parallelism = n }
-
-// parRuns executes independent experiment runs across the configured
-// workers and returns the outcomes in argument order.
-func parRuns(fns ...func() *Outcome) []*Outcome {
-	return sweep.Map(len(fns), parallelism, func(i int) *Outcome { return fns[i]() })
-}
 
 // Scenario describes one Opt experiment. The default topology is the
 // paper's: two HP 9000/720 workstations on 10 Mb/s Ethernet, a master VP

@@ -32,174 +32,6 @@ func TestPVMOptCompletes(t *testing.T) {
 	}
 }
 
-func TestTable1_PVMvsMPVMQuietCase(t *testing.T) {
-	// Paper Table 1: 9 MB training set, PVM 198 s, MPVM 198 s — identical.
-	sc := Scenario{TotalBytes: 9_000_000, Iterations: 6}
-	pvmOut := RunPVM(sc)
-	mpvmOut := RunMPVM(sc)
-	if pvmOut.Err != nil || mpvmOut.Err != nil {
-		t.Fatalf("errs: %v, %v", pvmOut.Err, mpvmOut.Err)
-	}
-	p, m := secs(pvmOut.Elapsed), secs(mpvmOut.Elapsed)
-	t.Logf("Table 1: PVM %.1f s, MPVM %.1f s (paper: 198, 198)", p, m)
-	if p < 170 || p > 220 {
-		t.Errorf("PVM quiet case = %.1f s, paper 198 s", p)
-	}
-	// MPVM's overhead is masked for this application: within 2%.
-	if rel := math.Abs(m-p) / p; rel > 0.02 {
-		t.Errorf("MPVM overhead = %.1f%%, paper ~0%%", rel*100)
-	}
-}
-
-func TestTable3_PVMvsUPVMQuietCase(t *testing.T) {
-	// Paper Table 3: 0.6 MB, PVM 4.92 s vs UPVM 4.75 s (UPVM slightly
-	// faster thanks to local hand-off).
-	sc := Scenario{TotalBytes: 600_000, Iterations: 2}
-	pvmOut := RunPVM(sc)
-	upvmOut := RunUPVM(sc)
-	if pvmOut.Err != nil || upvmOut.Err != nil {
-		t.Fatalf("errs: %v, %v", pvmOut.Err, upvmOut.Err)
-	}
-	p, u := secs(pvmOut.Elapsed), secs(upvmOut.Elapsed)
-	t.Logf("Table 3: PVM %.2f s, UPVM %.2f s (paper: 4.92, 4.75)", p, u)
-	if p < 4.2 || p > 5.6 {
-		t.Errorf("PVM small case = %.2f s, paper 4.92 s", p)
-	}
-	if u >= p {
-		t.Errorf("UPVM (%.2f) not faster than PVM (%.2f); paper has UPVM ahead", u, p)
-	}
-	if (p-u)/p > 0.15 {
-		t.Errorf("UPVM advantage %.1f%% implausibly large (paper ~3%%)", (p-u)/p*100)
-	}
-}
-
-func TestTable5_ADMOverhead(t *testing.T) {
-	// Paper Table 5: PVM_opt 188 s vs ADMopt 232 s (~23% slower).
-	sc := Scenario{TotalBytes: 9_000_000, Iterations: 6}
-	pvmOut := RunPVM(sc)
-	admOut := RunADM(sc)
-	if pvmOut.Err != nil || admOut.Err != nil {
-		t.Fatalf("errs: %v, %v", pvmOut.Err, admOut.Err)
-	}
-	p, a := secs(pvmOut.Elapsed), secs(admOut.Elapsed)
-	ratio := a / p
-	t.Logf("Table 5: PVM %.1f s, ADM %.1f s, ratio %.2f (paper: 188, 232, 1.23)", p, a, ratio)
-	if ratio < 1.15 || ratio > 1.33 {
-		t.Errorf("ADM overhead ratio = %.2f, paper 1.23", ratio)
-	}
-}
-
-func TestTable2_MPVMMigrationSweep(t *testing.T) {
-	// Paper Table 2 rows: data size (MB), raw TCP, obtrusiveness, migration
-	// time. Slaves hold half the listed size.
-	rows := []struct {
-		mb       float64
-		rawTCP   float64
-		obtr     float64
-		migrCost float64
-	}{
-		{0.6, 0.27, 1.17, 1.39},
-		{4.2, 1.82, 2.93, 3.15},
-		{9.8, 4.42, 5.92, 6.18},
-		{20.8, 10.00, 12.52, 13.10},
-	}
-	for _, row := range rows {
-		total := int(row.mb * 1e6)
-		raw := secs(RawTCP(total / 2))
-		if math.Abs(raw-row.rawTCP) > 0.15*row.rawTCP+0.05 {
-			t.Errorf("%.1f MB: raw TCP %.2f s, paper %.2f s", row.mb, raw, row.rawTCP)
-		}
-		// Migrate after the initial data distribution has drained off the
-		// shared Ethernet (as in the paper, which measured migrations of a
-		// running, steady-state application).
-		migrateAt := sim.FromSeconds(3 + float64(total/2)/1.0e6)
-		out := RunMPVM(Scenario{
-			TotalBytes: total,
-			Iterations: 8,
-			MigrateAt:  migrateAt,
-			MigrateTo:  0,
-		})
-		if out.Err != nil {
-			t.Fatalf("%.1f MB: %v", row.mb, out.Err)
-		}
-		if len(out.Records) != 1 {
-			t.Fatalf("%.1f MB: %d migrations", row.mb, len(out.Records))
-		}
-		r := out.Records[0]
-		obtr, cost := secs(r.Obtrusiveness()), secs(r.Cost())
-		t.Logf("Table 2 %.1f MB: raw %.2f obtr %.2f cost %.2f (paper %.2f %.2f %.2f)",
-			row.mb, raw, obtr, cost, row.rawTCP, row.obtr, row.migrCost)
-		if math.Abs(obtr-row.obtr) > 0.25*row.obtr+0.3 {
-			t.Errorf("%.1f MB: obtrusiveness %.2f s, paper %.2f s", row.mb, obtr, row.obtr)
-		}
-		if cost <= obtr {
-			t.Errorf("%.1f MB: cost %.2f ≤ obtrusiveness %.2f", row.mb, cost, obtr)
-		}
-		if math.Abs(cost-row.migrCost) > 0.25*row.migrCost+0.4 {
-			t.Errorf("%.1f MB: migration cost %.2f s, paper %.2f s", row.mb, cost, row.migrCost)
-		}
-	}
-}
-
-func TestTable4_UPVMMigration(t *testing.T) {
-	// Paper Table 4: 0.6 MB, obtrusiveness 1.67 s, migration 6.88 s.
-	out := RunUPVM(Scenario{
-		TotalBytes: 600_000,
-		Iterations: 6,
-		MigrateAt:  2 * time.Second,
-		MigrateTo:  0,
-	})
-	if out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	if len(out.Records) != 1 {
-		t.Fatalf("%d migrations", len(out.Records))
-	}
-	r := out.Records[0]
-	obtr, cost := secs(r.Obtrusiveness()), secs(r.Cost())
-	t.Logf("Table 4: obtr %.2f s, cost %.2f s (paper 1.67, 6.88)", obtr, cost)
-	if obtr < 1.1 || obtr > 2.3 {
-		t.Errorf("obtrusiveness = %.2f s, paper 1.67 s", obtr)
-	}
-	if cost < 5.5 || cost > 8.5 {
-		t.Errorf("migration cost = %.2f s, paper 6.88 s", cost)
-	}
-}
-
-func TestTable6_ADMMigrationSweep(t *testing.T) {
-	rows := []struct {
-		mb   float64
-		cost float64
-	}{
-		{0.6, 1.75},
-		{4.2, 4.42},
-		{9.8, 9.96},
-		{20.8, 21.69},
-	}
-	for _, row := range rows {
-		out := RunADM(Scenario{
-			TotalBytes: int(row.mb * 1e6),
-			Iterations: 8,
-			MigrateAt:  sim.FromSeconds(3 + row.mb/2/1.0),
-		})
-		if out.Err != nil {
-			t.Fatalf("%.1f MB: %v", row.mb, out.Err)
-		}
-		if len(out.Records) != 1 {
-			t.Fatalf("%.1f MB: %d withdrawal records", row.mb, len(out.Records))
-		}
-		r := out.Records[0]
-		cost := secs(r.Cost())
-		t.Logf("Table 6 %.1f MB: cost %.2f s (paper %.2f)", row.mb, cost, row.cost)
-		if r.Obtrusiveness() != r.Cost() {
-			t.Errorf("ADM obtrusiveness must equal migration cost")
-		}
-		if math.Abs(cost-row.cost) > 0.35*row.cost+0.5 {
-			t.Errorf("%.1f MB: ADM cost %.2f s, paper %.2f s", row.mb, cost, row.cost)
-		}
-	}
-}
-
 func TestRealModeParallelEqualsSerial(t *testing.T) {
 	// With real data, the distributed run converges like the serial one
 	// (losses recorded each iteration and strictly positive).

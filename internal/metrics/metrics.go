@@ -59,20 +59,6 @@ func (s *Series) Percentile(p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Min and Max return the extremes (0 for an empty series).
-func (s *Series) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Values returns a copy of the observations in insertion order.
 func (s *Series) Values() []float64 {
 	return append([]float64(nil), s.values...)
@@ -102,7 +88,7 @@ func (s *Series) Summary() Summary {
 	}
 }
 
-// Max returns the largest observation.
+// Max returns the largest observation (0 for an empty series).
 func (s *Series) Max() float64 {
 	if len(s.values) == 0 {
 		return 0

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 || s.N() != 0 {
 		t.Fatal("empty series not all-zero")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -18,8 +19,8 @@ func TestSeriesBasics(t *testing.T) {
 	if s.N() != 8 || s.Mean() != 5 {
 		t.Fatalf("n=%d mean=%f", s.N(), s.Mean())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min=%f max=%f", s.Min(), s.Max())
+	if s.Max() != 9 {
+		t.Fatalf("max=%f", s.Max())
 	}
 }
 
@@ -65,7 +66,7 @@ func TestPropSeriesPercentileWithinBounds(t *testing.T) {
 			return true
 		}
 		q := s.Percentile(math.Mod(math.Abs(p), 100))
-		return q >= s.Min()-1e-9 && q <= s.Max()+1e-9
+		return q >= slices.Min(s.Values())-1e-9 && q <= s.Max()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestPropSeriesMeanWithinBounds(t *testing.T) {
 			return true
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9
+		return m >= slices.Min(s.Values())-1e-9 && m <= s.Max()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ func (p ADMParams) withDefaults() ADMParams {
 		// ADM's measured quiet-case penalty (Table 5): the FSM switch,
 		// per-chunk flag checks, and the processed-exemplar array.
 		p.Overhead = 1.23
-		p.Params.Overhead = 1.23
 	}
 	if p.ChunkExemplars == 0 {
 		p.ChunkExemplars = 100
