@@ -11,68 +11,35 @@ import (
 // Body layouts (all integers zig-zag varints; strings uvarint-length-
 // prefixed):
 //
-//	48 *migrateCmd      order.VP, order.Dest, order.Reason string, orig
 //	49 *flushCmd        orig, srcHost
 //	50 *flushAck        orig, host
 //	51 *skeletonReq     rpc, orig, name string, srcHost, bytes
 //	52 *skeletonReady   rpc, port
 //	53 *restartCmd      orig, oldTID, newTID
-//	54 *stateHeader     orig, total
-//	55 *warmMigrateCmd  order.VP, order.Dest, order.Reason string, orig, maxRounds, cutoverBytes
 //	56 *roundHeader     orig, round, bytes, final bool
+//	57 *migrateCmd      order.VP, order.Dest, order.Reason string, orig, warm bool
+//
+// Tags 48 (the stop-and-copy-only migrateCmd), 54 (stateHeader) and 55
+// (warmMigrateCmd) are retired: they must keep decoding to
+// wire.unknown-tag, never be reused.
 const (
-	tagMigrateCmd     wirefmt.Tag = 48
-	tagFlushCmd       wirefmt.Tag = 49
-	tagFlushAck       wirefmt.Tag = 50
-	tagSkeletonReq    wirefmt.Tag = 51
-	tagSkeletonReady  wirefmt.Tag = 52
-	tagRestartCmd     wirefmt.Tag = 53
-	tagStateHeader    wirefmt.Tag = 54
-	tagWarmMigrateCmd wirefmt.Tag = 55
-	tagRoundHeader    wirefmt.Tag = 56
+	tagFlushCmd      wirefmt.Tag = 49
+	tagFlushAck      wirefmt.Tag = 50
+	tagSkeletonReq   wirefmt.Tag = 51
+	tagSkeletonReady wirefmt.Tag = 52
+	tagRestartCmd    wirefmt.Tag = 53
+	tagRoundHeader   wirefmt.Tag = 56
+	tagMigrateCmd    wirefmt.Tag = 57
 )
 
 func init() {
-	wirefmt.Register(tagMigrateCmd, "mpvm.migrateCmd", (*migrateCmd)(nil), encodeMigrateCmdWire, decodeMigrateCmdWire)
 	wirefmt.Register(tagFlushCmd, "mpvm.flushCmd", (*flushCmd)(nil), encodeFlushCmdWire, decodeFlushCmdWire)
 	wirefmt.Register(tagFlushAck, "mpvm.flushAck", (*flushAck)(nil), encodeFlushAckWire, decodeFlushAckWire)
 	wirefmt.Register(tagSkeletonReq, "mpvm.skeletonReq", (*skeletonReq)(nil), encodeSkeletonReqWire, decodeSkeletonReqWire)
 	wirefmt.Register(tagSkeletonReady, "mpvm.skeletonReady", (*skeletonReady)(nil), encodeSkeletonReadyWire, decodeSkeletonReadyWire)
 	wirefmt.Register(tagRestartCmd, "mpvm.restartCmd", (*restartCmd)(nil), encodeRestartCmdWire, decodeRestartCmdWire)
-	wirefmt.Register(tagStateHeader, "mpvm.stateHeader", (*stateHeader)(nil), encodeStateHeaderWire, decodeStateHeaderWire)
-	wirefmt.Register(tagWarmMigrateCmd, "mpvm.warmMigrateCmd", (*warmMigrateCmd)(nil), encodeWarmMigrateCmdWire, decodeWarmMigrateCmdWire)
 	wirefmt.Register(tagRoundHeader, "mpvm.roundHeader", (*roundHeader)(nil), encodeRoundHeaderWire, decodeRoundHeaderWire)
-}
-
-func encodeMigrateCmdWire(dst []byte, v any) ([]byte, error) {
-	c := v.(*migrateCmd)
-	dst = wirefmt.AppendInt(dst, int(c.order.VP))
-	dst = wirefmt.AppendInt(dst, c.order.Dest)
-	dst = wirefmt.AppendString(dst, string(c.order.Reason))
-	return wirefmt.AppendInt(dst, int(c.orig)), nil
-}
-
-func decodeMigrateCmdWire(r *wirefmt.Reader) (any, error) {
-	vp, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	dest, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	reason, err := r.String()
-	if err != nil {
-		return nil, err
-	}
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	return &migrateCmd{
-		order: core.MigrationOrder{VP: core.TID(vp), Dest: dest, Reason: core.MigrationReason(reason)},
-		orig:  core.TID(orig),
-	}, nil
+	wirefmt.Register(tagMigrateCmd, "mpvm.migrateCmd", (*migrateCmd)(nil), encodeMigrateCmdWire, decodeMigrateCmdWire)
 }
 
 func encodeFlushCmdWire(dst []byte, v any) ([]byte, error) {
@@ -184,67 +151,6 @@ func decodeRestartCmdWire(r *wirefmt.Reader) (any, error) {
 	return &restartCmd{orig: core.TID(orig), oldTID: core.TID(oldTID), newTID: core.TID(newTID)}, nil
 }
 
-func encodeStateHeaderWire(dst []byte, v any) ([]byte, error) {
-	c := v.(*stateHeader)
-	dst = wirefmt.AppendInt(dst, int(c.orig))
-	return wirefmt.AppendInt(dst, c.total), nil
-}
-
-func decodeStateHeaderWire(r *wirefmt.Reader) (any, error) {
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	total, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	return &stateHeader{orig: core.TID(orig), total: total}, nil
-}
-
-func encodeWarmMigrateCmdWire(dst []byte, v any) ([]byte, error) {
-	c := v.(*warmMigrateCmd)
-	dst = wirefmt.AppendInt(dst, int(c.order.VP))
-	dst = wirefmt.AppendInt(dst, c.order.Dest)
-	dst = wirefmt.AppendString(dst, string(c.order.Reason))
-	dst = wirefmt.AppendInt(dst, int(c.orig))
-	dst = wirefmt.AppendInt(dst, c.maxRounds)
-	return wirefmt.AppendInt(dst, c.cutoverBytes), nil
-}
-
-func decodeWarmMigrateCmdWire(r *wirefmt.Reader) (any, error) {
-	vp, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	dest, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	reason, err := r.String()
-	if err != nil {
-		return nil, err
-	}
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	maxRounds, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	cutoverBytes, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	return &warmMigrateCmd{
-		order:        core.MigrationOrder{VP: core.TID(vp), Dest: dest, Reason: core.MigrationReason(reason)},
-		orig:         core.TID(orig),
-		maxRounds:    maxRounds,
-		cutoverBytes: cutoverBytes,
-	}, nil
-}
-
 func encodeRoundHeaderWire(dst []byte, v any) ([]byte, error) {
 	c := v.(*roundHeader)
 	dst = wirefmt.AppendInt(dst, int(c.orig))
@@ -271,4 +177,41 @@ func decodeRoundHeaderWire(r *wirefmt.Reader) (any, error) {
 		return nil, err
 	}
 	return &roundHeader{orig: core.TID(orig), round: round, bytes: bytes, final: final}, nil
+}
+
+func encodeMigrateCmdWire(dst []byte, v any) ([]byte, error) {
+	c := v.(*migrateCmd)
+	dst = wirefmt.AppendInt(dst, int(c.order.VP))
+	dst = wirefmt.AppendInt(dst, c.order.Dest)
+	dst = wirefmt.AppendString(dst, string(c.order.Reason))
+	dst = wirefmt.AppendInt(dst, int(c.orig))
+	return wirefmt.AppendBool(dst, c.warm), nil
+}
+
+func decodeMigrateCmdWire(r *wirefmt.Reader) (any, error) {
+	vp, err := r.Int()
+	if err != nil {
+		return nil, err
+	}
+	dest, err := r.Int()
+	if err != nil {
+		return nil, err
+	}
+	reason, err := r.String()
+	if err != nil {
+		return nil, err
+	}
+	orig, err := r.Int()
+	if err != nil {
+		return nil, err
+	}
+	warm, err := r.Bool()
+	if err != nil {
+		return nil, err
+	}
+	return &migrateCmd{
+		order: core.MigrationOrder{VP: core.TID(vp), Dest: dest, Reason: core.MigrationReason(reason)},
+		orig:  core.TID(orig),
+		warm:  warm,
+	}, nil
 }

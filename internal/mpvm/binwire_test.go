@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netwire"
 	"pvmigrate/internal/wirefmt"
 )
@@ -26,18 +27,45 @@ func mpvmWireFixtures() []struct {
 		{"migrate-cmd", &migrateCmd{
 			order: core.MigrationOrder{VP: vp, Dest: 1, Reason: core.ReasonHighLoad},
 			orig:  vp,
-		}, "5057013000110000008480200209686967682d6c6f6164848020"},
+		}, "5057013900120000008480200209686967682d6c6f616484802000"},
+		{"warm-migrate-cmd", &migrateCmd{
+			order: core.MigrationOrder{VP: vp, Dest: 1, Reason: core.ReasonOwnerReclaim},
+			orig:  vp, warm: true,
+		}, "505701390016000000848020020d6f776e65722d7265636c61696d84802001"},
 		{"flush-cmd", &flushCmd{orig: vp, srcHost: 0}, "50570131000400000084802000"},
 		{"flush-ack", &flushAck{orig: vp, host: 1}, "50570132000400000084802002"},
 		{"skeleton-req", &skeletonReq{rpc: 11, orig: vp, name: "slave", srcHost: 0, bytes: 1 << 20}, "50570133000f0000001684802005736c6176650080808001"},
 		{"skeleton-ready", &skeletonReady{rpc: 11, port: 9001}, "50570134000400000016d28c01"},
 		{"restart-cmd", &restartCmd{orig: vp, oldTID: vp, newTID: core.MakeTID(1, 3)}, "505701350009000000848020848020868040"},
-		{"state-header", &stateHeader{orig: vp, total: 1 << 20}, "50570136000700000084802080808001"},
-		{"warm-migrate-cmd", &warmMigrateCmd{
-			order: core.MigrationOrder{VP: vp, Dest: 1, Reason: core.ReasonOwnerReclaim},
-			orig:  vp, maxRounds: 8, cutoverBytes: 64 << 10,
-		}, "505701370019000000848020020d6f776e65722d7265636c61696d84802010808008"},
 		{"round-header", &roundHeader{orig: vp, round: 3, bytes: 64 << 10, final: false}, "5057013800080000008480200680800800"},
+		{"final-round-header", &roundHeader{orig: vp, round: 0, bytes: 1 << 20, final: true}, "505701380009000000848020008080800101"},
+	}
+}
+
+// retiredFrames are the frames of the retired tags, as an older peer would
+// still emit them: 48, the stop-and-copy-only migrateCmd; 54, stateHeader,
+// the stop-and-copy stream header; and 55, warmMigrateCmd. Both modes now
+// send migrateCmd (tag 57) and stream roundHeaders. A retired tag is never
+// reused, so each must decode to a wire.unknown-tag error instead of as
+// something else.
+var retiredFrames = []struct{ name, hex string }{
+	{"migrate-cmd-48", "5057013000110000008480200209686967682d6c6f6164848020"},
+	{"state-header-54", "50570136000700000084802080808001"},
+	{"warm-migrate-cmd-55", "505701370019000000848020020d6f776e65722d7265636c61696d84802010808008"},
+}
+
+func TestRetiredTagsStayUnknown(t *testing.T) {
+	for _, c := range retiredFrames {
+		t.Run(c.name, func(t *testing.T) {
+			raw, err := hex.DecodeString(c.hex)
+			if err != nil {
+				t.Fatalf("bad fixture: %v", err)
+			}
+			v, err := wirefmt.Decode(raw)
+			if !errs.Is(err, wirefmt.CodeUnknownTag) {
+				t.Fatalf("decoded %#v, err %v; want %s", v, err, wirefmt.CodeUnknownTag)
+			}
+		})
 	}
 }
 

@@ -101,9 +101,11 @@ func abortRun(t *testing.T, warm bool, failAt sim.Time) string {
 // transfer connection, restore the taken inbox, release a frozen victim,
 // broadcast the cancel — for cold and warm migrations whose destination
 // dies mid-transfer (3 s), whose skeleton never answers (destination dies
-// at 1.2 s, after the flush and before the skeleton listens), and for a
-// warm migration whose destination dies during the final delta, with the
-// victim frozen and its inbox taken.
+// at 1.2 s, after the flush and before the skeleton listens), for a warm
+// migration whose destination dies during the final delta, with the victim
+// frozen and its inbox taken, and for cold and warm migrations whose
+// destination dies after the last byte but before it reports the state
+// assumed.
 func TestGoldenAbortDigests(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -117,6 +119,8 @@ func TestGoldenAbortDigests(t *testing.T) {
 		{"cold/no-skeleton", false, 1200 * time.Millisecond, "no skeleton on host1 within", 0xb55fc9027c2a5e03},
 		{"warm/no-skeleton", true, 1200 * time.Millisecond, "no skeleton on host1 within", 0xe4a0ecc0266ca09b},
 		{"warm/at-cutover", true, 15200 * time.Millisecond, "final delta to host1 failed", 0x2056013c57b8bfea},
+		{"cold/at-confirm", false, 10583 * time.Millisecond, "no state-assumed confirmation from host1", 0xa0ca7961ac0b674c},
+		{"warm/at-confirm", true, 15229 * time.Millisecond, "no state-assumed confirmation from host1", 0xb8199bad4fb01a73},
 	} {
 		got := abortRun(t, c.warm, c.failAt)
 		if !strings.Contains(got, c.stage) {

@@ -113,6 +113,10 @@ type System struct {
 
 	// in-flight migrations by original tid.
 	migrations map[core.TID]*migration
+	// ordered holds the stage-1 commands still on the wire: original tid →
+	// source host. An order leaves it when its command arrives or when the
+	// source host is lost (the command then never arrives).
+	ordered map[core.TID]int
 
 	// unreachable marks hosts whose daemons cannot acknowledge anything —
 	// crashed, or partitioned away and declared dead by silence. Flush
@@ -227,21 +231,23 @@ type migration struct {
 	// same host cannot shrink the barrier twice.
 	discounted map[int]bool
 
-	// warm, when non-nil, switches stages 3–4 to the iterative precopy
-	// protocol (precopy.go) with these parameters.
-	warm *warmParams
+	// warm prefixes the cutover with iterative precopy rounds
+	// (precopy.go); stop-and-copy is the zero-round case.
+	warm bool
 	// recorded guards finishMigration: the record for this migration has
 	// been appended and must never be appended again.
 	recorded bool
-	// Warm bookkeeping, filled by the precopy proc: rounds completed,
-	// bytes streamed before cutover, and the freeze instant.
+	// Transfer bookkeeping: precopy rounds completed and bytes streamed
+	// before the cutover (both zero for stop-and-copy), and the instant the
+	// victim stopped.
 	rounds       int
 	precopyBytes int
 	frozen       sim.Time
-	// wake is broadcast whenever warm migration state changes (victim
-	// froze, migration cancelled) so the precopy proc re-examines it.
+	// wake (warm only) is broadcast whenever the migration's state changes
+	// (victim froze, migration cancelled) so the precopy proc re-examines
+	// it.
 	wake *sim.Cond
-	// victimFrozen / released carry the freeze handshake between the
+	// victimFrozen / released carry the warm freeze handshake between the
 	// precopy proc and the victim's signal handler.
 	victimFrozen bool
 	released     bool
@@ -268,6 +274,7 @@ func New(m *pvm.Machine, _ Config) *System {
 		incarnations: make(map[core.TID][]*MTask),
 		globalRemap:  make(map[core.TID]core.TID),
 		migrations:   make(map[core.TID]*migration),
+		ordered:      make(map[core.TID]int),
 		unreachable:  make(map[int]bool),
 		rpcWait:      make(map[int]*rpcPending),
 	}
@@ -331,14 +338,15 @@ func (s *System) aliveDaemon() *pvm.Daemon {
 // crash).
 func (s *System) NoteHostUnreachable(host int) {
 	s.unreachable[host] = true
-	// Cancellation sends frames and writes trace state, so the walk over
-	// in-flight migrations must not inherit map order.
-	origs := make([]core.TID, 0, len(s.migrations))
-	for orig := range s.migrations {
-		origs = append(origs, orig)
+	// A stage-1 command on its way to the lost host's mpvmd never arrives:
+	// its order settles as aborted.
+	for _, orig := range sortedTIDs(s.ordered) {
+		if s.ordered[orig] == host {
+			delete(s.ordered, orig)
+			s.noteAbort(orig)
+		}
 	}
-	sort.Slice(origs, func(i, j int) bool { return origs[i] < origs[j] })
-	for _, orig := range origs {
+	for _, orig := range sortedTIDs(s.migrations) {
 		mig, ok := s.migrations[orig]
 		if !ok {
 			continue // cancelled while handling an earlier entry
@@ -373,10 +381,15 @@ func (s *System) NoteHostReachable(host int) {
 func (s *System) Incarnations(orig core.TID) []*MTask { return s.incarnations[orig] }
 
 // VPIDs returns the stable tids of all tasks ever spawned migratable.
-func (s *System) VPIDs() []core.TID {
-	ids := make([]core.TID, 0, len(s.incarnations))
-	for orig := range s.incarnations {
-		ids = append(ids, orig)
+func (s *System) VPIDs() []core.TID { return sortedTIDs(s.incarnations) }
+
+// sortedTIDs returns m's keys in ascending order. A walk that sends
+// frames, schedules events, fires hooks or writes trace state must not
+// inherit map order.
+func sortedTIDs[V any](m map[core.TID]V) []core.TID {
+	ids := make([]core.TID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -454,14 +467,8 @@ func (s *System) forwardStale(d *pvm.Daemon, msg *pvm.Message) bool {
 	}
 	// No remap known yet. If the destination is mid-migration (detached
 	// from the source but not yet re-enrolled), hold the message briefly
-	// and retry: the restart broadcast will install the remap. The scan
-	// schedules a retry event, so it walks the keys in sorted order.
-	origs := make([]core.TID, 0, len(s.migrations))
-	for orig := range s.migrations {
-		origs = append(origs, orig)
-	}
-	sort.Slice(origs, func(i, j int) bool { return origs[i] < origs[j] })
-	for _, orig := range origs {
+	// and retry: the restart broadcast will install the remap.
+	for _, orig := range sortedTIDs(s.migrations) {
 		if s.CurrentTID(orig) == msg.Dst {
 			retry := *msg
 			retry.Hops++

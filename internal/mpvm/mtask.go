@@ -197,15 +197,12 @@ func (mt *MTask) applyRestart(orig, oldCur, newCur core.TID) {
 }
 
 // onSignal is the transparently-linked signal handler: a migrate signal
-// arriving at any interrupt point runs the migration protocol in the task's
-// own context and returns nil so the interrupted operation resumes.
+// arriving at any interrupt point runs the victim's part of the protocol
+// (onMigrateSignal) in the task's own context and returns nil so the
+// interrupted operation resumes.
 func (mt *MTask) onSignal(reason any) error {
 	if sig, ok := reason.(migrateSignal); ok {
-		mt.sys.executeMigration(mt, sig)
-		return nil
-	}
-	if sig, ok := reason.(freezeSignal); ok {
-		mt.sys.freezeVictim(mt, sig.mig)
+		mt.sys.onMigrateSignal(mt, sig.mig)
 		return nil
 	}
 	return &sim.Interrupted{Reason: reason}
@@ -229,7 +226,8 @@ func (mt *MTask) SleepUntil(t sim.Time) error {
 	return nil
 }
 
-// migrateSignal is delivered to the victim process once flushing completes.
+// migrateSignal stops the victim in its own signal handler: once flushing
+// completes (stop-and-copy) or at cutover (warm).
 type migrateSignal struct {
 	mig *migration
 }

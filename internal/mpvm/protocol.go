@@ -13,10 +13,12 @@ import (
 
 // Protocol control payloads, all carried in pvm.CtlMsg{Kind: "mpvm"}.
 type (
-	// migrateCmd: global scheduler → source mpvmd (stage 1).
+	// migrateCmd: global scheduler → source mpvmd (stage 1). warm prefixes
+	// the cutover with precopy rounds; stop-and-copy is the zero-round case.
 	migrateCmd struct {
 		order core.MigrationOrder
 		orig  core.TID
+		warm  bool
 	}
 	// flushCmd: source mpvmd → every mpvmd (stage 2).
 	flushCmd struct {
@@ -51,11 +53,15 @@ type (
 
 const migPortBase = 50000
 
-// stateHeader starts a state-transfer stream on the skeleton TCP
-// connection.
-type stateHeader struct {
+// roundHeader starts one round of the state transfer on the skeleton TCP
+// connection: bytes of state follow. final marks the cutover round — the
+// only round of a stop-and-copy transfer — after which the skeleton
+// assumes the state.
+type roundHeader struct {
 	orig  core.TID
-	total int
+	round int
+	bytes int
+	final bool
 }
 
 // Migrate orders a migration: move the task known by original tid orig to
@@ -63,62 +69,52 @@ type stateHeader struct {
 // the source host, exactly as the paper's GS does it. Validation errors
 // (unknown task, incompatible architecture, same host) surface immediately.
 func (s *System) Migrate(orig core.TID, dest int, reason core.MigrationReason) error {
-	mt, err := s.checkMigratable(orig, dest)
-	if err != nil {
-		return err
-	}
-	return s.migrateChecked(mt, dest, reason, s.warmByDefault)
+	return s.migrate(orig, dest, reason, s.warmByDefault)
 }
 
-// checkMigratable validates a requested move (shared by Migrate and
-// MigrateWarm) and returns the task on success.
-func (s *System) checkMigratable(orig core.TID, dest int) (*MTask, error) {
+// MigrateWarm orders an iterative precopy migration (precopy.go) of the
+// task known by original tid orig to the dest host. Validation is
+// identical to Migrate.
+func (s *System) MigrateWarm(orig core.TID, dest int, reason core.MigrationReason) error {
+	return s.migrate(orig, dest, reason, true)
+}
+
+// migrate validates a requested move and sends the stage-1 command.
+func (s *System) migrate(orig core.TID, dest int, reason core.MigrationReason, warm bool) error {
 	mt, ok := s.tasks[orig]
 	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownTask, orig)
+		return fmt.Errorf("%w: %v", ErrUnknownTask, orig)
 	}
 	if mt.migrating {
-		return nil, fmt.Errorf("%w: %v", ErrAlreadyMoving, orig)
+		return fmt.Errorf("%w: %v", ErrAlreadyMoving, orig)
 	}
 	destD := s.m.Daemon(dest)
 	if destD == nil {
-		return nil, fmt.Errorf("mpvm: no host %d", dest)
+		return fmt.Errorf("mpvm: no host %d", dest)
 	}
 	srcHost := mt.Host()
 	if int(srcHost.ID()) == dest {
-		return nil, fmt.Errorf("%w: %v on host %d", ErrSameHost, orig, dest)
+		return fmt.Errorf("%w: %v on host %d", ErrSameHost, orig, dest)
 	}
 	if !srcHost.MigrationCompatible(destD.Host()) {
-		return nil, fmt.Errorf("%w: %s (%s) → %s (%s)", ErrIncompatible,
+		return fmt.Errorf("%w: %s (%s) → %s (%s)", ErrIncompatible,
 			srcHost.Name(), srcHost.Arch(), destD.Host().Name(), destD.Host().Arch())
 	}
 	destHost := destD.Host()
 	if free := destHost.Spec().MemMB - destHost.MemUsedMB(); free < memMB(mt.stateBytes) {
-		return nil, fmt.Errorf("%w: %s has %d MB free, %v needs %d MB",
+		return fmt.Errorf("%w: %s has %d MB free, %v needs %d MB",
 			ErrNoMemory, destHost.Name(), free, orig, memMB(mt.stateBytes))
 	}
-	return mt, nil
-}
-
-// migrateChecked sends the stage-1 command after Migrate/MigrateWarm
-// validated the move. warm selects the iterative precopy protocol.
-func (s *System) migrateChecked(mt *MTask, dest int, reason core.MigrationReason, warm bool) error {
-	orig := mt.orig
-	srcHost := mt.Host()
-	order := core.MigrationOrder{VP: orig, Dest: dest, Reason: reason}
-	srcD := s.m.Daemon(int(srcHost.ID()))
+	event := "migrate %v to host%d (%s)"
 	if warm {
-		s.trace("GS", "1:migration-event", fmt.Sprintf("migrate %v to host%d (%s, warm)", orig, dest, reason))
-		srcD.SendCtl(int(srcHost.ID()), ctlBytes,
-			&pvm.CtlMsg{Kind: "mpvm", Payload: &warmMigrateCmd{
-				order: order, orig: orig,
-				maxRounds: warmMaxRounds, cutoverBytes: warmCutoverBytes,
-			}})
-		return nil
+		event = "migrate %v to host%d (%s, warm)"
 	}
-	s.trace("GS", "1:migration-event", fmt.Sprintf("migrate %v to host%d (%s)", orig, dest, reason))
-	srcD.SendCtl(int(srcHost.ID()), ctlBytes,
-		&pvm.CtlMsg{Kind: "mpvm", Payload: &migrateCmd{order: order, orig: orig}})
+	s.trace("GS", "1:migration-event", fmt.Sprintf(event, orig, dest, reason))
+	src := int(srcHost.ID())
+	s.ordered[orig] = src
+	s.m.Daemon(src).SendCtl(src, ctlBytes, &pvm.CtlMsg{Kind: "mpvm", Payload: &migrateCmd{
+		order: core.MigrationOrder{VP: orig, Dest: dest, Reason: reason}, orig: orig, warm: warm,
+	}})
 	return nil
 }
 
@@ -130,8 +126,6 @@ func (s *System) handleCtl(d *pvm.Daemon, c *pvm.CtlMsg) {
 	switch p := c.Payload.(type) {
 	case *migrateCmd:
 		s.onMigrateCmd(d, p)
-	case *warmMigrateCmd:
-		s.onWarmMigrateCmd(d, p)
 	case *flushCmd:
 		s.onFlushCmd(d, p)
 	case *flushAck:
@@ -145,23 +139,32 @@ func (s *System) handleCtl(d *pvm.Daemon, c *pvm.CtlMsg) {
 	}
 }
 
-// onMigrateCmd (source mpvmd): stage 1 → start stage 2 by flushing.
+// onMigrateCmd (source mpvmd): stage 1 → mark the victim migrating and
+// start stage 2 by flushing. An order gone stale on the wire is dropped: a
+// task already moving settles through that migration, and a task that
+// exited settles as an abort, so whoever commanded the move stops waiting.
 func (s *System) onMigrateCmd(d *pvm.Daemon, cmd *migrateCmd) {
-	if mig := s.beginMigration(d, cmd.order, cmd.orig); mig != nil {
-		s.startFlush(d, mig, "flush message to all processes")
+	_, outstanding := s.ordered[cmd.orig]
+	delete(s.ordered, cmd.orig)
+	mt, ok := s.tasks[cmd.orig]
+	if !ok || mt.Exited() {
+		if outstanding {
+			s.noteAbort(cmd.orig)
+		}
+		return
 	}
-}
-
-// beginMigration (source mpvmd) marks the victim migrating and returns its
-// migration entry, or nil when the order is stale: the task is unknown,
-// already moving, or has exited since the GS chose it.
-func (s *System) beginMigration(d *pvm.Daemon, order core.MigrationOrder, orig core.TID) *migration {
-	mt, ok := s.tasks[orig]
-	if !ok || mt.migrating || mt.Exited() {
-		return nil
+	if mt.migrating {
+		return
 	}
 	mt.migrating = true
-	return newMigration(order, orig, int(d.Host().ID()), s.m.Kernel().Now(), s.aliveHosts())
+	mig := newMigration(cmd.order, cmd.orig, int(d.Host().ID()), s.m.Kernel().Now(), s.aliveHosts())
+	what := "flush message to all processes"
+	if cmd.warm {
+		mig.warm = true
+		mig.wake = sim.NewCond(s.m.Kernel())
+		what = "flush message to all processes (warm)"
+	}
+	s.startFlush(d, mig, what)
 }
 
 // startFlush (source mpvmd) opens the stage-2 barrier for mig: every mpvmd
@@ -233,7 +236,7 @@ func (s *System) maybeFinishFlush(mig *migration) {
 		mig.onFlushed()
 		return
 	}
-	if mig.warm != nil {
+	if mig.warm {
 		// Warm: the victim keeps running; a separate precopy proc streams
 		// rounds beside it and freezes it only at cutover.
 		s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-complete", "all acks received; starting precopy")
@@ -264,50 +267,25 @@ func (s *System) onSkeletonReq(d *pvm.Daemon, req *skeletonReq) {
 				return
 			}
 			defer conn.Close()
-			// First segment is the header announcing the stream shape: a
-			// stateHeader opens a stop-and-copy transfer, a roundHeader a
-			// warm precopy sequence.
-			seg, err := conn.Recv(p)
-			if err != nil {
-				return
-			}
-			switch hdr := seg.Payload.(type) {
-			case *stateHeader:
-				got := 0
-				for got < hdr.total {
+			// The transfer is a sequence of rounds, each a roundHeader and
+			// its bytes, ending with the final one.
+			for final := false; !final; {
+				seg, err := conn.Recv(p)
+				if err != nil {
+					return
+				}
+				hdr, ok := seg.Payload.(*roundHeader)
+				if !ok {
+					return
+				}
+				for got := 0; got < hdr.bytes; {
 					seg, err := conn.Recv(p)
 					if err != nil {
 						return
 					}
 					got += seg.Bytes
 				}
-			case *roundHeader:
-				// Warm: absorb rounds (each a header plus its bytes) until
-				// the final cutover round lands.
-				for {
-					got := 0
-					for got < hdr.bytes {
-						seg, err := conn.Recv(p)
-						if err != nil {
-							return
-						}
-						got += seg.Bytes
-					}
-					if hdr.final {
-						break
-					}
-					seg, err := conn.Recv(p)
-					if err != nil {
-						return
-					}
-					next, ok := seg.Payload.(*roundHeader)
-					if !ok {
-						return
-					}
-					hdr = next
-				}
-			default:
-				return
+				final = hdr.final
 			}
 			// State assumed: tell the source so it can exit and the task
 			// can restart here.
@@ -364,60 +342,83 @@ func (s *System) onRestartCmd(d *pvm.Daemon, cmd *restartCmd) {
 // never answers a skeleton request (it crashed after stage 1).
 type skeletonTimedOut struct{}
 
-// abortOnSource abandons a migration whose destination failed before the
-// process image committed to it: the task keeps running where it is, and
-// the cancel broadcast (a no-op restart) unblocks every flush-stalled
-// sender. Safe at any point up to AttachToHost because the source copy of
-// the process is only released after the skeleton confirms.
-func (s *System) abortOnSource(mt *MTask, d *pvm.Daemon, why string) {
+// abort abandons a migration whose destination failed (or whose transfer
+// was interrupted) before the process image committed to it, and resumes
+// the victim on the source host: restore a taken inbox, release a victim
+// frozen at cutover, and cancel — the no-op restart broadcast unblocks
+// every flush-stalled sender and the abort hooks fire. Safe at any point
+// up to commit because the source copy of the process is only released
+// after the skeleton confirms. A migration already cancelled underneath
+// (victim exited, coordinator lost) has nothing further to unwind.
+func (s *System) abort(mt *MTask, mig *migration, srcD *pvm.Daemon, inbox []*pvm.Message, why string) {
+	if inbox != nil {
+		mt.RestoreInbox(inbox)
+	}
+	mig.release()
+	if s.gone(mt, mig) {
+		return
+	}
 	s.trace(mt.orig.String(), "3:abort", why+"; resuming on source host")
 	mt.migrating = false
-	s.cancelMigration(mt.orig, d)
+	s.cancelMigration(mt.orig, srcD)
 }
 
-// executeMigration runs stages 3 and 4 of stop-and-copy in the migrating
-// process's own context (the transparently linked signal handler).
-func (s *System) executeMigration(mt *MTask, sig migrateSignal) {
+// gone reports whether the migration was abandoned underneath the proc
+// running its transfer (victim exited, coordinator lost, cancel broadcast).
+func (s *System) gone(mt *MTask, mig *migration) bool {
+	return mig.cancelled || mt.Exited() || s.migrations[mig.orig] != mig
+}
+
+// onMigrateSignal runs in the victim's own context (the transparently
+// linked signal handler) when the migrate signal lands, and stops it there.
+// Stop-and-copy sends the signal once flushing completes: the victim runs
+// stages 3–4 itself, stopped for the whole transfer. Warm precopy sends it
+// at cutover: the victim marks the freeze, wakes the precopy proc and
+// waits until the proc releases it (after reintegration or abort). Either
+// way its downtime starts now.
+func (s *System) onMigrateSignal(mt *MTask, mig *migration) {
 	p := mt.Proc()
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
-	mig := sig.mig
-	destHost := mig.order.Dest
-	srcD := mt.Daemon()
-	// Stop-and-copy downtime starts here: the victim is stopped in its
-	// signal handler for the whole transfer.
+	if !mig.warm {
+		mig.frozen = p.Now()
+		s.transfer(p, mt, mig, mt.Daemon())
+		return
+	}
+	if mig.cancelled || mig.released || s.migrations[mig.orig] != mig {
+		return // cutover raced a cancellation; nothing to freeze for
+	}
 	mig.frozen = p.Now()
-
-	conn, err := s.openTransfer(p, mt, srcD, destHost)
-	if err != nil {
-		s.abortOnSource(mt, srcD, err.Error())
-		return
+	mig.victimFrozen = true
+	mig.wake.Broadcast()
+	for !mig.released {
+		if err := mig.wake.Wait(p); err != nil {
+			return
+		}
 	}
-	// Stage 3b: stream the process image: data + heap + stack (stateBytes),
-	// buffered/unreceived messages, and the register context.
-	inbox, tail := takeInbox(mt)
-	total := mt.stateBytes + tail
-	s.trace(mt.orig.String(), "3:state-transfer", fmt.Sprintf("%d bytes over TCP", total))
-	if err := s.stream(p, conn, srcD.Host(), &stateHeader{orig: mt.orig, total: total}, total); err != nil {
-		conn.Close()
-		mt.RestoreInbox(inbox)
-		s.abortOnSource(mt, srcD, fmt.Sprintf("transfer to host%d failed: %v", destHost, err))
-		return
-	}
-	destD, err := s.confirm(p, conn, destHost)
-	if err != nil {
-		mt.RestoreInbox(inbox)
-		s.abortOnSource(mt, srcD, err.Error())
-		return
-	}
-	s.commit(p, mt, mig, destD, inbox, core.MigrationRecord{StateBytes: total, Mode: core.MigrationCold})
 }
 
-// The helpers below are stages 3–4 as both protocols run them. Stop-and-copy
-// calls them from the victim's own proc, inside its signal handler; warm
-// precopy (precopy.go) calls them from a proc beside the still-running
-// victim. None of them knows which: what differs between the protocols is
-// who is frozen while they run, not what they do.
+// transfer is stages 3–4 of both modes, run on p: open the transfer,
+// stream the precopy rounds and freeze the victim (warm only; stop-and-copy
+// is the zero-round case, its victim already stopped), then cut over.
+// Stop-and-copy runs it on the victim's own proc, warm precopy on a proc
+// beside the still-running victim. Which proc runs it orders the kernel's
+// events; the helpers below do the same work either way.
+func (s *System) transfer(p *sim.Proc, mt *MTask, mig *migration, srcD *pvm.Daemon) {
+	conn, err := s.openTransfer(p, mt, srcD, mig.order.Dest)
+	if err != nil {
+		s.abort(mt, mig, srcD, nil, err.Error())
+		return
+	}
+	resid := mt.stateBytes
+	if mig.warm {
+		var ok bool
+		if resid, ok = s.precopy(p, mt, mig, srcD, conn); !ok {
+			return
+		}
+	}
+	s.cutover(p, mt, mig, srcD, conn, resid)
+}
 
 // openTransfer is stage 3a: request a skeleton on the destination host, wait
 // for it to listen — but not forever: a destination that crashed after
@@ -464,10 +465,9 @@ func takeInbox(mt *MTask) (inbox []*pvm.Message, tailBytes int) {
 	return inbox, tailBytes
 }
 
-// stream is stage 3b's wire loop: hdr (a stateHeader, or one precopy
-// round's roundHeader) announces n bytes, which follow in transferChunk
-// writes from srcHost.
-func (s *System) stream(p *sim.Proc, conn *netsim.Conn, srcHost *cluster.Host, hdr any, n int) error {
+// stream is stage 3b's wire loop: hdr announces one round of n bytes,
+// which follow in transferChunk writes from srcHost.
+func (s *System) stream(p *sim.Proc, conn *netsim.Conn, srcHost *cluster.Host, hdr *roundHeader, n int) error {
 	if err := conn.Send(p, 64, hdr); err != nil {
 		return err
 	}
@@ -485,6 +485,38 @@ func (s *System) stream(p *sim.Proc, conn *netsim.Conn, srcHost *cluster.Host, h
 		n -= chunk
 	}
 	return nil
+}
+
+// cutover ends both modes with the victim stopped: take its inbox, stream
+// the final round — resid bytes of state plus the buffered messages and
+// register context — confirm, commit, and release a frozen victim, which
+// resumes on the destination host.
+func (s *System) cutover(p *sim.Proc, mt *MTask, mig *migration, srcD *pvm.Daemon, conn *netsim.Conn, resid int) {
+	inbox, tail := takeInbox(mt)
+	n := resid + tail
+	sent, failed, mode := "%d bytes over TCP", "transfer to host%d failed: %v", core.MigrationCold
+	if mig.warm {
+		sent, failed, mode = "final delta %d bytes over TCP", "final delta to host%d failed: %v", core.MigrationWarm
+	}
+	s.trace(mt.orig.String(), "3:state-transfer", fmt.Sprintf(sent, n))
+	hdr := &roundHeader{orig: mt.orig, round: mig.rounds, bytes: n, final: true}
+	if err := s.stream(p, conn, srcD.Host(), hdr, n); err != nil {
+		conn.Close()
+		s.abort(mt, mig, srcD, inbox, fmt.Sprintf(failed, mig.order.Dest, err))
+		return
+	}
+	destD, err := s.confirm(p, conn, mig.order.Dest)
+	if err != nil {
+		s.abort(mt, mig, srcD, inbox, err.Error())
+		return
+	}
+	s.commit(p, mt, mig, destD, inbox, core.MigrationRecord{
+		StateBytes:   mig.precopyBytes + n,
+		Mode:         mode,
+		Rounds:       mig.rounds,
+		PrecopyBytes: mig.precopyBytes,
+	})
+	mig.release()
 }
 
 // confirm waits for the skeleton to report it assumed the state, closes the
@@ -506,8 +538,8 @@ func (s *System) confirm(p *sim.Proc, conn *netsim.Conn, destHost int) (*pvm.Dae
 }
 
 // commit takes the task off the source host and runs stage 4 on destD. rec
-// arrives carrying what only the caller knows — bytes moved, mode, rounds —
-// and is completed and appended here.
+// arrives carrying what only the cutover knows — bytes moved, mode, rounds
+// — and is completed and appended here.
 func (s *System) commit(p *sim.Proc, mt *MTask, mig *migration, destD *pvm.Daemon,
 	inbox []*pvm.Message, rec core.MigrationRecord) {
 	// The process image is committed to the destination: this is the end of

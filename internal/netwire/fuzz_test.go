@@ -31,15 +31,13 @@ var goldenFrameSeeds = []string{
 	"5057012000170000008280208280401280d0acf30e02100002000e0302686914",
 	"50570121000d000000046b696c6c8280201100848040",
 	// mpvm
-	"5057013000110000008480200209686967682d6c6f6164848020",
 	"50570131000400000084802000",
 	"50570132000400000084802002",
 	"50570133000f0000001684802005736c6176650080808001",
 	"50570134000400000016d28c01",
 	"505701350009000000848020848020868040",
-	"50570136000700000084802080808001",
-	"505701370019000000848020020d6f776e65722d7265636c61696d84802010808008",
 	"5057013800080000008480200680800800",
+	"5057013900120000008480200209686967682d6c6f616484802000",
 	// ft
 	"50570140000100000006",
 }

@@ -341,3 +341,64 @@ func TestPlanPlacementSkipsOwnedHost(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanSettlesWhenVPGoesBeforeCommand: a VP whose task exits, or whose
+// source host fails, while its stage-1 command is still on the wire settles
+// as failed instead of wedging the executor, and a plan queued behind it
+// still runs. The command is sent at 1 s; it takes longer than 100 µs to
+// reach the source mpvmd.
+func TestPlanSettlesWhenVPGoesBeforeCommand(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		crash bool
+		after sim.Time
+	}{
+		{"exit+1us", false, time.Microsecond},
+		{"exit+10us", false, 10 * time.Microsecond},
+		{"exit+100us", false, 100 * time.Microsecond},
+		{"crash+1us", true, time.Microsecond},
+		{"crash+10us", true, 10 * time.Microsecond},
+		{"crash+100us", true, 100 * time.Microsecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k, s := testSystem(t, 3)
+			defer k.Close()
+			goneAt := time.Second + c.after
+			victim, err := s.SpawnMigratable(0, "victim", 1<<20, func(mt *mpvm.MTask) {
+				if c.crash {
+					mt.Compute(mt.Host().Spec().Speed * 300)
+					return
+				}
+				_ = mt.Proc().SleepUntil(goneAt)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := spawnWorkers(t, s, 1, 1, 1<<20)
+			if c.crash {
+				k.Schedule(goneAt, func() { s.Machine().Cluster().Host(0).Fail() })
+			}
+			var first, second *Result
+			ex := NewExecutor(s, 5)
+			k.Schedule(time.Second, func() {
+				if err := ex.Start(Spec{Name: "doomed", Groups: []Group{{
+					VPs: []core.TID{victim.OrigTID()}, Dest: 2,
+				}}}, func(r Result) { first = &r }); err != nil {
+					t.Errorf("start: %v", err)
+				}
+				if err := ex.Start(Spec{Name: "behind", Groups: []Group{{
+					VPs: other, Dest: 2,
+				}}}, func(r Result) { second = &r }); err != nil {
+					t.Errorf("start: %v", err)
+				}
+			})
+			k.RunUntil(time.Minute)
+			if first == nil || first.Failed != 1 || first.Groups[0].Outcomes[0].Err == "" {
+				t.Fatalf("doomed plan = %+v, want one failed outcome", first)
+			}
+			if second == nil || second.Moved != 1 {
+				t.Fatalf("plan queued behind = %+v, want one VP moved", second)
+			}
+		})
+	}
+}
