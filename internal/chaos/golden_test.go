@@ -18,10 +18,10 @@ import (
 var goldenDigests = map[string]uint64{
 	"reclaim-during-rollback":             0x0a4c8195dc72ce57,
 	"crash-during-evacuation":             0xf46007fb7ad20a5d,
-	"split-brain-rejoin":                  0x98ef35efe856d53c,
+	"split-brain-rejoin":                  0xaa7393627e14d90e,
 	"adm-redistribution-racing-migration": 0xe7383087bcb0eaad,
 	"crash-mid-precopy":                   0x01e8f183204a04a2,
-	"ulp-handoff-under-partition":         0xbbd77a39d2c9e53d,
+	"ulp-handoff-under-partition":         0xca1ca8fffd6d3783,
 }
 
 func scenarioDigest(sc Scenario) uint64 {

@@ -230,6 +230,10 @@ type migration struct {
 	// (or were declared dead) mid-flush, so a second loss report for the
 	// same host cannot shrink the barrier twice.
 	discounted map[int]bool
+	// member marks, by host id, the hosts the barrier waits on: those
+	// reachable when it opened. Only a member's ack counts, and only a
+	// member can be written off.
+	member []bool
 
 	// warm prefixes the cutover with iterative precopy rounds
 	// (precopy.go); stop-and-copy is the zero-round case.
@@ -254,16 +258,27 @@ type migration struct {
 	cancelled    bool
 }
 
-func newMigration(order core.MigrationOrder, orig core.TID, srcHost int, start sim.Time, acksWant int) *migration {
+func newMigration(order core.MigrationOrder, orig core.TID, srcHost int, start sim.Time, member []bool) *migration {
+	want := 0
+	for _, m := range member {
+		if m {
+			want++
+		}
+	}
 	return &migration{
 		order:      order,
 		orig:       orig,
 		srcHost:    srcHost,
 		start:      start,
-		acksWant:   acksWant,
+		acksWant:   want,
 		acked:      make(map[int]bool),
 		discounted: make(map[int]bool),
+		member:     member,
 	}
+}
+
+func (mig *migration) isMember(host int) bool {
+	return host >= 0 && host < len(mig.member) && mig.member[host]
 }
 
 // New wraps a PVM machine with MPVM protocol support.
@@ -302,17 +317,17 @@ func New(m *pvm.Machine, _ Config) *System {
 // Machine returns the underlying PVM machine.
 func (s *System) Machine() *pvm.Machine { return s.m }
 
-// aliveHosts counts hosts whose daemon can acknowledge a broadcast. Flush
-// barriers wait only on these: a crashed host never acks, and a flush that
-// waited for it would hang every checkpoint taken after a failure.
-func (s *System) aliveHosts() int {
-	n := 0
-	for _, h := range s.m.Cluster().Hosts() {
-		if h.Alive() && !s.unreachable[int(h.ID())] {
-			n++
-		}
+// reachableHosts marks, by host id, the hosts whose daemon can acknowledge
+// a broadcast. Flush barriers wait only on these: a crashed host never
+// acks, and a flush that waited for it would hang every checkpoint taken
+// after a failure.
+func (s *System) reachableHosts() []bool {
+	hosts := s.m.Cluster().Hosts()
+	member := make([]bool, len(hosts))
+	for i, h := range hosts {
+		member[i] = h.Alive() && !s.unreachable[int(h.ID())]
 	}
-	return n
+	return member
 }
 
 // aliveDaemon returns any daemon on a live host, for broadcasts whose
@@ -359,7 +374,7 @@ func (s *System) NoteHostUnreachable(host int) {
 			}
 			continue
 		}
-		if mig.flushed || mig.acked[host] || mig.discounted[host] {
+		if mig.flushed || !mig.isMember(host) || mig.acked[host] || mig.discounted[host] {
 			continue
 		}
 		mig.discounted[host] = true

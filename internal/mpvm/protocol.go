@@ -157,7 +157,7 @@ func (s *System) onMigrateCmd(d *pvm.Daemon, cmd *migrateCmd) {
 		return
 	}
 	mt.migrating = true
-	mig := newMigration(cmd.order, cmd.orig, int(d.Host().ID()), s.m.Kernel().Now(), s.aliveHosts())
+	mig := newMigration(cmd.order, cmd.orig, int(d.Host().ID()), s.m.Kernel().Now(), s.reachableHosts())
 	what := "flush message to all processes"
 	if cmd.warm {
 		mig.warm = true
@@ -194,16 +194,17 @@ func (s *System) onFlushCmd(d *pvm.Daemon, cmd *flushCmd) {
 		&pvm.CtlMsg{Kind: "mpvm", Payload: &flushAck{orig: cmd.orig, host: int(d.Host().ID())}})
 }
 
-// onFlushAck (source mpvmd): count the ack once per host; when all live
-// hosts acknowledged, complete the barrier.
+// onFlushAck (source mpvmd): count a member's ack once; when every member
+// acknowledged or was written off, complete the barrier.
 func (s *System) onFlushAck(d *pvm.Daemon, ack *flushAck) {
 	mig, ok := s.migrations[ack.orig]
 	if !ok || mig.flushed {
 		return
 	}
-	if mig.acked[ack.host] || mig.discounted[ack.host] {
-		// Duplicate, or a late ack from a host already written off (a healed
-		// partition delivering stale control traffic).
+	if !mig.isMember(ack.host) || mig.acked[ack.host] || mig.discounted[ack.host] {
+		// A host the barrier does not wait on (unreachable when it opened,
+		// yet still running), a duplicate, or a late ack from a host already
+		// written off (a healed partition delivering stale control traffic).
 		return
 	}
 	mig.acked[ack.host] = true

@@ -38,7 +38,7 @@ func (s *System) FlushAndHold(orig core.TID, onFlushed func()) error {
 		return fmt.Errorf("%w: %v", ErrAlreadyMoving, orig)
 	}
 	d := mt.Daemon()
-	mig := newMigration(core.MigrationOrder{}, orig, int(d.Host().ID()), s.m.Kernel().Now(), s.aliveHosts())
+	mig := newMigration(core.MigrationOrder{}, orig, int(d.Host().ID()), s.m.Kernel().Now(), s.reachableHosts())
 	mig.onFlushed = onFlushed
 	s.startFlush(d, mig, "checkpoint flush to all processes")
 	return nil
