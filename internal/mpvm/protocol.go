@@ -381,15 +381,14 @@ func (s *System) onMigrateSignal(mt *MTask, mig *migration) {
 	p := mt.Proc()
 	p.MaskInterrupts()
 	defer p.UnmaskInterrupts()
+	if mig.cancelled || mig.released || s.migrations[mig.orig] != mig {
+		return // the signal raced a cancellation; nothing to stop for
+	}
+	mig.frozen = p.Now()
 	if !mig.warm {
-		mig.frozen = p.Now()
 		s.transfer(p, mt, mig, mt.Daemon())
 		return
 	}
-	if mig.cancelled || mig.released || s.migrations[mig.orig] != mig {
-		return // cutover raced a cancellation; nothing to freeze for
-	}
-	mig.frozen = p.Now()
 	mig.victimFrozen = true
 	mig.wake.Broadcast()
 	for !mig.released {
