@@ -41,7 +41,9 @@ func (s *System) Migrate(ulpID, dest int, reason core.MigrationReason) error {
 	return nil
 }
 
-// onCtl handles UPVM protocol control messages at the dispatcher.
+// onCtl handles UPVM protocol control messages at the dispatcher. Every
+// field is unpacked before anything acts on it: a truncated or mistyped
+// message is dropped whole, never read with its missing fields as zeros.
 func (p *Process) onCtl(t *pvm.Task, r *core.Reader) {
 	op, err := r.UpkString()
 	if err != nil {
@@ -49,15 +51,20 @@ func (p *Process) onCtl(t *pvm.Task, r *core.Reader) {
 	}
 	switch op {
 	case "migrate":
-		ulpID, _ := r.UpkInt()
-		dest, _ := r.UpkInt()
-		reason, _ := r.UpkString()
+		var ulpID, dest int
+		if !upkInts(r, &ulpID, &dest) {
+			return
+		}
+		reason, err := r.UpkString()
+		if err != nil {
+			return
+		}
 		p.startMigration(ulpID, dest, core.MigrationReason(reason))
 	case "flush":
-		ulpID, _ := r.UpkInt()
-		dest, _ := r.UpkInt()
-		srcHost, _ := r.UpkInt()
-		seq, _ := r.UpkInt()
+		var ulpID, dest, srcHost, seq int
+		if !upkInts(r, &ulpID, &dest, &srcHost, &seq) {
+			return
+		}
 		// Future messages for this ULP go straight to the new host —
 		// UPVM's contrast with MPVM's sender blocking.
 		p.locator[ulpID] = dest
@@ -77,15 +84,19 @@ func (p *Process) onCtl(t *pvm.Task, r *core.Reader) {
 			return // source process gone: the migration it was running died with it
 		}
 	case "flush-ack":
-		ulpID, _ := r.UpkInt()
-		seq, _ := r.UpkInt()
+		var ulpID, seq int
+		if !upkInts(r, &ulpID, &seq) {
+			return
+		}
 		if fs, ok := p.flushWait[ulpID]; ok && fs.seq == seq {
 			fs.have++
 			fs.cond.Broadcast()
 		}
 	case "accepted":
-		ulpID, _ := r.UpkInt()
-		seq, _ := r.UpkInt()
+		var ulpID, seq int
+		if !upkInts(r, &ulpID, &seq) {
+			return
+		}
 		if as, ok := p.ackWait[ulpID]; ok && as.seq == seq {
 			as.have++
 			as.cond.Broadcast()
@@ -95,7 +106,10 @@ func (p *Process) onCtl(t *pvm.Task, r *core.Reader) {
 		// message that arrived before the ULP was accepted has been
 		// processed (and parked in pending), so the ULP can become visible
 		// to the zero-copy hand-off path without reordering.
-		ulpID, _ := r.UpkInt()
+		var ulpID int
+		if !upkInts(r, &ulpID) {
+			return
+		}
 		u, ok := p.sys.ulps[ulpID]
 		if !ok || u.p != p {
 			return
@@ -103,6 +117,20 @@ func (p *Process) onCtl(t *pvm.Task, r *core.Reader) {
 		p.ulps[ulpID] = u
 		p.drainPending(u)
 	}
+}
+
+// upkInts unpacks the next len(dst) ints of r into dst, in order. It
+// reports false, and the message is to be dropped, if any is missing or
+// of another kind.
+func upkInts(r *core.Reader, dst ...*int) bool {
+	for _, d := range dst {
+		v, err := r.UpkInt()
+		if err != nil {
+			return false
+		}
+		*d = v
+	}
+	return true
 }
 
 // startMigration launches the library's migration helper; the dispatcher
@@ -306,7 +334,8 @@ func (p *Process) abortFlush(mp *sim.Proc, u *ULP, fs *flushState) {
 	u.inboxCond.Broadcast()
 }
 
-// onXfer assembles an inbound ULP at the destination dispatcher.
+// onXfer assembles an inbound ULP at the destination dispatcher. Like
+// onCtl, it drops a message whose fields do not all unpack.
 func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 	op, err := r.UpkString()
 	if err != nil {
@@ -314,13 +343,18 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 	}
 	switch op {
 	case "hdr":
-		ulpID, _ := r.UpkInt()
-		segBytes, _ := r.UpkInt()
-		nInbox, _ := r.UpkInt()
-		reason, _ := r.UpkString()
-		startNs, _ := r.UpkInt()
-		srcHost, _ := r.UpkInt()
-		seq, _ := r.UpkInt()
+		var ulpID, segBytes, nInbox int
+		if !upkInts(r, &ulpID, &segBytes, &nInbox) {
+			return
+		}
+		reason, err := r.UpkString()
+		if err != nil {
+			return
+		}
+		var startNs, srcHost, seq int
+		if !upkInts(r, &startNs, &srcHost, &seq) {
+			return
+		}
 		if u := p.sys.ulps[ulpID]; u != nil && u.p == p && !u.migrating {
 			// A retransmission for a ULP already accepted here: the accept
 			// ack was lost. Re-ack and discard the duplicate stream.
@@ -341,18 +375,24 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 				StateBytes: segBytes,
 			},
 		}
-		_ = nInbox
 	case "chunk":
-		ulpID, _ := r.UpkInt()
-		n, _ := r.UpkVirtual()
+		ulpID, err1 := r.UpkInt()
+		n, err2 := r.UpkVirtual()
+		if err1 != nil || err2 != nil {
+			return
+		}
 		if ix, ok := p.inbound[ulpID]; ok {
 			ix.got += n
 		}
 	case "inboxmsg":
-		ulpID, _ := r.UpkInt()
-		srcID, _ := r.UpkInt()
-		tag, _ := r.UpkInt()
-		inner, _ := r.UpkBuffer()
+		var ulpID, srcID, tag int
+		if !upkInts(r, &ulpID, &srcID, &tag) {
+			return
+		}
+		inner, err := r.UpkBuffer()
+		if err != nil {
+			return
+		}
 		if ix, ok := p.inbound[ulpID]; ok {
 			ix.inboxMsgs = append(ix.inboxMsgs, &UMessage{
 				Src: ULPTID(srcID), Dst: ULPTID(ulpID), Tag: tag, Buf: inner,
@@ -361,8 +401,10 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 			ix.rec.StateBytes += inner.Bytes()
 		}
 	case "fin":
-		ulpID, _ := r.UpkInt()
-		offNs, _ := r.UpkInt()
+		var ulpID, offNs int
+		if !upkInts(r, &ulpID, &offNs) {
+			return
+		}
 		ix, ok := p.inbound[ulpID]
 		if !ok {
 			return
