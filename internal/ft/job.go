@@ -374,31 +374,14 @@ func (m *masterRun) checkpoint() error {
 	iter := j.master.Iter()
 	mgr.trace("ft-master", "ckpt:flush",
 		fmt.Sprintf("iter %d: quiescing traffic around the master", iter))
-	flushed := false
-	flushCond := sim.NewCond(mgr.kernel())
-	if err := mgr.sys.FlushAndHold(j.masterOrig, func() {
-		flushed = true
-		flushCond.Broadcast()
-	}); err != nil {
+	if err := mgr.sys.FlushAndHold(m.mt.Proc(), j.masterOrig); err != nil {
 		return err
 	}
-	held := true
-	defer func() {
-		if held {
-			mgr.sys.Release(j.masterOrig)
-		}
-	}()
-	for !flushed {
-		if err := flushCond.Wait(m.mt.Proc()); err != nil {
-			return err
-		}
-	}
-	if err := mgr.saveSnapshot(m.mt, masterKey, iter, j.masterStateBytes(),
-		j.master.Snapshot()); err != nil {
-		return err
-	}
+	err := mgr.saveSnapshot(m.mt, masterKey, iter, j.masterStateBytes(), j.master.Snapshot())
 	mgr.sys.Release(j.masterOrig)
-	held = false
+	if err != nil {
+		return err
+	}
 
 	epoch := mgr.epoch
 	ck := core.NewBuffer().PkInt(epoch).PkInt(iter)

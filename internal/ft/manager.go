@@ -166,7 +166,7 @@ func (mgr *Manager) ObserveFault(f Fault) {
 // kernel context.
 func (mgr *Manager) HostDead(host int) (int, error) {
 	// The silent host's mpvmd will never acknowledge anything again (crashed
-	// or partitioned makes no difference to a waiting barrier): discount it
+	// or partitioned makes no difference to a waiting barrier): write it off
 	// from every in-flight flush so checkpoints and migrations can't hang on
 	// it.
 	mgr.sys.NoteHostUnreachable(host)

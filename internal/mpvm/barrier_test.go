@@ -25,19 +25,24 @@ func TestFlushBarrierCountsOnlyMembers(t *testing.T) {
 	s.Machine().Cluster().Network().Partition(map[netsim.HostID]int{2: 1})
 	var flushedAt sim.Time = -1
 	k.Schedule(time.Second, func() {
-		if err := s.FlushAndHold(mt.OrigTID(), func() { flushedAt = k.Now() }); err != nil {
-			t.Errorf("FlushAndHold: %v", err)
-		}
+		k.Spawn("checkpointer", func(p *sim.Proc) {
+			if err := s.FlushAndHold(p, mt.OrigTID()); err != nil {
+				t.Errorf("FlushAndHold: %v", err)
+				return
+			}
+			flushedAt = p.Now()
+			s.Release(mt.OrigTID())
+		})
 	})
 	k.RunUntil(3 * time.Second)
 	if flushedAt >= 0 {
 		t.Fatalf("hold completed at %v without host 2's ack", flushedAt)
 	}
 	s.NoteHostUnreachable(2)
+	k.Run()
 	if flushedAt != 3*time.Second {
 		t.Fatalf("hold completed at %v, want 3s: writing off the last member completes it", flushedAt)
 	}
-	k.Run()
 }
 
 // TestCancelledColdMigrationDoesNotRun pins the check a migrate signal makes

@@ -30,6 +30,7 @@ import (
 
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
 )
@@ -88,6 +89,10 @@ type Config struct{}
 // handlers on every daemon (turning them into mpvmds) and tracks migratable
 // tasks.
 type System struct {
+	// Placements are reported on reintegration, respawn and the current
+	// incarnation's exit (host -1; a replaced one's exit is silent).
+	core.Ledger[core.TID]
+
 	m *pvm.Machine
 
 	// tasks by original (stable) tid.
@@ -104,12 +109,6 @@ type System struct {
 	// globalRemap: original tid → current tid, the authoritative view used
 	// for daemon-level forwarding of stale messages.
 	globalRemap map[core.TID]core.TID
-
-	records []core.MigrationRecord
-
-	// tracer, when set, receives one event per protocol stage — used to
-	// reproduce the paper's Figure 1 as a timeline.
-	tracer func(actor, stage, detail string)
 
 	// in-flight migrations by original tid.
 	migrations map[core.TID]*migration
@@ -128,50 +127,10 @@ type System struct {
 	rpcSeq  int
 	rpcWait map[int]*rpcPending
 
-	// placeHooks run whenever a VP's authoritative placement changes: a
-	// migration reintegrates on its destination, a respawn re-incarnates
-	// the VP on a recovery host, or its current incarnation exits (host
-	// -1; a replaced incarnation's exit is not reported). The scheduler's
-	// incremental load index subscribes here so HostLoad never rescans
-	// tasks.
-	placeHooks []func(orig core.TID, host int)
-
-	// recordHooks run once per completed migration, right after its record
-	// is appended; abortHooks run when an in-flight migration is abandoned
-	// (victim exit, abort-to-source, coordinator loss). The plan executor
-	// subscribes to both to learn when a commanded migration settled.
-	recordHooks []func(core.MigrationRecord)
-	abortHooks  []func(orig core.TID)
-
 	// warmByDefault turns every Migrate into a warm precopy migration —
 	// the knob evacuation drivers (gs, chaos) flip to move whole hosts
 	// warm without teaching every intermediate layer a mode parameter.
 	warmByDefault bool
-}
-
-// OnPlacement registers fn to run whenever a VP's placement changes (see
-// placeHooks). Hooks run synchronously at the protocol step that commits
-// the new placement, in registration order.
-func (s *System) OnPlacement(fn func(orig core.TID, host int)) {
-	s.placeHooks = append(s.placeHooks, fn)
-}
-
-func (s *System) notePlacement(orig core.TID, host int) {
-	for _, fn := range s.placeHooks {
-		fn(orig, host)
-	}
-}
-
-// OnRecord registers fn to run whenever a migration completes and its
-// record is appended. Hooks run synchronously, in registration order.
-func (s *System) OnRecord(fn func(core.MigrationRecord)) {
-	s.recordHooks = append(s.recordHooks, fn)
-}
-
-// OnAbort registers fn to run whenever an in-flight migration is abandoned
-// without completing (no record is appended for it).
-func (s *System) OnAbort(fn func(orig core.TID)) {
-	s.abortHooks = append(s.abortHooks, fn)
 }
 
 // SetWarmByDefault makes every subsequent Migrate run the warm precopy
@@ -179,27 +138,15 @@ func (s *System) OnAbort(fn func(orig core.TID)) {
 // to move whole hosts warm through the unchanged gs/ft plumbing.
 func (s *System) SetWarmByDefault(on bool) { s.warmByDefault = on }
 
-// finishMigration appends the record for a completed migration and fires
-// the record hooks — exactly once per migration entry, no matter how many
-// protocol paths (cutover completion, late host-loss handling, a retried
-// confirm) reach it. The recorded guard is the accounting invariant the
-// double-append regression test pins: a migration's bytes and its record
-// land in Records() once or not at all.
+// finishMigration records a completed migration exactly once per entry, no
+// matter how many protocol paths (cutover completion, late host-loss
+// handling, a retried confirm) reach it: its record lands once or not at all.
 func (s *System) finishMigration(mig *migration, rec core.MigrationRecord) {
 	if mig.recorded {
 		return
 	}
 	mig.recorded = true
-	s.records = append(s.records, rec)
-	for _, fn := range s.recordHooks {
-		fn(rec)
-	}
-}
-
-func (s *System) noteAbort(orig core.TID) {
-	for _, fn := range s.abortHooks {
-		fn(orig)
-	}
+	s.Record(rec)
 }
 
 type rpcPending struct {
@@ -208,32 +155,19 @@ type rpcPending struct {
 }
 
 // migration tracks one in-progress migration at the source mpvmd. The same
-// entry also carries a checkpoint flush (FlushAndHold): onFlushed non-nil
-// means stage 2 completes into the checkpoint protocol instead of
-// signalling a victim.
+// entry also carries a checkpoint flush (FlushAndHold): held non-nil means
+// stage 2 completes into the checkpoint protocol instead of signalling a
+// victim.
 type migration struct {
 	order     core.MigrationOrder
 	orig      core.TID
 	srcHost   int
 	start     sim.Time
-	acksWant  int
-	acksHave  int
 	offSource sim.Time
-	onFlushed func()
-	// flushed marks the stage-2 barrier complete; late acks (a healed
-	// partition) and host-loss discounts must not re-trigger it.
-	flushed bool
-	// acked records which hosts have acknowledged the flush, so duplicate
-	// acks cannot inflate the barrier count.
-	acked map[int]bool
-	// discounted marks hosts whose ack was written off because they died
-	// (or were declared dead) mid-flush, so a second loss report for the
-	// same host cannot shrink the barrier twice.
-	discounted map[int]bool
-	// member marks, by host id, the hosts the barrier waits on: those
-	// reachable when it opened. Only a member's ack counts, and only a
-	// member can be written off.
-	member []bool
+	// flush is the stage-2 barrier over the hosts reachable when it opened.
+	flush core.Barrier
+	// held (checkpoint only) wakes the FlushAndHold caller once flush is done.
+	held *sim.Cond
 
 	// warm prefixes the cutover with iterative precopy rounds
 	// (precopy.go); stop-and-copy is the zero-round case.
@@ -256,29 +190,6 @@ type migration struct {
 	victimFrozen bool
 	released     bool
 	cancelled    bool
-}
-
-func newMigration(order core.MigrationOrder, orig core.TID, srcHost int, start sim.Time, member []bool) *migration {
-	want := 0
-	for _, m := range member {
-		if m {
-			want++
-		}
-	}
-	return &migration{
-		order:      order,
-		orig:       orig,
-		srcHost:    srcHost,
-		start:      start,
-		acksWant:   want,
-		acked:      make(map[int]bool),
-		discounted: make(map[int]bool),
-		member:     member,
-	}
-}
-
-func (mig *migration) isMember(host int) bool {
-	return host >= 0 && host < len(mig.member) && mig.member[host]
 }
 
 // New wraps a PVM machine with MPVM protocol support.
@@ -317,27 +228,18 @@ func New(m *pvm.Machine, _ Config) *System {
 // Machine returns the underlying PVM machine.
 func (s *System) Machine() *pvm.Machine { return s.m }
 
-// reachableHosts marks, by host id, the hosts whose daemon can acknowledge
-// a broadcast. Flush barriers wait only on these: a crashed host never
-// acks, and a flush that waited for it would hang every checkpoint taken
-// after a failure.
-func (s *System) reachableHosts() []bool {
-	hosts := s.m.Cluster().Hosts()
-	member := make([]bool, len(hosts))
-	for i, h := range hosts {
-		member[i] = h.Alive() && !s.unreachable[int(h.ID())]
-	}
-	return member
+// reachable reports whether host's daemon can acknowledge a broadcast.
+// Flush barriers wait only on these: a flush that waited for a crashed host
+// would hang every checkpoint taken after a failure.
+func (s *System) reachable(host int) bool {
+	return s.m.Cluster().Host(netsim.HostID(host)).Alive() && !s.unreachable[host]
 }
 
 // aliveDaemon returns any daemon on a live host, for broadcasts whose
 // natural coordinator is gone.
 func (s *System) aliveDaemon() *pvm.Daemon {
-	for _, h := range s.m.Cluster().Hosts() {
-		if !h.Alive() || s.unreachable[int(h.ID())] {
-			continue
-		}
-		if d := s.m.Daemon(int(h.ID())); d != nil {
+	for h := 0; h < s.m.NHosts(); h++ {
+		if d := s.m.Daemon(h); d != nil && s.reachable(h) {
 			return d
 		}
 	}
@@ -345,7 +247,7 @@ func (s *System) aliveDaemon() *pvm.Daemon {
 }
 
 // NoteHostUnreachable updates every in-flight flush barrier for the loss of
-// a host: its pending ack is discounted (it will never arrive), and a
+// a host: it is written off (its ack will never arrive), and a
 // migration the host itself was coordinating is cancelled from a surviving
 // daemon so flush-blocked senders elsewhere resume. Wired to cluster
 // availability changes in New; the failure layer also calls it for hosts
@@ -358,7 +260,7 @@ func (s *System) NoteHostUnreachable(host int) {
 	for _, orig := range sortedTIDs(s.ordered) {
 		if s.ordered[orig] == host {
 			delete(s.ordered, orig)
-			s.noteAbort(orig)
+			s.Aborted(orig)
 		}
 	}
 	for _, orig := range sortedTIDs(s.migrations) {
@@ -368,18 +270,15 @@ func (s *System) NoteHostUnreachable(host int) {
 		}
 		if mig.srcHost == host {
 			if d := s.aliveDaemon(); d != nil {
-				s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-abort",
+				s.Trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-abort",
 					fmt.Sprintf("coordinator host%d lost; cancelling flush of %v", host, orig))
 				s.cancelMigration(orig, d)
 			}
 			continue
 		}
-		if mig.flushed || !mig.isMember(host) || mig.acked[host] || mig.discounted[host] {
-			continue
+		if mig.flush.WriteOff(host) {
+			s.maybeFinishFlush(mig)
 		}
-		mig.discounted[host] = true
-		mig.acksWant--
-		s.maybeFinishFlush(mig)
 	}
 }
 
@@ -425,18 +324,6 @@ func (s *System) VPsOnHost(host int) []core.TID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Records returns all completed migration records in completion order.
-func (s *System) Records() []core.MigrationRecord { return s.records }
-
-// SetTracer installs a protocol stage tracer (nil to disable).
-func (s *System) SetTracer(fn func(actor, stage, detail string)) { s.tracer = fn }
-
-func (s *System) trace(actor, stage, detail string) {
-	if s.tracer != nil {
-		s.tracer(actor, stage, detail)
-	}
 }
 
 // Tasks returns the migratable tasks by original tid.

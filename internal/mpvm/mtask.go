@@ -54,34 +54,25 @@ type MTask struct {
 // against PVM runs unchanged ("source-code compatible — re-compile and
 // re-link").
 func (s *System) SpawnMigratable(host int, name string, stateBytes int, body func(*MTask)) (*MTask, error) {
-	mt := s.newMTask(stateBytes)
-	task, err := s.m.Spawn(host, name, func(t *pvm.Task) {
-		body(mt)
-		// If the task finishes with a migration still pending against it
-		// (the signal raced its exit), abandon the migration and unblock
-		// any flush-stalled senders.
-		if _, pending := s.migrations[mt.orig]; pending {
-			s.cancelMigration(mt.orig, t.Daemon())
-		}
-	})
+	mt, err := s.spawnIncarnation(host, name, stateBytes, body)
 	if err != nil {
 		return nil, err
 	}
-	mt.Task = task
-	mt.orig = task.Mytid()
-	mt.memMB = memMB(stateBytes)
-	_ = task.Host().AllocMem(mt.memMB)
+	mt.orig = mt.Mytid()
 	s.tasks[mt.orig] = mt
 	s.globalRemap[mt.orig] = mt.orig
 	s.incarnations[mt.orig] = append(s.incarnations[mt.orig], mt)
-	s.linkHooks(mt, task)
+	s.linkHooks(mt, mt.Task)
 	return mt, nil
 }
 
-// newMTask allocates the library-side state shared by SpawnMigratable and
-// Respawn.
-func (s *System) newMTask(stateBytes int) *MTask {
-	return &MTask{
+// spawnIncarnation starts body as a new migratable process on host, with
+// the library-side state SpawnMigratable and Respawn share and its memory
+// reserved; the caller keys it to its stable tid. If the task finishes with
+// a migration still pending against it (the signal raced its exit), the
+// migration is abandoned and flush-stalled senders unblock.
+func (s *System) spawnIncarnation(host int, name string, stateBytes int, body func(*MTask)) (*MTask, error) {
+	mt := &MTask{
 		sys:            s,
 		stateBytes:     stateBytes,
 		dirtyBps:       -1,
@@ -91,6 +82,19 @@ func (s *System) newMTask(stateBytes int) *MTask {
 		blockedDst:     make(map[core.TID]bool),
 		blockedCh:      sim.NewCond(s.m.Kernel()),
 	}
+	task, err := s.m.Spawn(host, name, func(t *pvm.Task) {
+		body(mt)
+		if _, pending := s.migrations[mt.orig]; pending {
+			s.cancelMigration(mt.orig, t.Daemon())
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	mt.Task = task
+	mt.memMB = memMB(stateBytes)
+	_ = task.Host().AllocMem(mt.memMB)
+	return mt, nil
 }
 
 // linkHooks links the MPVM library hooks into the task, and arms the exit
@@ -102,7 +106,7 @@ func (s *System) linkHooks(mt *MTask, task *pvm.Task) {
 	task.SetOnSignal(mt.onSignal)
 	task.OnExit(func(*pvm.Task) {
 		if s.tasks[mt.orig] == mt {
-			s.notePlacement(mt.orig, -1)
+			s.Placed(mt.orig, -1)
 		}
 	})
 }

@@ -61,7 +61,7 @@ func (s *System) precopy(p *sim.Proc, mt *MTask, mig *migration, srcD *pvm.Daemo
 			return 0, false
 		}
 		began := p.Now()
-		s.trace(mt.orig.String(), "3:precopy-round",
+		s.Trace(mt.orig.String(), "3:precopy-round",
 			fmt.Sprintf("round %d: %d bytes while task runs", mig.rounds, toSend))
 		if err := s.stream(p, conn, srcD.Host(), &roundHeader{
 			orig: mt.orig, round: mig.rounds, bytes: toSend,
@@ -86,7 +86,7 @@ func (s *System) precopy(p *sim.Proc, mt *MTask, mig *migration, srcD *pvm.Daemo
 		conn.Close()
 		return 0, false
 	}
-	s.trace(mt.orig.String(), "3:cutover", fmt.Sprintf("residual %d bytes ≤ bound after %d rounds; freezing victim", toSend, mig.rounds))
+	s.Trace(mt.orig.String(), "3:cutover", fmt.Sprintf("residual %d bytes ≤ bound after %d rounds; freezing victim", toSend, mig.rounds))
 	mt.Proc().Interrupt(migrateSignal{mig: mig})
 	for !mig.victimFrozen && !s.gone(mt, mig) {
 		if err := mig.wake.Wait(p); err != nil {

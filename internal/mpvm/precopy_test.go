@@ -208,7 +208,7 @@ func TestFinishMigrationAppendsOnce(t *testing.T) {
 	_, s := testSystem(t, 2)
 	var hookCalls int
 	s.OnRecord(func(core.MigrationRecord) { hookCalls++ })
-	mig := newMigration(core.MigrationOrder{VP: 1, Dest: 1}, 1, 0, 0, s.reachableHosts())
+	mig := &migration{order: core.MigrationOrder{VP: 1, Dest: 1}, orig: 1}
 	rec := core.MigrationRecord{VP: 1, To: 1, StateBytes: 123}
 	s.finishMigration(mig, rec)
 	s.finishMigration(mig, rec) // a duplicated confirm path must be a no-op

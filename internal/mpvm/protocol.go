@@ -109,7 +109,7 @@ func (s *System) migrate(orig core.TID, dest int, reason core.MigrationReason, w
 	if warm {
 		event = "migrate %v to host%d (%s, warm)"
 	}
-	s.trace("GS", "1:migration-event", fmt.Sprintf(event, orig, dest, reason))
+	s.Trace("GS", "1:migration-event", fmt.Sprintf(event, orig, dest, reason))
 	src := int(srcHost.ID())
 	s.ordered[orig] = src
 	s.m.Daemon(src).SendCtl(src, ctlBytes, &pvm.CtlMsg{Kind: "mpvm", Payload: &migrateCmd{
@@ -149,7 +149,7 @@ func (s *System) onMigrateCmd(d *pvm.Daemon, cmd *migrateCmd) {
 	mt, ok := s.tasks[cmd.orig]
 	if !ok || mt.Exited() {
 		if outstanding {
-			s.noteAbort(cmd.orig)
+			s.Aborted(cmd.orig)
 		}
 		return
 	}
@@ -157,7 +157,7 @@ func (s *System) onMigrateCmd(d *pvm.Daemon, cmd *migrateCmd) {
 		return
 	}
 	mt.migrating = true
-	mig := newMigration(cmd.order, cmd.orig, int(d.Host().ID()), s.m.Kernel().Now(), s.reachableHosts())
+	mig := &migration{order: cmd.order, orig: cmd.orig, srcHost: int(d.Host().ID()), start: s.m.Kernel().Now()}
 	what := "flush message to all processes"
 	if cmd.warm {
 		mig.warm = true
@@ -167,13 +167,14 @@ func (s *System) onMigrateCmd(d *pvm.Daemon, cmd *migrateCmd) {
 	s.startFlush(d, mig, what)
 }
 
-// startFlush (source mpvmd) opens the stage-2 barrier for mig: every mpvmd
-// is told to block sends to the task and acknowledge. A migration's flush
-// and a checkpoint's (FlushAndHold) both start here; what is the trace
-// detail that tells them apart.
+// startFlush (source mpvmd) opens the stage-2 barrier for mig over the
+// hosts reachable now: every mpvmd is told to block sends to the task and
+// acknowledge. A migration's flush and a checkpoint's (FlushAndHold) both
+// start here; what is the trace detail that tells them apart.
 func (s *System) startFlush(d *pvm.Daemon, mig *migration, what string) {
+	mig.flush.Open(0, s.m.NHosts(), s.reachable)
 	s.migrations[mig.orig] = mig
-	s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush", what)
+	s.Trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush", what)
 	for h := 0; h < s.m.NHosts(); h++ {
 		d.SendCtl(h, ctlBytes, &pvm.CtlMsg{Kind: "mpvm",
 			Payload: &flushCmd{orig: mig.orig, srcHost: mig.srcHost}})
@@ -194,32 +195,25 @@ func (s *System) onFlushCmd(d *pvm.Daemon, cmd *flushCmd) {
 		&pvm.CtlMsg{Kind: "mpvm", Payload: &flushAck{orig: cmd.orig, host: int(d.Host().ID())}})
 }
 
-// onFlushAck (source mpvmd): count a member's ack once; when every member
-// acknowledged or was written off, complete the barrier.
+// onFlushAck (source mpvmd): count a member's ack; a non-member's (a host
+// unreachable at open, yet running) or a written-off one's counts nothing.
+// MPVM's acks carry no generation: one counts toward whichever barrier is
+// open for the task.
 func (s *System) onFlushAck(d *pvm.Daemon, ack *flushAck) {
 	mig, ok := s.migrations[ack.orig]
-	if !ok || mig.flushed {
-		return
+	if ok && mig.flush.Ack(mig.flush.Gen(), ack.host) {
+		s.maybeFinishFlush(mig)
 	}
-	if !mig.isMember(ack.host) || mig.acked[ack.host] || mig.discounted[ack.host] {
-		// A host the barrier does not wait on (unreachable when it opened,
-		// yet still running), a duplicate, or a late ack from a host already
-		// written off (a healed partition delivering stale control traffic).
-		return
-	}
-	mig.acked[ack.host] = true
-	mig.acksHave++
-	s.maybeFinishFlush(mig)
 }
 
-// maybeFinishFlush completes the stage-2 barrier once every still-expected
-// host has acknowledged. Reached from both ack arrival and host-loss
-// discounting (NoteHostUnreachable), and guarded so it fires exactly once.
+// maybeFinishFlush completes the stage-2 barrier once every member has
+// acknowledged or been written off. It is reached only from an ack or a
+// write-off that counted (onFlushAck, NoteHostUnreachable), and nothing
+// counts once the barrier is done, so it fires exactly once.
 func (s *System) maybeFinishFlush(mig *migration) {
-	if mig.flushed || mig.acksHave < mig.acksWant {
+	if !mig.flush.Done() {
 		return
 	}
-	mig.flushed = true
 	d := s.m.Daemon(mig.srcHost)
 	if d == nil {
 		return
@@ -229,25 +223,25 @@ func (s *System) maybeFinishFlush(mig *migration) {
 		s.cancelMigration(mig.orig, d)
 		return
 	}
-	if mig.onFlushed != nil {
-		// Checkpoint flush: the network is quiescent around the task; hand
-		// control to the checkpoint protocol. The entry stays in
-		// s.migrations until Release so senders remain blocked.
-		s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-complete", "all acks received; checkpoint may proceed")
-		mig.onFlushed()
+	if mig.held != nil {
+		// Checkpoint flush: the network is quiescent around the task; wake
+		// the FlushAndHold caller. The entry stays in s.migrations until
+		// Release so senders remain blocked.
+		s.Trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-complete", "all acks received; checkpoint may proceed")
+		mig.held.Broadcast()
 		return
 	}
 	if mig.warm {
 		// Warm: the victim keeps running; a separate precopy proc streams
 		// rounds beside it and freezes it only at cutover.
-		s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-complete", "all acks received; starting precopy")
+		s.Trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-complete", "all acks received; starting precopy")
 		s.startPrecopy(mt, mig)
 		return
 	}
 	// The signal interrupts the process at an arbitrary execution point; if
 	// it is inside the run-time library (interrupts masked) the migration
 	// is deferred until the library call completes.
-	s.trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-complete", "all acks received; signalling victim")
+	s.Trace(fmt.Sprintf("mpvmd%d", d.Host().ID()), "2:flush-complete", "all acks received; signalling victim")
 	mt.Proc().Interrupt(migrateSignal{mig: mig})
 }
 
@@ -323,7 +317,7 @@ func (s *System) cancelMigration(orig core.TID, d *pvm.Daemon) {
 		d.SendCtl(h, ctlBytes, &pvm.CtlMsg{Kind: "mpvm",
 			Payload: &restartCmd{orig: orig, oldTID: cur, newTID: cur}})
 	}
-	s.noteAbort(orig)
+	s.Aborted(orig)
 }
 
 // onRestartCmd (every mpvmd): publish the remap to local tasks and unblock
@@ -359,7 +353,7 @@ func (s *System) abort(mt *MTask, mig *migration, srcD *pvm.Daemon, inbox []*pvm
 	if s.gone(mt, mig) {
 		return
 	}
-	s.trace(mt.orig.String(), "3:abort", why+"; resuming on source host")
+	s.Trace(mt.orig.String(), "3:abort", why+"; resuming on source host")
 	mt.migrating = false
 	s.cancelMigration(mt.orig, srcD)
 }
@@ -376,7 +370,8 @@ func (s *System) gone(mt *MTask, mig *migration) bool {
 // stages 3–4 itself, stopped for the whole transfer. Warm precopy sends it
 // at cutover: the victim marks the freeze, wakes the precopy proc and
 // waits until the proc releases it (after reintegration or abort). Either
-// way its downtime starts now.
+// way its downtime starts now — unless the migration was cancelled while
+// the signal was deferred, which leaves the victim nothing to stop for.
 func (s *System) onMigrateSignal(mt *MTask, mig *migration) {
 	p := mt.Proc()
 	p.MaskInterrupts()
@@ -444,7 +439,7 @@ func (s *System) openTransfer(p *sim.Proc, mt *MTask, srcD *pvm.Daemon, destHost
 	if !ok {
 		return nil, fmt.Errorf("no skeleton on host%d within %v", destHost, skeletonTimeout)
 	}
-	s.trace("skeleton", "3:skeleton-ready", fmt.Sprintf("listening on host%d:%d", destHost, ready.port))
+	s.Trace("skeleton", "3:skeleton-ready", fmt.Sprintf("listening on host%d:%d", destHost, ready.port))
 	conn, err := srcD.Host().Iface().Dial(p, netsim.HostID(destHost), ready.port)
 	if err != nil {
 		return nil, fmt.Errorf("dial host%d failed: %w", destHost, err)
@@ -498,7 +493,7 @@ func (s *System) cutover(p *sim.Proc, mt *MTask, mig *migration, srcD *pvm.Daemo
 	if mig.warm {
 		sent, failed, mode = "final delta %d bytes over TCP", "final delta to host%d failed: %v", core.MigrationWarm
 	}
-	s.trace(mt.orig.String(), "3:state-transfer", fmt.Sprintf(sent, n))
+	s.Trace(mt.orig.String(), "3:state-transfer", fmt.Sprintf(sent, n))
 	hdr := &roundHeader{orig: mt.orig, round: mig.rounds, bytes: n, final: true}
 	if err := s.stream(p, conn, srcD.Host(), hdr, n); err != nil {
 		conn.Close()
@@ -546,7 +541,7 @@ func (s *System) commit(p *sim.Proc, mt *MTask, mig *migration, destD *pvm.Daemo
 	// the obtrusiveness window on the source machine.
 	mt.DetachFromHost()
 	mig.offSource = p.Now()
-	s.trace(mt.orig.String(), "3:off-source", "process image off the source host")
+	s.Trace(mt.orig.String(), "3:off-source", "process image off the source host")
 
 	// Stage 4: the skeleton is now the process. Re-enroll with the new
 	// mpvmd (fresh tid), restore buffered messages, broadcast restart.
@@ -556,7 +551,7 @@ func (s *System) commit(p *sim.Proc, mt *MTask, mig *migration, destD *pvm.Daemo
 	_ = destD.Host().AllocMem(mt.memMB)
 	oldTID := mt.Mytid()
 	newTID := mt.AttachToHost(destD)
-	s.trace(mt.orig.String(), "4:restart", fmt.Sprintf("re-enrolled as %v; broadcasting restart", newTID))
+	s.Trace(mt.orig.String(), "4:restart", fmt.Sprintf("re-enrolled as %v; broadcasting restart", newTID))
 	s.m.ChargeCPU(p, mt.Host(), restartOverhead)
 	mt.RestoreInbox(inbox)
 	mt.tidHistoryNext[oldTID] = newTID
@@ -578,6 +573,6 @@ func (s *System) commit(p *sim.Proc, mt *MTask, mig *migration, destD *pvm.Daemo
 	rec.Reintegrated = p.Now()
 	rec.Frozen = mig.frozen
 	s.finishMigration(mig, rec)
-	s.trace(mt.orig.String(), "4:reintegrated", "resuming application execution")
-	s.notePlacement(mt.orig, mig.order.Dest)
+	s.Trace(mt.orig.String(), "4:reintegrated", "resuming application execution")
+	s.Placed(mt.orig, mig.order.Dest)
 }

@@ -3,11 +3,11 @@ package mpvm
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/pvm"
+	"pvmigrate/internal/sim"
 )
 
 // This file is MPVM's contribution to the fault-tolerance layer
@@ -21,12 +21,13 @@ import (
 // has not exited.
 var ErrStillAlive = errors.New("mpvm: task incarnation still alive")
 
-// FlushAndHold runs the migration protocol's stage 2 (flush) around orig
-// without migrating it: every host blocks sends to orig, and once all
-// hosts acknowledge, onFlushed is invoked in kernel context. Senders stay
+// FlushAndHold runs stage 2 (flush) around orig without migrating it and
+// blocks p until every member host acknowledged; senders to orig stay
 // blocked until Release. The checkpoint layer snapshots the task between
-// the two calls, knowing no application message is in flight toward it.
-func (s *System) FlushAndHold(orig core.TID, onFlushed func()) error {
+// the two calls, knowing no message is in flight toward it. A hold
+// cancelled first (task exit, coordinator loss) does not wake p; an
+// interrupt does, releases the hold and is returned.
+func (s *System) FlushAndHold(p *sim.Proc, orig core.TID) error {
 	mt, ok := s.tasks[orig]
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownTask, orig)
@@ -38,9 +39,15 @@ func (s *System) FlushAndHold(orig core.TID, onFlushed func()) error {
 		return fmt.Errorf("%w: %v", ErrAlreadyMoving, orig)
 	}
 	d := mt.Daemon()
-	mig := newMigration(core.MigrationOrder{}, orig, int(d.Host().ID()), s.m.Kernel().Now(), s.reachableHosts())
-	mig.onFlushed = onFlushed
+	mig := &migration{orig: orig, srcHost: int(d.Host().ID()), start: s.m.Kernel().Now(),
+		held: sim.NewCond(s.m.Kernel())}
 	s.startFlush(d, mig, "checkpoint flush to all processes")
+	for !mig.flush.Done() {
+		if err := mig.held.Wait(p); err != nil {
+			s.Release(orig)
+			return err
+		}
+	}
 	return nil
 }
 
@@ -75,20 +82,11 @@ func (s *System) Respawn(orig core.TID, host int, name string, stateBytes int, b
 	// Any protocol state the dead incarnation left behind is void.
 	delete(s.migrations, orig)
 
-	nt := s.newMTask(stateBytes)
-	task, err := s.m.Spawn(host, name, func(t *pvm.Task) {
-		body(nt)
-		if _, pending := s.migrations[orig]; pending {
-			s.cancelMigration(orig, t.Daemon())
-		}
-	})
+	nt, err := s.spawnIncarnation(host, name, stateBytes, body)
 	if err != nil {
 		return nil, err
 	}
-	nt.Task = task
 	nt.orig = orig
-	nt.memMB = memMB(stateBytes)
-	_ = task.Host().AllocMem(nt.memMB)
 
 	// Preserve the dead incarnation's tid history (its own prior migrations)
 	// and chain its last tid to the new one, so stale in-flight messages
@@ -96,7 +94,7 @@ func (s *System) Respawn(orig core.TID, host int, name string, stateBytes int, b
 	for from, to := range old.tidHistoryNext {
 		nt.tidHistoryNext[from] = to
 	}
-	newTID := task.Mytid()
+	newTID := nt.Mytid()
 	nt.tidHistoryNext[oldCur] = newTID
 	s.tasks[orig] = nt
 	s.incarnations[orig] = append(s.incarnations[orig], nt)
@@ -107,11 +105,7 @@ func (s *System) Respawn(orig core.TID, host int, name string, stateBytes int, b
 	// mpvmd, not from history it no longer has). The install is traced in
 	// a fixed order so a recovery replay fingerprints identically run to
 	// run — the worldview line is part of the determinism audit.
-	origs := make([]core.TID, 0, len(s.globalRemap))
-	for o := range s.globalRemap {
-		origs = append(origs, o)
-	}
-	sort.Slice(origs, func(i, j int) bool { return origs[i] < origs[j] })
+	origs := sortedTIDs(s.globalRemap)
 	view := make([]string, 0, len(origs))
 	for _, o := range origs {
 		if o == orig {
@@ -122,18 +116,18 @@ func (s *System) Respawn(orig core.TID, host int, name string, stateBytes int, b
 		nt.revMap[cur] = o
 		view = append(view, fmt.Sprintf("%v->%v", o, cur))
 	}
-	s.trace(fmt.Sprintf("mpvmd%d", host), "4:worldview",
+	s.Trace(fmt.Sprintf("mpvmd%d", host), "4:worldview",
 		fmt.Sprintf("respawned %v learns %s", orig, strings.Join(view, " ")))
-	s.linkHooks(nt, task)
+	s.linkHooks(nt, nt.Task)
 
 	d := s.m.Daemon(host)
-	s.trace(fmt.Sprintf("mpvmd%d", host), "4:respawn",
+	s.Trace(fmt.Sprintf("mpvmd%d", host), "4:respawn",
 		fmt.Sprintf("%v re-incarnated as %v on host%d; broadcasting restart", orig, newTID, host))
 	for h := 0; h < s.m.NHosts(); h++ {
 		d.SendCtl(h, ctlBytes, &pvm.CtlMsg{Kind: "mpvm",
 			Payload: &restartCmd{orig: orig, oldTID: oldCur, newTID: newTID}})
 	}
-	s.notePlacement(orig, host)
+	s.Placed(orig, host)
 	return nt, nil
 }
 
@@ -154,7 +148,7 @@ func (s *System) OrphanTask(orig core.TID) bool {
 		return false
 	}
 	s.orphans = append(s.orphans, mt)
-	s.trace(mt.orig.String(), "orphan", fmt.Sprintf("incarnation %v fenced on silent host%d", mt.Mytid(), mt.Host().ID()))
+	s.Trace(mt.orig.String(), "orphan", fmt.Sprintf("incarnation %v fenced on silent host%d", mt.Mytid(), mt.Host().ID()))
 	return true
 }
 
@@ -173,7 +167,7 @@ func (s *System) ReapOrphans(host int) int {
 			keep = append(keep, mt)
 			continue
 		}
-		s.trace(mt.orig.String(), "reap", fmt.Sprintf("orphan incarnation %v killed on rejoined host%d", mt.Mytid(), host))
+		s.Trace(mt.orig.String(), "reap", fmt.Sprintf("orphan incarnation %v killed on rejoined host%d", mt.Mytid(), host))
 		mt.Task.ForceKill(pvm.Killed{Host: host})
 		n++
 	}

@@ -15,8 +15,9 @@ import (
 // hardening: a peer that is alive but partitioned away never acks the
 // stage-2 flush, the barrier times out instead of wedging, the captured
 // ULP reverts to the source and keeps running, no migration record is
-// emitted for the abort, and a retry after the partition heals succeeds
-// exactly once. It runs at the shipped flushTimeout.
+// emitted for the abort (the abort hook reports it instead), and a retry
+// after the partition heals succeeds exactly once. It runs at the shipped
+// flushTimeout.
 func TestFlushTimeoutRevertsULPUnderPartition(t *testing.T) {
 	k := sim.NewKernel()
 	cl := cluster.New(k, netsim.Params{},
@@ -27,6 +28,8 @@ func TestFlushTimeoutRevertsULPUnderPartition(t *testing.T) {
 
 	var stages []string
 	s.SetTracer(func(actor, stage, detail string) { stages = append(stages, stage) })
+	var aborted []int
+	s.OnAbort(func(ulpID int) { aborted = append(aborted, ulpID) })
 
 	ulps, err := s.Start("app", []ULPSpec{{Host: 0, DataBytes: mb(0.3)}}, func(u *ULP, rank int) {
 		u.Compute(u.Host().Spec().Speed * 30)
@@ -62,7 +65,7 @@ func TestFlushTimeoutRevertsULPUnderPartition(t *testing.T) {
 		cl.Network().Heal()
 	})
 	// The retry's fresh barrier must not be satisfied by stale acks from
-	// the aborted one (the seq guard) — it has to complete on its own.
+	// the aborted one (the generation guard) — it has to complete on its own.
 	k.Schedule(deadline+3*time.Second, func() {
 		if err := s.Migrate(0, 2, core.ReasonManual); err != nil {
 			t.Errorf("migrate after heal: %v", err)
@@ -88,5 +91,8 @@ func TestFlushTimeoutRevertsULPUnderPartition(t *testing.T) {
 	}
 	if aborts != 1 {
 		t.Fatalf("flush-abort traced %d times, want 1", aborts)
+	}
+	if len(aborted) != 1 || aborted[0] != 0 {
+		t.Fatalf("abort hook reported %v, want [0]", aborted)
 	}
 }

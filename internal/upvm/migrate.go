@@ -1,6 +1,7 @@
 package upvm
 
 import (
+	"errors"
 	"fmt"
 
 	"pvmigrate/internal/core"
@@ -30,7 +31,7 @@ func (s *System) Migrate(ulpID, dest int, reason core.MigrationReason) error {
 		return fmt.Errorf("%w: %s → %s", ErrIncompatible,
 			srcProc.Host().Arch(), s.procs[dest].Host().Arch())
 	}
-	s.trace("GS", "1:migration-event", fmt.Sprintf("migrate ULP%d to host%d (%s)", ulpID, dest, reason))
+	s.Trace("GS", "1:migration-event", fmt.Sprintf("migrate ULP%d to host%d (%s)", ulpID, dest, reason))
 	buf := core.NewBuffer().PkString("migrate").PkInt(ulpID).PkInt(dest).PkString(string(reason))
 	msg := &pvm.Message{
 		Src: core.DaemonTID(srcProc.host), Dst: srcProc.task.Mytid(),
@@ -44,25 +45,28 @@ func (s *System) Migrate(ulpID, dest int, reason core.MigrationReason) error {
 // onCtl handles UPVM protocol control messages at the dispatcher. Every
 // field is unpacked before anything acts on it: a truncated or mistyped
 // message is dropped whole, never read with its missing fields as zeros.
-func (p *Process) onCtl(t *pvm.Task, r *core.Reader) {
+// An ack names its sender by the message's source tid, which carries the
+// sending process's host.
+func (p *Process) onCtl(src core.TID, r *core.Reader) {
 	op, err := r.UpkString()
 	if err != nil {
 		return
 	}
 	switch op {
 	case "migrate":
-		var ulpID, dest int
-		if !upkInts(r, &ulpID, &dest) {
-			return
-		}
-		reason, err := r.UpkString()
-		if err != nil {
+		ulpID, err1 := r.UpkInt()
+		dest, err2 := r.UpkInt()
+		reason, err3 := r.UpkString()
+		if errors.Join(err1, err2, err3) != nil {
 			return
 		}
 		p.startMigration(ulpID, dest, core.MigrationReason(reason))
 	case "flush":
-		var ulpID, dest, srcHost, seq int
-		if !upkInts(r, &ulpID, &dest, &srcHost, &seq) {
+		ulpID, err1 := r.UpkInt()
+		dest, err2 := r.UpkInt()
+		srcHost, err3 := r.UpkInt()
+		gen, err4 := r.UpkInt()
+		if errors.Join(err1, err2, err3, err4) != nil {
 			return
 		}
 		// Future messages for this ULP go straight to the new host —
@@ -79,58 +83,35 @@ func (p *Process) onCtl(t *pvm.Task, r *core.Reader) {
 				}
 			}
 		}
-		ack := core.NewBuffer().PkString("flush-ack").PkInt(ulpID).PkInt(seq)
-		if err := p.task.Send(p.sys.procs[srcHost].task.Mytid(), tagCtl, ack); err != nil {
-			return // source process gone: the migration it was running died with it
-		}
-	case "flush-ack":
-		var ulpID, seq int
-		if !upkInts(r, &ulpID, &seq) {
+		ack := core.NewBuffer().PkString("flush-ack").PkInt(ulpID).PkInt(gen)
+		_ = p.task.Send(p.sys.procs[srcHost].task.Mytid(), tagCtl, ack) // lint:reason only this process's own exit fails a send, and then no migration needs the ack
+	case "flush-ack", "accepted":
+		ulpID, err1 := r.UpkInt()
+		gen, err2 := r.UpkInt()
+		o := p.outbound[ulpID]
+		if errors.Join(err1, err2) != nil || o == nil {
 			return
 		}
-		if fs, ok := p.flushWait[ulpID]; ok && fs.seq == seq {
-			fs.have++
-			fs.cond.Broadcast()
+		b := &o.flush
+		if op == "accepted" {
+			b = &o.accept
 		}
-	case "accepted":
-		var ulpID, seq int
-		if !upkInts(r, &ulpID, &seq) {
-			return
-		}
-		if as, ok := p.ackWait[ulpID]; ok && as.seq == seq {
-			as.have++
-			as.cond.Broadcast()
+		if b.Ack(gen, src.Host()) {
+			o.wake.Broadcast()
 		}
 	case "arrived":
 		// The placement marker has drained the dispatcher queue: every
 		// message that arrived before the ULP was accepted has been
 		// processed (and parked in pending), so the ULP can become visible
 		// to the zero-copy hand-off path without reordering.
-		var ulpID int
-		if !upkInts(r, &ulpID) {
-			return
-		}
+		ulpID, err := r.UpkInt()
 		u, ok := p.sys.ulps[ulpID]
-		if !ok || u.p != p {
+		if err != nil || !ok || u.p != p {
 			return
 		}
 		p.ulps[ulpID] = u
 		p.drainPending(u)
 	}
-}
-
-// upkInts unpacks the next len(dst) ints of r into dst, in order. It
-// reports false, and the message is to be dropped, if any is missing or
-// of another kind.
-func upkInts(r *core.Reader, dst ...*int) bool {
-	for _, d := range dst {
-		v, err := r.UpkInt()
-		if err != nil {
-			return false
-		}
-		*d = v
-	}
-	return true
 }
 
 // startMigration launches the library's migration helper; the dispatcher
@@ -158,45 +139,33 @@ func (p *Process) runMigration(mp *sim.Proc, u *ULP, dest int, reason core.Migra
 	delete(p.ulps, u.id)
 	p.locator[u.id] = dest
 	u.proc.Interrupt(migPause{})
-	p.sys.trace(fmt.Sprintf("proc%d", p.host), "1:context-captured", fmt.Sprintf("ULP%d suspended", u.id))
+	p.sys.Trace(fmt.Sprintf("proc%d", p.host), "1:context-captured", fmt.Sprintf("ULP%d suspended", u.id))
 
 	// Stage 2: flush. Every other process updates its locator (future
 	// messages go to the new host) and acknowledges that in-transit
 	// messages for this ULP have drained.
-	p.flushSeq++
-	fs := &flushState{want: len(p.sys.procs) - 1, seq: p.flushSeq, cond: sim.NewCond(p.sys.m.Kernel())}
-	p.flushWait[u.id] = fs
-	for h, other := range p.sys.procs {
-		if h == p.host {
-			continue
-		}
-		buf := core.NewBuffer().PkString("flush").PkInt(u.id).PkInt(dest).PkInt(p.host).PkInt(fs.seq)
-		if err := p.task.SendAs(mp, other.task.Mytid(), tagCtl, buf); err != nil {
-			// A dead peer holds no in-transit messages to drain; its ack
-			// will never come, so it leaves the barrier.
-			fs.want--
-		}
+	o := p.outbound[u.id]
+	if o == nil {
+		o = &outboundXfer{}
+		o.wake.Init(p.sys.m.Kernel())
+		p.outbound[u.id] = o
 	}
-	p.sys.trace(fmt.Sprintf("proc%d", p.host), "2:flush", "flush to all processes; new location published")
-	// A live-but-partitioned peer fails the barrier differently from a
-	// dead one: the flush datagram is dropped silently, the send above
-	// succeeds, and the ack never comes. The wait is therefore bounded;
-	// on expiry the migration aborts and the captured ULP reverts to the
-	// source rather than being lost to a wedged barrier.
-	deadline := mp.Now() + flushTimeout
-	wake := p.sys.m.Kernel().ScheduleAt(deadline, fs.cond.Broadcast)
-	for fs.have < fs.want {
-		if mp.Now() >= deadline {
-			p.abortFlush(mp, u, fs)
-			return
-		}
-		if err := fs.cond.Wait(mp); err != nil {
-			return
-		}
+	gen := o.flush.Gen() + 1
+	o.flush.Open(gen, len(p.sys.procs), func(h int) bool { return h != p.host })
+	p.flushPeers(mp, u.id, dest, &o.flush)
+	p.sys.Trace(fmt.Sprintf("proc%d", p.host), "2:flush", "flush to all processes; new location published")
+	// A crashed peer, or a live one behind a partition, drops the flush
+	// silently and is never written off, so the wait is bounded: on expiry
+	// the ULP reverts to the source instead of being lost to the barrier.
+	done, err := p.await(mp, o, &o.flush, flushTimeout)
+	if err != nil {
+		return
 	}
-	wake.Cancel()
-	delete(p.flushWait, u.id)
-	p.sys.trace(fmt.Sprintf("proc%d", p.host), "2:flush-complete", "in-transit messages drained")
+	if !done {
+		p.abortFlush(mp, u, o)
+		return
+	}
+	p.sys.Trace(fmt.Sprintf("proc%d", p.host), "2:flush-complete", "in-transit messages drained")
 
 	// Wait until the ULP is actually suspended (it parks at its next
 	// blocking point): capturing its state while it runs would tear the
@@ -228,44 +197,70 @@ func (p *Process) runMigration(mp *sim.Proc, u *ULP, dest int, reason core.Migra
 	inbox := u.inbox
 	u.inbox = nil
 	segBytes := u.spec.StateBytes()
-	as := &flushState{want: 1, seq: fs.seq, cond: sim.NewCond(p.sys.m.Kernel())}
-	p.ackWait[u.id] = as
+	o.accept.Open(gen, len(p.sys.procs), func(h int) bool { return h == dest })
 	ackTimeout := sim.FromSeconds(float64(segBytes)/cfg.AcceptBps) + 2*flushTimeout
-	for attempt := 0; as.have < as.want; attempt++ {
+	for attempt := 0; !o.accept.Done(); attempt++ {
 		if attempt > 0 {
-			p.sys.trace(fmt.Sprintf("proc%d", p.host), "3:retransmit",
+			p.sys.Trace(fmt.Sprintf("proc%d", p.host), "3:retransmit",
 				fmt.Sprintf("no accept ack for ULP%d; resending state", u.id))
 		}
-		if err := p.sendState(mp, destProc, u, inbox, segBytes, reason, start, fs.seq); err != nil {
-			delete(p.ackWait, u.id)
-			return // destination gone: abandon, like an interrupted transfer
+		if err := p.sendState(mp, destProc, u, inbox, segBytes, reason, start, gen); err != nil {
+			return // this process's task exited: abandon, like an interrupted transfer
 		}
 		if attempt == 0 {
-			p.sys.trace(fmt.Sprintf("proc%d", p.host), "3:off-source", fmt.Sprintf("ULP%d state off-loaded (pkbyte/send)", u.id))
+			p.sys.Trace(fmt.Sprintf("proc%d", p.host), "3:off-source", fmt.Sprintf("ULP%d state off-loaded (pkbyte/send)", u.id))
 			// All ULP state is off the source host: the obtrusiveness
 			// window ends here, even though the destination may not have
 			// received everything (paper §4.2.2).
 		}
-		deadline := mp.Now() + ackTimeout
-		wake := p.sys.m.Kernel().ScheduleAt(deadline, as.cond.Broadcast)
-		for as.have < as.want && mp.Now() < deadline {
-			if err := as.cond.Wait(mp); err != nil {
-				return
-			}
+		if _, err := p.await(mp, o, &o.accept, ackTimeout); err != nil {
+			return
 		}
-		wake.Cancel()
 	}
-	delete(p.ackWait, u.id)
+}
+
+// flushPeers tells every other process that ulpID now lives on dest, under
+// b's generation, and asks for an ack. A send fails only once this
+// process's own task has exited (its host crashed): no ack can reach it,
+// so the peer is written off.
+func (p *Process) flushPeers(mp *sim.Proc, ulpID, dest int, b *core.Barrier) {
+	for h, other := range p.sys.procs {
+		if h == p.host {
+			continue
+		}
+		buf := core.NewBuffer().PkString("flush").PkInt(ulpID).PkInt(dest).PkInt(p.host).PkInt(b.Gen())
+		if err := p.task.SendAs(mp, other.task.Mytid(), tagCtl, buf); err != nil {
+			b.WriteOff(h)
+		}
+	}
+}
+
+// await blocks mp until b, one of o's barriers, completes or timeout
+// passes, and reports which. The migrator wakes on every counted ack and
+// at the deadline; err is an interrupt.
+func (p *Process) await(mp *sim.Proc, o *outboundXfer, b *core.Barrier, timeout sim.Time) (done bool, err error) {
+	deadline := mp.Now() + timeout
+	wake := p.sys.m.Kernel().ScheduleAt(deadline, o.wake.Broadcast)
+	for !b.Done() {
+		if mp.Now() >= deadline {
+			return false, nil
+		}
+		if err := o.wake.Wait(mp); err != nil {
+			return false, err
+		}
+	}
+	wake.Cancel()
+	return true, nil
 }
 
 // sendState streams one full copy of the ULP's state — header, segment
 // chunks, unreceived inbox messages, fin — to the destination.
 func (p *Process) sendState(mp *sim.Proc, destProc *Process, u *ULP, inbox []*UMessage,
-	segBytes int, reason core.MigrationReason, start sim.Time, seq int) error {
+	segBytes int, reason core.MigrationReason, start sim.Time, gen int) error {
 	cfg := p.sys.cfg
 	hdr := core.NewBuffer().PkString("hdr").PkInt(u.id).PkInt(segBytes).
 		PkInt(len(inbox)).PkString(string(reason)).
-		PkInt(int(start)).PkInt(p.host).PkInt(seq)
+		PkInt(int(start)).PkInt(p.host).PkInt(gen)
 	if err := p.task.SendAs(mp, destProc.task.Mytid(), tagXfer, hdr); err != nil {
 		return err
 	}
@@ -301,28 +296,22 @@ func (p *Process) sendState(mp *sim.Proc, destProc *Process, u *ULP, inbox []*UM
 
 // abortFlush reverts a captured ULP after the flush barrier times out.
 // The ULP rejoins the source process's table and resumes where it parked;
-// the location published in stage 1 is retracted by a second flush round
-// pointing back at the source (peers that heard the original re-point and
-// re-forward anything they buffered for the ULP). Acks from either round
-// can still arrive after the abort — the deleted flushWait entry and the
-// barrier seq make them inert. Messages dropped by the partition itself
-// are the application's to handle, like any lost datagram; what the abort
-// guarantees is that the ULP is never lost to a wedged barrier.
-func (p *Process) abortFlush(mp *sim.Proc, u *ULP, fs *flushState) {
-	delete(p.flushWait, u.id)
+// a second flush round pointing back at the source retracts the published
+// location (peers re-point and re-forward what they buffered for it). The
+// closed barrier leaves late acks of either round inert. Messages the
+// partition dropped are the application's to handle, like any lost
+// datagram; the abort guarantees the ULP is never lost to the barrier.
+func (p *Process) abortFlush(mp *sim.Proc, u *ULP, o *outboundXfer) {
+	o.flush.Close()
 	p.locator[u.id] = p.host
-	for h, other := range p.sys.procs {
-		if h == p.host {
-			continue
-		}
-		buf := core.NewBuffer().PkString("flush").PkInt(u.id).PkInt(p.host).PkInt(p.host).PkInt(fs.seq)
-		// Best effort: a peer that misses the retraction keeps routing
-		// via the stale location, and the re-pointed destination forwards
-		// those strays back here.
-		_ = p.task.SendAs(mp, other.task.Mytid(), tagCtl, buf) // lint:reason best-effort retraction: an unreachable peer self-corrects via the destination's forwarding
-	}
-	p.sys.trace(fmt.Sprintf("proc%d", p.host), "2:flush-abort",
-		fmt.Sprintf("flush barrier timed out (%d/%d acks); ULP%d reverted", fs.have, fs.want, u.id))
+	// Best effort: a peer that misses the retraction keeps routing via the
+	// stale location, and the re-pointed destination forwards those strays
+	// back here.
+	p.flushPeers(mp, u.id, p.host, &o.flush)
+	have, want := o.flush.Counts()
+	p.sys.Trace(fmt.Sprintf("proc%d", p.host), "2:flush-abort",
+		fmt.Sprintf("flush barrier timed out (%d/%d acks); ULP%d reverted", have, want, u.id))
+	p.sys.Aborted(u.id)
 	if u.done {
 		u.migrating = false
 		return
@@ -343,28 +332,26 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 	}
 	switch op {
 	case "hdr":
-		var ulpID, segBytes, nInbox int
-		if !upkInts(r, &ulpID, &segBytes, &nInbox) {
-			return
-		}
-		reason, err := r.UpkString()
-		if err != nil {
-			return
-		}
-		var startNs, srcHost, seq int
-		if !upkInts(r, &startNs, &srcHost, &seq) {
+		ulpID, err1 := r.UpkInt()
+		segBytes, err2 := r.UpkInt()
+		_, err3 := r.UpkInt() // inbox message count; each follows as an inboxmsg
+		reason, err4 := r.UpkString()
+		startNs, err5 := r.UpkInt()
+		srcHost, err6 := r.UpkInt()
+		gen, err7 := r.UpkInt()
+		if errors.Join(err1, err2, err3, err4, err5, err6, err7) != nil {
 			return
 		}
 		if u := p.sys.ulps[ulpID]; u != nil && u.p == p && !u.migrating {
 			// A retransmission for a ULP already accepted here: the accept
 			// ack was lost. Re-ack and discard the duplicate stream.
-			p.sendAccepted(ulpID, srcHost, seq)
+			p.sendAccepted(ulpID, srcHost, gen)
 			return
 		}
 		// A fresh header restarts any partial inbound from a lost attempt.
 		p.inbound[ulpID] = &inboundXfer{
 			total: segBytes,
-			seq:   seq,
+			gen:   gen,
 			rec: core.MigrationRecord{
 				VP:         ULPTID(ulpID),
 				NewTID:     ULPTID(ulpID),
@@ -378,22 +365,15 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 	case "chunk":
 		ulpID, err1 := r.UpkInt()
 		n, err2 := r.UpkVirtual()
-		if err1 != nil || err2 != nil {
-			return
-		}
-		if ix, ok := p.inbound[ulpID]; ok {
+		if ix, ok := p.inbound[ulpID]; ok && errors.Join(err1, err2) == nil {
 			ix.got += n
 		}
 	case "inboxmsg":
-		var ulpID, srcID, tag int
-		if !upkInts(r, &ulpID, &srcID, &tag) {
-			return
-		}
-		inner, err := r.UpkBuffer()
-		if err != nil {
-			return
-		}
-		if ix, ok := p.inbound[ulpID]; ok {
+		ulpID, err1 := r.UpkInt()
+		srcID, err2 := r.UpkInt()
+		tag, err3 := r.UpkInt()
+		inner, err4 := r.UpkBuffer()
+		if ix, ok := p.inbound[ulpID]; ok && errors.Join(err1, err2, err3, err4) == nil {
 			ix.inboxMsgs = append(ix.inboxMsgs, &UMessage{
 				Src: ULPTID(srcID), Dst: ULPTID(ulpID), Tag: tag, Buf: inner,
 				SentAt: p.sys.m.Kernel().Now(),
@@ -401,12 +381,10 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 			ix.rec.StateBytes += inner.Bytes()
 		}
 	case "fin":
-		var ulpID, offNs int
-		if !upkInts(r, &ulpID, &offNs) {
-			return
-		}
+		ulpID, err1 := r.UpkInt()
+		offNs, err2 := r.UpkInt()
 		ix, ok := p.inbound[ulpID]
-		if !ok {
+		if !ok || errors.Join(err1, err2) != nil {
 			return
 		}
 		delete(p.inbound, ulpID)
@@ -427,7 +405,7 @@ func (p *Process) acceptULP(t *pvm.Task, ulpID int, ix *inboundXfer) {
 	if !u.migrating && u.p == p {
 		// A duplicate fin: an earlier attempt's accept already committed.
 		// Accept exactly once — and exactly one record — just re-ack.
-		p.sendAccepted(ulpID, ix.rec.From, ix.seq)
+		p.sendAccepted(ulpID, ix.rec.From, ix.gen)
 		return
 	}
 	cost := sim.FromSeconds(float64(ix.total) / p.sys.cfg.AcceptBps)
@@ -436,12 +414,12 @@ func (p *Process) acceptULP(t *pvm.Task, ulpID int, ix *inboundXfer) {
 	}
 	if !u.migrating && u.p == p {
 		// Another attempt's accept committed while this one slept.
-		p.sendAccepted(ulpID, ix.rec.From, ix.seq)
+		p.sendAccepted(ulpID, ix.rec.From, ix.gen)
 		return
 	}
 	u.p = p
 	p.locator[ulpID] = p.host
-	p.sys.notePlaced(ulpID, p.host)
+	p.sys.Placed(ulpID, p.host)
 	u.inbox = append(u.inbox, ix.inboxMsgs...)
 	// The ULP is NOT yet visible to the same-process hand-off fast path:
 	// messages already queued at this process's PVM inbox must be
@@ -458,15 +436,15 @@ func (p *Process) acceptULP(t *pvm.Task, ulpID int, ix *inboundXfer) {
 	u.resumeCond.Broadcast()
 	u.inboxCond.Broadcast()
 	// The ULP is on the destination scheduler's run queue: migration ends.
-	p.sys.trace(fmt.Sprintf("proc%d", p.host), "4:enqueued", fmt.Sprintf("ULP%d placed in its reserved region and scheduled", ulpID))
+	p.sys.Trace(fmt.Sprintf("proc%d", p.host), "4:enqueued", fmt.Sprintf("ULP%d placed in its reserved region and scheduled", ulpID))
 	ix.rec.Reintegrated = p.sys.m.Kernel().Now()
-	p.sys.records = append(p.sys.records, ix.rec)
-	p.sendAccepted(ulpID, ix.rec.From, ix.seq)
+	p.sys.Record(ix.rec)
+	p.sendAccepted(ulpID, ix.rec.From, ix.gen)
 }
 
 // sendAccepted confirms a committed (or already-committed) accept to the
 // source, ending its retransmission loop.
-func (p *Process) sendAccepted(ulpID, srcHost, seq int) {
-	buf := core.NewBuffer().PkString("accepted").PkInt(ulpID).PkInt(seq)
+func (p *Process) sendAccepted(ulpID, srcHost, gen int) {
+	buf := core.NewBuffer().PkString("accepted").PkInt(ulpID).PkInt(gen)
 	_ = p.task.Send(p.sys.procs[srcHost].task.Mytid(), tagCtl, buf) // lint:reason a lost ack is covered by the source's retransmission loop
 }

@@ -38,29 +38,25 @@ type Process struct {
 	// in-progress inbound ULP transfers, by ulp id.
 	inbound map[int]*inboundXfer
 
-	// flush bookkeeping for migrations this process initiated.
-	flushWait map[int]*flushState
-	// flushSeq numbers flush barriers started by this process.
-	flushSeq int
-	// ackWait holds the accept-ack waits of in-flight state transfers this
-	// process initiated (want is always 1: the destination's confirmation).
-	ackWait map[int]*flushState
+	// outbound holds the barriers of the migrations this process runs as
+	// source, by ulp id. An entry outlives its migration so its generation
+	// keeps counting: a stale ack never counts toward a later migration.
+	outbound map[int]*outboundXfer
 }
 
-type flushState struct {
-	want, have int
-	// seq identifies this barrier generation: an ack carrying a stale seq
-	// (from a barrier that already timed out and aborted) must not be
-	// counted toward a later barrier for the same ULP.
-	seq  int
-	cond *sim.Cond
+// outboundXfer is one ULP's source side: the stage-2 flush barrier over
+// every other process and the stage-3 accept barrier over the destination,
+// both opened with the migration's generation, and the migrator's wake.
+type outboundXfer struct {
+	flush, accept core.Barrier
+	wake          sim.Cond
 }
 
 type inboundXfer struct {
 	total, got int
-	// seq is the sending migration's barrier generation, echoed in the
+	// gen is the sending migration's barrier generation, echoed in the
 	// accept ack so the source matches it to the right transfer.
-	seq       int
+	gen       int
 	inboxMsgs []*UMessage
 	rec       core.MigrationRecord
 }
@@ -76,14 +72,13 @@ type UMessage struct {
 
 func newProcess(s *System, host int, name string) (*Process, error) {
 	p := &Process{
-		sys:       s,
-		host:      host,
-		ulps:      make(map[int]*ULP),
-		locator:   make(map[int]int),
-		pending:   make(map[int][]*UMessage),
-		inbound:   make(map[int]*inboundXfer),
-		flushWait: make(map[int]*flushState),
-		ackWait:   make(map[int]*flushState),
+		sys:      s,
+		host:     host,
+		ulps:     make(map[int]*ULP),
+		locator:  make(map[int]int),
+		pending:  make(map[int][]*UMessage),
+		inbound:  make(map[int]*inboundXfer),
+		outbound: make(map[int]*outboundXfer),
 	}
 	p.tokenCh = sim.NewCond(s.m.Kernel())
 	task, err := s.m.Spawn(host, fmt.Sprintf("%s-upvm", name), p.dispatch)
@@ -108,7 +103,7 @@ func (p *Process) addULP(u *ULP) {
 	for h := range p.sys.procs {
 		p.sys.procs[h].locator[u.id] = p.host
 	}
-	p.sys.notePlaced(u.id, p.host)
+	p.sys.Placed(u.id, p.host)
 }
 
 // locate returns the host this process believes the ULP is on.
@@ -153,7 +148,7 @@ func (p *Process) release(u *ULP) {
 // ULP inboxes and handling protocol messages.
 func (p *Process) dispatch(t *pvm.Task) {
 	for {
-		_, tag, r, err := t.Recv(core.AnyTID, core.AnyTag)
+		src, tag, r, err := t.Recv(core.AnyTID, core.AnyTag)
 		if err != nil {
 			return
 		}
@@ -161,7 +156,7 @@ func (p *Process) dispatch(t *pvm.Task) {
 		case tagData:
 			p.onData(r)
 		case tagCtl:
-			p.onCtl(t, r)
+			p.onCtl(src, r)
 		case tagXfer:
 			p.onXfer(t, r)
 		default:

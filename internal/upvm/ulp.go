@@ -55,7 +55,7 @@ func newULP(s *System, rank int, spec ULPSpec, body func(*ULP, int)) *ULP {
 	u.proc = s.m.Kernel().Spawn(fmt.Sprintf("ulp%d", rank), func(p *sim.Proc) {
 		body(u, rank)
 		u.done = true
-		s.notePlaced(u.id, -1)
+		s.Placed(u.id, -1)
 		u.parkCond.Broadcast() // unblock a migrator waiting for the park
 		if u.p != nil {
 			u.p.release(u)

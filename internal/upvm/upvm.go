@@ -83,13 +83,13 @@ const (
 	remoteHeaderBytes = 32
 	// xferChunk is the pvm_pkbyte granularity of ULP state transfer.
 	xferChunk = 32 << 10
-	// flushTimeout bounds the stage-2 flush barrier. A crashed peer is
-	// detected at send time and leaves the barrier, but a live peer behind
-	// a network partition accepts the datagram loss silently: its ack never
-	// arrives, and an unbounded wait would wedge the migration forever with
-	// the ULP captured — lost to the application. On expiry the migration
-	// aborts and the ULP reverts to the source process. (Not from the paper:
-	// the partition hardening of DESIGN.md §7e.)
+	// flushTimeout bounds the stage-2 flush barrier. The barrier waits on
+	// every other process and writes none off: a crashed peer, or a live
+	// one behind a network partition, drops the flush silently, its ack
+	// never arrives, and an unbounded wait would wedge the migration
+	// forever with the ULP captured — lost to the application. On expiry
+	// the migration aborts and the ULP reverts to the source process. (Not
+	// from the paper: the partition hardening of DESIGN.md §7e.)
 	flushTimeout sim.Time = 2 * time.Second
 )
 
@@ -119,34 +119,16 @@ func (c Config) withDefaults() Config {
 // System is one UPVM application: one process per host, ULPs spread across
 // them.
 type System struct {
+	// Placements are reported at load, at acceptance on the destination
+	// and at completion (host -1); a flush timeout is an abort.
+	core.Ledger[int]
+
 	m       *pvm.Machine
 	cfg     Config
 	space   *AddressSpace
 	procs   []*Process // by host
 	ulps    map[int]*ULP
-	records []core.MigrationRecord
 	started bool
-
-	// tracer, when set, receives one event per migration protocol stage —
-	// used to reproduce the paper's Figure 3 as a timeline.
-	tracer func(actor, stage, detail string)
-
-	// placeHooks run whenever a ULP's placement commits: initial load,
-	// migration acceptance at the destination, or completion (host -1).
-	// The scheduler's incremental load index subscribes here.
-	placeHooks []func(ulpID, host int)
-}
-
-// OnPlacement registers fn to run whenever a ULP's placement changes:
-// initial placement, migration acceptance, and completion (host -1).
-func (s *System) OnPlacement(fn func(ulpID, host int)) {
-	s.placeHooks = append(s.placeHooks, fn)
-}
-
-func (s *System) notePlaced(ulpID, host int) {
-	for _, fn := range s.placeHooks {
-		fn(ulpID, host)
-	}
 }
 
 // New creates a UPVM system over a PVM machine.
@@ -161,18 +143,6 @@ func New(m *pvm.Machine, cfg Config) *System {
 
 // Machine returns the underlying PVM machine.
 func (s *System) Machine() *pvm.Machine { return s.m }
-
-// Records returns completed ULP migrations.
-func (s *System) Records() []core.MigrationRecord { return s.records }
-
-// SetTracer installs a protocol stage tracer (nil to disable).
-func (s *System) SetTracer(fn func(actor, stage, detail string)) { s.tracer = fn }
-
-func (s *System) trace(actor, stage, detail string) {
-	if s.tracer != nil {
-		s.tracer(actor, stage, detail)
-	}
-}
 
 // Space returns the global address-space layout manager.
 func (s *System) Space() *AddressSpace { return s.space }
