@@ -560,18 +560,8 @@ func (s *admSlave) participateRedist(requested bool) error {
 		if op != "plan" {
 			continue
 		}
-		nMoves, _ := r.UpkInt()
-		for i := 0; i < nMoves; i++ {
-			from, _ := r.UpkInt()
-			to, _ := r.UpkInt()
-			cnt, _ := r.UpkInt()
-			moves = append(moves, adm.Move{From: from, To: to, Count: cnt})
-		}
-		for i := 0; i < len(s.peers); i++ {
-			inc, _ := r.UpkInt()
-			if i == s.rank {
-				expectIncoming = inc
-			}
+		if moves, expectIncoming, err = s.unpackPlan(r); err != nil {
+			return fmt.Errorf("opt: ADM plan: %w", err)
 		}
 		break
 	}
@@ -629,6 +619,9 @@ func (s *admSlave) participateRedist(requested bool) error {
 		}
 		fragIDs := make([]int, cnt)
 		for i, id := range ids {
+			if !(id >= 0 && id < float64(p.NumExemplars())) || id != math.Trunc(id) {
+				return fmt.Errorf("opt: ADM fragment carries %v, not an exemplar id in [0, %d)", id, p.NumExemplars())
+			}
 			fragIDs[i] = int(id)
 		}
 		frag := adm.NewFragment(fragIDs, flags)
@@ -681,6 +674,59 @@ func (s *admSlave) participateRedist(requested bool) error {
 		})
 	}
 	return nil
+}
+
+// unpackPlan reads a redistribution plan — the moves, then every peer's
+// incoming count — and returns the moves and this slave's incoming count.
+// Every field is checked before the plan acts: a field missing, a move
+// between ranks that are not peers or of a negative count, or moves out of
+// this slave that its shard cannot fill (a receiver would wait for the
+// difference forever) make it an error.
+func (s *admSlave) unpackPlan(r *core.Reader) (moves []adm.Move, incoming int, err error) {
+	nMoves, err := r.UpkInt()
+	if err != nil {
+		return nil, 0, err
+	}
+	if nMoves < 0 {
+		return nil, 0, fmt.Errorf("%d moves announced", nMoves)
+	}
+	out := 0
+	for i := 0; i < nMoves; i++ {
+		var m adm.Move
+		if m.From, err = r.UpkInt(); err != nil {
+			return nil, 0, err
+		}
+		if m.To, err = r.UpkInt(); err != nil {
+			return nil, 0, err
+		}
+		if m.Count, err = r.UpkInt(); err != nil {
+			return nil, 0, err
+		}
+		if uint(m.From) >= uint(len(s.peers)) || uint(m.To) >= uint(len(s.peers)) || m.Count < 0 {
+			return nil, 0, fmt.Errorf("move of %d exemplars from rank %d to rank %d among %d peers",
+				m.Count, m.From, m.To, len(s.peers))
+		}
+		if m.From == s.rank {
+			out += m.Count
+		}
+		moves = append(moves, m)
+	}
+	if out > s.shard.Len() {
+		return nil, 0, fmt.Errorf("moves %d exemplars out of rank %d, which holds %d", out, s.rank, s.shard.Len())
+	}
+	for i := range s.peers {
+		inc, err := r.UpkInt()
+		if err != nil {
+			return nil, 0, err
+		}
+		if inc < 0 {
+			return nil, 0, fmt.Errorf("rank %d expects %d incoming exemplars", i, inc)
+		}
+		if i == s.rank {
+			incoming = inc
+		}
+	}
+	return moves, incoming, nil
 }
 
 // waitDone parks an inactive (withdrawn) slave until the master finishes.

@@ -17,9 +17,11 @@ import (
 // message with inconsistent contents — a shard whose counts disagree, a
 // label that is no class, a state report cut short, a gradient of the wrong
 // shape, a fragment with fewer flags than ids, or with ids the receiver may
-// not take — gets an "opt:" error out of the driver that received it, never
-// an index or slice-bounds panic, and never silently absorbed. The payloads are packed by hand, so the test
-// also pins the layouts the drivers exchange.
+// not take, a plan cut short, or with a move of a negative count, to a rank
+// that is no peer, or out of a shard too small to fill it — gets an "opt:"
+// error out of the driver that received it, never an index or slice-bounds
+// panic, and never silently absorbed. The payloads are packed by hand, so
+// the test also pins the layouts the drivers exchange.
 func TestMalformedMessagesAreErrors(t *testing.T) {
 	const (
 		master = core.TID(1<<18 | 1)
@@ -50,6 +52,14 @@ func TestMalformedMessagesAreErrors(t *testing.T) {
 			{master, TagADM, adm0("plan").PkInt(0).PkInt(1)},
 			{slave, TagADM, adm0("frag").PkInt(count).PkVirtual(count * 12).
 				PkFloat64s(ids).PkBytes(bytes.Repeat([]byte{1}, len(ids)))}}
+	}
+	// The same slave handed a plan: its moves (from, to, count) and each
+	// peer's incoming count.
+	planFor := func(plan *core.Buffer) []scripted {
+		return []scripted{
+			{master, TagShard, core.NewBuffer().PkInt(2).PkInt(2).PkVirtual(24)},
+			{master, TagADM, adm0("enter-redist")},
+			{master, TagADM, plan}}
 	}
 
 	runSlave := func(p Params) func(*quietVP) error {
@@ -97,6 +107,14 @@ func TestMalformedMessagesAreErrors(t *testing.T) {
 			fragTo(1, []float64{float64(Params{}.NumExemplars())})},
 		{"RunADMSlave: fragment with an id the slave holds", runADMSlave(Params{}), fragTo(1, []float64{3})},
 		{"RunADMSlave: fragment announces 2 exemplars, carries 1", runADMSlave(Params{}), fragTo(2, []float64{9})},
+		{"RunADMSlave: fragment with a fractional id", runADMSlave(Params{}), fragTo(1, []float64{9.5})},
+		{"RunADMSlave: plan cut short", runADMSlave(Params{}), planFor(adm0("plan").PkInt(1).PkInt(0))},
+		{"RunADMSlave: plan moves a negative count", runADMSlave(Params{}),
+			planFor(adm0("plan").PkInt(1).PkInt(0).PkInt(0).PkInt(-3).PkInt(0))},
+		{"RunADMSlave: plan moves more than the shard holds", runADMSlave(Params{}),
+			planFor(adm0("plan").PkInt(1).PkInt(0).PkInt(0).PkInt(5).PkInt(5))},
+		{"RunADMSlave: plan moves to a rank that is no peer", runADMSlave(Params{}),
+			planFor(adm0("plan").PkInt(1).PkInt(0).PkInt(7).PkInt(1).PkInt(0))},
 	}
 	host := cluster.New(sim.NewKernel(), netsim.Params{}, cluster.DefaultHostSpec("h0")).Hosts()[0]
 	for _, c := range cases {
