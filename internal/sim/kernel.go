@@ -6,14 +6,15 @@ import (
 )
 
 // event is a single entry on the kernel's event queue, stored by value in
-// an implicit 4-ary min-heap. An event either wakes a blocked Proc
+// the head slot or an implicit 4-ary min-heap. An event either wakes a blocked Proc
 // (p != nil) or invokes a kernel-context callback (fn != nil). Callbacks
 // run inline in the event loop and must not block.
 //
 // Events are plain records, not heap allocations: Schedule and the proc
 // wake path are zero-alloc in steady state (see DESIGN.md §7). Cancelation
 // state lives out-of-line in the kernel's cell pool (cell >= 0) because
-// heap records move as the heap sifts; cell == -1 marks a non-cancelable
+// records move between the head slot and the heap, and within the heap as
+// it sifts; cell == -1 marks a non-cancelable
 // event (Signal/Broadcast/Interrupt/Spawn wakes, whose staleness is
 // handled by the proc generation check alone).
 type event struct {
@@ -27,8 +28,8 @@ type event struct {
 }
 
 // eventBefore is the queue's total order: (time, tie-break prio, seq).
-// seq is unique per kernel, so the order is total and the heap's arity
-// cannot influence dispatch order.
+// seq is unique per kernel, so the order is total: neither the heap's arity
+// nor the head slot in front of it can influence dispatch order.
 func eventBefore(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -77,8 +78,15 @@ const heapArity = 4
 // Kernel is the discrete-event simulation engine. The zero value is not
 // usable; create kernels with NewKernel.
 type Kernel struct {
-	now     Time
-	seq     uint64
+	now Time
+	seq uint64
+	// The event queue is the head slot plus a heap. While hasHead, head
+	// precedes every heap event under eventBefore, so it is the queue's
+	// minimum. Most events are scheduled as the next one to run — a proc's
+	// wake after its compute, a frame's delivery — and take the slot, so
+	// they are popped without ever sifting through the heap.
+	head    event
+	hasHead bool
 	events  []event // implicit 4-ary min-heap ordered by eventBefore
 	running *Proc
 	procs   []*Proc // live procs only: a finished proc is dropped in dispatch
@@ -153,9 +161,20 @@ func (k *Kernel) EventsScheduled() uint64 { return k.seq }
 // costs no switch (see resumeInPlace).
 func (k *Kernel) ProcSwitches() uint64 { return k.switches }
 
-// heapPush inserts e, sifting up with the hole-propagation idiom: parents
-// move down until e's slot is found, then e is written once.
-func (k *Kernel) heapPush(e event) {
+// push queues e. An event that precedes the queue's minimum takes the head
+// slot, and the event it displaces (if any) goes into the heap in its place;
+// any other event goes into the heap. The heap insertion sifts up with the
+// hole-propagation idiom: parents move down until the event's slot is
+// found, then it is written once.
+func (k *Kernel) push(e event) {
+	if k.hasHead {
+		if eventBefore(&e, &k.head) {
+			e, k.head = k.head, e
+		}
+	} else if len(k.events) == 0 || eventBefore(&e, &k.events[0]) {
+		k.head, k.hasHead = e, true
+		return
+	}
 	// lint:alloc amortized heap growth; steady state reuses capacity (BenchmarkKernelScheduleDispatch measures 0 allocs/op)
 	h := append(k.events, event{})
 	i := len(h) - 1
@@ -169,6 +188,33 @@ func (k *Kernel) heapPush(e event) {
 	}
 	h[i] = e
 	k.events = h
+}
+
+// pop removes and returns the queue's minimum: the head if there is one.
+func (k *Kernel) pop() event {
+	if !k.hasHead {
+		return k.heapPop()
+	}
+	e := k.head
+	k.head, k.hasHead = event{}, false // release the fn/p references
+	return e
+}
+
+// peek returns the queue's minimum, which pop would return next; the queue
+// must not be empty.
+func (k *Kernel) peek() *event {
+	if k.hasHead {
+		return &k.head
+	}
+	return &k.events[0]
+}
+
+// queued returns how many events are queued.
+func (k *Kernel) queued() int {
+	if k.hasHead {
+		return len(k.events) + 1
+	}
+	return len(k.events)
 }
 
 // heapPop removes and returns the minimum event.
@@ -252,7 +298,7 @@ func (k *Kernel) ScheduleAt(at Time, fn func()) Timer {
 func (k *Kernel) scheduleAt(at Time, fn func()) Timer {
 	k.seq++
 	idx, stamp := k.newCell()
-	k.heapPush(event{at: at, prio: k.nextPrio(), seq: k.seq, fn: fn, cell: idx})
+	k.push(event{at: at, prio: k.nextPrio(), seq: k.seq, fn: fn, cell: idx})
 	return Timer{k: k, cell: idx, stamp: stamp}
 }
 
@@ -264,7 +310,7 @@ func (k *Kernel) scheduleWake(p *Proc, at Time, gen uint64) {
 		at = k.now
 	}
 	k.seq++
-	k.heapPush(event{at: at, prio: k.nextPrio(), seq: k.seq, p: p, gen: gen, cell: -1})
+	k.push(event{at: at, prio: k.nextPrio(), seq: k.seq, p: p, gen: gen, cell: -1})
 }
 
 // scheduleWakeTimer enqueues a cancelable wake for p — the timer wake a
@@ -276,7 +322,7 @@ func (k *Kernel) scheduleWakeTimer(p *Proc, at Time, gen uint64) Timer {
 	}
 	k.seq++
 	idx, stamp := k.newCell()
-	k.heapPush(event{at: at, prio: k.nextPrio(), seq: k.seq, p: p, gen: gen, cell: idx})
+	k.push(event{at: at, prio: k.nextPrio(), seq: k.seq, p: p, gen: gen, cell: idx})
 	return Timer{k: k, cell: idx, stamp: stamp}
 }
 
@@ -303,11 +349,11 @@ func (k *Kernel) run(deadline Time) int {
 	}
 	k.stopped = false
 	k.deadline = deadline
-	for len(k.events) > 0 && !k.stopped {
-		if deadline >= 0 && k.events[0].at > deadline {
+	for k.queued() > 0 && !k.stopped {
+		if deadline >= 0 && k.peek().at > deadline {
 			break
 		}
-		e := k.heapPop()
+		e := k.pop()
 		if e.cell >= 0 && k.retireCell(e.cell) {
 			continue // canceled events do not advance the clock
 		}
@@ -372,19 +418,19 @@ func (k *Kernel) dispatch(p *Proc) {
 func (k *Kernel) resumeInPlace(p *Proc) bool {
 	k.running = nil
 	k.walking = p
-	for len(k.events) > 0 && !k.stopped {
-		h := &k.events[0]
+	for k.queued() > 0 && !k.stopped {
+		h := k.peek()
 		if k.deadline >= 0 && h.at > k.deadline {
 			break
 		}
 		if h.cell >= 0 && k.cells[h.cell].canceled {
-			k.retireCell(k.heapPop().cell)
+			k.retireCell(k.pop().cell)
 			continue
 		}
 		if h.fn == nil && (h.p != p || h.gen != p.gen) {
 			break // someone else's wake (or a stale one): run dispatches it
 		}
-		e := k.heapPop()
+		e := k.pop()
 		if e.cell >= 0 {
 			k.retireCell(e.cell)
 		}
@@ -464,7 +510,7 @@ func (k *Kernel) Close() {
 		k.blocked--
 		k.retire(p)
 	}
-	k.events = nil
+	k.head, k.hasHead, k.events = event{}, false, nil
 }
 
 // Blocked returns the names of procs that are currently blocked, sorted.
