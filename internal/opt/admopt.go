@@ -578,12 +578,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 		buf := core.NewBuffer().PkString("frag").PkInt(m.Count).PkVirtual(bytes)
 		ids := make([]float64, frag.Len())
 		flags := make([]byte, frag.Len())
-		for i := range ids {
-			ids[i] = float64(frag.ID(i))
-			if frag.Processed(i) {
-				flags[i] = 1
-			}
-		}
+		frag.Export(ids, flags)
 		buf.PkFloat64s(ids).PkBytes(flags)
 		if p.Real {
 			s.local.TakeTail(frag.Len()).pack(buf)
@@ -617,15 +612,11 @@ func (s *admSlave) participateRedist(requested bool) error {
 			return fmt.Errorf("opt: ADM fragment announces %d exemplars and carries %d ids and %d processed flags",
 				cnt, len(ids), len(flags))
 		}
-		fragIDs := make([]int, cnt)
-		for i, id := range ids {
-			if !(id >= 0 && id < float64(p.NumExemplars())) || id != math.Trunc(id) {
-				return fmt.Errorf("opt: ADM fragment carries %v, not an exemplar id in [0, %d)", id, p.NumExemplars())
-			}
-			fragIDs[i] = int(id)
+		frag, err := adm.NewFragment(ids, flags)
+		if err == nil {
+			err = s.shard.Absorb(frag, p.NumExemplars())
 		}
-		frag := adm.NewFragment(fragIDs, flags)
-		if err := s.shard.Absorb(frag, p.NumExemplars()); err != nil {
+		if err != nil {
 			return fmt.Errorf("opt: ADM fragment: %w", err)
 		}
 		if p.Real {
@@ -633,7 +624,9 @@ func (s *admSlave) participateRedist(requested bool) error {
 			if err != nil {
 				return err
 			}
-			copy(set.ids, fragIDs)
+			for i, id := range ids {
+				set.ids[i] = int(id)
+			}
 			if err := s.local.Absorb(set); err != nil {
 				return err
 			}
