@@ -6,17 +6,17 @@ import (
 )
 
 // event is a single entry on the kernel's event queue, stored by value in
-// the head slot or an implicit 4-ary min-heap. An event either wakes a blocked Proc
-// (p != nil) or invokes a kernel-context callback (fn != nil). Callbacks
-// run inline in the event loop and must not block.
+// the head slot or in an implicit 4-ary min-heap. An event either wakes a
+// blocked Proc (p != nil) or invokes a kernel-context callback (fn != nil).
+// Callbacks run inline in the event loop and must not block.
 //
 // Events are plain records, not heap allocations: Schedule and the proc
 // wake path are zero-alloc in steady state (see DESIGN.md §7). Cancelation
 // state lives out-of-line in the kernel's cell pool (cell >= 0) because
 // records move between the head slot and the heap, and within the heap as
-// it sifts; cell == -1 marks a non-cancelable
-// event (Signal/Broadcast/Interrupt/Spawn wakes, whose staleness is
-// handled by the proc generation check alone).
+// it sifts; cell == -1 marks a non-cancelable event (Signal/Broadcast/
+// Interrupt/Spawn wakes, whose staleness is handled by the proc generation
+// check alone).
 type event struct {
 	at   Time
 	prio uint64 // tie-break priority (0 unless a tie-breaker is installed)
