@@ -39,9 +39,19 @@ type idRun struct{ at, lo, n int }
 func NewShard(lo, hi int) *Shard {
 	s := &Shard{done: make([]uint64, (hi-lo+63)/64)}
 	if hi > lo {
-		s.runs = []idRun{{0, lo, hi - lo}}
+		s.appendRun(lo, hi-lo)
 	}
 	return s
+}
+
+// appendRun puts ids [lo, lo+n) at the shard's tail, as an extension of the
+// last run when they continue it.
+func (s *Shard) appendRun(lo, n int) {
+	if k := len(s.runs) - 1; k >= 0 && s.runs[k].lo+s.runs[k].n == lo {
+		s.runs[k].n += n
+		return
+	}
+	s.runs = append(s.runs, idRun{s.Len(), lo, n})
 }
 
 // Len returns the number of exemplars in the shard.
@@ -101,11 +111,7 @@ func NewFragment(ids []float64, flags []byte) (*Shard, error) {
 		if !(math.Abs(v) < 1<<53) || v != math.Trunc(v) {
 			return nil, fmt.Errorf("adm: fragment carries %v, which is no exemplar id", v)
 		}
-		if id, k := int(v), len(s.runs)-1; k >= 0 && s.runs[k].lo+s.runs[k].n == id {
-			s.runs[k].n++
-		} else {
-			s.runs = append(s.runs, idRun{i, id, 1})
-		}
+		s.appendRun(int(v), 1)
 		if flags[i] == 1 {
 			s.done[i>>6] |= 1 << (i & 63)
 		}
@@ -165,13 +171,12 @@ func (s *Shard) TakeFragment(n int) *Shard {
 	}
 	frag := &Shard{runs: make([]idRun, 0, len(s.runs)-k), done: make([]uint64, (n+63)/64)}
 	for _, r := range s.runs[k:] {
-		if skip := cut - r.at; skip > 0 {
-			frag.runs = append(frag.runs, idRun{0, r.lo + skip, r.n - skip})
-			s.runs[k].n = skip
-			k++
-			continue
-		}
-		frag.runs = append(frag.runs, idRun{r.at - cut, r.lo, r.n})
+		skip := max(cut-r.at, 0)
+		frag.appendRun(r.lo+skip, r.n-skip)
+	}
+	if k < len(s.runs) && s.runs[k].at < cut {
+		s.runs[k].n = cut - s.runs[k].at
+		k++
 	}
 	s.runs = s.runs[:k]
 	// Word w of the fragment is the shard's bits [cut+64w, cut+64w+64).
@@ -213,11 +218,7 @@ func (s *Shard) Absorb(frag *Shard, total int) error {
 	}
 	at := s.Len()
 	for _, r := range frag.runs {
-		if k := len(s.runs) - 1; k >= 0 && s.runs[k].lo+s.runs[k].n == r.lo {
-			s.runs[k].n += r.n
-			continue
-		}
-		s.runs = append(s.runs, idRun{at + r.at, r.lo, r.n})
+		s.appendRun(r.lo, r.n)
 	}
 	// Fragment word w lands at position at+64w, straddling two words
 	// unless at is word-aligned; bits past the fragment's end are zero.
