@@ -254,6 +254,7 @@ func BenchmarkShardRedistribute(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for range b.N {
 		for i := 1; i < slaves; i++ {
 			ship(shards[0], shards[i], per/(slaves-1))
