@@ -9,6 +9,7 @@ import (
 
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
@@ -53,7 +54,7 @@ func TestFSMDeclaredTransitions(t *testing.T) {
 
 func TestFSMRejectsUndeclared(t *testing.T) {
 	f := optFSM()
-	if _, err := f.Fire("data-received"); err == nil {
+	if _, err := f.Fire("data-received"); !errs.Is(err, CodeNoTransition) {
 		t.Fatal("undeclared transition accepted")
 	}
 	if f.State() != "compute" {
@@ -94,13 +95,13 @@ func TestPartitionWithdrawnWorkerGetsZero(t *testing.T) {
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(10, []float64{1}, []bool{true, true}); err == nil {
+	if _, err := Partition(10, []float64{1}, []bool{true, true}); !errs.Is(err, CodeBadPartition) {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := Partition(10, []float64{1}, []bool{false}); err == nil {
+	if _, err := Partition(10, []float64{1}, []bool{false}); !errs.Is(err, CodeBadPartition) {
 		t.Fatal("no active workers accepted")
 	}
-	if _, err := Partition(10, []float64{-1}, []bool{true}); err == nil {
+	if _, err := Partition(10, []float64{-1}, []bool{true}); !errs.Is(err, CodeBadPartition) {
 		t.Fatal("negative power accepted")
 	}
 	if shares, err := Partition(0, []float64{1}, []bool{false}); err != nil || shares[0] != 0 {
@@ -227,7 +228,7 @@ func TestShardNoDoubleProcessing(t *testing.T) {
 	if end, n := s.NextChunk(0, 4); end != 8 || n != 4 {
 		t.Fatalf("chunk over processed positions = (%d, %d), want (8, 4)", end, n)
 	}
-	if err := s.Absorb(NewShard(3, 4), 10); err == nil {
+	if err := s.Absorb(NewShard(3, 4), 10); !errs.Is(err, CodeBadFragment) {
 		t.Fatal("a second copy of exemplar 3 absorbed")
 	}
 	s.Reset()

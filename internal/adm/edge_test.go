@@ -6,6 +6,7 @@ import (
 
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
@@ -19,10 +20,10 @@ func TestPlanMovesNoOpWhenBalanced(t *testing.T) {
 }
 
 func TestPlanMovesTotalMismatch(t *testing.T) {
-	if _, err := PlanMoves([]int{10}, []int{11}); err == nil {
+	if _, err := PlanMoves([]int{10}, []int{11}); !errs.Is(err, CodeBadPlan) {
 		t.Fatal("total mismatch accepted")
 	}
-	if _, err := PlanMoves([]int{10}, []int{5, 5}); err == nil {
+	if _, err := PlanMoves([]int{10}, []int{5, 5}); !errs.Is(err, CodeBadPlan) {
 		t.Fatal("length mismatch accepted")
 	}
 }

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"pvmigrate/internal/errs"
 )
 
 // State names one circle of the paper's Figure 4 finite-state machine.
@@ -67,7 +69,7 @@ func (f *FSM) State() State { return f.state }
 func (f *FSM) Fire(event string) (State, error) {
 	to, ok := f.rules[f.state][event]
 	if !ok {
-		return f.state, fmt.Errorf("adm: no transition for event %q in state %q", event, f.state)
+		return f.state, errs.Newf(CodeNoTransition, "no transition for event %q in state %q", event, f.state)
 	}
 	f.log = append(f.log, Transition{From: f.state, Event: event, To: to})
 	f.state = to

@@ -1,6 +1,6 @@
 package adm
 
-import "fmt"
+import "pvmigrate/internal/errs"
 
 // Partition computes how many of total work items each active worker should
 // hold, proportional to its power (e.g. CPU speed ÷ load). Inactive workers
@@ -11,7 +11,7 @@ import "fmt"
 // powerful workers.
 func Partition(total int, powers []float64, active []bool) ([]int, error) {
 	if len(powers) != len(active) {
-		return nil, fmt.Errorf("adm: %d powers vs %d active flags", len(powers), len(active))
+		return nil, errs.Newf(CodeBadPartition, "%d powers vs %d active flags", len(powers), len(active))
 	}
 	var sum float64
 	anyActive := false
@@ -20,7 +20,7 @@ func Partition(total int, powers []float64, active []bool) ([]int, error) {
 			continue
 		}
 		if p < 0 {
-			return nil, fmt.Errorf("adm: negative power %f for worker %d", p, i)
+			return nil, errs.Newf(CodeBadPartition, "negative power %f for worker %d", p, i)
 		}
 		sum += p
 		anyActive = true
@@ -30,7 +30,7 @@ func Partition(total int, powers []float64, active []bool) ([]int, error) {
 		return shares, nil
 	}
 	if !anyActive || sum == 0 {
-		return nil, fmt.Errorf("adm: no active workers with power for %d items", total)
+		return nil, errs.Newf(CodeBadPartition, "no active workers with power for %d items", total)
 	}
 	type frac struct {
 		i int
@@ -74,7 +74,7 @@ type Move struct {
 // and sent to several other processes").
 func PlanMoves(current, target []int) ([]Move, error) {
 	if len(current) != len(target) {
-		return nil, fmt.Errorf("adm: %d current vs %d target", len(current), len(target))
+		return nil, errs.Newf(CodeBadPlan, "%d current vs %d target", len(current), len(target))
 	}
 	totC, totT := 0, 0
 	for i := range current {
@@ -82,7 +82,7 @@ func PlanMoves(current, target []int) ([]Move, error) {
 		totT += target[i]
 	}
 	if totC != totT {
-		return nil, fmt.Errorf("adm: plan would change total items: %d → %d", totC, totT)
+		return nil, errs.Newf(CodeBadPlan, "plan would change total items: %d → %d", totC, totT)
 	}
 	current = append([]int(nil), current...) // plan without mutating the input
 	var moves []Move
@@ -94,7 +94,7 @@ func PlanMoves(current, target []int) ([]Move, error) {
 				j++
 			}
 			if j >= len(current) {
-				return nil, fmt.Errorf("adm: internal plan imbalance")
+				return nil, errs.Newf(CodeBadPlan, "internal plan imbalance")
 			}
 			need := target[j] - current[j]
 			n := surplus

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"pvmigrate/internal/errs"
 )
 
 // Shard is the exemplars one worker holds, by position, each with ADMopt's
@@ -104,12 +106,12 @@ func (s *Shard) Export(ids []float64, flags []byte) {
 // no other shard, is Absorb's to check.
 func NewFragment(ids []float64, flags []byte) (*Shard, error) {
 	if len(flags) != len(ids) {
-		return nil, fmt.Errorf("adm: fragment of %d ids carries %d processed flags", len(ids), len(flags))
+		return nil, errs.Newf(CodeBadFragment, "fragment of %d ids carries %d processed flags", len(ids), len(flags))
 	}
 	s := &Shard{done: make([]uint64, (len(ids)+63)/64)}
 	for i, v := range ids {
 		if !(math.Abs(v) < 1<<53) || v != math.Trunc(v) {
-			return nil, fmt.Errorf("adm: fragment carries %v, which is no exemplar id", v)
+			return nil, errs.Newf(CodeBadFragment, "fragment carries %v, which is no exemplar id", v)
 		}
 		s.appendRun(int(v), 1)
 		if flags[i] == 1 {
@@ -206,14 +208,14 @@ func (s *Shard) TakeFragment(n int) *Shard {
 func (s *Shard) Absorb(frag *Shard, total int) error {
 	for _, r := range frag.runs {
 		if r.lo < 0 || r.lo+r.n > total {
-			return fmt.Errorf("adm: exemplars [%d, %d) outside [0, %d)", r.lo, r.lo+r.n, total)
+			return errs.Newf(CodeBadFragment, "exemplars [%d, %d) outside [0, %d)", r.lo, r.lo+r.n, total)
 		}
 	}
 	byID := slices.Concat(s.runs, frag.runs)
 	slices.SortFunc(byID, func(a, b idRun) int { return cmp.Compare(a.lo, b.lo) })
 	for i := 1; i < len(byID); i++ {
 		if prev := byID[i-1]; byID[i].lo < prev.lo+prev.n {
-			return fmt.Errorf("adm: exemplar %d already held", byID[i].lo)
+			return errs.Newf(CodeBadFragment, "exemplar %d already held", byID[i].lo)
 		}
 	}
 	at := s.Len()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/sim"
 )
 
@@ -267,7 +268,9 @@ func BenchmarkShardRedistribute(b *testing.B) {
 
 // TestShardAbsorbRejectsForeignIDs: a fragment carrying an id outside the
 // job's exemplars, one the receiver holds, or one twice is refused whole,
-// and the receiver is left as it was.
+// and the receiver is left as it was. A fragment whose flags do not match
+// its ids, or whose id is no whole number, is not built. Each refusal is
+// adm.bad-fragment.
 func TestShardAbsorbRejectsForeignIDs(t *testing.T) {
 	for name, ids := range map[string][]float64{
 		"negative":          {12, -1},
@@ -281,8 +284,8 @@ func TestShardAbsorbRejectsForeignIDs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := s.Absorb(frag, 20); err == nil {
-			t.Errorf("%s: fragment %v absorbed", name, ids)
+		if err := s.Absorb(frag, 20); !errs.Is(err, CodeBadFragment) {
+			t.Errorf("%s: fragment %v absorbed (%v)", name, ids, err)
 		}
 		want := &boolModel{}
 		for id := 0; id < 10; id++ {
@@ -290,6 +293,12 @@ func TestShardAbsorbRejectsForeignIDs(t *testing.T) {
 			want.done = append(want.done, id < 3)
 		}
 		agree(t, name, s, want)
+	}
+	if _, err := NewFragment([]float64{12, 13}, []byte{1}); !errs.Is(err, CodeBadFragment) {
+		t.Errorf("a fragment of 2 ids with 1 flag built: %v", err)
+	}
+	if _, err := NewFragment([]float64{12.5}, []byte{1}); !errs.Is(err, CodeBadFragment) {
+		t.Errorf("a fragment with id 12.5 built: %v", err)
 	}
 }
 

@@ -64,7 +64,7 @@ type LoadIndex struct {
 	// fill's scratch, kept so that a warm Spread allocates nothing.
 	takers HostSet // the hosts taking units at the fill's current level
 	ids    []int   // takers, in id order
-	seq    []int   // the receivers, one entry per unit, in pick order
+	seq    []int   // Place's receivers, one entry per unit, in pick order
 }
 
 // NewLoadIndex returns an index covering hosts [0, hosts) all at load 0.
@@ -109,8 +109,8 @@ func (x *LoadIndex) MaxLoad() int { return int(x.maxLoad) }
 // really moves, once the index reads the new value. A call that leaves the
 // load where it was (a zero delta, a Set to the current value, a clamp at
 // zero) calls no one. A Spread makes its calls after all of its writes, so
-// every call reads the final loads: one call per unit moved, naming its
-// receiver in the order the units were placed, then one naming from.
+// every call reads the final loads: each host whose load changed, once,
+// receivers in id order, from last.
 func (x *LoadIndex) OnChange(fn func(host int)) {
 	x.watchers = append(x.watchers, fn)
 }
@@ -230,9 +230,10 @@ func (x *LoadIndex) NoteMoved(from, to int) {
 // fill is the water-fill behind Spread and Place: it finds the receivers of
 // n units leaving host from, each the least-loaded host in elig other than
 // from once the picks before it are counted, lowest id on ties, and moves
-// nothing. It leaves the receivers in x.seq, one entry per unit in pick
-// order, and the hosts that took part in x.ids, and returns where they end:
-// each on level top, one higher for ids[:part].
+// nothing. It returns how many units found a receiver and where the hosts
+// that took part, left in x.ids, end: each on level top, one higher for
+// ids[:part]. With keep it also leaves the receivers in x.seq, one entry per
+// unit in pick order.
 //
 // The set of taking hosts changes only where an occupied level begins, so
 // fill visits the occupied levels alone. At each, that level's eligible
@@ -240,16 +241,16 @@ func (x *LoadIndex) NoteMoved(from, to int) {
 // one is g rounds of the takers in id order; past the highest level the
 // takers go round until the units run out. Only the last round can have
 // more takers than units left, and there the lowest ids win. Cost is
-// O(units + occupied levels visited · (words per row + takers)). An
-// out-of-range from excludes no host.
-func (x *LoadIndex) fill(from, n int, elig HostSet) (top int32, part int) {
+// O(rounds + occupied levels visited · (words per row + takers)), plus one
+// step per unit with keep. An out-of-range from excludes no host.
+func (x *LoadIndex) fill(from, n int, elig HostSet, keep bool) (got int, top int32, part int) {
 	x.seq, x.ids = x.seq[:0], x.ids[:0]
 	clear(x.takers.w)
 	fw, fb := -1, uint64(0)
 	if from >= 0 && from < len(x.loads) {
 		fw, fb = from>>6, uint64(1)<<(from&63)
 	}
-	for ld := x.minLoad; ld >= 0 && len(x.seq) < n; {
+	for ld := x.minLoad; ld >= 0 && got < n; {
 		top = ld
 		row := x.rows[int(ld)*x.w:]
 		joined := false
@@ -272,9 +273,12 @@ func (x *LoadIndex) fill(from, n int, elig HostSet) (top int32, part int) {
 			}
 		}
 		next := x.above(ld + 1)
-		for len(x.ids) > 0 && len(x.seq) < n && top != next {
-			k := min(len(x.ids), n-len(x.seq))
-			x.seq = append(x.seq, x.ids[:k]...)
+		for len(x.ids) > 0 && got < n && top != next {
+			k := min(len(x.ids), n-got)
+			if keep {
+				x.seq = append(x.seq, x.ids[:k]...)
+			}
+			got += k
 			if k < len(x.ids) {
 				part = k
 			} else {
@@ -283,7 +287,7 @@ func (x *LoadIndex) fill(from, n int, elig HostSet) (top int32, part int) {
 		}
 		ld = next
 	}
-	return top, part
+	return got, top, part
 }
 
 // Spread moves up to n work units off host from, each onto the least-loaded
@@ -294,26 +298,30 @@ func (x *LoadIndex) fill(from, n int, elig HostSet) (top int32, part int) {
 // nothing and returns 0.
 //
 // It is fill — the same water-fill as Place — then one level write per
-// receiving host and one for from, and then the OnChange calls: one per unit
-// in pick order, from's last.
+// taking host and one for from, and then the OnChange calls: one per host
+// whose load changed, receivers in id order, from's last.
 func (x *LoadIndex) Spread(from, n int, elig HostSet) int {
 	if from < 0 || from >= len(x.loads) {
 		return 0
 	}
-	top, part := x.fill(from, min(n, int(x.loads[from])), elig)
-	moved := len(x.seq)
+	moved, top, part := x.fill(from, min(n, int(x.loads[from])), elig, false)
 	if moved == 0 {
 		return 0
 	}
+	// A taker that joined at the last level and got no unit there stays
+	// put; the rest rise. Compact x.ids to the risers, still in id order.
+	raised := x.ids[:0]
 	for i, h := range x.ids {
+		nl := top
 		if i < part {
-			x.move(h, top+1)
-		} else {
-			x.move(h, top)
+			nl++
+		}
+		if x.move(h, nl) {
+			raised = append(raised, h)
 		}
 	}
 	x.move(from, x.loads[from]-int32(moved))
-	for _, h := range x.seq {
+	for _, h := range raised {
 		x.notify(h)
 	}
 	x.notify(from)
@@ -331,7 +339,7 @@ func (x *LoadIndex) Spread(from, n int, elig HostSet) int {
 // It is fill — the same water-fill as Spread — and a copy of its result,
 // which is all it allocates.
 func (x *LoadIndex) Place(from, n int, elig HostSet) []int {
-	x.fill(from, n, elig)
+	x.fill(from, n, elig, true)
 	return slices.Clone(x.seq)
 }
 

@@ -242,6 +242,31 @@ func TestLoadIndexRandomChurn(t *testing.T) {
 // spreadByUnits is Spread's contract spelled out: n rounds of BestEligible +
 // NoteMoved, from never its own destination, stopping when from is empty or
 // nobody is eligible.
+// loadsOf returns every host's load.
+func loadsOf(x *LoadIndex) []int {
+	l := make([]int, x.Hosts())
+	for h := range l {
+		l[h] = x.Load(h)
+	}
+	return l
+}
+
+// spreadCalls is the OnChange sequence Spread owes for a move from host from
+// that took the loads from before to after: each host whose load changed,
+// once, receivers in id order, from last — and none when nothing moved.
+func spreadCalls(before, after []int, from int) []int {
+	var calls []int
+	for h := range before {
+		if h != from && before[h] != after[h] {
+			calls = append(calls, h)
+		}
+	}
+	if before[from] != after[from] {
+		calls = append(calls, from)
+	}
+	return calls
+}
+
 func spreadByUnits(x *LoadIndex, from, n int, elig HostSet) int {
 	mask := NewHostSet(x.Hosts())
 	for h := 0; h < x.Hosts(); h++ {
@@ -280,9 +305,10 @@ func placeByUnits(x *LoadIndex, from, n int, elig HostSet) []int {
 // TestPropSpreadMatchesUnitLoop drives Spread and the literal unit loop on
 // twin random indexes — skewed loads with empty levels between them, every
 // shape of eligibility — and requires the same index afterwards, as far as
-// any caller can tell. Place, asked first on the same index, must name the
-// hosts Spread then raises, in its order, and beyond from's load go on as
-// its own unit loop does on a third twin.
+// any caller can tell, and exactly the OnChange calls the unit loop's loads
+// owe (spreadCalls). Place, asked first on the same index, must name the
+// hosts Spread then raises, and beyond from's load go on as its own unit
+// loop does on a third twin.
 func TestPropSpreadMatchesUnitLoop(t *testing.T) {
 	rng := sim.NewRNG(1994)
 	for trial := 0; trial < 600; trial++ {
@@ -335,14 +361,19 @@ func TestPropSpreadMatchesUnitLoop(t *testing.T) {
 		var raised []int
 		a.watchers = nil
 		a.OnChange(func(h int) { raised = append(raised, h) })
+		before := loadsOf(b)
 		got := a.Spread(from, n, elig)
 		want := spreadByUnits(b, from, n, elig)
 		if got != want {
 			t.Fatalf("trial %d (hosts %d from %d n %d): moved %d, unit loop %d", trial, hosts, from, n, got, want)
 		}
 		checkLevels(t, a)
-		if got > 0 && !slices.Equal(raised[:got], placed[:got]) {
-			t.Fatalf("trial %d (hosts %d from %d n %d): Spread raised %v, Place named %v", trial, hosts, from, n, raised[:got], placed[:got])
+		calls := spreadCalls(before, loadsOf(b), from)
+		if !slices.Equal(raised, calls) {
+			t.Fatalf("trial %d (hosts %d from %d n %d): OnChange calls %v, want %v", trial, hosts, from, n, raised, calls)
+		}
+		if named := slices.Compact(slices.Sorted(slices.Values(placed[:got]))); got > 0 && !slices.Equal(named, calls[:len(calls)-1]) {
+			t.Fatalf("trial %d (hosts %d from %d n %d): Place named %v, Spread raised %v", trial, hosts, from, n, named, calls[:len(calls)-1])
 		}
 		for h := 0; h < hosts; h++ {
 			if a.Load(h) != b.Load(h) {
@@ -471,7 +502,8 @@ func TestPlaceFromOutOfRange(t *testing.T) {
 // rest at 130 and from at 250, so the fill's gaps cross the occupancy
 // word's 64-level boundaries. The climber takes 127 units alone, one per
 // level from 3 to 130; the last 73 go one each to it and the 72 lowest ids
-// among the hosts it joins there, then from is named once.
+// among the hosts it joins there. OnChange names each of those 73 hosts
+// once, in id order, then from.
 func TestSpreadLoneClimber(t *testing.T) {
 	const hosts, held, climber, from, n = 100, 10, 10, 99, 200
 	build := func() *LoadIndex {
@@ -502,12 +534,13 @@ func TestSpreadLoneClimber(t *testing.T) {
 	}
 	var calls []int
 	a.OnChange(func(h int) { calls = append(calls, h) })
+	before := loadsOf(b)
 	if moved, ref := a.Spread(from, n, elig), spreadByUnits(b, from, n, elig); moved != n || ref != n {
 		t.Fatalf("Spread moved %d, unit loop %d, want %d", moved, ref, n)
 	}
 	checkLevels(t, a)
-	if !slices.Equal(calls, append(want, from)) {
-		t.Fatalf("OnChange calls %v,\nwant %v then %d", calls, want, from)
+	if wantCalls := spreadCalls(before, loadsOf(b), from); !slices.Equal(calls, wantCalls) || len(calls) != 74 {
+		t.Fatalf("OnChange calls %v,\nwant %v (73 receivers, then %d)", calls, wantCalls, from)
 	}
 	for h := 0; h < hosts; h++ {
 		if a.Load(h) != b.Load(h) {

@@ -133,18 +133,24 @@ func RunFleet(sc FleetScenario) *FleetOutcome {
 
 	// The fleet exists before the units are seeded and the storm is
 	// scheduled: NewFleet schedules no event and marks every slot for the
-	// first beat, so the order leaves the run as it was.
+	// first beat, so the order leaves the run as it was. Each unit's host is
+	// one draw, counted per host; then each host is seeded once, so the
+	// index notifies once per host, not once per unit.
 	rng := sim.NewRNG(sc.Seed)
 	hot := sc.Hosts / 20
 	if hot < 1 {
 		hot = 1
 	}
+	units := make([]int, sc.Hosts)
 	for i := 0; i < sc.VPs; i++ {
 		if i%5 == 0 {
-			tgt.Seed(rng.Intn(hot), 1)
+			units[rng.Intn(hot)]++
 		} else {
-			tgt.Seed(rng.Intn(sc.Hosts), 1)
+			units[rng.Intn(sc.Hosts)]++
 		}
+	}
+	for h, n := range units {
+		tgt.Seed(h, n)
 	}
 
 	// Owner-reclaim storm: seeded arrivals across the run, each owner

@@ -17,7 +17,9 @@ import (
 // ULP 0 from host 0 to host 0 (a move Migrate refuses), and a header
 // missing its fields would let a later well-formed fin place ULP 0 on
 // host 1, and a flush missing its source and generation would re-point a
-// peer's locator at a host the ULP never left for.
+// peer's locator at a host the ULP never left for. A well-typed host field
+// out of range — a migrate to host 99, a flush from host 99 — is dropped
+// the same way, before the flush re-points the locator.
 func TestMalformedProtocolMessagesAreDropped(t *testing.T) {
 	type msg struct {
 		host, tag int
@@ -29,6 +31,8 @@ func TestMalformedProtocolMessagesAreDropped(t *testing.T) {
 	}{
 		{"bare migrate", []msg{{0, tagCtl, core.NewBuffer().PkString("migrate")}}},
 		{"truncated flush", []msg{{1, tagCtl, core.NewBuffer().PkString("flush").PkInt(0).PkInt(1)}}},
+		{"migrate to host 99", []msg{{0, tagCtl, core.NewBuffer().PkString("migrate").PkInt(0).PkInt(99).PkString("owner")}}},
+		{"flush from host 99", []msg{{1, tagCtl, core.NewBuffer().PkString("flush").PkInt(0).PkInt(1).PkInt(99).PkInt(0)}}},
 		{"truncated header then fin", []msg{
 			{1, tagXfer, core.NewBuffer().PkString("hdr").PkInt(0)},
 			{1, tagXfer, core.NewBuffer().PkString("fin").PkInt(0).PkInt(0)},

@@ -44,7 +44,8 @@ func (s *System) Migrate(ulpID, dest int, reason core.MigrationReason) error {
 
 // onCtl handles UPVM protocol control messages at the dispatcher. Every
 // field is unpacked before anything acts on it: a truncated or mistyped
-// message is dropped whole, never read with its missing fields as zeros.
+// message, or one naming a host outside the machine, is dropped whole,
+// never read with its missing fields as zeros.
 // An ack names its sender by the message's source tid, which carries the
 // sending process's host.
 func (p *Process) onCtl(src core.TID, r *core.Reader) {
@@ -57,7 +58,7 @@ func (p *Process) onCtl(src core.TID, r *core.Reader) {
 		ulpID, err1 := r.UpkInt()
 		dest, err2 := r.UpkInt()
 		reason, err3 := r.UpkString()
-		if errors.Join(err1, err2, err3) != nil {
+		if errors.Join(err1, err2, err3) != nil || p.sys.Process(dest) == nil {
 			return
 		}
 		p.startMigration(ulpID, dest, core.MigrationReason(reason))
@@ -66,7 +67,7 @@ func (p *Process) onCtl(src core.TID, r *core.Reader) {
 		dest, err2 := r.UpkInt()
 		srcHost, err3 := r.UpkInt()
 		gen, err4 := r.UpkInt()
-		if errors.Join(err1, err2, err3, err4) != nil {
+		if errors.Join(err1, err2, err3, err4) != nil || p.sys.Process(dest) == nil || p.sys.Process(srcHost) == nil {
 			return
 		}
 		// Future messages for this ULP go straight to the new host —
