@@ -50,8 +50,10 @@ func main() {
 			if err != nil {
 				return
 			}
-			phase, _ := r.UpkInt()
-			host, _ := r.UpkString()
+			phase, host := r.UpkInt(), r.UpkString()
+			if r.Err() != nil {
+				return
+			}
 			fmt.Printf("[%7.2fs] phase %d completed on %s\n",
 				t.Proc().Now().Seconds(), phase, host)
 		}

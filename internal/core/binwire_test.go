@@ -83,30 +83,19 @@ func TestWireBufferPreservesAccounting(t *testing.T) {
 	roundTrip(NewBuffer()) // zero-payload control message: 0 bytes, 0 items
 
 	r := roundTrip(wireBufferFixture()).Reader()
-	if v, err := r.UpkInt(); err != nil || v != 7 {
-		t.Fatalf("UpkInt = %d, %v", v, err)
+	i, str, f, v, by, nested := r.UpkInt(), r.UpkString(), r.UpkFloat64s(), r.UpkVirtual(), r.UpkBytes(), r.UpkBuffer()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if v, err := r.UpkString(); err != nil || v != "hi" {
-		t.Fatalf("UpkString = %q, %v", v, err)
-	}
-	if v, err := r.UpkFloat64s(); err != nil || !reflect.DeepEqual(v, []float64{1.5, -2}) {
-		t.Fatalf("UpkFloat64s = %v, %v", v, err)
-	}
-	if v, err := r.UpkVirtual(); err != nil || v != 64 {
-		t.Fatalf("UpkVirtual = %d, %v", v, err)
-	}
-	if v, err := r.UpkBytes(); err != nil || !reflect.DeepEqual(v, []byte{0xde, 0xad}) {
-		t.Fatalf("UpkBytes = %v, %v", v, err)
-	}
-	nested, err := r.UpkBuffer()
-	if err != nil {
-		t.Fatalf("UpkBuffer: %v", err)
+	if i != 7 || str != "hi" || !reflect.DeepEqual(f, []float64{1.5, -2}) || v != 64 ||
+		!reflect.DeepEqual(by, []byte{0xde, 0xad}) {
+		t.Fatalf("unpacked %d, %q, %v, %d, %v", i, str, f, v, by)
 	}
 	if want := NewBuffer().PkInt(1).Bytes(); nested.Bytes() != want {
 		t.Fatalf("nested Bytes() = %d, want %d", nested.Bytes(), want)
 	}
-	if v, err := nested.Reader().UpkInt(); err != nil || v != 1 {
-		t.Fatalf("nested UpkInt = %d, %v", v, err)
+	if v := nested.Reader().UpkInt(); v != 1 {
+		t.Fatalf("nested UpkInt = %d", v)
 	}
 }
 

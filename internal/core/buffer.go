@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
+import "pvmigrate/internal/errs"
 
 // Buffer is a PVM message buffer: a sequence of typed items packed by the
 // sender and unpacked in the same order by the receiver (pvm_pkint,
@@ -61,13 +58,6 @@ type item struct {
 	virtual int
 	buf     *Buffer
 }
-
-// ErrBufferType is returned when an Upk call does not match the packed
-// item's type.
-var ErrBufferType = errors.New("core: unpack type mismatch")
-
-// ErrBufferEmpty is returned when unpacking past the last item.
-var ErrBufferEmpty = errors.New("core: unpack past end of buffer")
 
 // NewBuffer returns an empty message buffer (pvm_initsend).
 func NewBuffer() *Buffer { return &Buffer{} }
@@ -132,24 +122,48 @@ func (b *Buffer) PkBuffer(inner *Buffer) *Buffer {
 // recipients of a broadcast) can unpack the same buffer independently.
 func (b *Buffer) Reader() *Reader { return &Reader{buf: b} }
 
-// Reader unpacks items from a Buffer in packed order.
+// The codes a Reader's Err carries.
+const (
+	// CodeTypeMismatch: an Upk call met an item of another type.
+	CodeTypeMismatch errs.Code = "core.type-mismatch"
+	// CodePastEnd: an Upk call ran past the last item.
+	CodePastEnd errs.Code = "core.past-end"
+	// CodeOutOfRange: UpkIndex or UpkCount refused the integer it read.
+	CodeOutOfRange errs.Code = "core.out-of-range"
+)
+
+// Reader unpacks items from a Buffer in packed order. Its error is sticky:
+// the first failure — a type mismatch, a read past the end, or a range
+// helper's refusal — is kept, and from then on every Upk call returns its
+// zero value without advancing. A receiver therefore unpacks every field,
+// checks Err once, and only then acts on what it read.
 type Reader struct {
 	buf *Buffer
 	pos int
+	err error
 }
 
-func (r *Reader) next(want itemKind) (item, error) {
+func (r *Reader) next(want itemKind) item {
+	if r.err != nil {
+		return item{}
+	}
 	if r.pos >= len(r.buf.items) {
-		return item{}, ErrBufferEmpty
+		r.err = errs.Newf(CodePastEnd, "core: unpack %v past end of buffer (%d items)", want, r.pos)
+		return item{}
 	}
 	it := r.buf.items[r.pos]
 	if it.kind != want {
-		return item{}, fmt.Errorf("%w: have %v, want %v at item %d",
-			ErrBufferType, it.kind, want, r.pos)
+		r.err = errs.Newf(CodeTypeMismatch, "core: unpack type mismatch: have %v, want %v at item %d",
+			it.kind, want, r.pos)
+		return item{}
 	}
 	r.pos++
-	return it, nil
+	return it
 }
+
+// Err returns the reader's first failure, or nil if every Upk call so far
+// succeeded.
+func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of items not yet unpacked.
 func (r *Reader) Remaining() int { return len(r.buf.items) - r.pos }
@@ -158,46 +172,41 @@ func (r *Reader) Remaining() int { return len(r.buf.items) - r.pos }
 func (r *Reader) Bytes() int { return r.buf.Bytes() }
 
 // UpkInt unpacks one integer.
-func (r *Reader) UpkInt() (int, error) {
-	it, err := r.next(kindInt)
-	return it.i, err
-}
+func (r *Reader) UpkInt() int { return r.next(kindInt).i }
 
-// UpkFloat64s unpacks a float64 vector.
-func (r *Reader) UpkFloat64s() ([]float64, error) {
-	it, err := r.next(kindFloat64s)
-	return it.floats, err
-}
-
-// UpkBytes unpacks a byte slice.
-func (r *Reader) UpkBytes() ([]byte, error) {
-	it, err := r.next(kindBytes)
-	return it.bytes, err
-}
-
-// UpkString unpacks a string.
-func (r *Reader) UpkString() (string, error) {
-	it, err := r.next(kindString)
-	return it.str, err
-}
-
-// UpkVirtual unpacks a virtual-bytes item, returning its size.
-func (r *Reader) UpkVirtual() (int, error) {
-	it, err := r.next(kindVirtual)
-	return it.virtual, err
-}
-
-// UpkBuffer unpacks a nested message buffer.
-func (r *Reader) UpkBuffer() (*Buffer, error) {
-	it, err := r.next(kindBuffer)
-	return it.buf, err
-}
-
-// MustInt is UpkInt that panics on error; for tests and compact examples.
-func (r *Reader) MustInt() int {
-	v, err := r.UpkInt()
-	if err != nil {
-		panic(err)
+// UpkIndex unpacks an integer that must lie in [0, n): a host, rank or slot
+// of a table n long. A value outside it fails the reader.
+func (r *Reader) UpkIndex(n int) int {
+	v := r.UpkInt()
+	if r.err == nil && uint(v) >= uint(n) {
+		r.err = errs.Newf(CodeOutOfRange, "core: item %d is %d, want an index in [0, %d)", r.pos-1, v, n)
+		return 0
 	}
 	return v
 }
+
+// UpkCount unpacks an integer that must not be negative: a count or a size.
+// A negative value fails the reader.
+func (r *Reader) UpkCount() int {
+	v := r.UpkInt()
+	if r.err == nil && v < 0 {
+		r.err = errs.Newf(CodeOutOfRange, "core: item %d is %d, want a count ≥ 0", r.pos-1, v)
+		return 0
+	}
+	return v
+}
+
+// UpkFloat64s unpacks a float64 vector.
+func (r *Reader) UpkFloat64s() []float64 { return r.next(kindFloat64s).floats }
+
+// UpkBytes unpacks a byte slice.
+func (r *Reader) UpkBytes() []byte { return r.next(kindBytes).bytes }
+
+// UpkString unpacks a string.
+func (r *Reader) UpkString() string { return r.next(kindString).str }
+
+// UpkVirtual unpacks a virtual-bytes item, returning its size.
+func (r *Reader) UpkVirtual() int { return r.next(kindVirtual).virtual }
+
+// UpkBuffer unpacks a nested message buffer.
+func (r *Reader) UpkBuffer() *Buffer { return r.next(kindBuffer).buf }

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
+
+	"pvmigrate/internal/errs"
 )
 
 func TestTIDEncoding(t *testing.T) {
@@ -92,20 +93,12 @@ func TestBufferPackUnpackIdentity(t *testing.T) {
 		PkString("hello").
 		PkVirtual(1000)
 	r := b.Reader()
-	if v, err := r.UpkInt(); err != nil || v != 42 {
-		t.Fatalf("UpkInt = %d, %v", v, err)
+	i, f, by, str, v := r.UpkInt(), r.UpkFloat64s(), r.UpkBytes(), r.UpkString(), r.UpkVirtual()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if v, err := r.UpkFloat64s(); err != nil || len(v) != 3 || v[1] != -2.25 {
-		t.Fatalf("UpkFloat64s = %v, %v", v, err)
-	}
-	if v, err := r.UpkBytes(); err != nil || string(v) != "abc" {
-		t.Fatalf("UpkBytes = %q, %v", v, err)
-	}
-	if v, err := r.UpkString(); err != nil || v != "hello" {
-		t.Fatalf("UpkString = %q, %v", v, err)
-	}
-	if v, err := r.UpkVirtual(); err != nil || v != 1000 {
-		t.Fatalf("UpkVirtual = %d, %v", v, err)
+	if i != 42 || len(f) != 3 || f[1] != -2.25 || string(by) != "abc" || str != "hello" || v != 1000 {
+		t.Fatalf("unpacked %d, %v, %q, %q, %d", i, f, by, str, v)
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("Remaining = %d", r.Remaining())
@@ -128,31 +121,58 @@ func TestBufferByteAccounting(t *testing.T) {
 }
 
 func TestBufferTypeMismatch(t *testing.T) {
-	b := NewBuffer().PkInt(1)
+	b := NewBuffer().PkInt(1).PkInt(2)
 	r := b.Reader()
-	if _, err := r.UpkString(); !errors.Is(err, ErrBufferType) {
-		t.Fatalf("err = %v", err)
+	if s := r.UpkString(); s != "" || !errs.Is(r.Err(), CodeTypeMismatch) {
+		t.Fatalf("UpkString = %q, err = %v", s, r.Err())
 	}
-	// The mismatching item is not consumed.
-	if v, err := r.UpkInt(); err != nil || v != 1 {
-		t.Fatalf("after mismatch: %d, %v", v, err)
+	// The failure sticks: the mismatching item is not consumed, and later
+	// calls return zero values without advancing.
+	if v := r.UpkInt(); v != 0 || r.Remaining() != 2 || !errs.Is(r.Err(), CodeTypeMismatch) {
+		t.Fatalf("after mismatch: %d, %d remaining, %v", v, r.Remaining(), r.Err())
 	}
 }
 
 func TestBufferPastEnd(t *testing.T) {
 	r := NewBuffer().Reader()
-	if _, err := r.UpkInt(); !errors.Is(err, ErrBufferEmpty) {
-		t.Fatalf("err = %v", err)
+	if v := r.UpkInt(); v != 0 || !errs.Is(r.Err(), CodePastEnd) {
+		t.Fatalf("UpkInt = %d, err = %v", v, r.Err())
+	}
+}
+
+// The range helpers refuse what the protocols cannot act on — an index
+// outside its table, a negative count — and the refusal sticks like any
+// other failure.
+func TestReaderRangeHelpers(t *testing.T) {
+	r := NewBuffer().PkInt(0).PkInt(2).PkInt(0).PkInt(1).Reader()
+	if v, c := r.UpkIndex(2), r.UpkCount(); v != 0 || c != 2 || r.Err() != nil {
+		t.Fatalf("in range: %d, %d, %v", v, c, r.Err())
+	}
+	if v := r.UpkIndex(0); v != 0 || !errs.Is(r.Err(), CodeOutOfRange) {
+		t.Fatalf("UpkIndex(0) = %d, err = %v", v, r.Err())
+	}
+	if v := r.UpkInt(); v != 0 || r.Remaining() != 1 {
+		t.Fatalf("after refusal: %d, %d remaining", v, r.Remaining())
+	}
+	for _, bad := range []int{-1, 3} {
+		r := NewBuffer().PkInt(bad).Reader()
+		if v := r.UpkIndex(3); v != 0 || !errs.Is(r.Err(), CodeOutOfRange) {
+			t.Fatalf("UpkIndex(3) of %d = %d, err = %v", bad, v, r.Err())
+		}
+	}
+	r = NewBuffer().PkInt(-1).Reader()
+	if v := r.UpkCount(); v != 0 || !errs.Is(r.Err(), CodeOutOfRange) {
+		t.Fatalf("UpkCount of -1 = %d, err = %v", v, r.Err())
 	}
 }
 
 func TestBufferIndependentReaders(t *testing.T) {
 	b := NewBuffer().PkInt(1).PkInt(2)
 	r1, r2 := b.Reader(), b.Reader()
-	if r1.MustInt() != 1 || r2.MustInt() != 1 {
+	if r1.UpkInt() != 1 || r2.UpkInt() != 1 {
 		t.Fatal("readers not independent")
 	}
-	if r1.MustInt() != 2 {
+	if r1.UpkInt() != 2 {
 		t.Fatal("reader 1 lost position")
 	}
 }
@@ -166,13 +186,12 @@ func TestPropBufferRoundTrip(t *testing.T) {
 		b.PkFloat64s(floats).PkBytes(blob).PkString(s).PkVirtual(int(virt))
 		r := b.Reader()
 		for _, v := range ints {
-			got, err := r.UpkInt()
-			if err != nil || got != int(v) {
+			if r.UpkInt() != int(v) {
 				return false
 			}
 		}
-		f2, err := r.UpkFloat64s()
-		if err != nil || len(f2) != len(floats) {
+		f2, b2, s2, v2 := r.UpkFloat64s(), r.UpkBytes(), r.UpkString(), r.UpkVirtual()
+		if r.Err() != nil || len(f2) != len(floats) {
 			return false
 		}
 		for i := range floats {
@@ -180,19 +199,7 @@ func TestPropBufferRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		b2, err := r.UpkBytes()
-		if err != nil || string(b2) != string(blob) {
-			return false
-		}
-		s2, err := r.UpkString()
-		if err != nil || s2 != s {
-			return false
-		}
-		v2, err := r.UpkVirtual()
-		if err != nil || v2 != int(virt) {
-			return false
-		}
-		return r.Remaining() == 0
+		return string(b2) == string(blob) && s2 == s && v2 == int(virt) && r.Remaining() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"errors"
 	"testing"
+
+	"pvmigrate/internal/errs"
 )
 
 func TestPkBufferRoundTrip(t *testing.T) {
@@ -12,18 +13,16 @@ func TestPkBufferRoundTrip(t *testing.T) {
 		t.Fatalf("outer bytes = %d", outer.Bytes())
 	}
 	r := outer.Reader()
-	if r.MustInt() != 1 {
+	if r.UpkInt() != 1 {
 		t.Fatal("prefix lost")
 	}
-	got, err := r.UpkBuffer()
-	if err != nil || got != inner {
-		t.Fatalf("UpkBuffer = %v, %v", got, err)
+	if got := r.UpkBuffer(); got != inner {
+		t.Fatalf("UpkBuffer = %v, %v", got, r.Err())
 	}
-	ir := got.Reader()
-	if ir.MustInt() != 7 {
+	if ir := inner.Reader(); ir.UpkInt() != 7 {
 		t.Fatal("inner content lost")
 	}
-	if r.MustInt() != 2 {
+	if r.UpkInt() != 2 {
 		t.Fatal("suffix lost")
 	}
 }
@@ -44,18 +43,19 @@ func TestBufferItemsAndReaderBytes(t *testing.T) {
 
 func TestUpkBufferTypeMismatch(t *testing.T) {
 	r := NewBuffer().PkInt(1).Reader()
-	if _, err := r.UpkBuffer(); !errors.Is(err, ErrBufferType) {
-		t.Fatalf("err = %v", err)
+	if b := r.UpkBuffer(); b != nil || !errs.Is(r.Err(), CodeTypeMismatch) {
+		t.Fatalf("UpkBuffer = %v, err = %v", b, r.Err())
 	}
 }
 
-func TestMustIntPanicsPastEnd(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustInt past end did not panic")
-		}
-	}()
-	NewBuffer().Reader().MustInt()
+// A reader that ran past the end stays failed: every later call returns a
+// zero value, never a panic, and Err still names the first failure.
+func TestReaderStaysFailedPastEnd(t *testing.T) {
+	r := NewBuffer().Reader()
+	r.UpkInt()
+	if s, b := r.UpkString(), r.UpkBuffer(); s != "" || b != nil || !errs.Is(r.Err(), CodePastEnd) {
+		t.Fatalf("after past end: %q, %v, err = %v", s, b, r.Err())
+	}
 }
 
 func TestPkVirtualNegativePanics(t *testing.T) {

@@ -55,8 +55,8 @@ func buildFuzzBuffer(data []byte) *core.Buffer {
 }
 
 // FuzzFTPayloadDecode drives the decoders the ft protocol actually runs —
-// readStamp, and behind it the opt cores' Master.Absorb, Slave.LoadShard and
-// Slave.LoadNet — with arbitrary item sequences in both modes: short
+// the (epoch, iteration) stamp, and behind it the opt cores' Master.Absorb,
+// Slave.LoadShard and Slave.LoadNet — with arbitrary item sequences in both modes: short
 // payloads, wrong item types, empty slices (the historical pl[0] panic in
 // the gradient decoder every master shares), a shard whose feature, label
 // and announced counts disagree, an out-of-range label and a gradient or
@@ -86,18 +86,17 @@ func FuzzFTPayloadDecode(f *testing.F) {
 			}
 			master.PackNet(core.NewBuffer())
 			r := buf.Reader()
-			if _, _, err := readStamp(r); err == nil {
+			r.UpkInt() // the (epoch, iteration) stamp
+			r.UpkInt()
+			if r.Err() == nil {
 				_ = master.Absorb(r)
 			}
 			// The slave's tagShard and tagNet receive paths.
 			sl := opt.NewSlave(p)
 			_ = sl.LoadShard(buf.Reader())
 			r = buf.Reader()
-			if _, err := r.UpkInt(); err == nil { // the epoch
-				_, _ = sl.LoadNet(r)
-			}
+			r.UpkInt() // the epoch
+			_, _ = sl.LoadNet(r)
 		}
-		// The tagCkpt / tagCkptOK receive paths.
-		_, _, _ = readStamp(buf.Reader())
 	})
 }

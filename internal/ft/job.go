@@ -167,16 +167,6 @@ func (j *Job) runSlave(mt *mpvm.MTask, idx int, fromCkpt bool) {
 	j.serveSlave(mt, idx, sl)
 }
 
-// readStamp unpacks the (epoch, iteration) pair that fences a reply or a
-// checkpoint command against a rollback.
-func readStamp(r *core.Reader) (epoch, iter int, err error) {
-	if epoch, err = r.UpkInt(); err != nil {
-		return 0, 0, err
-	}
-	iter, err = r.UpkInt()
-	return epoch, iter, err
-}
-
 // serveSlave is the request loop: gradients on tagNet, stable-storage
 // writes on tagCkpt, exit on tagDone. Slaves need no epoch filtering of
 // their own — they are stateless per request — but they echo the master's
@@ -192,11 +182,9 @@ func (j *Job) serveSlave(mt *mpvm.MTask, idx int, sl *opt.Slave) {
 			return
 		case tagNet:
 			// The net broadcast travels behind the epoch; the iteration
-			// number is the broadcast's own first item.
-			epoch, err := r.UpkInt()
-			if err != nil {
-				return
-			}
+			// number is the broadcast's own first item. LoadNet checks the
+			// reader, the epoch included.
+			epoch := r.UpkInt()
 			iter, err := sl.LoadNet(r)
 			if err != nil {
 				return
@@ -209,8 +197,10 @@ func (j *Job) serveSlave(mt *mpvm.MTask, idx int, sl *opt.Slave) {
 				return
 			}
 		case tagCkpt:
-			epoch, iter, err := readStamp(r)
-			if err != nil {
+			// The (epoch, iteration) stamp fences the command against a
+			// rollback.
+			epoch, iter := r.UpkInt(), r.UpkInt()
+			if r.Err() != nil {
 				return
 			}
 			if err := j.mgr.saveSnapshot(mt, slaveKey(idx), iter,
@@ -337,8 +327,8 @@ func (m *masterRun) oneIteration() error {
 			if err != nil {
 				return err
 			}
-			e, it, err := readStamp(r)
-			if err != nil {
+			e, it := r.UpkInt(), r.UpkInt()
+			if err := r.Err(); err != nil {
 				return err
 			}
 			if e != epoch || it != iter {
@@ -396,8 +386,8 @@ func (m *masterRun) checkpoint() error {
 			if err != nil {
 				return err
 			}
-			e, it, err := readStamp(r)
-			if err != nil {
+			e, it := r.UpkInt(), r.UpkInt()
+			if err := r.Err(); err != nil {
 				return err
 			}
 			if e == epoch && it == iter {

@@ -196,17 +196,9 @@ func (lj *LoadJob) runWorker(mt *mpvm.MTask) {
 		if tag != tagServeReq {
 			continue
 		}
-		id, err := r.UpkInt()
-		if err != nil {
-			lj.fail(err)
-			return
-		}
-		at, err := r.UpkInt()
-		if err != nil {
-			lj.fail(err)
-			return
-		}
-		if _, err := r.UpkVirtual(); err != nil {
+		id, at := r.UpkInt(), r.UpkInt()
+		r.UpkVirtual() // the request body
+		if err := r.Err(); err != nil {
 			lj.fail(err)
 			return
 		}
@@ -230,16 +222,10 @@ func (lj *LoadJob) runSink(mt *mpvm.MTask) {
 			lj.fail(err)
 			return
 		}
-		if _, err := r.UpkInt(); err != nil {
-			lj.fail(err)
-			return
-		}
-		at, err := r.UpkInt()
-		if err != nil {
-			lj.fail(err)
-			return
-		}
-		if _, err := r.UpkVirtual(); err != nil {
+		r.UpkInt() // the request id
+		at := r.UpkInt()
+		r.UpkVirtual() // the reply body
+		if err := r.Err(); err != nil {
 			lj.fail(err)
 			return
 		}

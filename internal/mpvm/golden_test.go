@@ -39,7 +39,7 @@ func abortRun(t *testing.T, warm bool, failAt sim.Time) string {
 				t.Errorf("recv %d: %v", i, err)
 				return
 			}
-			v, _ := r.UpkInt()
+			v := r.UpkInt()
 			fmt.Fprintf(&b, " %d", v)
 		}
 		fmt.Fprintf(&b, "; done %d on %s\n", int64(mt.Proc().Now()), mt.Host().Name())

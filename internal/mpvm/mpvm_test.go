@@ -74,7 +74,7 @@ func TestMigrateWhileBlockedInRecv(t *testing.T) {
 			t.Errorf("recv: %v", err)
 			return
 		}
-		got, _ = r.UpkInt()
+		got = r.UpkInt()
 		recvHost = mt.Host().Name()
 	})
 	// Migrate while it waits, then send to its ORIGINAL tid.
@@ -256,7 +256,7 @@ func TestNoMessageLossAcrossMigration(t *testing.T) {
 					t.Errorf("recv: %v", err)
 					return
 				}
-				v, _ := r.UpkInt()
+				v := r.UpkInt()
 				got = append(got, v)
 			}
 		})
@@ -298,7 +298,7 @@ func TestTIDRemappingIsTransparent(t *testing.T) {
 		if err != nil {
 			return
 		}
-		v, _ := r.UpkInt()
+		v := r.UpkInt()
 		mt.Send(src, 1, core.NewBuffer().PkInt(v*2))
 	})
 	s.SpawnMigratable(1, "client", 1<<10, func(mt *MTask) {
@@ -312,7 +312,7 @@ func TestTIDRemappingIsTransparent(t *testing.T) {
 			t.Errorf("recv: %v", err)
 			return
 		}
-		echoed, _ = r.UpkInt()
+		echoed = r.UpkInt()
 	})
 	k.Schedule(2*time.Second, func() { s.Migrate(victim.OrigTID(), 1, core.ReasonManual) })
 	k.Run()
@@ -350,7 +350,7 @@ func TestStaleTIDForwardedAtDaemonLevel(t *testing.T) {
 				t.Errorf("recv: %v", err)
 				return
 			}
-			v, _ := r.UpkInt()
+			v := r.UpkInt()
 			got = append(got, v)
 		}
 	})

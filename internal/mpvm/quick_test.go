@@ -26,7 +26,7 @@ func TestPropArbitraryMigrationSchedules(t *testing.T) {
 				if err != nil {
 					return
 				}
-				v, _ := r.UpkInt()
+				v := r.UpkInt()
 				got = append(got, v)
 			}
 		})

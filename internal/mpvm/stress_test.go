@@ -48,7 +48,7 @@ func TestMigrationStormRing(t *testing.T) {
 							t.Errorf("worker %d recv: %v", i, err)
 							return
 						}
-						v, _ := rd.UpkInt()
+						v := rd.UpkInt()
 						received[i] = append(received[i], v)
 					}
 					done++
@@ -129,7 +129,7 @@ func TestManySequentialMigrations(t *testing.T) {
 				t.Errorf("recv %d: %v", i, err)
 				return
 			}
-			v, _ := r.UpkInt()
+			v := r.UpkInt()
 			src, _, _, err := core.NoTID, 0, r, error(nil)
 			_ = src
 			mt.Send(core.MakeTID(1, 1), 2, core.NewBuffer().PkInt(v*2))
@@ -148,7 +148,7 @@ func TestManySequentialMigrations(t *testing.T) {
 				t.Errorf("echo %d: %v", i, err)
 				return
 			}
-			v, _ := r.UpkInt()
+			v := r.UpkInt()
 			echoes = append(echoes, v)
 		}
 	})

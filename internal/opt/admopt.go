@@ -85,7 +85,6 @@ func admFSM() *adm.FSM {
 
 // slaveState is a slave's report to the master at redistribution time.
 type slaveState struct {
-	rank        int
 	count       int
 	power       float64
 	withdrawing bool
@@ -142,8 +141,7 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 				}
 				delete(pending, src)
 			case TagADM:
-				op, _ := r.UpkString()
-				if op != "redist-request" {
+				if r.UpkString() != "redist-request" {
 					continue
 				}
 				withdrawn, held, err := runRedistribution(vp, slaves, active)
@@ -213,20 +211,18 @@ func runRedistribution(vp core.VP, slaves []core.TID,
 		if err != nil {
 			return core.NoTID, nil, err
 		}
-		op, _ := sr.UpkString()
-		if op != "state" {
+		if sr.UpkString() != "state" {
 			continue
 		}
-		st := &slaveState{}
-		st.rank, _ = sr.UpkInt()
-		st.count, _ = sr.UpkInt()
-		pw, _ := sr.UpkFloat64s()
+		sr.UpkInt() // the reporter's rank; the master knows it by src
+		count, pw, w := sr.UpkCount(), sr.UpkFloat64s(), sr.UpkInt()
+		if err := sr.Err(); err != nil {
+			return core.NoTID, nil, fmt.Errorf("opt: ADM state report from %v: %w", src, err)
+		}
 		if len(pw) == 0 {
 			return core.NoTID, nil, fmt.Errorf("opt: ADM state report from %v carries no power", src)
 		}
-		st.power = pw[0]
-		w, _ := sr.UpkInt()
-		st.withdrawing = w == 1
+		st := &slaveState{count: count, power: pw[0], withdrawing: w == 1}
 		if st.withdrawing {
 			// Its gradient reply — what it had accumulated of the open
 			// iteration — follows, and is the caller's to absorb.
@@ -292,8 +288,7 @@ func runRedistribution(vp core.VP, slaves []core.TID,
 		if err != nil {
 			return core.NoTID, nil, err
 		}
-		op, _ := ar.UpkString()
-		if op == "redist-done" {
+		if ar.UpkString() == "redist-done" {
 			acks++
 		}
 	}
@@ -319,10 +314,7 @@ func RunADMSlave(vp core.VP, master core.TID, rank int, peers []core.TID,
 	if err != nil {
 		return err
 	}
-	idLo, err := r.UpkInt()
-	if err != nil {
-		return fmt.Errorf("opt: ADM shard: %w", err)
-	}
+	idLo := r.UpkCount() // the shard's first exemplar id
 	sl := &admSlave{
 		Slave: NewSlave(ap.Params),
 		vp:    vp, master: master, rank: rank, peers: peers,
@@ -331,7 +323,7 @@ func RunADMSlave(vp core.VP, master core.TID, rank int, peers []core.TID,
 	if err := sl.LoadShard(r); err != nil {
 		return err
 	}
-	if total := ap.NumExemplars(); idLo < 0 || sl.count < 0 || idLo+sl.count > total {
+	if total := ap.NumExemplars(); idLo > total || sl.count > total-idLo {
 		return fmt.Errorf("opt: ADM shard holds ids [%d, %d), not within the job's %d exemplars", idLo, idLo+sl.count, total)
 	}
 	sl.shard = adm.NewShard(idLo, idLo+sl.count)
@@ -393,8 +385,7 @@ func (s *admSlave) run() error {
 			s.fire("done")
 			return nil
 		case TagADM:
-			op, _ := r.UpkString()
-			if op == "enter-redist" {
+			if r.UpkString() == "enter-redist" {
 				s.fire("enter-redist")
 				if err := s.participateRedist(false); err != nil {
 					return err
@@ -477,17 +468,12 @@ func (s *admSlave) iterate() error {
 			s.fire("redistributed")
 			continue
 		}
-		if src, tag, cr, ok, _ := s.vp.NRecv(core.AnyTID, TagADM); ok {
-			_ = src
-			_ = tag
-			op, _ := cr.UpkString()
-			if op == "enter-redist" {
-				s.fire("enter-redist")
-				if err := s.participateRedist(false); err != nil {
-					return err
-				}
-				s.fire("redistributed")
+		if _, _, cr, ok, _ := s.vp.NRecv(core.AnyTID, TagADM); ok && cr.UpkString() == "enter-redist" {
+			s.fire("enter-redist")
+			if err := s.participateRedist(false); err != nil {
+				return err
 			}
+			s.fire("redistributed")
 		}
 	}
 }
@@ -527,8 +513,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 			if err != nil {
 				return err
 			}
-			op, _ := r.UpkString()
-			if op == "enter-redist" {
+			if r.UpkString() == "enter-redist" {
 				break
 			}
 		}
@@ -556,8 +541,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 		if err != nil {
 			return err
 		}
-		op, _ := r.UpkString()
-		if op != "plan" {
+		if r.UpkString() != "plan" {
 			continue
 		}
 		if moves, expectIncoming, err = s.unpackPlan(r); err != nil {
@@ -600,17 +584,22 @@ func (s *admSlave) participateRedist(requested bool) error {
 		if err != nil {
 			return err
 		}
-		op, _ := r.UpkString()
-		if op != "frag" {
+		if r.UpkString() != "frag" {
 			continue
 		}
-		cnt, _ := r.UpkInt()
-		bytes, _ := r.UpkVirtual()
-		ids, _ := r.UpkFloat64s()
-		flags, _ := r.UpkBytes()
+		cnt, bytes, ids, flags := r.UpkCount(), r.UpkVirtual(), r.UpkFloat64s(), r.UpkBytes()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("opt: ADM fragment: %w", err)
+		}
 		if len(ids) != cnt || len(flags) != cnt {
 			return fmt.Errorf("opt: ADM fragment announces %d exemplars and carries %d ids and %d processed flags",
 				cnt, len(ids), len(flags))
+		}
+		var set *ExemplarSet
+		if p.Real {
+			if set, err = unpackExemplars(r, p, cnt); err != nil {
+				return err
+			}
 		}
 		frag, err := adm.NewFragment(ids, flags)
 		if err == nil {
@@ -620,10 +609,6 @@ func (s *admSlave) participateRedist(requested bool) error {
 			return fmt.Errorf("opt: ADM fragment: %w", err)
 		}
 		if p.Real {
-			set, err := unpackExemplars(r, p, cnt)
-			if err != nil {
-				return err
-			}
 			for i, id := range ids {
 				set.ids[i] = int(id)
 			}
@@ -646,8 +631,7 @@ func (s *admSlave) participateRedist(requested bool) error {
 		if err != nil {
 			return err
 		}
-		op, _ := r.UpkString()
-		if op == "redist-complete" {
+		if r.UpkString() == "redist-complete" {
 			break
 		}
 	}
@@ -671,53 +655,31 @@ func (s *admSlave) participateRedist(requested bool) error {
 
 // unpackPlan reads a redistribution plan — the moves, then every peer's
 // incoming count — and returns the moves and this slave's incoming count.
-// Every field is checked before the plan acts: a field missing, a move
-// between ranks that are not peers or of a negative count, or moves out of
-// this slave that its shard cannot fill (a receiver would wait for the
-// difference forever) make it an error.
+// Every field is read before the plan acts: a field missing, a move
+// between ranks that are not peers or of a negative count, a negative
+// incoming count, or moves out of this slave that its shard cannot fill (a
+// receiver would wait for the difference forever) make it an error.
 func (s *admSlave) unpackPlan(r *core.Reader) (moves []adm.Move, incoming int, err error) {
-	nMoves, err := r.UpkInt()
-	if err != nil {
-		return nil, 0, err
-	}
-	if nMoves < 0 {
-		return nil, 0, fmt.Errorf("%d moves announced", nMoves)
-	}
+	peers := len(s.peers)
 	out := 0
-	for i := 0; i < nMoves; i++ {
-		var m adm.Move
-		if m.From, err = r.UpkInt(); err != nil {
-			return nil, 0, err
-		}
-		if m.To, err = r.UpkInt(); err != nil {
-			return nil, 0, err
-		}
-		if m.Count, err = r.UpkInt(); err != nil {
-			return nil, 0, err
-		}
-		if uint(m.From) >= uint(len(s.peers)) || uint(m.To) >= uint(len(s.peers)) || m.Count < 0 {
-			return nil, 0, fmt.Errorf("move of %d exemplars from rank %d to rank %d among %d peers",
-				m.Count, m.From, m.To, len(s.peers))
-		}
+	for n := r.UpkCount(); len(moves) < n && r.Err() == nil; {
+		m := adm.Move{From: r.UpkIndex(peers), To: r.UpkIndex(peers), Count: r.UpkCount()}
 		if m.From == s.rank {
-			out += m.Count
+			// Checked per move: a sum of counts past the shard could
+			// otherwise wrap back into range.
+			if out += m.Count; out < 0 || out > s.shard.Len() {
+				return nil, 0, fmt.Errorf("moves more exemplars out of rank %d than the %d it holds", s.rank, s.shard.Len())
+			}
 		}
 		moves = append(moves, m)
 	}
-	if out > s.shard.Len() {
-		return nil, 0, fmt.Errorf("moves %d exemplars out of rank %d, which holds %d", out, s.rank, s.shard.Len())
-	}
-	for i := range s.peers {
-		inc, err := r.UpkInt()
-		if err != nil {
-			return nil, 0, err
-		}
-		if inc < 0 {
-			return nil, 0, fmt.Errorf("rank %d expects %d incoming exemplars", i, inc)
-		}
-		if i == s.rank {
+	for i := range peers {
+		if inc := r.UpkCount(); i == s.rank {
 			incoming = inc
 		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, 0, err
 	}
 	return moves, incoming, nil
 }

@@ -86,13 +86,9 @@ func (s *ExemplarSet) pack(buf *core.Buffer) {
 // values, every label a class. The features are carried by reference; the
 // ids are zero and the caller's to fill.
 func unpackExemplars(r *core.Reader, p Params, count int) (*ExemplarSet, error) {
-	feats, err := r.UpkFloat64s()
-	if err != nil {
-		return nil, fmt.Errorf("opt: exemplar features: %w", err)
-	}
-	flabels, err := r.UpkFloat64s()
-	if err != nil {
-		return nil, fmt.Errorf("opt: exemplar labels: %w", err)
+	feats, flabels := r.UpkFloat64s(), r.UpkFloat64s()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("opt: exemplars: %w", err)
 	}
 	if len(flabels) != count || len(feats) != count*p.InputDim {
 		return nil, fmt.Errorf("opt: %d exemplars announced, %d labels and %d feature values carried (dim %d)",

@@ -3,6 +3,7 @@ package opt
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -15,13 +16,15 @@ import (
 
 // TestMalformedMessagesAreErrors: a peer that sends a structurally valid
 // message with inconsistent contents — a shard whose counts disagree, a
-// label that is no class, a state report cut short, a gradient of the wrong
-// shape, a fragment with fewer flags than ids, or with ids the receiver may
-// not take, a plan cut short, or with a move of a negative count, to a rank
-// that is no peer, or out of a shard too small to fill it — gets an "opt:"
-// error out of the driver that received it, never an index or slice-bounds
-// panic, and never silently absorbed. The payloads are packed by hand, so
-// the test also pins the layouts the drivers exchange.
+// label that is no class, a state report cut short, without its withdraw
+// flag or with a negative count, a gradient of the wrong shape, a fragment
+// with fewer flags than ids, or with ids the receiver may not take, a plan
+// cut short, or with a move of a negative count, to a rank that is no
+// peer, or out of a shard too small to fill it (counts whose sum wraps
+// around included), or a shard whose ids run past the largest int — gets
+// an "opt:" error out of the driver that received it, never an index or
+// slice-bounds panic, and never silently absorbed. The payloads are packed
+// by hand, so the test also pins the layouts the drivers exchange.
 func TestMalformedMessagesAreErrors(t *testing.T) {
 	const (
 		master = core.TID(1<<18 | 1)
@@ -97,6 +100,12 @@ func TestMalformedMessagesAreErrors(t *testing.T) {
 		{"RunADMMaster: state report cut short", runADMMaster, []scripted{
 			{slave, TagADM, adm0("redist-request").PkInt(1)},
 			{slave, TagADM, adm0("state").PkInt(0).PkInt(3)}}},
+		{"RunADMMaster: state report with no withdraw flag", runADMMaster, []scripted{
+			{slave, TagADM, adm0("redist-request").PkInt(1)},
+			{slave, TagADM, adm0("state").PkInt(0).PkInt(3).PkFloat64s([]float64{1})}}},
+		{"RunADMMaster: state report with a negative count", runADMMaster, []scripted{
+			{slave, TagADM, adm0("redist-request").PkInt(1)},
+			{slave, TagADM, adm0("state").PkInt(0).PkInt(-3).PkFloat64s([]float64{1}).PkInt(0)}}},
 		{"RunADMSlave: fragment with fewer flags than ids", runADMSlave(Params{}), []scripted{
 			{master, TagShard, core.NewBuffer().PkInt(2).PkInt(2).PkVirtual(24)},
 			{master, TagADM, adm0("enter-redist")},
@@ -113,6 +122,10 @@ func TestMalformedMessagesAreErrors(t *testing.T) {
 			planFor(adm0("plan").PkInt(1).PkInt(0).PkInt(0).PkInt(-3).PkInt(0))},
 		{"RunADMSlave: plan moves more than the shard holds", runADMSlave(Params{}),
 			planFor(adm0("plan").PkInt(1).PkInt(0).PkInt(0).PkInt(5).PkInt(5))},
+		{"RunADMSlave: plan moves counts whose sum wraps around", runADMSlave(Params{}),
+			planFor(adm0("plan").PkInt(2).PkInt(0).PkInt(0).PkInt(1).PkInt(0).PkInt(0).PkInt(math.MaxInt).PkInt(0))},
+		{"RunADMSlave: shard whose last id wraps around", runADMSlave(Params{}), []scripted{
+			{master, TagShard, core.NewBuffer().PkInt(math.MaxInt).PkInt(2).PkVirtual(24)}}},
 		{"RunADMSlave: plan moves to a rank that is no peer", runADMSlave(Params{}),
 			planFor(adm0("plan").PkInt(1).PkInt(0).PkInt(7).PkInt(1).PkInt(0))},
 	}

@@ -41,18 +41,16 @@ func (s *Slave) Restart() *Slave {
 // unpackExemplars) and reports the slave's resident state size to
 // Params.OnStateBytes.
 func (s *Slave) LoadShard(r *core.Reader) error {
-	count, err := r.UpkInt()
-	if err != nil {
-		return fmt.Errorf("opt: shard: %w", err)
-	}
-	bytes, err := r.UpkVirtual()
-	if err != nil {
+	count, bytes := r.UpkCount(), r.UpkVirtual()
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("opt: shard: %w", err)
 	}
 	if s.p.Real {
-		if s.local, err = unpackExemplars(r, s.p, count); err != nil {
+		local, err := unpackExemplars(r, s.p, count)
+		if err != nil {
 			return err
 		}
+		s.local = local
 	}
 	s.count = count
 	if s.p.OnStateBytes != nil {
@@ -64,17 +62,16 @@ func (s *Slave) LoadShard(r *core.Reader) error {
 // LoadNet reads a net broadcast in Master.PackNet's layout, installs the
 // weights in Real mode, and returns the iteration number it carries.
 func (s *Slave) LoadNet(r *core.Reader) (iter int, err error) {
-	if iter, err = r.UpkInt(); err != nil {
-		return 0, fmt.Errorf("opt: net broadcast: %w", err)
+	iter = r.UpkInt()
+	r.UpkVirtual() // the net's size on the wire
+	var flat []float64
+	if s.p.Real {
+		flat = r.UpkFloat64s()
 	}
-	if _, err = r.UpkVirtual(); err != nil {
+	if err := r.Err(); err != nil {
 		return 0, fmt.Errorf("opt: net broadcast: %w", err)
 	}
 	if s.p.Real {
-		flat, err := r.UpkFloat64s()
-		if err != nil {
-			return 0, fmt.Errorf("opt: net broadcast: %w", err)
-		}
 		if s.net.W1 == nil {
 			s.net.W1 = make([]float64, s.p.Hidden*s.p.InputDim)
 			s.net.B1 = make([]float64, s.p.Hidden)
@@ -125,48 +122,24 @@ func (s *Slave) packReply(buf *core.Buffer, partialLoss float64, g *Gradient, co
 // partial loss, or a gradient of any other shape, is a malformed payload and
 // comes back as an error, never as an index panic here or in Gradient.Add.
 func unpackGradient(r *core.Reader, like *Gradient) (partialLoss float64, g *Gradient, err error) {
-	pl, err := r.UpkFloat64s()
-	if err != nil {
+	pl, count := r.UpkFloat64s(), r.UpkInt()
+	if like == nil {
+		r.UpkVirtual() // a cost-model reply is its size only
+	} else {
+		g = &Gradient{Count: count, W1: r.UpkFloat64s(), B1: r.UpkFloat64s(), W2: r.UpkFloat64s(), B2: r.UpkFloat64s()}
+	}
+	if err := r.Err(); err != nil {
 		return 0, nil, fmt.Errorf("opt: gradient reply: %w", err)
 	}
 	if len(pl) == 0 {
 		return 0, nil, errors.New("opt: gradient reply carries no partial loss")
 	}
-	count, err := r.UpkInt()
-	if err != nil {
-		return 0, nil, fmt.Errorf("opt: gradient reply: %w", err)
-	}
-	if like == nil {
-		if _, err := r.UpkVirtual(); err != nil {
-			return 0, nil, fmt.Errorf("opt: gradient reply: %w", err)
+	if g != nil {
+		for _, b := range [][2][]float64{{g.W1, like.W1}, {g.B1, like.B1}, {g.W2, like.W2}, {g.B2, like.B2}} {
+			if len(b[0]) != len(b[1]) {
+				return 0, nil, fmt.Errorf("opt: gradient reply carries a %d-value block where the net has %d", len(b[0]), len(b[1]))
+			}
 		}
-		return pl[0], nil, nil
-	}
-	g = &Gradient{Count: count}
-	if g.W1, err = upkBlock(r, len(like.W1)); err != nil {
-		return 0, nil, err
-	}
-	if g.B1, err = upkBlock(r, len(like.B1)); err != nil {
-		return 0, nil, err
-	}
-	if g.W2, err = upkBlock(r, len(like.W2)); err != nil {
-		return 0, nil, err
-	}
-	if g.B2, err = upkBlock(r, len(like.B2)); err != nil {
-		return 0, nil, err
 	}
 	return pl[0], g, nil
-}
-
-// upkBlock unpacks one of a gradient's four blocks, which must hold exactly
-// want values.
-func upkBlock(r *core.Reader, want int) ([]float64, error) {
-	v, err := r.UpkFloat64s()
-	if err != nil {
-		return nil, fmt.Errorf("opt: gradient reply: %w", err)
-	}
-	if len(v) != want {
-		return nil, fmt.Errorf("opt: gradient reply carries a %d-value block where the net has %d", len(v), want)
-	}
-	return v, nil
 }

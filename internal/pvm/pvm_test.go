@@ -70,7 +70,7 @@ func TestSendRecvDaemonRoute(t *testing.T) {
 			return
 		}
 		gotSrc, gotTag = src, tag
-		got, _ = r.UpkFloat64s()
+		got = r.UpkFloat64s()
 	})
 	sender, _ := m.Spawn(0, "send", func(task *Task) {
 		buf := core.NewBuffer().PkFloat64s([]float64{3.14, 2.71})
@@ -96,7 +96,7 @@ func TestSendRecvDirectRoute(t *testing.T) {
 			t.Errorf("recv: %v", err)
 			return
 		}
-		if s, _ := r.UpkString(); s != "direct" {
+		if s := r.UpkString(); s != "direct" {
 			t.Errorf("payload = %q", s)
 		}
 		done = true
@@ -123,7 +123,7 @@ func TestRecvTagAndSrcFiltering(t *testing.T) {
 				t.Errorf("recv: %v", err)
 				return
 			}
-			v, _ := r.UpkInt()
+			v := r.UpkInt()
 			order = append(order, v)
 		}
 	})
@@ -174,7 +174,7 @@ func TestPairwiseFIFOOrdering(t *testing.T) {
 					t.Errorf("recv: %v", err)
 					return
 				}
-				v, _ := r.UpkInt()
+				v := r.UpkInt()
 				got = append(got, v)
 			}
 		})
@@ -210,7 +210,7 @@ func TestNRecv(t *testing.T) {
 			t.Errorf("nrecv: tag=%d ok=%v err=%v", tag, ok, err)
 			return
 		}
-		if v, _ := r.UpkInt(); v != 9 {
+		if v := r.UpkInt(); v != 9 {
 			t.Errorf("payload = %d", v)
 		}
 		nrecvFull = ok

@@ -47,7 +47,7 @@ func TestULPNRecv(t *testing.T) {
 		_, _, r, ok, _ := u.NRecv(core.AnyTID, 4)
 		after = ok
 		if ok {
-			got, _ = r.UpkInt()
+			got = r.UpkInt()
 		}
 	})
 	k.Run()

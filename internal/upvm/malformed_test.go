@@ -18,8 +18,13 @@ import (
 // missing its fields would let a later well-formed fin place ULP 0 on
 // host 1, and a flush missing its source and generation would re-point a
 // peer's locator at a host the ULP never left for. A well-typed host field
-// out of range — a migrate to host 99, a flush from host 99 — is dropped
-// the same way, before the flush re-points the locator.
+// out of range — a migrate to host 99, a flush or a transfer header from
+// host 99 — is dropped the same way, before the flush re-points the locator
+// and before the header re-acks to a host that is not there; so is a header
+// whose segment size is negative, which a later fin would otherwise accept.
+// So are two well-formed orders nothing asked for: a migrate of ULP 0 to
+// the host it is already on, and a header and fin that would move it to
+// host 1 while no migration of it is under way.
 func TestMalformedProtocolMessagesAreDropped(t *testing.T) {
 	type msg struct {
 		host, tag int
@@ -31,10 +36,26 @@ func TestMalformedProtocolMessagesAreDropped(t *testing.T) {
 	}{
 		{"bare migrate", []msg{{0, tagCtl, core.NewBuffer().PkString("migrate")}}},
 		{"truncated flush", []msg{{1, tagCtl, core.NewBuffer().PkString("flush").PkInt(0).PkInt(1)}}},
+		{"migrate to its own host", []msg{{0, tagCtl, core.NewBuffer().PkString("migrate").PkInt(0).PkInt(0).PkString("owner")}}},
 		{"migrate to host 99", []msg{{0, tagCtl, core.NewBuffer().PkString("migrate").PkInt(0).PkInt(99).PkString("owner")}}},
 		{"flush from host 99", []msg{{1, tagCtl, core.NewBuffer().PkString("flush").PkInt(0).PkInt(1).PkInt(99).PkInt(0)}}},
 		{"truncated header then fin", []msg{
 			{1, tagXfer, core.NewBuffer().PkString("hdr").PkInt(0)},
+			{1, tagXfer, core.NewBuffer().PkString("fin").PkInt(0).PkInt(0)},
+		}},
+		// hdr: ulp, segment bytes, inbox count, reason, start, source host, gen.
+		{"header from host 99", []msg{
+			{0, tagXfer, core.NewBuffer().PkString("hdr").PkInt(0).PkInt(1000).PkInt(0).
+				PkString("owner").PkInt(0).PkInt(99).PkInt(0)},
+		}},
+		{"transfer no migration asked for", []msg{
+			{1, tagXfer, core.NewBuffer().PkString("hdr").PkInt(0).PkInt(1000).PkInt(0).
+				PkString("owner").PkInt(0).PkInt(0).PkInt(1)},
+			{1, tagXfer, core.NewBuffer().PkString("fin").PkInt(0).PkInt(0)},
+		}},
+		{"negative segment size then fin", []msg{
+			{1, tagXfer, core.NewBuffer().PkString("hdr").PkInt(0).PkInt(-1000000).PkInt(0).
+				PkString("owner").PkInt(0).PkInt(0).PkInt(0)},
 			{1, tagXfer, core.NewBuffer().PkString("fin").PkInt(0).PkInt(0)},
 		}},
 	}

@@ -1,7 +1,6 @@
 package upvm
 
 import (
-	"errors"
 	"fmt"
 
 	"pvmigrate/internal/core"
@@ -43,31 +42,23 @@ func (s *System) Migrate(ulpID, dest int, reason core.MigrationReason) error {
 }
 
 // onCtl handles UPVM protocol control messages at the dispatcher. Every
-// field is unpacked before anything acts on it: a truncated or mistyped
-// message, or one naming a host outside the machine, is dropped whole,
-// never read with its missing fields as zeros.
-// An ack names its sender by the message's source tid, which carries the
-// sending process's host.
+// field is unpacked, and the reader checked once, before anything acts on
+// it: a truncated or mistyped message, or one naming a ULP or a host
+// outside the application, is dropped whole, never read with its missing
+// fields as zeros. An ack names its sender by the message's source tid,
+// which carries the sending process's host.
 func (p *Process) onCtl(src core.TID, r *core.Reader) {
-	op, err := r.UpkString()
-	if err != nil {
-		return
-	}
-	switch op {
+	ulps, hosts := len(p.sys.ulps), len(p.sys.procs)
+	switch op := r.UpkString(); op {
 	case "migrate":
-		ulpID, err1 := r.UpkInt()
-		dest, err2 := r.UpkInt()
-		reason, err3 := r.UpkString()
-		if errors.Join(err1, err2, err3) != nil || p.sys.Process(dest) == nil {
+		ulpID, dest, reason := r.UpkIndex(ulps), r.UpkIndex(hosts), r.UpkString()
+		if r.Err() != nil {
 			return
 		}
 		p.startMigration(ulpID, dest, core.MigrationReason(reason))
 	case "flush":
-		ulpID, err1 := r.UpkInt()
-		dest, err2 := r.UpkInt()
-		srcHost, err3 := r.UpkInt()
-		gen, err4 := r.UpkInt()
-		if errors.Join(err1, err2, err3, err4) != nil || p.sys.Process(dest) == nil || p.sys.Process(srcHost) == nil {
+		ulpID, dest, srcHost, gen := r.UpkIndex(ulps), r.UpkIndex(hosts), r.UpkIndex(hosts), r.UpkInt()
+		if r.Err() != nil {
 			return
 		}
 		// Future messages for this ULP go straight to the new host —
@@ -87,10 +78,9 @@ func (p *Process) onCtl(src core.TID, r *core.Reader) {
 		ack := core.NewBuffer().PkString("flush-ack").PkInt(ulpID).PkInt(gen)
 		_ = p.task.Send(p.sys.procs[srcHost].task.Mytid(), tagCtl, ack) // lint:reason only this process's own exit fails a send, and then no migration needs the ack
 	case "flush-ack", "accepted":
-		ulpID, err1 := r.UpkInt()
-		gen, err2 := r.UpkInt()
+		ulpID, gen := r.UpkIndex(ulps), r.UpkInt()
 		o := p.outbound[ulpID]
-		if errors.Join(err1, err2) != nil || o == nil {
+		if r.Err() != nil || o == nil {
 			return
 		}
 		b := &o.flush
@@ -105,21 +95,22 @@ func (p *Process) onCtl(src core.TID, r *core.Reader) {
 		// message that arrived before the ULP was accepted has been
 		// processed (and parked in pending), so the ULP can become visible
 		// to the zero-copy hand-off path without reordering.
-		ulpID, err := r.UpkInt()
-		u, ok := p.sys.ulps[ulpID]
-		if err != nil || !ok || u.p != p {
+		u := p.sys.ulps[r.UpkIndex(ulps)]
+		if r.Err() != nil || u.p != p {
 			return
 		}
-		p.ulps[ulpID] = u
+		p.ulps[u.id] = u
 		p.drainPending(u)
 	}
 }
 
 // startMigration launches the library's migration helper; the dispatcher
-// keeps processing messages (it must see the flush acks).
+// keeps processing messages (it must see the flush acks). An order for a
+// ULP that is not here, or to the host it is on (a move Migrate refuses),
+// is dropped.
 func (p *Process) startMigration(ulpID, dest int, reason core.MigrationReason) {
 	u, ok := p.ulps[ulpID]
-	if !ok {
+	if !ok || dest == p.host {
 		return
 	}
 	start := p.sys.m.Kernel().Now()
@@ -325,28 +316,19 @@ func (p *Process) abortFlush(mp *sim.Proc, u *ULP, o *outboundXfer) {
 }
 
 // onXfer assembles an inbound ULP at the destination dispatcher. Like
-// onCtl, it drops a message whose fields do not all unpack.
+// onCtl, it drops a message whose fields do not all unpack or are out of
+// range: a ULP id outside the application would panic in ULPTID.
 func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
-	op, err := r.UpkString()
-	if err != nil {
-		return
-	}
-	switch op {
+	ulps := len(p.sys.ulps)
+	switch r.UpkString() {
 	case "hdr":
-		ulpID, err1 := r.UpkInt()
-		segBytes, err2 := r.UpkInt()
-		_, err3 := r.UpkInt() // inbox message count; each follows as an inboxmsg
-		reason, err4 := r.UpkString()
-		startNs, err5 := r.UpkInt()
-		srcHost, err6 := r.UpkInt()
-		gen, err7 := r.UpkInt()
-		if errors.Join(err1, err2, err3, err4, err5, err6, err7) != nil {
+		ulpID, segBytes := r.UpkIndex(ulps), r.UpkCount()
+		r.UpkInt() // inbox message count; each follows as an inboxmsg
+		reason, startNs, srcHost, gen := r.UpkString(), r.UpkInt(), r.UpkIndex(len(p.sys.procs)), r.UpkInt()
+		if r.Err() != nil {
 			return
 		}
-		if u := p.sys.ulps[ulpID]; u != nil && u.p == p && !u.migrating {
-			// A retransmission for a ULP already accepted here: the accept
-			// ack was lost. Re-ack and discard the duplicate stream.
-			p.sendAccepted(ulpID, srcHost, gen)
+		if p.settled(p.sys.ulps[ulpID], srcHost, gen) {
 			return
 		}
 		// A fresh header restarts any partial inbound from a lost attempt.
@@ -364,17 +346,13 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 			},
 		}
 	case "chunk":
-		ulpID, err1 := r.UpkInt()
-		n, err2 := r.UpkVirtual()
-		if ix, ok := p.inbound[ulpID]; ok && errors.Join(err1, err2) == nil {
+		ulpID, n := r.UpkIndex(ulps), r.UpkVirtual()
+		if ix, ok := p.inbound[ulpID]; ok && r.Err() == nil {
 			ix.got += n
 		}
 	case "inboxmsg":
-		ulpID, err1 := r.UpkInt()
-		srcID, err2 := r.UpkInt()
-		tag, err3 := r.UpkInt()
-		inner, err4 := r.UpkBuffer()
-		if ix, ok := p.inbound[ulpID]; ok && errors.Join(err1, err2, err3, err4) == nil {
+		ulpID, srcID, tag, inner := r.UpkIndex(ulps), r.UpkIndex(ulps), r.UpkInt(), r.UpkBuffer()
+		if ix, ok := p.inbound[ulpID]; ok && r.Err() == nil {
 			ix.inboxMsgs = append(ix.inboxMsgs, &UMessage{
 				Src: ULPTID(srcID), Dst: ULPTID(ulpID), Tag: tag, Buf: inner,
 				SentAt: p.sys.m.Kernel().Now(),
@@ -382,10 +360,9 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 			ix.rec.StateBytes += inner.Bytes()
 		}
 	case "fin":
-		ulpID, err1 := r.UpkInt()
-		offNs, err2 := r.UpkInt()
+		ulpID, offNs := r.UpkIndex(ulps), r.UpkInt()
 		ix, ok := p.inbound[ulpID]
-		if !ok || errors.Join(err1, err2) != nil {
+		if !ok || r.Err() != nil {
 			return
 		}
 		delete(p.inbound, ulpID)
@@ -400,22 +377,15 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 // vs 1.67 s obtrusiveness for 0.6 MB); AcceptBps preserves that behaviour.
 func (p *Process) acceptULP(t *pvm.Task, ulpID int, ix *inboundXfer) {
 	u := p.sys.ulps[ulpID]
-	if u == nil {
-		return
-	}
-	if !u.migrating && u.p == p {
-		// A duplicate fin: an earlier attempt's accept already committed.
-		// Accept exactly once — and exactly one record — just re-ack.
-		p.sendAccepted(ulpID, ix.rec.From, ix.gen)
+	if p.settled(u, ix.rec.From, ix.gen) {
 		return
 	}
 	cost := sim.FromSeconds(float64(ix.total) / p.sys.cfg.AcceptBps)
 	if err := t.Proc().Sleep(cost); err != nil {
 		return
 	}
-	if !u.migrating && u.p == p {
+	if p.settled(u, ix.rec.From, ix.gen) {
 		// Another attempt's accept committed while this one slept.
-		p.sendAccepted(ulpID, ix.rec.From, ix.gen)
 		return
 	}
 	u.p = p
@@ -441,6 +411,21 @@ func (p *Process) acceptULP(t *pvm.Task, ulpID int, ix *inboundXfer) {
 	ix.rec.Reintegrated = p.sys.m.Kernel().Now()
 	p.sys.Record(ix.rec)
 	p.sendAccepted(ulpID, ix.rec.From, ix.gen)
+}
+
+// settled reports whether no migration of u is under way, so a transfer
+// of it must not be accepted. If u was accepted here, by this attempt's
+// stream or an earlier one, the accept ack was lost: re-ack, so there is
+// exactly one accept and one record. Otherwise the transfer is one no
+// migration asked for, and is dropped.
+func (p *Process) settled(u *ULP, srcHost, gen int) bool {
+	if u.migrating {
+		return false
+	}
+	if u.p == p {
+		p.sendAccepted(u.id, srcHost, gen)
+	}
+	return true
 }
 
 // sendAccepted confirms a committed (or already-committed) accept to the

@@ -165,14 +165,14 @@ func (p *Process) dispatch(t *pvm.Task) {
 	}
 }
 
-// onData unwraps a remote application message and delivers it.
+// onData unwraps a remote application message and delivers it. Like onCtl,
+// it drops a message whose fields do not all unpack or name no ULP.
 func (p *Process) onData(r *core.Reader) {
-	srcID, err1 := r.UpkInt()
-	dstID, err2 := r.UpkInt()
-	appTag, err3 := r.UpkInt()
-	_, err4 := r.UpkVirtual() // the UPVM routing header
-	inner, err5 := r.UpkBuffer()
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
+	ulps := len(p.sys.ulps)
+	srcID, dstID, appTag := r.UpkIndex(ulps), r.UpkIndex(ulps), r.UpkInt()
+	r.UpkVirtual() // the UPVM routing header
+	inner := r.UpkBuffer()
+	if r.Err() != nil {
 		return
 	}
 	msg := &UMessage{

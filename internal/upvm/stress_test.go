@@ -44,7 +44,7 @@ func TestULPStormRing(t *testing.T) {
 					t.Errorf("ulp %d recv: %v", rank, err)
 					return
 				}
-				v, _ := rd.UpkInt()
+				v := rd.UpkInt()
 				received[rank] = append(received[rank], v)
 			}
 			done++
@@ -122,7 +122,7 @@ func TestULPMigratesThroughAllHosts(t *testing.T) {
 					t.Errorf("nomad recv: %v", err)
 					return
 				}
-				v, _ := r.UpkInt()
+				v := r.UpkInt()
 				if err := u.Send(src, 2, core.NewBuffer().PkInt(v+100)); err != nil {
 					t.Errorf("nomad send: %v", err)
 					return
@@ -141,7 +141,7 @@ func TestULPMigratesThroughAllHosts(t *testing.T) {
 				t.Errorf("probe recv %d: %v", i, err)
 				return
 			}
-			v, _ := r.UpkInt()
+			v := r.UpkInt()
 			echoes = append(echoes, v)
 		}
 	})

@@ -105,7 +105,7 @@ func TestLocalMessageHandoff(t *testing.T) {
 				t.Errorf("recv: %v", err)
 				return
 			}
-			got, _ = r.UpkFloat64s()
+			got = r.UpkFloat64s()
 			l, _ := u.Stats()
 			isLocal = l == 1
 		}
@@ -139,7 +139,7 @@ func TestRemoteMessage(t *testing.T) {
 			t.Errorf("recv: src=%v tag=%d err=%v", src, tag, err)
 			return
 		}
-		got, _ = r.UpkInt()
+		got = r.UpkInt()
 		_, rm := u.Stats()
 		remote = rm == 1
 	})
@@ -316,7 +316,7 @@ func TestMessagesFollowMigratedULP(t *testing.T) {
 					t.Errorf("recv: %v", err)
 					return
 				}
-				v, _ := r.UpkInt()
+				v := r.UpkInt()
 				got = append(got, v)
 			}
 			return
