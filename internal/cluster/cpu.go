@@ -135,12 +135,15 @@ func (c *CPU) reschedule() {
 	if math.IsInf(minRemaining, 1) {
 		return // only load jobs: they never finish
 	}
-	n := float64(len(c.jobs))
-	// Round the ETA *up* to whole nanoseconds (plus a 1 ns guard): rounding
-	// down could schedule a completion event at the current instant that
-	// makes zero progress and re-arms itself forever.
-	eta := sim.Time(math.Ceil(minRemaining * n / c.speed * 1e9))
-	c.completion = c.k.Schedule(eta, c.onComplete)
+	c.completion = c.k.Schedule(c.eta(minRemaining), c.onComplete)
+}
+
+// eta is how long a job with remaining work takes under the current sharing
+// level, rounded *up* to whole nanoseconds (plus a 1 ns guard): rounding
+// down could schedule a completion event at the current instant that makes
+// zero progress and re-arms itself forever.
+func (c *CPU) eta(remaining float64) sim.Time {
+	return sim.Time(math.Ceil(remaining * float64(len(c.jobs)) / c.speed * 1e9))
 }
 
 func (c *CPU) onCompletion() {
@@ -174,24 +177,44 @@ func (c *CPU) onCompletion() {
 // interrupted (e.g. by a migration signal) the call returns the unfinished
 // work remaining and the interrupt error; callers can resume by calling
 // Compute again with the remainder.
+//
+// A job that is the only finite one on the CPU reserves its completion's
+// place before the run-queue watchers hear of it, and then waits with
+// Cond.WaitSlot: when the completion is provably the next event, the proc
+// runs onCompletion itself instead of through the queue.
 func (c *CPU) Compute(p *sim.Proc, work float64) (remaining float64, err error) {
 	if work <= 0 {
 		return 0, nil
 	}
 	c.advance()
 	j := c.newJob(work)
+	sole := c.completion == (sim.Timer{}) // a completion is pending while any finite job runs
 	c.jobs = append(c.jobs, j)
-	c.reschedule()
+	var s sim.Slot
+	if sole {
+		s = c.k.Reserve(c.k.Now() + c.eta(work))
+	} else {
+		c.reschedule()
+	}
 	c.runqChanged()
-	for !j.done {
-		if err = j.doneCond.Wait(p); err != nil {
-			// Migration signal or similar: withdraw the unfinished job.
-			c.advance()
-			c.withdraw(j)
-			c.reschedule()
-			remaining = j.remaining
-			break
+	// A watcher that rescheduled the CPU (an AddLoad) queued the completion
+	// itself; the reservation is dropped, as the queued completion it
+	// stands for would have been canceled.
+	if sole && c.completion == (sim.Timer{}) {
+		var took bool
+		if took, err = j.doneCond.WaitSlot(p, s, c.onComplete); !took {
+			c.completion = c.k.ScheduleSlot(s, c.onComplete)
 		}
+	}
+	for !j.done && err == nil {
+		err = j.doneCond.Wait(p)
+	}
+	if err != nil {
+		// Migration signal or similar: withdraw the unfinished job.
+		c.advance()
+		c.withdraw(j)
+		c.reschedule()
+		remaining = j.remaining
 	}
 	// Only this proc ever waited on j, and it is past its last look at it.
 	c.free = append(c.free, j)

@@ -256,3 +256,64 @@ func TestMalformedLoadJobIsABadRequest(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayAfterCrashUnderLoadWorker is the guard for a crash under a
+// serving job's worker: host 2, where worker 1 computes, crashes twice
+// while requests are in flight, and the session advances in 250 ms steps,
+// so RunUntil deadlines fall inside computes and a crash interrupts a
+// worker's Compute. Twenty replays of the journal must each reproduce the
+// live fingerprint.
+func TestReplayAfterCrashUnderLoadWorker(t *testing.T) {
+	cfg := Config{Hosts: 4}
+	var buf bytes.Buffer
+	jw, err := NewJournalWriter(&buf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCore(cfg, nil)
+	defer c.Close()
+	journaled := func(kind CommandKind, fill func(*Command)) {
+		t.Helper()
+		cmd := Command{Seq: c.applied + 1, At: c.Now(), Kind: kind}
+		fill(&cmd)
+		var jerr error
+		c.w.K.AwaitExternal(func() { jerr = jw.Append(cmd) })
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		if err := c.Apply(cmd); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+	steps := func(n int) {
+		for i := 0; i < n; i++ {
+			journaled(CmdAdvance, func(cmd *Command) { cmd.Advance = 250 * time.Millisecond })
+		}
+	}
+	journaled(CmdSubmit, func(cmd *Command) {
+		cmd.Job = &JobSpec{Kind: JobLoad, RatePerSec: 10, Requests: 300, Seed: 5}
+	})
+	if h := c.jobs[0].Load.WorkerOrigs()[1].Host(); h != 2 {
+		t.Fatalf("worker 1 on host %d, want 2", h)
+	}
+	steps(16)
+	journaled(CmdFault, func(cmd *Command) {
+		cmd.Fault = &FaultArgs{Kind: "host-crash", Host: 2, OutageMs: 3000}
+	})
+	steps(32)
+	journaled(CmdFault, func(cmd *Command) {
+		cmd.Fault = &FaultArgs{Kind: "host-crash", Host: 2, OutageMs: 3000}
+	})
+	steps(48)
+	live := c.Fingerprint()
+	for i := 0; i < 20; i++ {
+		r, err := ReplayJournal(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("replay %d: %v", i, err)
+		}
+		if got := r.Fingerprint(); got != live {
+			t.Fatalf("replay %d fingerprint %016x, live %016x", i, got, live)
+		}
+		r.Close()
+	}
+}

@@ -69,8 +69,8 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 }
 
 // BenchmarkKernelSleepInPlace is one Sleep per op by a lone proc: its wake
-// is always the next event, so the proc pops it on its own stack and never
-// switches (Kernel.resumeInPlace). It must run at 0 allocs/op.
+// is always the next event, so the proc moves the clock itself and the wake
+// never enters the queue (Proc.SleepUntil). It must run at 0 allocs/op.
 func BenchmarkKernelSleepInPlace(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()

@@ -34,6 +34,20 @@ func (c *Cond) Wait(p *Proc) error {
 	return p.block(Timer{})
 }
 
+// WaitSlot is ScheduleSlot(s, fn) followed by Wait(p), for a proc that
+// waits for the callback it reserved into s, except that when that event is
+// provably the next one dispatched the proc takes it in place and it never
+// enters the queue (Proc.blockOn). It reports false, having done nothing,
+// when the event is not provably next: the caller then queues fn into s
+// itself and waits as usual.
+func (c *Cond) WaitSlot(p *Proc, s Slot, fn func()) (bool, error) {
+	if !p.canTake(s.at) {
+		return false, nil
+	}
+	c.waiters = append(c.waiters, condWaiter{p: p, gen: p.gen})
+	return true, p.blockOn(s, fn)
+}
+
 // Signal wakes one waiting proc, if any. Waiters that were already woken by
 // other means (interrupts) are skipped, so a Signal is never wasted on a
 // stale entry. The entries behind the woken one are copied down rather than

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"pvmigrate/internal/errs"
 )
 
 func TestSpawnAtFuture(t *testing.T) {
@@ -83,7 +85,7 @@ func TestQueueClosedPut(t *testing.T) {
 	var err error
 	k.Spawn("p", func(p *Proc) { err = q.Put(p, 1) })
 	k.Run()
-	if err != ErrQueueClosed {
+	if err != ErrQueueClosed || !errs.Is(err, CodeQueueClosed) {
 		t.Fatalf("err = %v", err)
 	}
 	if q.TryPut(1) {

@@ -94,6 +94,10 @@ type Kernel struct {
 	nextPID int
 	stopped bool
 	closed  bool
+	// reserving is set while a proc takes its first event in place
+	// (blockOn, k.walking) and no wake has been aimed at it yet: the first
+	// one that is goes into wake, reserved rather than queued.
+	reserving bool
 
 	// deadline is the running RunUntil's (-1 under Run): a proc walking
 	// in place honours it as the run loop does.
@@ -103,6 +107,7 @@ type Kernel struct {
 	// raised, kept for dispatch to re-raise on the kernel's side.
 	walking *Proc
 	held    any
+	wake    Slot // the wake reserving reserved; zero otherwise
 
 	// switches counts coroutine switches into procs (dispatch).
 	switches uint64
@@ -151,9 +156,11 @@ func (k *Kernel) nextPrio() uint64 {
 // Stop makes Run return after the event currently being processed.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// EventsScheduled reports how many events have been scheduled since the
-// kernel was created. Every Schedule/ScheduleAt/wake consumes one sequence
-// number, so this is the natural throughput denominator for benchmarks.
+// EventsScheduled reports how many events have been scheduled or skipped
+// since the kernel was created. Every Schedule/ScheduleAt/wake consumes one
+// sequence number, and so does every event a proc's fast path takes without
+// queueing it (Reserve), so the count is the same whichever path ran; it is
+// the natural throughput denominator for benchmarks.
 func (k *Kernel) EventsScheduled() uint64 { return k.seq }
 
 // ProcSwitches reports how many times the kernel has switched into a proc's
@@ -304,13 +311,22 @@ func (k *Kernel) scheduleAt(at Time, fn func()) Timer {
 
 // scheduleWake enqueues a non-cancelable wake event for p targeting its
 // current blocking generation (Cond signals, interrupts, spawn starts).
-// Staleness is handled entirely by the generation check at dispatch.
+// Staleness is handled entirely by the generation check at dispatch. The
+// first wake of a proc taking its event in place is reserved instead
+// (blockOn), with the same draws.
 func (k *Kernel) scheduleWake(p *Proc, at Time, gen uint64) {
-	if at < k.now {
-		at = k.now
+	s := k.Reserve(at)
+	if k.reserving && p == k.walking {
+		k.reserving, k.wake = false, s
+		return
 	}
-	k.seq++
-	k.push(event{at: at, prio: k.nextPrio(), seq: k.seq, p: p, gen: gen, cell: -1})
+	k.queueWake(s, p, gen)
+}
+
+// queueWake queues p's non-cancelable wake, aimed at generation gen, into
+// the reserved place s.
+func (k *Kernel) queueWake(s Slot, p *Proc, gen uint64) {
+	k.push(event{at: s.at, prio: s.prio, seq: s.seq, p: p, gen: gen, cell: -1})
 }
 
 // scheduleWakeTimer enqueues a cancelable wake for p — the timer wake a
@@ -324,6 +340,64 @@ func (k *Kernel) scheduleWakeTimer(p *Proc, at Time, gen uint64) Timer {
 	idx, stamp := k.newCell()
 	k.push(event{at: at, prio: k.nextPrio(), seq: k.seq, p: p, gen: gen, cell: idx})
 	return Timer{k: k, cell: idx, stamp: stamp}
+}
+
+// Slot is a place in dispatch order taken ahead of its event: the time, and
+// the seq and tie-break priority that scheduling an event for that time drew
+// when the slot was reserved. The zero Slot is no place.
+type Slot struct {
+	at   Time
+	prio uint64
+	seq  uint64
+}
+
+// Reserve takes the place that an event scheduled now for at would take —
+// one seq and one tie-break draw, at exactly the point in the schedule
+// history where Schedule would draw them — and queues nothing. ScheduleSlot
+// queues a callback into the place; Cond.WaitSlot lets the waiting proc take
+// it in place when it is provably the next event.
+func (k *Kernel) Reserve(at Time) Slot {
+	if at < k.now {
+		at = k.now
+	}
+	k.seq++
+	return Slot{at: at, prio: k.nextPrio(), seq: k.seq}
+}
+
+// ScheduleSlot queues fn into the reserved place s. The event is ordered
+// exactly as the one Schedule would have queued when s was reserved.
+func (k *Kernel) ScheduleSlot(s Slot, fn func()) Timer {
+	idx, stamp := k.newCell()
+	k.push(event{at: s.at, prio: s.prio, seq: s.seq, fn: fn, cell: idx})
+	return Timer{k: k, cell: idx, stamp: stamp}
+}
+
+// next reports whether an event at `at` would provably be the next one the
+// kernel dispatches: it is not stopped or closed, at is within the RunUntil
+// deadline, and nothing is queued at or before at, live, canceled or stale.
+// Nothing else can run before such an event, so a proc may take it itself.
+func (k *Kernel) next(at Time) bool {
+	if k.stopped || k.closed || (k.deadline >= 0 && at > k.deadline) {
+		return false
+	}
+	if k.hasHead {
+		return k.head.at > at
+	}
+	return len(k.events) == 0 || k.events[0].at > at
+}
+
+// take accounts for the event in slot s as dispatched, for a proc that
+// proved it next and did not queue it: the clock moves to s.at and, when the
+// event is p's own wake (p != nil), p's generation moves on as block's does.
+// With the draws Reserve took, this is all the state the queue round trip
+// would have changed, so neither path can be told from the other.
+func (k *Kernel) take(s Slot, p *Proc) {
+	if s.at > k.now {
+		k.now = s.at
+	}
+	if p != nil {
+		p.gen++
+	}
 }
 
 // Run processes events until the queue is empty or Stop is called. It

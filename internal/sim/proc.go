@@ -190,7 +190,14 @@ func (p *Proc) block(wake Timer) error {
 	}
 	p.state = pBlocked
 	p.k.blocked++
-	if !p.k.resumeInPlace(p) {
+	return p.await(p.k.resumeInPlace(p), wake)
+}
+
+// await ends a block whose walk has stopped: unless the walk resumed p, p
+// yields until its wake is dispatched. Then any wake aimed at the old
+// generation is stale, and a deliverable interrupt is returned.
+func (p *Proc) await(resumed bool, wake Timer) error {
+	if !resumed {
 		p.w.yield(struct{}{})
 		if p.k.closed {
 			panic(closeUnwind{})
@@ -198,10 +205,57 @@ func (p *Proc) block(wake Timer) error {
 	}
 	p.gen++ // any wake events targeting the old generation are now stale
 	wake.Cancel()
+	return p.interrupted()
+}
+
+// interrupted takes a deliverable (unmasked) pending interrupt as an error;
+// it returns nil when there is none.
+func (p *Proc) interrupted() error {
 	if p.intrPending && !p.intrMasked {
 		return p.takeInterrupt()
 	}
 	return nil
+}
+
+// canTake reports whether p may take an event at `at` itself instead of
+// blocking for it: p is running, has no deliverable interrupt (block would
+// return it without waiting), and the event would be the next one
+// dispatched (Kernel.next).
+func (p *Proc) canTake(at Time) bool {
+	return p.k.running == p && !(p.intrPending && !p.intrMasked) && p.k.next(at)
+}
+
+// blockOn is block for a proc whose first event, fn reserved into slot s,
+// canTake has just proven next: the same steps without the queue. p parks
+// as resumeInPlace parks it (Running() == nil, pBlocked), the clock moves
+// to s and fn runs on p's stack. The first wake fn aims at p is reserved,
+// not queued (scheduleWake). If p may take that wake as well, p resumes.
+// Otherwise — fn queued an event at or before it, stopped the kernel,
+// interrupted p, panicked or woke nobody — the wake goes into its reserved
+// place, if it has one, and the ordinary block's walk goes on from there.
+func (p *Proc) blockOn(s Slot, fn func()) error {
+	k := p.k
+	p.state = pBlocked
+	k.blocked++
+	k.running, k.walking, k.reserving = nil, p, true
+	k.take(s, nil)
+	returned := k.callInPlace(fn)
+	w := k.wake
+	k.reserving, k.wake = false, Slot{}
+	if returned && w.seq != 0 && k.next(w.at) {
+		k.walking, k.running = nil, p
+		p.state = pRunning
+		k.blocked--
+		k.take(w, p)
+		return p.interrupted()
+	}
+	if w.seq != 0 {
+		k.queueWake(w, p, p.gen)
+	}
+	if !returned {
+		k.walking = nil // the held panic ends the walk, as it ends resumeInPlace's
+	}
+	return p.await(returned && k.resumeInPlace(p), Timer{})
 }
 
 func (p *Proc) takeInterrupt() error {
@@ -217,14 +271,19 @@ func (p *Proc) Sleep(d Time) error {
 	if d <= 0 {
 		return p.Yield()
 	}
-	wake := p.k.scheduleWakeTimer(p, p.k.now+d, p.gen)
-	return p.block(wake)
+	return p.SleepUntil(p.k.now + d)
 }
 
-// SleepUntil suspends the proc until the absolute virtual time t.
+// SleepUntil suspends the proc until the absolute virtual time t. When the
+// wake would provably be the next event (canTake), the proc moves the clock
+// to t itself and the wake never enters the queue.
 func (p *Proc) SleepUntil(t Time) error {
 	if t <= p.k.now {
 		return p.Yield()
+	}
+	if p.canTake(t) {
+		p.k.take(p.k.Reserve(t), p)
+		return nil
 	}
 	wake := p.k.scheduleWakeTimer(p, t, p.gen)
 	return p.block(wake)

@@ -1,9 +1,13 @@
 package sim
 
-import "errors"
+import "pvmigrate/internal/errs"
 
-// ErrQueueClosed is returned by Queue operations after Close.
-var ErrQueueClosed = errors.New("sim: queue closed")
+// CodeQueueClosed: a Queue operation found the queue closed.
+const CodeQueueClosed errs.Code = "sim.queue-closed"
+
+// ErrQueueClosed is returned by Queue operations after Close. It is one
+// value, so callers may compare it with == as well as errs.Is.
+var ErrQueueClosed = errs.New(CodeQueueClosed, "sim: queue closed", nil)
 
 // Queue is a FIFO channel between procs. A capacity of 0 means unbounded.
 // Get blocks while the queue is empty; Put blocks while a bounded queue is

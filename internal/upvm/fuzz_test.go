@@ -138,6 +138,8 @@ func FuzzUPVMHandlers(f *testing.F) {
 		{{1, true, []any{"hdr", 0}}, {1, true, []any{"fin", 0, 0}}},
 		{{0, true, []any{"hdr", 0, 1000, 0, "owner", 0, 99, 0}}},
 		{{1, true, []any{"hdr", 0, -1000000, 0, "owner", 0, 0, 0}}, {1, true, []any{"fin", 0, 0}}},
+		{{0, false, []any{"migrate", 0, 1, "owner"}}, {1, true, []any{"hdr", 0, 10, 0, "forged", 0, 0, 99}},
+			{1, true, []any{"fin", 0, 0}}},
 		{{0, false, []any{"migrate", 0, 1, "owner"}}},
 		{{1, false, []any{"flush", 0, 1, 0, 1}}},
 		{{1, true, []any{"hdr", 0, 1000, 0, "owner", 0, 0, 1}}, {1, true, []any{"chunk", 0, virtual(1000)}},

@@ -317,8 +317,11 @@ func (p *Process) abortFlush(mp *sim.Proc, u *ULP, o *outboundXfer) {
 
 // onXfer assembles an inbound ULP at the destination dispatcher. Like
 // onCtl, it drops a message whose fields do not all unpack or are out of
-// range: a ULP id outside the application would panic in ULPTID.
-func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
+// range: a ULP id outside the application would panic in ULPTID. Only the
+// header carries the migration's generation (settled drops a stream of
+// another); the chunks, inbox messages and fin that follow it count only
+// if they come from the header's sender.
+func (p *Process) onXfer(t *pvm.Task, src core.TID, r *core.Reader) {
 	ulps := len(p.sys.ulps)
 	switch r.UpkString() {
 	case "hdr":
@@ -335,6 +338,7 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 		p.inbound[ulpID] = &inboundXfer{
 			total: segBytes,
 			gen:   gen,
+			src:   src,
 			rec: core.MigrationRecord{
 				VP:         ULPTID(ulpID),
 				NewTID:     ULPTID(ulpID),
@@ -347,12 +351,12 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 		}
 	case "chunk":
 		ulpID, n := r.UpkIndex(ulps), r.UpkVirtual()
-		if ix, ok := p.inbound[ulpID]; ok && r.Err() == nil {
+		if ix, ok := p.inbound[ulpID]; ok && ix.src == src && r.Err() == nil {
 			ix.got += n
 		}
 	case "inboxmsg":
 		ulpID, srcID, tag, inner := r.UpkIndex(ulps), r.UpkIndex(ulps), r.UpkInt(), r.UpkBuffer()
-		if ix, ok := p.inbound[ulpID]; ok && r.Err() == nil {
+		if ix, ok := p.inbound[ulpID]; ok && ix.src == src && r.Err() == nil {
 			ix.inboxMsgs = append(ix.inboxMsgs, &UMessage{
 				Src: ULPTID(srcID), Dst: ULPTID(ulpID), Tag: tag, Buf: inner,
 				SentAt: p.sys.m.Kernel().Now(),
@@ -362,7 +366,7 @@ func (p *Process) onXfer(t *pvm.Task, r *core.Reader) {
 	case "fin":
 		ulpID, offNs := r.UpkIndex(ulps), r.UpkInt()
 		ix, ok := p.inbound[ulpID]
-		if !ok || r.Err() != nil {
+		if !ok || ix.src != src || r.Err() != nil {
 			return
 		}
 		delete(p.inbound, ulpID)
@@ -413,14 +417,17 @@ func (p *Process) acceptULP(t *pvm.Task, ulpID int, ix *inboundXfer) {
 	p.sendAccepted(ulpID, ix.rec.From, ix.gen)
 }
 
-// settled reports whether no migration of u is under way, so a transfer
-// of it must not be accepted. If u was accepted here, by this attempt's
-// stream or an earlier one, the accept ack was lost: re-ack, so there is
-// exactly one accept and one record. Otherwise the transfer is one no
-// migration asked for, and is dropped.
+// settled reports whether a transfer of u from srcHost under generation
+// gen must not be accepted: it is not the stream of the migration under
+// way — there is none, or it comes from another source or carries another
+// generation (a forged header, or a late retransmission of an earlier
+// migration's stream). If u was accepted here, by this attempt's stream or
+// an earlier one, the accept ack was lost: re-ack, so there is exactly one
+// accept and one record. Otherwise the transfer is dropped.
 func (p *Process) settled(u *ULP, srcHost, gen int) bool {
 	if u.migrating {
-		return false
+		o := u.p.outbound[u.id]
+		return srcHost != u.p.host || o == nil || gen != o.flush.Gen()
 	}
 	if u.p == p {
 		p.sendAccepted(u.id, srcHost, gen)

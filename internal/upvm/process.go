@@ -56,7 +56,9 @@ type inboundXfer struct {
 	total, got int
 	// gen is the sending migration's barrier generation, echoed in the
 	// accept ack so the source matches it to the right transfer.
-	gen       int
+	gen int
+	// src is the header's sender: the rest of the stream must come from it.
+	src       core.TID
 	inboxMsgs []*UMessage
 	rec       core.MigrationRecord
 }
@@ -158,7 +160,7 @@ func (p *Process) dispatch(t *pvm.Task) {
 		case tagCtl:
 			p.onCtl(src, r)
 		case tagXfer:
-			p.onXfer(t, r)
+			p.onXfer(t, src, r)
 		default:
 			// Not a UPVM message: ignore.
 		}
