@@ -99,9 +99,9 @@ func runTakeCase(c takeCase, plant Time, seed int) (string, bool) {
 		k.SetTieBreakSeed(uint64(seed))
 	}
 	inPlace := false
-	// Something that outlives t, and a callback that ties with the
-	// proc's wake after it, so the rest of the schedule is shared.
-	k.Schedule(takeAt+2*time.Millisecond, func() { w.logf("tick", "fire") })
+	// A callback after t that ties with the wake of the proc's first sleep
+	// after its event.
+	k.Schedule(takeAt+time.Millisecond, func() { w.logf("tick", "fire") })
 	other := NewCond(k)
 	if c.other {
 		k.Spawn("q", func(q *Proc) { w.logf("q", "woke err %v", other.Wait(q)) })
