@@ -50,15 +50,16 @@ func encodeBufferWire(dst []byte, v any) ([]byte, error) {
 		case kindFloat64s:
 			dst = wirefmt.AppendFloat64s(dst, it.floats)
 		case kindBytes:
-			dst = wirefmt.AppendBytes(dst, it.bytes)
+			v, _ := it.ref.([]byte)
+			dst = wirefmt.AppendBytes(dst, v)
 		case kindString:
 			dst = wirefmt.AppendString(dst, it.str)
 		case kindVirtual:
-			dst = wirefmt.AppendInt(dst, it.virtual)
+			dst = wirefmt.AppendInt(dst, it.i)
 		case kindBuffer:
 			var nested any
-			if it.buf != nil {
-				nested = it.buf
+			if v, _ := it.ref.(*Buffer); v != nil {
+				nested = v
 			}
 			var err error
 			if dst, err = wirefmt.AppendAny(dst, nested); err != nil {
@@ -83,8 +84,11 @@ func decodeBufferWire(r *wirefmt.Reader) (any, error) {
 		return nil, err
 	}
 	b := &Buffer{}
-	if n > 0 {
+	switch {
+	case n > inlineItems:
 		b.items = make([]item, n)
+	case n > 0:
+		b.items = b.inline[:n]
 	}
 	for i := range b.items {
 		k, err := r.Byte()
@@ -99,11 +103,13 @@ func decodeBufferWire(r *wirefmt.Reader) (any, error) {
 		case kindFloat64s:
 			it.floats, err = r.Float64s()
 		case kindBytes:
-			it.bytes, err = r.Bytes()
+			var v []byte
+			v, err = r.Bytes()
+			it.ref = v
 		case kindString:
 			it.str, err = r.String()
 		case kindVirtual:
-			it.virtual, err = r.Int()
+			it.i, err = r.Int()
 		case kindBuffer:
 			var nested any
 			if nested, err = r.Any(); err == nil && nested != nil {
@@ -111,7 +117,7 @@ func decodeBufferWire(r *wirefmt.Reader) (any, error) {
 				if !ok {
 					return nil, errs.Newf(wirefmt.CodeBadValue, "core: nested buffer item decoded as %T", nested)
 				}
-				it.buf = inner
+				it.ref = inner
 			}
 		default:
 			return nil, errs.Newf(wirefmt.CodeBadValue, "core: decoded buffer item %d has unknown kind %d", i, k)

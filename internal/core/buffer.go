@@ -15,10 +15,20 @@ import "pvmigrate/internal/errs"
 //
 // Byte accounting follows XDR-ish encoding: 4 bytes per int32-sized int,
 // 8 per float64, 1 per byte, length-prefixed strings.
+//
+// A buffer holds its first inlineItems items in place (the items slice
+// points into inline), so NewBuffer is a buffer's one allocation until it
+// grows past them. A Buffer must not be copied by value once packed.
 type Buffer struct {
-	items []item
-	bytes int
+	items  []item
+	inline [inlineItems]item
+	bytes  int
 }
+
+// inlineItems is how many items a buffer holds without a slice of its own.
+// Nearly every message the protocols send packs at most four items (a
+// paper_tables regeneration packs 1,586 buffers, 60 of them past four).
+const inlineItems = 4
 
 type itemKind int
 
@@ -49,18 +59,35 @@ func (k itemKind) String() string {
 	return "?"
 }
 
+// item is one packed value. Strings and float vectors, which nearly every
+// message carries, have fields of their own; the rare byte slice and the
+// nested buffer share ref (a *Buffer fits an interface word, a []byte
+// costs its own small allocation).
 type item struct {
-	kind    itemKind
-	i       int
-	floats  []float64
-	bytes   []byte
-	str     string
-	virtual int
-	buf     *Buffer
+	kind   itemKind
+	i      int       // kindInt's value, kindVirtual's size
+	str    string    // kindString
+	floats []float64 // kindFloat64s
+	ref    any       // kindBytes' []byte, kindBuffer's *Buffer
 }
 
 // NewBuffer returns an empty message buffer (pvm_initsend).
 func NewBuffer() *Buffer { return &Buffer{} }
+
+// add appends one item, into the inline storage while it has room. The
+// item that overflows it moves them all to a slice of their own, and the
+// inline copies are cleared: a spilled buffer pins no stale reference, and
+// it equals a decoded buffer of the same items field for field.
+func (b *Buffer) add(it item) {
+	if b.items == nil {
+		b.items = b.inline[:0]
+	}
+	spill := len(b.items) == inlineItems && cap(b.items) == inlineItems
+	b.items = append(b.items, it)
+	if spill {
+		clear(b.inline[:])
+	}
+}
 
 // Bytes returns the encoded size of the buffer in bytes; this is the number
 // that drives wire time and copy costs.
@@ -71,7 +98,7 @@ func (b *Buffer) Items() int { return len(b.items) }
 
 // PkInt appends one integer (4 encoded bytes).
 func (b *Buffer) PkInt(v int) *Buffer {
-	b.items = append(b.items, item{kind: kindInt, i: v})
+	b.add(item{kind: kindInt, i: v})
 	b.bytes += 4
 	return b
 }
@@ -79,7 +106,7 @@ func (b *Buffer) PkInt(v int) *Buffer {
 // PkFloat64s appends a vector of float64s (8 bytes each + 4-byte count).
 // The slice is carried by reference; callers must not mutate it afterwards.
 func (b *Buffer) PkFloat64s(v []float64) *Buffer {
-	b.items = append(b.items, item{kind: kindFloat64s, floats: v})
+	b.add(item{kind: kindFloat64s, floats: v})
 	b.bytes += 8*len(v) + 4
 	return b
 }
@@ -87,14 +114,14 @@ func (b *Buffer) PkFloat64s(v []float64) *Buffer {
 // PkBytes appends a byte slice (1 byte each + 4-byte count). Carried by
 // reference.
 func (b *Buffer) PkBytes(v []byte) *Buffer {
-	b.items = append(b.items, item{kind: kindBytes, bytes: v})
+	b.add(item{kind: kindBytes, ref: v})
 	b.bytes += len(v) + 4
 	return b
 }
 
 // PkString appends a string (length-prefixed).
 func (b *Buffer) PkString(s string) *Buffer {
-	b.items = append(b.items, item{kind: kindString, str: s})
+	b.add(item{kind: kindString, str: s})
 	b.bytes += len(s) + 4
 	return b
 }
@@ -104,7 +131,7 @@ func (b *Buffer) PkVirtual(n int) *Buffer {
 	if n < 0 {
 		panic("core: negative virtual size")
 	}
-	b.items = append(b.items, item{kind: kindVirtual, virtual: n})
+	b.add(item{kind: kindVirtual, i: n})
 	b.bytes += n
 	return b
 }
@@ -113,7 +140,7 @@ func (b *Buffer) PkVirtual(n int) *Buffer {
 // application message plus its own routing header into one process-level
 // PVM message this way). The inner buffer is carried by reference.
 func (b *Buffer) PkBuffer(inner *Buffer) *Buffer {
-	b.items = append(b.items, item{kind: kindBuffer, buf: inner})
+	b.add(item{kind: kindBuffer, ref: inner})
 	b.bytes += inner.Bytes() + 4
 	return b
 }
@@ -121,6 +148,11 @@ func (b *Buffer) PkBuffer(inner *Buffer) *Buffer {
 // Reader returns a fresh cursor over the buffer. Multiple readers (e.g. the
 // recipients of a broadcast) can unpack the same buffer independently.
 func (b *Buffer) Reader() *Reader { return &Reader{buf: b} }
+
+// Reset makes r a fresh cursor over b, as b.Reader() would return. A
+// receiver that holds a Reader by value (pvm.Message, upvm.UMessage) hands
+// out a cursor this way without allocating one.
+func (r *Reader) Reset(b *Buffer) { *r = Reader{buf: b} }
 
 // The codes a Reader's Err carries.
 const (
@@ -200,13 +232,19 @@ func (r *Reader) UpkCount() int {
 func (r *Reader) UpkFloat64s() []float64 { return r.next(kindFloat64s).floats }
 
 // UpkBytes unpacks a byte slice.
-func (r *Reader) UpkBytes() []byte { return r.next(kindBytes).bytes }
+func (r *Reader) UpkBytes() []byte {
+	v, _ := r.next(kindBytes).ref.([]byte)
+	return v
+}
 
 // UpkString unpacks a string.
 func (r *Reader) UpkString() string { return r.next(kindString).str }
 
 // UpkVirtual unpacks a virtual-bytes item, returning its size.
-func (r *Reader) UpkVirtual() int { return r.next(kindVirtual).virtual }
+func (r *Reader) UpkVirtual() int { return r.next(kindVirtual).i }
 
 // UpkBuffer unpacks a nested message buffer.
-func (r *Reader) UpkBuffer() *Buffer { return r.next(kindBuffer).buf }
+func (r *Reader) UpkBuffer() *Buffer {
+	v, _ := r.next(kindBuffer).ref.(*Buffer)
+	return v
+}

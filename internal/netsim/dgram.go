@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"pvmigrate/internal/sim"
-)
+import "pvmigrate/internal/sim"
 
 // Datagram is an unreliable-in-principle (in this model: reliable, ordered
 // per sender) message delivered to a numbered port on a host. The PVM
@@ -66,16 +62,9 @@ func (i *Iface) BindDgram(port int) (*sim.Queue[Datagram], int) {
 // cost one loopback copy. Datagrams larger than the MSS are fragmented;
 // delivery happens when the last fragment arrives.
 func (i *Iface) SendDgram(srcPort int, dst HostID, dstPort int, bytes int, payload any) {
-	k := i.net.k
-	d := Datagram{
-		Src: i.host, SrcPort: srcPort,
-		Dst: dst, DstPort: dstPort,
-		Bytes: bytes, Payload: payload,
-		SentAt: k.Now(),
-	}
+	n := i.net
+	k := n.k
 	var arrival sim.Time
-	var tok uint64 // wire token, when a real backend carries the frame
-	var wired bool // true when tok must be redeemed at delivery
 	if dst == i.host {
 		arrival = k.Now() + dgramOverhead + loopbackTime(bytes)
 		if arrival < i.lastLoopback {
@@ -90,50 +79,28 @@ func (i *Iface) SendDgram(srcPort int, dst HostID, dstPort int, bytes int, paylo
 			if frag > MSS {
 				frag = MSS
 			}
-			lastEnd = i.net.link.reserve(frag)
+			lastEnd = n.link.reserve(frag)
 			remaining -= frag
 			if remaining <= 0 {
 				break
 			}
 		}
 		arrival = lastEnd + Latency
-		if w := i.net.wire; w != nil {
-			var t uint64
-			var err error
-			// The real write is host I/O; bridge it at virtual send time.
-			k.AwaitExternal(func() { t, err = w.SendDgram(i.host, srcPort, dst, dstPort, payload) })
-			if err != nil {
-				// A payload the codec cannot marshal is a protocol bug,
-				// exactly what the wire backend exists to surface.
-				panic(fmt.Sprintf("netsim: wire send of %T failed: %v", payload, err))
-			}
-			tok, wired = t, true
-		}
 	}
-	k.ScheduleAt(arrival, func() {
-		if wired {
-			// Always redeem the wire token — even for deliveries the model
-			// then drops — so the backend's socket stays drained.
-			var v any
-			var err error
-			k.AwaitExternal(func() { v, err = i.net.wire.RecvDgram(tok) })
-			if err != nil {
-				panic(fmt.Sprintf("netsim: wire datagram %d lost: %v", tok, err))
-			}
-			d.Payload = v
-		}
-		di := i.net.ifaces[dst]
-		if di == nil {
-			return // host never attached: drop
-		}
-		if i.net.dropDgram(d.Src, dst) {
-			return // host down, partitioned away, or random loss
-		}
-		if q, ok := di.dgrams[dstPort]; ok {
-			q.TryPut(d)
-		}
-		// No queue bound: drop, like UDP to a closed port.
-	})
+	d := n.acquire()
+	d.dgram = Datagram{
+		Src: i.host, SrcPort: srcPort,
+		Dst: dst, DstPort: dstPort,
+		Bytes: bytes, Payload: payload,
+		SentAt: k.Now(),
+	}
+	if dst != i.host && n.wire != nil {
+		// The real write is host I/O; bridge it at virtual send time.
+		// The token it returns is redeemed at delivery.
+		d.wired = true
+		k.AwaitExternal(d.send)
+	}
+	k.ScheduleAt(arrival, d.fire)
 }
 
 // CloseDgram closes and unbinds the datagram queue on port, so a later

@@ -181,7 +181,7 @@ func (c *Conn) Send(p *sim.Proc, bytes int, payload any) error {
 		return ErrConnClosed
 	}
 	if !c.net.Reachable(c.local, c.remote) {
-		return fmt.Errorf("%w: host %d -> %d", ErrUnreachable, c.local, c.remote)
+		return fmt.Errorf("%w: host %d -> %d", ErrUnreachable, c.local, c.remote) // lint:alloc failure path: the send is refused
 	}
 	seg := Segment{Bytes: bytes, Payload: payload, SentAt: p.Now()}
 	var arrival sim.Time
@@ -215,34 +215,22 @@ func (c *Conn) Send(p *sim.Proc, bytes int, payload any) error {
 	if arrival > c.lastArrival {
 		c.lastArrival = arrival
 	}
-	peer := c.peer
+	n := c.net
+	d := n.acquire()
+	d.seg, d.peer = seg, c.peer
 	if c.wire != nil {
 		// The real write happens only once pacing completed, i.e. exactly
 		// when the simulated delivery is committed; the peer's endpoint
 		// redeems the frame by sequence number at delivery time.
-		seq := c.wireSeq
+		d.wired, d.tok = true, c.wireSeq
 		c.wireSeq++
-		var werr error
-		c.net.k.AwaitExternal(func() { werr = c.wire.Send(seq, seg.Payload) })
-		if werr != nil {
-			return fmt.Errorf("%w: wire: %v", ErrConnClosed, werr)
+		n.k.AwaitExternal(d.send)
+		if werr := d.err; werr != nil {
+			n.release(d)
+			return fmt.Errorf("%w: wire: %v", ErrConnClosed, werr) // lint:alloc failure path: the stream is gone
 		}
-		pw := peer.wire
-		c.net.k.ScheduleAt(arrival, func() {
-			var v any
-			var err error
-			c.net.k.AwaitExternal(func() { v, err = pw.Recv(seq) })
-			if err != nil {
-				return // stream torn down first: the segment dies with it
-			}
-			seg.Payload = v
-			peer.inbox.TryPut(seg) // no-op if the peer already tore down
-		})
-		return nil
 	}
-	c.net.k.ScheduleAt(arrival, func() {
-		peer.inbox.TryPut(seg) // no-op if the peer already tore down
-	})
+	n.k.ScheduleAt(arrival, d.fire)
 	return nil
 }
 

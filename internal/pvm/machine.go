@@ -58,6 +58,9 @@ type Message struct {
 	SentAt   sim.Time
 	// Hops counts daemon forwards, to detect routing loops in tests.
 	Hops int
+	// rd is the cursor the receive hands out: a message is received once,
+	// so its cursor costs no allocation of its own.
+	rd core.Reader
 }
 
 // WireBytes returns the message's on-the-wire size (payload + header).

@@ -357,7 +357,8 @@ func (t *Task) finishRecv(p *sim.Proc, msg *Message) (core.TID, int, *core.Reade
 	if t.srcRemap != nil {
 		srcTID = t.srcRemap(srcTID)
 	}
-	return srcTID, msg.Tag, msg.Buf.Reader(), nil
+	msg.rd.Reset(msg.Buf)
+	return srcTID, msg.Tag, &msg.rd, nil
 }
 
 // --- compute -----------------------------------------------------------------

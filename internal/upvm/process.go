@@ -70,6 +70,9 @@ type UMessage struct {
 	Buf      *core.Buffer
 	SentAt   sim.Time
 	Local    bool // delivered by hand-off
+	// rd is the cursor the receive hands out: a message is received once,
+	// so its cursor costs no allocation of its own.
+	rd core.Reader
 }
 
 func newProcess(s *System, host int, name string) (*Process, error) {

@@ -200,7 +200,8 @@ func (u *ULP) Recv(src core.TID, tag int) (core.TID, int, *core.Reader, error) {
 		for i, msg := range u.inbox {
 			if (src == core.AnyTID || msg.Src == src) && (tag == core.AnyTag || msg.Tag == tag) {
 				u.inbox = append(u.inbox[:i], u.inbox[i+1:]...)
-				return msg.Src, msg.Tag, msg.Buf.Reader(), nil
+				msg.rd.Reset(msg.Buf)
+				return msg.Src, msg.Tag, &msg.rd, nil
 			}
 		}
 		u.p.release(u) // deschedule while blocked on receive
@@ -223,7 +224,8 @@ func (u *ULP) NRecv(src core.TID, tag int) (core.TID, int, *core.Reader, bool, e
 	for i, msg := range u.inbox {
 		if (src == core.AnyTID || msg.Src == src) && (tag == core.AnyTag || msg.Tag == tag) {
 			u.inbox = append(u.inbox[:i], u.inbox[i+1:]...)
-			return msg.Src, msg.Tag, msg.Buf.Reader(), true, nil
+			msg.rd.Reset(msg.Buf)
+			return msg.Src, msg.Tag, &msg.rd, true, nil
 		}
 	}
 	return core.NoTID, 0, nil, false, nil
