@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/wirefmt"
 )
@@ -103,9 +105,10 @@ func decodeBufferWire(r *wirefmt.Reader) (any, error) {
 		case kindFloat64s:
 			it.floats, err = r.Float64s()
 		case kindBytes:
+			// r.Bytes aliases the frame, which the transport reuses.
 			var v []byte
 			v, err = r.Bytes()
-			it.ref = v
+			it.ref = bytes.Clone(v)
 		case kindString:
 			it.str, err = r.String()
 		case kindVirtual:

@@ -154,9 +154,6 @@ func DefaultConfig() *Config {
 			"pvmigrate/internal/cluster": {
 				"CPU.Compute", "CPU.advance", "CPU.reschedule", "CPU.onCompletion",
 			},
-			// The encode path and the scalar decode helpers: what
-			// TestAppendZeroAlloc asserts. The slice/string readers and
-			// Decode allocate their results by design and are not rooted.
 			// The fleet scheduler's steady-state planning paths: what
 			// TestFleetSteadyStateTickZeroAlloc asserts. Actuation
 			// (Fleet.tick's MoveOne dispatch and decision append) is
@@ -174,6 +171,12 @@ func DefaultConfig() *Config {
 				"LoadIndex.Add", "LoadIndex.BestEligible", "LoadIndex.WorstEligible",
 				"LoadIndex.Spread", "CountTarget.EvacuateHost",
 			},
+			// The encode path and the scalar decode helpers: what
+			// TestAppendZeroAlloc asserts. Decode and the slice/string
+			// readers are hot too, reached from netwire's receive roots:
+			// Decode's cursor is pooled, and the only allocations they may
+			// make are the audited results the receiver keeps (a string,
+			// a slice, a copy of a byte field).
 			"pvmigrate/internal/wirefmt": {
 				"Append", "AppendAny",
 				"AppendBool", "AppendInt", "AppendInt64", "AppendUvarint",
@@ -183,14 +186,17 @@ func DefaultConfig() *Config {
 				"Reader.Int64", "Reader.Int", "Reader.Float64",
 				"Reader.Bytes", "Reader.Remaining", "Reader.CheckClaim",
 			},
-			// The UDP and TCP send paths. TestBinaryEncodeZeroAlloc gates
-			// only the encode they call; the pooled packet buffer and
-			// writev pair are held allocation-free here alone. A send
-			// re-arms its socket deadline only once half of it has run out;
-			// past the backlog bound it drains the destination, whose
-			// copies of the bytes read are the audited allocations.
+			// The UDP and TCP send and receive paths: what
+			// TestStreamFrameZeroAlloc and TestDgramZeroAlloc assert for a
+			// nil payload. A socket deadline is re-armed only once half of
+			// it has run out; a frame is read into the endpoint's scratch
+			// or the packet buffer and decoded in place. The audited
+			// allocations are the copies of frames parked for a later
+			// receive (read out of order, or drained past the backlog
+			// bound), scratch growth and multi-fragment reassembly.
 			"pvmigrate/internal/netwire": {
 				"Backend.SendDgram", "stream.Send",
+				"Backend.RecvDgram", "stream.Recv",
 			},
 			// The simulated message hop: what TestDgramHopZeroAlloc,
 			// TestConnSendZeroAlloc and pvm's TestCrossHostMessageAllocs

@@ -310,9 +310,10 @@ func checkAllocs(fi *FuncInfo, why string, exempt []string, report func(token.Po
 }
 
 func checkCallAlloc(info *types.Info, call *ast.CallExpr, sanctioned map[*ast.CallExpr]bool, exempt []string, diag func(token.Pos, string)) {
-	// Builtins.
+	// Builtins. (A conversion through a predeclared type name, such as
+	// string(b), is a universe identifier too, and falls through.)
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if obj := info.Uses[id]; obj != nil && obj.Parent() == types.Universe {
+		if obj, ok := info.Uses[id].(*types.Builtin); ok && obj.Parent() == types.Universe {
 			switch id.Name {
 			case "make":
 				diag(call.Pos(), "calls make, which allocates")

@@ -36,6 +36,8 @@ func grow(r *ring, n int) {
 	_ = other
 	msg := fmt.Sprintf("n=%d", n) // want `calls fmt.Sprintf, which allocates`
 	_ = msg
+	name := string(r.buf) // want `performs a string/byte-slice conversion, which copies and allocates`
+	_ = name
 }
 
 func record(l logger, f frame) {

@@ -17,7 +17,9 @@ type WireCodec interface {
 	// extended slice. On error dst is returned at its original length.
 	AppendEncode(dst []byte, payload any) ([]byte, error)
 	// Decode parses one blob produced by AppendEncode. It must never
-	// panic on malformed input.
+	// panic on malformed input, and its result must not alias data: the
+	// transport reads the next frame into the same storage once Decode
+	// returns.
 	Decode(data []byte) (any, error)
 }
 

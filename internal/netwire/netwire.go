@@ -81,7 +81,8 @@ const (
 	CodeStreamClosed errs.Code = "wire.stream-closed"
 	// CodeDial: a real connection for a simulated Dial could not be made.
 	CodeDial errs.Code = "wire.dial"
-	// CodeListen: a real listener for a simulated Listen could not be opened.
+	// CodeListen: a simulated (host, port) was listened on twice, or the
+	// backend's one real listener could not be opened.
 	CodeListen errs.Code = "wire.listen"
 	// CodeUnknownToken: RecvDgram was given a token SendDgram never issued,
 	// or one already redeemed.
@@ -109,8 +110,9 @@ type Stats struct {
 
 // Backend implements netsim.Wire over loopback sockets: one UDP socket per
 // attached host for datagrams, one real TCP connection per simulated
-// stream. Install it via netsim.Params.Wire and Shutdown it when the run
-// ends. Every method but Shutdown runs on the kernel goroutine.
+// stream, all accepted by the backend's one TCP listener. Install it via
+// netsim.Params.Wire and Shutdown it when the run ends. Every method but
+// Shutdown runs on the kernel goroutine.
 type Backend struct {
 	codec WireCodec
 
@@ -118,17 +120,20 @@ type Backend struct {
 	// encScratch holds one frame's codec output and is retained between
 	// sends, so a steady-state encode costs zero allocations; pkt is the
 	// one fixed-size packet buffer, where a send assembles header + one
-	// fragment and every UDP read lands (never both at once).
+	// fragment and every UDP read lands (never both at once). A datagram
+	// read into pkt is decoded straight from it and copied only if it is
+	// parked for a later RecvDgram.
 	encScratch []byte
 	pkt        []byte
 
 	closed    atomic.Bool
 	hosts     map[netsim.HostID]*hostSock
-	listeners map[hostPort]*net.TCPListener
-	streams   map[*stream]struct{} // open endpoints, for Shutdown
-	sent      map[uint64]*hostSock // token → destination socket, until redeemed
-	arrived   map[uint64][]byte    // datagrams read before RecvDgram asked
-	partials  map[uint64]*partial  // datagrams with fragments still unread
+	listening map[hostPort]struct{} // simulated (host, port) listeners
+	ln        *net.TCPListener      // the one real listener, opened at the first Dial
+	streams   map[*stream]struct{}  // open endpoints, for Shutdown
+	sent      map[uint64]*hostSock  // token → destination socket, until redeemed
+	arrived   map[uint64][]byte     // datagrams read before RecvDgram asked
+	partials  map[uint64]*partial   // datagrams with fragments still unread
 	nextToken uint64
 	nextNonce uint64
 	stats     Stats
@@ -175,7 +180,7 @@ func NewWithCodec(c WireCodec) *Backend {
 		codec:     c,
 		pkt:       make([]byte, dgramHeaderLen+maxChunk+512),
 		hosts:     make(map[netsim.HostID]*hostSock),
-		listeners: make(map[hostPort]*net.TCPListener),
+		listening: make(map[hostPort]struct{}),
 		streams:   make(map[*stream]struct{}),
 		sent:      make(map[uint64]*hostSock),
 		arrived:   make(map[uint64][]byte),
@@ -318,14 +323,14 @@ func (b *Backend) RecvDgram(token uint64) (any, error) {
 	data, ok := b.arrived[token]
 	delete(b.arrived, token)
 	for !ok {
-		tok, d, done, err := b.readPacket(s)
+		tok, d, inPkt, done, err := b.readPacket(s)
 		switch {
 		case err != nil:
 			return nil, err.AddContext("token", token)
 		case done && tok == token:
 			data, ok = d, true
 		case done:
-			b.arrived[tok] = d
+			b.park(tok, d, inPkt)
 		}
 	}
 	return b.codec.Decode(data)
@@ -335,28 +340,40 @@ func (b *Backend) RecvDgram(token uint64) (any, error) {
 // complete for their RecvDgram.
 func (b *Backend) drain(s *hostSock) *errs.Error {
 	for s.unread.n > 0 {
-		tok, data, done, err := b.readPacket(s)
+		tok, data, inPkt, done, err := b.readPacket(s)
 		if err != nil {
 			return err
 		}
 		if done {
-			b.arrived[tok] = data
+			b.park(tok, data, inPkt)
 		}
 	}
 	return nil
 }
 
+// park keeps a complete datagram for the RecvDgram that redeems tok. One
+// still in the packet buffer is copied out first: the next read or send
+// overwrites it.
+func (b *Backend) park(tok uint64, data []byte, inPkt bool) {
+	if inPkt {
+		data = append([]byte(nil), data...) // lint:alloc parks a datagram read ahead of its RecvDgram
+	}
+	b.arrived[tok] = data
+}
+
 // readPacket reads one packet off s. A fragment joins its datagram's
-// partial; done reports that the packet completed the datagram tok.
-func (b *Backend) readPacket(s *hostSock) (tok uint64, data []byte, done bool, _ *errs.Error) {
+// partial; done reports that the packet completed the datagram tok. A
+// single-fragment datagram's data is the packet buffer itself (inPkt), valid
+// until the next read or send; a reassembled one owns its storage.
+func (b *Backend) readPacket(s *hostSock) (tok uint64, data []byte, inPkt, done bool, _ *errs.Error) {
 	armDeadline(s.udp, &s.deadline)
 	n, err := s.udp.Read(b.pkt)
 	if err != nil {
-		return 0, nil, false, b.sockErr("recv datagram", err).AddContext("host", s.host)
+		return 0, nil, false, false, b.sockErr("recv datagram", err).AddContext("host", s.host)
 	}
 	pkt := b.pkt[:n]
 	if n < dgramHeaderLen || binary.BigEndian.Uint32(pkt) != dgramMagic {
-		return 0, nil, false, nil // stray traffic on the ephemeral port
+		return 0, nil, false, false, nil // stray traffic on the ephemeral port
 	}
 	frag := pkt[dgramHeaderLen:]
 	s.unread.n--
@@ -365,26 +382,25 @@ func (b *Backend) readPacket(s *hostSock) (tok uint64, data []byte, done bool, _
 	idx := int(binary.BigEndian.Uint16(pkt[12:]))
 	nfrags := int(binary.BigEndian.Uint16(pkt[14:]))
 	if nfrags <= 1 {
-		// The decoded value may alias its bytes, so they must outlive pkt.
-		return tok, append([]byte(nil), frag...), true, nil // lint:alloc drain parks a datagram, only past the backlog bound
+		return tok, frag, true, true, nil
 	}
 	p := b.partials[tok]
 	if p == nil {
-		p = &partial{data: make([]byte, nfrags*maxChunk)} // lint:alloc drain parks a fragment, only past the backlog bound
+		p = &partial{data: make([]byte, nfrags*maxChunk)} // lint:alloc reassembles a multi-fragment datagram
 		b.partials[tok] = p
 	}
 	if idx >= nfrags || len(p.data) != nfrags*maxChunk {
-		return 0, nil, false, nil // inconsistent header: not one of ours
+		return 0, nil, false, false, nil // inconsistent header: not one of ours
 	}
 	copy(p.data[idx*maxChunk:], frag)
 	if idx == nfrags-1 {
 		p.size = idx*maxChunk + len(frag)
 	}
 	if p.got++; p.got < nfrags {
-		return 0, nil, false, nil
+		return 0, nil, false, false, nil
 	}
 	delete(b.partials, tok)
-	return tok, p.data[:p.size], true, nil
+	return tok, p.data[:p.size], false, true, nil
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -402,8 +418,8 @@ func (b *Backend) Shutdown() {
 	for _, s := range b.hosts {
 		s.udp.Close()
 	}
-	for _, ln := range b.listeners {
-		ln.Close()
+	if b.ln != nil {
+		b.ln.Close()
 	}
 	for s := range b.streams {
 		s.conn.Close()

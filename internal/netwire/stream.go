@@ -17,57 +17,56 @@ const streamHeaderLen = 12
 
 // readBuffer sizes a stream endpoint's bufio.Reader: one read takes in a
 // typical frame, header and body, and larger bodies are read straight into
-// their own slice.
+// the endpoint's scratch.
 const readBuffer = 512
 
 // maxFrame bounds a single stream frame's encoded payload; anything larger
 // indicates a desynchronized reader, not a legitimate message.
 const maxFrame = 64 << 20
 
-// Listen implements netsim.Wire: open a real TCP listener standing in for
-// the simulated (host, port). The listener binds an ephemeral loopback
-// port; Dial looks up the mapping, so simulated port numbers never collide
-// with real ones.
+// Listen implements netsim.Wire: record that the simulated (host, port)
+// accepts streams. No socket is opened: every simulated Dial connects to
+// the backend's one real listener, and the nonce the dialer writes pairs
+// the two ends, so simulated port numbers never meet real ones.
 func (b *Backend) Listen(h netsim.HostID, port int) error {
 	if b.closed.Load() {
 		return ErrShutdown
 	}
 	hp := hostPort{host: h, port: port}
-	if _, ok := b.listeners[hp]; ok {
+	if _, ok := b.listening[hp]; ok {
 		return errs.New(CodeListen, "already listening", nil).AddContext("host", h).AddContext("port", port)
 	}
-	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return errs.New(CodeListen, "listen", err).AddContext("host", h).AddContext("port", port)
-	}
-	b.listeners[hp] = ln
+	b.listening[hp] = struct{}{}
 	return nil
 }
 
-// CloseListen implements netsim.Wire: tear down the real listener for the
-// simulated (host, port). Established streams are unaffected.
+// CloseListen implements netsim.Wire: the simulated (host, port) stops
+// accepting streams. Established streams are unaffected.
 func (b *Backend) CloseListen(h netsim.HostID, port int) {
-	hp := hostPort{host: h, port: port}
-	if ln, ok := b.listeners[hp]; ok {
-		delete(b.listeners, hp)
-		ln.Close()
-	}
+	delete(b.listening, hostPort{host: h, port: port})
 }
 
-// Dial implements netsim.Wire: open a real TCP connection to the listener
-// standing in for (dst, port) and return both endpoints' WireConns. The
-// dialer writes an 8-byte nonce first; on loopback the connect completes
-// into the listener's backlog, so the Accept that follows on the same
-// goroutine finds it there and checks the nonce to pair the two ends.
+// Dial implements netsim.Wire: open a real TCP connection to the backend's
+// listener (opening it on the first Dial) and return both endpoints'
+// WireConns. The dialer writes an 8-byte nonce first; on loopback the
+// connect completes into the listener's backlog, so the Accept that
+// follows on the same goroutine finds it there and checks the nonce to pair
+// the two ends.
 func (b *Backend) Dial(src, dst netsim.HostID, port int) (client, server netsim.WireConn, err error) {
 	if b.closed.Load() {
 		return nil, nil, ErrShutdown
 	}
-	ln, ok := b.listeners[hostPort{host: dst, port: port}]
-	if !ok {
+	if _, ok := b.listening[hostPort{host: dst, port: port}]; !ok {
 		return nil, nil, errs.New(CodeDial, "no listener", nil).AddContext("host", dst).AddContext("port", port)
 	}
-	cc, err := net.DialTimeout("tcp", ln.Addr().String(), wireTimeout)
+	if b.ln == nil {
+		ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			return nil, nil, errs.New(CodeListen, "listen", err).AddContext("host", dst).AddContext("port", port)
+		}
+		b.ln = ln
+	}
+	cc, err := net.DialTimeout("tcp", b.ln.Addr().String(), wireTimeout)
 	if err != nil {
 		return nil, nil, errs.New(CodeDial, "connect", err).AddContext("host", dst).AddContext("port", port)
 	}
@@ -81,7 +80,7 @@ func (b *Backend) Dial(src, dst netsim.HostID, port int) (client, server netsim.
 		c.Close()
 		return nil, nil, errs.New(CodeDial, "handshake", b.sockErr("write nonce", err)).AddContext("host", dst).AddContext("port", port)
 	}
-	s, err := b.accept(ln, nonce)
+	s, err := b.accept(b.ln, nonce)
 	if err != nil {
 		c.Close()
 		return nil, nil, errs.New(CodeDial, "accept", err).AddContext("host", dst).AddContext("port", port)
@@ -123,19 +122,24 @@ type stream struct {
 	peer     *stream // the other endpoint: Send's frames are read off peer
 	deadline time.Time
 
-	// hdr and iov are the send path's pooled buffers: the frame header is
-	// assembled in hdr and handed to the kernel with the payload as a
-	// two-element scatter-gather list (writev on TCP), so the payload is
-	// never copied into a contiguous frame.
+	// hdr, vec and iov are the send path's pooled buffers: the frame
+	// header is assembled in hdr and handed to the kernel with the payload
+	// as a two-element scatter-gather list (writev on TCP), so the payload
+	// is never copied into a contiguous frame. iov is a slice of vec, not
+	// an appended list: net.Buffers.WriteTo consumes it down to a
+	// zero-capacity tail, so appending to what it leaves would allocate a
+	// new list for every frame.
 	hdr [streamHeaderLen]byte
+	vec [2][]byte
 	iov net.Buffers
 
-	rd     *bufio.Reader
-	rhdr   [streamHeaderLen]byte
-	parked map[uint64][]byte // frames read before their Recv asked
-	unread backlog           // frames the peer wrote that are still on conn
-	err    error             // first read failure; set means no further frames will arrive
-	closed bool
+	rd      *bufio.Reader
+	rhdr    [streamHeaderLen]byte
+	scratch []byte            // the last frame read; its Recv decodes it in place
+	parked  map[uint64][]byte // copies of frames read before their Recv asked
+	unread  backlog           // frames the peer wrote that are still on conn
+	err     error             // first read failure; set means no further frames will arrive
+	closed  bool
 }
 
 func (b *Backend) newStream(c net.Conn) *stream {
@@ -169,7 +173,8 @@ func (s *stream) Send(seq uint64, payload any) error {
 
 	binary.BigEndian.PutUint64(s.hdr[0:], seq)
 	binary.BigEndian.PutUint32(s.hdr[8:], uint32(n))
-	s.iov = append(s.iov[:0], s.hdr[:], data)
+	s.vec = [2][]byte{s.hdr[:], data}
+	s.iov = s.vec[:]
 	armDeadline(s.conn, &s.deadline)
 	if _, err := s.iov.WriteTo(s.conn); err != nil {
 		return s.b.sockErr("send frame", err).AddContext("seq", seq)
@@ -198,7 +203,7 @@ func (s *stream) Recv(seq uint64) (any, error) {
 		if got == seq {
 			data, ok = d, true
 		} else {
-			s.parked[got] = d
+			s.park(got, d)
 		}
 	}
 	return s.b.codec.Decode(data)
@@ -211,13 +216,20 @@ func (s *stream) drain() *errs.Error {
 		if err != nil {
 			return err
 		}
-		s.parked[seq] = data
+		s.park(seq, data)
 	}
 	return nil
 }
 
-// readFrame reads the next seq-tagged frame off the connection. After the
-// first failure the stream is dead: the reader may be mid-frame.
+// park keeps a copy of a frame read before its Recv asked: the frame itself
+// sits in the scratch the next read overwrites.
+func (s *stream) park(seq uint64, data []byte) {
+	s.parked[seq] = append([]byte(nil), data...) // lint:alloc parks a frame read ahead of its Recv
+}
+
+// readFrame reads the next seq-tagged frame off the connection into the
+// endpoint's scratch, valid until the next read. After the first failure
+// the stream is dead: the reader may be mid-frame.
 func (s *stream) readFrame() (uint64, []byte, *errs.Error) {
 	switch {
 	case s.closed:
@@ -234,7 +246,10 @@ func (s *stream) readFrame() (uint64, []byte, *errs.Error) {
 	if n > maxFrame {
 		return 0, nil, s.fail("recv frame", errs.New(wirefmt.CodeOversized, "frame larger than maxFrame", nil).AddContext("bytes", n))
 	}
-	data := make([]byte, n) // lint:alloc drain reads a frame, only past the backlog bound
+	if cap(s.scratch) < int(n) {
+		s.scratch = make([]byte, n) // lint:alloc grows the read scratch to the largest frame yet
+	}
+	data := s.scratch[:n]
 	if _, err := io.ReadFull(s.rd, data); err != nil {
 		return 0, nil, s.fail("recv frame body", err)
 	}

@@ -27,7 +27,7 @@ type Task struct {
 	proc *sim.Proc
 
 	inbox     []*Message
-	inboxCond *sim.Cond
+	inboxCond sim.Cond
 
 	listener    *netsim.Listener
 	directRoute bool
@@ -58,7 +58,7 @@ func newTask(d *Daemon, local int, name string, body func(*Task)) *Task {
 		conns:       make(map[core.TID]*netsim.Conn),
 		directRoute: d.m.cfg.DirectRoute,
 	}
-	t.inboxCond = sim.NewCond(d.m.k)
+	t.inboxCond.Init(d.m.k)
 	t.openListener()
 	t.proc = d.m.k.Spawn(fmt.Sprintf("%s(%s)", name, t.tid), func(p *sim.Proc) {
 		// fork + exec + enroll. The startup sleep runs with interrupts

@@ -56,7 +56,7 @@ type Proc struct {
 	body     func(*Proc)
 	panicked any
 	stack    []byte // the body's own stack at the panic
-	doneCond *Cond
+	doneCond Cond
 
 	intrPending bool
 	intrReason  any
@@ -151,7 +151,7 @@ func (k *Kernel) SpawnAt(at Time, name string, body func(*Proc)) *Proc {
 		state: pBlocked,
 		body:  body,
 	}
-	p.doneCond = NewCond(k)
+	p.doneCond.Init(k)
 	k.procs = append(k.procs, p)
 	k.blocked++
 	k.scheduleWake(p, at, p.gen)

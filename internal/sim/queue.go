@@ -24,13 +24,16 @@ type Queue[T any] struct {
 	cap    int // bound; <= 0 means unbounded
 	closed bool
 
-	notEmpty *Cond
-	notFull  *Cond
+	notEmpty Cond
+	notFull  Cond
 }
 
 // NewQueue returns a queue bound to k. cap <= 0 means unbounded.
 func NewQueue[T any](k *Kernel, cap int) *Queue[T] {
-	return &Queue[T]{k: k, cap: cap, notEmpty: NewCond(k), notFull: NewCond(k)}
+	q := &Queue[T]{k: k, cap: cap}
+	q.notEmpty.Init(k)
+	q.notFull.Init(k)
+	return q
 }
 
 // Len returns the number of queued items.

@@ -21,12 +21,12 @@ type ULP struct {
 	region Region
 
 	inbox     []*UMessage
-	inboxCond *sim.Cond
+	inboxCond sim.Cond
 
 	migrating  bool
 	parked     bool // suspended for migration (state capture may proceed)
-	parkCond   *sim.Cond
-	resumeCond *sim.Cond
+	parkCond   sim.Cond
+	resumeCond sim.Cond
 	done       bool
 
 	// stats
@@ -39,14 +39,10 @@ var _ core.VP = (*ULP)(nil)
 type migPause struct{}
 
 func newULP(s *System, rank int, spec ULPSpec, body func(*ULP, int)) *ULP {
-	u := &ULP{
-		sys:        s,
-		id:         rank,
-		spec:       spec,
-		inboxCond:  sim.NewCond(s.m.Kernel()),
-		parkCond:   sim.NewCond(s.m.Kernel()),
-		resumeCond: sim.NewCond(s.m.Kernel()),
-	}
+	u := &ULP{sys: s, id: rank, spec: spec}
+	u.inboxCond.Init(s.m.Kernel())
+	u.parkCond.Init(s.m.Kernel())
+	u.resumeCond.Init(s.m.Kernel())
 	region, err := s.space.Reserve(rank, spec.StateBytes())
 	if err != nil {
 		panic(fmt.Sprintf("upvm: %v", err))

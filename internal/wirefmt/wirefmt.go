@@ -62,9 +62,11 @@
 package wirefmt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
+	"sync"
 
 	"pvmigrate/internal/errs"
 )
@@ -307,11 +309,12 @@ func AppendFloat64s(dst []byte, v []float64) []byte {
 	return dst
 }
 
-// Decode parses one complete frame. Byte-slice and string results may
-// alias data, which the transport hands over wholesale (each received
-// frame owns its buffer), so decode is copy-free. All errors are
-// internal/errs errors in the "wire." namespace; Decode never panics on
-// arbitrary input.
+// Decode parses one complete frame. The result never aliases data: strings
+// and byte slices are copied out, so a transport may read every frame into
+// one reused buffer. The cursor comes from a pool and goes back to it, so a
+// decode allocates only the value it returns, and decodes may run on any
+// number of goroutines at once. All errors are internal/errs errors in the
+// "wire." namespace; Decode never panics on arbitrary input.
 func Decode(data []byte) (any, error) {
 	if len(data) < HeaderLen {
 		return nil, errs.Newf(CodeTruncated, "wirefmt: frame %d bytes, need %d-byte header", len(data), HeaderLen)
@@ -330,16 +333,25 @@ func Decode(data []byte) (any, error) {
 	if int(n) != len(data)-HeaderLen {
 		return nil, errs.Newf(CodeLengthClaim, "wirefmt: header claims %d-byte body, frame carries %d", n, len(data)-HeaderLen)
 	}
-	r := &Reader{data: data, pos: HeaderLen}
+	r := readers.Get().(*Reader)
+	*r = Reader{data: data, pos: HeaderLen}
 	v, err := r.decodeTag(tag)
+	trailing := len(data) - r.pos
+	*r = Reader{} // drop the frame before the cursor is pooled
+	readers.Put(r)
 	if err != nil {
 		return nil, err
 	}
-	if r.pos != len(data) {
-		return nil, errs.Newf(CodeTrailing, "wirefmt: %d trailing bytes after tag %d body", len(data)-r.pos, tag)
+	if trailing != 0 {
+		return nil, errs.Newf(CodeTrailing, "wirefmt: %d trailing bytes after tag %d body", trailing, tag)
 	}
 	return v, nil
 }
+
+// readers pools Decode's cursors: a Reader reaches the registered decoders
+// through a func value, so one declared inside Decode would escape to the
+// heap on every frame.
+var readers = sync.Pool{New: func() any { return new(Reader) }}
 
 // Reader is a bounds-checked cursor over a frame body, handed to
 // registered DecodeFuncs. Every method returns a structured error instead
@@ -434,13 +446,15 @@ func (r *Reader) String() (string, error) {
 	if n > uint64(r.Remaining()) {
 		return "", r.truncated("string")
 	}
-	s := string(r.data[r.pos : r.pos+int(n)])
+	s := string(r.data[r.pos : r.pos+int(n)]) // lint:alloc decoded result: the string the receiver keeps
 	r.pos += int(n)
 	return s, nil
 }
 
 // Bytes reads a count+1-prefixed byte slice (0 decodes nil). The result
-// aliases the frame buffer.
+// aliases the frame buffer, which the transport reuses once Decode returns:
+// a decoder that keeps the bytes keeps a copy (bytes.Clone keeps nil and
+// empty apart).
 func (r *Reader) Bytes() ([]byte, error) {
 	m, err := r.Uvarint()
 	if err != nil {
@@ -471,7 +485,7 @@ func (r *Reader) Ints() ([]int, error) {
 	if err := r.CheckClaim(n, 1); err != nil {
 		return nil, err
 	}
-	out := make([]int, n)
+	out := make([]int, n) // lint:alloc decoded result: the slice the receiver keeps
 	for i := range out {
 		if out[i], err = r.Int(); err != nil {
 			return nil, err
@@ -493,7 +507,7 @@ func (r *Reader) Float64s() ([]float64, error) {
 	if err := r.CheckClaim(n, 8); err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
+	out := make([]float64, n) // lint:alloc decoded result: the slice the receiver keeps
 	for i := range out {
 		if out[i], err = r.Float64(); err != nil {
 			return nil, err
@@ -513,11 +527,16 @@ func (r *Reader) Any() (any, error) {
 }
 
 func (r *Reader) decodeTag(tag Tag) (any, error) {
-	r.depth++
-	defer func() { r.depth-- }()
-	if r.depth > maxDepth {
+	if r.depth == maxDepth {
 		return nil, errs.Newf(CodeDepth, "wirefmt: nesting deeper than %d", maxDepth)
 	}
+	r.depth++
+	v, err := r.decodeBody(tag)
+	r.depth--
+	return v, err
+}
+
+func (r *Reader) decodeBody(tag Tag) (any, error) {
 	switch tag {
 	case TagNil:
 		return nil, nil
@@ -532,7 +551,8 @@ func (r *Reader) decodeTag(tag Tag) (any, error) {
 	case TagString:
 		return r.String()
 	case TagBytes:
-		return r.Bytes()
+		b, err := r.Bytes()
+		return bytes.Clone(b), err // lint:alloc decoded result: the receiver keeps its own copy of the frame's bytes
 	case TagInts:
 		return r.Ints()
 	case TagFloat64s:

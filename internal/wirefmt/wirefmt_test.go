@@ -2,6 +2,7 @@ package wirefmt
 
 import (
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -189,6 +190,66 @@ func TestAppendZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("Append(%T) allocates %.1f/op on the steady-state path, want 0", p, allocs)
+		}
+	}
+}
+
+// A decode allocates only the value it returns: its cursor is pooled, so a
+// frame whose value needs no storage (nil, a bool, a small int) decodes at
+// zero allocations.
+func TestDecodeZeroAlloc(t *testing.T) {
+	for _, p := range []any{nil, true, 42} {
+		data, err := Append(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if v, err := Decode(data); err != nil || v != p {
+				t.Fatalf("Decode = %v, %v; want %v", v, err, p)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Decode(%T) allocates %.1f/op, want 0", p, allocs)
+		}
+	}
+}
+
+// Decodes on several goroutines at once (concurrent kernels under
+// sweep.Map) share only the cursor pool, and no result aliases its frame:
+// each goroutine overwrites its frame after every decode and the value it
+// kept must not change. Run under -race.
+func TestDecodeConcurrentOwnsResults(t *testing.T) {
+	const workers, rounds = 4, 500
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			want := []any{[]byte{byte(w), 1, 2, 3}, "kept-" + string(rune('a'+w)), []int{w, -w}, []float64{float64(w)}}
+			for i := 0; i < rounds; i++ {
+				p := want[i%len(want)]
+				data, err := Append(nil, p)
+				if err != nil {
+					errc <- err
+					return
+				}
+				v, err := Decode(data)
+				if err != nil {
+					errc <- err
+					return
+				}
+				for j := range data {
+					data[j] = 0xff
+				}
+				if !reflect.DeepEqual(v, p) {
+					errc <- fmt.Errorf("worker %d round %d: decoded %#v, want %#v", w, i, v, p)
+					return
+				}
+			}
+			errc <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errc; err != nil {
+			t.Error(err)
 		}
 	}
 }
