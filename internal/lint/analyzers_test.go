@@ -59,6 +59,11 @@ func TestNoAlloc(t *testing.T) {
 	// exempt: calls into cfg.AllocExempt packages (structured errors) are
 	// failure-path escapes — body and argument boxing both uncounted.
 	linttest.Run(t, lint.NewNoAlloc(cfg), fixture("noalloc", "exempt"), simDrivenPath)
+	// deadroot: an AllocHot key naming no function in its loaded package
+	// is a finding, not a silent loss of coverage.
+	dcfg := lint.DefaultConfig()
+	dcfg.AllocHot = map[string][]string{simDrivenPath: {"Hot", "Gone"}}
+	linttest.Run(t, lint.NewNoAlloc(dcfg), fixture("noalloc", "deadroot"), simDrivenPath)
 }
 
 func TestBridgeCall(t *testing.T) {
@@ -72,6 +77,11 @@ func TestBridgeCall(t *testing.T) {
 	bcfg := lint.DefaultConfig()
 	bcfg.BridgeFuncs[simDrivenPath] = []string{"Pump"}
 	linttest.Run(t, lint.NewBridgeCall(bcfg), fixture("bridgecall", "bridged"), simDrivenPath)
+	// A BridgeFuncs key naming no function in its loaded package is a
+	// finding; the keys of packages not loaded (serve, netsim) are not.
+	dcfg := lint.DefaultConfig()
+	dcfg.BridgeFuncs[simDrivenPath] = []string{"Pump", "Gone"}
+	linttest.Run(t, lint.NewBridgeCall(dcfg), fixture("bridgecall", "deadroot"), simDrivenPath)
 }
 
 func TestErrCode(t *testing.T) {

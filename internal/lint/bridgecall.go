@@ -60,6 +60,7 @@ func NewBridgeCall(cfg *Config) *Analyzer {
 	}
 	a.RunProgram = func(pass *ProgramPass) error {
 		g := pass.Prog.CallGraph()
+		reportUnresolved(pass, g, "BridgeFuncs", cfg.BridgeFuncs)
 
 		// blocking: can this program function reach a blocking leaf over
 		// synchronous edges? witness: one leaf it reaches, for messages.

@@ -162,6 +162,31 @@ func (g *CallGraph) Lookup(pkgPath, key string) *FuncInfo {
 	return nil
 }
 
+// reportUnresolved reports each key of keys (package path → function keys,
+// the shape of Config.AllocHot and Config.BridgeFuncs) that names no
+// function declared in its package, at that package's clause: renaming or
+// deleting a listed function would otherwise drop its coverage with no
+// report. The keys of a package the program did not load are not judged.
+func reportUnresolved(pass *ProgramPass, g *CallGraph, field string, keys map[string][]string) {
+	paths := make([]string, 0, len(keys))
+	for p := range keys {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		pkg := pass.Prog.Package(p)
+		if pkg == nil || len(pkg.Files) == 0 {
+			continue
+		}
+		for _, key := range keys[p] {
+			if g.Lookup(p, key) == nil {
+				pass.Reportf(pkg.Files[0].Name.Pos(),
+					"cfg.%s key %q names no function declared in %s; a renamed or deleted root drops its coverage silently, so update or remove the key", field, key, p)
+			}
+		}
+	}
+}
+
 // awaitName is the kernel's external-wait bridge: the one method whose
 // callback argument is the sanctioned place for sim-driven code to block on
 // the host (virtual time frozen, kernel goroutine parked).

@@ -48,7 +48,8 @@ type Config struct {
 	// they are off the caller's synchronous path) must be allocation-free,
 	// with `// lint:alloc <reason>` as the audited escape hatch. The
 	// registered wire encoders (the enc argument of every wirefmt.Register
-	// call) are rooted automatically.
+	// call) are rooted automatically. A key naming no function in its
+	// loaded package is itself a finding.
 	AllocHot map[string][]string
 
 	// AllocExempt exempts callee packages from noalloc's reachability
@@ -64,7 +65,8 @@ type Config struct {
 	// Kernel.AwaitExternal callback. These are the wall side of the
 	// bridge: HTTP handlers, the daemon pacer —
 	// entry points the host invokes, never the kernel. Where PR 3's
-	// analyzers exempted whole packages, this list names functions.
+	// analyzers exempted whole packages, this list names functions. A key
+	// naming no function in its loaded package is itself a finding.
 	BridgeFuncs map[string][]string
 
 	// BridgeAllow exempts whole packages from bridgecall. Only host-side
@@ -186,14 +188,14 @@ func DefaultConfig() *Config {
 				"Reader.Int64", "Reader.Int", "Reader.Float64",
 				"Reader.Bytes", "Reader.Remaining", "Reader.CheckClaim",
 			},
-			// The UDP and TCP send and receive paths: what
-			// TestStreamFrameZeroAlloc and TestDgramZeroAlloc assert for a
-			// nil payload. A socket deadline is re-armed only once half of
-			// it has run out; a frame is read into the endpoint's scratch
-			// or the packet buffer and decoded in place. The audited
-			// allocations are the copies of frames parked for a later
-			// receive (read out of order, or drained past the backlog
-			// bound), scratch growth and multi-fragment reassembly.
+			// The datagram and stream send and receive paths, one UDP
+			// frame path underneath: what TestStreamFrameZeroAlloc and
+			// TestDgramZeroAlloc assert for a nil payload. A socket
+			// deadline is re-armed only once half of it has run out; a
+			// frame is read into the packet buffer and decoded in place.
+			// The audited allocations are the copies of frames parked for
+			// a later receive (read out of order, or drained past the
+			// backlog bound) and multi-fragment reassembly.
 			"pvmigrate/internal/netwire": {
 				"Backend.SendDgram", "stream.Send",
 				"Backend.RecvDgram", "stream.Recv",

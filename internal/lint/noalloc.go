@@ -72,11 +72,10 @@ func NewNoAlloc(cfg *Config) *Analyzer {
 			hot[fi] = why
 			frontier = append(frontier, fi)
 		}
+		reportUnresolved(pass, g, "AllocHot", cfg.AllocHot)
 		for pkgPath, keys := range cfg.AllocHot {
 			for _, key := range keys {
-				if fi := g.Lookup(pkgPath, key); fi != nil {
-					root(fi, path.Base(pkgPath)+"."+key)
-				}
+				root(g.Lookup(pkgPath, key), path.Base(pkgPath)+"."+key)
 			}
 		}
 		for _, fi := range g.Funcs() {
@@ -294,11 +293,28 @@ func checkAllocs(fi *FuncInfo, why string, exempt []string, report func(token.Po
 			}
 		case *ast.ReturnStmt:
 			sig, ok := fi.Fn.Type().(*types.Signature)
-			if !ok || sig.Results().Len() != len(n.Results) {
+			if !ok {
+				return true
+			}
+			results := sig.Results()
+			if len(n.Results) == 1 && results.Len() > 1 {
+				// `return f()`: each of f's results becomes the enclosing
+				// function's result in the same position.
+				call := n.Results[0]
+				if tuple, ok := info.TypeOf(call).(*types.Tuple); ok && tuple.Len() == results.Len() {
+					for i := 0; i < tuple.Len(); i++ {
+						if boxesType(tuple.At(i).Type(), results.At(i).Type()) {
+							diag(call.Pos(), "converts a returned call result to an interface, which heap-allocates it")
+						}
+					}
+				}
+				return true
+			}
+			if results.Len() != len(n.Results) {
 				return true
 			}
 			for i, res := range n.Results {
-				if boxes(info, res, sig.Results().At(i).Type()) {
+				if boxes(info, res, results.At(i).Type()) {
 					diag(res.Pos(), "converts a return value to an interface, which heap-allocates it")
 				}
 			}
@@ -390,17 +406,22 @@ func checkCallAlloc(info *types.Info, call *ast.CallExpr, sanctioned map[*ast.Ca
 // and funcs fit the interface word directly; nil and zero-size values never
 // allocate; interface-to-interface assignment copies the word pair.
 func boxes(info *types.Info, arg ast.Expr, t types.Type) bool {
-	if t == nil || arg == nil {
+	if arg == nil {
+		return false
+	}
+	tv, ok := info.Types[arg]
+	return ok && !tv.IsNil() && boxesType(tv.Type, t)
+}
+
+// boxesType is boxes for a value of type from, known not to be nil.
+func boxesType(from, t types.Type) bool {
+	if t == nil || from == nil {
 		return false
 	}
 	if _, ok := t.Underlying().(*types.Interface); !ok {
 		return false
 	}
-	tv, ok := info.Types[arg]
-	if !ok || tv.Type == nil || tv.IsNil() {
-		return false
-	}
-	switch u := tv.Type.Underlying().(type) {
+	switch u := from.Underlying().(type) {
 	case *types.Interface:
 		return false
 	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:

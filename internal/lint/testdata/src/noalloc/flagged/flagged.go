@@ -26,6 +26,8 @@ func Hot(r *ring, n int) {
 	grow(r, n)
 	var l logger
 	record(l, frame{seq: n})
+	_, _ = boxedPair(n)
+	_, _ = passPair(n)
 }
 
 func grow(r *ring, n int) {
@@ -44,6 +46,21 @@ func record(l logger, f frame) {
 	if l != nil {
 		l.log(f) // want `passes a value as an interface argument, which heap-allocates the value`
 	}
+}
+
+func pair(n int) (frame, error) { return frame{seq: n}, nil }
+
+func anyPair(n int) (any, error) { return nil, nil }
+
+// A multi-value `return f()` assigns each of f's results to the enclosing
+// function's result in the same position: a concrete one boxes.
+func boxedPair(n int) (any, error) {
+	return pair(n) // want `boxedPair is on a zero-alloc hot path .* but converts a returned call result to an interface`
+}
+
+// Results that are interfaces already pass through: silent.
+func passPair(n int) (any, error) {
+	return anyPair(n)
 }
 
 func encFrame(dst []byte, v any) ([]byte, error) {

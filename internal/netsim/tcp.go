@@ -34,8 +34,8 @@ type Conn struct {
 	peer   *Conn
 	inbox  *sim.Queue[Segment]
 	closed bool
-	// wire, when non-nil, is the paired endpoint of a real TCP connection
-	// (Params.Wire backend); wireSeq numbers this direction's frames.
+	// wire, when non-nil, is the paired endpoint of a backend stream
+	// (Params.Wire); wireSeq numbers this direction's frames.
 	wire    WireConn
 	wireSeq uint64
 	// lastArrival is the latest scheduled delivery into the peer's inbox;

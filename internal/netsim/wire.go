@@ -2,10 +2,10 @@ package netsim
 
 // Wire is the pluggable real-transport backend behind Iface. When
 // Params.Wire is non-nil, every cross-host frame additionally rides a real
-// OS-level transport (internal/netwire binds loopback UDP sockets for
-// datagrams and real TCP connections for streams): the payload is
-// marshalled, written to a kernel socket, read back, and unmarshalled, and
-// the *decoded* copy is what the receiver sees. Timing is untouched — the
+// OS-level transport (internal/netwire carries datagrams and stream
+// segments alike to the destination host's one loopback UDP socket): the
+// payload is marshalled, written to a kernel socket, read back, and
+// unmarshalled, and the *decoded* copy is what the receiver sees. Timing is untouched — the
 // netsim link model still books every frame's wire time and the sim kernel
 // remains the only clock (it pauses via sim.Kernel.AwaitExternal until the
 // wire I/O completes) — so a wire-backed run is virtual-time-identical to
@@ -29,13 +29,15 @@ package netsim
 //     (host down, partition, closed port), so the backend never leaks
 //     in-flight frames.
 //   - Listen/CloseListen bracket a simulated TCP listener's lifetime; Dial
-//     returns both endpoints of an established real connection, paired
-//     with the simulated Conn endpoints. WireConn.Send is called after the
+//     returns the two backend endpoints paired with the simulated Conn
+//     endpoints. TCP's ordering, pacing and close semantics are netsim's
+//     to model, not the backend's. WireConn.Send is called after the
 //     sender's pacing completes with a per-direction sequence number;
 //     WireConn.Recv(seq) — on the *peer's* endpoint, inside AwaitExternal —
-//     reads that endpoint's socket on the calling goroutine until frame seq
-//     arrives. Close (idempotent) tears the real stream down after the
-//     last scheduled delivery.
+//     reads the peer host's socket on the calling goroutine until frame seq
+//     has crossed it. Every sent seq is redeemed exactly once, as a token
+//     is. Close (idempotent) tears the endpoint down after the last
+//     scheduled delivery.
 //
 // A marshal failure is a bug in a payload type, not a runtime condition:
 // netsim panics on it loudly. Surfacing exactly those bugs is the reason
@@ -51,26 +53,26 @@ type Wire interface {
 	// identified by token has crossed it and returns the decoded payload.
 	// Called inside AwaitExternal.
 	RecvDgram(token uint64) (any, error)
-	// Listen opens the real listener paired with a simulated Listen.
+	// Listen readies the backend for streams to a simulated Listen's
+	// (host, port).
 	Listen(h HostID, port int) error
-	// CloseListen tears down the real listener. Idempotent.
+	// CloseListen ends what Listen readied. Idempotent.
 	CloseListen(h HostID, port int)
-	// Dial establishes a real connection to (dst, port)'s listener and
-	// returns the two paired endpoints.
+	// Dial opens a stream from src to (dst, port) and returns its two
+	// paired endpoints.
 	Dial(src, dst HostID, port int) (client, server WireConn, err error)
 }
 
-// WireConn is one endpoint of a real stream paired with a netsim Conn.
+// WireConn is one endpoint of a backend stream paired with a netsim Conn.
 type WireConn interface {
 	// Send marshals payload and writes it as frame seq. The error is a
 	// marshal failure or a torn-down stream.
 	Send(seq uint64, payload any) error
-	// Recv reads this endpoint's socket on the calling goroutine until
-	// frame seq (sent by the peer endpoint) has arrived and returns the
-	// decoded payload; it errors when the stream was torn down first.
-	// Called inside AwaitExternal.
+	// Recv reads this endpoint's host socket on the calling goroutine
+	// until frame seq (sent by the peer endpoint) has crossed it and
+	// returns the decoded payload; it errors when this endpoint was torn
+	// down first, or seq was never sent. Called inside AwaitExternal.
 	Recv(seq uint64) (any, error)
-	// Close tears down the real stream. Idempotent; closing either
-	// endpoint closes the underlying connection.
+	// Close tears down this endpoint. Idempotent.
 	Close()
 }

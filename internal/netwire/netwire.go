@@ -1,8 +1,8 @@
 // Package netwire is the real-socket transport backend behind
-// netsim.Wire: every cross-host frame the simulated network delivers also
-// rides a loopback UDP datagram (datagram ports) or a real TCP connection
-// (streams), round-tripping through marshal → syscall → unmarshal before
-// the receiver sees it.
+// netsim.Wire: every cross-host frame the simulated network delivers, a
+// datagram or a stream segment alike, also rides loopback UDP to its
+// destination host's one socket, round-tripping through marshal → syscall
+// → unmarshal before the receiver sees it.
 //
 // The deterministic kernel stays the only clock. netsim computes every
 // arrival time from its cost model exactly as in the in-memory backend;
@@ -12,24 +12,26 @@
 // freezes virtual time while the matching bytes are read back and decoded.
 // Wall-clock latency of the socket round trip is therefore invisible to
 // the simulation — fingerprints stay seed-deterministic while payloads
-// prove they survive a real wire.
+// prove they survive a real wire. TCP's own behaviour (ordering, pacing,
+// flush on close) is netsim's to model, so a stream endpoint here is
+// bookkeeping only: it maps each sequence number to the token of the
+// frame that carries it.
 //
 // The backend is confined to the kernel goroutine, the only caller of
 // every method (netsim is single-threaded): a receive reads its socket
 // itself, inside the AwaitExternal that froze virtual time for it, and
-// parks any other frame it reads first — by token (datagrams) or sequence
-// number (stream frames) — for the receive that asks for it later. Nothing
-// here starts a goroutine, takes a lock or waits on a channel; Shutdown may
-// run on another goroutine once the kernel has stopped, and only flips an
-// atomic flag and closes sockets. netwire is allowlisted in
-// internal/lint.Config.WallClockAllow for its socket deadlines, which bound
-// each of the kernel goroutine's own reads and writes against lost bytes.
+// parks any other frame it reads first, by token, for the receive that
+// asks for it later. Nothing here starts a goroutine, takes a lock or
+// waits on a channel; Shutdown may run on another goroutine once the
+// kernel has stopped, and only flips an atomic flag and closes sockets.
+// netwire is allowlisted in internal/lint.Config.WallClockAllow for its
+// socket deadlines, which bound each of the kernel goroutine's own reads
+// and writes against lost bytes.
 package netwire
 
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"net/netip"
 	"os"
@@ -62,10 +64,9 @@ const dgramHeaderLen = 16
 // backlogBound and backlogBytes cap what a socket may hold unread. The
 // kernel goroutine is every socket's only reader, so nothing drains a
 // socket between its receives: a send that would leave more than
-// backlogBound packets (or frames) or backlogBytes bytes unread on its
-// destination first reads everything there into the parked maps. A burst
-// therefore can neither overflow a UDP receive buffer (which drops) nor
-// block a TCP write against its only reader (which times out).
+// backlogBound packets or backlogBytes bytes unread on its destination
+// first reads everything there into the parked map. A burst therefore
+// cannot overflow a UDP receive buffer, which would drop it.
 const (
 	backlogBound = 256
 	backlogBytes = 128 << 10
@@ -77,15 +78,12 @@ const (
 	CodeShutdown errs.Code = "wire.shutdown"
 	// CodeTimeout: a socket operation outlived its deadline.
 	CodeTimeout errs.Code = "wire.timeout"
-	// CodeStreamClosed: a stream endpoint was closed, or its peer hung up.
+	// CodeStreamClosed: a stream endpoint was closed before the send, or
+	// before the frame's receive.
 	CodeStreamClosed errs.Code = "wire.stream-closed"
-	// CodeDial: a real connection for a simulated Dial could not be made.
-	CodeDial errs.Code = "wire.dial"
-	// CodeListen: a simulated (host, port) was listened on twice, or the
-	// backend's one real listener could not be opened.
-	CodeListen errs.Code = "wire.listen"
 	// CodeUnknownToken: RecvDgram was given a token SendDgram never issued,
-	// or one already redeemed.
+	// or a stream Recv a seq its peer never sent; or either was already
+	// redeemed.
 	CodeUnknownToken errs.Code = "wire.unknown-token"
 	// CodeIO: a socket read or write failed for any other reason.
 	CodeIO errs.Code = "wire.io"
@@ -101,41 +99,36 @@ var ErrTimeout = errs.New(CodeTimeout, "netwire: wire timeout", nil)
 // cumulative since New.
 type Stats struct {
 	Dgrams       int64 // datagrams sent (logical, pre-fragmentation)
-	DgramPackets int64 // UDP packets written (after fragmentation)
+	DgramPackets int64 // UDP packets those datagrams took (after fragmentation)
 	DgramBytes   int64 // encoded payload bytes across all datagrams
-	Streams      int64 // TCP connections dialed
+	Streams      int64 // streams opened (Dial calls)
 	StreamFrames int64 // stream frames sent
 	StreamBytes  int64 // encoded payload bytes across all stream frames
 }
 
 // Backend implements netsim.Wire over loopback sockets: one UDP socket per
-// attached host for datagrams, one real TCP connection per simulated
-// stream, all accepted by the backend's one TCP listener. Install it via
-// netsim.Params.Wire and Shutdown it when the run ends. Every method but
-// Shutdown runs on the kernel goroutine.
+// host carries every frame toward that host, datagram or stream. Install
+// it via netsim.Params.Wire and Shutdown it when the run ends. Every
+// method but Shutdown runs on the kernel goroutine.
 type Backend struct {
 	codec WireCodec
 
-	// encScratch and pkt are the pooled buffers of the datagram paths.
+	// encScratch and pkt are the pooled buffers of the one frame path.
 	// encScratch holds one frame's codec output and is retained between
 	// sends, so a steady-state encode costs zero allocations; pkt is the
 	// one fixed-size packet buffer, where a send assembles header + one
-	// fragment and every UDP read lands (never both at once). A datagram
+	// fragment and every UDP read lands (never both at once). A frame
 	// read into pkt is decoded straight from it and copied only if it is
-	// parked for a later RecvDgram.
+	// parked for a later receive.
 	encScratch []byte
 	pkt        []byte
 
 	closed    atomic.Bool
 	hosts     map[netsim.HostID]*hostSock
-	listening map[hostPort]struct{} // simulated (host, port) listeners
-	ln        *net.TCPListener      // the one real listener, opened at the first Dial
-	streams   map[*stream]struct{}  // open endpoints, for Shutdown
-	sent      map[uint64]*hostSock  // token → destination socket, until redeemed
-	arrived   map[uint64][]byte     // datagrams read before RecvDgram asked
-	partials  map[uint64]*partial   // datagrams with fragments still unread
+	sent      map[uint64]*hostSock // token → destination socket, until redeemed
+	arrived   map[uint64][]byte    // frames read before their receive asked
+	partials  map[uint64]*partial  // frames with fragments still unread
 	nextToken uint64
-	nextNonce uint64
 	stats     Stats
 }
 
@@ -147,21 +140,16 @@ type hostSock struct {
 	unread   backlog
 }
 
-type hostPort struct {
-	host netsim.HostID
-	port int
-}
-
 // backlog counts what has been written toward a socket and not yet read.
 type backlog struct{ n, bytes int }
 
-// full reports whether one more packet or frame of bytes would exceed the
-// backlog bounds.
+// full reports whether one more packet of bytes would exceed the backlog
+// bounds.
 func (q *backlog) full(bytes int) bool {
 	return q.n >= backlogBound || q.bytes+bytes > backlogBytes
 }
 
-// partial is a datagram under reassembly: fragment i lands at i·maxChunk.
+// partial is a frame under reassembly: fragment i lands at i·maxChunk.
 type partial struct {
 	data []byte
 	size int // payload length, known once the last fragment arrived
@@ -177,14 +165,12 @@ func New() *Backend {
 // implementing WireCodec, e.g. a decorator timing BinaryCodec).
 func NewWithCodec(c WireCodec) *Backend {
 	return &Backend{
-		codec:     c,
-		pkt:       make([]byte, dgramHeaderLen+maxChunk+512),
-		hosts:     make(map[netsim.HostID]*hostSock),
-		listening: make(map[hostPort]struct{}),
-		streams:   make(map[*stream]struct{}),
-		sent:      make(map[uint64]*hostSock),
-		arrived:   make(map[uint64][]byte),
-		partials:  make(map[uint64]*partial),
+		codec:    c,
+		pkt:      make([]byte, dgramHeaderLen+maxChunk+512),
+		hosts:    make(map[netsim.HostID]*hostSock),
+		sent:     make(map[uint64]*hostSock),
+		arrived:  make(map[uint64][]byte),
+		partials: make(map[uint64]*partial),
 	}
 }
 
@@ -201,15 +187,13 @@ func armDeadline(c net.Conn, d *time.Time) {
 }
 
 // sockErr classifies a failed socket operation at stage: a socket closed
-// by Shutdown, an expired deadline, a peer hang-up, or plain I/O failure.
+// by Shutdown, an expired deadline, or plain I/O failure.
 func (b *Backend) sockErr(stage string, err error) *errs.Error {
 	switch {
 	case b.closed.Load():
 		return errs.New(CodeShutdown, stage, ErrShutdown)
 	case errors.Is(err, os.ErrDeadlineExceeded): // lint:alloc error path, classifies a socket failure
 		return errs.New(CodeTimeout, stage, ErrTimeout)
-	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, net.ErrClosed): // lint:alloc error path, classifies a socket failure
-		return errs.New(CodeStreamClosed, stage, err)
 	}
 	return errs.New(CodeIO, stage, err)
 }
@@ -247,35 +231,59 @@ func (b *Backend) host(h netsim.HostID) (*hostSock, error) {
 	return s, nil
 }
 
-// SendDgram implements netsim.Wire: encode the payload now (at the frame's
-// virtual send time) into the pooled scratch buffer and write it toward
-// dst's UDP socket, fragmented into maxChunk pieces assembled in the
-// pooled packet buffer. The returned token is redeemed exactly once by
-// RecvDgram at the frame's virtual delivery time. Steady state this path
-// performs no allocations: the codec appends into retained scratch, the
-// packet buffer is fixed-size, and the AddrPort write needs no sockaddr
-// conversion.
+// SendDgram implements netsim.Wire: write the payload toward dst's socket
+// and return the token that RecvDgram redeems exactly once at the frame's
+// virtual delivery time.
 func (b *Backend) SendDgram(src netsim.HostID, srcPort int, dst netsim.HostID, dstPort int, payload any) (uint64, error) {
-	data, err := b.codec.AppendEncode(b.encScratch[:0], payload)
+	tok, n, pkts, err := b.send(src, dst, payload)
 	if err != nil {
 		return 0, err
+	}
+	b.stats.Dgrams++
+	b.stats.DgramPackets += int64(pkts)
+	b.stats.DgramBytes += int64(n)
+	return tok, nil
+}
+
+// RecvDgram implements netsim.Wire: redeem token (inside AwaitExternal —
+// virtual time is frozen), then decode the datagram.
+func (b *Backend) RecvDgram(token uint64) (any, error) {
+	data, err := b.recv(token)
+	if err != nil {
+		return nil, err
+	}
+	return b.codec.Decode(data)
+}
+
+// send is the one frame send path. At the frame's virtual send time it
+// encodes the payload into the pooled scratch buffer and writes it from
+// src's socket toward dst's, fragmented into maxChunk pieces assembled in
+// the pooled packet buffer, draining dst first whenever the backlog bound
+// is reached. It returns the frame's token, its encoded length and the
+// packets it took. Steady state this path performs no allocations: the
+// codec appends into retained scratch, the packet buffer is fixed-size,
+// and the AddrPort write needs no sockaddr conversion.
+func (b *Backend) send(src, dst netsim.HostID, payload any) (tok uint64, n, nfrags int, err error) {
+	data, err := b.codec.AppendEncode(b.encScratch[:0], payload)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	b.encScratch = data[:0] // retain grown capacity for the next frame
 	if b.closed.Load() {
-		return 0, ErrShutdown
+		return 0, 0, 0, ErrShutdown
 	}
 	srcSock, err := b.host(src)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
 	dstSock, err := b.host(dst)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
 	b.nextToken++
-	tok := b.nextToken
+	tok = b.nextToken
 
-	nfrags := (len(data) + maxChunk - 1) / maxChunk
+	nfrags = (len(data) + maxChunk - 1) / maxChunk
 	if nfrags == 0 {
 		nfrags = 1 // zero-byte payloads still travel as one packet
 	}
@@ -284,7 +292,7 @@ func (b *Backend) SendDgram(src netsim.HostID, srcPort int, dst netsim.HostID, d
 		frag := data[i*maxChunk : min(len(data), (i+1)*maxChunk)]
 		if dstSock.unread.full(len(frag)) {
 			if err := b.drain(dstSock); err != nil {
-				return 0, err
+				return 0, 0, 0, err
 			}
 		}
 		pkt := b.pkt[:dgramHeaderLen+len(frag)]
@@ -294,30 +302,25 @@ func (b *Backend) SendDgram(src netsim.HostID, srcPort int, dst netsim.HostID, d
 		binary.BigEndian.PutUint16(pkt[14:], uint16(nfrags))
 		copy(pkt[dgramHeaderLen:], frag)
 		if _, err := srcSock.udp.WriteToUDPAddrPort(pkt, dstSock.addr); err != nil {
-			return 0, b.sockErr("send datagram", err).AddContext("token", tok).AddContext("host", dst)
+			return 0, 0, 0, b.sockErr("send frame", err).AddContext("token", tok).AddContext("host", dst)
 		}
 		dstSock.unread.n++
 		dstSock.unread.bytes += len(frag)
 	}
 	b.sent[tok] = dstSock
-
-	b.stats.Dgrams++
-	b.stats.DgramPackets += int64(nfrags)
-	b.stats.DgramBytes += int64(len(data))
-	return tok, nil
+	return tok, len(data), nfrags, nil
 }
 
-// RecvDgram implements netsim.Wire: read the destination socket (inside
-// AwaitExternal — virtual time is frozen) until the datagram identified by
-// token is complete, parking the other datagrams read on the way, then
-// decode it.
-func (b *Backend) RecvDgram(token uint64) (any, error) {
+// recv is the one frame receive path: read the destination socket until
+// the frame identified by token is complete, parking the other frames read
+// on the way. The returned bytes are valid until the next read or send.
+func (b *Backend) recv(token uint64) ([]byte, *errs.Error) {
 	if b.closed.Load() {
-		return nil, ErrShutdown
+		return nil, errs.New(CodeShutdown, "recv frame", ErrShutdown)
 	}
 	s, ok := b.sent[token]
 	if !ok {
-		return nil, errs.New(CodeUnknownToken, "recv datagram: token never sent or already redeemed", nil).AddContext("token", token)
+		return nil, errs.New(CodeUnknownToken, "recv frame: token never sent or already redeemed", nil).AddContext("token", token)
 	}
 	delete(b.sent, token)
 	data, ok := b.arrived[token]
@@ -333,11 +336,11 @@ func (b *Backend) RecvDgram(token uint64) (any, error) {
 			b.park(tok, d, inPkt)
 		}
 	}
-	return b.codec.Decode(data)
+	return data, nil
 }
 
-// drain reads every packet still unread on s, parking the datagrams they
-// complete for their RecvDgram.
+// drain reads every packet still unread on s, parking the frames they
+// complete for their receives.
 func (b *Backend) drain(s *hostSock) *errs.Error {
 	for s.unread.n > 0 {
 		tok, data, inPkt, done, err := b.readPacket(s)
@@ -351,25 +354,25 @@ func (b *Backend) drain(s *hostSock) *errs.Error {
 	return nil
 }
 
-// park keeps a complete datagram for the RecvDgram that redeems tok. One
-// still in the packet buffer is copied out first: the next read or send
+// park keeps a complete frame for the receive that redeems tok. One still
+// in the packet buffer is copied out first: the next read or send
 // overwrites it.
 func (b *Backend) park(tok uint64, data []byte, inPkt bool) {
 	if inPkt {
-		data = append([]byte(nil), data...) // lint:alloc parks a datagram read ahead of its RecvDgram
+		data = append([]byte(nil), data...) // lint:alloc parks a frame read ahead of its receive
 	}
 	b.arrived[tok] = data
 }
 
-// readPacket reads one packet off s. A fragment joins its datagram's
-// partial; done reports that the packet completed the datagram tok. A
-// single-fragment datagram's data is the packet buffer itself (inPkt), valid
-// until the next read or send; a reassembled one owns its storage.
+// readPacket reads one packet off s. A fragment joins its frame's partial;
+// done reports that the packet completed the frame tok. A single-fragment
+// frame's data is the packet buffer itself (inPkt), valid until the next
+// read or send; a reassembled one owns its storage.
 func (b *Backend) readPacket(s *hostSock) (tok uint64, data []byte, inPkt, done bool, _ *errs.Error) {
 	armDeadline(s.udp, &s.deadline)
 	n, err := s.udp.Read(b.pkt)
 	if err != nil {
-		return 0, nil, false, false, b.sockErr("recv datagram", err).AddContext("host", s.host)
+		return 0, nil, false, false, b.sockErr("recv frame", err).AddContext("host", s.host)
 	}
 	pkt := b.pkt[:n]
 	if n < dgramHeaderLen || binary.BigEndian.Uint32(pkt) != dgramMagic {
@@ -386,7 +389,7 @@ func (b *Backend) readPacket(s *hostSock) (tok uint64, data []byte, inPkt, done 
 	}
 	p := b.partials[tok]
 	if p == nil {
-		p = &partial{data: make([]byte, nfrags*maxChunk)} // lint:alloc reassembles a multi-fragment datagram
+		p = &partial{data: make([]byte, nfrags*maxChunk)} // lint:alloc reassembles a multi-fragment frame
 		b.partials[tok] = p
 	}
 	if idx >= nfrags || len(p.data) != nfrags*maxChunk {
@@ -417,12 +420,6 @@ func (b *Backend) Shutdown() {
 	}
 	for _, s := range b.hosts {
 		s.udp.Close()
-	}
-	if b.ln != nil {
-		b.ln.Close()
-	}
-	for s := range b.streams {
-		s.conn.Close()
 	}
 }
 

@@ -3,9 +3,12 @@ package netwire_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/netwire"
 	"pvmigrate/internal/sim"
@@ -107,8 +110,8 @@ func TestLoopbackDgramBypassesWire(t *testing.T) {
 	}
 }
 
-// Stream payloads ride a real TCP connection; every Send's bytes must come
-// back from the peer's Recv in order.
+// Stream payloads ride the destination host's socket; every Send's bytes
+// must come back from the peer's Recv in order.
 func TestStreamRoundTripOverWire(t *testing.T) {
 	k, n, b := wireNet(t)
 	l, err := n.Iface(1).Listen(9000)
@@ -232,5 +235,97 @@ func TestAppendEncodeExtendsDst(t *testing.T) {
 func TestCodecRejectsFunctions(t *testing.T) {
 	if _, err := (netwire.BinaryCodec{}).AppendEncode(nil, func() {}); err == nil {
 		t.Fatal("encoding a func payload should fail")
+	}
+}
+
+// dial listens on (host 1, port) and dials it from host 0, as netsim does.
+func dial(t *testing.T, b *netwire.Backend, port int) (client, server netsim.WireConn) {
+	t.Helper()
+	if err := b.Listen(1, port); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	c, s, err := b.Dial(0, 1, port)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	return c, s
+}
+
+// A frame sent toward an endpoint that is closed before its Recv is still
+// read off the destination host's socket and reported lost; the socket
+// stays in step, so the next datagram to that host decodes.
+func TestStreamFrameToClosedEndpointIsLost(t *testing.T) {
+	b := dgramHosts(t)
+	c, s := dial(t, b, 9000)
+	if err := c.Send(1, "in flight"); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	s.Close()
+	if v, err := s.Recv(1); !errs.Is(err, netwire.CodeStreamClosed) {
+		t.Fatalf("recv on closed endpoint = %v, %v; want %s", v, err, netwire.CodeStreamClosed)
+	}
+	tok, err := b.SendDgram(0, 701, 1, 700, "after")
+	if err != nil {
+		t.Fatalf("send datagram: %v", err)
+	}
+	if v, err := b.RecvDgram(tok); err != nil || v != "after" {
+		t.Fatalf("next datagram to the host = %v, %v; want \"after\"", v, err)
+	}
+}
+
+// Recv of a sequence number the peer never sent fails at once instead of
+// waiting out the wire timeout.
+func TestStreamRecvOfUnsentSeqFailsAtOnce(t *testing.T) {
+	c, s := dial(t, dgramHosts(t), 9000)
+	if err := c.Send(1, "sent"); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	start := time.Now()
+	if v, err := s.Recv(2); !errs.Is(err, netwire.CodeUnknownToken) {
+		t.Fatalf("recv of unsent seq = %v, %v; want %s", v, err, netwire.CodeUnknownToken)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("recv of unsent seq took %v, want an immediate failure", d)
+	}
+	if v, err := s.Recv(1); err != nil || v != "sent" {
+		t.Fatalf("recv of the sent frame = %v, %v; want \"sent\"", v, err)
+	}
+}
+
+// Datagrams and the frames of two streams toward one host share that
+// host's one socket. Redeemed in reverse send order (the first receive
+// parks everything sent before its frame), every one decodes to its own
+// payload.
+func TestFramesShareHostSocket(t *testing.T) {
+	b := dgramHosts(t)
+	c1, s1 := dial(t, b, 9000)
+	c2, s2 := dial(t, b, 9001)
+	type frame struct {
+		want string
+		recv func() (any, error)
+	}
+	var frames []frame
+	for i := 0; i < 20; i++ {
+		seq, want := uint64(i), fmt.Sprintf("dgram %d", i)
+		tok, err := b.SendDgram(0, 701, 1, 700, want)
+		if err != nil {
+			t.Fatalf("send %q: %v", want, err)
+		}
+		frames = append(frames, frame{want, func() (any, error) { return b.RecvDgram(tok) }})
+		for j, ep := range [][2]netsim.WireConn{{c1, s1}, {c2, s2}} {
+			want := fmt.Sprintf("stream %d frame %d", j, i)
+			if err := ep[0].Send(seq, want); err != nil {
+				t.Fatalf("send %q: %v", want, err)
+			}
+			frames = append(frames, frame{want, func() (any, error) { return ep[1].Recv(seq) }})
+		}
+	}
+	for i := len(frames) - 1; i >= 0; i-- {
+		if v, err := frames[i].recv(); err != nil || v != frames[i].want {
+			t.Fatalf("receive of %q = %v, %v", frames[i].want, v, err)
+		}
+	}
+	if st := b.Stats(); st.Dgrams != 20 || st.DgramPackets != 20 || st.Streams != 2 || st.StreamFrames != 40 {
+		t.Errorf("stats = %+v, want 20 datagrams in 20 packets and 2 streams of 40 frames", st)
 	}
 }

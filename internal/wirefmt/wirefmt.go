@@ -100,9 +100,9 @@ const Version = 1
 // HeaderLen is the fixed frame header size.
 const HeaderLen = 9
 
-// MaxBody caps a frame's body length, mirroring netwire's maxFrame: a
-// larger claim in a header is corruption, not a legitimate message, and is
-// rejected before any allocation.
+// MaxBody caps a frame's body length: a larger claim in a header is
+// corruption, not a legitimate message, and is rejected before any
+// allocation.
 const MaxBody = 64 << 20
 
 // maxDepth bounds recursion through nested values (buffers nest buffers);
@@ -536,27 +536,30 @@ func (r *Reader) decodeTag(tag Tag) (any, error) {
 	return v, err
 }
 
+// decodeBody decodes one tag's body. The scalar, string and slice cases box
+// the decoded value into the result interface: that value is what the
+// receiver keeps.
 func (r *Reader) decodeBody(tag Tag) (any, error) {
 	switch tag {
 	case TagNil:
 		return nil, nil
 	case TagBool:
-		return r.Bool()
+		return r.Bool() // lint:alloc decoded result, boxed for the receiver (a bool's box is static)
 	case TagInt:
-		return r.Int()
+		return r.Int() // lint:alloc decoded result, boxed for the receiver
 	case TagInt64:
-		return r.Int64()
+		return r.Int64() // lint:alloc decoded result, boxed for the receiver
 	case TagFloat64:
-		return r.Float64()
+		return r.Float64() // lint:alloc decoded result, boxed for the receiver
 	case TagString:
-		return r.String()
+		return r.String() // lint:alloc decoded result, boxed for the receiver
 	case TagBytes:
 		b, err := r.Bytes()
 		return bytes.Clone(b), err // lint:alloc decoded result: the receiver keeps its own copy of the frame's bytes
 	case TagInts:
-		return r.Ints()
+		return r.Ints() // lint:alloc decoded result, boxed for the receiver
 	case TagFloat64s:
-		return r.Float64s()
+		return r.Float64s() // lint:alloc decoded result, boxed for the receiver
 	}
 	e := byTag[tag]
 	if e == nil {
