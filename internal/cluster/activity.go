@@ -52,7 +52,7 @@ func (a *OwnerActivity) scheduleDeparture() {
 // host — the "excessively high machine load" migration trigger.
 type BackgroundLoad struct {
 	host    *Host
-	handles []*LoadHandle
+	handles []LoadHandle
 }
 
 // NewBackgroundLoad returns a load controller for h with zero jobs.

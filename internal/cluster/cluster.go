@@ -39,7 +39,7 @@ type Host struct {
 
 	memUsedMB   int
 	ownerActive bool
-	ownerLoad   *LoadHandle
+	ownerLoad   LoadHandle // the owner's CPU load while present and up
 	down        bool
 	dead        bool
 }
@@ -184,9 +184,8 @@ func (h *Host) SetOwnerActive(active bool) {
 	h.ownerActive = active
 	if active {
 		h.ownerLoad = h.cpu.AddLoad()
-	} else if h.ownerLoad != nil {
+	} else {
 		h.ownerLoad.Remove()
-		h.ownerLoad = nil
 	}
 	h.notify(OwnerChanged)
 }
@@ -233,10 +232,7 @@ func (h *Host) Fail() {
 	}
 	h.down = true
 	h.memUsedMB = 0
-	if h.ownerLoad != nil {
-		h.ownerLoad.Remove()
-		h.ownerLoad = nil
-	}
+	h.ownerLoad.Remove()
 	h.cluster.net.SetHostDown(h.id, true)
 	h.notify(AvailChanged)
 }
@@ -251,7 +247,7 @@ func (h *Host) Recover() {
 	}
 	h.down = false
 	h.cluster.net.SetHostDown(h.id, false)
-	if h.ownerActive && h.ownerLoad == nil {
+	if h.ownerActive && h.ownerLoad == (LoadHandle{}) {
 		h.ownerLoad = h.cpu.AddLoad()
 	}
 	h.notify(AvailChanged)

@@ -285,3 +285,25 @@ func TestHostsShareOneNetwork(t *testing.T) {
 		t.Fatal("cross-host dial failed")
 	}
 }
+
+// An owner arriving and leaving allocates nothing once warm: the owner's
+// load job comes off the CPU's free list and its handle is a value. The
+// watchers still hear every change.
+func TestOwnerToggleZeroAlloc(t *testing.T) {
+	k := sim.NewKernel()
+	c := twoHosts(k)
+	h := c.Host(0)
+	changes := 0
+	c.Watch(func(*Host, Change) { changes++ })
+	toggle := func() {
+		h.SetOwnerActive(true)
+		h.SetOwnerActive(false)
+	}
+	toggle() // the first departure puts the owner's job on the free list
+	if n := testing.AllocsPerRun(100, toggle); n != 0 {
+		t.Errorf("an owner arrival and departure allocate %v times, want 0", n)
+	}
+	if h.LoadAverage() != 0 || changes == 0 {
+		t.Errorf("after the toggles: load %d, %d changes heard; want 0 and some", h.LoadAverage(), changes)
+	}
+}

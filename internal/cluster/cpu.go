@@ -24,7 +24,7 @@ type CPU struct {
 	// in that order, so jobs finishing at one instant wake in the order
 	// they were admitted and totalDone sums in the same order on every run.
 	jobs       []*cpuJob
-	free       []*cpuJob // finished Compute jobs, recycled by newJob
+	free       []*cpuJob // finished Compute jobs and removed loads, recycled by newJob
 	onComplete func()    // c.onCompletion, bound once
 	lastUpdate sim.Time
 	completion sim.Timer
@@ -35,13 +35,16 @@ type CPU struct {
 type cpuJob struct {
 	remaining float64 // math.Inf(1) for pure load jobs
 	done      bool
+	gen       uint32   // bumped by release: a LoadHandle from an earlier life is stale
 	doneCond  sim.Cond // unused by load jobs
 }
 
-// LoadHandle identifies a background load job added with AddLoad.
+// LoadHandle identifies a background load job added with AddLoad. The
+// zero value holds no job.
 type LoadHandle struct {
 	cpu *CPU
 	job *cpuJob
+	gen uint32 // job.gen when AddLoad admitted it
 }
 
 // NewCPU creates a processor with the given speed in work units per second.
@@ -82,13 +85,23 @@ func (c *CPU) newJob(work float64) *cpuJob {
 	return j
 }
 
+// release returns a job no one will look at again to the free list.
+func (c *CPU) release(j *cpuJob) {
+	j.gen++
+	c.free = append(c.free, j)
+}
+
 // withdraw takes j out of the run queue, keeping the others in admission
-// order. A job that already completed is no longer queued; that is a no-op.
-func (c *CPU) withdraw(j *cpuJob) {
-	if i := slices.Index(c.jobs, j); i >= 0 {
-		c.jobs = slices.Delete(c.jobs, i, i+1)
-		c.runqChanged()
+// order, and reports whether it was queued. A job that already completed
+// is no longer queued; that is a no-op.
+func (c *CPU) withdraw(j *cpuJob) bool {
+	i := slices.Index(c.jobs, j)
+	if i < 0 {
+		return false
 	}
+	c.jobs = slices.Delete(c.jobs, i, i+1)
+	c.runqChanged()
+	return true
 }
 
 // runqChanged tells the host's watchers that ActiveJobs moved.
@@ -217,28 +230,35 @@ func (c *CPU) Compute(p *sim.Proc, work float64) (remaining float64, err error) 
 		remaining = j.remaining
 	}
 	// Only this proc ever waited on j, and it is past its last look at it.
-	c.free = append(c.free, j)
+	c.release(j)
 	return remaining, err
 }
 
 // AddLoad adds one background compute job that never finishes, degrading
 // the rate available to application jobs. It returns a handle for removal.
-func (c *CPU) AddLoad() *LoadHandle {
+func (c *CPU) AddLoad() LoadHandle {
 	c.advance()
-	j := &cpuJob{remaining: math.Inf(1)}
+	j := c.newJob(math.Inf(1))
 	c.jobs = append(c.jobs, j)
 	c.reschedule()
 	c.runqChanged()
-	return &LoadHandle{cpu: c, job: j}
+	return LoadHandle{cpu: c, job: j, gen: j.gen}
 }
 
-// Remove withdraws the background load job. Removing twice is a no-op.
+// Remove withdraws the background load job and recycles it. Removing
+// twice, through this handle or a copy of it, is a no-op: the job returns
+// to the free list only if it was still queued, and a copy whose job has
+// since been recycled no longer matches its generation. Remove leaves h
+// the zero handle.
 func (h *LoadHandle) Remove() {
-	if h.job == nil {
+	c, j, gen := h.cpu, h.job, h.gen
+	*h = LoadHandle{}
+	if j == nil || j.gen != gen {
 		return
 	}
-	h.cpu.advance()
-	h.cpu.withdraw(h.job)
-	h.job = nil
-	h.cpu.reschedule()
+	c.advance()
+	if c.withdraw(j) {
+		c.release(j)
+	}
+	c.reschedule()
 }

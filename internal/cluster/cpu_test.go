@@ -210,3 +210,27 @@ func TestPropEqualSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A copy of a load handle removed after the original cannot withdraw the
+// load the CPU recycled its job into, nor put that job on the free list
+// twice.
+func TestStaleLoadHandleRemoveIsNoOp(t *testing.T) {
+	k := sim.NewKernel()
+	cpu := NewCPU(k, 1e6)
+	a := cpu.AddLoad()
+	stale, j := a, a.job
+	a.Remove()
+	b := cpu.AddLoad()
+	if b.job != j {
+		t.Fatal("AddLoad did not recycle the removed load's job")
+	}
+	stale.Remove()
+	if cpu.ActiveJobs() != 1 {
+		t.Fatalf("a stale handle's Remove left %d jobs, want the recycled load", cpu.ActiveJobs())
+	}
+	b.Remove()
+	stale.Remove()
+	if cpu.ActiveJobs() != 0 || len(cpu.free) != 1 {
+		t.Fatalf("after removal: %d jobs and %d free, want 0 and the one job once", cpu.ActiveJobs(), len(cpu.free))
+	}
+}

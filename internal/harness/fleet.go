@@ -154,14 +154,22 @@ func RunFleet(sc FleetScenario) *FleetOutcome {
 	}
 
 	// Owner-reclaim storm: seeded arrivals across the run, each owner
-	// departing StormDwell later.
+	// departing StormDwell later. A host's arrival and departure are bound
+	// once, at its first storm, and scheduled for every storm after.
 	hosts := w.Cluster.Hosts()
+	arrive := make([]func(), len(hosts))
+	leave := make([]func(), len(hosts))
 	span := int64(sc.Duration)
 	for i := 0; i < sc.Storms; i++ {
 		at := sim.Time(1 + rng.Uint64()%uint64(span))
 		h := rng.Intn(sc.Hosts)
-		w.K.ScheduleAt(at, func() { hosts[h].SetOwnerActive(true) })
-		w.K.ScheduleAt(at+sc.StormDwell, func() { hosts[h].SetOwnerActive(false) })
+		if arrive[h] == nil {
+			host := hosts[h]
+			arrive[h] = func() { host.SetOwnerActive(true) }
+			leave[h] = func() { host.SetOwnerActive(false) }
+		}
+		w.K.ScheduleAt(at, arrive[h])
+		w.K.ScheduleAt(at+sc.StormDwell, leave[h])
 	}
 
 	fleet.Start()

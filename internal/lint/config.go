@@ -14,13 +14,13 @@ type Config struct {
 	// WallClockAllow exempts packages from nowallclock: the sim kernel
 	// itself (it owns virtual time and may consult nothing else, but its
 	// tests time out against the real clock), internal/netwire (its
-	// socket deadlines bound the kernel goroutine's own reads and writes,
-	// made inside AwaitExternal, against lost bytes; they can never
-	// influence virtual time) and internal/serve (the daemon's
-	// pacer ticks on the wall clock, but each tick only enters the kernel
-	// as a journaled advance command, so replay never consults real
-	// time) — cmd/ and examples/ entry points are outside SimDriven
-	// already.
+	// socket calls, made inside AwaitExternal, are bounded against lost
+	// bytes by socket timeouts, and a call that signals keep interrupting
+	// gives up by the wall clock; neither can influence virtual time) and
+	// internal/serve (the daemon's pacer ticks on the wall clock, but each
+	// tick only enters the kernel as a journaled advance command, so
+	// replay never consults real time) — cmd/ and examples/ entry points
+	// are outside SimDriven already.
 	WallClockAllow []string
 
 	// EffectCalls maps a callee package path to the function/method names
@@ -150,11 +150,14 @@ func DefaultConfig() *Config {
 			"pvmigrate/internal/adm": {
 				"Shard.NextChunk", "Shard.MarkRange", "Shard.Processed", "Shard.Reset",
 			},
-			// The processor-sharing CPU under every simulated task: what
-			// TestComputeWarmZeroAlloc asserts (a free-list miss is the one
+			// The processor-sharing CPU under every simulated task, and an
+			// owner's arrival and departure, whose load job comes off the
+			// same free list: what TestComputeWarmZeroAlloc and
+			// TestOwnerToggleZeroAlloc assert (a free-list miss is the one
 			// audited site).
 			"pvmigrate/internal/cluster": {
 				"CPU.Compute", "CPU.advance", "CPU.reschedule", "CPU.onCompletion",
+				"Host.SetOwnerActive",
 			},
 			// The fleet scheduler's steady-state planning paths: what
 			// TestFleetSteadyStateTickZeroAlloc asserts. Actuation
@@ -190,15 +193,18 @@ func DefaultConfig() *Config {
 			},
 			// The datagram and stream send and receive paths, one UDP
 			// frame path underneath: what TestStreamFrameZeroAlloc and
-			// TestDgramZeroAlloc assert for a nil payload. A socket
-			// deadline is re-armed only once half of it has run out; a
-			// frame is read into the packet buffer and decoded in place.
-			// The audited allocations are the copies of frames parked for
-			// a later receive (read out of order, or drained past the
-			// backlog bound) and multi-fragment reassembly.
+			// TestDgramZeroAlloc assert for a nil payload. The socket
+			// timeouts are set once at bind, so a frame costs no deadline
+			// call; a frame is read into the packet buffer and decoded in
+			// place. The audited allocations are the copies of frames
+			// parked for a later receive (read out of order, or drained
+			// past the backlog bound) and multi-fragment reassembly. The
+			// two socket calls restart makes through func values are
+			// rooted by name.
 			"pvmigrate/internal/netwire": {
 				"Backend.SendDgram", "stream.Send",
 				"Backend.RecvDgram", "stream.Recv",
+				"sendto", "read",
 			},
 			// The simulated message hop: what TestDgramHopZeroAlloc,
 			// TestConnSendZeroAlloc and pvm's TestCrossHostMessageAllocs
@@ -242,6 +248,11 @@ func DefaultConfig() *Config {
 			"pvmigrate/internal/netsim": {
 				"delivery.sendWire", "delivery.recvWire",
 			},
+			// netwire's restart makes its two socket calls through these
+			// func values (so its test can substitute a fake); each runs
+			// only inside restart, under the AwaitExternal of a frame's
+			// send or delivery.
+			"pvmigrate/internal/netwire": {"sendto", "read"},
 		},
 		BridgeAllow: []string{
 			// The linter itself: host tooling that shells out to `go list`

@@ -272,22 +272,31 @@ func checkAllocs(fi *FuncInfo, why string, exempt []string, report func(token.Po
 				diag(n.Pos(), "concatenates strings, which allocates the result")
 			}
 			if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
-				for i, rhs := range n.Rhs {
-					if len(n.Lhs) != len(n.Rhs) {
-						break
-					}
-					var lt types.Type
+				lhsType := func(i int) types.Type {
 					if n.Tok == token.ASSIGN {
 						if t, ok := info.Types[n.Lhs[i]]; ok {
-							lt = t.Type
+							return t.Type
 						}
 					} else if id, ok := n.Lhs[i].(*ast.Ident); ok {
 						if obj := info.Defs[id]; obj != nil {
-							lt = obj.Type()
+							return obj.Type()
 						}
 					}
-					if boxes(info, rhs, lt) {
-						diag(rhs.Pos(), "converts a value to an interface, which heap-allocates the value")
+					return nil
+				}
+				if len(n.Lhs) == len(n.Rhs) {
+					for i, rhs := range n.Rhs {
+						if boxes(info, rhs, lhsType(i)) {
+							diag(rhs.Pos(), "converts a value to an interface, which heap-allocates the value")
+						}
+					}
+				} else if tuple, ok := info.TypeOf(n.Rhs[0]).(*types.Tuple); ok && tuple.Len() == len(n.Lhs) {
+					// `v, err = f()`: each of f's results is assigned to
+					// the left-hand side in the same position.
+					for i := 0; i < tuple.Len(); i++ {
+						if boxesType(tuple.At(i).Type(), lhsType(i)) {
+							diag(n.Rhs[0].Pos(), "converts an assigned call result to an interface, which heap-allocates it")
+						}
 					}
 				}
 			}
@@ -404,13 +413,14 @@ func checkCallAlloc(info *types.Info, call *ast.CallExpr, sanctioned map[*ast.Ca
 // concrete multi-word or heap-shy value into an interface — the boxing a
 // capacity-preserving buffer rewrite cannot avoid. Pointers, channels, maps
 // and funcs fit the interface word directly; nil and zero-size values never
-// allocate; interface-to-interface assignment copies the word pair.
+// allocate; interface-to-interface assignment copies the word pair; a
+// constant is boxed from read-only data the compiler emits for it.
 func boxes(info *types.Info, arg ast.Expr, t types.Type) bool {
 	if arg == nil {
 		return false
 	}
 	tv, ok := info.Types[arg]
-	return ok && !tv.IsNil() && boxesType(tv.Type, t)
+	return ok && !tv.IsNil() && tv.Value == nil && boxesType(tv.Type, t)
 }
 
 // boxesType is boxes for a value of type from, known not to be nil.

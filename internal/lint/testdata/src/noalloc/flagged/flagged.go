@@ -28,6 +28,11 @@ func Hot(r *ring, n int) {
 	record(l, frame{seq: n})
 	_, _ = boxedPair(n)
 	_, _ = passPair(n)
+	var v any
+	var err error
+	v, err = pair(n) // want `Hot is on a zero-alloc hot path .* but converts an assigned call result to an interface`
+	_, _ = v, err
+	_ = timeout()
 }
 
 func grow(r *ring, n int) {
@@ -51,6 +56,15 @@ func record(l logger, f frame) {
 func pair(n int) (frame, error) { return frame{seq: n}, nil }
 
 func anyPair(n int) (any, error) { return nil, nil }
+
+type errno uintptr
+
+func (errno) Error() string { return "errno" }
+
+const eagain errno = 11
+
+// A constant is boxed from read-only data: silent.
+func timeout() error { return eagain }
 
 // A multi-value `return f()` assigns each of f's results to the enclosing
 // function's result in the same position: a concrete one boxes.

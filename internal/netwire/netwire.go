@@ -24,29 +24,35 @@
 // asks for it later. Nothing here starts a goroutine, takes a lock or
 // waits on a channel; Shutdown may run on another goroutine once the
 // kernel has stopped, and only flips an atomic flag and closes sockets.
-// netwire is allowlisted in internal/lint.Config.WallClockAllow for its
-// socket deadlines, which bound each of the kernel goroutine's own reads
-// and writes against lost bytes.
+//
+// Each host's socket is a raw, blocking file descriptor made with package
+// syscall, never registered with the Go runtime's netpoller. The kernel
+// goroutine never waits for a socket to become ready: it reads a frame only
+// after writing it, so the bytes are already queued. A netpoller-registered
+// socket would still wake the thread parked in the poller for every packet
+// that lands, a cross-CPU wakeup per frame that the simulation never asked
+// for. Every read and write is bounded by the socket's SO_RCVTIMEO and
+// SO_SNDTIMEO, set to wireTimeout once at bind; netwire is allowlisted in
+// internal/lint.Config.WallClockAllow for the one wall-clock read that
+// bounds a call retried after signals (restart).
 package netwire
 
 import (
 	"encoding/binary"
-	"errors"
-	"net"
-	"net/netip"
-	"os"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/netsim"
 )
 
-// wireTimeout bounds every blocking socket operation. The simulation is
-// correct only if every frame written is eventually read back, so a wait
-// this long means bytes were truly lost (or a bug desynchronized send and
-// receive bookkeeping); the bounded wait turns that hang into an error the
-// caller can surface. Loopback sockets make 30s effectively infinite.
+// wireTimeout bounds every blocking socket operation (SO_RCVTIMEO and
+// SO_SNDTIMEO). The simulation is correct only if every frame written is
+// eventually read back, so a wait this long means bytes were truly lost
+// (or a bug desynchronized send and receive bookkeeping); the bounded wait
+// turns that hang into an error the caller can surface. Loopback sockets
+// make 30s effectively infinite.
 const wireTimeout = 30 * time.Second
 
 // maxChunk is the datagram fragment payload size. Loopback UDP carries
@@ -76,7 +82,7 @@ const (
 const (
 	// CodeShutdown: the backend was shut down.
 	CodeShutdown errs.Code = "wire.shutdown"
-	// CodeTimeout: a socket operation outlived its deadline.
+	// CodeTimeout: a socket operation outlived wireTimeout.
 	CodeTimeout errs.Code = "wire.timeout"
 	// CodeStreamClosed: a stream endpoint was closed before the send, or
 	// before the frame's receive.
@@ -133,11 +139,10 @@ type Backend struct {
 }
 
 type hostSock struct {
-	host     netsim.HostID
-	udp      *net.UDPConn
-	addr     netip.AddrPort // WriteToUDPAddrPort avoids the per-write sockaddr allocation
-	deadline time.Time
-	unread   backlog
+	host   netsim.HostID
+	fd     int
+	sa     syscall.SockaddrInet4 // the socket's own address, where a send toward the host goes
+	unread backlog
 }
 
 // backlog counts what has been written toward a socket and not yet read.
@@ -174,28 +179,51 @@ func NewWithCodec(c WireCodec) *Backend {
 	}
 }
 
-// armDeadline keeps c's read/write deadline at least wireTimeout/2 away,
-// re-arming it to wireTimeout only when less than half remains: every
-// blocking operation on c is bounded by between 15 s and 30 s without a
-// SetDeadline call per frame.
-func armDeadline(c net.Conn, d *time.Time) {
-	now := time.Now()
-	if d.Sub(now) < wireTimeout/2 {
-		*d = now.Add(wireTimeout)
-		_ = c.SetDeadline(*d)
-	}
-}
-
 // sockErr classifies a failed socket operation at stage: a socket closed
-// by Shutdown, an expired deadline, or plain I/O failure.
+// by Shutdown, a call that outlived its socket timeout (EAGAIN), or plain
+// I/O failure.
 func (b *Backend) sockErr(stage string, err error) *errs.Error {
 	switch {
 	case b.closed.Load():
 		return errs.New(CodeShutdown, stage, ErrShutdown)
-	case errors.Is(err, os.ErrDeadlineExceeded): // lint:alloc error path, classifies a socket failure
+	case err == syscall.EAGAIN || err == syscall.EWOULDBLOCK:
 		return errs.New(CodeTimeout, stage, ErrTimeout)
 	}
 	return errs.New(CodeIO, stage, err)
+}
+
+// sockCall is one socket call on fd with the packet buffer pkt: sendto,
+// toward to, or read.
+type sockCall func(fd int, pkt []byte, to *syscall.SockaddrInet4) (int, error)
+
+func sendto(fd int, pkt []byte, to *syscall.SockaddrInet4) (int, error) {
+	return len(pkt), syscall.Sendto(fd, pkt, 0, to)
+}
+
+func read(fd int, pkt []byte, _ *syscall.SockaddrInet4) (int, error) {
+	return syscall.Read(fd, pkt)
+}
+
+// restart makes call, and makes it again while a signal interrupts it: a
+// call on a socket with SO_RCVTIMEO or SO_SNDTIMEO set fails with EINTR
+// when a signal handler runs, even one installed with SA_RESTART, as the Go
+// runtime installs its own (signal(7)). Once wireTimeout has passed since
+// the first interruption it gives up with EAGAIN, the timeout, so a steady
+// stream of signals cannot stretch a wait without bound. Only an
+// interrupted call reads the wall clock.
+func restart(call sockCall, fd int, pkt []byte, to *syscall.SockaddrInet4) (int, error) {
+	var first time.Time
+	for {
+		n, err := call(fd, pkt, to)
+		if err != syscall.EINTR {
+			return n, err
+		}
+		if first.IsZero() {
+			first = time.Now()
+		} else if time.Since(first) >= wireTimeout {
+			return 0, syscall.EAGAIN
+		}
+	}
 }
 
 // AttachHost implements netsim.Wire: it binds the host's loopback UDP
@@ -216,18 +244,53 @@ func (b *Backend) host(h netsim.HostID) (*hostSock, error) {
 	if s, ok := b.hosts[h]; ok {
 		return s, nil
 	}
-	// lint:alloc first-use socket bind, once per host; steady-state sends hit the cache above
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
+	s, err := bind(h)
 	if err != nil {
 		return nil, errs.New(CodeIO, "bind datagram socket", err).AddContext("host", h)
 	}
+	b.hosts[h] = s
+	return s, nil
+}
+
+// bind opens host h's socket: blocking UDP on 127.0.0.1 at a port the
+// kernel picks, close-on-exec, with every read and write bounded by
+// wireTimeout. CloseOnExec runs under syscall.ForkLock, as package net
+// does where SOCK_CLOEXEC is missing (darwin), so a concurrent fork+exec
+// cannot inherit the descriptor.
+func bind(h netsim.HostID) (*hostSock, error) {
+	syscall.ForkLock.RLock()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM, syscall.IPPROTO_UDP)
+	if err == nil {
+		syscall.CloseOnExec(fd)
+	}
+	syscall.ForkLock.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	// lint:alloc first-use socket bind, once per host; steady-state sends hit the cache in host
+	s := &hostSock{host: h, fd: fd, sa: syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}}
 	// A large kernel buffer keeps loopback loss out of the picture between
 	// the kernel goroutine's reads; the backlog bounds cap what it holds.
-	_ = conn.SetReadBuffer(8 << 20)
-	_ = conn.SetWriteBuffer(8 << 20)
-	// lint:alloc first-use socket bind, once per host; steady-state sends hit the cache above
-	s := &hostSock{host: h, udp: conn, addr: conn.LocalAddr().(*net.UDPAddr).AddrPort()}
-	b.hosts[h] = s
+	// The kernel clamps the size to its own limit instead of failing.
+	_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF, 8<<20)
+	_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_SNDBUF, 8<<20)
+	tv := syscall.NsecToTimeval(int64(wireTimeout))
+	err = syscall.SetsockoptTimeval(fd, syscall.SOL_SOCKET, syscall.SO_RCVTIMEO, &tv)
+	if err == nil {
+		err = syscall.SetsockoptTimeval(fd, syscall.SOL_SOCKET, syscall.SO_SNDTIMEO, &tv)
+	}
+	if err == nil {
+		err = syscall.Bind(fd, &s.sa)
+	}
+	var sa syscall.Sockaddr
+	if err == nil {
+		sa, err = syscall.Getsockname(fd)
+	}
+	if err != nil {
+		syscall.Close(fd)
+		return nil, err
+	}
+	s.sa.Port = sa.(*syscall.SockaddrInet4).Port
 	return s, nil
 }
 
@@ -262,7 +325,7 @@ func (b *Backend) RecvDgram(token uint64) (any, error) {
 // is reached. It returns the frame's token, its encoded length and the
 // packets it took. Steady state this path performs no allocations: the
 // codec appends into retained scratch, the packet buffer is fixed-size,
-// and the AddrPort write needs no sockaddr conversion.
+// and the destination's sockaddr lives in its hostSock.
 func (b *Backend) send(src, dst netsim.HostID, payload any) (tok uint64, n, nfrags int, err error) {
 	data, err := b.codec.AppendEncode(b.encScratch[:0], payload)
 	if err != nil {
@@ -287,7 +350,6 @@ func (b *Backend) send(src, dst netsim.HostID, payload any) (tok uint64, n, nfra
 	if nfrags == 0 {
 		nfrags = 1 // zero-byte payloads still travel as one packet
 	}
-	armDeadline(srcSock.udp, &srcSock.deadline)
 	for i := 0; i < nfrags; i++ {
 		frag := data[i*maxChunk : min(len(data), (i+1)*maxChunk)]
 		if dstSock.unread.full(len(frag)) {
@@ -301,7 +363,7 @@ func (b *Backend) send(src, dst netsim.HostID, payload any) (tok uint64, n, nfra
 		binary.BigEndian.PutUint16(pkt[12:], uint16(i))
 		binary.BigEndian.PutUint16(pkt[14:], uint16(nfrags))
 		copy(pkt[dgramHeaderLen:], frag)
-		if _, err := srcSock.udp.WriteToUDPAddrPort(pkt, dstSock.addr); err != nil {
+		if _, err := restart(sendto, srcSock.fd, pkt, &dstSock.sa); err != nil {
 			return 0, 0, 0, b.sockErr("send frame", err).AddContext("token", tok).AddContext("host", dst)
 		}
 		dstSock.unread.n++
@@ -369,8 +431,7 @@ func (b *Backend) park(tok uint64, data []byte, inPkt bool) {
 // frame's data is the packet buffer itself (inPkt), valid until the next
 // read or send; a reassembled one owns its storage.
 func (b *Backend) readPacket(s *hostSock) (tok uint64, data []byte, inPkt, done bool, _ *errs.Error) {
-	armDeadline(s.udp, &s.deadline)
-	n, err := s.udp.Read(b.pkt)
+	n, err := restart(read, s.fd, b.pkt, nil)
 	if err != nil {
 		return 0, nil, false, false, b.sockErr("recv frame", err).AddContext("host", s.host)
 	}
@@ -419,7 +480,7 @@ func (b *Backend) Shutdown() {
 		return
 	}
 	for _, s := range b.hosts {
-		s.udp.Close()
+		syscall.Close(s.fd)
 	}
 }
 
