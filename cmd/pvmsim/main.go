@@ -50,7 +50,7 @@ func main() {
 	outage := flag.Duration("outage", 0, "ft: revive each crashed host after this long (0 = stay down)")
 	crashFrom := flag.Duration("crash-from", 0, "ft: earliest crash time (default 5s)")
 	crashTo := flag.Duration("crash-to", 0, "ft: latest crash time (default 30s; short runs may finish before crashes land)")
-	wire := flag.Bool("wire", false, "carry every cross-host payload over real loopback sockets (internal/netwire); timing stays the simulated cost model's")
+	wire := flag.Bool("wire", false, "carry every cross-host payload over real kernel sockets (internal/netwire); timing stays the simulated cost model's")
 	vps := flag.Int("vps", 0, "fleet: work-unit count (default 100000)")
 	shards := flag.Int("shards", 0, "fleet: scheduler shard count (default 8; 1 = centralized)")
 	duration := flag.Duration("duration", 0, "fleet: simulated run length (default 10m)")

@@ -38,7 +38,7 @@ func main() {
 	journal := flag.String("journal", "", "write the write-ahead command journal to this file (must not already exist)")
 	tickWall := flag.Duration("tick-wall", 0, "pacer: wall-clock period between automatic advances (0 = client-driven time)")
 	tickVirtual := flag.Duration("tick-virtual", 100*time.Millisecond, "pacer: virtual time per tick")
-	wire := flag.Bool("wire", false, "carry cross-host payloads over real loopback sockets (internal/netwire)")
+	wire := flag.Bool("wire", false, "carry cross-host payloads over real kernel sockets (internal/netwire)")
 	replay := flag.String("replay", "", "replay this journal headlessly, print the fingerprint, and exit")
 	flag.Parse()
 

@@ -13,11 +13,7 @@ type Config struct {
 
 	// WallClockAllow exempts packages from nowallclock: the sim kernel
 	// itself (it owns virtual time and may consult nothing else, but its
-	// tests time out against the real clock), internal/netwire (its
-	// socket calls, made inside AwaitExternal, are bounded against lost
-	// bytes by socket timeouts, and a call that signals keep interrupting
-	// gives up by the wall clock; neither can influence virtual time) and
-	// internal/serve (the daemon's pacer ticks on the wall clock, but each
+	// tests time out against the real clock) and internal/serve (the daemon's pacer ticks on the wall clock, but each
 	// tick only enters the kernel as a journaled advance command, so
 	// replay never consults real time) — cmd/ and examples/ entry points
 	// are outside SimDriven already.
@@ -92,7 +88,6 @@ func DefaultConfig() *Config {
 		},
 		WallClockAllow: []string{
 			"pvmigrate/internal/sim",
-			"pvmigrate/internal/netwire",
 			"pvmigrate/internal/serve",
 		},
 		EffectCalls: map[string][]string{
@@ -191,20 +186,20 @@ func DefaultConfig() *Config {
 				"Reader.Int64", "Reader.Int", "Reader.Float64",
 				"Reader.Bytes", "Reader.Remaining", "Reader.CheckClaim",
 			},
-			// The datagram and stream send and receive paths, one UDP
-			// frame path underneath: what TestStreamFrameZeroAlloc and
-			// TestDgramZeroAlloc assert for a nil payload. The socket
-			// timeouts are set once at bind, so a frame costs no deadline
-			// call; a frame is read into the packet buffer and decoded in
-			// place. The audited allocations are the copies of frames
-			// parked for a later receive (read out of order, or drained
-			// past the backlog bound) and multi-fragment reassembly. The
-			// two socket calls restart makes through func values are
-			// rooted by name.
+			// The datagram and stream send and receive paths, one frame
+			// path into each host's datagram pair underneath: what
+			// TestStreamFrameZeroAlloc and TestDgramZeroAlloc assert for a
+			// nil payload. A frame is one non-blocking write per packet
+			// and one read, into the packet buffer where it is decoded in
+			// place. The audited allocations are a host's pair, made on
+			// first use, the copies of frames parked for a later receive
+			// (read out of order, or drained past the backlog bound or a
+			// full pair) and multi-fragment reassembly. The two socket
+			// calls restart makes through func values are rooted by name.
 			"pvmigrate/internal/netwire": {
 				"Backend.SendDgram", "stream.Send",
 				"Backend.RecvDgram", "stream.Recv",
-				"sendto", "read",
+				"write", "read",
 			},
 			// The simulated message hop: what TestDgramHopZeroAlloc,
 			// TestConnSendZeroAlloc and pvm's TestCrossHostMessageAllocs
@@ -252,7 +247,7 @@ func DefaultConfig() *Config {
 			// func values (so its test can substitute a fake); each runs
 			// only inside restart, under the AwaitExternal of a frame's
 			// send or delivery.
-			"pvmigrate/internal/netwire": {"sendto", "read"},
+			"pvmigrate/internal/netwire": {"write", "read"},
 		},
 		BridgeAllow: []string{
 			// The linter itself: host tooling that shells out to `go list`

@@ -3,8 +3,8 @@ package netsim
 // Wire is the pluggable real-transport backend behind Iface. When
 // Params.Wire is non-nil, every cross-host frame additionally rides a real
 // OS-level transport (internal/netwire carries datagrams and stream
-// segments alike to the destination host's one loopback UDP socket): the
-// payload is marshalled, written to a kernel socket, read back, and
+// segments alike into the destination host's one AF_UNIX datagram pair):
+// the payload is marshalled, written to a kernel socket, read back, and
 // unmarshalled, and the *decoded* copy is what the receiver sees. Timing is untouched — the
 // netsim link model still books every frame's wire time and the sim kernel
 // remains the only clock (it pauses via sim.Kernel.AwaitExternal until the
@@ -44,7 +44,7 @@ package netsim
 // the backend exists.
 type Wire interface {
 	// AttachHost readies the backend for traffic to and from host h
-	// (netwire binds the host's UDP socket here).
+	// (netwire makes the host's datagram pair here).
 	AttachHost(h HostID)
 	// SendDgram ships one datagram payload and returns the token that
 	// redeems it. The error is a marshal failure (netsim panics on it).

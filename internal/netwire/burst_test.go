@@ -115,7 +115,7 @@ func TestWireBurstBeyondBacklogBound(t *testing.T) {
 		}
 	})
 
-	if d := time.Since(start); d > wireTimeout/6 {
-		t.Errorf("bursts took %v, want well under the %v wire timeout", d, wireTimeout)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("bursts took %v, want well under 5s", d)
 	}
 }

@@ -146,3 +146,25 @@ func TestCrossBackendEquivalencePVM(t *testing.T) {
 		}
 	}
 }
+
+// Wire-backed MPVM-cold and UPVM migrations read each packet they wrote
+// exactly once: two syscalls per packet, one write and one read, none
+// retried for lack of bytes and none left on a pair.
+func TestWireRunsReadEveryPacketOnce(t *testing.T) {
+	for _, run := range []struct {
+		name string
+		run  func(harness.Scenario) *harness.Outcome
+	}{{"mpvm-cold", harness.RunMPVM}, {"upvm", harness.RunUPVM}} {
+		b := netwire.New()
+		sc := harness.Scenario{TotalBytes: 1_800_000, MigrateAt: 8 * sim.FromSeconds(1), Wire: b}
+		out := run.run(sc)
+		b.Shutdown()
+		if out.Err != nil || len(out.Records) != 1 {
+			t.Fatalf("%s: err %v, %d records; want one migration", run.name, out.Err, len(out.Records))
+		}
+		st := b.Stats()
+		if written := st.DgramPackets + st.StreamPackets; st.PacketsRead != written || written == 0 {
+			t.Errorf("%s: read %d packets of %d written (%+v)", run.name, st.PacketsRead, written, st)
+		}
+	}
+}

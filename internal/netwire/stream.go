@@ -6,7 +6,7 @@ import (
 )
 
 // Listen implements netsim.Wire. A stream needs no socket of its own (its
-// frames ride the hosts' datagram sockets), and netsim itself refuses a
+// frames ride the hosts' datagram pairs), and netsim itself refuses a
 // second Listen on a port and dials only a live listener, so this only
 // fails after Shutdown.
 func (b *Backend) Listen(h netsim.HostID, port int) error {
@@ -33,7 +33,7 @@ func (b *Backend) Dial(src, dst netsim.HostID, port int) (client, server netsim.
 }
 
 // stream is one endpoint of a simulated netsim.Conn. Its frames travel
-// exactly as datagrams do, toward the peer host's one socket; the endpoint
+// exactly as datagrams do, into the peer host's one pair; the endpoint
 // only remembers which token redeems each sequence number. The kernel
 // goroutine calls Send at a segment's virtual send time and the peer's
 // Recv (inside AwaitExternal) at its virtual delivery time. Frames may be
@@ -46,19 +46,20 @@ type stream struct {
 	closed  bool
 }
 
-// Send implements netsim.WireConn: write one frame toward the peer's host
-// socket through the datagram send path, and record its token with the
-// peer under seq.
+// Send implements netsim.WireConn: write one frame into the peer host's
+// pair through the datagram send path, and record its token with the peer
+// under seq.
 func (s *stream) Send(seq uint64, payload any) error {
 	if s.closed {
 		return errs.New(CodeStreamClosed, "send on closed stream", nil).AddContext("seq", seq)
 	}
-	tok, n, _, err := s.b.send(s.host, s.peer.host, payload)
+	tok, n, pkts, err := s.b.send(s.peer.host, payload)
 	if err != nil {
 		return err
 	}
 	s.peer.pending[seq] = tok
 	s.b.stats.StreamFrames++
+	s.b.stats.StreamPackets += int64(pkts)
 	s.b.stats.StreamBytes += int64(n)
 	return nil
 }
@@ -66,7 +67,7 @@ func (s *stream) Send(seq uint64, payload any) error {
 // Recv implements netsim.WireConn: redeem frame seq's token (inside
 // AwaitExternal — virtual time frozen), then decode it. A seq the peer
 // never sent fails at once. A frame toward an endpoint closed before its
-// Recv is still read off the socket, keeping it in step, and is then
+// Recv is still read off the pair, keeping it in step, and is then
 // reported lost; netsim drops that delivery, as the simulation drops
 // segments in flight toward a closed endpoint.
 func (s *stream) Recv(seq uint64) (any, error) {
