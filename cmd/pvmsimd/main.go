@@ -121,9 +121,6 @@ func runReplay(path string) int {
 	}
 	defer f.Close()
 	core, err := serve.ReplayJournal(f)
-	if core != nil {
-		defer core.Close()
-	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pvmsimd: replay: %v\n", err)
 		return exitStatus(err)

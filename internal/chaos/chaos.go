@@ -29,6 +29,7 @@ import (
 	"pvmigrate/internal/harness"
 	"pvmigrate/internal/mpvm"
 	"pvmigrate/internal/netsim"
+	"pvmigrate/internal/netwire"
 	"pvmigrate/internal/opt"
 	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
@@ -59,6 +60,10 @@ type Config struct {
 	// fingerprint of every gradient the master applied (default false:
 	// cost-model mode, faster for wide sweeps).
 	Real bool
+	// Wire carries every cross-host payload over the real transport
+	// (internal/netwire) instead of in memory. Timing stays the cost
+	// model's, so a run's outcome must not move (TestWireEquivalence).
+	Wire bool
 }
 
 // Scenario is one fault shape whose instants the sweeper slides per seed.
@@ -205,17 +210,29 @@ func faultRNG(seed uint64) *sim.RNG {
 // The cluster: hosts workstations, host 0 carrying GS + store + master, two
 // slave VPs on every other host.
 func Run(sc Scenario, cfg Config) *Result {
-	w := harness.NewWorld(harness.WorldSpec{
+	spec := harness.WorldSpec{
 		Hosts:    harness.Workstations(hosts, "h%d", 0),
 		TieBreak: &cfg.Seed,
 		System:   harness.MPVM,
 		Warm:     sc.Warm,
 		FT:       &ft.Config{CheckpointEvery: checkpointEvery},
 		Fleet:    &gs.FleetPolicy{ReclaimOnOwner: true},
-	})
+	}
+	var wire *netwire.Backend
+	if cfg.Wire {
+		wire = netwire.New()
+		spec.Wire = wire
+	}
+	w := harness.NewWorld(spec)
 	// The checkers read the returned handles' records, not the kernel:
-	// closing on every return path leaves them what the run produced.
-	defer w.Close()
+	// closing on every return path leaves them what the run produced. The
+	// wire's sockets close last, through the bridge like all its host I/O.
+	defer func() {
+		w.Close()
+		if wire != nil {
+			w.K.AwaitExternal(func() { wire.Shutdown() })
+		}
+	}()
 	k, cl, sys, mgr, sched := w.K, w.Cluster, w.MPVM, w.Mgr, w.Fleet
 
 	var faults []ft.Fault

@@ -24,13 +24,18 @@ var goldenDigests = map[string]uint64{
 	"ulp-handoff-under-partition":         0xca1ca8fffd6d3783,
 }
 
+// outcomeLine is what a digest folds per seed: the outcome fingerprint,
+// the GS decision fingerprint and the kernel's scheduled-event count.
+func outcomeLine(res *Result) string {
+	return fmt.Sprintf("%+v|%x|%d\n", res.Fingerprint(),
+		gs.DecisionFingerprint(res.Sched.Decisions()),
+		res.Sys.Machine().Cluster().Kernel().EventsScheduled())
+}
+
 func scenarioDigest(sc Scenario) uint64 {
 	h := fnv.New64a()
 	for seed := uint64(1); seed <= 16; seed++ {
-		res := Run(sc, sweepConfig(seed))
-		fmt.Fprintf(h, "%+v|%x|%d\n", res.Fingerprint(),
-			gs.DecisionFingerprint(res.Sched.Decisions()),
-			res.Sys.Machine().Cluster().Kernel().EventsScheduled())
+		fmt.Fprint(h, outcomeLine(Run(sc, sweepConfig(seed))))
 	}
 	return h.Sum64()
 }

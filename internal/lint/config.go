@@ -261,6 +261,7 @@ func DefaultConfig() *Config {
 			// world with it. The analyzer sees the non-test build.
 			"pvmigrate/internal/chaos.Config.Seed":  "the sweep's per-seed default (inside SweepOptions.withDefaults) and every chaos test name a schedule with it",
 			"pvmigrate/internal/chaos.Config.Real":  "chaos_test.go audits with real Opt math so the loss fingerprints every gradient",
+			"pvmigrate/internal/chaos.Config.Wire":  "TestWireEquivalence runs every scenario over netwire and requires the in-memory outcome",
 			"pvmigrate/internal/chaos.SweepOptions": "sized by the chaos tests' -seeds/-parallel flags",
 			// Read by bench/fleet.go, which ordinary PRs may not edit; the
 			// next benchmark-archetype PR drops them (ROADMAP item 8(d)).

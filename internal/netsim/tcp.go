@@ -267,21 +267,6 @@ func (c *Conn) Close() {
 		return
 	}
 	peer.closed = true // no further sends from the peer either
-	if c.wire != nil {
-		// Tear the real stream down only after the last scheduled delivery
-		// in either direction has had its chance to redeem its frame.
-		drainAt := c.lastArrival
-		if peer.lastArrival > drainAt {
-			drainAt = peer.lastArrival
-		}
-		cw, pw := c.wire, peer.wire
-		c.net.k.ScheduleAt(drainAt, func() {
-			c.net.k.AwaitExternal(func() {
-				cw.Close()
-				pw.Close()
-			})
-		})
-	}
 	if c.lastArrival > c.net.k.Now() {
 		c.net.k.ScheduleAt(c.lastArrival, func() { peer.inbox.Close() })
 	} else {

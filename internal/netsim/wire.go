@@ -36,8 +36,11 @@ package netsim
 //     WireConn.Recv(seq) — on the *peer's* endpoint, inside AwaitExternal —
 //     reads the peer host's socket on the calling goroutine until frame seq
 //     has crossed it. Every sent seq is redeemed exactly once, as a token
-//     is. Close (idempotent) tears the endpoint down after the last
-//     scheduled delivery.
+//     is. Close (idempotent) tears the endpoint down; netsim calls it only
+//     for a Dial whose listener refused the connection. A closed Conn's
+//     endpoints are simply dropped: each frame's delivery redeems its seq
+//     whether or not the Conn has closed by then, and a teardown event
+//     would be one the in-memory run never schedules.
 //
 // A marshal failure is a bug in a payload type, not a runtime condition:
 // netsim panics on it loudly. Surfacing exactly those bugs is the reason

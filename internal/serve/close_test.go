@@ -62,31 +62,63 @@ func TestServerCloseReleasesProcs(t *testing.T) {
 	}
 }
 
-// TestCoreCloseAfterReplay is the same contract for a headless Replay
-// caller, which owns the Core it gets back.
-func TestCoreCloseAfterReplay(t *testing.T) {
+// TestReplayReturnsClosedCore: Replay built its kernel, so it closes it on
+// every return path — a clean replay, a clock-mismatch abort and an
+// unknown-command abort — and its caller has nothing to release. The closed
+// Core still reads (a clean replay reproduces the golden fingerprint) and
+// refuses every further command; replaying repeatedly with no Close by the
+// caller keeps the goroutine count flat.
+func TestReplayReturnsClosedCore(t *testing.T) {
 	live := goldenSession(t)
 	defer live.Close()
-	replay := func() uint64 {
-		c, err := Replay(live.Config(), live.History())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(c.w.K.Blocked()) == 0 {
-			t.Fatal("no proc is parked after the replay: nothing for Close to release")
-		}
-		c.Close()
-		c.Close() // idempotent
-		return c.Fingerprint()
+	if len(live.w.K.Blocked()) == 0 {
+		t.Fatal("no proc is parked after the session: a replay leaves nothing for Close to release")
 	}
-	replay()
-	base := runtime.NumGoroutine()
-	for i := 0; i < 2; i++ {
-		if got := replay(); got != goldenSessionFingerprint {
-			t.Fatalf("closed replay fingerprint %#016x, want %#016x", got, uint64(goldenSessionFingerprint))
+	clean := live.History()
+	drift := append([]Command(nil), clean...)
+	drift[3].At += time.Second
+	unknown := append(append([]Command(nil), clean[:3]...),
+		Command{Seq: 4, At: clean[3].At, Kind: "teleport"})
+	cases := []struct {
+		name string
+		cmds []Command
+		code errs.Code
+	}{
+		{"clean", clean, ""},
+		{"clock-mismatch", drift, CodeReplay},
+		{"unknown-command", unknown, CodeUnknownCommand},
+	}
+	replayAll := func() {
+		t.Helper()
+		for _, tc := range cases {
+			c, err := Replay(live.Config(), tc.cmds)
+			if (tc.code == "") != (err == nil) || (err != nil && !errs.Is(err, tc.code)) {
+				t.Fatalf("%s: replay err %v, want code %q", tc.name, err, tc.code)
+			}
+			if blocked := c.Kernel().Blocked(); len(blocked) != 0 {
+				t.Fatalf("%s: procs still parked after Replay returned: %v", tc.name, blocked)
+			}
+			if tc.code == "" && c.Fingerprint() != goldenSessionFingerprint {
+				t.Fatalf("%s: closed replay fingerprint %#016x, want %#016x",
+					tc.name, c.Fingerprint(), uint64(goldenSessionFingerprint))
+			}
+			applied := len(c.History())
+			next := Command{Seq: applied + 1, At: c.Now(), Kind: CmdAdvance, Advance: time.Second}
+			if err := c.Apply(next); !errs.Is(err, CodeShutdown) {
+				t.Fatalf("%s: Apply on the returned Core: %v, want %s", tc.name, err, CodeShutdown)
+			}
+			if got := len(c.History()); got != applied {
+				t.Fatalf("%s: history %d -> %d commands: a refused command is not applied",
+					tc.name, applied, got)
+			}
 		}
+	}
+	replayAll() // sim's worker pool grows to one replay's peak
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		replayAll()
 	}
 	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%d goroutines after the first replay, %d after two more", base, got)
+		t.Fatalf("%d goroutines after the first round of replays, %d after three more", base, got)
 	}
 }

@@ -111,9 +111,14 @@ type Command struct {
 // Apply executes one command against the live cluster. Every executed
 // command — including one whose action fails, since the failure is itself
 // deterministic — lands in the history and counts toward the fingerprint.
-// The returned error is the action's error; a CodeReplay error means the
-// command did not execute at all (clock mismatch).
+// The returned error is the action's error; a CodeReplay error (clock
+// mismatch) or a CodeShutdown one (the Core is closed) means the command
+// did not execute at all.
 func (c *Core) Apply(cmd Command) error {
+	if c.closed {
+		return errs.Newf(CodeShutdown, "command %d: the cluster is closed", cmd.Seq).
+			AddContext("kind", string(cmd.Kind))
+	}
 	if cmd.At != c.w.K.Now() {
 		return errs.Newf(CodeReplay, "command %d stamped at %v but clock is %v",
 			cmd.Seq, cmd.At, c.w.K.Now()).AddContext("kind", string(cmd.Kind))

@@ -115,6 +115,7 @@ type Core struct {
 	history []Command
 	applied int
 	failed  int
+	closed  bool
 }
 
 // PlanStatus tracks one submitted bulk-migration plan. Done flips (and
@@ -153,9 +154,13 @@ func NewCore(cfg Config, wire netsim.Wire) *Core {
 
 // Close ends the cluster's life: every proc still parked is unwound and its
 // worker reclaimed (sim.Kernel.Close). The Core stays readable — history,
-// jobs, metrics, fingerprint — but applies no further command. Idempotent;
-// Server.Close calls it, a Replay caller does so itself.
-func (c *Core) Close() { c.w.Close() }
+// jobs, metrics, fingerprint — but Apply refuses every further command with
+// CodeShutdown. Idempotent; whoever built the Core closes it: Server.Close
+// for a daemon's, Replay for the one it returns.
+func (c *Core) Close() {
+	c.closed = true
+	c.w.Close()
+}
 
 // Kernel exposes the kernel for the Server's AwaitExternal bridge.
 func (c *Core) Kernel() *sim.Kernel { return c.w.K }

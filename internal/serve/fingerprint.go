@@ -6,6 +6,11 @@ import (
 	"math"
 )
 
+// lineSep ends each folded fingerprint line. It is a package-level slice
+// because a literal passed through the hash.Hash64 interface escapes: one
+// allocation per folded line.
+var lineSep = []byte{0}
+
 // Fingerprint condenses everything schedule-visible about a session into
 // one FNV-1a 64 value: the clock, the command counts, every trace event,
 // every migration and recovery record, the checkpoint commit history, and
@@ -18,7 +23,7 @@ func (c *Core) Fingerprint() uint64 {
 	h := fnv.New64a()
 	put := func(format string, args ...any) {
 		fmt.Fprintf(h, format, args...)
-		h.Write([]byte{0})
+		h.Write(lineSep)
 	}
 	put("now=%d applied=%d failed=%d", int64(c.w.K.Now()), c.applied, c.failed)
 	for _, e := range c.w.Log.Events() {

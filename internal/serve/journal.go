@@ -50,11 +50,12 @@ func (jw *JournalWriter) Append(cmd Command) error {
 }
 
 func (jw *JournalWriter) writeLine(v any) error {
-	b, err := json.Marshal(v)
+	l, err := encodeLine(v)
+	defer l.free()
 	if err != nil {
 		return errs.New(CodeJournal, "encode journal line", err)
 	}
-	if _, err := jw.w.Write(append(b, '\n')); err != nil {
+	if _, err := jw.w.Write(l.buf.Bytes()); err != nil {
 		return errs.New(CodeJournal, "append journal line", err)
 	}
 	if jw.s != nil {

@@ -7,7 +7,9 @@ import (
 )
 
 // Replay re-executes a command log headlessly against a fresh cluster and
-// returns the resulting Core for inspection (fingerprint, trace, jobs).
+// returns the resulting Core, already closed, for inspection (fingerprint,
+// trace, jobs, history): Replay created its kernel, so Replay closes it, on
+// every return path. The closed Core applies no further command.
 // Command-level failures are re-executed faithfully and ignored — the live
 // session journaled them too, and their errors are deterministic — but two
 // errors abort: CodeReplay (clock mismatch: the log does not describe this
@@ -20,6 +22,7 @@ func Replay(cfg Config, cmds []Command) (*Core, error) {
 		return nil, err
 	}
 	c := NewCore(cfg, nil)
+	defer c.Close()
 	for _, cmd := range cmds {
 		err := c.Apply(cmd)
 		if err != nil && (errs.Is(err, CodeReplay) || errs.Is(err, CodeUnknownCommand)) {

@@ -264,19 +264,25 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
+// jsonContentType is the Content-Type value every JSON response shares,
+// assigned without the copy Header.Set makes.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	// Marshal before touching the ResponseWriter: an unencodable view (a
+	// Encode before touching the ResponseWriter: an unencodable view (a
 	// NaN that slipped into a float field, say) must surface as a 500
 	// envelope, not a 200 with an empty body.
-	b, err := json.Marshal(v)
+	l, err := encodeLine(v)
 	if err != nil {
-		b, _ = json.Marshal(errs.ToEnvelope(
+		l.free()
+		l, _ = encodeLine(errs.ToEnvelope(
 			errs.New(CodeInternal, "response failed to encode", err)))
 		status = http.StatusInternalServerError
 	}
-	w.Header().Set("Content-Type", "application/json")
+	defer l.free()
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_, _ = w.Write(append(b, '\n'))
+	_, _ = w.Write(l.buf.Bytes())
 }
 
 // writeErr renders the structured error envelope with the status its code

@@ -71,7 +71,8 @@ const (
 	CodeUnknownCommand errs.Code = "serve.unknown-command"
 	// CodeReplay: a journal replay diverged from the recorded session.
 	CodeReplay errs.Code = "serve.replay"
-	// CodeShutdown: the daemon is shutting down and accepts no commands.
+	// CodeShutdown: the daemon is shutting down, or its Core is closed,
+	// and accepts no commands.
 	CodeShutdown errs.Code = "serve.shutting-down"
 	// CodeInternal: the daemon failed to render a response; a bug, not a
 	// client error.

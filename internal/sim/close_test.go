@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -8,6 +9,29 @@ import (
 	"testing"
 	"time"
 )
+
+// simGoroutines counts the goroutines whose stacks run this package's code:
+// the pool's workers, parked procs and the test itself. A goroutine that
+// another part of the test binary starts or ends between two samples does
+// not move it, so a change means sim itself started or kept one.
+func simGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("pvmigrate/internal/sim.")) {
+			count++
+		}
+	}
+	return count
+}
 
 // idleWorkers is the pool's current size.
 func idleWorkers() int {
@@ -51,7 +75,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	if blocked := k.RunUntil(time.Second); blocked != 3 {
 		t.Fatalf("RunUntil = %d blocked (%v), want 3", blocked, k.Blocked())
 	}
-	idle, goroutines := idleWorkers(), runtime.NumGoroutine()
+	idle, goroutines := idleWorkers(), simGoroutines()
 
 	k.Close()
 	if want := []string{"inner", "outer"}; !reflect.DeepEqual(order, want) {
@@ -68,8 +92,8 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	if got := idleWorkers(); got != idle+3 {
 		t.Errorf("pool holds %d workers, want %d: the three parked procs' workers come back", got, idle+3)
 	}
-	if got := runtime.NumGoroutine(); got != goroutines {
-		t.Errorf("goroutines %d -> %d across Close", goroutines, got)
+	if got := simGoroutines(); got != goroutines {
+		t.Errorf("sim goroutines %d -> %d across Close", goroutines, got)
 	}
 
 	k.Close() // idempotent
@@ -121,7 +145,7 @@ func TestCloseFinishesProcsSpawnedWhileUnwinding(t *testing.T) {
 func TestWorkerReusedAcrossKernels(t *testing.T) {
 	const procs = 8
 	parkedKernel(procs).Close() // the pool now holds at least procs workers
-	idle, goroutines := idleWorkers(), runtime.NumGoroutine()
+	idle, goroutines := idleWorkers(), simGoroutines()
 	// One iter.Pull costs about ten allocations; a spawn that reuses a
 	// worker costs the Proc, its Cond and the waiter entry.
 	perKernel := testing.AllocsPerRun(20, func() { parkedKernel(procs).Close() })
@@ -131,8 +155,8 @@ func TestWorkerReusedAcrossKernels(t *testing.T) {
 	if got := idleWorkers(); got != idle {
 		t.Errorf("pool %d -> %d workers: a second kernel's spawns must reuse the first's", idle, got)
 	}
-	if got := runtime.NumGoroutine(); got != goroutines {
-		t.Errorf("goroutines %d -> %d", goroutines, got)
+	if got := simGoroutines(); got != goroutines {
+		t.Errorf("sim goroutines %d -> %d", goroutines, got)
 	}
 }
 
