@@ -47,8 +47,8 @@ func TestFSMDeclaredTransitions(t *testing.T) {
 			t.Fatalf("Fire(%q) = %q, %v; want %q", s.event, got, err, s.want)
 		}
 	}
-	if len(f.Log()) != len(steps) {
-		t.Fatalf("log = %d entries", len(f.Log()))
+	if len(f.log) != len(steps) {
+		t.Fatalf("log = %d entries", len(f.log))
 	}
 }
 
@@ -57,8 +57,8 @@ func TestFSMRejectsUndeclared(t *testing.T) {
 	if _, err := f.Fire("data-received"); !errs.Is(err, CodeNoTransition) {
 		t.Fatal("undeclared transition accepted")
 	}
-	if f.State() != "compute" {
-		t.Fatalf("state changed on rejected event: %q", f.State())
+	if f.state != "compute" {
+		t.Fatalf("state changed on rejected event: %q", f.state)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestFSMLogRecordsTransitions(t *testing.T) {
 	f := NewFSM("a").On("a", "go", "b").On("b", "back", "a")
 	f.Fire("go")
 	f.Fire("back")
-	log := f.Log()
+	log := f.log
 	if len(log) != 2 || log[0].From != "a" || log[1].To != "a" {
 		t.Fatalf("log = %+v", log)
 	}

@@ -58,9 +58,6 @@ func (q *EventQueue) Take() (Event, bool) {
 	return ev, true
 }
 
-// Len returns the number of queued events.
-func (q *EventQueue) Len() int { return len(q.events) }
-
 // Signal delivers an event to a task as an asynchronous signal, the way the
 // GS pokes ADM applications. Simultaneous signals must queue, not coalesce
 // (the paper's third complication), so when an interrupt is already pending

@@ -60,9 +60,6 @@ func (f *FSM) On(from State, event string, to State) *FSM {
 	return f
 }
 
-// State returns the current state.
-func (f *FSM) State() State { return f.state }
-
 // Fire takes the transition for event, returning the new state. Undeclared
 // transitions return an error and leave the state unchanged — the guard
 // against lost or mis-handled migration events.
@@ -75,9 +72,6 @@ func (f *FSM) Fire(event string) (State, error) {
 	f.state = to
 	return to, nil
 }
-
-// Log returns the transitions taken, in order.
-func (f *FSM) Log() []Transition { return f.log }
 
 // States returns all declared states, sorted.
 func (f *FSM) States() []State {

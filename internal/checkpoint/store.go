@@ -49,7 +49,7 @@ type entry struct {
 // crash) between the two leaves a torn image that re-opening ignores: Read
 // keeps returning the previously committed snapshot. The prior committed
 // image stays on disk until the next commit replaces it, so a latest image
-// found corrupt at re-open (CorruptLatest) also falls back one generation.
+// found corrupt at re-open also falls back one generation.
 type Store struct {
 	k       *sim.Kernel
 	entries map[string]*entry
@@ -132,23 +132,6 @@ func (st *Store) Write(sleep func(sim.Time) error, key string, epoch, bytes int,
 func (st *Store) discardStaged(key string) {
 	e := st.entry(key)
 	e.staged, e.staging = Snapshot{}, false
-}
-
-// CorruptLatest marks the committed image for key unreadable (a torn or
-// bit-rotted latest found at re-open): recovery falls back to the previous
-// committed generation. It reports whether a fallback generation existed.
-func (st *Store) CorruptLatest(key string) bool {
-	e, ok := st.entries[key]
-	if !ok || !e.hasCur {
-		return false
-	}
-	if !e.hasPrev {
-		e.cur, e.hasCur = Snapshot{}, false
-		return false
-	}
-	e.cur, e.hasCur = e.prev, true
-	e.prev, e.hasPrev = Snapshot{}, false
-	return true
 }
 
 // Read charges the disk time to re-read the latest committed snapshot for

@@ -154,3 +154,20 @@ func TestReadChargesDiskTime(t *testing.T) {
 		t.Errorf("1.5 MB at 1.5 MB/s took %v", took)
 	}
 }
+
+// CorruptLatest marks the committed image for key unreadable (a torn or
+// bit-rotted latest found at re-open): recovery falls back to the previous
+// committed generation. It reports whether a fallback generation existed.
+func (st *Store) CorruptLatest(key string) bool {
+	e, ok := st.entries[key]
+	if !ok || !e.hasCur {
+		return false
+	}
+	if !e.hasPrev {
+		e.cur, e.hasCur = Snapshot{}, false
+		return false
+	}
+	e.cur, e.hasCur = e.prev, true
+	e.prev, e.hasPrev = Snapshot{}, false
+	return true
+}

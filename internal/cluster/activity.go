@@ -2,47 +2,35 @@ package cluster
 
 import "pvmigrate/internal/sim"
 
-// OwnerActivity drives a host's owner presence from a stochastic model:
+// ownerActivity drives a host's owner presence from a stochastic model:
 // exponentially distributed idle and busy periods. This reproduces the
 // paper's setting — workstations that are "idle or partially idle much of
 // the time" but whose owners expect full performance when they return.
-type OwnerActivity struct {
+type ownerActivity struct {
 	host     *Host
 	rng      *sim.RNG
 	meanIdle sim.Time
 	meanBusy sim.Time
-	stopped  bool
 }
 
 // StartOwnerActivity begins toggling the host's owner state with the given
 // mean idle (owner away) and busy (owner present) durations.
-func StartOwnerActivity(h *Host, seed uint64, meanIdle, meanBusy sim.Time) *OwnerActivity {
-	a := &OwnerActivity{host: h, rng: sim.NewRNG(seed), meanIdle: meanIdle, meanBusy: meanBusy}
+func StartOwnerActivity(h *Host, seed uint64, meanIdle, meanBusy sim.Time) {
+	a := &ownerActivity{host: h, rng: sim.NewRNG(seed), meanIdle: meanIdle, meanBusy: meanBusy}
 	a.scheduleArrival()
-	return a
 }
 
-// Stop halts further owner transitions (in-flight scheduled transitions
-// still fire but re-arm nothing).
-func (a *OwnerActivity) Stop() { a.stopped = true }
-
-func (a *OwnerActivity) scheduleArrival() {
+func (a *ownerActivity) scheduleArrival() {
 	d := a.rng.ExpDuration(a.meanIdle)
 	a.host.cluster.k.Schedule(d, func() {
-		if a.stopped {
-			return
-		}
 		a.host.SetOwnerActive(true)
 		a.scheduleDeparture()
 	})
 }
 
-func (a *OwnerActivity) scheduleDeparture() {
+func (a *ownerActivity) scheduleDeparture() {
 	d := a.rng.ExpDuration(a.meanBusy)
 	a.host.cluster.k.Schedule(d, func() {
-		if a.stopped {
-			return
-		}
 		a.host.SetOwnerActive(false)
 		a.scheduleArrival()
 	})
@@ -71,6 +59,3 @@ func (b *BackgroundLoad) Set(n int) {
 		b.handles = b.handles[:last]
 	}
 }
-
-// N returns the current number of background jobs.
-func (b *BackgroundLoad) N() int { return len(b.handles) }

@@ -105,9 +105,8 @@ func TestOwnerActivityGenerator(t *testing.T) {
 			departures++
 		}
 	})
-	a := StartOwnerActivity(h, 42, 10*time.Minute, 5*time.Minute)
+	StartOwnerActivity(h, 42, 10*time.Minute, 5*time.Minute)
 	k.RunUntil(4 * time.Hour)
-	a.Stop()
 	if arrivals < 5 || arrivals > 40 {
 		t.Fatalf("arrivals = %d over 4h with 15 min mean cycle", arrivals)
 	}
@@ -249,7 +248,7 @@ func TestBackgroundLoadController(t *testing.T) {
 	h := twoHosts(k).Host(0)
 	b := NewBackgroundLoad(h)
 	b.Set(3)
-	if h.LoadAverage() != 3 || b.N() != 3 {
+	if h.LoadAverage() != 3 || len(b.handles) != 3 {
 		t.Fatalf("load = %d", h.LoadAverage())
 	}
 	b.Set(1)

@@ -67,9 +67,6 @@ func (c *CPU) Speed() float64 { return c.speed }
 // report as the run-queue length.
 func (c *CPU) ActiveJobs() int { return len(c.jobs) }
 
-// WorkDone returns cumulative completed work units.
-func (c *CPU) WorkDone() float64 { return c.totalDone }
-
 // newJob returns a runnable job of the given size, recycled when one is
 // free. The caller admits it by appending to c.jobs.
 func (c *CPU) newJob(work float64) *cpuJob {

@@ -23,7 +23,7 @@ func TestWorkDoneBitDeterministic(t *testing.T) {
 		}
 		k.Run()
 		h.Remove()
-		return math.Float64bits(cpu.WorkDone())
+		return math.Float64bits(cpu.totalDone)
 	}
 	want := run()
 	for i := 1; i < 200; i++ {
@@ -105,12 +105,12 @@ func TestComputeWarmZeroAlloc(t *testing.T) {
 		})
 	}
 	k.RunUntil(10 * time.Second)
-	before := cpu.WorkDone()
+	before := cpu.totalDone
 	allocs := testing.AllocsPerRun(100, func() { k.RunUntil(k.Now() + time.Second) })
 	if allocs != 0 {
 		t.Fatalf("warm CPU allocates %v per simulated second, want 0", allocs)
 	}
-	if cpu.WorkDone() <= before {
+	if cpu.totalDone <= before {
 		t.Fatal("no work was done inside the measured window")
 	}
 	stop = true

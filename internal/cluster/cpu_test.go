@@ -175,7 +175,7 @@ func TestPropWorkConservation(t *testing.T) {
 		if blocked := k.Run(); blocked != 0 {
 			return false
 		}
-		return math.Abs(cpu.WorkDone()-total) < 1e-6*total+1e-3
+		return math.Abs(cpu.totalDone-total) < 1e-6*total+1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

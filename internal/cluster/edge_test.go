@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"pvmigrate/internal/sim"
 )
@@ -13,7 +12,7 @@ func TestWorkDoneAccounting(t *testing.T) {
 	k.Spawn("a", func(p *sim.Proc) { cpu.Compute(p, 3e6) })
 	k.Spawn("b", func(p *sim.Proc) { cpu.Compute(p, 2e6) })
 	k.Run()
-	if got := cpu.WorkDone(); got < 5e6-1 || got > 5e6+1 {
+	if got := cpu.totalDone; got < 5e6-1 || got > 5e6+1 {
 		t.Fatalf("WorkDone = %f", got)
 	}
 	if cpu.Speed() != 1e6 {
@@ -29,7 +28,7 @@ func TestLoadJobAccumulatesWork(t *testing.T) {
 	k.Run()
 	h.Remove()
 	// During the 2 s the load job also consumed ~1e6 units.
-	if got := cpu.WorkDone(); got < 1.9e6 || got > 2.1e6 {
+	if got := cpu.totalDone; got < 1.9e6 || got > 2.1e6 {
 		t.Fatalf("WorkDone with load = %f", got)
 	}
 }
@@ -41,29 +40,6 @@ func TestNewCPUPanicsOnBadSpeed(t *testing.T) {
 		}
 	}()
 	NewCPU(sim.NewKernel(), 0)
-}
-
-func TestOwnerActivityStop(t *testing.T) {
-	k := sim.NewKernel()
-	h := twoHosts(k).Host(0)
-	changes := 0
-	h.Cluster().Watch(func(_ *Host, c Change) {
-		if c == OwnerChanged {
-			changes++
-		}
-	})
-	a := StartOwnerActivity(h, 3, time.Minute, time.Minute)
-	k.RunUntil(10 * time.Minute)
-	before := changes
-	a.Stop()
-	k.RunUntil(2 * time.Hour)
-	// At most one in-flight transition fires after Stop.
-	if changes > before+1 {
-		t.Fatalf("activity kept running after Stop: %d → %d", before, changes)
-	}
-	if before == 0 {
-		t.Fatal("no activity before Stop")
-	}
 }
 
 func TestDefaultHostSpec(t *testing.T) {

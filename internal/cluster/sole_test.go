@@ -159,7 +159,7 @@ func runSoleCase(c soleCase, plant sim.Time, seed int) string {
 		}
 	}
 	w.logf("top", "end events %d switches %d work %#x blocked %v", k.EventsScheduled(), k.ProcSwitches(),
-		math.Float64bits(w.cpu.WorkDone()), k.Blocked())
+		math.Float64bits(w.cpu.totalDone), k.Blocked())
 	return w.log.String()
 }
 
@@ -220,12 +220,12 @@ func TestComputeSoleZeroAlloc(t *testing.T) {
 		}
 	})
 	k.RunUntil(time.Second)
-	before := cpu.WorkDone()
+	before := cpu.totalDone
 	allocs := testing.AllocsPerRun(100, func() { k.RunUntil(k.Now() + time.Second) })
 	if allocs != 0 {
 		t.Fatalf("a sole job allocates %v per simulated second, want 0", allocs)
 	}
-	if cpu.WorkDone() <= before {
+	if cpu.totalDone <= before {
 		t.Fatal("no work was done inside the measured window")
 	}
 }

@@ -73,9 +73,9 @@ func TestWireBufferPreservesAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := v.(*Buffer)
-		if got.Bytes() != orig.Bytes() || got.Items() != orig.Items() {
+		if got.Bytes() != orig.Bytes() || len(got.items) != len(orig.items) {
 			t.Fatalf("decoded buffer charges %d bytes / %d items, original %d / %d",
-				got.Bytes(), got.Items(), orig.Bytes(), orig.Items())
+				got.Bytes(), len(got.items), orig.Bytes(), len(orig.items))
 		}
 		return got
 	}

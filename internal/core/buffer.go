@@ -93,9 +93,6 @@ func (b *Buffer) add(it item) {
 // that drives wire time and copy costs.
 func (b *Buffer) Bytes() int { return b.bytes }
 
-// Items returns the number of packed items.
-func (b *Buffer) Items() int { return len(b.items) }
-
 // PkInt appends one integer (4 encoded bytes).
 func (b *Buffer) PkInt(v int) *Buffer {
 	b.add(item{kind: kindInt, i: v})
@@ -196,12 +193,6 @@ func (r *Reader) next(want itemKind) item {
 // Err returns the reader's first failure, or nil if every Upk call so far
 // succeeded.
 func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of items not yet unpacked.
-func (r *Reader) Remaining() int { return len(r.buf.items) - r.pos }
-
-// Bytes returns the total encoded size of the underlying buffer.
-func (r *Reader) Bytes() int { return r.buf.Bytes() }
 
 // UpkInt unpacks one integer.
 func (r *Reader) UpkInt() int { return r.next(kindInt).i }

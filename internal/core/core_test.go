@@ -7,6 +7,9 @@ import (
 	"pvmigrate/internal/errs"
 )
 
+// remaining is the number of items r has not yet unpacked.
+func remaining(r *Reader) int { return len(r.buf.items) - r.pos }
+
 func TestTIDEncoding(t *testing.T) {
 	for _, c := range []struct{ host, local int }{
 		{0, 1}, {0, 0}, {3, 7}, {15, 262143},
@@ -100,8 +103,8 @@ func TestBufferPackUnpackIdentity(t *testing.T) {
 	if i != 42 || len(f) != 3 || f[1] != -2.25 || string(by) != "abc" || str != "hello" || v != 1000 {
 		t.Fatalf("unpacked %d, %v, %q, %q, %d", i, f, by, str, v)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d", r.Remaining())
+	if remaining(r) != 0 {
+		t.Fatalf("Remaining = %d", remaining(r))
 	}
 }
 
@@ -128,8 +131,8 @@ func TestBufferTypeMismatch(t *testing.T) {
 	}
 	// The failure sticks: the mismatching item is not consumed, and later
 	// calls return zero values without advancing.
-	if v := r.UpkInt(); v != 0 || r.Remaining() != 2 || !errs.Is(r.Err(), CodeTypeMismatch) {
-		t.Fatalf("after mismatch: %d, %d remaining, %v", v, r.Remaining(), r.Err())
+	if v := r.UpkInt(); v != 0 || remaining(r) != 2 || !errs.Is(r.Err(), CodeTypeMismatch) {
+		t.Fatalf("after mismatch: %d, %d remaining, %v", v, remaining(r), r.Err())
 	}
 }
 
@@ -151,8 +154,8 @@ func TestReaderRangeHelpers(t *testing.T) {
 	if v := r.UpkIndex(0); v != 0 || !errs.Is(r.Err(), CodeOutOfRange) {
 		t.Fatalf("UpkIndex(0) = %d, err = %v", v, r.Err())
 	}
-	if v := r.UpkInt(); v != 0 || r.Remaining() != 1 {
-		t.Fatalf("after refusal: %d, %d remaining", v, r.Remaining())
+	if v := r.UpkInt(); v != 0 || remaining(r) != 1 {
+		t.Fatalf("after refusal: %d, %d remaining", v, remaining(r))
 	}
 	for _, bad := range []int{-1, 3} {
 		r := NewBuffer().PkInt(bad).Reader()
@@ -199,7 +202,7 @@ func TestPropBufferRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return string(b2) == string(blob) && s2 == s && v2 == int(virt) && r.Remaining() == 0
+		return string(b2) == string(blob) && s2 == s && v2 == int(virt) && remaining(r) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

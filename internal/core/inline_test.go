@@ -49,8 +49,8 @@ func TestReaderResetIsFresh(t *testing.T) {
 		t.Fatal("mismatch left no error")
 	}
 	rd.Reset(b)
-	if v := rd.UpkInt(); v != 1 || rd.Err() != nil || rd.Remaining() != 1 {
-		t.Fatalf("after Reset: UpkInt = %d, err %v, %d remaining; want 1, nil, 1", v, rd.Err(), rd.Remaining())
+	if v := rd.UpkInt(); v != 1 || rd.Err() != nil || remaining(&rd) != 1 {
+		t.Fatalf("after Reset: UpkInt = %d, err %v, %d remaining; want 1, nil, 1", v, rd.Err(), remaining(&rd))
 	}
 	if other := b.Reader(); other.UpkInt() != 1 {
 		t.Fatal("Reader() is not independent of a Reset cursor")
@@ -80,8 +80,8 @@ func TestBufferSpillsPastInline(t *testing.T) {
 				t.Fatalf("n=%d: item %d is not the string", n, i)
 			}
 		}
-		if rd.Err() != nil || rd.Remaining() != 0 {
-			t.Fatalf("n=%d: err %v, %d left", n, rd.Err(), rd.Remaining())
+		if rd.Err() != nil || remaining(rd) != 0 {
+			t.Fatalf("n=%d: err %v, %d left", n, rd.Err(), remaining(rd))
 		}
 		data, err := wirefmt.Append(nil, b)
 		if err != nil {

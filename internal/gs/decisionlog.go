@@ -88,15 +88,6 @@ func (l *decisionLog) fingerprint() uint64 {
 	return l.fp
 }
 
-// reset empties the log keeping every page's capacity.
-func (l *decisionLog) reset() {
-	l.first = l.first[:0]
-	for i := range l.more[:l.used] {
-		l.more[i] = l.more[i][:0]
-	}
-	l.used, l.folded = 0, 0
-}
-
 // FNV-1a, 64 bit.
 const (
 	fnvOffset = 14695981039346656037

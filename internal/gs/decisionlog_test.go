@@ -64,7 +64,7 @@ func TestDecisionLogPages(t *testing.T) {
 	}
 
 	refill := func() {
-		f.ResetDecisions()
+		f.log.reset()
 		for i := 0; i < total; i++ {
 			f.log.add(entry(i))
 		}
@@ -73,11 +73,20 @@ func TestDecisionLogPages(t *testing.T) {
 		t.Fatalf("refilling a reset log allocated %.0f times, want 0", allocs)
 	}
 	check(total)
-	f.ResetDecisions()
+	f.log.reset()
 	check(0)
 	f.log.add(entry(0))
 	if one := f.Decisions(); &one[0] != &f.Decisions()[0] {
 		t.Fatal("a one-page Decisions() is the page itself")
 	}
 	check(1)
+}
+
+// reset empties the log keeping every page's capacity.
+func (l *decisionLog) reset() {
+	l.first = l.first[:0]
+	for i := range l.more[:l.used] {
+		l.more[i] = l.more[i][:0]
+	}
+	l.used, l.folded = 0, 0
 }

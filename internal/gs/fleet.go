@@ -227,10 +227,6 @@ func (f *Fleet) EachDecision(fn func(Decision)) { f.log.each(fn) }
 // since the previous one.
 func (f *Fleet) Fingerprint() uint64 { return f.log.fingerprint() }
 
-// ResetDecisions empties the decision log keeping its capacity (bench
-// warmup support).
-func (f *Fleet) ResetDecisions() { f.log.reset() }
-
 // Stop halts future ticks and reactions.
 func (f *Fleet) Stop() { f.stopped = true }
 
@@ -254,11 +250,6 @@ func (f *Fleet) Start() {
 	if f.pol.HeartbeatInterval > 0 && f.pol.SuspectAfter > 0 && f.hb != nil {
 		f.k.Schedule(f.pol.HeartbeatInterval, f.watchFn)
 	}
-}
-
-// Evacuate exposes manual evacuation (scripted scenarios and tests).
-func (f *Fleet) Evacuate(host int, reason core.MigrationReason) {
-	f.evacuate(host, reason)
 }
 
 func (f *Fleet) evacuate(host int, reason core.MigrationReason) {

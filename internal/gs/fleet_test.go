@@ -326,7 +326,7 @@ func TestFleetDecisionPathZeroAlloc(t *testing.T) {
 		t.Fatal("decision-path warmup produced no decisions")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		fleet.ResetDecisions() // keeps the warmed pages
+		fleet.log.reset() // keeps the warmed pages
 		at += window * interval
 		k.RunUntil(at)
 	})

@@ -6,10 +6,11 @@
 // The scheduler (Fleet, fleet.go) watches owner activity, load and daemon
 // heartbeats on every host and issues evacuation / rebalancing / recovery
 // orders to a Target — one VPTarget over MPVM processes or UPVM ULPs, or
-// the ADMTarget over an ADM application's data shares — so the same
-// policies drive all three systems. With one shard and the run-queue load
-// source it is the paper's single GS; more shards scale the same loop to
-// thousands of hosts.
+// a CountTarget over plain per-host unit counts. ADM is not driven from
+// here: its redistributions are application-level events that its driver
+// sends with adm.Signal. With one shard and the run-queue load source it
+// is the paper's single GS; more shards scale the same loop to thousands
+// of hosts.
 package gs
 
 import (

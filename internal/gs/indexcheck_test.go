@@ -119,61 +119,3 @@ func TestUPVMIndexMatchesBruteForceUnderChurn(t *testing.T) {
 		t.Fatalf("all ULPs done but index total = %d", target.Index().Total())
 	}
 }
-
-func TestADMIndexMatchesBruteForceUnderShareChurn(t *testing.T) {
-	const hosts = 3
-	k := sim.NewKernel()
-	specs := make([]cluster.HostSpec, hosts)
-	for i := range specs {
-		specs[i] = cluster.DefaultHostSpec("h" + string(rune('1'+i)))
-	}
-	cl := cluster.New(k, netsim.Params{}, specs...)
-	m := pvm.NewMachine(cl, pvm.Config{})
-	rng := sim.NewRNG(13)
-	shares := make([]int, 6)
-	var slaves []*pvm.Task
-	for i := range shares {
-		shares[i] = 1 + rng.Intn(4)
-		secs := 20 + rng.Float64()*100
-		task, err := m.Spawn(i%hosts, "slave", func(task *pvm.Task) {
-			_ = task.Proc().Sleep(sim.FromSeconds(secs))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slaves = append(slaves, task)
-	}
-	target := NewADMTarget(slaves, func(rank int) int { return shares[rank] })
-	check := func() {
-		for h := 0; h < hosts; h++ {
-			if got, want := target.HostLoad(h), target.bruteHostLoad(h); got != want {
-				t.Errorf("t=%v host%d: index=%d brute=%d", k.Now(), h, got, want)
-			}
-		}
-	}
-	check()
-	// Share repartitions announced rank by rank, plus one bulk Resync.
-	for i := 0; i < 25; i++ {
-		at := sim.FromSeconds(rng.Float64() * 130)
-		rank := rng.Intn(len(shares))
-		n := rng.Intn(6)
-		k.ScheduleAt(at, func() {
-			shares[rank] = n
-			target.NoteShare(rank, n)
-		})
-	}
-	k.ScheduleAt(sim.FromSeconds(65), func() {
-		for rank := range shares {
-			shares[rank] = 1 + rng.Intn(3)
-		}
-		target.Resync()
-	})
-	for s := 10; s <= 140; s += 10 {
-		k.ScheduleAt(sim.FromSeconds(float64(s)), func() { check() })
-	}
-	k.RunUntil(4 * time.Minute)
-	check()
-	if target.Index().Total() != 0 {
-		t.Fatalf("all slaves exited but index total = %d", target.Index().Total())
-	}
-}

@@ -4,11 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"pvmigrate/internal/adm"
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/netsim"
-	"pvmigrate/internal/opt"
 	"pvmigrate/internal/pvm"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/upvm"
@@ -59,75 +57,6 @@ func TestUPVMTargetOwnerReclaim(t *testing.T) {
 	}
 }
 
-func TestADMTargetWithdrawSignal(t *testing.T) {
-	k := sim.NewKernel()
-	cl := cluster.New(k, netsim.Params{},
-		cluster.DefaultHostSpec("h1"), cluster.DefaultHostSpec("h2"))
-	m := pvm.NewMachine(cl, pvm.Config{})
-
-	stats := &opt.ADMStats{}
-	ap := opt.ADMParams{
-		Params: opt.Params{TotalBytes: 2_000_000, Iterations: 6},
-		Stats:  stats,
-	}
-	masterTID := core.MakeTID(0, 2) // slave0 is local 1 on host0
-	var slaveTasks []*pvm.Task
-	tids := make([]core.TID, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		task, err := m.Spawn(i, "adm-slave", func(task *pvm.Task) {
-			q := adm.Attach(task)
-			opt.RunADMSlave(task, masterTID, i, tids, q, ap)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slaveTasks = append(slaveTasks, task)
-		tids[i] = task.Mytid()
-	}
-	var iterations int
-	m.Spawn(0, "adm-master", func(task *pvm.Task) {
-		res, err := opt.RunADMMaster(task, tids, ap)
-		if err != nil {
-			t.Errorf("master: %v", err)
-			return
-		}
-		iterations = res.Iterations
-	})
-
-	target := NewADMTarget(slaveTasks, nil)
-	if target.HostLoad(0) != 1 || target.HostLoad(1) != 1 {
-		t.Fatalf("loads = %d, %d", target.HostLoad(0), target.HostLoad(1))
-	}
-	sched := NewFleet(cl, target, DefaultFleetPolicy())
-	sched.Start()
-	k.Schedule(8*time.Second, func() { cl.Host(1).SetOwnerActive(true) })
-	k.RunUntil(20 * time.Minute)
-	if iterations != 6 {
-		t.Fatalf("application finished %d iterations; blocked: %v", iterations, k.Blocked())
-	}
-	if len(stats.Records) != 1 {
-		t.Fatalf("withdrawals = %d", len(stats.Records))
-	}
-	if stats.Records[0].From != 1 {
-		t.Fatalf("withdrew from host %d", stats.Records[0].From)
-	}
-	d := sched.Decisions()
-	if len(d) != 1 || d[0].Moved != 1 || d[0].Err != nil {
-		t.Fatalf("decisions = %+v", d)
-	}
-}
-
-func TestADMTargetNoSlaveOnHost(t *testing.T) {
-	target := NewADMTarget(nil, nil)
-	if _, err := target.EvacuateHost(0, core.ReasonManual); err == nil {
-		t.Fatal("evacuating empty host succeeded")
-	}
-	if err := target.MoveOne(0, 1, core.ReasonManual); err == nil {
-		t.Fatal("rebalancing empty host succeeded")
-	}
-}
-
 func TestManualEvacuate(t *testing.T) {
 	k := sim.NewKernel()
 	cl := cluster.New(k, netsim.Params{},
@@ -139,7 +68,7 @@ func TestManualEvacuate(t *testing.T) {
 	target.Track(0)
 	sched := NewFleet(cl, target, FleetPolicy{}) // no automatic triggers
 	sched.Start()
-	k.Schedule(2_000_000_000, func() { sched.Evacuate(1, core.ReasonManual) })
+	k.Schedule(2_000_000_000, func() { sched.evacuate(1, core.ReasonManual) })
 	k.RunUntil(300_000_000_000)
 	if len(sys.Records()) != 1 {
 		t.Fatalf("records = %d", len(sys.Records()))

@@ -42,7 +42,7 @@ func TestLoopbackTCPConn(t *testing.T) {
 	if elapsed < 30*time.Millisecond || elapsed > 60*time.Millisecond {
 		t.Fatalf("loopback transfer took %v", elapsed)
 	}
-	if n.Link().FramesCarried() != 0 {
+	if n.Link().framesCarried != 0 {
 		t.Fatal("loopback used the wire")
 	}
 }
@@ -80,8 +80,8 @@ func TestConnEndpointsAndSegmentTimestamps(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if c.Local() != 1 || c.Remote() != 0 {
-			t.Errorf("server endpoints: %d, %d", c.Local(), c.Remote())
+		if c.local != 1 || c.remote != 0 {
+			t.Errorf("server endpoints: %d, %d", c.local, c.remote)
 		}
 		seg, _ = c.Recv(p)
 	})
@@ -90,8 +90,8 @@ func TestConnEndpointsAndSegmentTimestamps(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if c.Local() != 0 || c.Remote() != 1 {
-			t.Errorf("client endpoints: %d, %d", c.Local(), c.Remote())
+		if c.local != 0 || c.remote != 1 {
+			t.Errorf("client endpoints: %d, %d", c.local, c.remote)
 		}
 		p.Sleep(time.Second)
 		c.Send(p, 50_000, nil)

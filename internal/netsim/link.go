@@ -45,9 +45,3 @@ func (l *Link) Transmit(p *sim.Proc, payload int) error {
 	end := l.reserve(payload)
 	return p.SleepUntil(end)
 }
-
-// BytesCarried returns the total payload bytes that have crossed the link.
-func (l *Link) BytesCarried() int64 { return l.bytesCarried }
-
-// FramesCarried returns the total frame count.
-func (l *Link) FramesCarried() int64 { return l.framesCarried }

@@ -58,12 +58,6 @@ type Params struct {
 	Wire Wire
 }
 
-// GoodputBps returns the model's steady-state bulk TCP payload bandwidth in
-// bytes per second: ~1.04 MB/s.
-func GoodputBps() float64 {
-	return float64(MSS) / (float64(MSS+frameOverhead) * 8 / bandwidthBps)
-}
-
 // Network is a shared Ethernet segment connecting a set of host interfaces.
 type Network struct {
 	k      *sim.Kernel

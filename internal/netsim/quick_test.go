@@ -59,7 +59,7 @@ func TestPropTCPByteConservation(t *testing.T) {
 		}
 		// Wire accounting: the link carried at least the payload (plus the
 		// handshake's 3×40 B).
-		return n.Link().BytesCarried() >= int64(total)
+		return n.Link().bytesCarried >= int64(total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -165,12 +165,6 @@ func (i *Iface) Dial(p *sim.Proc, dst HostID, port int) (*Conn, error) {
 	return client, nil
 }
 
-// Local returns the local host id.
-func (c *Conn) Local() HostID { return c.local }
-
-// Remote returns the peer host id.
-func (c *Conn) Remote() HostID { return c.remote }
-
 // Send transfers bytes of payload to the peer, blocking the sender at wire
 // pace: the payload is cut into MSS-sized frames, each individually queued
 // on the shared link, so concurrent transfers interleave fairly. The

@@ -1,7 +1,5 @@
 package opt
 
-import "math"
-
 // CGTrainer implements the paper's outer loop: apply the net to the
 // exemplars to obtain a gradient, use the gradient to modify the net,
 // repeat until error passes a threshold or a predetermined number of
@@ -128,19 +126,6 @@ func (t *CGTrainer) Step(set *ExemplarSet) float64 {
 	grad := g.Flat()
 	dir := t.Direction(grad)
 	_, loss := t.LineSearch(set, grad, dir)
-	return loss
-}
-
-// Train runs up to maxIter iterations, stopping early when the loss drops
-// below threshold. It returns the final loss.
-func (t *CGTrainer) Train(set *ExemplarSet, maxIter int, threshold float64) float64 {
-	loss := math.Inf(1)
-	for i := 0; i < maxIter; i++ {
-		loss = t.Step(set)
-		if loss < threshold {
-			break
-		}
-	}
 	return loss
 }
 

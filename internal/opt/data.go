@@ -60,16 +60,6 @@ func GenerateExemplars(n, dim, classes int, seed uint64) *ExemplarSet {
 	return set
 }
 
-// SizedSet builds a set whose total storage is approximately totalBytes,
-// matching how the paper reports training sets by megabyte.
-func SizedSet(totalBytes, dim, classes int, seed uint64) *ExemplarSet {
-	n := totalBytes / ExemplarBytes(dim)
-	if n < classes {
-		n = classes
-	}
-	return GenerateExemplars(n, dim, classes, seed)
-}
-
 // pack appends the set's features and labels to buf — the exemplar body of
 // a shard (Master.PackShard) and of an ADM fragment. Labels travel as
 // float64s: the message buffer has no int vector.
@@ -127,23 +117,6 @@ func (s *ExemplarSet) Slice(lo, hi int) *ExemplarSet {
 		labels:   s.labels[lo:hi],
 		ids:      s.ids[lo:hi],
 	}
-}
-
-// SplitEven partitions the set into n contiguous shards of near-equal size
-// ("data is equally distributed among the slaves").
-func (s *ExemplarSet) SplitEven(n int) []*ExemplarSet {
-	shards := make([]*ExemplarSet, n)
-	per := s.Len() / n
-	lo := 0
-	for i := 0; i < n; i++ {
-		hi := lo + per
-		if i == n-1 {
-			hi = s.Len()
-		}
-		shards[i] = s.Slice(lo, hi)
-		lo = hi
-	}
-	return shards
 }
 
 // TakeTail removes the last n exemplars and returns them as a new,

@@ -295,3 +295,43 @@ func TestRNGClassifierSanity(t *testing.T) {
 	}
 	_ = sim.FromSeconds // keep the import honest if unused elsewhere
 }
+
+// SizedSet builds a set whose total storage is approximately totalBytes,
+// matching how the paper reports training sets by megabyte.
+func SizedSet(totalBytes, dim, classes int, seed uint64) *ExemplarSet {
+	n := totalBytes / ExemplarBytes(dim)
+	if n < classes {
+		n = classes
+	}
+	return GenerateExemplars(n, dim, classes, seed)
+}
+
+// SplitEven partitions the set into n contiguous shards of near-equal size
+// ("data is equally distributed among the slaves").
+func (s *ExemplarSet) SplitEven(n int) []*ExemplarSet {
+	shards := make([]*ExemplarSet, n)
+	per := s.Len() / n
+	lo := 0
+	for i := 0; i < n; i++ {
+		hi := lo + per
+		if i == n-1 {
+			hi = s.Len()
+		}
+		shards[i] = s.Slice(lo, hi)
+		lo = hi
+	}
+	return shards
+}
+
+// Train runs up to maxIter iterations, stopping early when the loss drops
+// below threshold. It returns the final loss.
+func (t *CGTrainer) Train(set *ExemplarSet, maxIter int, threshold float64) float64 {
+	loss := math.Inf(1)
+	for i := 0; i < maxIter; i++ {
+		loss = t.Step(set)
+		if loss < threshold {
+			break
+		}
+	}
+	return loss
+}

@@ -56,9 +56,6 @@ func (d *Daemon) Host() *cluster.Host { return d.host }
 // Machine returns the owning virtual machine.
 func (d *Daemon) Machine() *Machine { return d.m }
 
-// TID returns the daemon's own tid.
-func (d *Daemon) TID() core.TID { return core.DaemonTID(int(d.host.ID())) }
-
 // Tasks returns the daemon's live local tasks, in local-id order.
 func (d *Daemon) Tasks() []*Task {
 	var ts []*Task

@@ -31,9 +31,6 @@ func TestDirectRouteFallsBackWhenPeerGone(t *testing.T) {
 func TestDaemonAccessors(t *testing.T) {
 	k, m := testMachine(t, 2, Config{})
 	d := m.Daemon(1)
-	if d.TID() != core.DaemonTID(1) {
-		t.Fatalf("daemon tid = %v", d.TID())
-	}
 	if d.Machine() != m {
 		t.Fatal("daemon machine wrong")
 	}

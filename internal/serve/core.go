@@ -174,9 +174,6 @@ func (c *Core) Now() sim.Time { return c.w.K.Now() }
 // History returns the applied command log (the in-memory journal).
 func (c *Core) History() []Command { return append([]Command(nil), c.history...) }
 
-// Plans returns the submitted plans in submission order.
-func (c *Core) Plans() []*PlanStatus { return append([]*PlanStatus(nil), c.plans...) }
-
 // Job returns job id, or nil.
 func (c *Core) Job(id int) *Job {
 	if id < 1 || id > len(c.jobs) {

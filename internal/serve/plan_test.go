@@ -65,7 +65,7 @@ func TestPlanCommandExecutesAndReplays(t *testing.T) {
 	cfg := Config{Hosts: 4}
 	buf, live := recordPlanSession(t, cfg)
 
-	plans := live.Plans()
+	plans := live.plans
 	if len(plans) != 1 || !plans[0].Done || plans[0].Result == nil {
 		t.Fatalf("plans = %+v", plans)
 	}
@@ -98,7 +98,7 @@ func TestPlanCommandExecutesAndReplays(t *testing.T) {
 	if lf, rf := live.Fingerprint(), replayed.Fingerprint(); lf != rf {
 		t.Fatalf("replay fingerprint %016x diverged from live %016x", rf, lf)
 	}
-	rp := replayed.Plans()
+	rp := replayed.plans
 	if len(rp) != 1 || !rp[0].Done || rp[0].Result.Moved != 3 {
 		t.Fatalf("replayed plans = %+v", rp)
 	}
@@ -189,7 +189,7 @@ func TestJournalTornPlanCommand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay after torn plan command: %v", err)
 	}
-	if plans := replayed.Plans(); len(plans) != 1 {
+	if plans := replayed.plans; len(plans) != 1 {
 		t.Fatalf("replayed plans = %d, want 1 (torn plan dropped)", len(plans))
 	}
 

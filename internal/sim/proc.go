@@ -161,9 +161,6 @@ func (k *Kernel) SpawnAt(at Time, name string, body func(*Proc)) *Proc {
 // Name returns the proc's name, fixed at Spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// ID returns the proc's unique id (1-based, in spawn order).
-func (p *Proc) ID() int { return p.id }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 

@@ -61,25 +61,22 @@ func TestULPAccessors(t *testing.T) {
 	ulps, err := s.Start("app", []ULPSpec{
 		{Host: 1, DataBytes: 60_000, StackBytes: 5_000},
 	}, func(u *ULP, rank int) {
-		if u.ID() != 0 || u.Host().Name() != "host2" {
-			t.Errorf("accessors: id=%d host=%s", u.ID(), u.Host().Name())
+		if u.id != 0 || u.Host().Name() != "host2" {
+			t.Errorf("accessors: id=%d host=%s", u.id, u.Host().Name())
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := ulps[0]
-	if u.Region().Size < 65_000 {
-		t.Fatalf("region of %d bytes does not hold the two segments", u.Region().Size)
+	if u.region.Size < 65_000 {
+		t.Fatalf("region of %d bytes does not hold the two segments", u.region.Size)
 	}
-	if u.Process() != s.Process(1) {
-		t.Fatal("Process accessor wrong")
+	if u.p != s.procs[1] {
+		t.Fatal("ULP not in host 1's process")
 	}
-	if s.ULP(0) != u || s.ULP(9) != nil {
-		t.Fatal("System.ULP lookup wrong")
-	}
-	if s.Process(-1) != nil || s.Process(9) != nil {
-		t.Fatal("out-of-range Process not nil")
+	if s.ulps[0] != u || s.ulps[9] != nil {
+		t.Fatal("System ULP lookup wrong")
 	}
 	k.Run()
 	if !u.Done() {

@@ -56,7 +56,7 @@ func TestFlushTimeoutRevertsULPUnderPartition(t *testing.T) {
 		if got := int(u.Host().ID()); got != 0 {
 			t.Errorf("aborted ULP on host %d, want reverted to 0", got)
 		}
-		if s.Process(0).NumULPs() != 1 {
+		if len(s.procs[0].ulps) != 1 {
 			t.Error("aborted ULP not back in the source process table")
 		}
 		if len(s.Records()) != 0 {

@@ -165,7 +165,7 @@ func FuzzUPVMHandlers(f *testing.F) {
 				tag = tagXfer
 			}
 			k.Schedule(time.Second+sim.Time(i)*time.Millisecond, func() {
-				p := s.Process(m.host)
+				p := s.procs[m.host]
 				msg := &pvm.Message{Src: core.DaemonTID(m.host), Dst: p.task.Mytid(),
 					Tag: tag, Buf: m.buffer(), SentAt: k.Now()}
 				h := p.Host()

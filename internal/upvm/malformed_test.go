@@ -64,7 +64,7 @@ func TestMalformedProtocolMessagesAreDropped(t *testing.T) {
 		}
 		for i, m := range msgs {
 			k.Schedule(at+sim.Time(i)*time.Millisecond, func() {
-				p := s.Process(m.host)
+				p := s.procs[m.host]
 				msg := &pvm.Message{Src: core.DaemonTID(m.host), Dst: p.task.Mytid(),
 					Tag: m.tag, Buf: m.buf, SentAt: k.Now()}
 				h := p.Host()
@@ -75,7 +75,7 @@ func TestMalformedProtocolMessagesAreDropped(t *testing.T) {
 		out.records = fmt.Sprintf("%+v", s.Records())
 		out.host, _, _ = s.Placement(0)
 		for host := range out.locs {
-			out.locs[host], _ = s.Process(host).locate(0)
+			out.locs[host], _ = s.procs[host].locate(0)
 		}
 		return out
 	}

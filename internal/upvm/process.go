@@ -97,9 +97,6 @@ func newProcess(s *System, host int, name string) (*Process, error) {
 // Host returns the workstation the process runs on.
 func (p *Process) Host() *cluster.Host { return p.task.Host() }
 
-// NumULPs returns the number of ULPs currently resident.
-func (p *Process) NumULPs() int { return len(p.ulps) }
-
 func (p *Process) addULP(u *ULP) {
 	p.ulps[u.id] = u
 	u.p = p

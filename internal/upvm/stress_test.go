@@ -61,7 +61,7 @@ func TestULPStormRing(t *testing.T) {
 			}
 			attempts++
 			id := rng.Intn(nULPs)
-			u := s.ULP(id)
+			u := s.ulps[id]
 			if u != nil && !u.Migrating() && !u.Done() {
 				dest := rng.Intn(nHosts)
 				if dest != int(u.Host().ID()) {
@@ -98,7 +98,7 @@ func TestULPStormRing(t *testing.T) {
 		}
 		// No inbound transfers left dangling.
 		for h := 0; h < nHosts; h++ {
-			if n := len(s.Process(h).inbound); n != 0 {
+			if n := len(s.procs[h].inbound); n != 0 {
 				t.Fatalf("trial %d: %d dangling inbound transfers at host %d", trial, n, h)
 			}
 		}
@@ -163,7 +163,7 @@ func TestULPMigratesThroughAllHosts(t *testing.T) {
 	if got := len(s.Records()); got != probes-1 {
 		t.Fatalf("migrations = %d, want %d", got, probes-1)
 	}
-	if fmt.Sprint(s.ULP(0).Mytid()) != fmt.Sprint(ULPTID(0)) {
+	if fmt.Sprint(s.ulps[0].Mytid()) != fmt.Sprint(ULPTID(0)) {
 		t.Fatal("ULP tid changed")
 	}
 }

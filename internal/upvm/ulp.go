@@ -66,29 +66,17 @@ func newULP(s *System, rank int, spec ULPSpec, body func(*ULP, int)) *ULP {
 // migrations — in UPVM the tid names the ULP itself).
 func (u *ULP) Mytid() core.TID { return ULPTID(u.id) }
 
-// ID returns the ULP's rank.
-func (u *ULP) ID() int { return u.id }
-
 // Proc returns the ULP's thread of control.
 func (u *ULP) Proc() *sim.Proc { return u.proc }
 
 // Host returns the workstation the ULP currently executes on.
 func (u *ULP) Host() *cluster.Host { return u.p.Host() }
 
-// Process returns the containing UPVM process.
-func (u *ULP) Process() *Process { return u.p }
-
-// Region returns the ULP's globally unique virtual address region.
-func (u *ULP) Region() Region { return u.region }
-
 // Done reports whether the ULP's body has returned.
 func (u *ULP) Done() bool { return u.done }
 
 // Migrating reports whether the ULP is mid-migration.
 func (u *ULP) Migrating() bool { return u.migrating }
-
-// Stats returns counts of local (hand-off) and remote messages received.
-func (u *ULP) Stats() (local, remote int) { return u.localMsgs, u.remoteMsgs }
 
 // --- pause/park ------------------------------------------------------------------
 

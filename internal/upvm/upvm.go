@@ -147,9 +147,6 @@ func (s *System) Machine() *pvm.Machine { return s.m }
 // Space returns the global address-space layout manager.
 func (s *System) Space() *AddressSpace { return s.space }
 
-// ULP returns the ULP with the given id, or nil.
-func (s *System) ULP(id int) *ULP { return s.ulps[id] }
-
 // Placement reports the ULP's host, whether it is live (not done) and
 // whether it is mid-migration. An unknown id is host -1, not live.
 func (s *System) Placement(id int) (host int, live, migrating bool) {
@@ -158,14 +155,6 @@ func (s *System) Placement(id int) (host int, live, migrating bool) {
 		return -1, false, false
 	}
 	return int(u.Host().ID()), !u.Done(), u.Migrating()
-}
-
-// Process returns the UPVM process on the given host, or nil.
-func (s *System) Process(host int) *Process {
-	if host < 0 || host >= len(s.procs) {
-		return nil
-	}
-	return s.procs[host]
 }
 
 // ULPSpec declares one ULP of an SPMD application.

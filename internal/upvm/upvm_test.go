@@ -77,8 +77,8 @@ func TestSPMDStartPlacesULPs(t *testing.T) {
 	if len(ulps) != 3 {
 		t.Fatalf("ulps = %d", len(ulps))
 	}
-	if s.Process(0).NumULPs() != 2 || s.Process(1).NumULPs() != 1 {
-		t.Fatalf("placement: %d, %d", s.Process(0).NumULPs(), s.Process(1).NumULPs())
+	if len(s.procs[0].ulps) != 2 || len(s.procs[1].ulps) != 1 {
+		t.Fatalf("placement: %d, %d", len(s.procs[0].ulps), len(s.procs[1].ulps))
 	}
 	if err := s.space.Validate(); err != nil {
 		t.Fatal(err)
@@ -106,8 +106,7 @@ func TestLocalMessageHandoff(t *testing.T) {
 				return
 			}
 			got = r.UpkFloat64s()
-			l, _ := u.Stats()
-			isLocal = l == 1
+			isLocal = u.localMsgs == 1
 		}
 	})
 	if err != nil {
@@ -140,8 +139,7 @@ func TestRemoteMessage(t *testing.T) {
 			return
 		}
 		got = r.UpkInt()
-		_, rm := u.Stats()
-		remote = rm == 1
+		remote = u.remoteMsgs == 1
 	})
 	if err != nil {
 		t.Fatal(err)
