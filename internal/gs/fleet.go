@@ -144,7 +144,6 @@ type Fleet struct {
 
 	log     decisionLog
 	stopped bool
-	tickNo  uint64
 	epoch   uint64
 	tickFn  func()
 
@@ -269,7 +268,6 @@ func (f *Fleet) tick() {
 	if f.stopped {
 		return
 	}
-	f.tickNo++
 	for _, s := range f.shards {
 		f.beatShard(s)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"pvmigrate/internal/core"
 	"pvmigrate/internal/metrics"
+	"pvmigrate/internal/opt"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/sweep"
 )
@@ -248,9 +249,9 @@ func Figure3() string {
 	return log.Timeline("Figure 3. UPVM migration: stages of migrating a ULP (timeline)")
 }
 
-// Figure4 renders the ADM finite-state machine.
+// Figure4 renders the state machine every ADMopt slave runs (opt.ADMFSM).
 func Figure4() string {
-	return "Figure 4. The finite-state machine program for ADM Opt\n" + Figure4FSM()
+	return "Figure 4. The finite-state machine program for ADM Opt\n" + opt.ADMFSM().Table()
 }
 
 // A Section is one block of migrate-bench's output: a table, a figure or an

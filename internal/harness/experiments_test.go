@@ -72,7 +72,7 @@ func TestFigure2LayoutIsValidAndGloballyUnique(t *testing.T) {
 }
 
 func TestFigure4HasPaperStates(t *testing.T) {
-	table := Figure4FSM()
+	table := Figure4()
 	for _, want := range []string{"compute", "redistribute", "inactive", "migration-event"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("FSM table missing %q:\n%s", want, table)

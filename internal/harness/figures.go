@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"pvmigrate/internal/adm"
 	"pvmigrate/internal/sim"
 	"pvmigrate/internal/trace"
 	"pvmigrate/internal/upvm"
@@ -38,22 +37,4 @@ func Figure2Layout(sc Scenario) (string, error) {
 		return "", err
 	}
 	return r.UPVM.Space().Layout(), nil
-}
-
-// Figure4FSM returns the ADMopt state machine's transition table — the
-// reproduction of the paper's Figure 4.
-func Figure4FSM() string {
-	f := adm.NewFSM("compute")
-	f.On("compute", "net-received", "compute").
-		On("compute", "migration-event", "redistribute").
-		On("compute", "enter-redist", "redistribute").
-		On("compute", "iteration-done", "reduce").
-		On("compute", "done", "finished").
-		On("reduce", "net-received", "compute").
-		On("reduce", "enter-redist", "redistribute").
-		On("reduce", "done", "finished").
-		On("redistribute", "redistributed", "compute").
-		On("redistribute", "withdrawn", "inactive").
-		On("inactive", "done", "finished")
-	return f.Table()
 }

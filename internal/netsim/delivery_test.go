@@ -75,7 +75,7 @@ func newConnRig(t testing.TB, dst HostID, payload any) *connRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.send = sim.NewQueue[int](r.k, 0)
+	r.send = sim.NewQueue[int](r.k)
 	r.k.Spawn("server", func(p *sim.Proc) {
 		c, err := l.Accept(p)
 		if err != nil {

@@ -50,7 +50,7 @@ func (i *Iface) BindDgram(port int) (*sim.Queue[Datagram], int) {
 	}
 	q, ok := i.dgrams[port]
 	if !ok {
-		q = sim.NewQueue[Datagram](i.net.k, 0)
+		q = sim.NewQueue[Datagram](i.net.k)
 		i.dgrams[port] = q
 	}
 	return q, port

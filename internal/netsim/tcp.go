@@ -67,7 +67,7 @@ func (i *Iface) Listen(port int) (*Listener, error) {
 	l := &Listener{
 		iface:   i,
 		port:    port,
-		pending: sim.NewQueue[*Conn](i.net.k, 0),
+		pending: sim.NewQueue[*Conn](i.net.k),
 	}
 	i.listeners[port] = l
 	return l, nil
@@ -141,8 +141,8 @@ func (i *Iface) Dial(p *sim.Proc, dst HostID, port int) (*Conn, error) {
 		return nil, fmt.Errorf("%w: host %d port %d", ErrConnRefused, dst, port)
 	}
 	k := i.net.k
-	client := &Conn{net: i.net, local: i.host, remote: dst, inbox: sim.NewQueue[Segment](k, 0)}
-	server := &Conn{net: i.net, local: dst, remote: i.host, inbox: sim.NewQueue[Segment](k, 0)}
+	client := &Conn{net: i.net, local: i.host, remote: dst, inbox: sim.NewQueue[Segment](k)}
+	server := &Conn{net: i.net, local: dst, remote: i.host, inbox: sim.NewQueue[Segment](k)}
 	client.peer, server.peer = server, client
 	if w := i.net.wire; w != nil && dst != i.host {
 		var cw, sw WireConn

@@ -111,7 +111,7 @@ func TestWireMessageAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			next := sim.NewQueue[int](k, 0)
+			next := sim.NewQueue[int](k)
 			if _, err := m.Spawn(0, "send", func(task *pvm.Task) {
 				for {
 					v, err := next.Get(task.Proc())

@@ -64,22 +64,23 @@ func (p ADMParams) withDefaults() ADMParams {
 	return p
 }
 
-// admFSM builds the Figure 4 state machine for a slave: normal computing,
-// migration event and load redistribution, and inactivity when a process
-// has no data over which to compute.
-func admFSM() *adm.FSM {
+// ADMFSM builds the paper's Figure 4 state machine that every ADMopt slave
+// runs: normal computing (net-received begins a new iteration), migration
+// event and load redistribution, and inactivity when a process has no data
+// over which to compute. The harness renders its table as Figure 4.
+func ADMFSM() *adm.FSM {
 	f := adm.NewFSM("compute")
-	f.On("compute", "net-received", "compute"). // new iteration begins
-							On("compute", "migration-event", "redistribute").
-							On("compute", "enter-redist", "redistribute").
-							On("compute", "iteration-done", "reduce").
-							On("compute", "done", "finished").
-							On("reduce", "net-received", "compute").
-							On("reduce", "enter-redist", "redistribute").
-							On("reduce", "done", "finished").
-							On("redistribute", "redistributed", "compute").
-							On("redistribute", "withdrawn", "inactive").
-							On("inactive", "done", "finished")
+	f.On("compute", "net-received", "compute").
+		On("compute", "migration-event", "redistribute").
+		On("compute", "enter-redist", "redistribute").
+		On("compute", "iteration-done", "reduce").
+		On("compute", "done", "finished").
+		On("reduce", "net-received", "compute").
+		On("reduce", "enter-redist", "redistribute").
+		On("reduce", "done", "finished").
+		On("redistribute", "redistributed", "compute").
+		On("redistribute", "withdrawn", "inactive").
+		On("inactive", "done", "finished")
 	return f
 }
 
@@ -318,7 +319,7 @@ func RunADMSlave(vp core.VP, master core.TID, rank int, peers []core.TID,
 	sl := &admSlave{
 		Slave: NewSlave(ap.Params),
 		vp:    vp, master: master, rank: rank, peers: peers,
-		events: events, ap: ap, fsm: admFSM(),
+		events: events, ap: ap, fsm: ADMFSM(),
 	}
 	if err := sl.LoadShard(r); err != nil {
 		return err

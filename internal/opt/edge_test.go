@@ -95,7 +95,7 @@ func TestADMParamsDefaults(t *testing.T) {
 }
 
 func TestADMFSMHasFigure4States(t *testing.T) {
-	f := admFSM()
+	f := ADMFSM()
 	states := f.States()
 	want := map[string]bool{"compute": false, "reduce": false, "redistribute": false,
 		"inactive": false, "finished": false}

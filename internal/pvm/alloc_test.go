@@ -33,7 +33,7 @@ func TestCrossHostMessageAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := sim.NewQueue[int](k, 0)
+		next := sim.NewQueue[int](k)
 		if _, err := m.Spawn(0, "send", func(task *Task) {
 			for {
 				v, err := next.Get(task.Proc())

@@ -107,3 +107,35 @@ func TestRetiredControlKindsIgnored(t *testing.T) {
 		}
 	}
 }
+
+// A host crash loses what its pvmd had queued but not yet taken: a crashed
+// kernel does not drain its socket buffers. Two control datagrams reach a
+// pvmd together, and the crash lands while it charges the first one's
+// processing, with the second still queued. The second must never be
+// routed.
+func TestCrashDropsDatagramsQueuedAtBusyDaemon(t *testing.T) {
+	k, m := testMachine(t, 1, Config{})
+	defer k.Close()
+	d := m.Daemon(0)
+	var handled []string
+	d.Control = func(d *Daemon, c *CtlMsg) { handled = append(handled, c.Kind) }
+	k.Schedule(time.Second, func() {
+		d.SendCtl(0, 64, &CtlMsg{Kind: "first"})
+		d.SendCtl(0, 64, &CtlMsg{Kind: "second"})
+	})
+	// Both arrive 300 µs later; the first keeps the pvmd busy for 250 µs.
+	k.Schedule(time.Second+400*time.Microsecond, func() {
+		if n := d.inq.Len(); n != 1 || len(handled) != 0 {
+			t.Errorf("at the crash the pvmd holds %d queued and has handled %v, want 1 queued behind the first", n, handled)
+		}
+		if err := m.CrashHost(0); err != nil {
+			t.Error(err)
+		}
+	})
+	k.Run()
+	for _, kind := range handled {
+		if kind == "second" {
+			t.Fatalf("crashed pvmd routed %v: the datagram queued at the crash was not dropped", handled)
+		}
+	}
+}

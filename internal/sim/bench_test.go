@@ -86,10 +86,10 @@ func BenchmarkKernelSleepInPlace(b *testing.B) {
 
 func BenchmarkQueueHandoff(b *testing.B) {
 	k := NewKernel()
-	q := NewQueue[int](k, 0)
+	q := NewQueue[int](k)
 	k.Spawn("prod", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			q.Put(p, i)
+			q.TryPut(i)
 		}
 	})
 	k.Spawn("cons", func(p *Proc) {

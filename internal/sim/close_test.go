@@ -70,7 +70,11 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 		order = append(order, "unreachable")
 	})
 	waiter := k.Spawn("waiter", func(p *Proc) { never.Wait(p) })
-	joiner := k.Spawn("joiner", func(p *Proc) { p.Join(waiter) })
+	joiner := k.Spawn("joiner", func(p *Proc) {
+		for !waiter.Done() {
+			never.Wait(p)
+		}
+	})
 	finished := k.Spawn("finished", func(p *Proc) {})
 	if blocked := k.RunUntil(time.Second); blocked != 3 {
 		t.Fatalf("RunUntil = %d blocked (%v), want 3", blocked, k.Blocked())

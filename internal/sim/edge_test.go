@@ -60,36 +60,18 @@ func TestInterruptBeforeFirstDispatch(t *testing.T) {
 	}
 }
 
-func TestQueuePutInterrupted(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue[int](k, 1)
-	q.TryPut(1) // full
-	var err error
-	p := k.Spawn("prod", func(p *Proc) {
-		err = q.Put(p, 2)
-	})
-	k.Schedule(time.Second, func() { p.Interrupt("stop") })
-	k.Run()
-	if _, ok := IsInterrupted(err); !ok {
-		t.Fatalf("err = %v", err)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("queue corrupted: len %d", q.Len())
-	}
-}
-
 func TestQueueClosedPut(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k, 0)
+	q := NewQueue[int](k)
 	q.Close()
-	var err error
-	k.Spawn("p", func(p *Proc) { err = q.Put(p, 1) })
-	k.Run()
-	if err != ErrQueueClosed || !errs.Is(err, CodeQueueClosed) {
-		t.Fatalf("err = %v", err)
-	}
 	if q.TryPut(1) {
 		t.Fatal("TryPut to closed queue succeeded")
+	}
+	var err error
+	k.Spawn("p", func(p *Proc) { _, err = q.Get(p) })
+	k.Run()
+	if err != ErrQueueClosed || !errs.Is(err, CodeQueueClosed) {
+		t.Fatalf("Get after a refused TryPut: err = %v", err)
 	}
 }
 

@@ -22,9 +22,9 @@ package sim
 // the bridge.
 //
 // wait must eventually return; a lost wire frame would otherwise hang the
-// simulation, which is why the netwire backend bounds every wait with a
-// generous wall-clock timeout and surfaces expiry as an error instead of
-// blocking forever.
+// simulation. The netwire backend never waits on the wall clock: its reads
+// are non-blocking, so a frame that is not on the socket when its delivery
+// event runs fails at once as wire.lost.
 func (k *Kernel) AwaitExternal(wait func()) {
 	k.externalWaits++
 	wait()

@@ -43,7 +43,10 @@ func dispatchMix(w io.Writer, seed uint64, tieBreak bool) {
 	}
 	delay := func() Time { return Time(r.Intn(4)) * time.Millisecond }
 	conds := []*Cond{NewCond(k), NewCond(k)}
-	q := NewQueue[int](k, 1)
+	// q holds at most one item: put waits on notFull while it is full, and
+	// every Get or Drain that frees the slot wakes a waiting put.
+	q := NewQueue[int](k)
+	notFull := NewCond(k)
 	var procs []*Proc
 
 	body := func(p *Proc) {
@@ -67,10 +70,17 @@ func dispatchMix(w io.Writer, seed uint64, tieBreak bool) {
 				err = conds[c].Wait(p)
 			case 4:
 				logf(p.Name(), "put %d", i)
-				err = q.Put(p, i)
+				for q.Len() >= 1 && err == nil {
+					err = notFull.Wait(p)
+				}
+				if err == nil {
+					q.TryPut(i)
+				}
 			case 5:
 				var v int
-				v, err = q.Get(p)
+				if v, err = q.Get(p); err == nil {
+					notFull.Signal()
+				}
 				logf(p.Name(), "got %d", v)
 			case 6:
 				if p.InterruptsMasked() {
@@ -120,9 +130,13 @@ func dispatchMix(w io.Writer, seed uint64, tieBreak bool) {
 				conds[r.Intn(len(conds))].Broadcast()
 				logf(chain, "broadcast")
 			case 2:
-				logf(chain, "tryput %v", q.TryPut(-ticks))
+				logf(chain, "tryput %v", q.Len() < 1 && q.TryPut(-ticks))
 			case 3:
-				logf(chain, "drain %v", q.Drain())
+				items := q.Drain()
+				if items != nil {
+					notFull.Broadcast()
+				}
+				logf(chain, "drain %v", items)
 			case 4:
 				target := procs[r.Intn(len(procs))]
 				logf(chain, "interrupt %s", target.Name())

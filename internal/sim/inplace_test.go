@@ -169,17 +169,26 @@ func TestCloseFromInPlaceCallbackPanics(t *testing.T) {
 	}
 }
 
-// TestQueuePingPongZeroAlloc: a warm cap-1 handoff waits on both of the
-// queue's conds every round, and neither Wait nor Signal allocates. It
-// reads the malloc counter directly: testing.AllocsPerRun divides by the
-// run count and would round a fractional rate down to zero.
+// TestQueuePingPongZeroAlloc: a warm one-slot handoff — the producer waits
+// on a notFull Cond while the queue holds an item, the consumer on the
+// queue's own — waits on two conds every round, and neither Wait nor
+// Signal allocates. It reads the malloc counter directly:
+// testing.AllocsPerRun divides by the run count and would round a
+// fractional rate down to zero.
 func TestQueuePingPongZeroAlloc(t *testing.T) {
 	const rounds = 10000
 	k := NewKernel()
 	defer k.Close()
-	q := NewQueue[int](k, 1)
+	q := NewQueue[int](k)
+	notFull := NewCond(k)
 	k.Spawn("prod", func(p *Proc) {
-		for i := 0; q.Put(p, i) == nil; i++ {
+		for i := 0; ; i++ {
+			for q.Len() >= 1 {
+				if notFull.Wait(p) != nil {
+					return
+				}
+			}
+			q.TryPut(i)
 		}
 	})
 	k.Spawn("cons", func(p *Proc) {
@@ -187,6 +196,7 @@ func TestQueuePingPongZeroAlloc(t *testing.T) {
 			if _, err := q.Get(p); err != nil {
 				return
 			}
+			notFull.Signal()
 			if n%rounds == 0 {
 				k.Stop()
 			}

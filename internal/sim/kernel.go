@@ -91,7 +91,6 @@ type Kernel struct {
 	running *Proc
 	procs   []*Proc // live procs only: a finished proc is dropped in dispatch
 	blocked int     // how many of procs are in pBlocked, kept at the transitions
-	nextPID int
 	stopped bool
 	closed  bool
 	// reserving is set while a proc takes its first event in place
@@ -386,15 +385,27 @@ func (k *Kernel) next(at Time) bool {
 	return len(k.events) == 0 || k.events[0].at > at
 }
 
+// account is the one step every taken event goes through, whichever path
+// takes it (run, resumeInPlace, take): the event's cancel cell, if it has
+// one (cell >= 0), is retired, and unless the event was canceled the clock
+// moves to at. It reports whether the event is live.
+func (k *Kernel) account(at Time, cell int32) bool {
+	if cell >= 0 && k.retireCell(cell) {
+		return false // canceled events do not advance the clock
+	}
+	if at > k.now {
+		k.now = at
+	}
+	return true
+}
+
 // take accounts for the event in slot s as dispatched, for a proc that
 // proved it next and did not queue it: the clock moves to s.at and, when the
 // event is p's own wake (p != nil), p's generation moves on as block's does.
 // With the draws Reserve took, this is all the state the queue round trip
 // would have changed, so neither path can be told from the other.
 func (k *Kernel) take(s Slot, p *Proc) {
-	if s.at > k.now {
-		k.now = s.at
-	}
+	k.account(s.at, -1)
 	if p != nil {
 		p.gen++
 	}
@@ -428,11 +439,8 @@ func (k *Kernel) run(deadline Time) int {
 			break
 		}
 		e := k.pop()
-		if e.cell >= 0 && k.retireCell(e.cell) {
-			continue // canceled events do not advance the clock
-		}
-		if e.at > k.now {
-			k.now = e.at
+		if !k.account(e.at, e.cell) {
+			continue
 		}
 		if e.fn != nil {
 			e.fn()
@@ -476,7 +484,6 @@ func (k *Kernel) dispatch(p *Proc) {
 	if p.panicked != nil {
 		panic(fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", p.name, p.panicked, p.stack)) // lint:alloc panic path, simulation is already dead
 	}
-	p.doneCond.Broadcast()
 }
 
 // resumeInPlace runs, on the stack of p (which has just blocked), the loop
@@ -497,19 +504,12 @@ func (k *Kernel) resumeInPlace(p *Proc) bool {
 		if k.deadline >= 0 && h.at > k.deadline {
 			break
 		}
-		if h.cell >= 0 && k.cells[h.cell].canceled {
-			k.retireCell(k.pop().cell)
-			continue
-		}
-		if h.fn == nil && (h.p != p || h.gen != p.gen) {
-			break // someone else's wake (or a stale one): run dispatches it
+		if h.fn == nil && (h.p != p || h.gen != p.gen) && (h.cell < 0 || !k.cells[h.cell].canceled) {
+			break // someone else's live wake (or a stale one): run dispatches it
 		}
 		e := k.pop()
-		if e.cell >= 0 {
-			k.retireCell(e.cell)
-		}
-		if e.at > k.now {
-			k.now = e.at
+		if !k.account(e.at, e.cell) {
+			continue
 		}
 		if e.fn == nil {
 			k.walking = nil

@@ -114,38 +114,6 @@ func TestTwoProcsInterleave(t *testing.T) {
 	}
 }
 
-func TestJoin(t *testing.T) {
-	k := NewKernel()
-	child := k.Spawn("child", func(p *Proc) { p.Sleep(7 * time.Second) })
-	var joinedAt Time
-	k.Spawn("parent", func(p *Proc) {
-		if err := p.Join(child); err != nil {
-			t.Errorf("Join: %v", err)
-		}
-		joinedAt = p.Now()
-	})
-	k.Run()
-	if joinedAt != 7*time.Second {
-		t.Fatalf("joined at %v, want 7s", joinedAt)
-	}
-}
-
-func TestJoinAlreadyDone(t *testing.T) {
-	k := NewKernel()
-	child := k.Spawn("child", func(p *Proc) {})
-	ok := false
-	k.SpawnAt(time.Second, "parent", func(p *Proc) {
-		if err := p.Join(child); err != nil {
-			t.Errorf("Join: %v", err)
-		}
-		ok = true
-	})
-	k.Run()
-	if !ok {
-		t.Fatal("join on finished proc did not return")
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
@@ -210,13 +178,13 @@ func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		k := NewKernel()
 		var trace []string
-		q := NewQueue[string](k, 0)
+		q := NewQueue[string](k)
 		for i := 0; i < 5; i++ {
 			name := string(rune('a' + i))
 			k.Spawn("prod-"+name, func(p *Proc) {
 				for j := 0; j < 3; j++ {
 					p.Sleep(time.Duration(i+1) * time.Millisecond)
-					q.Put(p, name)
+					q.TryPut(name)
 				}
 			})
 		}

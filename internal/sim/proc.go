@@ -45,7 +45,6 @@ func IsInterrupted(err error) (*Interrupted, bool) {
 // shared simulation state.
 type Proc struct {
 	k     *Kernel
-	id    int
 	idx   int // position in k.procs while the proc is live
 	name  string
 	state procState
@@ -56,7 +55,6 @@ type Proc struct {
 	body     func(*Proc)
 	panicked any
 	stack    []byte // the body's own stack at the panic
-	doneCond Cond
 
 	intrPending bool
 	intrReason  any
@@ -142,16 +140,13 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 
 // SpawnAt creates a proc that starts at the given absolute virtual time.
 func (k *Kernel) SpawnAt(at Time, name string, body func(*Proc)) *Proc {
-	k.nextPID++
 	p := &Proc{
 		k:     k,
-		id:    k.nextPID,
 		idx:   len(k.procs),
 		name:  name,
 		state: pBlocked,
 		body:  body,
 	}
-	p.doneCond.Init(k)
 	k.procs = append(k.procs, p)
 	k.blocked++
 	k.scheduleWake(p, at, p.gen)
@@ -291,16 +286,6 @@ func (p *Proc) SleepUntil(t Time) error {
 func (p *Proc) Yield() error {
 	wake := p.k.scheduleWakeTimer(p, p.k.now, p.gen)
 	return p.block(wake)
-}
-
-// Join blocks until other's body has returned.
-func (p *Proc) Join(other *Proc) error {
-	for !other.Done() {
-		if err := other.doneCond.Wait(p); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Interrupt delivers an asynchronous interrupt to p, modelling a Unix

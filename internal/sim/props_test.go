@@ -58,7 +58,7 @@ func TestPropQueueConservation(t *testing.T) {
 		}
 		k := NewKernel()
 		rng := NewRNG(seed)
-		q := NewQueue[[2]int](k, 0)
+		q := NewQueue[[2]int](k)
 		total := 0
 		for pi, c := range counts {
 			pi, c := pi, int(c)%16
@@ -67,7 +67,7 @@ func TestPropQueueConservation(t *testing.T) {
 			k.Spawn("prod", func(p *Proc) {
 				for j := 0; j < c; j++ {
 					p.Sleep(jitter)
-					q.Put(p, [2]int{pi, j})
+					q.TryPut([2]int{pi, j})
 				}
 			})
 		}

@@ -9,30 +9,27 @@ const CodeQueueClosed errs.Code = "sim.queue-closed"
 // value, so callers may compare it with == as well as errs.Is.
 var ErrQueueClosed = errs.New(CodeQueueClosed, "sim: queue closed", nil)
 
-// Queue is a FIFO channel between procs. A capacity of 0 means unbounded.
-// Get blocks while the queue is empty; Put blocks while a bounded queue is
-// full. Both are interrupt points.
+// Queue is an unbounded FIFO channel into procs. Producers never block:
+// TryPut appends from a proc or a kernel callback alike, and fails only on
+// a closed queue. Get blocks while the queue is empty and is an interrupt
+// point.
 //
 // Items live in a power-of-two ring buffer, so a steady put/get stream
 // recycles the same backing array instead of sliding an append window down
 // a slice (which reallocates every time the window reaches the end).
 type Queue[T any] struct {
-	k      *Kernel
 	buf    []T // ring storage; len(buf) is always 0 or a power of two
 	head   int // index of the oldest item
 	n      int // number of queued items
-	cap    int // bound; <= 0 means unbounded
 	closed bool
 
 	notEmpty Cond
-	notFull  Cond
 }
 
-// NewQueue returns a queue bound to k. cap <= 0 means unbounded.
-func NewQueue[T any](k *Kernel, cap int) *Queue[T] {
-	q := &Queue[T]{k: k, cap: cap}
+// NewQueue returns an empty queue bound to k.
+func NewQueue[T any](k *Kernel) *Queue[T] {
+	q := &Queue[T]{}
 	q.notEmpty.Init(k)
-	q.notFull.Init(k)
 	return q
 }
 
@@ -79,25 +76,10 @@ func (q *Queue[T]) pop() T {
 	return v
 }
 
-// Put appends v, blocking while a bounded queue is full.
-func (q *Queue[T]) Put(p *Proc, v T) error {
-	for q.cap > 0 && q.n >= q.cap && !q.closed {
-		if err := q.notFull.Wait(p); err != nil {
-			return err
-		}
-	}
-	if q.closed {
-		return ErrQueueClosed
-	}
-	q.push(v)
-	q.notEmpty.Signal()
-	return nil
-}
-
-// TryPut appends v without blocking; it reports whether the item was
-// accepted. Kernel-context callbacks (which cannot block) use this.
+// TryPut appends v without blocking and wakes one waiting Get; it reports
+// false, having queued nothing, when the queue is closed.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed || (q.cap > 0 && q.n >= q.cap) {
+	if q.closed {
 		return false
 	}
 	q.push(v)
@@ -116,9 +98,7 @@ func (q *Queue[T]) Get(p *Proc) (T, error) {
 			return zero, err
 		}
 	}
-	v := q.pop()
-	q.notFull.Signal()
-	return v, nil
+	return q.pop(), nil
 }
 
 // Drain removes and returns all queued items.
@@ -131,12 +111,11 @@ func (q *Queue[T]) Drain() []T {
 	clear(q.buf)
 	q.head = 0
 	q.n = 0
-	q.notFull.Broadcast()
 	return out
 }
 
 // Close marks the queue closed. Blocked and future Gets on an empty queue
-// and all Puts return ErrQueueClosed; items already queued can still be
+// return ErrQueueClosed and TryPut fails; items already queued can still be
 // retrieved.
 func (q *Queue[T]) Close() {
 	if q.closed {
@@ -144,5 +123,4 @@ func (q *Queue[T]) Close() {
 	}
 	q.closed = true
 	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
 }

@@ -7,11 +7,11 @@ import (
 
 func TestQueueFIFO(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k, 0)
+	q := NewQueue[int](k)
 	var got []int
 	k.Spawn("prod", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			q.Put(p, i)
+			q.TryPut(i)
 		}
 	})
 	k.Spawn("cons", func(p *Proc) {
@@ -34,7 +34,7 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueGetBlocksUntilPut(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[string](k, 0)
+	q := NewQueue[string](k)
 	var at Time
 	k.Spawn("cons", func(p *Proc) {
 		v, err := q.Get(p)
@@ -45,7 +45,7 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 	})
 	k.Spawn("prod", func(p *Proc) {
 		p.Sleep(4 * time.Second)
-		q.Put(p, "x")
+		q.TryPut("x")
 	})
 	k.Run()
 	if at != 4*time.Second {
@@ -53,33 +53,9 @@ func TestQueueGetBlocksUntilPut(t *testing.T) {
 	}
 }
 
-func TestQueueBoundedPutBlocks(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue[int](k, 2)
-	var putDone Time
-	k.Spawn("prod", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			if err := q.Put(p, i); err != nil {
-				t.Errorf("Put: %v", err)
-			}
-		}
-		putDone = p.Now()
-	})
-	k.Spawn("cons", func(p *Proc) {
-		p.Sleep(5 * time.Second)
-		if _, err := q.Get(p); err != nil {
-			t.Errorf("Get: %v", err)
-		}
-	})
-	k.Run()
-	if putDone != 5*time.Second {
-		t.Fatalf("third Put completed at %v, want 5s (after a Get)", putDone)
-	}
-}
-
 func TestQueueClose(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k, 0)
+	q := NewQueue[int](k)
 	q.TryPut(42)
 	var got []int
 	var finalErr error
@@ -105,21 +81,28 @@ func TestQueueClose(t *testing.T) {
 
 func TestQueueTryOps(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k, 1)
-	if !q.TryPut(1) {
-		t.Fatal("TryPut on empty bounded queue failed")
+	q := NewQueue[int](k)
+	// More items than the ring's first 8 slots: an open queue never refuses.
+	const n = 20
+	for i := 0; i < n; i++ {
+		if !q.TryPut(i) {
+			t.Fatalf("TryPut(%d) on an open queue failed", i)
+		}
 	}
-	if q.TryPut(2) {
-		t.Fatal("TryPut on full queue succeeded")
+	got := q.Drain()
+	if len(got) != n {
+		t.Fatalf("queue holds %d items, want %d", len(got), n)
 	}
-	if got := q.Drain(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("queue holds %v, want [1]", got)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("queue holds %v, want 0..%d in order", got, n-1)
+		}
 	}
 }
 
 func TestQueueDrain(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k, 0)
+	q := NewQueue[int](k)
 	for i := 0; i < 4; i++ {
 		q.TryPut(i)
 	}

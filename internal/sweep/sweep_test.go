@@ -17,7 +17,7 @@ func kernelFingerprint(seed uint64) uint64 {
 	k := sim.NewKernel()
 	k.SetTieBreakSeed(seed)
 	rng := sim.NewRNG(seed)
-	q := sim.NewQueue[int](k, 4)
+	q := sim.NewQueue[int](k)
 	var fp uint64
 	for i := 0; i < 4; i++ {
 		i := i
@@ -25,7 +25,7 @@ func kernelFingerprint(seed uint64) uint64 {
 		k.Spawn("prod", func(p *sim.Proc) {
 			for j := 0; j < 8; j++ {
 				p.Sleep(jitter)
-				q.Put(p, i*8+j)
+				q.TryPut(i*8 + j)
 			}
 		})
 	}

@@ -133,10 +133,9 @@ type EncodeFunc func(dst []byte, v any) ([]byte, error)
 type DecodeFunc func(r *Reader) (any, error)
 
 type entry struct {
-	tag  Tag
-	name string
-	enc  EncodeFunc
-	dec  DecodeFunc
+	tag Tag
+	enc EncodeFunc
+	dec DecodeFunc
 }
 
 var (
@@ -147,8 +146,8 @@ var (
 // Register installs the wire encoding for sample's concrete type under
 // tag. Protocol packages call it from init; double registration of a tag
 // or type, a tag inside the built-in range, or a missing encoder or
-// decoder is a programming error and panics. Registered names are used in
-// error messages only — the wire carries tags, never names.
+// decoder is a programming error and panics. name only labels those
+// panics; it is not kept, and the wire carries tags, never names.
 func Register(tag Tag, name string, sample any, enc EncodeFunc, dec DecodeFunc) {
 	if tag < tagReserved {
 		panic("wirefmt: tag " + name + " in the built-in primitive range")
@@ -166,7 +165,7 @@ func Register(tag Tag, name string, sample any, enc EncodeFunc, dec DecodeFunc) 
 	if _, dup := byType[t]; dup {
 		panic("wirefmt: duplicate type registration: " + name)
 	}
-	e := &entry{tag: tag, name: name, enc: enc, dec: dec}
+	e := &entry{tag: tag, enc: enc, dec: dec}
 	byTag[tag] = e
 	byType[t] = e
 }
