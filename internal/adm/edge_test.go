@@ -28,16 +28,6 @@ func TestPlanMovesTotalMismatch(t *testing.T) {
 	}
 }
 
-func TestFSMLogRecordsTransitions(t *testing.T) {
-	f := NewFSM("a").On("a", "go", "b").On("b", "back", "a")
-	f.Fire("go")
-	f.Fire("back")
-	log := f.log
-	if len(log) != 2 || log[0].From != "a" || log[1].To != "a" {
-		t.Fatalf("log = %+v", log)
-	}
-}
-
 func TestSignalsCoalesceSafely(t *testing.T) {
 	// Two signals delivered at the same instant must both be queued: the
 	// retry logic prevents Unix-style coalescing from losing one.

@@ -13,8 +13,8 @@
 //     can encounter has a defined transition, the "great care ... to ensure
 //     correctness" the paper calls out.
 //
-// The FSM engine reproduces Figure 4's structure: explicit states, declared
-// transitions, and a transition log.
+// The FSM engine reproduces Figure 4's structure: explicit states and
+// declared transitions.
 package adm
 
 import (
@@ -28,20 +28,12 @@ import (
 // State names one circle of the paper's Figure 4 finite-state machine.
 type State string
 
-// Transition records one arc taken at run time.
-type Transition struct {
-	From  State
-	Event string
-	To    State
-}
-
 // FSM is a declarative finite-state machine: transitions must be declared
 // before they are taken, so an unhandled (state, event) pair fails loudly
 // instead of silently mis-handling a migration event.
 type FSM struct {
 	state State
 	rules map[State]map[string]State
-	log   []Transition
 }
 
 // NewFSM creates a machine in the given initial state.
@@ -68,7 +60,6 @@ func (f *FSM) Fire(event string) (State, error) {
 	if !ok {
 		return f.state, errs.Newf(CodeNoTransition, "no transition for event %q in state %q", event, f.state)
 	}
-	f.log = append(f.log, Transition{From: f.state, Event: event, To: to})
 	f.state = to
 	return to, nil
 }

@@ -75,15 +75,12 @@ func encodeBufferWire(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
-func decodeBufferWire(r *wirefmt.Reader) (any, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
+func decodeBufferWire(r *wirefmt.Reader) any {
 	// Each item costs at least its kind byte; reject corrupt counts before
 	// sizing the slice from them.
-	if err := r.CheckClaim(n, 1); err != nil {
-		return nil, err
+	n := r.Uvarint()
+	if !r.CheckClaim(n, 1) {
+		return nil
 	}
 	b := &Buffer{}
 	switch {
@@ -92,54 +89,37 @@ func decodeBufferWire(r *wirefmt.Reader) (any, error) {
 	case n > 0:
 		b.items = b.inline[:n]
 	}
-	for i := range b.items {
-		k, err := r.Byte()
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < len(b.items) && r.Err() == nil; i++ {
 		it := &b.items[i]
-		it.kind = itemKind(k)
+		it.kind = itemKind(r.Byte())
 		switch it.kind {
-		case kindInt:
-			it.i, err = r.Int()
+		case kindInt, kindVirtual:
+			it.i = r.Int()
 		case kindFloat64s:
-			it.floats, err = r.Float64s()
+			it.floats = r.Float64s()
 		case kindBytes:
 			// r.Bytes aliases the frame, which the transport reuses.
-			var v []byte
-			v, err = r.Bytes()
-			it.ref = bytes.Clone(v)
+			it.ref = bytes.Clone(r.Bytes())
 		case kindString:
-			it.str, err = r.String()
-		case kindVirtual:
-			it.i, err = r.Int()
+			it.str = r.String()
 		case kindBuffer:
-			var nested any
-			if nested, err = r.Any(); err == nil && nested != nil {
+			if nested := r.Any(); nested != nil {
 				inner, ok := nested.(*Buffer)
 				if !ok {
-					return nil, errs.Newf(wirefmt.CodeBadValue, "core: nested buffer item decoded as %T", nested)
+					r.Fail(errs.Newf(wirefmt.CodeBadValue, "core: nested buffer item decoded as %T", nested))
 				}
 				it.ref = inner
 			}
 		default:
-			return nil, errs.Newf(wirefmt.CodeBadValue, "core: decoded buffer item %d has unknown kind %d", i, k)
-		}
-		if err != nil {
-			return nil, err
+			r.Fail(errs.Newf(wirefmt.CodeBadValue, "core: decoded buffer item %d has unknown kind %d", i, it.kind))
 		}
 	}
-	if b.bytes, err = r.Int(); err != nil {
-		return nil, err
-	}
-	return b, nil
+	b.bytes = r.Int()
+	return b
 }
 
 func encodeTIDWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendInt(dst, int(v.(TID))), nil
 }
 
-func decodeTIDWire(r *wirefmt.Reader) (any, error) {
-	v, err := r.Int()
-	return TID(v), err
-}
+func decodeTIDWire(r *wirefmt.Reader) any { return TID(r.Int()) }

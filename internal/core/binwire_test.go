@@ -115,6 +115,18 @@ func TestWireBufferDepthCap(t *testing.T) {
 	}
 }
 
+// A buffer item's kind byte names one of the six item kinds; any other
+// value fails as wire.bad-value, even in a body that is otherwise whole
+// (one item, then the byte count).
+func TestDecodeRejectsUnknownItemKind(t *testing.T) {
+	for _, kind := range []byte{byte(kindBuffer) + 1, 0xff} {
+		frame := []byte{'P', 'W', wirefmt.Version, byte(tagBuffer), 0, 3, 0, 0, 0, 1, kind, 0}
+		if v, err := wirefmt.Decode(frame); v != nil || !errs.Is(err, wirefmt.CodeBadValue) {
+			t.Errorf("kind %d: decoded %#v, err %v; want %s", kind, v, err, wirefmt.CodeBadValue)
+		}
+	}
+}
+
 // Encoding a typed-nil *Buffer is a protocol bug surfaced as an error (nil
 // payloads travel as TagNil), and truncated buffer bodies fail structurally.
 func TestWireBufferErrors(t *testing.T) {

@@ -17,7 +17,4 @@ func encodeBeatWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendInt(dst, v.(beat).host), nil
 }
 
-func decodeBeatWire(r *wirefmt.Reader) (any, error) {
-	host, err := r.Int()
-	return beat{host: host}, err
-}
+func decodeBeatWire(r *wirefmt.Reader) any { return beat{host: r.Int()} }

@@ -86,7 +86,7 @@ func encFrame(dst []byte, v any) ([]byte, error) {
 	return append(dst, 0), nil // append-style API return: silent
 }
 
-func decFrame(r *wirefmt.Reader) (any, error) { return nil, nil }
+func decFrame(r *wirefmt.Reader) any { return nil }
 
 func init() {
 	// Registered encoders are rooted automatically, without a cfg entry.

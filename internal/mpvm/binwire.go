@@ -48,16 +48,8 @@ func encodeFlushCmdWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendInt(dst, c.srcHost), nil
 }
 
-func decodeFlushCmdWire(r *wirefmt.Reader) (any, error) {
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	srcHost, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	return &flushCmd{orig: core.TID(orig), srcHost: srcHost}, nil
+func decodeFlushCmdWire(r *wirefmt.Reader) any {
+	return &flushCmd{orig: core.TID(r.Int()), srcHost: r.Int()}
 }
 
 func encodeFlushAckWire(dst []byte, v any) ([]byte, error) {
@@ -66,16 +58,8 @@ func encodeFlushAckWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendInt(dst, c.host), nil
 }
 
-func decodeFlushAckWire(r *wirefmt.Reader) (any, error) {
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	host, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	return &flushAck{orig: core.TID(orig), host: host}, nil
+func decodeFlushAckWire(r *wirefmt.Reader) any {
+	return &flushAck{orig: core.TID(r.Int()), host: r.Int()}
 }
 
 func encodeSkeletonReqWire(dst []byte, v any) ([]byte, error) {
@@ -87,27 +71,8 @@ func encodeSkeletonReqWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendInt(dst, c.bytes), nil
 }
 
-func decodeSkeletonReqWire(r *wirefmt.Reader) (any, error) {
-	c := &skeletonReq{}
-	var err error
-	if c.rpc, err = r.Int(); err != nil {
-		return nil, err
-	}
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	c.orig = core.TID(orig)
-	if c.name, err = r.String(); err != nil {
-		return nil, err
-	}
-	if c.srcHost, err = r.Int(); err != nil {
-		return nil, err
-	}
-	if c.bytes, err = r.Int(); err != nil {
-		return nil, err
-	}
-	return c, nil
+func decodeSkeletonReqWire(r *wirefmt.Reader) any {
+	return &skeletonReq{rpc: r.Int(), orig: core.TID(r.Int()), name: r.String(), srcHost: r.Int(), bytes: r.Int()}
 }
 
 func encodeSkeletonReadyWire(dst []byte, v any) ([]byte, error) {
@@ -116,16 +81,8 @@ func encodeSkeletonReadyWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendInt(dst, c.port), nil
 }
 
-func decodeSkeletonReadyWire(r *wirefmt.Reader) (any, error) {
-	rpc, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	port, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	return &skeletonReady{rpc: rpc, port: port}, nil
+func decodeSkeletonReadyWire(r *wirefmt.Reader) any {
+	return &skeletonReady{rpc: r.Int(), port: r.Int()}
 }
 
 func encodeRestartCmdWire(dst []byte, v any) ([]byte, error) {
@@ -135,20 +92,8 @@ func encodeRestartCmdWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendInt(dst, int(c.newTID)), nil
 }
 
-func decodeRestartCmdWire(r *wirefmt.Reader) (any, error) {
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	oldTID, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	newTID, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	return &restartCmd{orig: core.TID(orig), oldTID: core.TID(oldTID), newTID: core.TID(newTID)}, nil
+func decodeRestartCmdWire(r *wirefmt.Reader) any {
+	return &restartCmd{orig: core.TID(r.Int()), oldTID: core.TID(r.Int()), newTID: core.TID(r.Int())}
 }
 
 func encodeRoundHeaderWire(dst []byte, v any) ([]byte, error) {
@@ -159,24 +104,8 @@ func encodeRoundHeaderWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendBool(dst, c.final), nil
 }
 
-func decodeRoundHeaderWire(r *wirefmt.Reader) (any, error) {
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	round, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	bytes, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	final, err := r.Bool()
-	if err != nil {
-		return nil, err
-	}
-	return &roundHeader{orig: core.TID(orig), round: round, bytes: bytes, final: final}, nil
+func decodeRoundHeaderWire(r *wirefmt.Reader) any {
+	return &roundHeader{orig: core.TID(r.Int()), round: r.Int(), bytes: r.Int(), final: r.Bool()}
 }
 
 func encodeMigrateCmdWire(dst []byte, v any) ([]byte, error) {
@@ -188,30 +117,10 @@ func encodeMigrateCmdWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendBool(dst, c.warm), nil
 }
 
-func decodeMigrateCmdWire(r *wirefmt.Reader) (any, error) {
-	vp, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	dest, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	reason, err := r.String()
-	if err != nil {
-		return nil, err
-	}
-	orig, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	warm, err := r.Bool()
-	if err != nil {
-		return nil, err
-	}
+func decodeMigrateCmdWire(r *wirefmt.Reader) any {
 	return &migrateCmd{
-		order: core.MigrationOrder{VP: core.TID(vp), Dest: dest, Reason: core.MigrationReason(reason)},
-		orig:  core.TID(orig),
-		warm:  warm,
-	}, nil
+		order: core.MigrationOrder{VP: core.TID(r.Int()), Dest: r.Int(), Reason: core.MigrationReason(r.String())},
+		orig:  core.TID(r.Int()),
+		warm:  r.Bool(),
+	}
 }

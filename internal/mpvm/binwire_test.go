@@ -32,11 +32,19 @@ func mpvmWireFixtures() []struct {
 			order: core.MigrationOrder{VP: vp, Dest: 1, Reason: core.ReasonOwnerReclaim},
 			orig:  vp, warm: true,
 		}, "505701390016000000848020020d6f776e65722d7265636c61696d84802001"},
+		// A migrated VP's order names its current TID, not its original
+		// one: the two TID fields differ, so swapping them fails here.
+		{"migrate-cmd-moved-vp", &migrateCmd{
+			order: core.MigrationOrder{VP: core.MakeTID(1, 3), Dest: 0, Reason: core.ReasonHighLoad},
+			orig:  vp,
+		}, "5057013900120000008680400009686967682d6c6f616484802000"},
 		{"flush-cmd", &flushCmd{orig: vp, srcHost: 0}, "50570131000400000084802000"},
 		{"flush-ack", &flushAck{orig: vp, host: 1}, "50570132000400000084802002"},
 		{"skeleton-req", &skeletonReq{rpc: 11, orig: vp, name: "slave", srcHost: 0, bytes: 1 << 20}, "50570133000f0000001684802005736c6176650080808001"},
 		{"skeleton-ready", &skeletonReady{rpc: 11, port: 9001}, "50570134000400000016d28c01"},
 		{"restart-cmd", &restartCmd{orig: vp, oldTID: vp, newTID: core.MakeTID(1, 3)}, "505701350009000000848020848020868040"},
+		// A second migration: orig, oldTID and newTID all differ.
+		{"restart-cmd-second-move", &restartCmd{orig: vp, oldTID: core.MakeTID(1, 3), newTID: core.MakeTID(2, 4)}, "505701350009000000848020868040888060"},
 		{"round-header", &roundHeader{orig: vp, round: 3, bytes: 64 << 10, final: false}, "5057013800080000008480200680800800"},
 		{"final-round-header", &roundHeader{orig: vp, round: 0, bytes: 1 << 20, final: true}, "505701380009000000848020008080800101"},
 	}
@@ -66,6 +74,29 @@ func TestRetiredTagsStayUnknown(t *testing.T) {
 				t.Fatalf("decoded %#v, err %v; want %s", v, err, wirefmt.CodeUnknownTag)
 			}
 		})
+	}
+}
+
+// A bool field is one byte that must be 0 or 1: the final-round flag and
+// the warm flag, both their frames' last byte, fail as wire.bad-value on 2.
+func TestDecodeRejectsBadBool(t *testing.T) {
+	checked := 0
+	for _, c := range mpvmWireFixtures() {
+		if c.name != "final-round-header" && c.name != "warm-migrate-cmd" {
+			continue
+		}
+		checked++
+		raw, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatalf("bad fixture: %v", err)
+		}
+		raw[len(raw)-1] = 2
+		if v, err := wirefmt.Decode(raw); v != nil || !errs.Is(err, wirefmt.CodeBadValue) {
+			t.Errorf("%s with a bool byte of 2: decoded %#v, err %v; want %s", c.name, v, err, wirefmt.CodeBadValue)
+		}
+	}
+	if checked != 2 {
+		t.Fatalf("checked %d fixtures, want 2", checked)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestLoopbackTCPConn(t *testing.T) {
 	if elapsed < 30*time.Millisecond || elapsed > 60*time.Millisecond {
 		t.Fatalf("loopback transfer took %v", elapsed)
 	}
-	if n.Link().framesCarried != 0 {
+	if n.Link().busyUntil != 0 {
 		t.Fatal("loopback used the wire")
 	}
 }

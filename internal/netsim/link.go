@@ -9,10 +9,6 @@ import "pvmigrate/internal/sim"
 type Link struct {
 	k         *sim.Kernel
 	busyUntil sim.Time
-
-	// accounting
-	bytesCarried  int64 // payload bytes
-	framesCarried int64
 }
 
 // frameTime returns the wire occupancy of a frame carrying payload bytes.
@@ -33,8 +29,6 @@ func (l *Link) reserve(payload int) sim.Time {
 	}
 	d := l.frameTime(payload)
 	l.busyUntil = start + d
-	l.bytesCarried += int64(payload)
-	l.framesCarried++
 	return l.busyUntil
 }
 

@@ -98,9 +98,6 @@ func TestLinkFIFOAndSharing(t *testing.T) {
 	if endB-endA > 2*perFrame {
 		t.Fatalf("unfair sharing: %v vs %v", endA, endB)
 	}
-	if link.framesCarried != 200 {
-		t.Fatalf("frames = %d", link.framesCarried)
-	}
 }
 
 func TestDatagramDelivery(t *testing.T) {
@@ -150,7 +147,7 @@ func TestDatagramSameHostLoopback(t *testing.T) {
 	if at < 30*time.Millisecond || at > 60*time.Millisecond {
 		t.Fatalf("loopback arrival at %v", at)
 	}
-	if n.Link().framesCarried != 0 {
+	if n.Link().busyUntil != 0 {
 		t.Fatal("loopback datagram used the wire")
 	}
 }
@@ -274,7 +271,7 @@ func TestBulkSendResumesInPlace(t *testing.T) {
 	if _, err := b.Listen(5000); err != nil {
 		t.Fatal(err)
 	}
-	var frames int64
+	var took sim.Time
 	var switches uint64
 	k.Spawn("send", func(p *sim.Proc) {
 		conn, err := a.Dial(p, 1, 5000)
@@ -282,14 +279,16 @@ func TestBulkSendResumesInPlace(t *testing.T) {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		f0, s0 := n.Link().framesCarried, k.ProcSwitches()
+		t0, s0 := p.Now(), k.ProcSwitches()
 		if err := conn.Send(p, 1<<20, nil); err != nil {
 			t.Errorf("send: %v", err)
 		}
-		frames, switches = n.Link().framesCarried-f0, k.ProcSwitches()-s0
+		took, switches = p.Now()-t0, k.ProcSwitches()-s0
 	})
 	k.Run()
-	if frames != 719 || switches != 0 || k.ProcSwitches() != 1 {
-		t.Fatalf("1 MiB send: %d frames, %d switches during it, %d in the run; want 719, 0, 1", frames, switches, k.ProcSwitches())
+	// 719 frames back to back: 718 full MSS frames and a 296-byte tail.
+	l := n.Link()
+	if want := 718*l.frameTime(MSS) + l.frameTime(1<<20-718*MSS); took != want || switches != 0 || k.ProcSwitches() != 1 {
+		t.Fatalf("1 MiB send: took %v, %d switches during it, %d in the run; want %v (719 frames), 0, 1", took, switches, k.ProcSwitches(), want)
 	}
 }

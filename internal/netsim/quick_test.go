@@ -57,9 +57,9 @@ func TestPropTCPByteConservation(t *testing.T) {
 		if received != total {
 			return false
 		}
-		// Wire accounting: the link carried at least the payload (plus the
-		// handshake's 3×40 B).
-		return n.Link().bytesCarried >= int64(total)
+		// Wire accounting: the link was busy for at least the payload's
+		// wire time (frames add their overhead, the handshake its 3×40 B).
+		return n.Link().busyUntil >= sim.FromSeconds(float64(total)*8/bandwidthBps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

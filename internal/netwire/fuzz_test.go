@@ -2,6 +2,7 @@ package netwire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
 	"strings"
@@ -36,8 +37,10 @@ var goldenFrameSeeds = []string{
 	"50570133000f0000001684802005736c6176650080808001",
 	"50570134000400000016d28c01",
 	"505701350009000000848020848020868040",
+	"505701350009000000848020868040888060",
 	"5057013800080000008480200680800800",
 	"5057013900120000008480200209686967682d6c6f616484802000",
+	"5057013900120000008680400009686967682d6c6f616484802000",
 	// ft
 	"50570140000100000006",
 }
@@ -80,6 +83,26 @@ func TestSeedsCoverRegisteredTags(t *testing.T) {
 	for tag := range registered {
 		if !seeded[tag] {
 			t.Errorf("wire tag %d is registered but has no seed in goldenFrameSeeds", tag)
+		}
+	}
+}
+
+// TestDecodeRejectsTruncatedSeeds cuts every seed's body at each strict
+// prefix and rewrites the header to claim that length: whichever field the
+// cut lands in, the frame fails as wire.truncated and yields no value.
+func TestDecodeRejectsTruncatedSeeds(t *testing.T) {
+	for _, h := range goldenFrameSeeds {
+		raw, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatalf("bad seed %q: %v", h, err)
+		}
+		for n := wirefmt.HeaderLen; n < len(raw); n++ {
+			frame := append([]byte(nil), raw[:n]...)
+			binary.LittleEndian.PutUint32(frame[5:], uint32(n-wirefmt.HeaderLen))
+			if v, err := wirefmt.Decode(frame); v != nil || !errs.Is(err, wirefmt.CodeTruncated) {
+				t.Errorf("seed %s cut to %d body bytes: decoded %#v, err %v; want %s",
+					h, n-wirefmt.HeaderLen, v, err, wirefmt.CodeTruncated)
+			}
 		}
 	}
 }

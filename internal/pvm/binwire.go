@@ -44,39 +44,19 @@ func encodeMessageWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendAny(dst, buf)
 }
 
-func decodeMessageWire(r *wirefmt.Reader) (any, error) {
-	m := &Message{}
-	src, err := r.Int()
-	if err != nil {
-		return nil, err
+func decodeMessageWire(r *wirefmt.Reader) any {
+	m := &Message{
+		Src: core.TID(r.Int()), Dst: core.TID(r.Int()), Tag: r.Int(),
+		SentAt: sim.Time(r.Int64()), Hops: r.Int(),
 	}
-	dst, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	if m.Tag, err = r.Int(); err != nil {
-		return nil, err
-	}
-	sentAt, err := r.Int64()
-	if err != nil {
-		return nil, err
-	}
-	if m.Hops, err = r.Int(); err != nil {
-		return nil, err
-	}
-	m.Src, m.Dst, m.SentAt = core.TID(src), core.TID(dst), sim.Time(sentAt)
-	nested, err := r.Any()
-	if err != nil {
-		return nil, err
-	}
-	if nested != nil {
+	if nested := r.Any(); nested != nil {
 		buf, ok := nested.(*core.Buffer)
 		if !ok {
-			return nil, errs.Newf(wirefmt.CodeBadValue, "pvm: Message.Buf decoded as %T", nested)
+			r.Fail(errs.Newf(wirefmt.CodeBadValue, "pvm: Message.Buf decoded as %T", nested))
 		}
 		m.Buf = buf
 	}
-	return m, nil
+	return m
 }
 
 func encodeCtlMsgWire(dst []byte, v any) ([]byte, error) {
@@ -89,19 +69,6 @@ func encodeCtlMsgWire(dst []byte, v any) ([]byte, error) {
 	return wirefmt.AppendAny(dst, c.Payload)
 }
 
-func decodeCtlMsgWire(r *wirefmt.Reader) (any, error) {
-	c := &CtlMsg{}
-	var err error
-	if c.Kind, err = r.String(); err != nil {
-		return nil, err
-	}
-	from, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	c.From = core.TID(from)
-	if c.Payload, err = r.Any(); err != nil {
-		return nil, err
-	}
-	return c, nil
+func decodeCtlMsgWire(r *wirefmt.Reader) any {
+	return &CtlMsg{Kind: r.String(), From: core.TID(r.Int()), Payload: r.Any()}
 }

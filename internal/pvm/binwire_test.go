@@ -1,6 +1,7 @@
 package pvm
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
 	"testing"
@@ -55,6 +56,23 @@ func TestRetiredTagsStayUnknown(t *testing.T) {
 				t.Fatalf("decoded %#v, err %v; want %s", v, err, wirefmt.CodeUnknownTag)
 			}
 		})
+	}
+}
+
+// A Message carries a *core.Buffer or nothing: any other nested value in
+// its payload slot fails as wire.bad-value.
+func TestDecodeRejectsNonBufferPayload(t *testing.T) {
+	frame, err := wirefmt.Append(nil, &Message{Src: core.MakeTID(0, 1), Dst: core.MakeTID(1, 1), Tag: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame = frame[:len(frame)-2] // the nil payload's TagNil
+	if frame, err = wirefmt.AppendAny(frame, 7); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(frame[5:], uint32(len(frame)-wirefmt.HeaderLen))
+	if v, err := wirefmt.Decode(frame); v != nil || !errs.Is(err, wirefmt.CodeBadValue) {
+		t.Fatalf("%x: decoded %#v, err %v; want %s", frame, v, err, wirefmt.CodeBadValue)
 	}
 }
 

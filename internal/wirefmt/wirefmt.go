@@ -59,6 +59,12 @@
 // length claim is checked against the bytes actually remaining before any
 // slice is sized from it, recursion through nested values is depth-capped,
 // and all failures are internal/errs errors under the "wire." namespace.
+//
+// A Reader keeps its first failure, as core.Reader does, so a registered
+// decoder reads its fields in wire order and never checks an error: Go
+// evaluates a composite literal's calls left to right, so the reads may sit
+// inside the literal the decoder returns. Decode checks Err once and
+// discards the value of a body that failed.
 package wirefmt
 
 import (
@@ -129,8 +135,10 @@ const (
 // carries a nested value with no registered encoding.
 type EncodeFunc func(dst []byte, v any) ([]byte, error)
 
-// DecodeFunc reads one body off r and returns the reconstructed value.
-type DecodeFunc func(r *Reader) (any, error)
+// DecodeFunc reads one body off r and returns the reconstructed value. It
+// reports a malformed body through r (a failed read, or r.Fail), never by
+// its result: once r has failed, the value it returns is discarded.
+type DecodeFunc func(r *Reader) any
 
 type entry struct {
 	tag Tag
@@ -334,8 +342,8 @@ func Decode(data []byte) (any, error) {
 	}
 	r := readers.Get().(*Reader)
 	*r = Reader{data: data, pos: HeaderLen}
-	v, err := r.decodeTag(tag)
-	trailing := len(data) - r.pos
+	v := r.decodeTag(tag)
+	trailing, err := len(data)-r.pos, r.err
 	*r = Reader{} // drop the frame before the cursor is pooled
 	readers.Put(r)
 	if err != nil {
@@ -353,195 +361,206 @@ func Decode(data []byte) (any, error) {
 var readers = sync.Pool{New: func() any { return new(Reader) }}
 
 // Reader is a bounds-checked cursor over a frame body, handed to
-// registered DecodeFuncs. Every method returns a structured error instead
-// of reading past the end, and nested-value recursion is depth-capped.
+// registered DecodeFuncs. Its error is sticky: the first failure — a read
+// past the end, a malformed field, or a decoder's own Fail — is kept, and
+// from then on every read returns its zero value without advancing.
+// Nested-value recursion is depth-capped.
 type Reader struct {
 	data  []byte
 	pos   int
 	depth int
+	err   error
+}
+
+// Err returns the reader's first failure, or nil if every read so far
+// succeeded.
+func (r *Reader) Err() error { return r.err }
+
+// Fail records err as the reader's failure unless it has already failed: a
+// decoder's way to refuse a value its reads decoded cleanly.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
 }
 
 // Remaining returns the undecoded byte count.
 func (r *Reader) Remaining() int { return len(r.data) - r.pos }
 
-func (r *Reader) truncated(what string) error {
-	return errs.Newf(CodeTruncated, "wirefmt: truncated %s at offset %d", what, r.pos)
+func (r *Reader) truncated(what string) {
+	r.Fail(errs.Newf(CodeTruncated, "wirefmt: truncated %s at offset %d", what, r.pos))
+}
+
+// need reports whether r is still good with n more bytes to read, failing
+// it as truncated when they are not there.
+func (r *Reader) need(n uint64, what string) bool {
+	if r.err == nil && n > uint64(r.Remaining()) {
+		r.truncated(what)
+	}
+	return r.err == nil
 }
 
 // CheckClaim validates a decoded element count against the bytes that
 // could possibly back it (minPerItem encoded bytes each) before the caller
-// sizes a slice from it — corrupt counts must fail, not allocate.
-func (r *Reader) CheckClaim(count uint64, minPerItem int) error {
-	if count > uint64(r.Remaining())/uint64(minPerItem) {
-		return errs.Newf(CodeTruncated, "wirefmt: count %d claims more than the %d bytes remaining", count, r.Remaining())
+// sizes a slice from it — a corrupt count fails the reader as
+// wire.truncated instead of allocating. It reports whether r is still good.
+func (r *Reader) CheckClaim(count uint64, minPerItem int) bool {
+	if r.err == nil && count > uint64(r.Remaining())/uint64(minPerItem) {
+		r.Fail(errs.Newf(CodeTruncated, "wirefmt: count %d claims more than the %d bytes remaining", count, r.Remaining()))
 	}
-	return nil
+	return r.err == nil
 }
 
 // Byte reads one raw byte.
-func (r *Reader) Byte() (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, r.truncated("byte")
+func (r *Reader) Byte() byte {
+	if !r.need(1, "byte") {
+		return 0
 	}
 	b := r.data[r.pos]
 	r.pos++
-	return b, nil
+	return b
 }
 
 // Bool reads one byte that must be exactly 0 or 1.
-func (r *Reader) Bool() (bool, error) {
-	b, err := r.Byte()
-	if err != nil {
-		return false, err
-	}
+func (r *Reader) Bool() bool {
+	b := r.Byte()
 	if b > 1 {
-		return false, errs.Newf(CodeBadValue, "wirefmt: bool byte 0x%02x", b)
+		r.Fail(errs.Newf(CodeBadValue, "wirefmt: bool byte 0x%02x", b))
+		return false
 	}
-	return b == 1, nil
+	return b == 1
 }
 
 // Uvarint reads an unsigned LEB128 varint.
-func (r *Reader) Uvarint() (uint64, error) {
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
-		return 0, r.truncated("uvarint")
+		r.truncated("uvarint")
+		return 0
 	}
 	r.pos += n
-	return v, nil
+	return v
 }
 
 // Int64 reads a zig-zag LEB128 varint.
-func (r *Reader) Int64() (int64, error) {
+func (r *Reader) Int64() int64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Varint(r.data[r.pos:])
 	if n <= 0 {
-		return 0, r.truncated("varint")
+		r.truncated("varint")
+		return 0
 	}
 	r.pos += n
-	return v, nil
+	return v
 }
 
 // Int reads a zig-zag LEB128 varint as an int.
-func (r *Reader) Int() (int, error) {
-	v, err := r.Int64()
-	return int(v), err
-}
+func (r *Reader) Int() int { return int(r.Int64()) }
 
 // Float64 reads 8 bytes of little-endian IEEE-754 bits.
-func (r *Reader) Float64() (float64, error) {
-	if r.Remaining() < 8 {
-		return 0, r.truncated("float64")
+func (r *Reader) Float64() float64 {
+	if !r.need(8, "float64") {
+		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.pos:]))
 	r.pos += 8
-	return v, nil
+	return v
 }
 
 // String reads a varint length and that many raw bytes.
-func (r *Reader) String() (string, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.Remaining()) {
-		return "", r.truncated("string")
+func (r *Reader) String() string {
+	n := r.Uvarint()
+	if !r.need(n, "string") {
+		return ""
 	}
 	s := string(r.data[r.pos : r.pos+int(n)]) // lint:alloc decoded result: the string the receiver keeps
 	r.pos += int(n)
-	return s, nil
+	return s
 }
 
 // Bytes reads a count+1-prefixed byte slice (0 decodes nil). The result
 // aliases the frame buffer, which the transport reuses once Decode returns:
 // a decoder that keeps the bytes keeps a copy (bytes.Clone keeps nil and
 // empty apart).
-func (r *Reader) Bytes() ([]byte, error) {
-	m, err := r.Uvarint()
-	if err != nil {
-		return nil, err
+func (r *Reader) Bytes() []byte {
+	m := r.Uvarint()
+	if m == 0 || !r.need(m-1, "bytes") {
+		return nil
 	}
-	if m == 0 {
-		return nil, nil
-	}
-	n := m - 1
-	if n > uint64(r.Remaining()) {
-		return nil, r.truncated("bytes")
-	}
-	b := r.data[r.pos : r.pos+int(n) : r.pos+int(n)]
-	r.pos += int(n)
-	return b, nil
+	end := r.pos + int(m-1)
+	b := r.data[r.pos:end:end]
+	r.pos = end
+	return b
 }
 
 // Ints reads a count+1-prefixed []int (0 decodes nil).
-func (r *Reader) Ints() ([]int, error) {
-	m, err := r.Uvarint()
-	if err != nil {
-		return nil, err
+func (r *Reader) Ints() []int {
+	m := r.Uvarint()
+	if m == 0 || !r.CheckClaim(m-1, 1) {
+		return nil
 	}
-	if m == 0 {
-		return nil, nil
-	}
-	n := m - 1
-	if err := r.CheckClaim(n, 1); err != nil {
-		return nil, err
-	}
-	out := make([]int, n) // lint:alloc decoded result: the slice the receiver keeps
+	out := make([]int, m-1) // lint:alloc decoded result: the slice the receiver keeps
 	for i := range out {
-		if out[i], err = r.Int(); err != nil {
-			return nil, err
-		}
+		out[i] = r.Int()
 	}
-	return out, nil
+	if r.err != nil {
+		return nil
+	}
+	return out
 }
 
-// Float64s reads a count+1-prefixed []float64 (0 decodes nil).
-func (r *Reader) Float64s() ([]float64, error) {
-	m, err := r.Uvarint()
-	if err != nil {
-		return nil, err
+// Float64s reads a count+1-prefixed []float64 (0 decodes nil). Its claim
+// check leaves room for every element, so no element read can fail.
+func (r *Reader) Float64s() []float64 {
+	m := r.Uvarint()
+	if m == 0 || !r.CheckClaim(m-1, 8) {
+		return nil
 	}
-	if m == 0 {
-		return nil, nil
-	}
-	n := m - 1
-	if err := r.CheckClaim(n, 8); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n) // lint:alloc decoded result: the slice the receiver keeps
+	out := make([]float64, m-1) // lint:alloc decoded result: the slice the receiver keeps
 	for i := range out {
-		if out[i], err = r.Float64(); err != nil {
-			return nil, err
-		}
+		out[i] = r.Float64()
 	}
-	return out, nil
+	return out
 }
 
 // Any reads a nested value: bare little-endian tag, then its body.
-func (r *Reader) Any() (any, error) {
-	if r.Remaining() < 2 {
-		return nil, r.truncated("nested tag")
+func (r *Reader) Any() any {
+	if !r.need(2, "nested tag") {
+		return nil
 	}
 	tag := Tag(binary.LittleEndian.Uint16(r.data[r.pos:]))
 	r.pos += 2
 	return r.decodeTag(tag)
 }
 
-func (r *Reader) decodeTag(tag Tag) (any, error) {
+// decodeTag decodes one tag's body, depth-capped; a body that failed
+// decodes to nil.
+func (r *Reader) decodeTag(tag Tag) any {
 	if r.depth == maxDepth {
-		return nil, errs.Newf(CodeDepth, "wirefmt: nesting deeper than %d", maxDepth)
+		r.Fail(errs.Newf(CodeDepth, "wirefmt: nesting deeper than %d", maxDepth))
+		return nil
 	}
 	r.depth++
-	v, err := r.decodeBody(tag)
+	v := r.decodeBody(tag)
 	r.depth--
-	return v, err
+	if r.err != nil {
+		return nil
+	}
+	return v
 }
 
 // decodeBody decodes one tag's body. The scalar, string and slice cases box
 // the decoded value into the result interface: that value is what the
 // receiver keeps.
-func (r *Reader) decodeBody(tag Tag) (any, error) {
+func (r *Reader) decodeBody(tag Tag) any {
 	switch tag {
 	case TagNil:
-		return nil, nil
+		return nil
 	case TagBool:
 		return r.Bool() // lint:alloc decoded result, boxed for the receiver (a bool's box is static)
 	case TagInt:
@@ -553,8 +572,7 @@ func (r *Reader) decodeBody(tag Tag) (any, error) {
 	case TagString:
 		return r.String() // lint:alloc decoded result, boxed for the receiver
 	case TagBytes:
-		b, err := r.Bytes()
-		return bytes.Clone(b), err // lint:alloc decoded result: the receiver keeps its own copy of the frame's bytes
+		return bytes.Clone(r.Bytes()) // lint:alloc decoded result: the receiver keeps its own copy of the frame's bytes
 	case TagInts:
 		return r.Ints() // lint:alloc decoded result, boxed for the receiver
 	case TagFloat64s:
@@ -562,7 +580,8 @@ func (r *Reader) decodeBody(tag Tag) (any, error) {
 	}
 	e := byTag[tag]
 	if e == nil {
-		return nil, errs.Newf(CodeUnknownTag, "wirefmt: unknown type tag %d", tag)
+		r.Fail(errs.Newf(CodeUnknownTag, "wirefmt: unknown type tag %d", tag))
+		return nil
 	}
 	return e.dec(r)
 }
