@@ -76,7 +76,7 @@ func (l *decisionLog) flat() []Decision {
 // in only the entries logged since the last call.
 func (l *decisionLog) fingerprint() uint64 {
 	if l.folded == 0 {
-		l.fp = fnvOffset
+		l.fp = foldSeed
 	}
 	for p := l.folded / decisionPage; p <= l.used; p++ {
 		page := l.page(p)
@@ -88,28 +88,29 @@ func (l *decisionLog) fingerprint() uint64 {
 	return l.fp
 }
 
-// FNV-1a, 64 bit.
+// The fold's starting value (the fraction of π) and its multiplier (2^64/φ,
+// odd, so multiplying by it is a bijection on 64-bit words).
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	foldSeed = 0x243f6a8885a308d3
+	foldMul  = 0x9e3779b97f4a7c15
 )
 
-// DecisionFingerprint folds a decision log into one FNV-1a value — the
+// DecisionFingerprint folds a decision log into one 64-bit value — the
 // cross-run and cross-parallelism determinism pin for fleet sweeps.
 func DecisionFingerprint(decs []Decision) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(foldSeed)
 	for i := range decs {
 		h = foldDecision(h, &decs[i])
 	}
 	return h
 }
 
-// foldDecision extends fingerprint h by one decision.
+// foldDecision extends fingerprint h by one decision, a word per field.
 func foldDecision(h uint64, d *Decision) uint64 {
-	h = foldUint64(h, uint64(d.At))
-	h = foldUint64(h, uint64(int64(d.Host)))
-	h = foldUint64(h, uint64(int64(d.Dest)))
-	h = foldUint64(h, uint64(int64(d.Moved)))
+	h = foldWord(h, uint64(d.At))
+	h = foldWord(h, uint64(int64(d.Host)))
+	h = foldWord(h, uint64(int64(d.Dest)))
+	h = foldWord(h, uint64(int64(d.Moved)))
 	h = foldString(h, string(d.Reason))
 	if d.Err != nil {
 		h = foldString(h, d.Err.Error())
@@ -117,19 +118,29 @@ func foldDecision(h uint64, d *Decision) uint64 {
 	return h
 }
 
-func foldUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
+// foldWord extends h by the word v: one multiply, then an xor-shift that
+// carries the product's high bits down. For a fixed h, distinct words give
+// distinct results.
+func foldWord(h, v uint64) uint64 {
+	h = (h ^ v) * foldMul
+	return h ^ h>>32
 }
 
+// foldString extends h by the length of s, then by s eight bytes per word,
+// the last word zero-padded: the length makes the padding, and where one
+// string ends and the next begins, unambiguous.
 func foldString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
+	h = foldWord(h, uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h = foldWord(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+	}
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
+		}
+		h = foldWord(h, w)
 	}
 	return h
 }

@@ -3,6 +3,7 @@ package gs
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/core"
@@ -90,3 +91,64 @@ func (l *decisionLog) reset() {
 	}
 	l.used, l.folded = 0, 0
 }
+
+// TestDecisionFingerprintFoldsEveryField: changing any one field of a
+// decision changes the fold, and so does moving a string boundary — the
+// same bytes split differently between Reason and the Err text — or
+// replacing a nil Err with one whose text is empty.
+func TestDecisionFingerprintFoldsEveryField(t *testing.T) {
+	base := Decision{At: 5 * time.Second, Host: 3, Dest: 7, Reason: core.ReasonHighLoad, Moved: 1}
+	fp := func(d Decision) uint64 { return DecisionFingerprint([]Decision{d}) }
+	seen := map[uint64]string{fp(base): "base"}
+	variant := func(name string, mut func(*Decision)) {
+		d := base
+		mut(&d)
+		v := fp(d)
+		if other, ok := seen[v]; ok {
+			t.Errorf("%s folds to %#x, the same as %s", name, v, other)
+		}
+		seen[v] = name
+	}
+	variant("At", func(d *Decision) { d.At++ })
+	variant("Host", func(d *Decision) { d.Host++ })
+	variant("Dest", func(d *Decision) { d.Dest = -1 })
+	variant("Moved", func(d *Decision) { d.Moved = 0 })
+	variant("Reason", func(d *Decision) { d.Reason = core.ReasonOwnerReclaim })
+	variant("Reason's last byte", func(d *Decision) { d.Reason = "high-loae" })
+	variant("empty Err", func(d *Decision) { d.Err = errors.New("") })
+	variant("Err", func(d *Decision) { d.Err = errors.New("gs.no-destination") })
+	variant(`"ab"+""`, func(d *Decision) { d.Reason, d.Err = "ab", errors.New("") })
+	variant(`"a"+"b"`, func(d *Decision) { d.Reason, d.Err = "a", errors.New("b") })
+	variant("Host and Dest swapped", func(d *Decision) { d.Host, d.Dest = d.Dest, d.Host })
+
+	// Order matters too: two decisions folded the other way round.
+	other := base
+	other.Host = 4
+	if DecisionFingerprint([]Decision{base, other}) == DecisionFingerprint([]Decision{other, base}) {
+		t.Error("two decisions fold the same in either order")
+	}
+}
+
+// BenchmarkDecisionFingerprint folds a 1,024-entry log shaped like the
+// fleet storm's (nine moves to each evacuation, a failed move now and then)
+// and reports the cost per decision.
+func BenchmarkDecisionFingerprint(b *testing.B) {
+	failed := errors.New("gs.no-destination: no destination for 3 stranded units")
+	decs := make([]Decision, decisionPage)
+	for i := range decs {
+		decs[i] = Decision{At: sim.Time(i) * time.Second, Host: i % 1000, Dest: (i * 7) % 1000, Reason: core.ReasonHighLoad, Moved: 1}
+		if i%10 == 0 {
+			decs[i].Dest, decs[i].Reason, decs[i].Moved = -1, core.ReasonOwnerReclaim, 120
+		}
+		if i%97 == 0 {
+			decs[i].Moved, decs[i].Err = 0, failed
+		}
+	}
+	b.ReportAllocs()
+	for range b.N {
+		fingerprintSink = DecisionFingerprint(decs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(decs)), "ns/decision")
+}
+
+var fingerprintSink uint64

@@ -135,6 +135,7 @@ type Fleet struct {
 
 	hosts  []*cluster.Host
 	shards []*fleetShard
+	owner  []*fleetShard // owner[id] is the shard host id belongs to
 
 	// marked[id] is set while host id's slot waits in its shard's dirty
 	// list. polled is set when the target announces no load change (it has
@@ -171,7 +172,7 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 		pol.MovesPerTick = 1
 	}
 	f := &Fleet{cl: cl, k: cl.Kernel(), target: target, pol: pol, hosts: hosts,
-		marked: make([]bool, len(hosts))}
+		owner: make([]*fleetShard, len(hosts)), marked: make([]bool, len(hosts))}
 	f.tickFn = f.tick
 	f.watchFn = f.watch
 	nsh := pol.Shards
@@ -194,6 +195,9 @@ func NewFleet(cl *cluster.Cluster, target Target, pol FleetPolicy) *Fleet {
 		}
 		s.pv = ShardView{Index: s.view, Elig: s.elig}
 		f.shards = append(f.shards, s)
+		for i := range n {
+			f.owner[base+i] = s
+		}
 		base += n
 	}
 	// The first beat reads every slot; after it, a slot is re-read only when
@@ -488,13 +492,5 @@ func (f *Fleet) applyMove(from, to int) {
 	f.mark(to)
 }
 
-// shardOf returns the shard owning host. NewFleet's contiguous partition
-// gives the first extra shards per+1 hosts and the rest per (per ≥ 1: Shards
-// is clamped to the host count), so the owner is arithmetic, not a search.
-func (f *Fleet) shardOf(host int) *fleetShard {
-	per, extra := len(f.hosts)/len(f.shards), len(f.hosts)%len(f.shards)
-	if wide := extra * (per + 1); host >= wide {
-		return f.shards[extra+(host-wide)/per]
-	}
-	return f.shards[host/(per+1)]
-}
+// shardOf returns the shard owning host.
+func (f *Fleet) shardOf(host int) *fleetShard { return f.owner[host] }

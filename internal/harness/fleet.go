@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"slices"
 	"time"
 
+	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/errs"
 	"pvmigrate/internal/gs"
 	"pvmigrate/internal/sim"
@@ -87,6 +89,34 @@ func (sc FleetScenario) validate() error {
 		count{"vps", sc.VPs, 0}, count{"storms", sc.Storms, 0})
 }
 
+// storm is one owner arrival or departure: its reserved place in dispatch
+// order, its host, and the index of the storm it belongs to.
+type storm struct {
+	slot    sim.Slot
+	host, i int32
+}
+
+// streamStorms queues the first of storms, sorted by place, into its place;
+// each one, as it runs, queues the next before it sets its host's owner
+// active (arrivals) or not (departures). The stream's earliest remaining
+// event is always queued, so the kernel's next event, and with it every
+// dispatch, is the one it would be with all of them queued up front.
+func streamStorms(k *sim.Kernel, hosts []*cluster.Host, storms []storm, owner bool) {
+	if len(storms) == 0 {
+		return
+	}
+	next := 0
+	var fire func()
+	fire = func() {
+		s := storms[next]
+		if next++; next < len(storms) {
+			k.ScheduleSlot(storms[next].slot, fire)
+		}
+		hosts[s.host].SetOwnerActive(owner)
+	}
+	k.ScheduleSlot(storms[0].slot, fire)
+}
+
 // FleetOutcome is what a fleet scenario produced.
 type FleetOutcome struct {
 	// Err is set, and nothing else, when the scenario was refused.
@@ -154,23 +184,33 @@ func RunFleet(sc FleetScenario) *FleetOutcome {
 	}
 
 	// Owner-reclaim storm: seeded arrivals across the run, each owner
-	// departing StormDwell later. A host's arrival and departure are bound
-	// once, at its first storm, and scheduled for every storm after.
-	hosts := w.Cluster.Hosts()
-	arrive := make([]func(), len(hosts))
-	leave := make([]func(), len(hosts))
+	// departing StormDwell later. Each arrival and departure reserves its
+	// place in dispatch order where scheduling it would have drawn its seq
+	// and tie-break priority. Sorted by place, the arrivals are one stream
+	// and the departures another, and each stream keeps only its next event
+	// queued.
+	arrivals := make([]storm, sc.Storms)
+	leaves := make([]sim.Slot, sc.Storms) // by storm index
 	span := int64(sc.Duration)
-	for i := 0; i < sc.Storms; i++ {
+	for i := range arrivals {
 		at := sim.Time(1 + rng.Uint64()%uint64(span))
-		h := rng.Intn(sc.Hosts)
-		if arrive[h] == nil {
-			host := hosts[h]
-			arrive[h] = func() { host.SetOwnerActive(true) }
-			leave[h] = func() { host.SetOwnerActive(false) }
-		}
-		w.K.ScheduleAt(at, arrive[h])
-		w.K.ScheduleAt(at+sc.StormDwell, leave[h])
+		h := int32(rng.Intn(sc.Hosts))
+		arrivals[i] = storm{w.K.Reserve(at), h, int32(i)}
+		leaves[i] = w.K.Reserve(at + sc.StormDwell)
 	}
+	byPlace := func(a, b storm) int { return a.slot.Compare(b.slot) }
+	slices.SortFunc(arrivals, byPlace)
+	// Every owner stays the same dwell, so in arrival order the departures
+	// are sorted already, but for arrivals that share an instant under a
+	// tie-breaker: this sort is close to one pass.
+	departures := make([]storm, len(arrivals))
+	for j, a := range arrivals {
+		departures[j] = storm{leaves[a.i], a.host, a.i}
+	}
+	slices.SortFunc(departures, byPlace)
+	hosts := w.Cluster.Hosts()
+	streamStorms(w.K, hosts, arrivals, true)
+	streamStorms(w.K, hosts, departures, false)
 
 	fleet.Start()
 	w.K.RunUntil(sc.Duration)

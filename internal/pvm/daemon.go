@@ -29,6 +29,7 @@ type Daemon struct {
 
 	tasks     map[int]*Task // by local id
 	nextLocal int
+	halted    bool // the host crashed (halt): route nothing more
 
 	// held keeps messages for tids that are not (or no longer) local when
 	// no forwarder claims them, so nothing is silently lost.
@@ -76,6 +77,9 @@ func (d *Daemon) run(p *sim.Proc) {
 			return
 		}
 		d.m.chargeCPU(p, d.host, daemonProcessing)
+		if d.halted {
+			return // the host crashed while the datagram was being charged
+		}
 		switch payload := dg.Payload.(type) {
 		case *Message:
 			d.route(p, payload)

@@ -111,8 +111,8 @@ func TestRetiredControlKindsIgnored(t *testing.T) {
 // A host crash loses what its pvmd had queued but not yet taken: a crashed
 // kernel does not drain its socket buffers. Two control datagrams reach a
 // pvmd together, and the crash lands while it charges the first one's
-// processing, with the second still queued. The second must never be
-// routed.
+// processing, with the second still queued. Neither may be routed: the
+// second never left the queue, and the crash ended the work on the first.
 func TestCrashDropsDatagramsQueuedAtBusyDaemon(t *testing.T) {
 	k, m := testMachine(t, 1, Config{})
 	defer k.Close()
@@ -133,9 +133,7 @@ func TestCrashDropsDatagramsQueuedAtBusyDaemon(t *testing.T) {
 		}
 	})
 	k.Run()
-	for _, kind := range handled {
-		if kind == "second" {
-			t.Fatalf("crashed pvmd routed %v: the datagram queued at the crash was not dropped", handled)
-		}
+	if len(handled) != 0 {
+		t.Fatalf("crashed pvmd routed %v after the crash", handled)
 	}
 }

@@ -40,9 +40,11 @@ func (t *Task) forceKill(reason any) {
 }
 
 // halt stops the daemon process and unbinds its port. Queued datagrams are
-// lost (a crashed kernel does not drain its socket buffers); the unbind
-// lets a revived daemon bind a fresh queue.
+// lost (a crashed kernel does not drain its socket buffers), and so is the
+// one the pvmd was charging, which run drops once the charge returns; the
+// unbind lets a revived daemon bind a fresh queue.
 func (d *Daemon) halt(reason any) {
+	d.halted = true
 	d.inq.Drain()
 	d.iface.CloseDgram(pvmdPort)
 	if !d.proc.Done() {

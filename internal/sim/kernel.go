@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -361,6 +362,22 @@ func (k *Kernel) Reserve(at Time) Slot {
 	}
 	k.seq++
 	return Slot{at: at, prio: k.nextPrio(), seq: k.seq}
+}
+
+// Compare orders two places as the queue dispatches their events, on the
+// full (time, tie-break priority, seq) key: -1 if s runs before t, +1 if
+// after, 0 only for the same place. Places reserved ahead and sorted by
+// Compare are in the order the kernel would dispatch the same events
+// scheduled up front, so a caller may queue each only when the one before
+// it runs.
+func (s Slot) Compare(t Slot) int {
+	if c := cmp.Compare(s.at, t.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(s.prio, t.prio); c != 0 {
+		return c
+	}
+	return cmp.Compare(s.seq, t.seq)
 }
 
 // ScheduleSlot queues fn into the reserved place s. The event is ordered
