@@ -8,8 +8,8 @@
 // silently dropped protocol errors — and, over the whole program, no
 // allocation on the zero-alloc hot paths (noalloc), no blocking host I/O
 // outside the AwaitExternal bridge (bridgecall), error codes declared once
-// and documented (errcode), and no option field that nothing sets
-// (unsetopt).
+// and documented (errcode), and no option field that nothing sets and no
+// struct field that no non-test code reads (fielduse).
 //
 // Exit status 1 means findings were reported; 2 means a package failed to
 // load. -json emits one JSON object per finding (file, line, column,

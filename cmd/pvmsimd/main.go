@@ -112,7 +112,8 @@ func exitStatus(err error) int {
 }
 
 // runReplay re-executes a journal headlessly and prints what the live
-// session's /v1/fingerprint reported, for bit-identical comparison.
+// session's /v1/fingerprint reported, for bit-identical comparison. A torn
+// final line (the daemon died mid-append) is dropped with a note on stderr.
 func runReplay(path string) int {
 	f, err := os.Open(path)
 	if err != nil {
@@ -120,7 +121,16 @@ func runReplay(path string) int {
 		return 1
 	}
 	defer f.Close()
-	core, err := serve.ReplayJournal(f)
+	data, err := serve.ReadJournal(f)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pvmsimd: replay: %v\n", err)
+		return exitStatus(err)
+	}
+	if data.Torn {
+		fmt.Fprintf(os.Stderr, "pvmsimd: journal %s ends in a torn line; replaying the %d complete commands before it\n",
+			path, len(data.Commands))
+	}
+	core, err := serve.Replay(data.Config, data.Commands)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pvmsimd: replay: %v\n", err)
 		return exitStatus(err)

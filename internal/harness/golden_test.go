@@ -37,21 +37,22 @@ func TestGoldenSurvivalDigest(t *testing.T) {
 	cfg.CrashFrom = 3 * time.Second
 	cfg.CrashTo = 10 * time.Second
 	cfg.Outage = 3 * time.Second // short enough that rejoins land mid-run
-	out := Survival(cfg)
-	if out.Err != nil || !out.Completed {
-		t.Fatalf("survival run failed: err=%v completed=%v", out.Err, out.Completed)
+	out, fleet := survival(cfg)
+	if out.Err != nil {
+		t.Fatalf("survival run failed: %v", out.Err)
 	}
+	decisions := fleet.Decisions()
 	if len(out.Recoveries) != 3 {
 		t.Fatalf("recoveries = %d, want 3: the run no longer exercises failure detection", len(out.Recoveries))
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%x|%d\n", gs.DecisionFingerprint(out.Decisions), int64(out.Elapsed))
+	fmt.Fprintf(h, "%x|%d\n", gs.DecisionFingerprint(decisions), int64(out.Elapsed))
 	for _, r := range out.Recoveries {
 		fmt.Fprintf(h, "%+v\n", r)
 	}
 	if got := h.Sum64(); got != goldenSurvivalDigest {
 		t.Fatalf("survival digest %#x, want %#x (decisions %+v, recoveries %+v, elapsed %v)",
-			got, uint64(goldenSurvivalDigest), out.Decisions, out.Recoveries, out.Elapsed)
+			got, uint64(goldenSurvivalDigest), decisions, out.Recoveries, out.Elapsed)
 	}
 }
 

@@ -76,12 +76,11 @@ const survivalRunCap sim.Time = 2 * time.Hour
 
 // SurvivalOutcome reports the run.
 type SurvivalOutcome struct {
-	// Result / Err / Elapsed are the application outcome.
+	// Result / Err / Elapsed are the application outcome: Err is nil
+	// exactly when the master finished all iterations.
 	Result  *opt.Result
 	Err     error
 	Elapsed sim.Time
-	// Completed is true when the master finished all iterations.
-	Completed bool
 	// Crashes are the executed host crashes, in time order.
 	Crashes []ft.CrashEvent
 	// Recoveries are the per-failure recovery measurements.
@@ -94,8 +93,6 @@ type SurvivalOutcome struct {
 	Checkpoints int
 	// LostWork is the run time the recoveries rolled back (ft.Manager.LostWork).
 	LostWork sim.Time
-	// Decisions is the GS action log (host-failure / host-rejoin entries).
-	Decisions []gs.Decision
 	// Trace holds the fault/checkpoint/recovery timeline.
 	Trace *trace.Log
 }
@@ -104,9 +101,16 @@ type SurvivalOutcome struct {
 // GS (failure detection driving an ft.Manager), the FT-Opt job, and the
 // seeded fault plan; run to completion or the cap.
 func Survival(cfg SurvivalConfig) *SurvivalOutcome {
+	out, _ := survival(cfg)
+	return out
+}
+
+// survival is Survival, also returning the fleet that drove the run (nil
+// if it never started): its decision log outlives the world's Close.
+func survival(cfg SurvivalConfig) (*SurvivalOutcome, *gs.Fleet) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
-		return &SurvivalOutcome{Err: err}
+		return &SurvivalOutcome{Err: err}, nil
 	}
 	w := NewWorld(WorldSpec{
 		Hosts:  Workstations(cfg.Hosts, "host%d", 1),
@@ -140,7 +144,7 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	})
 	if err != nil {
 		out.Err = err
-		return out
+		return out, nil
 	}
 	sched.Start()
 	w.K.RunUntil(survivalRunCap)
@@ -148,7 +152,6 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	res := job.Out()
 	out.Result = res.Result
 	out.Err = res.Err
-	out.Completed = res.Done
 	out.Elapsed = res.FinishedAt
 	if !res.Done && res.Err == nil {
 		out.Err = errs.Newf(CodeRunCap, "survival run hit the %v cap", survivalRunCap)
@@ -157,12 +160,11 @@ func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	out.Recoveries = mgr.Records()
 	out.Checkpoints = mgr.Checkpoints()
 	out.LostWork = mgr.LostWork()
-	out.Decisions = sched.Decisions()
 	for _, r := range out.Recoveries {
 		if r.RecoveredAt > 0 {
 			out.RecoverySecs.Add(sim.Seconds(r.RecoveredAt - r.CrashedAt))
 		}
 		out.DetectSecs.Add(sim.Seconds(r.DetectedAt - r.CrashedAt))
 	}
-	return out
+	return out, sched
 }

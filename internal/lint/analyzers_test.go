@@ -94,16 +94,30 @@ func TestErrCode(t *testing.T) {
 	linttest.Run(t, lint.NewErrCode(cfg), fixture("errcode", "flagged"), simDrivenPath)
 }
 
-func TestUnsetOpt(t *testing.T) {
+func TestFieldUse(t *testing.T) {
 	cfg := lint.DefaultConfig()
-	// flagged: fields written only inside Default*/withDefaults, under
+	// unset: fields written only inside Default*/withDefaults, under
 	// every option-struct suffix; tagged, unexported and non-option
 	// structs stay silent.
-	linttest.Run(t, lint.NewUnsetOpt(cfg), fixture("unsetopt", "flagged"), simDrivenPath)
-	// clean: each way of setting a field (keyed and unkeyed literal,
+	linttest.Run(t, lint.NewFieldUse(cfg), fixture("fielduse", "unset"), simDrivenPath)
+	// set: each way of setting a field (keyed and unkeyed literal,
 	// assignment, ++, through a nested field or a map index, by address).
-	// The audited UnsetOptAllow list is exercised by TestRepoClean.
-	linttest.Run(t, lint.NewUnsetOpt(cfg), fixture("unsetopt", "clean"), simDrivenPath)
+	linttest.Run(t, lint.NewFieldUse(cfg), fixture("fielduse", "set"), simDrivenPath)
+	// unread: a write-only counter, an append-only log, a field written
+	// through an index, and one only a _test.go file reads.
+	linttest.Run(t, lint.NewFieldUse(cfg), fixture("fielduse", "unread"), simDrivenPath)
+	// read: through &x.f, a promoted selection, a whole-struct ==, a
+	// struct passed to fmt as any (nested structs too), and a tag.
+	linttest.Run(t, lint.NewFieldUse(cfg), fixture("fielduse", "read"), simDrivenPath)
+	// allowed: FieldAllow excuses a field or a whole struct, and an entry
+	// of a loaded package that excuses nothing is itself a finding.
+	acfg := lint.DefaultConfig()
+	acfg.FieldAllow = map[string]string{
+		simDrivenPath + ".Ledger.oracle": "a test oracle",
+		simDrivenPath + ".Ledger.total":  "stale: the total is read",
+		simDrivenPath + ".Trace":         "a whole struct",
+	}
+	linttest.Run(t, lint.NewFieldUse(acfg), fixture("fielduse", "allowed"), simDrivenPath)
 }
 
 // TestRepoClean runs the whole suite — per-package and interprocedural

@@ -140,7 +140,6 @@ func (s *CallSite) Pos() token.Pos { return s.Call.Pos() }
 // resolve — analyzers that need them (noalloc's registered-encoder roots)
 // recover them by scanning the registration sites.
 type CallGraph struct {
-	prog  *Program
 	funcs map[*types.Func]*FuncInfo
 	order []*FuncInfo // deterministic iteration order (by position)
 }
@@ -193,7 +192,7 @@ func reportUnresolved(pass *ProgramPass, g *CallGraph, field string, keys map[st
 const awaitName = "AwaitExternal"
 
 func buildCallGraph(prog *Program) *CallGraph {
-	g := &CallGraph{prog: prog, funcs: make(map[*types.Func]*FuncInfo)}
+	g := &CallGraph{funcs: make(map[*types.Func]*FuncInfo)}
 
 	// Pass 1: index every declaration.
 	for _, pkg := range prog.Pkgs {

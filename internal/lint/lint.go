@@ -54,8 +54,7 @@ type Pass struct {
 
 // Diagnostic is one finding at one position.
 type Diagnostic struct {
-	Pos      token.Pos
-	Position token.Position // resolved from Pos at report time
+	Position token.Position
 	Analyzer string
 	Message  string
 }
@@ -63,7 +62,6 @@ type Diagnostic struct {
 // Reportf records a finding against the pass's package.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
-		Pos:      pos,
 		Position: p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
@@ -82,7 +80,6 @@ type ProgramPass struct {
 // Reportf records a finding at pos.
 func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
-		Pos:      pos,
 		Position: p.Prog.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
@@ -159,7 +156,7 @@ func RunAll(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full suite, built from cfg: the three per-package
 // determinism/hygiene passes and the four program-level passes
-// (noalloc, bridgecall, errcode, unsetopt).
+// (noalloc, bridgecall, errcode, fielduse).
 func All(cfg *Config) []*Analyzer {
 	return []*Analyzer{
 		NewNoWallClock(cfg),
@@ -168,7 +165,7 @@ func All(cfg *Config) []*Analyzer {
 		NewNoAlloc(cfg),
 		NewBridgeCall(cfg),
 		NewErrCode(cfg),
-		NewUnsetOpt(cfg),
+		NewFieldUse(cfg),
 	}
 }
 

@@ -64,7 +64,6 @@ func NewMapOrder(cfg *Config) *Analyzer {
 
 // mapEffect is one order-visible operation found in a map-range body.
 type mapEffect struct {
-	pos      token.Pos
 	desc     string
 	appendTo types.Object // non-nil when the effect is an append to an outer slice
 }
@@ -87,12 +86,12 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt,
 				return true
 			}
 			if names, ok := effectCalls[funcPkgPath(f)]; ok && names[f.Name()] {
-				effects = append(effects, mapEffect{n.Pos(), "call to " + funcPkgPath(f) + "." + f.Name(), nil})
+				effects = append(effects, mapEffect{"call to " + funcPkgPath(f) + "." + f.Name(), nil})
 			} else if effectNames[f.Name()] {
-				effects = append(effects, mapEffect{n.Pos(), "call to " + f.Name(), nil})
+				effects = append(effects, mapEffect{"call to " + f.Name(), nil})
 			}
 		case *ast.SendStmt:
-			effects = append(effects, mapEffect{n.Pos(), "channel send", nil})
+			effects = append(effects, mapEffect{"channel send", nil})
 		case *ast.AssignStmt:
 			for _, rhs := range n.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
@@ -114,7 +113,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt,
 				if obj == nil || !declaredOutside(obj, rs) {
 					continue
 				}
-				effects = append(effects, mapEffect{n.Pos(), "append to " + target.Name + " which outlives the loop", obj})
+				effects = append(effects, mapEffect{"append to " + target.Name + " which outlives the loop", obj})
 			}
 		}
 		return true

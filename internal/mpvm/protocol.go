@@ -142,12 +142,13 @@ func (s *System) handleCtl(d *pvm.Daemon, c *pvm.CtlMsg) {
 // onMigrateCmd (source mpvmd): stage 1 → mark the victim migrating and
 // start stage 2 by flushing. An order gone stale on the wire is dropped: a
 // task already moving settles through that migration, and a task that
-// exited settles as an abort, so whoever commanded the move stops waiting.
+// exited or no longer runs on this daemon's host settles as an abort, so
+// whoever commanded the move stops waiting.
 func (s *System) onMigrateCmd(d *pvm.Daemon, cmd *migrateCmd) {
 	_, outstanding := s.ordered[cmd.orig]
 	delete(s.ordered, cmd.orig)
 	mt, ok := s.tasks[cmd.orig]
-	if !ok || mt.Exited() {
+	if !ok || mt.Exited() || mt.Host() != d.Host() && !mt.migrating {
 		if outstanding {
 			s.Aborted(cmd.orig)
 		}

@@ -35,7 +35,6 @@ func (n *Network) acquire() *delivery {
 	if n.wire != nil {
 		d.send, d.recv = d.sendWire, d.recvWire
 	}
-	n.made++
 	return d
 }
 

@@ -11,9 +11,7 @@ type Datagram struct {
 	SrcPort int
 	Dst     HostID
 	DstPort int
-	Bytes   int // payload size used for wire-time accounting
 	Payload any // the simulated contents (passed by reference, not copied)
-	SentAt  sim.Time
 }
 
 // Iface is a host's attachment to the network.
@@ -91,8 +89,7 @@ func (i *Iface) SendDgram(srcPort int, dst HostID, dstPort int, bytes int, paylo
 	d.dgram = Datagram{
 		Src: i.host, SrcPort: srcPort,
 		Dst: dst, DstPort: dstPort,
-		Bytes: bytes, Payload: payload,
-		SentAt: k.Now(),
+		Payload: payload,
 	}
 	if dst != i.host && n.wire != nil {
 		// The real write is host I/O; bridge it at virtual send time.

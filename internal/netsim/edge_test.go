@@ -75,6 +75,7 @@ func TestConnEndpointsAndSegmentTimestamps(t *testing.T) {
 	a, b := n.Attach(0), n.Attach(1)
 	l, _ := b.Listen(2)
 	var seg Segment
+	var arrived sim.Time
 	k.Spawn("srv", func(p *sim.Proc) {
 		c, err := l.Accept(p)
 		if err != nil {
@@ -84,6 +85,7 @@ func TestConnEndpointsAndSegmentTimestamps(t *testing.T) {
 			t.Errorf("server endpoints: %d, %d", c.local, c.remote)
 		}
 		seg, _ = c.Recv(p)
+		arrived = p.Now()
 	})
 	k.Spawn("cli", func(p *sim.Proc) {
 		c, err := a.Dial(p, 1, 2)
@@ -97,8 +99,10 @@ func TestConnEndpointsAndSegmentTimestamps(t *testing.T) {
 		c.Send(p, 50_000, nil)
 	})
 	k.Run()
-	if seg.SentAt < time.Second || seg.ArrivedAt <= seg.SentAt {
-		t.Fatalf("timestamps: sent %v arrived %v", seg.SentAt, seg.ArrivedAt)
+	// Sent at 1 s, the segment arrives once its frames have crossed the
+	// wire.
+	if seg.Bytes != 50_000 || arrived <= time.Second+Latency {
+		t.Fatalf("received %d bytes at %v, want 50000 after %v", seg.Bytes, arrived, time.Second+Latency)
 	}
 }
 

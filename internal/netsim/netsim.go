@@ -65,10 +65,8 @@ type Network struct {
 	wire   Wire // nil = in-memory only
 	ifaces map[HostID]*Iface
 
-	// free pools the records of deliveries in flight (delivery.go); made
-	// counts the records ever made, the pool's peak in flight.
+	// free pools the records of deliveries in flight (delivery.go).
 	free []*delivery
-	made int
 
 	// failure state, driven by the fault-injection layer (failures.go)
 	down     map[HostID]bool

@@ -20,10 +20,8 @@ var (
 // preserves message boundaries (the PVM layer frames its own messages; we
 // spare it the extra bookkeeping and document the simplification).
 type Segment struct {
-	Bytes     int
-	Payload   any
-	SentAt    sim.Time
-	ArrivedAt sim.Time
+	Bytes   int
+	Payload any
 }
 
 // Conn is one endpoint of an established connection.
@@ -153,15 +151,9 @@ func (i *Iface) Dial(p *sim.Proc, dst HostID, port int) (*Conn, error) {
 		}
 		client.wire, server.wire = cw, sw
 	}
-	if !l.pending.TryPut(server) {
-		if client.wire != nil {
-			k.AwaitExternal(func() {
-				client.wire.Close()
-				server.wire.Close()
-			})
-		}
-		return nil, ErrConnRefused
-	}
+	// l is still open (AwaitExternal dispatched nothing since the check
+	// above), so its queue takes the server end.
+	l.pending.TryPut(server)
 	return client, nil
 }
 
@@ -177,7 +169,7 @@ func (c *Conn) Send(p *sim.Proc, bytes int, payload any) error {
 	if !c.net.Reachable(c.local, c.remote) {
 		return fmt.Errorf("%w: host %d -> %d", ErrUnreachable, c.local, c.remote) // lint:alloc failure path: the send is refused
 	}
-	seg := Segment{Bytes: bytes, Payload: payload, SentAt: p.Now()}
+	seg := Segment{Bytes: bytes, Payload: payload}
 	var arrival sim.Time
 	if c.remote == c.local {
 		d := loopbackTime(bytes)
@@ -205,7 +197,6 @@ func (c *Conn) Send(p *sim.Proc, bytes int, payload any) error {
 		}
 		arrival = p.Now() + Latency
 	}
-	seg.ArrivedAt = arrival
 	if arrival > c.lastArrival {
 		c.lastArrival = arrival
 	}

@@ -44,8 +44,6 @@ type ADMStats struct {
 	Records []core.MigrationRecord
 	// Redistributions counts completed redistribution rounds.
 	Redistributions int
-	// FinalLoss is the master's last mean loss (real mode).
-	FinalLoss float64
 }
 
 func (p ADMParams) withDefaults() ADMParams {
@@ -174,9 +172,7 @@ func RunADMMaster(vp core.VP, slaves []core.TID, ap ADMParams) (*Result, error) 
 			return nil, err
 		}
 	}
-	res := m.Result()
-	ap.Stats.FinalLoss = res.FinalLoss
-	return res, nil
+	return m.Result(), nil
 }
 
 // runRedistribution coordinates one redistribution round at the master,

@@ -11,9 +11,6 @@ type CGTrainer struct {
 
 	prevGrad []float64
 	dir      []float64
-
-	// Losses records the loss after each iteration.
-	Losses []float64
 }
 
 // NewCGTrainer wraps a network.
@@ -94,7 +91,6 @@ func (t *CGTrainer) LineSearch(set *ExemplarSet, grad, dir []float64) (float64, 
 	}
 	if slope >= 0 {
 		// Defensive: should not happen after Direction's restart logic.
-		t.Losses = append(t.Losses, loss0)
 		return 0, loss0
 	}
 	const c1 = 1e-4
@@ -107,14 +103,12 @@ func (t *CGTrainer) LineSearch(set *ExemplarSet, grad, dir []float64) (float64, 
 		n.SetFlat(trial)
 		loss := n.Loss(set)
 		if loss <= loss0+c1*step*slope {
-			t.Losses = append(t.Losses, loss)
 			return step, loss
 		}
 		step *= 0.5
 	}
 	// No improving step found: keep the original parameters.
 	n.SetFlat(base)
-	t.Losses = append(t.Losses, loss0)
 	return 0, loss0
 }
 

@@ -94,7 +94,6 @@ type JobSpec struct {
 type Job struct {
 	ID          int
 	Kind        JobKind
-	Spec        JobSpec
 	SubmittedAt sim.Time
 
 	// Exactly one of these is set, by Kind.
@@ -227,7 +226,7 @@ func (c *Core) submitOpt(spec JobSpec) (*Job, error) {
 			return nil, err
 		}
 	}
-	job := &Job{ID: len(c.jobs) + 1, Kind: JobOpt, Spec: spec, SubmittedAt: c.w.K.Now()}
+	job := &Job{ID: len(c.jobs) + 1, Kind: JobOpt, SubmittedAt: c.w.K.Now()}
 	ftJob, err := ft.StartJob(c.w.Mgr, ft.JobSpec{
 		Opt: opt.Params{
 			Iterations: spec.Iterations,
@@ -278,7 +277,7 @@ func (c *Core) submitLoad(spec JobSpec) (*Job, error) {
 		ReqBytes: spec.ReqBytes,
 		SLO:      time.Duration(spec.SLOMs) * time.Millisecond,
 	}
-	job := &Job{ID: len(c.jobs) + 1, Kind: JobLoad, Spec: spec, SubmittedAt: c.w.K.Now()}
+	job := &Job{ID: len(c.jobs) + 1, Kind: JobLoad, SubmittedAt: c.w.K.Now()}
 	lj, err := harness.StartLoadJob(c.w.MPVM, ls)
 	if err != nil {
 		return nil, errs.New(CodeBadRequest, "load job rejected", err)

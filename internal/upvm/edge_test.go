@@ -69,8 +69,8 @@ func TestULPAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := ulps[0]
-	if u.region.Size < 65_000 {
-		t.Fatalf("region of %d bytes does not hold the two segments", u.region.Size)
+	if r := s.space.regions[0]; r.Size < 65_000 {
+		t.Fatalf("region of %d bytes does not hold the two segments", r.Size)
 	}
 	if u.p != s.procs[1] {
 		t.Fatal("ULP not in host 1's process")

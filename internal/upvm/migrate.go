@@ -357,10 +357,7 @@ func (p *Process) onXfer(t *pvm.Task, src core.TID, r *core.Reader) {
 	case "inboxmsg":
 		ulpID, srcID, tag, inner := r.UpkIndex(ulps), r.UpkIndex(ulps), r.UpkInt(), r.UpkBuffer()
 		if ix, ok := p.inbound[ulpID]; ok && ix.src == src && r.Err() == nil {
-			ix.inboxMsgs = append(ix.inboxMsgs, &UMessage{
-				Src: ULPTID(srcID), Dst: ULPTID(ulpID), Tag: tag, Buf: inner,
-				SentAt: p.sys.m.Kernel().Now(),
-			})
+			ix.inboxMsgs = append(ix.inboxMsgs, &UMessage{Src: ULPTID(srcID), Tag: tag, Buf: inner})
 			ix.rec.StateBytes += inner.Bytes()
 		}
 	case "fin":

@@ -65,11 +65,10 @@ type inboundXfer struct {
 
 // UMessage is a ULP-to-ULP message.
 type UMessage struct {
-	Src, Dst core.TID // ULP tids
-	Tag      int
-	Buf      *core.Buffer
-	SentAt   sim.Time
-	Local    bool // delivered by hand-off
+	Src   core.TID // the sending ULP's tid
+	Tag   int
+	Buf   *core.Buffer
+	Local bool // delivered by hand-off
 	// rd is the cursor the receive hands out: a message is received once,
 	// so its cursor costs no allocation of its own.
 	rd core.Reader
@@ -177,10 +176,7 @@ func (p *Process) onData(r *core.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	msg := &UMessage{
-		Src: ULPTID(srcID), Dst: ULPTID(dstID), Tag: appTag,
-		Buf: inner, SentAt: p.sys.m.Kernel().Now(),
-	}
+	msg := &UMessage{Src: ULPTID(srcID), Tag: appTag, Buf: inner}
 	p.deliverLocal(dstID, msg)
 }
 

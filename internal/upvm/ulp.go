@@ -13,12 +13,11 @@ import (
 // written for PVM tasks runs on ULPs unchanged (the paper's source-code
 // compatible interface).
 type ULP struct {
-	sys    *System
-	id     int
-	spec   ULPSpec
-	p      *Process // current containing process
-	proc   *sim.Proc
-	region Region
+	sys  *System
+	id   int
+	spec ULPSpec
+	p    *Process // current containing process
+	proc *sim.Proc
 
 	inbox     []*UMessage
 	inboxCond sim.Cond
@@ -43,11 +42,9 @@ func newULP(s *System, rank int, spec ULPSpec, body func(*ULP, int)) *ULP {
 	u.inboxCond.Init(s.m.Kernel())
 	u.parkCond.Init(s.m.Kernel())
 	u.resumeCond.Init(s.m.Kernel())
-	region, err := s.space.Reserve(rank, spec.StateBytes())
-	if err != nil {
+	if _, err := s.space.Reserve(rank, spec.StateBytes()); err != nil {
 		panic(fmt.Sprintf("upvm: %v", err))
 	}
-	u.region = region
 	u.proc = s.m.Kernel().Spawn(fmt.Sprintf("ulp%d", rank), func(p *sim.Proc) {
 		body(u, rank)
 		u.done = true
@@ -146,10 +143,7 @@ func (u *ULP) Send(dst core.TID, tag int, buf *core.Buffer) error {
 		// Buffer hand-off: the library passes the message buffer straight
 		// to the destination ULP — no copy (paper §4.2.1).
 		u.sys.m.ChargeCPU(u.proc, p.Host(), handoffCost)
-		local.deliver(&UMessage{
-			Src: u.Mytid(), Dst: dst, Tag: tag, Buf: buf,
-			SentAt: u.proc.Now(), Local: true,
-		})
+		local.deliver(&UMessage{Src: u.Mytid(), Tag: tag, Buf: buf, Local: true})
 		return nil
 	}
 	h, ok := p.locate(dstID)

@@ -92,4 +92,18 @@ say "replaying the journal headlessly"
 cat "$WORK/replay.log"
 grep -q '^fingerprint: [0-9a-f]\{16\}$' "$WORK/replay.log" || { say "replay produced no fingerprint"; exit 1; }
 
+# A daemon that dies mid-append leaves a torn final line. The replay drops
+# it with a note on stderr, exits 0, and equals the replay of the complete
+# lines before it.
+say "replaying a journal torn mid-line"
+LAST=$(tail -n 1 "$WORK/session.jsonl")
+head -n -1 "$WORK/session.jsonl" >"$WORK/prefix.jsonl"
+{ cat "$WORK/prefix.jsonl"; printf '%s' "${LAST:0:$((${#LAST} / 2))}"; } >"$WORK/torn.jsonl"
+"$WORK/pvmsimd" -replay "$WORK/prefix.jsonl" >"$WORK/prefix.log"
+"$WORK/pvmsimd" -replay "$WORK/torn.jsonl" >"$WORK/torn.log" 2>"$WORK/torn.err" ||
+  { say "torn replay exited $?"; cat "$WORK/torn.err"; exit 1; }
+grep -q 'torn line' "$WORK/torn.err" || { say "torn replay printed no note"; cat "$WORK/torn.err"; exit 1; }
+[ "$(grep '^fingerprint:' "$WORK/torn.log")" = "$(grep '^fingerprint:' "$WORK/prefix.log")" ] ||
+  { say "torn replay differs from its complete prefix"; cat "$WORK/torn.log" "$WORK/prefix.log"; exit 1; }
+
 say "OK"
