@@ -6,7 +6,7 @@ import (
 )
 
 // CodeNoSnapshot marks a Read of a key with no committed snapshot: nothing
-// was ever committed under it, or every generation was found corrupt.
+// was ever committed under it.
 const CodeNoSnapshot errs.Code = "checkpoint.no-snapshot"
 
 // Snapshot is one committed checkpoint image.
@@ -27,14 +27,10 @@ type Snapshot struct {
 const commitBytes = 512
 
 // entry is the on-disk state for one key: the committed snapshot recovery
-// reads, the previously committed one (still on disk — images alternate
-// between two slots, as classic checkpoint libraries do), and a staged image
-// whose commit record has not landed yet.
+// reads and a staged image whose commit record has not landed yet.
 type entry struct {
 	cur     Snapshot
 	hasCur  bool
-	prev    Snapshot
-	hasPrev bool
 	staged  Snapshot
 	staging bool
 }
@@ -47,9 +43,8 @@ type entry struct {
 // Writes are two-phase: the image is written in full, then a one-sector
 // commit record makes it the snapshot recovery will read. An interrupt (or
 // crash) between the two leaves a torn image that re-opening ignores: Read
-// keeps returning the previously committed snapshot. The prior committed
-// image stays on disk until the next commit replaces it, so a latest image
-// found corrupt at re-open also falls back one generation.
+// keeps returning the previously committed snapshot. Once a commit lands,
+// Read returns only that latest image.
 type Store struct {
 	k       *sim.Kernel
 	entries map[string]*entry
@@ -90,17 +85,13 @@ func (st *Store) stage(key string, epoch, bytes int, payload any) {
 	e.staging = true
 }
 
-// commit installs the staged image for key: the previously committed
-// snapshot is kept one generation back, the staged one becomes current. A
+// commit installs the staged image for key as the one Read returns. A
 // commit with nothing staged is a no-op (the caller was interrupted before
 // the image finished).
 func (st *Store) commit(key string) {
 	e := st.entry(key)
 	if !e.staging {
 		return
-	}
-	if e.hasCur {
-		e.prev, e.hasPrev = e.cur, true
 	}
 	e.cur, e.hasCur = e.staged, true
 	e.staged, e.staging = Snapshot{}, false

@@ -78,40 +78,6 @@ func TestTornFirstWriteLeavesNothing(t *testing.T) {
 	}
 }
 
-func TestCorruptLatestFallsBackToPreviousCommitted(t *testing.T) {
-	k := sim.NewKernel()
-	st := NewStore(k)
-	var errs []error
-	k.Spawn("writer", func(p *sim.Proc) {
-		errs = append(errs, st.Write(p.Sleep, "job", 1, 1000, "v1"))
-		errs = append(errs, st.Write(p.Sleep, "job", 2, 1000, "v2"))
-	})
-	k.Run()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if snap, _ := committed(t, k, st, "job"); snap.Payload != "v2" {
-		t.Fatalf("latest is %v, want v2", snap.Payload)
-	}
-	// Re-open finds the latest image corrupt: fall back one generation.
-	if !st.CorruptLatest("job") {
-		t.Fatal("no fallback generation found")
-	}
-	snap, ok := committed(t, k, st, "job")
-	if !ok || snap.Payload != "v1" || snap.Epoch != 1 {
-		t.Fatalf("fallback wrong: %+v ok=%v", snap, ok)
-	}
-	// A second corruption exhausts the generations.
-	if st.CorruptLatest("job") {
-		t.Error("two fallback generations from two commits")
-	}
-	if _, ok := committed(t, k, st, "job"); ok {
-		t.Error("snapshot readable after both generations corrupt")
-	}
-}
-
 func TestStageInvisibleUntilCommit(t *testing.T) {
 	k := sim.NewKernel()
 	st := NewStore(k)
@@ -153,21 +119,4 @@ func TestReadChargesDiskTime(t *testing.T) {
 	if took < 900*time.Millisecond || took > 1100*time.Millisecond {
 		t.Errorf("1.5 MB at 1.5 MB/s took %v", took)
 	}
-}
-
-// CorruptLatest marks the committed image for key unreadable (a torn or
-// bit-rotted latest found at re-open): recovery falls back to the previous
-// committed generation. It reports whether a fallback generation existed.
-func (st *Store) CorruptLatest(key string) bool {
-	e, ok := st.entries[key]
-	if !ok || !e.hasCur {
-		return false
-	}
-	if !e.hasPrev {
-		e.cur, e.hasCur = Snapshot{}, false
-		return false
-	}
-	e.cur, e.hasCur = e.prev, true
-	e.prev, e.hasPrev = Snapshot{}, false
-	return true
 }

@@ -1,8 +1,6 @@
 package ft
 
 import (
-	"fmt"
-
 	"pvmigrate/internal/cluster"
 	"pvmigrate/internal/netsim"
 	"pvmigrate/internal/sim"
@@ -29,8 +27,8 @@ func (d *Detector) LastHeard(host int) (sim.Time, bool) {
 	return t, ok
 }
 
-// StartHeartbeats spawns one beat sender per host and the receiving
-// Detector on gsHost, all as kernel procs (they model daemon-internal
+// StartHeartbeats starts one beat sender per host and the receiving
+// Detector on gsHost, all kernel callbacks (they model daemon-internal
 // threads and survive nothing: a crashed host's sender just stops sending,
 // because it checks Host.Alive before each beat).
 //
@@ -43,31 +41,22 @@ func StartHeartbeats(cl *cluster.Cluster, gsHost int, interval sim.Time) *Detect
 		det.last[int(h.ID())] = k.Now()
 	}
 	q, _ := cl.Host(netsim.HostID(gsHost)).Iface().BindDgram(BeatPort)
-	k.Spawn("ft-detector", func(p *sim.Proc) {
-		for {
-			dg, err := q.Get(p)
-			if err != nil {
-				return
-			}
-			if b, ok := dg.Payload.(beat); ok {
-				det.last[b.host] = p.Now()
-			}
+	q.Serve(func(dg netsim.Datagram) {
+		if b, ok := dg.Payload.(beat); ok {
+			det.last[b.host] = k.Now()
 		}
 	})
 	for _, h := range cl.Hosts() {
 		host := h
-		k.Spawn(fmt.Sprintf("hb-host%d", host.ID()), func(p *sim.Proc) {
-			for {
-				if err := p.Sleep(interval); err != nil {
-					return
-				}
-				if !host.Alive() {
-					continue // a crashed host falls silent
-				}
+		var send func()
+		send = func() {
+			if host.Alive() { // a crashed host falls silent
 				host.Iface().SendDgram(BeatPort, netsim.HostID(gsHost), BeatPort,
 					beatBytes, beat{host: int(host.ID())})
 			}
-		})
+			k.Schedule(interval, send)
+		}
+		k.Schedule(0, func() { k.Schedule(interval, send) })
 	}
 	return det
 }

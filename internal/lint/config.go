@@ -261,8 +261,6 @@ func DefaultConfig() *Config {
 			// its tests read its results and set its options.
 			"pvmigrate/internal/chaos": "the chaos sweep is test-only by design",
 			// Unread, kept on purpose.
-			"pvmigrate/internal/checkpoint.entry.prev":       "the previously committed image, the fallback when the latest is torn (CorruptLatest in torn_test.go)",
-			"pvmigrate/internal/checkpoint.entry.hasPrev":    "marks entry.prev valid, with it",
 			"pvmigrate/internal/harness.paperCell.name":      "labels a paper-tolerance pin; paperTable (experiments_test.go) reports each cell by it",
 			"pvmigrate/internal/harness.paperCell.paper":     "the paper's printed value, which paperTable holds each measurement to",
 			"pvmigrate/internal/cluster.CPU.totalDone":       "test oracle: the CPU tests check the work done against it",

@@ -17,14 +17,8 @@ func StartCrossTraffic(n *Network, seed uint64, utilization float64) {
 	frame := MSS
 	frameTime := n.link.frameTime(frame)
 	meanGap := sim.Time(float64(frameTime) * (1 - utilization) / utilization)
-	n.k.Spawn("cross-traffic", func(p *sim.Proc) {
-		for {
-			if err := n.link.Transmit(p, frame); err != nil {
-				return
-			}
-			if err := p.Sleep(rng.ExpDuration(meanGap)); err != nil {
-				return
-			}
-		}
-	})
+	var send, idle func()
+	send = func() { n.k.ScheduleAt(n.link.reserve(frame), idle) }
+	idle = func() { n.k.Schedule(rng.ExpDuration(meanGap), send) }
+	n.k.Schedule(0, send)
 }

@@ -81,6 +81,10 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 	return c, err
 }
 
+// Serve is a loop on Accept without a proc: fn gets each accepted
+// connection in kernel context and must not block (sim.Queue.Serve).
+func (l *Listener) Serve(fn func(*Conn)) { l.pending.Serve(fn) }
+
 // Close stops the listener; blocked Accepts return ErrListenerClose.
 func (l *Listener) Close() {
 	if l.closed {
@@ -227,6 +231,10 @@ func (c *Conn) Recv(p *sim.Proc) (Segment, error) {
 	}
 	return seg, err
 }
+
+// Serve is a loop on Recv without a proc: fn gets each arriving segment in
+// kernel context and must not block (sim.Queue.Serve).
+func (c *Conn) Serve(fn func(Segment)) { c.inbox.Serve(fn) }
 
 // Close tears down this endpoint. The two directions are intentionally
 // asymmetric:

@@ -1,6 +1,9 @@
 package pvm
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -25,8 +28,55 @@ func testMachine(t *testing.T, n int, cfg Config) (*sim.Kernel, *Machine) {
 func runToCompletion(t *testing.T, k *sim.Kernel) {
 	t.Helper()
 	k.Run()
-	// Daemons and acceptors legitimately stay blocked; application tasks
-	// must not. Checked by individual tests via their own completion flags.
+	// Daemons legitimately stay blocked; application tasks must not.
+	// Checked by individual tests via their own completion flags.
+}
+
+// TestOnlyDaemonsAndTasksStayBlocked: a task's listener and its direct
+// connections' pumps are kernel callbacks, not procs. Tasks on a ring pass
+// a message on, then park in a Recv nothing answers; at quiescence the
+// blocked procs are exactly the pvmds and the tasks, on either route.
+func TestOnlyDaemonsAndTasksStayBlocked(t *testing.T) {
+	const hosts, tasks = 3, 6
+	for _, direct := range []bool{false, true} {
+		k, m := testMachine(t, hosts, Config{DirectRoute: direct})
+		ring := make([]*Task, tasks)
+		var want []string
+		for h := 0; h < hosts; h++ {
+			want = append(want, fmt.Sprintf("pvmd%d", h))
+		}
+		passed := 0
+		for i := range ring {
+			i := i
+			task, err := m.Spawn(i%hosts, fmt.Sprintf("ring%d", i), func(task *Task) {
+				next := ring[(i+1)%tasks].Mytid()
+				if err := task.Send(next, 1, core.NewBuffer().PkInt(i)); err != nil {
+					t.Errorf("send: %v", err)
+				}
+				if _, _, _, err := task.Recv(core.AnyTID, 1); err == nil {
+					passed++
+				}
+				// lint:reason parks for good: no tag 2 is ever sent
+				_, _, _, _ = task.Recv(core.AnyTID, 2)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring[i] = task
+			want = append(want, task.Proc().Name())
+		}
+		if blocked := k.Run(); blocked != len(want) {
+			t.Errorf("direct %v: Run left %d procs blocked, want %d", direct, blocked, len(want))
+		}
+		sort.Strings(want)
+		if got := k.Blocked(); !slices.Equal(got, want) {
+			t.Errorf("direct %v: blocked %v, want %v", direct, got, want)
+		}
+		if passed != tasks {
+			t.Errorf("direct %v: %d of %d messages passed on", direct, passed, tasks)
+		}
+		k.Close()
+	}
 }
 
 func TestSpawnAndTIDs(t *testing.T) {

@@ -152,27 +152,15 @@ func (t *Task) openListener() {
 		panic(fmt.Sprintf("pvm: task listener: %v", err))
 	}
 	t.listener = l
-	t.m.k.Spawn(fmt.Sprintf("accept(%s)", t.tid), func(p *sim.Proc) {
-		for {
-			conn, err := l.Accept(p)
-			if err != nil {
-				return
-			}
-			t.startPump(conn)
-		}
-	})
+	l.Serve(t.startPump)
 }
 
+// startPump delivers each message arriving on an accepted connection to
+// the task's inbox, in kernel context.
 func (t *Task) startPump(conn *netsim.Conn) {
-	t.m.k.Spawn(fmt.Sprintf("pump(%s)", t.tid), func(p *sim.Proc) {
-		for {
-			seg, err := conn.Recv(p)
-			if err != nil {
-				return
-			}
-			if msg, ok := seg.Payload.(*Message); ok {
-				t.deliver(msg)
-			}
+	conn.Serve(func(seg netsim.Segment) {
+		if msg, ok := seg.Payload.(*Message); ok {
+			t.deliver(msg)
 		}
 	})
 }
@@ -199,8 +187,8 @@ func (t *Task) DropConn(tid core.TID) {
 
 // --- delivery ---------------------------------------------------------------
 
-// deliver places a message in the task's inbox. Called from kernel context
-// (daemon loopback delivery) or from pump procs.
+// deliver places a message in the task's inbox. Called from kernel context:
+// daemon loopback delivery or a direct connection's pump.
 func (t *Task) deliver(msg *Message) {
 	t.inbox = append(t.inbox, msg)
 	t.inboxCond.Broadcast()

@@ -9,10 +9,10 @@ const CodeQueueClosed errs.Code = "sim.queue-closed"
 // value, so callers may compare it with == as well as errs.Is.
 var ErrQueueClosed = errs.New(CodeQueueClosed, "sim: queue closed", nil)
 
-// Queue is an unbounded FIFO channel into procs. Producers never block:
-// TryPut appends from a proc or a kernel callback alike, and fails only on
-// a closed queue. Get blocks while the queue is empty and is an interrupt
-// point.
+// Queue is an unbounded FIFO channel into procs or a callback. Producers
+// never block: TryPut appends from a proc or a kernel callback alike, and
+// fails only on a closed queue. Get blocks while the queue is empty and is
+// an interrupt point; Serve consumes without a proc.
 //
 // Items live in a power-of-two ring buffer, so a steady put/get stream
 // recycles the same backing array instead of sliding an append window down
@@ -99,6 +99,24 @@ func (q *Queue[T]) Get(p *Proc) (T, error) {
 		}
 	}
 	return q.pop(), nil
+}
+
+// Serve consumes q with fn, which must not block, in kernel context: event
+// for event and draw for draw, Spawn of a proc looping Get → fn until the
+// queue is closed and empty. Its start event is queued where Spawn's would
+// be; each drain hands fn every queued item, then waits on the queue as Get
+// would, so a put to an idle queue and Close each queue the next drain.
+func (q *Queue[T]) Serve(fn func(T)) {
+	var drain func() // built once, so a re-arm allocates nothing
+	drain = func() {
+		for q.n > 0 {
+			fn(q.pop())
+		}
+		if !q.closed {
+			q.notEmpty.Await(drain)
+		}
+	}
+	q.notEmpty.k.Schedule(0, drain)
 }
 
 // Drain removes and returns all queued items.
